@@ -10,7 +10,9 @@ unique invariant measure and time averages of F(x, Y_t) converge to the
 averaged coupling drift. estimate_fbar runs a few independent replicas,
 discards a burn-in, and averages the rest; because F is affine in y the time
 average of F(x, Y) equals F(x, time average of Y), which is what the code
-accumulates.
+accumulates. All three frozen runs step through the fast stepper of the
+integrators module at epsilon = 1; estimate_fbar advances its replicas side
+by side as the columns of one state, ergodicity_decay its two paths.
 
 For the linear fast operator the invariant measure is Gaussian with mean
 L^-1 (c_b x), giving the closed form used as an oracle:
@@ -24,17 +26,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .grid import L2, Array, Field, Grid1D, norm_values, sine_basis, solve_neg_laplacian
-from .integrators import _banded_identity_plus
-from .operators import (
-    CouplingSpec,
-    FastOperatorSpec,
-    b2_values,
-    dissipativity_margin,
-    mode_scales,
-)
+from .grid import L2, Array, Field, Grid1D, norm_values, solve_neg_laplacian
+from .integrators import _FastStepper
+from .operators import CouplingSpec, FastOperatorSpec, dissipativity_margin
 from .randomness import RngStream
 
 __all__ = [
@@ -114,19 +109,11 @@ def simulate_frozen(
     _frozen_margin(fast, coupling, grid)
     n_steps = max(1, math.ceil(horizon / dt_fast - 1e-12))
     dt = horizon / n_steps
-    factor = cholesky_banded(_banded_identity_plus(grid, dt))
-    scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt)
-    basis_t = np.ascontiguousarray(sine_basis(grid, coupling.g2_modes).T)
-    gen = stream.generator(1)
-    noise_fields = (gen.standard_normal((n_steps, scales.size)) * scales) @ basis_t
-
-    xv = x.values
-    y = y0.values.copy()
+    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
+    coefficients = stepper.draw(stream.generator(1), n_steps)
     states = np.empty((n_steps + 1, grid.n_interior))
-    states[0] = y
-    for m in range(n_steps):
-        rhs = y + dt * b2_values(fast, xv, y) + noise_fields[m]
-        y = cho_solve_banded((factor, False), rhs)
+    states[0] = y0.values
+    for m, y in enumerate(stepper.path(x.values, y0.values, coefficients)):
         states[m + 1] = y
     return np.arange(n_steps + 1) * dt, states
 
@@ -151,24 +138,23 @@ def estimate_fbar(
     dt = (t_burn + t_avg) / n_steps
     burn_steps = min(n_steps - 1, int(round(t_burn / dt)))
 
-    factor = cholesky_banded(_banded_identity_plus(grid, dt))
-    scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt)
-    basis_t = np.ascontiguousarray(sine_basis(grid, coupling.g2_modes).T)
+    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
+    # Replica r draws its own stream and steps as column r of the state.
+    coefficients = np.stack(
+        [
+            stepper.draw(RngStream(stream.master_seed, stream.stream_id + r).generator(1), n_steps)
+            for r in range(spec.n_replicas)
+        ],
+        axis=-1,
+    )
     xv = x.values
-
-    replica_means = np.empty((spec.n_replicas, grid.n_interior))
-    for r in range(spec.n_replicas):
-        gen = RngStream(stream.master_seed, stream.stream_id + r).generator(1)
-        noise_fields = (gen.standard_normal((n_steps, scales.size)) * scales) @ basis_t
-        y = np.zeros(grid.n_interior)
-        y_sum = np.zeros(grid.n_interior)
-        for m in range(n_steps):
-            rhs = y + dt * b2_values(fast, xv, y) + noise_fields[m]
-            y = cho_solve_banded((factor, False), rhs)
-            if m >= burn_steps:
-                y_sum += y
-        y_mean = y_sum / (n_steps - burn_steps)
-        replica_means[r] = coupling.f0.values + coupling.c_fx * xv + coupling.c_fy * y_mean
+    y_sum = np.zeros((grid.n_interior, spec.n_replicas))
+    path = stepper.path(xv, np.zeros_like(y_sum), coefficients)
+    for m, y in enumerate(path):
+        if m >= burn_steps:
+            y_sum += y
+    y_mean = (y_sum / (n_steps - burn_steps)).T
+    replica_means = coupling.f0.values + coupling.c_fx * xv + coupling.c_fy * y_mean
 
     mean = replica_means.mean(axis=0)
     stderr = replica_means.std(axis=0, ddof=1) / math.sqrt(spec.n_replicas)
@@ -179,10 +165,7 @@ def oracle_fbar_ou(
     fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D, x: Field
 ) -> Field:
     """Closed-form averaged drift for the linear fast operator."""
-    if fast.kind != "linear":
-        raise ValueError("the closed form requires the linear fast operator")
-    mean_y = fast.c_b * solve_neg_laplacian(grid, x.values)
-    return Field(grid, coupling.f0.values + coupling.c_fx * x.values + coupling.c_fy * mean_y)
+    return Field(grid, OracleFbar(fast, coupling, grid)(x.values))
 
 
 @dataclasses.dataclass
@@ -215,27 +198,15 @@ def ergodicity_decay(
         raise ValueError("initial fast states must differ")
     n_steps = max(1, math.ceil(horizon / dt_fast - 1e-12))
     dt = horizon / n_steps
-    factor = cholesky_banded(_banded_identity_plus(grid, dt))
-    scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt)
-    basis_t = np.ascontiguousarray(sine_basis(grid, coupling.g2_modes).T)
-    noise_fields = (
-        stream.generator(1).standard_normal((n_steps, scales.size)) * scales
-    ) @ basis_t
+    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
+    coefficients = stepper.draw(stream.generator(1), n_steps)
 
-    xv = x.values
-    ya = y0_a.values.copy()
-    yb = y0_b.values.copy()
-    gap0 = norm_values(grid, ya - yb, L2)
+    gap0 = norm_values(grid, y0_a.values - y0_b.values, L2)
     times = [0.0]
     log_gaps = [math.log(gap0)]
-    for m in range(n_steps):
-        ya = cho_solve_banded(
-            (factor, False), ya + dt * b2_values(fast, xv, ya) + noise_fields[m]
-        )
-        yb = cho_solve_banded(
-            (factor, False), yb + dt * b2_values(fast, xv, yb) + noise_fields[m]
-        )
-        gap = norm_values(grid, ya - yb, L2)
+    pair = np.stack([y0_a.values, y0_b.values], axis=1)
+    for m, y in enumerate(stepper.path(x.values, pair, coefficients)):
+        gap = norm_values(grid, y[:, 0] - y[:, 1], L2)
         if gap <= 1e-10 * gap0:
             break
         times.append((m + 1) * dt)
@@ -254,18 +225,22 @@ def ergodicity_decay(
 
 
 class OracleFbar:
-    """Averaged-drift provider backed by the linear closed form."""
+    """Averaged-drift provider backed by the linear closed form.
+
+    The map is affine, fbar(x) = f0 + M x with M = c_fx I + c_fy c_b L^-1;
+    M is formed once, so each call is one matrix-vector product.
+    """
 
     def __init__(self, fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D):
         if fast.kind != "linear":
             raise ValueError("the closed form requires the linear fast operator")
-        self.fast = fast
-        self.coupling = coupling
-        self.grid = grid
+        identity = np.eye(grid.n_interior)
+        inverse = solve_neg_laplacian(grid, identity)
+        self._offset = coupling.f0.values
+        self._matrix = coupling.c_fx * identity + (coupling.c_fy * fast.c_b) * inverse
 
     def __call__(self, x: Array) -> Array:
-        mean_y = self.fast.c_b * solve_neg_laplacian(self.grid, x)
-        return self.coupling.f0.values + self.coupling.c_fx * x + self.coupling.c_fy * mean_y
+        return self._offset + self._matrix @ x
 
 
 class MemoizedFbar:

@@ -22,8 +22,15 @@ import dataclasses
 
 import numpy as np
 
-from .grid import L2, Array, Grid1D, NormKind, norm_values
-from .integrators import ModelSpec, NoisePath, SchemeParams, Trajectory, _FastStepper
+from .grid import L2, Array, Grid1D, NormKind, row_norms
+from .integrators import (
+    ModelSpec,
+    NoisePath,
+    SchemeParams,
+    Trajectory,
+    _FastStepper,
+    block_increment_integral,
+)
 
 __all__ = [
     "BlockSchedule",
@@ -80,9 +87,7 @@ def build_auxiliary(
     m = noise.n_macro
     if trajectory.x.shape[0] != m + 1:
         raise ValueError("trajectory and noise path disagree on the step count")
-    stepper = _FastStepper(
-        model.fast, model.coupling, model.grid, model.epsilon, noise.dt_macro, params
-    )
+    stepper = _FastStepper.for_model(model, noise.dt_macro, params)
     if stepper.n_sub != noise.n_sub:
         raise ValueError(
             f"scheme gives {stepper.n_sub} micro steps but the path recorded {noise.n_sub}; "
@@ -102,9 +107,7 @@ def deviation_statistic(trajectory: Trajectory, auxiliary: Array, grid: Grid1D) 
     """Trapezoid integral over [0, T] of ||y(t) - y_hat(t)||_L2^2 at macro times."""
     if auxiliary.shape != trajectory.y.shape:
         raise ValueError("auxiliary states have the wrong shape")
-    norms_sq = np.array(
-        [norm_values(grid, yr - ar, L2) ** 2 for yr, ar in zip(trajectory.y, auxiliary)]
-    )
+    norms_sq = row_norms(grid, trajectory.y - auxiliary, L2) ** 2
     dt = trajectory.times[1] - trajectory.times[0]
     return float(np.trapezoid(norms_sq, dx=dt))
 
@@ -117,11 +120,6 @@ def increment_statistic(
 ) -> float:
     """Block-anchored integral of the squared slow increments; see module doc."""
     x = trajectory.x if isinstance(trajectory, Trajectory) else trajectory
-    steps = x.shape[0] - 1
-    if schedule.steps_per_block > steps:
+    if schedule.steps_per_block > x.shape[0] - 1:
         raise ValueError("delta exceeds the trajectory horizon")
-    total = 0.0
-    for j in range(steps):
-        d = x[j + 1] - x[schedule.anchor_step(j)]
-        total += schedule.dt_macro * norm_values(grid, d, kind) ** 2
-    return total
+    return block_increment_integral(grid, kind, schedule.dt_macro, x, schedule.steps_per_block)

@@ -33,6 +33,7 @@ from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
 from .integrators import (
     ModelSpec,
     NewtonDivergence,
+    NumericalBlowUp,
     SchemeParams,
     simulate_averaged,
     simulate_coupled,
@@ -279,8 +280,9 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 
     Epsilons are processed in descending order; replica r reuses stream id r
     across epsilons, which correlates rows and sharpens the monotonicity
-    comparison without biasing any single row. A Newton breakdown at one
-    epsilon invalidates that row but the remaining epsilons still run.
+    comparison without biasing any single row. A Newton breakdown or a
+    blow-up at one epsilon invalidates that row but the remaining epsilons
+    still run.
     """
     params = scheme_params(config)
     epsilons = sorted(config.epsilon_grid, reverse=True)
@@ -297,7 +299,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
                 trajectory, path, _ = simulate_coupled(model, config.T, params, stream)
                 assert path is not None
                 averaged = simulate_averaged(model, provider, config.T, params, path)
-            except NewtonDivergence as exc:
+            except (NewtonDivergence, NumericalBlowUp) as exc:
                 failure = str(exc)
                 break
             errors.append(

@@ -13,6 +13,10 @@ h-weighted l2 inner product, with eigenvalues (2/h**2) * (1 - cos(k*pi*h)).
 Every norm here carries the h weight so that values converge to the continuum
 L^2(0,1), H^1_0, L^p and H^-1 norms under grid refinement. The H^-1 norm uses
 the same operator L as the drifts, sqrt(h * <v, L^-1 v>).
+
+Every linear solve with shift * I + scale * L goes through ShiftedLaplacian:
+the matrix is symmetric positive definite and tridiagonal, so LAPACK pttrf
+factors it once as L D L^T and each solve is a single pttrs call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import functools
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 Array = NDArray[np.float64]
 
@@ -34,10 +38,12 @@ __all__ = [
     "H_MINUS1",
     "L2",
     "NormKind",
+    "ShiftedLaplacian",
     "lp_norm_kind",
     "norm",
     "norm_values",
     "poisson_solve",
+    "row_norms",
     "sine_basis",
     "sine_mode",
     "smallest_eigenvalue",
@@ -74,7 +80,7 @@ class Grid1D:
         return lam
 
     def apply_neg_laplacian(self, v: Array) -> Array:
-        """Stencil application of L without forming a matrix."""
+        """Stencil application of L along the first axis, without a matrix."""
         out = 2.0 * v
         out[:-1] -= v[1:]
         out[1:] -= v[:-1]
@@ -82,13 +88,28 @@ class Grid1D:
         return out
 
     @functools.cached_property
-    def _lap_cholesky(self) -> Array:
-        # Upper banded storage: row 0 holds the superdiagonal shifted right.
-        n = self.n_interior
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -1.0 / self.h**2
-        ab[1, :] = 2.0 / self.h**2
-        return cholesky_banded(ab)
+    def _neg_laplacian(self) -> "ShiftedLaplacian":
+        return ShiftedLaplacian(self, 0.0, 1.0)
+
+
+class ShiftedLaplacian:
+    """Prefactored solves with shift * I + scale * L (shift >= 0, scale > 0).
+
+    solve takes a right-hand side of shape (n,) or (n, R) and solves every
+    column at once.
+    """
+
+    def __init__(self, grid: Grid1D, shift: float, scale: float) -> None:
+        n = grid.n_interior
+        off = scale / grid.h**2
+        # The pttrf wrapper wants a nonempty off-diagonal even when n = 1.
+        diagonal = np.full(n, shift + 2.0 * off)
+        self._d, self._e, info = dpttrf(diagonal, np.full(max(n - 1, 1), -off))
+        if info != 0:
+            raise ArithmeticError(f"shift * I + scale * L is not positive definite (info {info})")
+
+    def solve(self, rhs: Array) -> Array:
+        return dpttrs(self._d, self._e, rhs)[0]
 
 
 class Field:
@@ -182,22 +203,30 @@ def lp_norm_kind(p: float) -> NormKind:
     return NormKind("lp", p)
 
 
-def norm_values(grid: Grid1D, v: Array, kind: NormKind) -> float:
-    """Array-level norm evaluation; see the module docstring for conventions."""
+def row_norms(grid: Grid1D, v: Array, kind: NormKind) -> Array:
+    """Norms along the last axis: one value per row of a (m, n) array.
+
+    See the module docstring for conventions.
+    """
     h = grid.h
     if kind.tag == "l2":
-        return float(np.sqrt(h * np.dot(v, v)))
+        return np.sqrt(h * np.sum(v * v, axis=-1))
     if kind.tag == "h1_0":
-        d = np.diff(v, prepend=0.0, append=0.0)
-        return float(np.sqrt(np.dot(d, d) / h))
+        d = np.diff(v, axis=-1, prepend=0.0, append=0.0)
+        return np.sqrt(np.sum(d * d, axis=-1) / h)
     if kind.tag == "lp":
         p = kind.p
         assert p is not None
-        return float((h * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+        return (h * np.sum(np.abs(v) ** p, axis=-1)) ** (1.0 / p)
     # h_minus1: quadratic form through the inverse of L, rounded up to zero
     # in case cancellation produces a tiny negative value.
-    w = solve_neg_laplacian(grid, v)
-    return float(np.sqrt(max(h * np.dot(v, w), 0.0)))
+    w = solve_neg_laplacian(grid, v.T).T
+    return np.sqrt(np.maximum(h * np.sum(v * w, axis=-1), 0.0))
+
+
+def norm_values(grid: Grid1D, v: Array, kind: NormKind) -> float:
+    """Norm of one nodal vector; see the module docstring for conventions."""
+    return float(row_norms(grid, v, kind))
 
 
 def norm(field: Field, kind: NormKind) -> float:
@@ -205,22 +234,22 @@ def norm(field: Field, kind: NormKind) -> float:
 
 
 def solve_neg_laplacian(grid: Grid1D, rhs: Array, *, tol_scale: float = 1e-12) -> Array:
-    """Solve L u = rhs with iterative refinement.
+    """Solve L u = rhs with iterative refinement; rhs may be (n,) or (n, R).
 
-    The banded Cholesky solve alone leaves a residual around eps * ||L||,
+    The tridiagonal solve alone leaves a residual around eps * ||L||,
     which for fine grids exceeds the promised bound; one or two refinement
     passes push it to the rounding floor. Raises ArithmeticError if the
     residual fails to drop below tol_scale * max(1, max|rhs|), which would
     indicate a badly conditioned or corrupted system rather than a user error.
     """
-    factor = grid._lap_cholesky
+    solver = grid._neg_laplacian
     tol = tol_scale * max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 0.0)
-    u = cho_solve_banded((factor, False), rhs)
+    u = solver.solve(rhs)
     for _ in range(4):
         residual = rhs - grid.apply_neg_laplacian(u)
         if float(np.max(np.abs(residual))) <= tol:
             return u
-        u = u + cho_solve_banded((factor, False), residual)
+        u = u + solver.solve(residual)
     raise ArithmeticError("Poisson solve failed to reach the residual tolerance")
 
 

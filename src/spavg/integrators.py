@@ -2,13 +2,26 @@
 
 Scheme. The slow state advances with a drift-implicit, noise-explicit Euler
 step over dt_macro: the monotone operator A is treated implicitly (a damped
-Newton iteration for porous medium and p-Laplace, a prefactored banded solve
-for the Burgers Laplacian with explicit convection), while the coupling term
-F(x, y) and the Wiener increment enter explicitly. The fast state advances
-inside each macro step through n_sub implicit micro steps of size
-dt_macro / n_sub with the slow input frozen at the left endpoint; n_sub is
-the smallest integer keeping dt_micro / epsilon below dt_fast_target, so the
-fast equation is resolved on its own clock no matter how small epsilon gets.
+Newton iteration for porous medium and p-Laplace, a prefactored tridiagonal
+pttrs solve for the Burgers Laplacian with explicit convection), while the
+coupling term F(x, y) and the Wiener increment enter explicitly. The fast
+state advances inside each macro step through n_sub implicit Euler micro
+steps of size dt_macro / n_sub with the slow input frozen at the left
+endpoint; n_sub is the smallest integer keeping dt_micro / epsilon below
+dt_fast_target, so the fast equation is resolved on its own clock no matter
+how small epsilon gets. With a = dt_micro / epsilon a micro step solves
+
+    (I + a L) y' = y + a B2(x, y) + xi.
+
+For the linear fast operator I + a L is diagonal in the sine eigenbasis the
+noise is drawn in, with entries 1 / d_k = 1 + a lambda_k, so the n_sub micro
+steps of a macro step collapse to one exact update of the mode coefficients,
+
+    y^ <- d^M y^ + (sum_{j=1..M} d^j) a c_b x^ + sum_m d^(M-m) xi^_m,
+
+the same scheme up to rounding. The smooth_bounded operator needs sin(y) in
+physical space and takes its micro steps one by one through a prefactored
+pttrs solve.
 
 Noise. Each Wiener increment is synthesized from sine-mode coefficients
 (amplitude / k**2) * sqrt(dt) * xi_k. A NoisePath records the raw coefficient
@@ -20,19 +33,19 @@ into the block-frozen auxiliary construction, bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import struct
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import solve_banded
 
-from .grid import L2, Array, Field, Grid1D, NormKind, norm_values, sine_basis
+from .grid import Array, Field, Grid1D, NormKind, ShiftedLaplacian, row_norms, sine_basis
 from .operators import (
     CouplingSpec,
     FastOperatorSpec,
     SlowOperatorSpec,
-    b2_values,
     burgers_convection,
     coupling_f,
     dissipativity_margin,
@@ -46,6 +59,7 @@ __all__ = [
     "ModelSpec",
     "NewtonDivergence",
     "NoisePath",
+    "NumericalBlowUp",
     "SchemeParams",
     "SlowTrajectory",
     "Trajectory",
@@ -60,6 +74,10 @@ __all__ = [
 
 class NewtonDivergence(RuntimeError):
     """The implicit solve failed to converge; reported as a numerical failure."""
+
+
+class NumericalBlowUp(ArithmeticError):
+    """A simulated state left the floating-point range (NaN or Inf)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,20 +261,20 @@ class TrajectoryStats:
         self._kind = kind
         self._dt = dt_macro
         self._x = x
-        norms_sq = np.array([norm_values(grid, row, kind) ** 2 for row in x])
-        self.sup_norm_x_sq = float(np.max(norms_sq))
-        self._x_norms_sq = norms_sq
+        self.sup_norm_x_sq = float(np.max(row_norms(grid, x, kind) ** 2))
         self.mean_norm_y_sq = math.nan  # filled by the simulation loop
 
     def increment_integral(self, delta: float) -> float:
-        steps = self._x.shape[0] - 1
-        q = _steps_per_block(delta, self._dt, steps)
-        total = 0.0
-        for j in range(steps):
-            anchor = (j // q) * q
-            d = self._x[j + 1] - self._x[anchor]
-            total += self._dt * norm_values(self._grid, d, self._kind) ** 2
-        return total
+        q = _steps_per_block(delta, self._dt, self._x.shape[0] - 1)
+        return block_increment_integral(self._grid, self._kind, self._dt, self._x, q)
+
+
+def block_increment_integral(
+    grid: Grid1D, kind: NormKind, dt_macro: float, x: Array, q: int
+) -> float:
+    """dt * sum_j ||x[j + 1] - x[anchor(j)]||^2 with blocks of q macro steps."""
+    anchors = (np.arange(x.shape[0] - 1) // q) * q
+    return dt_macro * float(np.sum(row_norms(grid, x[1:] - x[anchors], kind) ** 2))
 
 
 def _steps_per_block(delta: float, dt_macro: float, n_steps: int) -> int:
@@ -268,15 +286,6 @@ def _steps_per_block(delta: float, dt_macro: float, n_steps: int) -> int:
     return q
 
 
-def _banded_identity_plus(grid: Grid1D, scale: float) -> Array:
-    """Upper banded storage of I + scale * L for the symmetric solvers."""
-    n = grid.n_interior
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -scale / grid.h**2
-    ab[1, :] = 1.0 + 2.0 * scale / grid.h**2
-    return ab
-
-
 class _SlowStepper:
     """One macro step of the drift-implicit slow update, dt fixed at setup."""
 
@@ -286,13 +295,13 @@ class _SlowStepper:
         self.dt = dt
         self.params = params
         if slow.kind == "burgers":
-            self._factor = cholesky_banded(_banded_identity_plus(grid, dt * slow.viscosity))
+            self._solver = ShiftedLaplacian(grid, 1.0, dt * slow.viscosity)
 
     def step(self, x: Array, forcing: Array, noise: Array) -> Array:
         dt = self.dt
         if self.slow.kind == "burgers":
             rhs = x + dt * (burgers_convection(self.grid, x) + forcing) + noise
-            return cho_solve_banded((self._factor, False), rhs)
+            return self._solver.solve(rhs)
         b = x + dt * forcing + noise
         return _newton_monotone_solve(self.slow, self.grid, b, dt, self.params)
 
@@ -362,10 +371,14 @@ def _monotone_jacobian_bands(
 
 
 class _FastStepper:
-    """Micro stepping of the fast equation inside one macro step.
+    """Implicit Euler micro steps of the fast equation with the slow input frozen.
 
-    The linear part is implicit, B2 and the noise explicit; the matrix
-    I + (dt_micro / epsilon) * L is constant over a run and factored once.
+    A step of size dt_micro solves (I + a L) y' = y + a B2(x, y) + xi with
+    a = dt_micro / epsilon and xi the fast Wiener increment weighted by
+    1 / sqrt(epsilon); epsilon = 1 is the frozen equation of the averaging
+    module. The state y is one vector (n,) or R of them as columns (n, R).
+    Noise coefficients come as rows of shape (steps, modes), shared by every
+    column, or (steps, modes, R), one column per state.
     """
 
     def __init__(
@@ -374,43 +387,95 @@ class _FastStepper:
         coupling: CouplingSpec,
         grid: Grid1D,
         epsilon: float,
-        dt_macro: float,
-        params: SchemeParams,
+        dt_micro: float,
+        n_sub: int = 1,
     ):
         self.fast = fast
-        self.grid = grid
-        self.epsilon = epsilon
-        margin = dissipativity_margin(fast, coupling, grid)
-        target = params.dt_fast_target if params.dt_fast_target is not None else 0.1 / margin
-        self.n_sub = max(1, math.ceil(dt_macro / (epsilon * target) - 1e-12))
-        self.dt_micro = dt_macro / self.n_sub
-        a = self.dt_micro / epsilon
-        self.a = a
-        self._factor = cholesky_banded(_banded_identity_plus(grid, a))
-        self._scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(
-            self.dt_micro
-        )
-        self._basis_t = np.ascontiguousarray(sine_basis(grid, coupling.g2_modes).T)
+        self.n_sub = n_sub
+        self.a = dt_micro / epsilon
+        self._modes = coupling.g2_modes
+        self._scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt_micro)
         self._noise_weight = 1.0 / math.sqrt(epsilon)
+        if fast.kind == "linear":
+            self._basis = sine_basis(grid, grid.n_interior)
+            self._analysis = np.ascontiguousarray(grid.h * self._basis.T)
+            self._d = 1.0 / (1.0 + self.a * grid.eigenvalues)
+        else:
+            self._noise_basis = sine_basis(grid, coupling.g2_modes)
+            self._solver = ShiftedLaplacian(grid, 1.0, self.a)
 
-    def draw_block_coefficients(self, gen: np.random.Generator) -> Array:
-        xi = gen.standard_normal((self.n_sub, self._scales.size))
-        return xi * self._scales
+    @classmethod
+    def for_model(cls, model: "ModelSpec", dt_macro: float, params: SchemeParams) -> "_FastStepper":
+        """The micro stepping of the coupled scheme: n_sub steps per macro step."""
+        margin = dissipativity_margin(model.fast, model.coupling, model.grid)
+        target = params.dt_fast_target if params.dt_fast_target is not None else 0.1 / margin
+        n_sub = max(1, math.ceil(dt_macro / (model.epsilon * target) - 1e-12))
+        return cls(
+            model.fast, model.coupling, model.grid, model.epsilon, dt_macro / n_sub, n_sub
+        )
+
+    def draw(self, gen: np.random.Generator, steps: int) -> Array:
+        """Raw noise coefficients of `steps` micro steps, shape (steps, modes)."""
+        return gen.standard_normal((steps, self._modes)) * self._scales
+
+    @functools.cached_property
+    def _block_gains(self) -> tuple[Array, Array, Array]:
+        # Row m of powers is d^(n_sub - m): the decay the noise of micro step
+        # m sees by the end of the block.
+        powers = self._d ** np.arange(self.n_sub, 0, -1)[:, None]
+        drive = self.a * self.fast.c_b * powers.sum(axis=0)
+        return powers[0], drive, self._noise_weight * powers[:, : self._modes]
 
     def run_block(self, x_frozen: Array, y: Array, coefficients: Array) -> Array:
-        """Advance y through one macro step; coefficients shape (n_sub, modes)."""
-        noise_fields = (coefficients @ self._basis_t) * self._noise_weight
+        """Advance y through one macro step; coefficients has n_sub rows."""
+        if self.fast.kind != "linear":
+            for y in self.path(x_frozen, y, coefficients):
+                pass
+            return y
+        coefficients = _per_column(coefficients, y)
+        decay, drive, noise_gain = self._block_gains
+        y_hat = _column(decay, y) * (self._analysis @ y)
+        y_hat += _column(drive * (self._analysis @ x_frozen), y)
+        y_hat[: self._modes] += np.einsum("mk,mk...->k...", noise_gain, coefficients)
+        return self._basis @ y_hat
+
+    def path(self, x_frozen: Array, y: Array, coefficients: Array) -> Iterator[Array]:
+        """Yield the state after each micro step, one per coefficient row."""
+        coefficients = _per_column(coefficients, y) * self._noise_weight
         a = self.a
         if self.fast.kind == "linear":
-            base = a * (self.fast.c_b * x_frozen)
-            for m in range(self.n_sub):
-                y = cho_solve_banded((self._factor, False), y + base + noise_fields[m])
-            return y
-        cx = self.fast.c_b * x_frozen
-        for m in range(self.n_sub):
-            rhs = y + a * (cx + self.fast.b * np.sin(y)) + noise_fields[m]
-            y = cho_solve_banded((self._factor, False), rhs)
-        return y
+            # In mode coefficients a micro step is y^ <- d (y^ + a c_b x^ + xi^).
+            d = _column(self._d, y)
+            forcing = _column(a * self.fast.c_b * (self._analysis @ x_frozen), y)
+            modes = self._modes
+
+            def step(y_hat: Array, xi: Array) -> Array:
+                rhs = y_hat + forcing
+                rhs[:modes] += xi
+                return d * rhs
+
+            state, basis = self._analysis @ y, self._basis
+        else:
+            cx = _column(self.fast.c_b * x_frozen, y)
+            b = self.fast.b
+
+            def step(y: Array, xi: Array) -> Array:
+                return self._solver.solve(y + a * (cx + b * np.sin(y)) + self._noise_basis @ xi)
+
+            state, basis = y, None
+        for xi in coefficients:
+            state = step(state, xi)
+            yield state if basis is None else basis @ state
+
+
+def _column(v: Array, like: Array) -> Array:
+    """v (n,) shaped to broadcast against a state of shape (n,) or (n, R)."""
+    return v if like.ndim == 1 else v[:, None]
+
+
+def _per_column(coefficients: Array, y: Array) -> Array:
+    """Rows shared by every column of a batched state get a broadcast axis."""
+    return coefficients[:, :, None] if y.ndim == 2 and coefficients.ndim == 2 else coefficients
 
 
 def _macro_step_count(T: float, dt_macro: float) -> int:
@@ -437,7 +502,7 @@ def simulate_coupled(
     m = _macro_step_count(T, params.dt_macro)
     dt = params.dt_macro
     slow_stepper = _SlowStepper(model.slow, grid, dt, params)
-    fast_stepper = _FastStepper(model.fast, model.coupling, grid, model.epsilon, dt, params)
+    fast_stepper = _FastStepper.for_model(model, dt, params)
     gen_slow = stream.generator(0)
     gen_fast = stream.generator(1)
     g1_scales = mode_scales(model.coupling.g1_amplitude, model.coupling.g1_modes) * math.sqrt(dt)
@@ -455,26 +520,24 @@ def simulate_coupled(
         np.empty((m, fast_stepper.n_sub, model.coupling.g2_modes)) if record else None
     )
 
-    h = grid.h
-    y_sq_sum = h * float(np.dot(y, y))
     for j in range(m):
         forcing = coupling_f(model.coupling, x, y)
-        block = fast_stepper.draw_block_coefficients(gen_fast)
+        block = fast_stepper.draw(gen_fast, fast_stepper.n_sub)
         y = fast_stepper.run_block(x, y, block)
         slow_coeffs = g1_scales * gen_slow.standard_normal(model.coupling.g1_modes)
         noise = slow_coeffs @ basis_slow_t
         x = slow_stepper.step(x, forcing, noise)
         x_hist[j + 1] = x
         y_hist[j + 1] = y
-        y_sq_sum += h * float(np.dot(y, y))
         if record:
             slow_rows[j] = slow_coeffs
             fast_rows[j] = block
 
+    _raise_on_blow_up("coupled", model.epsilon, x_hist, y_hist)
     times = np.arange(m + 1) * dt
     trajectory = Trajectory(times, x_hist, y_hist)
     stats = TrajectoryStats(grid, model.state_norm, dt, x_hist)
-    stats.mean_norm_y_sq = y_sq_sum / (m + 1)
+    stats.mean_norm_y_sq = grid.h * float(np.sum(y_hist * y_hist)) / (m + 1)
     path = (
         NoisePath(dt, fast_stepper.n_sub, model.epsilon, slow_rows, fast_rows)
         if record
@@ -514,7 +577,19 @@ def simulate_averaged(
         noise_field = noise.slow[j] @ basis_slow_t
         x = slow_stepper.step(x, forcing, noise_field)
         x_hist[j + 1] = x
+    _raise_on_blow_up("averaged", model.epsilon, x_hist)
     return SlowTrajectory(np.arange(m + 1) * dt, x_hist)
+
+
+def _raise_on_blow_up(equation: str, epsilon: float, *histories: Array) -> None:
+    """Raise NumericalBlowUp naming the first macro time with a non-finite state."""
+    finite = np.logical_and.reduce([np.isfinite(h).all(axis=1) for h in histories])
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise NumericalBlowUp(
+            f"{equation} run blew up at epsilon={epsilon:g}: "
+            f"non-finite state at macro step {step}"
+        )
 
 
 def step_slow(model: ModelSpec, x: Field, y: Field, dt: float, increment: Field) -> Field:
@@ -529,8 +604,8 @@ def step_fast_block(
     model: ModelSpec, x: Field, y: Field, dt_macro: float, params: SchemeParams, stream: RngStream
 ) -> Field:
     """Advance the fast state through one macro step with x frozen."""
-    stepper = _FastStepper(model.fast, model.coupling, model.grid, model.epsilon, dt_macro, params)
-    block = stepper.draw_block_coefficients(stream.generator(1))
+    stepper = _FastStepper.for_model(model, dt_macro, params)
+    block = stepper.draw(stream.generator(1), stepper.n_sub)
     return Field(model.grid, stepper.run_block(x.values, y.values, block))
 
 
@@ -540,7 +615,4 @@ def strong_error(
     """sup over macro times of the squared norm of the slow-state mismatch."""
     if coupled.x.shape != averaged.x.shape:
         raise ValueError("trajectories have different shapes")
-    worst = 0.0
-    for xc, xa in zip(coupled.x, averaged.x):
-        worst = max(worst, norm_values(grid, xc - xa, kind) ** 2)
-    return worst
+    return float(np.max(row_norms(grid, coupled.x - averaged.x, kind) ** 2))

@@ -163,6 +163,20 @@ def test_newton_breakdown_exits_3(tmp_path):
     assert any("INVALID" in line for line in report)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_blow_up_exits_3(tmp_path, capsys):
+    # Burgers convection of a huge initial state overflows to NaN.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SMALL_CFG + "x0_amplitude = 1e200\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICS
+    assert "epsilon=0.2" in capsys.readouterr().err
+    # converge records the blow-up per epsilon instead of averaging NaN
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICS
+    report = read_rows(out / "convergence_report.txt")
+    assert all("INVALID" in line and "macro step" in line for line in report[:3])
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -11,10 +11,12 @@ from spavg.grid import (
     Field,
     Grid1D,
     NormKind,
+    ShiftedLaplacian,
     lp_norm_kind,
     norm,
     norm_values,
     poisson_solve,
+    row_norms,
     sine_basis,
     sine_mode,
     smallest_eigenvalue,
@@ -240,6 +242,33 @@ def test_solve_neg_laplacian_matches_dense_solve():
             np.testing.assert_allclose(
                 solve_neg_laplacian(grid, rhs), expected, rtol=1e-9, atol=1e-12
             )
+
+
+def test_shifted_laplacian_matches_dense_solve():
+    gen = np.random.default_rng(43)
+    for n in (1, 2, 9, 64):
+        grid = Grid1D(n)
+        for shift, scale in ((1.0, 0.3), (1.0, 1e-4), (0.0, 2.0)):
+            mat = shift * np.eye(n) + scale * dense_neg_laplacian(grid)
+            solver = ShiftedLaplacian(grid, shift, scale)
+            rhs = gen.standard_normal(n)
+            np.testing.assert_allclose(
+                solver.solve(rhs), np.linalg.solve(mat, rhs), rtol=1e-9, atol=1e-12
+            )
+            # Several right-hand sides as columns, solved at once.
+            block = gen.standard_normal((n, 3))
+            np.testing.assert_allclose(
+                solver.solve(block), np.linalg.solve(mat, block), rtol=1e-9, atol=1e-12
+            )
+
+
+def test_row_norms_match_norm_values():
+    gen = np.random.default_rng(44)
+    grid = Grid1D(17)
+    rows = gen.standard_normal((6, 17))
+    for kind in (L2, H1_0, H_MINUS1, lp_norm_kind(3.0)):
+        expected = [norm_values(grid, row, kind) for row in rows]
+        np.testing.assert_allclose(row_norms(grid, rows, kind), expected, rtol=1e-13)
 
 
 def test_poisson_solve_hand_value():

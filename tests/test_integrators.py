@@ -11,6 +11,7 @@ from spavg.integrators import (
     ModelSpec,
     NewtonDivergence,
     NoisePath,
+    NumericalBlowUp,
     SchemeParams,
     _SlowStepper,
     simulate_averaged,
@@ -302,3 +303,18 @@ def test_step_slow_public_wrapper():
     assert isinstance(out, Field)
     assert out.values.shape == (8,)
     assert np.all(np.isfinite(out.values))
+
+
+def test_blow_up_names_epsilon_and_first_bad_step():
+    # The Burgers convection of a huge initial state overflows in the first
+    # macro step; the run must stop with context instead of returning NaN.
+    model = make_model(epsilon=0.05, x0_amp=1e200)
+    params = SchemeParams(dt_macro=1 / 64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBlowUp, match=r"epsilon=0\.05.*macro step 1\b"):
+            simulate_coupled(model, 0.25, params, RngStream(3, 0))
+        path = simulate_coupled(make_model(epsilon=0.05), 0.25, params, RngStream(3, 0))[1]
+        fbar = lambda x: np.zeros_like(x)  # noqa: E731
+        with pytest.raises(NumericalBlowUp, match=r"averaged.*macro step 1\b"):
+            simulate_averaged(model, fbar, 0.25, params, path)
+    assert issubclass(NumericalBlowUp, ArithmeticError)
