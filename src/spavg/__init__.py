@@ -16,9 +16,8 @@ from .averaging import (
     ergodicity_decay,
     estimate_fbar,
     oracle_fbar_ou,
-    simulate_frozen,
 )
-from .blocks import BlockSchedule, build_auxiliary, deviation_statistic, increment_statistic
+from .blocks import build_auxiliary, deviation_statistic
 from .conditions import CONDITION_IDS, ConditionReport, check_condition, sample_field
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from .grid import (
@@ -50,8 +49,6 @@ from .integrators import (
     TrajectoryStats,
     simulate_averaged,
     simulate_coupled,
-    step_fast_block,
-    step_slow,
     strong_error,
 )
 from .operators import (
@@ -62,15 +59,13 @@ from .operators import (
     coupling_f,
     dissipativity_margin,
     fast_drift,
-    noise_increment,
     slow_drift,
 )
-from .randomness import RngStream, gaussian_increments
+from .randomness import RngStream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSchedule",
     "CONDITION_IDS",
     "ConditionReport",
     "ConfigError",
@@ -107,11 +102,8 @@ __all__ = [
     "ergodicity_decay",
     "estimate_fbar",
     "fast_drift",
-    "gaussian_increments",
-    "increment_statistic",
     "load_config",
     "lp_norm_kind",
-    "noise_increment",
     "norm",
     "norm_values",
     "oracle_fbar_ou",
@@ -121,14 +113,11 @@ __all__ = [
     "sample_field",
     "simulate_averaged",
     "simulate_coupled",
-    "simulate_frozen",
     "sine_basis",
     "sine_mode",
     "slow_drift",
     "smallest_eigenvalue",
     "solve_neg_laplacian",
-    "step_fast_block",
-    "step_slow",
     "strong_error",
     "zeros",
     "__version__",

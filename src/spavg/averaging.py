@@ -10,7 +10,7 @@ unique invariant measure and time averages of F(x, Y_t) converge to the
 averaged coupling drift. estimate_fbar runs a few independent replicas,
 discards a burn-in, and averages the rest; because F is affine in y the time
 average of F(x, Y) equals F(x, time average of Y), which is what the code
-accumulates. All three frozen runs step through the fast stepper of the
+accumulates. Both frozen runs step through the fast stepper of the
 integrators module at epsilon = 1; estimate_fbar advances its replicas side
 by side as the columns of one state, ergodicity_decay its two paths.
 
@@ -41,7 +41,6 @@ __all__ = [
     "ergodicity_decay",
     "estimate_fbar",
     "oracle_fbar_ou",
-    "simulate_frozen",
 ]
 
 
@@ -86,36 +85,6 @@ def _frozen_margin(fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D)
     if margin <= 0.0:
         raise ValueError(f"dissipativity margin must be positive, got {margin:.6g}")
     return margin
-
-
-def simulate_frozen(
-    fast: FastOperatorSpec,
-    coupling: CouplingSpec,
-    grid: Grid1D,
-    x: Field,
-    y0: Field,
-    horizon: float,
-    dt_fast: float,
-    stream: RngStream,
-) -> tuple[Array, Array]:
-    """Implicit Euler for the frozen equation; returns (times, states).
-
-    States are recorded at every micro step, shape (n_steps + 1, n_interior).
-    The noise is drawn from lane 1 of the stream, the same lane the coupled
-    integrator uses for its fast channel.
-    """
-    if horizon <= 0.0 or dt_fast <= 0.0:
-        raise ValueError("horizon and dt_fast must be positive")
-    _frozen_margin(fast, coupling, grid)
-    n_steps = max(1, math.ceil(horizon / dt_fast - 1e-12))
-    dt = horizon / n_steps
-    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
-    coefficients = stepper.draw(stream.generator(1), n_steps)
-    states = np.empty((n_steps + 1, grid.n_interior))
-    states[0] = y0.values
-    for m, y in enumerate(stepper.path(x.values, y0.values, coefficients)):
-        states[m + 1] = y
-    return np.arange(n_steps + 1) * dt, states
 
 
 def estimate_fbar(

@@ -34,10 +34,6 @@ class ExperimentConfig:
     g2_modes: int = 8
     n_interior: int = 64
     epsilon_grid: tuple[float, ...] = (0.1, 0.05, 0.02, 0.01)
-    delta_rule: str = "power"
-    delta_c: float = 1.0
-    delta_a: float = 2.0 / 3.0
-    delta_fixed: float = 0.125
     replicas: int = 100
     T: float = 1.0
     dt_macro: float = 1.0 / 512.0
@@ -57,8 +53,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown slow_kind {self.slow_kind!r}")
         if self.fast_kind not in ("linear", "smooth_bounded"):
             raise ConfigError(f"unknown fast_kind {self.fast_kind!r}")
-        if self.delta_rule not in ("power", "fixed"):
-            raise ConfigError(f"delta_rule must be 'power' or 'fixed', got {self.delta_rule!r}")
         if self.fbar_source not in ("oracle", "estimator"):
             raise ConfigError(
                 f"fbar_source must be 'oracle' or 'estimator', got {self.fbar_source!r}"
@@ -67,7 +61,7 @@ class ExperimentConfig:
             raise ConfigError("epsilon_grid must be a non-empty list of positive values")
         if any(a <= b for a, b in zip(self.epsilon_grid, self.epsilon_grid[1:])):
             raise ConfigError("epsilon_grid must be strictly decreasing")
-        for name in ("T", "dt_macro", "delta_c", "delta_fixed", "newton_tol"):
+        for name in ("T", "dt_macro", "newton_tol"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("replicas", "n_interior", "g1_modes", "g2_modes", "fbar_replicas"):
@@ -81,12 +75,6 @@ class ExperimentConfig:
             raise ConfigError("master_seed must be non-negative")
         if self.dt_fast_target < 0.0:
             raise ConfigError("dt_fast_target must be >= 0 (0 means automatic)")
-
-    def delta_for(self, epsilon: float) -> float:
-        """The block length rule: fixed, or delta_c * epsilon ** delta_a."""
-        if self.delta_rule == "fixed":
-            return self.delta_fixed
-        return self.delta_c * epsilon**self.delta_a
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}

@@ -26,7 +26,7 @@ from .averaging import (
     estimate_fbar,
     oracle_fbar_ou,
 )
-from .blocks import BlockSchedule, build_auxiliary, deviation_statistic
+from .blocks import build_auxiliary, deviation_statistic
 from .conditions import CONDITION_IDS, ConditionReport, check_condition
 from .config import ConfigError, ExperimentConfig
 from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
@@ -38,6 +38,7 @@ from .integrators import (
     simulate_averaged,
     simulate_coupled,
     strong_error,
+    whole_steps,
 )
 from .operators import (
     CouplingSpec,
@@ -210,6 +211,10 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 
 # ---------------------------------------------------------------- convergence
 
+# The delta column of convergence.csv is epsilon ** DELTA_EXPONENT, the block
+# length scale of the averaging proof; it is reported for reference only.
+DELTA_EXPONENT = 2.0 / 3.0
+
 
 @dataclasses.dataclass
 class ConvergenceRow:
@@ -305,28 +310,16 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
             errors.append(
                 strong_error(trajectory, averaged, model.grid, model.state_norm)
             )
-        if failure is not None:
-            rows.append(
-                ConvergenceRow(
-                    epsilon=epsilon,
-                    delta=config.delta_for(epsilon),
-                    error_mean=float("nan"),
-                    error_stderr=float("nan"),
-                    replicas=len(errors),
-                    wall_time_s=time.perf_counter() - started,
-                    failure=failure,
-                )
-            )
-            continue
-        mean, stderr = _mean_stderr(errors)
+        mean, stderr = _mean_stderr(errors) if failure is None else (math.nan, math.nan)
         rows.append(
             ConvergenceRow(
                 epsilon=epsilon,
-                delta=config.delta_for(epsilon),
+                delta=epsilon**DELTA_EXPONENT,
                 error_mean=mean,
                 error_stderr=stderr,
-                replicas=config.replicas,
+                replicas=len(errors),
                 wall_time_s=time.perf_counter() - started,
+                failure=failure,
             )
         )
     valid = [row for row in rows if row.valid]
@@ -375,14 +368,6 @@ class DiagnosticsResult:
         return lines
 
 
-def _delta_grid(config: ExperimentConfig) -> list[float]:
-    return [config.T * 2.0**-k for k in range(3, 8)]
-
-
-def _delta_fixed(config: ExperimentConfig) -> float:
-    return config.T * 2.0**-5
-
-
 def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     """Moment uniformity, increment scaling, auxiliary deviation, decay rates.
 
@@ -396,14 +381,13 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     grid = build_grid(config)
     rows: list[DiagnosticsRow] = []
     outcomes: list[SuiteOutcome] = []
-    delta_grid = _delta_grid(config)
-    delta_fixed = _delta_fixed(config)
+    delta_grid = [config.T * 2.0**-k for k in range(3, 8)]
+    delta_fixed = delta_grid[2]
     try:
-        fixed_schedule = BlockSchedule(delta_fixed, config.dt_macro)
-        grid_schedules = [BlockSchedule(d, config.dt_macro) for d in delta_grid]
+        finest = min(whole_steps(delta, config.dt_macro, "delta") for delta in delta_grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if any(s.steps_per_block < 2 for s in grid_schedules):
+    if finest < 2:
         # One macro step per block replays the recorded path bit for bit and
         # the deviation statistic collapses to zero, which the log fit
         # cannot take.
@@ -432,12 +416,12 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
             assert path is not None
             if in_grid:
                 sup_list.append(stats.sup_norm_x_sq)
-                aux = build_auxiliary(model, trajectory, path, fixed_schedule, params)
+                aux = build_auxiliary(model, trajectory, path, delta_fixed, params)
                 dev_fixed.append(deviation_statistic(trajectory, aux, grid))
             if at_diag:
-                for delta, schedule in zip(delta_grid, grid_schedules):
+                for delta in delta_grid:
                     inc_lists[delta].append(stats.increment_integral(delta))
-                    aux = build_auxiliary(model, trajectory, path, schedule, params)
+                    aux = build_auxiliary(model, trajectory, path, delta, params)
                     dev_lists[delta].append(deviation_statistic(trajectory, aux, grid))
         if in_grid:
             sup_by_eps[epsilon] = _mean_stderr(sup_list)

@@ -48,6 +48,7 @@ __all__ = [
     "sine_mode",
     "smallest_eigenvalue",
     "solve_neg_laplacian",
+    "zeros",
 ]
 
 

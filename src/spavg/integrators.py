@@ -35,8 +35,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import struct
-from typing import BinaryIO, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -66,8 +65,6 @@ __all__ = [
     "TrajectoryStats",
     "simulate_averaged",
     "simulate_coupled",
-    "step_fast_block",
-    "step_slow",
     "strong_error",
 ]
 
@@ -149,9 +146,6 @@ class NoisePath:
     dt_macro / n_sub respectively.
     """
 
-    MAGIC = b"SPNP"
-    VERSION = 1
-
     def __init__(
         self, dt_macro: float, n_sub: int, epsilon: float, slow: Array, fast: Array
     ) -> None:
@@ -180,52 +174,6 @@ class NoisePath:
             and self.epsilon == other.epsilon
             and np.array_equal(self.slow, other.slow)
             and np.array_equal(self.fast, other.fast)
-        )
-
-    def save(self, path_or_file: str | BinaryIO) -> None:
-        """Flat little-endian layout: header, then slow and fast float64 blocks."""
-        header = self.MAGIC + struct.pack(
-            "<IIIIIdd",
-            self.VERSION,
-            self.n_macro,
-            self.n_sub,
-            self.slow.shape[1],
-            self.fast.shape[2],
-            self.dt_macro,
-            self.epsilon,
-        )
-        body = self.slow.astype("<f8").tobytes() + self.fast.astype("<f8").tobytes()
-        if isinstance(path_or_file, str):
-            with open(path_or_file, "wb") as fh:
-                fh.write(header + body)
-        else:
-            path_or_file.write(header + body)
-
-    @classmethod
-    def load(cls, path_or_file: str | BinaryIO) -> "NoisePath":
-        if isinstance(path_or_file, str):
-            with open(path_or_file, "rb") as fh:
-                raw = fh.read()
-        else:
-            raw = path_or_file.read()
-        if raw[:4] != cls.MAGIC:
-            raise ValueError("not a noise path file")
-        version, n_macro, n_sub, m1, m2, dt_macro, epsilon = struct.unpack(
-            "<IIIIIdd", raw[4 : 4 + 36]
-        )
-        if version != cls.VERSION:
-            raise ValueError(f"unsupported noise path version {version}")
-        offset = 4 + 36
-        n_slow = n_macro * m1
-        slow = np.frombuffer(raw, dtype="<f8", count=n_slow, offset=offset)
-        offset += n_slow * 8
-        fast = np.frombuffer(raw, dtype="<f8", count=n_macro * n_sub * m2, offset=offset)
-        return cls(
-            dt_macro,
-            n_sub,
-            epsilon,
-            slow.reshape(n_macro, m1).copy(),
-            fast.reshape(n_macro, n_sub, m2).copy(),
         )
 
 
@@ -265,25 +213,32 @@ class TrajectoryStats:
         self.mean_norm_y_sq = math.nan  # filled by the simulation loop
 
     def increment_integral(self, delta: float) -> float:
-        q = _steps_per_block(delta, self._dt, self._x.shape[0] - 1)
-        return block_increment_integral(self._grid, self._kind, self._dt, self._x, q)
+        n_steps = self._x.shape[0] - 1
+        q = whole_steps(delta, self._dt, "delta")
+        if q > n_steps:
+            raise ValueError(f"delta = {delta} exceeds the horizon of {n_steps} macro steps")
+        x = self._x
+        gaps = x[1:] - x[block_anchors(n_steps, q)]
+        return self._dt * float(np.sum(row_norms(self._grid, gaps, self._kind) ** 2))
 
 
-def block_increment_integral(
-    grid: Grid1D, kind: NormKind, dt_macro: float, x: Array, q: int
-) -> float:
-    """dt * sum_j ||x[j + 1] - x[anchor(j)]||^2 with blocks of q macro steps."""
-    anchors = (np.arange(x.shape[0] - 1) // q) * q
-    return dt_macro * float(np.sum(row_norms(grid, x[1:] - x[anchors], kind) ** 2))
+def whole_steps(length: float, dt_macro: float, name: str) -> int:
+    """Macro steps in `length`; the one rule behind every horizon and block length.
 
-
-def _steps_per_block(delta: float, dt_macro: float, n_steps: int) -> int:
-    q = int(round(delta / dt_macro))
-    if q < 1 or abs(q * dt_macro - delta) > 1e-9 * max(delta, 1.0):
-        raise ValueError(f"delta = {delta} is not a positive multiple of dt_macro = {dt_macro}")
-    if q > n_steps:
-        raise ValueError(f"delta = {delta} exceeds the horizon of {n_steps} macro steps")
+    Raises ValueError, calling the length `name`, unless it is a positive
+    whole multiple of dt_macro.
+    """
+    q = round(length / dt_macro) if dt_macro > 0.0 else 0
+    if q < 1 or abs(q * dt_macro - length) > 1e-9 * length:
+        raise ValueError(
+            f"{name} = {length} is not a positive multiple of dt_macro = {dt_macro}"
+        )
     return q
+
+
+def block_anchors(n_steps: int, q: int) -> Array:
+    """For each macro step j < n_steps, the step that starts its block of q steps."""
+    return (np.arange(n_steps) // q) * q
 
 
 class _SlowStepper:
@@ -478,13 +433,6 @@ def _per_column(coefficients: Array, y: Array) -> Array:
     return coefficients[:, :, None] if y.ndim == 2 and coefficients.ndim == 2 else coefficients
 
 
-def _macro_step_count(T: float, dt_macro: float) -> int:
-    m = int(round(T / dt_macro))
-    if m < 1 or abs(m * dt_macro - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"horizon T = {T} is not a positive multiple of dt_macro = {dt_macro}")
-    return m
-
-
 def simulate_coupled(
     model: ModelSpec,
     T: float,
@@ -499,7 +447,7 @@ def simulate_coupled(
     block-frozen auxiliary construction to be driven by this very realization.
     """
     grid = model.grid
-    m = _macro_step_count(T, params.dt_macro)
+    m = whole_steps(T, params.dt_macro, "horizon T")
     dt = params.dt_macro
     slow_stepper = _SlowStepper(model.slow, grid, dt, params)
     fast_stepper = _FastStepper.for_model(model, dt, params)
@@ -526,7 +474,10 @@ def simulate_coupled(
         y = fast_stepper.run_block(x, y, block)
         slow_coeffs = g1_scales * gen_slow.standard_normal(model.coupling.g1_modes)
         noise = slow_coeffs @ basis_slow_t
-        x = slow_stepper.step(x, forcing, noise)
+        try:
+            x = slow_stepper.step(x, forcing, noise)
+        except NewtonDivergence as exc:
+            raise _located(exc, "coupled", model.epsilon, j) from exc
         x_hist[j + 1] = x
         y_hist[j + 1] = y
         if record:
@@ -560,7 +511,7 @@ def simulate_averaged(
     run against the path of simulate_coupled shares its realization exactly.
     """
     grid = model.grid
-    m = _macro_step_count(T, params.dt_macro)
+    m = whole_steps(T, params.dt_macro, "horizon T")
     if noise.dt_macro != params.dt_macro:
         raise ValueError("noise path was recorded with a different dt_macro")
     if noise.n_macro < m:
@@ -575,10 +526,20 @@ def simulate_averaged(
     for j in range(m):
         forcing = fbar(x)
         noise_field = noise.slow[j] @ basis_slow_t
-        x = slow_stepper.step(x, forcing, noise_field)
+        try:
+            x = slow_stepper.step(x, forcing, noise_field)
+        except NewtonDivergence as exc:
+            raise _located(exc, "averaged", model.epsilon, j) from exc
         x_hist[j + 1] = x
     _raise_on_blow_up("averaged", model.epsilon, x_hist)
     return SlowTrajectory(np.arange(m + 1) * dt, x_hist)
+
+
+def _located(exc: NewtonDivergence, equation: str, epsilon: float, j: int) -> NewtonDivergence:
+    """The failure of macro step j, named like a blow-up: by the state it computes, j + 1."""
+    return NewtonDivergence(
+        f"{equation} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
+    )
 
 
 def _raise_on_blow_up(equation: str, epsilon: float, *histories: Array) -> None:
@@ -590,23 +551,6 @@ def _raise_on_blow_up(equation: str, epsilon: float, *histories: Array) -> None:
             f"{equation} run blew up at epsilon={epsilon:g}: "
             f"non-finite state at macro step {step}"
         )
-
-
-def step_slow(model: ModelSpec, x: Field, y: Field, dt: float, increment: Field) -> Field:
-    """One public macro step; increment is the slow Wiener increment field."""
-    params = SchemeParams(dt_macro=dt)
-    stepper = _SlowStepper(model.slow, model.grid, dt, params)
-    forcing = coupling_f(model.coupling, x.values, y.values)
-    return Field(model.grid, stepper.step(x.values, forcing, increment.values))
-
-
-def step_fast_block(
-    model: ModelSpec, x: Field, y: Field, dt_macro: float, params: SchemeParams, stream: RngStream
-) -> Field:
-    """Advance the fast state through one macro step with x frozen."""
-    stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.draw(stream.generator(1), stepper.n_sub)
-    return Field(model.grid, stepper.run_block(x.values, y.values, block))
 
 
 def strong_error(

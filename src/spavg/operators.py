@@ -39,10 +39,8 @@ from .grid import (
     Field,
     Grid1D,
     NormKind,
-    sine_basis,
     smallest_eigenvalue,
 )
-from .randomness import RngStream
 
 __all__ = [
     "CouplingSpec",
@@ -55,9 +53,7 @@ __all__ = [
     "dissipativity_margin",
     "face_gradients",
     "fast_drift",
-    "field_from_mode_coefficients",
     "mode_scales",
-    "noise_increment",
     "slow_drift",
 ]
 
@@ -204,32 +200,6 @@ def coupling_f(coupling: CouplingSpec, x: Array, y: Array) -> Array:
 def mode_scales(amplitude: float, modes: int) -> Array:
     k = np.arange(1, modes + 1, dtype=np.float64)
     return amplitude / k**2
-
-
-def field_from_mode_coefficients(grid: Grid1D, coefficients: Array) -> Array:
-    return sine_basis(grid, len(coefficients)) @ coefficients
-
-
-def noise_increment(
-    grid: Grid1D, coupling: CouplingSpec, which: str, dt: float, stream: RngStream
-) -> Field:
-    """One Wiener increment over dt as a Field.
-
-    Pure in its arguments: the same stream, channel and dt always reproduce
-    the same increment, which is the replay contract the integrators rely on.
-    Slow noise draws on lane 0 of the stream, fast noise on lane 1.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if which == "slow":
-        lane, amplitude, modes = 0, coupling.g1_amplitude, coupling.g1_modes
-    elif which == "fast":
-        lane, amplitude, modes = 1, coupling.g2_amplitude, coupling.g2_modes
-    else:
-        raise ValueError(f"which must be 'slow' or 'fast', got {which!r}")
-    xi = stream.generator(lane).standard_normal(modes)
-    coefficients = mode_scales(amplitude, modes) * np.sqrt(dt) * xi
-    return Field(grid, field_from_mode_coefficients(grid, coefficients))
 
 
 def dissipativity_margin(fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D) -> float:

@@ -15,9 +15,7 @@ import dataclasses
 
 import numpy as np
 
-from .grid import Array
-
-__all__ = ["RngStream", "gaussian_increments"]
+__all__ = ["RngStream"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,9 +31,3 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id, lane))
         return np.random.Generator(np.random.Philox(seq))
 
-
-def gaussian_increments(stream: RngStream, count: int) -> Array:
-    """The first `count` standard normal draws of the stream (lane 0)."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return stream.generator().standard_normal(count)

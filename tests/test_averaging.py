@@ -12,10 +12,9 @@ from spavg.averaging import (
     ergodicity_decay,
     estimate_fbar,
     oracle_fbar_ou,
-    simulate_frozen,
 )
 from spavg.grid import Field, Grid1D, sine_mode, smallest_eigenvalue, solve_neg_laplacian, zeros
-from spavg.integrators import ModelSpec, SchemeParams, step_fast_block
+from spavg.integrators import ModelSpec, SchemeParams, _FastStepper
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
 from spavg.randomness import RngStream
 
@@ -34,18 +33,22 @@ def test_frozen_run_spec_defaults_scale_with_margin():
         FrozenRunSpec(t_avg=-1.0)
 
 
+def frozen_path(fast, coupling, grid, x, y0, n_steps, dt, stream):
+    """Every micro state of a frozen run: the fast stepper at epsilon = 1."""
+    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
+    coefficients = stepper.draw(stream.generator(1), n_steps)
+    return np.array(list(stepper.path(x.values, y0.values, coefficients)))
+
+
 def test_simulate_frozen_shapes_and_reproducibility():
     grid = Grid1D(6)
     fast = FastOperatorSpec("linear", c_b=1.0)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=6, g2_modes=6)
     x = sine_mode(grid, 1, 0.5)
-    times, states = simulate_frozen(fast, coup, grid, x, zeros(grid), 1.0, 0.01, RngStream(5, 0))
-    assert times.shape == (101,)
-    assert states.shape == (101, 6)
-    again = simulate_frozen(fast, coup, grid, x, zeros(grid), 1.0, 0.01, RngStream(5, 0))[1]
+    states = frozen_path(fast, coup, grid, x, zeros(grid), 100, 0.01, RngStream(5, 0))
+    assert states.shape == (100, 6)
+    again = frozen_path(fast, coup, grid, x, zeros(grid), 100, 0.01, RngStream(5, 0))
     np.testing.assert_array_equal(states, again)
-    with pytest.raises(ValueError):
-        simulate_frozen(fast, coup, grid, x, zeros(grid), -1.0, 0.01, RngStream(5, 0))
 
 
 def test_frozen_scalar_ou_stationary_variance():
@@ -62,10 +65,8 @@ def test_frozen_scalar_ou_stationary_variance():
     coup = CouplingSpec(f0=zeros(grid), g2_amplitude=1.0, g1_modes=1, g2_modes=1)
     dt = 0.01
     v_discrete = 1.0 / lam / (1.0 + dt * lam / 2.0)
-    _, states = simulate_frozen(
-        fast, coup, grid, zeros(grid), zeros(grid), 4000.0, dt, RngStream(77, 0)
-    )
-    samples = states[5000:, 0]  # drop the transient
+    states = frozen_path(fast, coup, grid, zeros(grid), zeros(grid), 400_000, dt, RngStream(77, 0))
+    samples = states[4999:, 0]  # drop the transient
     v_hat = float(np.mean(samples**2))
     assert v_hat == pytest.approx(v_discrete, rel=0.025)
 
@@ -90,21 +91,16 @@ def test_frozen_matches_fast_block_distribution():
     x = sine_mode(grid, 1, 1.0)
     y0 = zeros(grid)
     n_rep = 300
+    block = _FastStepper.for_model(model, dt_macro, params)
+    horizon = dt_macro / epsilon
+    n_frozen = math.ceil(horizon / 0.04 - 1e-12)
     block_terminal = np.empty((n_rep, 6))
     frozen_terminal = np.empty((n_rep, 6))
     for r in range(n_rep):
-        block_terminal[r] = step_fast_block(
-            model, x, y0, dt_macro, params, RngStream(1000, r)
-        ).values
-        _, states = simulate_frozen(
-            model.fast,
-            model.coupling,
-            grid,
-            x,
-            y0,
-            dt_macro / epsilon,
-            0.04,
-            RngStream(2000, r),
+        coefficients = block.draw(RngStream(1000, r).generator(1), block.n_sub)
+        block_terminal[r] = block.run_block(x.values, y0.values, coefficients)
+        states = frozen_path(
+            model.fast, model.coupling, grid, x, y0, n_frozen, horizon / n_frozen, RngStream(2000, r)
         )
         frozen_terminal[r] = states[-1]
     for moment in (block_terminal, frozen_terminal):

@@ -1,39 +1,45 @@
-"""Auxiliary replay and the two block statistics."""
+"""Auxiliary replay, the block-length rule and the two block statistics."""
 
 import numpy as np
 import pytest
 
-from spavg.blocks import (
-    BlockSchedule,
-    build_auxiliary,
-    deviation_statistic,
-    increment_statistic,
-)
+from spavg.blocks import build_auxiliary, deviation_statistic
 from spavg.grid import L2, Grid1D
-from spavg.integrators import SchemeParams, Trajectory, simulate_coupled
+from spavg.integrators import (
+    SchemeParams,
+    Trajectory,
+    TrajectoryStats,
+    block_anchors,
+    simulate_coupled,
+    whole_steps,
+)
 from spavg.randomness import RngStream
 
 from test_integrators import make_model
 
 
 def test_block_schedule_validation():
+    # One rule decides every block length and horizon: a positive whole
+    # number of macro steps, to a relative 1e-9.
+    for length, dt in [(0.0, 0.01), (-0.04, 0.01), (0.04, 0.0)]:
+        with pytest.raises(ValueError):
+            whole_steps(length, dt, "delta")
+    with pytest.raises(ValueError, match=r"delta = 0\.015 is not"):
+        whole_steps(0.015, 0.01, "delta")  # one and a half steps
     with pytest.raises(ValueError):
-        BlockSchedule(0.0, 0.01)
+        whole_steps(0.005, 0.01, "delta")  # shorter than a step
     with pytest.raises(ValueError):
-        BlockSchedule(0.015, 0.01)  # one and a half steps
-    with pytest.raises(ValueError):
-        BlockSchedule(0.005, 0.01)  # shorter than a step
-    sched = BlockSchedule(0.04, 0.01)
-    assert sched.steps_per_block == 4
-    assert [sched.anchor_step(j) for j in range(9)] == [0, 0, 0, 0, 4, 4, 4, 4, 8]
+        whole_steps(0.04 * (1.0 + 1e-8), 0.01, "delta")
+    assert whole_steps(0.04 * (1.0 + 1e-10), 0.01, "delta") == 4
+    assert whole_steps(0.04, 0.01, "delta") == 4
+    assert block_anchors(9, 4).tolist() == [0, 0, 0, 0, 4, 4, 4, 4, 8]
 
 
 def test_auxiliary_with_delta_equal_dt_is_exact_replay():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
     trajectory, path, _ = simulate_coupled(model, 0.25, params, RngStream(40, 0))
-    schedule = BlockSchedule(params.dt_macro, params.dt_macro)
-    auxiliary = build_auxiliary(model, trajectory, path, schedule, params)
+    auxiliary = build_auxiliary(model, trajectory, path, params.dt_macro, params)
     np.testing.assert_array_equal(auxiliary, trajectory.y)
     assert deviation_statistic(trajectory, auxiliary, model.grid) == 0.0
 
@@ -42,8 +48,7 @@ def test_auxiliary_deviates_for_coarser_blocks():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
     trajectory, path, _ = simulate_coupled(model, 0.25, params, RngStream(40, 0))
-    schedule = BlockSchedule(8 / 64, params.dt_macro)
-    auxiliary = build_auxiliary(model, trajectory, path, schedule, params)
+    auxiliary = build_auxiliary(model, trajectory, path, 8 / 64, params)
     assert auxiliary[0] == pytest.approx(trajectory.y[0])
     assert deviation_statistic(trajectory, auxiliary, model.grid) > 0.0
     # Block boundaries re-anchor the slow input but the auxiliary state
@@ -57,14 +62,16 @@ def test_auxiliary_validates_consistency():
     params = SchemeParams(dt_macro=1 / 64)
     trajectory, path, _ = simulate_coupled(model, 0.25, params, RngStream(41, 0))
     with pytest.raises(ValueError):
-        build_auxiliary(model, trajectory, path, BlockSchedule(1 / 32, 1 / 32), params)
+        build_auxiliary(model, trajectory, path, 1 / 32, SchemeParams(dt_macro=1 / 32))
+    with pytest.raises(ValueError):
+        build_auxiliary(model, trajectory, path, 1.5 / 64, params)  # not whole steps
     other = make_model(epsilon=0.1)
     with pytest.raises(ValueError):
-        build_auxiliary(other, trajectory, path, BlockSchedule(1 / 32, 1 / 64), params)
+        build_auxiliary(other, trajectory, path, 1 / 32, params)
     # Different micro stepping than the recording run is refused.
     finer = SchemeParams(dt_macro=1 / 64, dt_fast_target=1e-4)
     with pytest.raises(ValueError):
-        build_auxiliary(model, trajectory, path, BlockSchedule(1 / 32, 1 / 64), finer)
+        build_auxiliary(model, trajectory, path, 1 / 32, finer)
 
 
 def test_deviation_statistic_constant_offset():
@@ -91,32 +98,31 @@ def test_increment_statistic_hand_value():
     dt = 0.25
     v = np.array([1.0, 0.0, -1.0])
     x = np.array([j * dt * v for j in range(5)])
-    sched = BlockSchedule(2 * dt, dt)
     norm_v_sq = grid.h * float(v @ v)
     expected = dt**3 * norm_v_sq * 10.0
-    assert increment_statistic(x, sched, grid, L2) == pytest.approx(expected, rel=1e-13)
+    stats = TrajectoryStats(grid, L2, dt, x)
+    assert stats.increment_integral(2 * dt) == pytest.approx(expected, rel=1e-13)
 
 
 def test_increment_statistic_constant_path_is_zero():
     grid = Grid1D(3)
     x = np.ones((9, 3))
-    sched = BlockSchedule(0.2, 0.1)
-    assert increment_statistic(x, sched, grid, L2) == 0.0
+    assert TrajectoryStats(grid, L2, 0.1, x).increment_integral(0.2) == 0.0
 
 
 def test_increment_statistic_accepts_trajectory():
+    # The statistic of a recorded path equals the one its run collected.
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
     trajectory, _, stats = simulate_coupled(model, 0.25, params, RngStream(42, 0))
-    sched = BlockSchedule(4 / 64, params.dt_macro)
-    from_trajectory = increment_statistic(trajectory, sched, model.grid, L2)
-    from_array = increment_statistic(trajectory.x, sched, model.grid, L2)
-    assert from_trajectory == from_array
-    assert from_trajectory == pytest.approx(stats.increment_integral(4 / 64), rel=1e-12)
+    recomputed = TrajectoryStats(model.grid, L2, params.dt_macro, trajectory.x)
+    assert recomputed.increment_integral(4 / 64) == stats.increment_integral(4 / 64)
 
 
 def test_increment_statistic_rejects_long_delta():
     grid = Grid1D(3)
-    x = np.zeros((5, 3))
+    stats = TrajectoryStats(grid, L2, 0.1, np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="exceeds the horizon"):
+        stats.increment_integral(0.8)
     with pytest.raises(ValueError):
-        increment_statistic(x, BlockSchedule(0.8, 0.1), grid, L2)
+        stats.increment_integral(0.15)

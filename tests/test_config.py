@@ -14,8 +14,6 @@ def test_defaults():
     assert cfg.T == 1.0
     assert cfg.replicas == 100
     assert cfg.master_seed == 2026
-    assert cfg.delta_rule == "power"
-    assert cfg.delta_a == pytest.approx(2.0 / 3.0)
 
 
 def test_parse_round_trip_with_comments():
@@ -56,8 +54,6 @@ def test_validation_rejects_bad_fields():
     with pytest.raises(ConfigError):
         ExperimentConfig(fast_kind="rough")
     with pytest.raises(ConfigError):
-        ExperimentConfig(delta_rule="sqrt")
-    with pytest.raises(ConfigError):
         ExperimentConfig(fbar_source="guess")
     with pytest.raises(ConfigError):
         ExperimentConfig(epsilon_grid=())
@@ -79,13 +75,14 @@ def test_validation_rejects_bad_fields():
         ExperimentConfig(master_seed=-1)
 
 
-def test_delta_rules():
-    power = ExperimentConfig(delta_rule="power", delta_c=1.0, delta_a=2.0 / 3.0)
-    assert power.delta_for(0.01) == pytest.approx(0.01 ** (2.0 / 3.0))
-    assert power.delta_for(0.1) == pytest.approx(0.1 ** (2.0 / 3.0))
-    fixed = ExperimentConfig(delta_rule="fixed", delta_fixed=0.25)
-    assert fixed.delta_for(0.01) == 0.25
-    assert fixed.delta_for(0.1) == 0.25
+@pytest.mark.parametrize(
+    "line", ["delta_rule = power", "delta_c = 1.0", "delta_a = 0.5", "delta_fixed = 0.125"]
+)
+def test_removed_block_length_keys_are_unknown(line):
+    # The diagnostics fix their block lengths at T * 2^-k, so these keys
+    # set nothing and are rejected like any other unknown key.
+    with pytest.raises(ConfigError, match="line 1: unknown key"):
+        parse_config_text(line + "\n")
 
 
 def test_load_config(tmp_path):

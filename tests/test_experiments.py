@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ def test_run_convergence_with_estimated_fbar_runs():
     result = run_convergence(cfg)
     assert not result.any_failed
     assert all(row.error_mean > 0.0 for row in result.rows)
+
+
+def test_newton_failure_row_names_where_it_happened():
+    result = run_convergence(small_config(slow_kind="porous_medium", newton_tol=1e-320))
+    assert result.any_failed and not result.passed
+    lines = result.report_lines()
+    for row, line in zip(result.rows, lines):
+        assert row.replicas == 0
+        assert line.startswith(f"epsilon={row.epsilon:g} INVALID after 0 replicas: ")
+        assert re.search(rf"coupled run at epsilon={row.epsilon:g} failed at macro step 1\b", line)
 
 
 def test_invalid_row_fails_result():

@@ -1,23 +1,21 @@
 """Time stepping: replay exactness, implicit-solve contracts, contraction."""
 
-import io
 import math
 
 import numpy as np
 import pytest
 
-from spavg.grid import Field, Grid1D, L2, norm_values, sine_mode, smallest_eigenvalue, zeros
+from spavg.grid import Grid1D, L2, norm_values, sine_mode, smallest_eigenvalue, zeros
 from spavg.integrators import (
     ModelSpec,
     NewtonDivergence,
     NoisePath,
     NumericalBlowUp,
     SchemeParams,
+    _FastStepper,
     _SlowStepper,
     simulate_averaged,
     simulate_coupled,
-    step_fast_block,
-    step_slow,
     strong_error,
 )
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec
@@ -84,30 +82,6 @@ def test_model_spec_validation():
             x0=zeros(Grid1D(7)),
             y0=zeros(grid),
         )
-
-
-def test_noise_path_roundtrip_is_bitwise(tmp_path):
-    gen = np.random.default_rng(1)
-    path = NoisePath(0.01, 3, 0.05, gen.standard_normal((5, 4)), gen.standard_normal((5, 3, 2)))
-    file_path = str(tmp_path / "noise.bin")
-    path.save(file_path)
-    assert NoisePath.load(file_path) == path
-    buffer = io.BytesIO()
-    path.save(buffer)
-    buffer.seek(0)
-    assert NoisePath.load(buffer) == path
-
-
-def test_noise_path_rejects_foreign_bytes():
-    with pytest.raises(ValueError):
-        NoisePath.load(io.BytesIO(b"PNG\x00" + b"\x00" * 64))
-    good = NoisePath(0.01, 1, 0.1, np.zeros((1, 1)), np.zeros((1, 1, 1)))
-    buffer = io.BytesIO()
-    good.save(buffer)
-    raw = bytearray(buffer.getvalue())
-    raw[4] = 99  # unsupported version
-    with pytest.raises(ValueError):
-        NoisePath.load(io.BytesIO(bytes(raw)))
 
 
 def test_noise_path_shape_validation():
@@ -211,6 +185,19 @@ def test_newton_divergence_is_reported():
         stepper.step(x, np.ones(8), np.zeros(8))
 
 
+def test_newton_failure_names_equation_epsilon_and_step():
+    # An unreachable tolerance stalls the first implicit porous medium step;
+    # the error names the equation, epsilon and the state being computed.
+    model = make_model(epsilon=0.05, slow_kind="porous_medium")
+    tight = SchemeParams(dt_macro=1 / 64, newton_tol=1e-320)
+    with pytest.raises(NewtonDivergence, match=r"coupled.*epsilon=0\.05.*macro step 1\b"):
+        simulate_coupled(model, 0.25, tight, RngStream(3, 0))
+    path = simulate_coupled(model, 0.25, SchemeParams(dt_macro=1 / 64), RngStream(3, 0))[1]
+    fbar = lambda x: np.zeros_like(x)  # noqa: E731
+    with pytest.raises(NewtonDivergence, match=r"averaged.*epsilon=0\.05.*macro step 1\b"):
+        simulate_averaged(model, fbar, 0.25, tight, path)
+
+
 def test_fast_block_contraction_linear_two_sided():
     # Additive noise cancels under synchronous coupling, so the mode-1 gap
     # contracts by exactly (1 + a lambda_1)^(-n_sub); the continuum rate
@@ -222,10 +209,11 @@ def test_fast_block_contraction_linear_two_sided():
     x = zeros(model.grid)
     y_a = sine_mode(model.grid, 1, 1.0)
     y_b = zeros(model.grid)
-    stream = RngStream(55, 0)
-    out_a = step_fast_block(model, x, y_a, dt_macro, params, stream)
-    out_b = step_fast_block(model, x, y_b, dt_macro, params, stream)
-    gap = norm_values(model.grid, out_a.values - out_b.values, L2)
+    stepper = _FastStepper.for_model(model, dt_macro, params)
+    block = stepper.draw(RngStream(55, 0).generator(1), stepper.n_sub)
+    out_a = stepper.run_block(x.values, y_a.values, block)
+    out_b = stepper.run_block(x.values, y_b.values, block)
+    gap = norm_values(model.grid, out_a - out_b, L2)
     tau = dt_macro / epsilon
     lam = smallest_eigenvalue(model.grid)
     continuum = math.exp(-0.5 * model.margin * tau)
@@ -249,11 +237,12 @@ def test_fast_block_contraction_smooth_bounded_envelope():
     x = sine_mode(grid, 1, 0.3)
     y_a = sine_mode(grid, 1, 1.0)
     y_b = sine_mode(grid, 2, -0.5)
-    stream = RngStream(56, 0)
-    out_a = step_fast_block(model, x, y_a, dt_macro, params, stream)
-    out_b = step_fast_block(model, x, y_b, dt_macro, params, stream)
+    stepper = _FastStepper.for_model(model, dt_macro, params)
+    block = stepper.draw(RngStream(56, 0).generator(1), stepper.n_sub)
+    out_a = stepper.run_block(x.values, y_a.values, block)
+    out_b = stepper.run_block(x.values, y_b.values, block)
     gap0 = norm_values(grid, y_a.values - y_b.values, L2)
-    gap = norm_values(grid, out_a.values - out_b.values, L2)
+    gap = norm_values(grid, out_a - out_b, L2)
     envelope = gap0 * math.exp(-0.5 * model.margin * dt_macro / epsilon) * 1.1
     assert gap <= envelope
 
@@ -293,16 +282,6 @@ def test_horizon_must_be_step_multiple():
     params = SchemeParams(dt_macro=1 / 64)
     with pytest.raises(ValueError):
         simulate_coupled(model, 0.2501, params, RngStream(0, 0))
-
-
-def test_step_slow_public_wrapper():
-    model = make_model()
-    x = sine_mode(model.grid, 1, 0.5)
-    y = sine_mode(model.grid, 2, 0.1)
-    out = step_slow(model, x, y, 1 / 128, zeros(model.grid))
-    assert isinstance(out, Field)
-    assert out.values.shape == (8,)
-    assert np.all(np.isfinite(out.values))
 
 
 def test_blow_up_names_epsilon_and_first_bad_step():

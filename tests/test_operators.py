@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spavg.grid import Field, Grid1D, H_MINUS1, L2, sine_mode, smallest_eigenvalue, zeros
+from spavg.grid import Field, Grid1D, H_MINUS1, L2, sine_basis, sine_mode, smallest_eigenvalue, zeros
 from spavg.operators import (
     CouplingSpec,
     FastOperatorSpec,
@@ -16,7 +16,6 @@ from spavg.operators import (
     face_gradients,
     fast_drift,
     mode_scales,
-    noise_increment,
     slow_drift,
 )
 from spavg.randomness import RngStream
@@ -193,31 +192,18 @@ def test_mode_scales_decay():
     np.testing.assert_allclose(mode_scales(1.0, 4), [1.0, 0.25, 1.0 / 9.0, 0.0625])
 
 
-def test_noise_increment_is_pure():
-    grid = Grid1D(8)
-    coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
-    stream = RngStream(99, 1)
-    a = noise_increment(grid, coup, "slow", 0.01, stream)
-    b = noise_increment(grid, coup, "slow", 0.01, stream)
-    assert a == b
-    c = noise_increment(grid, coup, "fast", 0.01, stream)
-    assert not np.array_equal(a.values, c.values)
-    with pytest.raises(ValueError):
-        noise_increment(grid, coup, "both", 0.01, stream)
-    with pytest.raises(ValueError):
-        noise_increment(grid, coup, "slow", 0.0, stream)
-
-
 def test_noise_increment_variance():
     # E ||dW||_{L2}^2 = dt * sum_k (amp / k^2)^2 by mode orthonormality.
     grid = Grid1D(16)
     amp, modes, dt = 0.8, 6, 0.05
-    coup = CouplingSpec(f0=zeros(grid), g1_amplitude=amp, g1_modes=modes)
-    expected = dt * float(np.sum(mode_scales(amp, modes) ** 2))
+    scales = mode_scales(amp, modes)
+    expected = dt * float(np.sum(scales**2))
+    basis = sine_basis(grid, modes)
     samples = np.empty(2000)
     for i in range(samples.size):
-        inc = noise_increment(grid, coup, "slow", dt, RngStream(3000, i))
-        samples[i] = grid.h * float(inc.values @ inc.values)
+        xi = RngStream(3000, i).generator().standard_normal(modes)
+        inc = basis @ (scales * np.sqrt(dt) * xi)
+        samples[i] = grid.h * float(inc @ inc)
     stderr = samples.std(ddof=1) / np.sqrt(samples.size)
     assert abs(samples.mean() - expected) < 3.0 * stderr
 

@@ -3,24 +3,24 @@
 import numpy as np
 import pytest
 
-from spavg.randomness import RngStream, gaussian_increments
+from spavg.randomness import RngStream
 
 
 def test_same_stream_reproduces_exactly():
-    a = gaussian_increments(RngStream(7, 3), 100)
-    b = gaussian_increments(RngStream(7, 3), 100)
+    a = RngStream(7, 3).generator().standard_normal(100)
+    b = RngStream(7, 3).generator().standard_normal(100)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_stream_ids_differ():
-    a = gaussian_increments(RngStream(7, 0), 100)
-    b = gaussian_increments(RngStream(7, 1), 100)
+    a = RngStream(7, 0).generator().standard_normal(100)
+    b = RngStream(7, 1).generator().standard_normal(100)
     assert not np.array_equal(a, b)
 
 
 def test_distinct_master_seeds_differ():
-    a = gaussian_increments(RngStream(1, 0), 100)
-    b = gaussian_increments(RngStream(2, 0), 100)
+    a = RngStream(1, 0).generator().standard_normal(100)
+    b = RngStream(2, 0).generator().standard_normal(100)
     assert not np.array_equal(a, b)
 
 
@@ -36,8 +36,8 @@ def test_lanes_are_independent_channels():
 
 def test_prefix_stability():
     # Drawing a longer block extends, never changes, the prefix.
-    short = gaussian_increments(RngStream(11, 2), 16)
-    long = gaussian_increments(RngStream(11, 2), 64)
+    short = RngStream(11, 2).generator().standard_normal(16)
+    long = RngStream(11, 2).generator().standard_normal(64)
     np.testing.assert_array_equal(short, long[:16])
 
 
@@ -51,6 +51,6 @@ def test_stream_validation():
 
 
 def test_moments_are_plausible():
-    draws = gaussian_increments(RngStream(404, 9), 200_000)
+    draws = RngStream(404, 9).generator().standard_normal(200_000)
     assert abs(draws.mean()) < 3.0 / np.sqrt(draws.size)
     assert abs(draws.std() - 1.0) < 3.0 / np.sqrt(draws.size)
