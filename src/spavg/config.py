@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from .integrators import whole_steps
+
 
 class ConfigError(Exception):
     """Bad configuration; the command line maps this to exit status 2."""
@@ -64,6 +66,10 @@ class ExperimentConfig:
         for name in ("T", "dt_macro", "newton_tol"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
+        try:
+            whole_steps(self.T, self.dt_macro, "horizon T")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for name in ("replicas", "n_interior", "g1_modes", "g2_modes", "fbar_replicas"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")

@@ -305,7 +305,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
                 assert path is not None
                 averaged = simulate_averaged(model, provider, config.T, params, path)
             except (NewtonDivergence, NumericalBlowUp) as exc:
-                failure = str(exc)
+                failure = f"replica {r}: {exc}"
                 break
             errors.append(
                 strong_error(trajectory, averaged, model.grid, model.state_norm)

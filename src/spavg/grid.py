@@ -16,7 +16,11 @@ the same operator L as the drifts, sqrt(h * <v, L^-1 v>).
 
 Every linear solve with shift * I + scale * L goes through ShiftedLaplacian:
 the matrix is symmetric positive definite and tridiagonal, so LAPACK pttrf
-factors it once as L D L^T and each solve is a single pttrs call.
+factors it once as L D L^T and each solve is a single pttrs call. The one
+tridiagonal solve outside it is the Newton direction of the implicit
+porous-medium and p-Laplace step (integrators._newton_direction, LAPACK
+gtsv), because the porous-medium Jacobian I + dt L diag(psi'(u)) is not
+symmetric and changes with every iterate.
 """
 
 from __future__ import annotations

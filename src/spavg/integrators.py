@@ -2,8 +2,9 @@
 
 Scheme. The slow state advances with a drift-implicit, noise-explicit Euler
 step over dt_macro: the monotone operator A is treated implicitly (a damped
-Newton iteration for porous medium and p-Laplace, a prefactored tridiagonal
-pttrs solve for the Burgers Laplacian with explicit convection), while the
+Newton iteration for porous medium and p-Laplace, each direction one LAPACK
+gtsv solve with the tridiagonal Jacobian; a prefactored tridiagonal pttrs
+solve for the Burgers Laplacian with explicit convection), while the
 coupling term F(x, y) and the Wiener increment enter explicitly. The fast
 state advances inside each macro step through n_sub implicit Euler micro
 steps of size dt_macro / n_sub with the slow input frozen at the left
@@ -38,7 +39,7 @@ import math
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .grid import Array, Field, Grid1D, NormKind, ShiftedLaplacian, row_norms, sine_basis
 from .operators import (
@@ -275,19 +276,20 @@ def _newton_monotone_solve(
 ) -> Array:
     """Solve u - dt * A(u) = b by Newton with step halving on the residual."""
     u = b.copy()
-    scale = max(1.0, float(np.max(np.abs(b))))
+    scale = max(1.0, float(np.abs(b).max()))
     residual = u - dt * slow_drift(slow, grid, u) - b
-    res_norm = float(np.max(np.abs(residual)))
+    res_norm = float(np.abs(residual).max())
+    if not math.isfinite(res_norm):
+        raise NewtonDivergence(f"implicit {slow.kind} solve met a non-finite residual")
     for _ in range(params.newton_max_iter):
         if res_norm <= params.newton_tol * scale:
             return u
-        bands = _monotone_jacobian_bands(slow, grid, u, dt)
-        direction = solve_banded((1, 1), bands, -residual)
+        direction = _newton_direction(slow, grid, u, dt, residual)
         step = 1.0
         for _ in range(params.newton_max_halvings + 1):
             candidate = u + step * direction
             cand_residual = candidate - dt * slow_drift(slow, grid, candidate) - b
-            cand_norm = float(np.max(np.abs(cand_residual)))
+            cand_norm = float(np.abs(cand_residual).max())
             if cand_norm < res_norm:
                 break
             step *= 0.5
@@ -303,26 +305,43 @@ def _newton_monotone_solve(
     )
 
 
+def _newton_direction(
+    slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float, residual: Array
+) -> Array:
+    """Solve J(u) d = -residual with one LAPACK gtsv call.
+
+    gtsv is the tridiagonal LU with partial pivoting that solve_banded uses
+    for (1, 1) bands, without its validation. It copies the diagonals, so
+    sub and super may share memory, and writes d over its right-hand side.
+    """
+    sub, diag, sup = _monotone_jacobian_bands(slow, grid, u, dt)
+    if diag.shape[0] == 1:  # the gtsv wrapper rejects empty off-diagonals
+        return -residual / diag
+    *_, direction, info = dgtsv(sub, diag, sup, -residual, overwrite_b=True)
+    if info:
+        raise NewtonDivergence(f"implicit {slow.kind} solve met a singular Jacobian")
+    return direction
+
+
 def _monotone_jacobian_bands(
     slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float
-) -> Array:
-    """Banded Jacobian of u - dt * A(u) in solve_banded (1, 1) layout."""
-    n = grid.n_interior
+) -> tuple[Array, Array, Array]:
+    """Jacobian of u - dt * A(u) as its (sub, diag, super) diagonals.
+
+    These are the three arrays LAPACK gtsv takes, with no (3, n) banded
+    layout in between. The porous-medium Jacobian I + dt L diag(psi'(u)) is
+    not symmetric, so its two off-diagonals differ.
+    """
     h2 = grid.h**2
-    ab = np.zeros((3, n))
     if slow.kind == "porous_medium":
         dpsi = slow.c * (slow.p - 1.0) * np.abs(u) ** (slow.p - 2.0)
-        ab[0, 1:] = -dt * dpsi[1:] / h2
-        ab[1, :] = 1.0 + 2.0 * dt * dpsi / h2
-        ab[2, :-1] = -dt * dpsi[:-1] / h2
-        return ab
+        off = -dt * dpsi / h2
+        return off[:-1], 1.0 + 2.0 * dt * dpsi / h2, off[1:]
     # p_laplace: face weights phi'(g) = (p-1) |g|^(p-2)
     g = face_gradients(grid, u)
     w = (slow.p - 1.0) * np.abs(g) ** (slow.p - 2.0)
-    ab[0, 1:] = -dt * w[1:-1] / h2
-    ab[1, :] = 1.0 + dt * (w[:-1] + w[1:]) / h2
-    ab[2, :-1] = -dt * w[1:-1] / h2
-    return ab
+    off = -dt * w[1:-1] / h2
+    return off, 1.0 + dt * (w[:-1] + w[1:]) / h2, off
 
 
 class _FastStepper:

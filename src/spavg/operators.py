@@ -161,8 +161,17 @@ def central_difference(grid: Grid1D, v: Array) -> Array:
 
 
 def face_gradients(grid: Grid1D, v: Array) -> Array:
-    """Forward differences on the n_interior + 1 faces, boundaries included."""
-    return np.diff(v, prepend=0.0, append=0.0) / grid.h
+    """Forward differences on the n_interior + 1 faces, boundaries included.
+
+    Built by slicing into one array. The last face is 0.0 - v[-1], not
+    -v[-1], so that a zero node gives the +0.0 a difference gives.
+    """
+    g = np.empty(v.shape[0] + 1)
+    g[0] = v[0]
+    np.subtract(v[1:], v[:-1], out=g[1:-1])
+    g[-1] = 0.0 - v[-1]
+    g /= grid.h
+    return g
 
 
 def burgers_convection(grid: Grid1D, u: Array) -> Array:
@@ -179,7 +188,7 @@ def slow_drift(spec: SlowOperatorSpec, grid: Grid1D, x: Array) -> Array:
     if spec.kind == "p_laplace":
         g = face_gradients(grid, x)
         flux = np.abs(g) ** (spec.p - 2.0) * g
-        return np.diff(flux) / grid.h
+        return (flux[1:] - flux[:-1]) / grid.h
     return -spec.viscosity * grid.apply_neg_laplacian(x) + burgers_convection(grid, x)
 
 

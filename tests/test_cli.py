@@ -145,6 +145,15 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["converge", "--config", str(cfg), "--replicas", "1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_horizon_off_the_step_grid_exits_2(tmp_path, capsys, command):
+    # T = 0.3 is not a whole number of default macro steps (1/512).
+    cfg = tmp_path / "horizon.cfg"
+    cfg.write_text("n_interior = 8\nreplicas = 2\nT = 0.3\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error: horizon T = 0.3" in capsys.readouterr().err
+
+
 def test_newton_breakdown_exits_3(tmp_path):
     # an unreachable tolerance stalls the implicit porous medium solve
     cfg = tmp_path / "tight.cfg"

@@ -75,6 +75,15 @@ def test_validation_rejects_bad_fields():
         ExperimentConfig(master_seed=-1)
 
 
+def test_horizon_must_be_whole_macro_steps():
+    # The rule is integrators.whole_steps, applied before any run starts.
+    with pytest.raises(ConfigError, match="horizon T = 0.3 is not a positive multiple of dt_macro"):
+        ExperimentConfig(T=0.3)
+    with pytest.raises(ConfigError, match="horizon T"):
+        parse_config_text("T = 0.5\ndt_macro = 0.3\n")
+    assert ExperimentConfig(T=0.3, dt_macro=0.1).T == 0.3
+
+
 @pytest.mark.parametrize(
     "line", ["delta_rule = power", "delta_c = 1.0", "delta_a = 0.5", "delta_fixed = 0.125"]
 )

@@ -164,6 +164,8 @@ def test_newton_failure_row_names_where_it_happened():
         assert row.replicas == 0
         assert line.startswith(f"epsilon={row.epsilon:g} INVALID after 0 replicas: ")
         assert re.search(rf"coupled run at epsilon={row.epsilon:g} failed at macro step 1\b", line)
+        # the replica that failed comes first: replica 0, since none finished
+        assert line.startswith(f"epsilon={row.epsilon:g} INVALID after 0 replicas: replica 0: ")
 
 
 def test_invalid_row_fails_result():

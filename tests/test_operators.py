@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spavg.grid import Field, Grid1D, H_MINUS1, L2, sine_basis, sine_mode, smallest_eigenvalue, zeros
 from spavg.operators import (
@@ -46,6 +48,30 @@ def test_face_gradients_hand_values():
     np.testing.assert_allclose(
         face_gradients(GRID3, np.array([1.0, 0.0, -1.0])), [4.0, -4.0, -4.0, 4.0]
     )
+
+
+# Any double, signed zeros, infinities and NaN included.
+NODE_VALUES = st.lists(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([0.0, -0.0])),
+    min_size=1,
+    max_size=64,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=NODE_VALUES, p=st.floats(2.0, 5.0))
+def test_face_gradients_and_p_laplace_drift_are_bit_equal_to_np_diff(values, p):
+    # The slice-built forms give the very bits of the np.diff expressions
+    # they replace, which stay here as the reference.
+    v = np.array(values)
+    grid = Grid1D(v.size)
+    with np.errstate(all="ignore"):
+        g = np.diff(v, prepend=0.0, append=0.0) / grid.h
+        flux = np.abs(g) ** (p - 2.0) * g
+        drift = np.diff(flux) / grid.h
+        assert face_gradients(grid, v).tobytes() == g.tobytes()
+        actual = slow_drift(SlowOperatorSpec("p_laplace", p=p), grid, v)
+    assert actual.tobytes() == drift.tobytes()
 
 
 def test_burgers_convection_hand_values():
