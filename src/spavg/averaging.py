@@ -216,11 +216,15 @@ class MemoizedFbar:
     """Averaged-drift provider backed by the Monte Carlo estimator.
 
     The estimate is refreshed only when x leaves a trust region around the
-    cached input (relative radius plus an absolute floor), since re-running
-    the frozen equation at every macro step would dominate the run time.
+    cached input (TRUST_RELATIVE times its L2 norm plus TRUST_ABSOLUTE),
+    since re-running the frozen equation at every macro step would dominate
+    the run time.
     Each refresh uses a fresh block of stream ids, so a given call sequence
     is reproducible.
     """
+
+    TRUST_RELATIVE = 0.05
+    TRUST_ABSOLUTE = 1e-3
 
     def __init__(
         self,
@@ -229,24 +233,20 @@ class MemoizedFbar:
         grid: Grid1D,
         spec: FrozenRunSpec,
         stream: RngStream,
-        trust_relative: float = 0.05,
-        trust_absolute: float = 1e-3,
     ):
         self.fast = fast
         self.coupling = coupling
         self.grid = grid
         self.spec = spec
         self.stream = stream
-        self.trust_relative = trust_relative
-        self.trust_absolute = trust_absolute
         self.refresh_count = 0
         self._cached_x: Array | None = None
         self._cached_value: Array | None = None
 
     def __call__(self, x: Array) -> Array:
         if self._cached_x is not None:
-            radius = self.trust_relative * norm_values(self.grid, self._cached_x, L2)
-            radius += self.trust_absolute
+            radius = self.TRUST_RELATIVE * norm_values(self.grid, self._cached_x, L2)
+            radius += self.TRUST_ABSOLUTE
             if norm_values(self.grid, x - self._cached_x, L2) <= radius:
                 assert self._cached_value is not None
                 return self._cached_value

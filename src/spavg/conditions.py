@@ -129,6 +129,27 @@ def _amplitude(i: int) -> float:
     return _AMPLITUDES[i % len(_AMPLITUDES)]
 
 
+def _fitted(
+    condition: str,
+    lhs: list[float],
+    base: list[float],
+    slack: list[float],
+    constants: dict[str, float],
+) -> ConditionReport:
+    """Report for lhs <= C * base per sample, with C fitted to the samples.
+
+    C is the largest ratio lhs / base over samples with base > 0, floored
+    at 0, and is reported as "C" after the given constants. A sample's
+    margin is C * base + slack - lhs; a margin <= 0 is a violation.
+    """
+    c_fit = max(0.0, max(l / b for l, b in zip(lhs, base) if b > 0.0))
+    margins = [c_fit * b + s - l for l, b, s in zip(lhs, base, slack)]
+    violations = sum(1 for m in margins if m <= 0.0)
+    return ConditionReport(
+        condition, len(lhs), violations, min(margins), {**constants, "C": c_fit}
+    )
+
+
 def _check_a2(
     slow: SlowOperatorSpec,
     fast: FastOperatorSpec,
@@ -143,11 +164,9 @@ def _check_a2(
     the modulus has the form C (1 + ||v||_L4^4) and C is fitted.
     """
     fitted = slow.kind == "burgers"
-    margins: list[float] = []
     lhs_list: list[float] = []
     base_list: list[float] = []
     slack_list: list[float] = []
-    violations = 0
     for i in range(samples):
         amp = _amplitude(i)
         u = sample_field(grid, gen, amp)
@@ -155,31 +174,17 @@ def _check_a2(
         w = u - v
         pa = _pairing(grid, slow, slow_drift(slow, grid, u), w)
         pb = _pairing(grid, slow, slow_drift(slow, grid, v), w)
-        lhs = 2.0 * (pa - pb)
-        slack = 1e-7 * (1.0 + abs(pa) + abs(pb))
-        if not fitted:
-            margin = slack - lhs
-            if margin <= 0.0:
-                violations += 1
-            margins.append(margin)
-            continue
-        w_sq = norm_values(grid, w, L2) ** 2
-        base = (1.0 + norm_values(grid, v, lp_norm_kind(4.0)) ** 4) * w_sq
-        lhs_list.append(lhs)
-        base_list.append(base)
-        slack_list.append(slack)
-    if not fitted:
-        return ConditionReport(
-            "A2_local_monotone", samples, violations, min(margins), {"rho": 0.0}
-        )
-    ratios = [l / b for l, b in zip(lhs_list, base_list) if b > 0.0]
-    c_fit = max(0.0, max(ratios))
-    margins = [
-        c_fit * b + s - l for l, b, s in zip(lhs_list, base_list, slack_list)
-    ]
+        lhs_list.append(2.0 * (pa - pb))
+        slack_list.append(1e-7 * (1.0 + abs(pa) + abs(pb)))
+        if fitted:
+            w_sq = norm_values(grid, w, L2) ** 2
+            base_list.append((1.0 + norm_values(grid, v, lp_norm_kind(4.0)) ** 4) * w_sq)
+    if fitted:
+        return _fitted("A2_local_monotone", lhs_list, base_list, slack_list, {})
+    margins = [s - l for l, s in zip(lhs_list, slack_list)]
     violations = sum(1 for m in margins if m <= 0.0)
     return ConditionReport(
-        "A2_local_monotone", samples, violations, min(margins), {"C": c_fit}
+        "A2_local_monotone", samples, violations, min(margins), {"rho": 0.0}
     )
 
 
@@ -258,13 +263,8 @@ def _check_a4(
         energy = _v_energy(slow, grid, v)
         state_sq = norm_values(grid, v, slow.state_norm) ** 2
         base_list.append((1.0 + energy) * (1.0 + state_sq))
-    ratios = [l / b for l, b in zip(lhs_list, base_list)]
-    c_fit = max(ratios)
-    margins = [
-        c_fit * b + 1e-7 * (1.0 + l) - l for l, b in zip(lhs_list, base_list)
-    ]
-    violations = sum(1 for m in margins if m <= 0.0)
-    return ConditionReport("A4_growth", samples, violations, min(margins), {"C": c_fit})
+    slack = [1e-7 * (1.0 + l) for l in lhs_list]
+    return _fitted("A4_growth", lhs_list, base_list, slack, {})
 
 
 def _check_b2(
@@ -339,14 +339,8 @@ def _check_b3(
         base = 1.0 + norm_values(grid, x, L2) ** 2 + norm_values(grid, v, L2) ** 2
         lhs_plus_energy.append(lhs + energy)
         base_list.append(base)
-    c_fit = max(0.0, max(l / b for l, b in zip(lhs_plus_energy, base_list)))
-    margins = [
-        c_fit * b + 1e-7 * (1.0 + abs(l)) - l for l, b in zip(lhs_plus_energy, base_list)
-    ]
-    violations = sum(1 for m in margins if m <= 0.0)
-    return ConditionReport(
-        "B3_coercive", samples, violations, min(margins), {"eta": 1.0, "C": c_fit}
-    )
+    slack = [1e-7 * (1.0 + abs(l)) for l in lhs_plus_energy]
+    return _fitted("B3_coercive", lhs_plus_energy, base_list, slack, {"eta": 1.0})
 
 
 def _check_b4(
@@ -368,9 +362,5 @@ def _check_b4(
         base_list.append(
             1.0 + norm_values(grid, v, H1_0) + norm_values(grid, x, L2)
         )
-    c_fit = max(l / b for l, b in zip(lhs_list, base_list))
-    margins = [
-        c_fit * b + 1e-7 * (1.0 + l) - l for l, b in zip(lhs_list, base_list)
-    ]
-    violations = sum(1 for m in margins if m <= 0.0)
-    return ConditionReport("B4_growth", samples, violations, min(margins), {"C": c_fit})
+    slack = [1e-7 * (1.0 + l) for l in lhs_list]
+    return _fitted("B4_growth", lhs_list, base_list, slack, {})

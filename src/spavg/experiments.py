@@ -1,20 +1,35 @@
 """Experiment drivers behind the command line: the strong-convergence study,
 the four diagnostics suites, the condition checks, and their CSV emitters.
 
-All drivers are deterministic functions of (config, master_seed): replica r
-always uses stream id r, suites consume streams in a fixed order, and the
-CSV emitters format numbers with repr, so identical inputs produce identical
-bytes except for the wall-clock column, which is explicitly excluded from
-the reproducibility contract.
+All drivers are deterministic functions of (config, master_seed). Random
+streams are keyed by stream id:
+
+- converge and diagnose: replica r drives its coupled run with stream id r
+  at every epsilon.
+- converge with fbar_source = estimator: replica r builds its own
+  estimator, which starts at stream id ESTIMATOR_STREAMS * (r + 1) and
+  takes fbar_replicas ids per refresh. Replica r's strong error thus
+  depends on (config, master_seed, r) only, not on which replicas ran
+  before it. The ranges stay disjoint while replicas and refreshes *
+  fbar_replicas both stay below ESTIMATOR_STREAMS.
+- diagnose: the decay fit of catalog fast operator i uses 500_000 + i.
+- check: condition i uses stream id i.
+- fbar and simulate: stream id 0 (estimator replica j of fbar uses id j).
+
+Every CSV cell is written by one rule (text as it is, integers with str,
+floats with repr), so identical inputs produce identical bytes except for
+the wall-clock column, which is explicitly excluded from the
+reproducibility contract.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +44,7 @@ from .averaging import (
 from .blocks import build_auxiliary, deviation_statistic
 from .conditions import CONDITION_IDS, ConditionReport, check_condition
 from .config import ConfigError, ExperimentConfig
-from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
+from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue, zeros
 from .integrators import (
     ModelSpec,
     NewtonDivergence,
@@ -59,11 +74,8 @@ __all__ = [
     "LogLogFit",
     "NonpositiveValue",
     "SuiteOutcome",
-    "build_coupling",
-    "build_fast",
-    "build_grid",
     "build_model",
-    "build_slow",
+    "build_specs",
     "fit_loglog",
     "run_check_conditions",
     "run_convergence",
@@ -80,66 +92,60 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
+# First estimator stream id of replica 0; replica r starts at (r + 1) times it.
+ESTIMATOR_STREAMS = 1_000_000
+
 
 # ---------------------------------------------------------------- builders
 
 
-def build_grid(config: ExperimentConfig) -> Grid1D:
-    return Grid1D(config.n_interior)
-
-
-def build_slow(config: ExperimentConfig) -> SlowOperatorSpec:
+@contextlib.contextmanager
+def _config_errors():
+    """A ValueError from a spec built out of config values is a ConfigError."""
     try:
-        return SlowOperatorSpec(
-            config.slow_kind, p=config.p, c=config.c, viscosity=config.viscosity
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def build_specs(
+    config: ExperimentConfig,
+) -> tuple[Grid1D, SlowOperatorSpec, FastOperatorSpec, CouplingSpec]:
+    """Grid, slow and fast operators and coupling of a config.
+
+    The sin amplitude b reaches the fast operator only for smooth_bounded.
+    """
+    b = config.b if config.fast_kind == "smooth_bounded" else 0.0
+    with _config_errors():
+        grid = Grid1D(config.n_interior)
+        return (
+            grid,
+            SlowOperatorSpec(config.slow_kind, p=config.p, c=config.c, viscosity=config.viscosity),
+            FastOperatorSpec(config.fast_kind, c_b=config.c_b, b=b),
+            CouplingSpec(
+                f0=sine_mode(grid, 1, config.f0_amplitude),
+                c_fx=config.c_fx,
+                c_fy=config.c_fy,
+                g1_amplitude=config.g1_amplitude,
+                g1_modes=config.g1_modes,
+                g2_amplitude=config.g2_amplitude,
+                g2_modes=config.g2_modes,
+            ),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_fast(config: ExperimentConfig) -> FastOperatorSpec:
-    try:
-        b = config.b if config.fast_kind == "smooth_bounded" else 0.0
-        return FastOperatorSpec(config.fast_kind, c_b=config.c_b, b=b)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _mode_field(grid: Grid1D, amplitude: float) -> Field:
-    if amplitude == 0.0:
-        return Field(grid, np.zeros(grid.n_interior))
-    return sine_mode(grid, 1, amplitude)
-
-
-def build_coupling(config: ExperimentConfig, grid: Grid1D) -> CouplingSpec:
-    try:
-        return CouplingSpec(
-            f0=_mode_field(grid, config.f0_amplitude),
-            c_fx=config.c_fx,
-            c_fy=config.c_fy,
-            g1_amplitude=config.g1_amplitude,
-            g1_modes=config.g1_modes,
-            g2_amplitude=config.g2_amplitude,
-            g2_modes=config.g2_modes,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_model(config: ExperimentConfig, epsilon: float) -> ModelSpec:
-    grid = build_grid(config)
-    try:
+    grid, slow, fast, coupling = build_specs(config)
+    with _config_errors():
         return ModelSpec(
             grid=grid,
-            slow=build_slow(config),
-            fast=build_fast(config),
-            coupling=build_coupling(config, grid),
+            slow=slow,
+            fast=fast,
+            coupling=coupling,
             epsilon=epsilon,
-            x0=_mode_field(grid, config.x0_amplitude),
-            y0=_mode_field(grid, config.y0_amplitude),
+            x0=sine_mode(grid, 1, config.x0_amplitude),
+            y0=sine_mode(grid, 1, config.y0_amplitude),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def scheme_params(config: ExperimentConfig) -> SchemeParams:
@@ -147,19 +153,6 @@ def scheme_params(config: ExperimentConfig) -> SchemeParams:
     return SchemeParams(
         dt_macro=config.dt_macro, dt_fast_target=target, newton_tol=config.newton_tol
     )
-
-
-def _fbar_provider(config: ExperimentConfig, model: ModelSpec):
-    if config.fbar_source == "oracle":
-        try:
-            return OracleFbar(model.fast, model.coupling, model.grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    spec = FrozenRunSpec(n_replicas=config.fbar_replicas)
-    # Stream ids far above the replica range keep estimator draws disjoint
-    # from the trajectory noise.
-    base = RngStream(config.master_seed, 1_000_000)
-    return MemoizedFbar(model.fast, model.coupling, model.grid, spec, base)
 
 
 # ---------------------------------------------------------------- fitting
@@ -280,6 +273,29 @@ class ConvergenceResult:
         return lines
 
 
+def _replica_error(config: ExperimentConfig, model: ModelSpec, r: int) -> float:
+    """Strong error of replica r at model.epsilon.
+
+    The averaged drift, the closed form or an estimator on replica r's own
+    streams, is built here for this replica alone, so an estimator's
+    trust-region cache never carries over between replicas and the result
+    does not depend on which replicas ran before.
+    """
+    params = scheme_params(config)
+    with _config_errors():
+        if config.fbar_source == "oracle":
+            fbar = OracleFbar(model.fast, model.coupling, model.grid)
+        else:
+            spec = FrozenRunSpec(n_replicas=config.fbar_replicas)
+            base = RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1))
+            fbar = MemoizedFbar(model.fast, model.coupling, model.grid, spec, base)
+    trajectory, path, _ = simulate_coupled(
+        model, config.T, params, RngStream(config.master_seed, r)
+    )
+    averaged = simulate_averaged(model, fbar, config.T, params, path)
+    return strong_error(trajectory, averaged, model.grid, model.state_norm)
+
+
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """Pathwise-coupled strong error of the averaged equation per epsilon.
 
@@ -289,27 +305,18 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     blow-up at one epsilon invalidates that row but the remaining epsilons
     still run.
     """
-    params = scheme_params(config)
-    epsilons = sorted(config.epsilon_grid, reverse=True)
     rows: list[ConvergenceRow] = []
-    for epsilon in epsilons:
+    for epsilon in sorted(config.epsilon_grid, reverse=True):
         started = time.perf_counter()
         model = build_model(config, epsilon)
-        provider = _fbar_provider(config, model)
         errors: list[float] = []
         failure = None
         for r in range(config.replicas):
-            stream = RngStream(config.master_seed, r)
             try:
-                trajectory, path, _ = simulate_coupled(model, config.T, params, stream)
-                assert path is not None
-                averaged = simulate_averaged(model, provider, config.T, params, path)
+                errors.append(_replica_error(config, model, r))
             except (NewtonDivergence, NumericalBlowUp) as exc:
                 failure = f"replica {r}: {exc}"
                 break
-            errors.append(
-                strong_error(trajectory, averaged, model.grid, model.state_norm)
-            )
         mean, stderr = _mean_stderr(errors) if failure is None else (math.nan, math.nan)
         rows.append(
             ConvergenceRow(
@@ -375,18 +382,15 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     epsilon in the grid; the delta-resolved scaling statistics run at
     diag_epsilon only, since block length is a post-processing parameter for
     the slow increments but requires one auxiliary replay per (delta,
-    replica) for the deviations.
+    replica) for the deviations. Each (epsilon, replica, delta) is replayed
+    once: at diag_epsilon the fixed block length is one of the delta grid.
     """
     params = scheme_params(config)
-    grid = build_grid(config)
-    rows: list[DiagnosticsRow] = []
-    outcomes: list[SuiteOutcome] = []
+    grid, _, _, coupling = build_specs(config)
     delta_grid = [config.T * 2.0**-k for k in range(3, 8)]
     delta_fixed = delta_grid[2]
-    try:
+    with _config_errors():
         finest = min(whole_steps(delta, config.dt_macro, "delta") for delta in delta_grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if finest < 2:
         # One macro step per block replays the recorded path bit for bit and
         # the deviation statistic collapses to zero, which the log fit
@@ -399,47 +403,56 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     epsilons = sorted(set(config.epsilon_grid) | {config.diag_epsilon}, reverse=True)
     sup_by_eps: dict[float, tuple[float, float]] = {}
     dev_fixed_by_eps: dict[float, tuple[float, float]] = {}
-    inc_by_delta: dict[float, tuple[float, float]] = {}
-    dev_by_delta: dict[float, tuple[float, float]] = {}
-
     for epsilon in epsilons:
         model = build_model(config, epsilon)
-        sup_list: list[float] = []
-        dev_fixed: list[float] = []
-        inc_lists: dict[float, list[float]] = {d: [] for d in delta_grid}
-        dev_lists: dict[float, list[float]] = {d: [] for d in delta_grid}
         at_diag = epsilon == config.diag_epsilon
-        in_grid = epsilon in config.epsilon_grid
+        deltas = delta_grid if at_diag else [delta_fixed]
+        sup_list: list[float] = []
+        inc_lists: dict[float, list[float]] = {d: [] for d in deltas}
+        dev_lists: dict[float, list[float]] = {d: [] for d in deltas}
         for r in range(config.replicas):
             stream = RngStream(config.master_seed, r)
             trajectory, path, stats = simulate_coupled(model, config.T, params, stream)
-            assert path is not None
-            if in_grid:
-                sup_list.append(stats.sup_norm_x_sq)
-                aux = build_auxiliary(model, trajectory, path, delta_fixed, params)
-                dev_fixed.append(deviation_statistic(trajectory, aux, grid))
-            if at_diag:
-                for delta in delta_grid:
+            sup_list.append(stats.sup_norm_x_sq)
+            for delta in deltas:
+                aux = build_auxiliary(model, trajectory, path, delta, params)
+                dev_lists[delta].append(deviation_statistic(trajectory, aux, grid))
+                if at_diag:
                     inc_lists[delta].append(stats.increment_integral(delta))
-                    aux = build_auxiliary(model, trajectory, path, delta, params)
-                    dev_lists[delta].append(deviation_statistic(trajectory, aux, grid))
-        if in_grid:
+        if epsilon in config.epsilon_grid:
             sup_by_eps[epsilon] = _mean_stderr(sup_list)
-            dev_fixed_by_eps[epsilon] = _mean_stderr(dev_fixed)
+            dev_fixed_by_eps[epsilon] = _mean_stderr(dev_lists[delta_fixed])
         if at_diag:
-            for delta in delta_grid:
-                inc_by_delta[delta] = _mean_stderr(inc_lists[delta])
-                dev_by_delta[delta] = _mean_stderr(dev_lists[delta])
+            inc_by_delta = {d: _mean_stderr(inc_lists[d]) for d in delta_grid}
+            dev_by_delta = {d: _mean_stderr(dev_lists[d]) for d in delta_grid}
 
-    n_rep = config.replicas
+    rows: list[DiagnosticsRow] = []
+    outcomes: list[SuiteOutcome] = []
+
+    def row(suite: str, param: str, mean: float, stderr: float = 0.0, n: int = config.replicas):
+        rows.append(DiagnosticsRow(suite, param, mean, stderr, n))
+
+    def uniformity(suite: str, prefix: str, by_eps: dict[float, tuple[float, float]]) -> float:
+        """Rows per epsilon (descending), then the max/min ratio of their means."""
+        for epsilon, (mean, stderr) in by_eps.items():
+            row(suite, f"{prefix}epsilon={epsilon!r}", mean, stderr)
+        means = [mean for mean, _ in by_eps.values()]
+        ratio = max(means) / min(means)
+        row(suite, "max_over_min", ratio)
+        return ratio
+
+    def scaling_fit(suite: str, by_delta: dict[float, tuple[float, float]]) -> tuple[bool, str]:
+        """Rows per delta at diag_epsilon, then the log-log fit against delta."""
+        for delta in delta_grid:
+            row(suite, f"epsilon={config.diag_epsilon!r};delta={delta!r}", *by_delta[delta])
+        fit = fit_loglog(delta_grid, [by_delta[d][0] for d in delta_grid])
+        row(suite, "fit_slope", fit.slope, fit.slope_stderr)
+        row(suite, "fit_r_squared", fit.r_squared)
+        passed = fit.slope >= 0.5 - 2.0 * fit.slope_stderr
+        return passed, f"{fit.slope:.3f} +/- {fit.slope_stderr:.3f} (threshold 0.5)"
 
     # Suite 1: uniform-in-epsilon second moments of the slow path supremum.
-    for epsilon in sorted(sup_by_eps, reverse=True):
-        mean, stderr = sup_by_eps[epsilon]
-        rows.append(DiagnosticsRow("moment_uniformity", f"epsilon={epsilon!r}", mean, stderr, n_rep))
-    sup_means = [sup_by_eps[e][0] for e in sup_by_eps]
-    moment_ratio = max(sup_means) / min(sup_means)
-    rows.append(DiagnosticsRow("moment_uniformity", "max_over_min", moment_ratio, 0.0, n_rep))
+    moment_ratio = uniformity("moment_uniformity", "", sup_by_eps)
     outcomes.append(
         SuiteOutcome(
             "moment_uniformity",
@@ -449,80 +462,32 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     )
 
     # Suite 2: block increments of the slow path, scaling in delta.
-    for delta in delta_grid:
-        mean, stderr = inc_by_delta[delta]
-        rows.append(
-            DiagnosticsRow(
-                "increment_scaling",
-                f"epsilon={config.diag_epsilon!r};delta={delta!r}",
-                mean,
-                stderr,
-                n_rep,
-            )
-        )
-    inc_fit = fit_loglog(delta_grid, [inc_by_delta[d][0] for d in delta_grid])
-    rows.append(
-        DiagnosticsRow("increment_scaling", "fit_slope", inc_fit.slope, inc_fit.slope_stderr, n_rep)
-    )
-    rows.append(DiagnosticsRow("increment_scaling", "fit_r_squared", inc_fit.r_squared, 0.0, n_rep))
-    inc_pass = inc_fit.slope >= 0.5 - 2.0 * inc_fit.slope_stderr
+    inc_pass, inc_fit = scaling_fit("increment_scaling", inc_by_delta)
     outcomes.append(
         SuiteOutcome(
-            "increment_scaling",
-            inc_pass,
-            f"delta-slope of the increment integral = {inc_fit.slope:.3f} "
-            f"+/- {inc_fit.slope_stderr:.3f} (threshold 0.5)",
+            "increment_scaling", inc_pass, f"delta-slope of the increment integral = {inc_fit}"
         )
     )
 
     # Suite 3: deviation of the block-frozen auxiliary, scaling and uniformity.
-    for delta in delta_grid:
-        mean, stderr = dev_by_delta[delta]
-        rows.append(
-            DiagnosticsRow(
-                "deviation_scaling",
-                f"epsilon={config.diag_epsilon!r};delta={delta!r}",
-                mean,
-                stderr,
-                n_rep,
-            )
-        )
-    dev_fit = fit_loglog(delta_grid, [dev_by_delta[d][0] for d in delta_grid])
-    rows.append(
-        DiagnosticsRow("deviation_scaling", "fit_slope", dev_fit.slope, dev_fit.slope_stderr, n_rep)
-    )
-    rows.append(DiagnosticsRow("deviation_scaling", "fit_r_squared", dev_fit.r_squared, 0.0, n_rep))
-    for epsilon in sorted(dev_fixed_by_eps, reverse=True):
-        mean, stderr = dev_fixed_by_eps[epsilon]
-        rows.append(
-            DiagnosticsRow(
-                "deviation_scaling",
-                f"delta={delta_fixed!r};epsilon={epsilon!r}",
-                mean,
-                stderr,
-                n_rep,
-            )
-        )
-    dev_means = [dev_fixed_by_eps[e][0] for e in dev_fixed_by_eps]
-    dev_ratio = max(dev_means) / min(dev_means)
-    rows.append(DiagnosticsRow("deviation_scaling", "max_over_min", dev_ratio, 0.0, n_rep))
-    dev_pass = dev_fit.slope >= 0.5 - 2.0 * dev_fit.slope_stderr and dev_ratio < 3.0
+    dev_pass, dev_fit = scaling_fit("deviation_scaling", dev_by_delta)
+    dev_ratio = uniformity("deviation_scaling", f"delta={delta_fixed!r};", dev_fixed_by_eps)
     outcomes.append(
         SuiteOutcome(
             "deviation_scaling",
-            dev_pass,
-            f"delta-slope of the auxiliary deviation = {dev_fit.slope:.3f} "
-            f"+/- {dev_fit.slope_stderr:.3f} (threshold 0.5), "
+            dev_pass and dev_ratio < 3.0,
+            f"delta-slope of the auxiliary deviation = {dev_fit}, "
             f"epsilon max/min at fixed delta = {dev_ratio:.3f} (threshold 3)",
         )
     )
 
     # Suite 4: pathwise contraction rate of every catalog fast operator with a
     # positive margin, against -0.9 * margin / 2.
-    coupling = build_coupling(config, grid)
-    fast_specs = [FastOperatorSpec("linear", c_b=config.c_b)]
-    b_sb = config.b if config.b > 0.0 else 1.0
-    fast_specs.append(FastOperatorSpec("smooth_bounded", c_b=config.c_b, b=b_sb))
+    fast_specs = [
+        FastOperatorSpec("linear", c_b=config.c_b),
+        FastOperatorSpec("smooth_bounded", c_b=config.c_b, b=config.b if config.b > 0.0 else 1.0),
+    ]
+    x = sine_mode(grid, 1, config.x0_amplitude)
     decay_pass = True
     details = []
     for index, fast in enumerate(fast_specs):
@@ -534,20 +499,16 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
             fast,
             coupling,
             grid,
-            x=_mode_field(grid, config.x0_amplitude),
-            y0_a=_mode_field(grid, 0.0),
+            x=x,
+            y0_a=zeros(grid),
             y0_b=sine_mode(grid, 1, 1.0),
             horizon=50.0 / margin,
             dt_fast=0.02 / margin,
             stream=RngStream(config.master_seed, 500_000 + index),
         )
-        rows.append(DiagnosticsRow("ergodicity_decay", f"{fast.kind}_slope", fit.slope, 0.0, 1))
-        rows.append(
-            DiagnosticsRow("ergodicity_decay", f"{fast.kind}_r_squared", fit.r_squared, 0.0, 1)
-        )
-        rows.append(
-            DiagnosticsRow("ergodicity_decay", f"{fast.kind}_margin_half", margin / 2.0, 0.0, 1)
-        )
+        row("ergodicity_decay", f"{fast.kind}_slope", fit.slope, n=1)
+        row("ergodicity_decay", f"{fast.kind}_r_squared", fit.r_squared, n=1)
+        row("ergodicity_decay", f"{fast.kind}_margin_half", margin / 2.0, n=1)
         ok = fit.slope <= -0.9 * margin / 2.0 and fit.r_squared >= 0.98
         decay_pass = decay_pass and ok
         details.append(
@@ -579,18 +540,12 @@ def run_check_conditions(config: ExperimentConfig) -> ConditionsResult:
     margin must be checkable (and reported as failing) rather than rejected
     up front.
     """
-    grid = build_grid(config)
-    slow = build_slow(config)
-    fast = build_fast(config)
-    coupling = build_coupling(config, grid)
-    reports = []
-    for index, condition in enumerate(CONDITION_IDS):
-        stream = RngStream(config.master_seed, index)
-        reports.append(
-            check_condition(
-                condition, slow, fast, coupling, grid, config.condition_samples, stream
-            )
-        )
+    grid, slow, fast, coupling = build_specs(config)
+    samples = config.condition_samples
+    reports = [
+        check_condition(c, slow, fast, coupling, grid, samples, RngStream(config.master_seed, i))
+        for i, c in enumerate(CONDITION_IDS)
+    ]
     margin = dissipativity_margin(fast, coupling, grid)
     reports.append(
         ConditionReport(
@@ -622,20 +577,12 @@ class FbarRunResult:
 
 
 def run_fbar(config: ExperimentConfig) -> FbarRunResult:
-    grid = build_grid(config)
-    fast = build_fast(config)
-    coupling = build_coupling(config, grid)
-    x = _mode_field(grid, config.x0_amplitude)
-    spec = FrozenRunSpec(n_replicas=config.fbar_replicas)
-    try:
-        estimate = estimate_fbar(
-            fast, coupling, grid, x, spec, RngStream(config.master_seed, 0)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    oracle = (
-        oracle_fbar_ou(fast, coupling, grid, x) if fast.kind == "linear" else None
-    )
+    grid, _, fast, coupling = build_specs(config)
+    with _config_errors():
+        x = sine_mode(grid, 1, config.x0_amplitude)
+        spec = FrozenRunSpec(n_replicas=config.fbar_replicas)
+        estimate = estimate_fbar(fast, coupling, grid, x, spec, RngStream(config.master_seed, 0))
+    oracle = oracle_fbar_ou(fast, coupling, grid, x) if fast.kind == "linear" else None
     return FbarRunResult(x, estimate.mean, estimate.stderr, oracle, estimate.n_replicas)
 
 
@@ -653,61 +600,15 @@ def run_simulate(config: ExperimentConfig, epsilon: float | None = None):
 # ---------------------------------------------------------------- CSV emitters
 
 
-def _fmt(value: float | int) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _cell(value: str | float | int) -> str:
+    """Text as it is, integers with str, floats with repr (so nan stays nan)."""
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
     return repr(float(value))
 
 
-def write_convergence_csv(result: ConvergenceResult, path: str) -> None:
-    lines = ["epsilon,delta,error_mean,error_stderr,replicas,wall_time_s"]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.epsilon),
-                    _fmt(row.delta),
-                    _fmt(row.error_mean),
-                    _fmt(row.error_stderr),
-                    str(row.replicas),
-                    _fmt(row.wall_time_s),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _diagnostics_lines(rows: Sequence[DiagnosticsRow]) -> str:
-    lines = ["suite,param,value_mean,value_stderr,replicas"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [row.suite, row.param, _fmt(row.value_mean), _fmt(row.value_stderr), str(row.replicas)]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_diagnostics_csv(result: DiagnosticsResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_diagnostics_lines(result.rows))
-
-
-def write_suite_csvs(result: DiagnosticsResult, out_dir: str) -> list[str]:
-    """One CSV per diagnostics suite, named after the suite."""
-    paths = []
-    suites = []
-    for row in result.rows:
-        if row.suite not in suites:
-            suites.append(row.suite)
-    for suite in suites:
-        path = os.path.join(out_dir, f"{suite}.csv")
-        rows = [row for row in result.rows if row.suite == suite]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_diagnostics_lines(rows))
-        paths.append(path)
-    return paths
+def _write_table(path: str, header: str, rows: Iterable[Iterable]) -> None:
+    write_report([header] + [",".join(map(_cell, row)) for row in rows], path)
 
 
 def write_report(lines: Sequence[str], path: str) -> None:
@@ -715,59 +616,71 @@ def write_report(lines: Sequence[str], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_convergence_csv(result: ConvergenceResult, path: str) -> None:
+    _write_table(
+        path,
+        "epsilon,delta,error_mean,error_stderr,replicas,wall_time_s",
+        [
+            (r.epsilon, r.delta, r.error_mean, r.error_stderr, r.replicas, r.wall_time_s)
+            for r in result.rows
+        ],
+    )
+
+
+def write_diagnostics_csv(result: DiagnosticsResult, path: str) -> None:
+    _write_table(
+        path,
+        "suite,param,value_mean,value_stderr,replicas",
+        [(r.suite, r.param, r.value_mean, r.value_stderr, r.replicas) for r in result.rows],
+    )
+
+
+def write_suite_csvs(result: DiagnosticsResult, out_dir: str) -> list[str]:
+    """One CSV per diagnostics suite, named after the suite."""
+    paths = []
+    for suite in dict.fromkeys(row.suite for row in result.rows):
+        path = os.path.join(out_dir, f"{suite}.csv")
+        rows = [row for row in result.rows if row.suite == suite]
+        write_diagnostics_csv(dataclasses.replace(result, rows=rows), path)
+        paths.append(path)
+    return paths
+
+
 def write_conditions_csv(result: ConditionsResult, path: str) -> None:
-    lines = ["condition,samples,violations,worst_margin,constants"]
-    for report in result.reports:
-        constants = ";".join(
-            f"{name}={_fmt(value)}" for name, value in report.fitted_constants.items()
-        )
-        lines.append(
-            ",".join(
-                [
-                    report.condition,
-                    str(report.samples),
-                    str(report.violations),
-                    _fmt(report.worst_margin),
-                    constants,
-                ]
+    _write_table(
+        path,
+        "condition,samples,violations,worst_margin,constants",
+        [
+            (
+                report.condition,
+                report.samples,
+                report.violations,
+                report.worst_margin,
+                ";".join(f"{k}={_cell(v)}" for k, v in report.fitted_constants.items()),
             )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            for report in result.reports
+        ],
+    )
 
 
 def write_fbar_csv(result: FbarRunResult, path: str) -> None:
-    lines = ["node,x_value,fbar_mean,fbar_stderr,fbar_oracle"]
-    oracle = result.oracle.values if result.oracle is not None else None
-    for i in range(result.x.grid.n_interior):
-        oracle_value = _fmt(oracle[i]) if oracle is not None else "nan"
-        lines.append(
-            ",".join(
-                [
-                    str(i + 1),
-                    _fmt(result.x.values[i]),
-                    _fmt(result.estimate_mean.values[i]),
-                    _fmt(result.estimate_stderr.values[i]),
-                    oracle_value,
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n = result.x.grid.n_interior
+    oracle = result.oracle.values if result.oracle is not None else np.full(n, math.nan)
+    _write_table(
+        path,
+        "node,x_value,fbar_mean,fbar_stderr,fbar_oracle",
+        zip(
+            range(1, n + 1),
+            result.x.values,
+            result.estimate_mean.values,
+            result.estimate_stderr.values,
+            oracle,
+        ),
+    )
 
 
 def write_trajectory_csv(trajectory, path: str) -> None:
     n = trajectory.x.shape[1]
-    header = (
-        ["t"]
-        + [f"x_{i}" for i in range(1, n + 1)]
-        + [f"y_{i}" for i in range(1, n + 1)]
-    )
-    lines = [",".join(header)]
-    for j, t in enumerate(trajectory.times):
-        parts = [_fmt(t)]
-        parts.extend(_fmt(v) for v in trajectory.x[j])
-        parts.extend(_fmt(v) for v in trajectory.y[j])
-        lines.append(",".join(parts))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    names = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + [f"y_{i}" for i in range(1, n + 1)]
+    states = np.column_stack([trajectory.times, trajectory.x, trajectory.y])
+    _write_table(path, ",".join(names), states)

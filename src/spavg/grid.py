@@ -66,7 +66,7 @@ class Grid1D:
         if not isinstance(self.n_interior, (int, np.integer)) or self.n_interior < 1:
             raise ValueError(f"n_interior must be a positive integer, got {self.n_interior!r}")
 
-    @property
+    @functools.cached_property
     def h(self) -> float:
         return 1.0 / (self.n_interior + 1)
 
@@ -160,9 +160,14 @@ def zeros(grid: Grid1D) -> Field:
 
 
 def sine_mode(grid: Grid1D, k: int, amplitude: float = 1.0) -> Field:
-    """amplitude * sqrt(2) * sin(k*pi*x), the k-th L2-normalized eigenvector."""
+    """amplitude * sqrt(2) * sin(k*pi*x), the k-th L2-normalized eigenvector.
+
+    A zero amplitude, -0.0 included, gives the zero field of +0.0 nodes.
+    """
     if not 1 <= k <= grid.n_interior:
         raise ValueError(f"mode index must lie in 1..{grid.n_interior}, got {k}")
+    if amplitude == 0.0:
+        return zeros(grid)
     return Field(grid, amplitude * np.sqrt(2.0) * np.sin(k * np.pi * grid.nodes))
 
 

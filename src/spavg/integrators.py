@@ -80,7 +80,7 @@ class NumericalBlowUp(ArithmeticError):
 
 @dataclasses.dataclass(frozen=True)
 class SchemeParams:
-    """Step sizes and implicit-solve controls.
+    """Step sizes and the implicit-solve tolerance.
 
     dt_fast_target caps dt_micro / epsilon (fast-clock units); None picks
     0.1 / margin, i.e. about a tenth of the fast relaxation time.
@@ -89,8 +89,6 @@ class SchemeParams:
     dt_macro: float
     dt_fast_target: float | None = None
     newton_tol: float = 1e-10
-    newton_max_iter: int = 50
-    newton_max_halvings: int = 30
 
     def __post_init__(self) -> None:
         if self.dt_macro <= 0.0:
@@ -99,8 +97,6 @@ class SchemeParams:
             raise ValueError("dt_fast_target must be positive when given")
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1 or self.newton_max_halvings < 0:
-            raise ValueError("newton iteration limits out of range")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,6 +267,11 @@ class _SlowStepper:
         return x_new - dt * slow_drift(self.slow, self.grid, x_new) - (x + dt * forcing + noise)
 
 
+# Newton iterations per implicit slow step, and step halvings per iteration.
+NEWTON_MAX_ITER = 50
+NEWTON_MAX_HALVINGS = 30
+
+
 def _newton_monotone_solve(
     slow: SlowOperatorSpec, grid: Grid1D, b: Array, dt: float, params: SchemeParams
 ) -> Array:
@@ -281,12 +282,12 @@ def _newton_monotone_solve(
     res_norm = float(np.abs(residual).max())
     if not math.isfinite(res_norm):
         raise NewtonDivergence(f"implicit {slow.kind} solve met a non-finite residual")
-    for _ in range(params.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if res_norm <= params.newton_tol * scale:
             return u
         direction = _newton_direction(slow, grid, u, dt, residual)
         step = 1.0
-        for _ in range(params.newton_max_halvings + 1):
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
             candidate = u + step * direction
             cand_residual = candidate - dt * slow_drift(slow, grid, candidate) - b
             cand_norm = float(np.abs(cand_residual).max())
@@ -457,13 +458,12 @@ def simulate_coupled(
     T: float,
     params: SchemeParams,
     stream: RngStream,
-    record: bool = True,
-) -> tuple[Trajectory, NoisePath | None, TrajectoryStats]:
+) -> tuple[Trajectory, NoisePath, TrajectoryStats]:
     """Advance the coupled pair over [0, T] and collect path statistics.
 
-    The same stream always reproduces the same trajectory bit for bit; with
-    record=True the returned NoisePath allows the averaged equation and the
-    block-frozen auxiliary construction to be driven by this very realization.
+    The same stream always reproduces the same trajectory bit for bit; the
+    returned NoisePath allows the averaged equation and the block-frozen
+    auxiliary construction to be driven by this very realization.
     """
     grid = model.grid
     m = whole_steps(T, params.dt_macro, "horizon T")
@@ -482,10 +482,8 @@ def simulate_coupled(
     y = model.y0.values.copy()
     x_hist[0] = x
     y_hist[0] = y
-    slow_rows = np.empty((m, model.coupling.g1_modes)) if record else None
-    fast_rows = (
-        np.empty((m, fast_stepper.n_sub, model.coupling.g2_modes)) if record else None
-    )
+    slow_rows = np.empty((m, model.coupling.g1_modes))
+    fast_rows = np.empty((m, fast_stepper.n_sub, model.coupling.g2_modes))
 
     for j in range(m):
         forcing = coupling_f(model.coupling, x, y)
@@ -499,20 +497,15 @@ def simulate_coupled(
             raise _located(exc, "coupled", model.epsilon, j) from exc
         x_hist[j + 1] = x
         y_hist[j + 1] = y
-        if record:
-            slow_rows[j] = slow_coeffs
-            fast_rows[j] = block
+        slow_rows[j] = slow_coeffs
+        fast_rows[j] = block
 
     _raise_on_blow_up("coupled", model.epsilon, x_hist, y_hist)
     times = np.arange(m + 1) * dt
     trajectory = Trajectory(times, x_hist, y_hist)
     stats = TrajectoryStats(grid, model.state_norm, dt, x_hist)
     stats.mean_norm_y_sq = grid.h * float(np.sum(y_hist * y_hist)) / (m + 1)
-    path = (
-        NoisePath(dt, fast_stepper.n_sub, model.epsilon, slow_rows, fast_rows)
-        if record
-        else None
-    )
+    path = NoisePath(dt, fast_stepper.n_sub, model.epsilon, slow_rows, fast_rows)
     return trajectory, path, stats
 
 

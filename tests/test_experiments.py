@@ -10,12 +10,11 @@ import pytest
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.experiments import (
     ConvergenceRow,
+    _replica_error,
     InsufficientPoints,
     NonpositiveValue,
-    build_coupling,
-    build_fast,
-    build_grid,
     build_model,
+    build_specs,
     fit_loglog,
     run_check_conditions,
     run_convergence,
@@ -87,10 +86,10 @@ def test_fit_loglog_input_validation():
 
 
 def test_build_fast_ignores_sin_amplitude_for_linear():
-    cfg = small_config(fast_kind="linear", b=3.0)
-    assert build_fast(cfg).b == 0.0
-    cfg = small_config(fast_kind="smooth_bounded", b=3.0)
-    assert build_fast(cfg).b == 3.0
+    _, _, fast, _ = build_specs(small_config(fast_kind="linear", b=3.0))
+    assert fast.b == 0.0
+    _, _, fast, _ = build_specs(small_config(fast_kind="smooth_bounded", b=3.0))
+    assert fast.b == 3.0
 
 
 def test_scheme_params_zero_target_means_automatic():
@@ -107,9 +106,8 @@ def test_build_model_wraps_validation_in_config_error():
 
 
 def test_build_coupling_rejects_too_many_modes():
-    cfg = small_config(g1_modes=200)
     with pytest.raises(ConfigError):
-        build_coupling(cfg, build_grid(cfg))
+        build_specs(small_config(g1_modes=200))
 
 
 # ---------------------------------------------------------------- convergence
@@ -154,6 +152,18 @@ def test_run_convergence_with_estimated_fbar_runs():
     result = run_convergence(cfg)
     assert not result.any_failed
     assert all(row.error_mean > 0.0 for row in result.rows)
+
+
+def test_estimator_replica_does_not_depend_on_other_replicas():
+    cfg = small_config(fbar_source="estimator", fbar_replicas=2)
+    model = build_model(cfg, 0.1)
+    after = [_replica_error(cfg, model, r) for r in (0, 1)][1]
+    before = [_replica_error(cfg, model, r) for r in (1, 0)][0]
+    alone = _replica_error(cfg, model, 1)
+    assert after.hex() == before.hex() == alone.hex()
+    # the rows are built from these very values
+    row = run_convergence(dataclasses.replace(cfg, epsilon_grid=(0.1,))).rows[0]
+    assert row.error_mean == np.mean([_replica_error(cfg, model, 0), alone])
 
 
 def test_newton_failure_row_names_where_it_happened():

@@ -136,6 +136,14 @@ def test_sine_mode_is_discrete_eigenvector():
         )
 
 
+def test_sine_mode_zero_amplitude_is_positive_zero():
+    grid = Grid1D(5)
+    for k in (1, 2, 5):
+        for amplitude in (0.0, -0.0):
+            values = sine_mode(grid, k, amplitude).values
+            assert not values.any() and not np.signbit(values).any()
+
+
 def test_sine_mode_rejects_bad_wavenumber():
     grid = Grid1D(4)
     with pytest.raises(ValueError):
