@@ -2,10 +2,12 @@
 
 The auxiliary fast process re-runs the recorded fast noise with the slow
 input frozen at block boundaries: on [k*delta, (k+1)*delta) it sees the slow
-state from time k*delta instead of the current macro step. Comparing it with
-the true fast trajectory isolates how much the fast equation feels the slow
-motion inside one block, which is the quantity whose delta-scaling the
-diagnostics suites measure.
+state from time k*delta instead of the current macro step. It runs on the
+step grid the NoisePath recorded (dt_macro and n_sub micro steps per macro
+step), so a replay needs no scheme parameters and cannot disagree with the
+recording run. Comparing it with the true fast trajectory isolates how much
+the fast equation feels the slow motion inside one block, which is the
+quantity whose delta-scaling the diagnostics suites measure.
 
 Statistics conventions. deviation_statistic integrates ||y(t) - y_hat(t)||^2
 with the trapezoid rule; the integrand is continuous, and a constant offset c
@@ -21,7 +23,6 @@ from .grid import L2, Array, Grid1D, row_norms
 from .integrators import (
     ModelSpec,
     NoisePath,
-    SchemeParams,
     Trajectory,
     _FastStepper,
     block_anchors,
@@ -39,30 +40,25 @@ def build_auxiliary(
     trajectory: Trajectory,
     noise: NoisePath,
     delta: float,
-    params: SchemeParams,
 ) -> Array:
     """Replay the fast noise with the slow input frozen at block boundaries.
 
-    delta is the block length, a positive whole multiple of dt_macro.
-    Returns the auxiliary fast states at macro times, shape (n_steps + 1, n).
-    With delta = dt_macro the anchor is the current macro step, which is
-    exactly what the coupled integrator used, so the result reproduces the
-    recorded fast trajectory bit for bit.
+    delta is the block length, a positive whole multiple of the recorded
+    dt_macro. Returns the auxiliary fast states at macro times, shape
+    (n_steps + 1, n). With delta = dt_macro the anchor is the current macro
+    step, which is exactly what the coupled integrator used, so the result
+    reproduces the recorded fast trajectory bit for bit.
     """
-    if params.dt_macro != noise.dt_macro:
-        raise ValueError("scheme and noise path disagree on dt_macro")
     if noise.epsilon != model.epsilon:
         raise ValueError("noise path was recorded at a different epsilon")
     m = noise.n_macro
     if trajectory.x.shape[0] != m + 1:
         raise ValueError("trajectory and noise path disagree on the step count")
     anchors = block_anchors(m, whole_steps(delta, noise.dt_macro, "delta"))
-    stepper = _FastStepper.for_model(model, noise.dt_macro, params)
-    if stepper.n_sub != noise.n_sub:
-        raise ValueError(
-            f"scheme gives {stepper.n_sub} micro steps but the path recorded {noise.n_sub}; "
-            "use the same SchemeParams as the recording run"
-        )
+    dt_micro = noise.dt_macro / noise.n_sub
+    stepper = _FastStepper(
+        model.fast, model.coupling, model.grid, model.epsilon, dt_micro, noise.n_sub
+    )
     y_hat = np.empty((m + 1, model.grid.n_interior))
     y = model.y0.values.copy()
     y_hat[0] = y

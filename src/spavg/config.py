@@ -10,6 +10,7 @@ rejected rather than ignored so a typo cannot silently change an experiment.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .integrators import whole_steps
 
@@ -51,6 +52,11 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            if kind in ("float", "tuple[float, ...]"):
+                value = getattr(self, name)
+                if not all(map(math.isfinite, [value] if kind == "float" else value)):
+                    raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.slow_kind not in ("burgers", "porous_medium", "p_laplace"):
             raise ConfigError(f"unknown slow_kind {self.slow_kind!r}")
         if self.fast_kind not in ("linear", "smooth_bounded"):
@@ -70,13 +76,14 @@ class ExperimentConfig:
             whole_steps(self.T, self.dt_macro, "horizon T")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for name in ("replicas", "n_interior", "g1_modes", "g2_modes", "fbar_replicas"):
+        for name in ("n_interior", "g1_modes", "g2_modes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.condition_samples < 2:
             raise ConfigError("condition_samples must be at least 2")
-        if self.replicas < 2:
-            raise ConfigError("replicas must be at least 2 for spread estimates")
+        for name in ("replicas", "fbar_replicas"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name} must be at least 2 for spread estimates")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         if self.dt_fast_target < 0.0:

@@ -50,6 +50,7 @@ from .integrators import (
     NewtonDivergence,
     NumericalBlowUp,
     SchemeParams,
+    TrajectoryStats,
     simulate_averaged,
     simulate_coupled,
     strong_error,
@@ -289,10 +290,8 @@ def _replica_error(config: ExperimentConfig, model: ModelSpec, r: int) -> float:
             spec = FrozenRunSpec(n_replicas=config.fbar_replicas)
             base = RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1))
             fbar = MemoizedFbar(model.fast, model.coupling, model.grid, spec, base)
-    trajectory, path, _ = simulate_coupled(
-        model, config.T, params, RngStream(config.master_seed, r)
-    )
-    averaged = simulate_averaged(model, fbar, config.T, params, path)
+    trajectory, path = simulate_coupled(model, config.T, params, RngStream(config.master_seed, r))
+    averaged = simulate_averaged(model, fbar, params, path)
     return strong_error(trajectory, averaged, model.grid, model.state_norm)
 
 
@@ -412,10 +411,11 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
         dev_lists: dict[float, list[float]] = {d: [] for d in deltas}
         for r in range(config.replicas):
             stream = RngStream(config.master_seed, r)
-            trajectory, path, stats = simulate_coupled(model, config.T, params, stream)
+            trajectory, path = simulate_coupled(model, config.T, params, stream)
+            stats = TrajectoryStats(grid, model.state_norm, config.dt_macro, trajectory.x)
             sup_list.append(stats.sup_norm_x_sq)
             for delta in deltas:
-                aux = build_auxiliary(model, trajectory, path, delta, params)
+                aux = build_auxiliary(model, trajectory, path, delta)
                 dev_lists[delta].append(deviation_statistic(trajectory, aux, grid))
                 if at_diag:
                     inc_lists[delta].append(stats.increment_integral(delta))
@@ -426,6 +426,9 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
             inc_by_delta = {d: _mean_stderr(inc_lists[d]) for d in delta_grid}
             dev_by_delta = {d: _mean_stderr(dev_lists[d]) for d in delta_grid}
 
+    # Freed before the decay fits below, which would otherwise run with the
+    # last replica's paths alive and raise the peak memory of the command.
+    del trajectory, path, stats, aux
     rows: list[DiagnosticsRow] = []
     outcomes: list[SuiteOutcome] = []
 
@@ -588,10 +591,8 @@ def run_fbar(config: ExperimentConfig) -> FbarRunResult:
 
 def run_simulate(config: ExperimentConfig, epsilon: float | None = None):
     eps = epsilon if epsilon is not None else config.epsilon_grid[0]
-    if eps <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {eps}")
     model = build_model(config, eps)
-    trajectory, _, _ = simulate_coupled(
+    trajectory, _ = simulate_coupled(
         model, config.T, scheme_params(config), RngStream(config.master_seed, 0)
     )
     return trajectory

@@ -4,8 +4,11 @@ Scheme. The slow state advances with a drift-implicit, noise-explicit Euler
 step over dt_macro: the monotone operator A is treated implicitly (a damped
 Newton iteration for porous medium and p-Laplace, each direction one LAPACK
 gtsv solve with the tridiagonal Jacobian; a prefactored tridiagonal pttrs
-solve for the Burgers Laplacian with explicit convection), while the
-coupling term F(x, y) and the Wiener increment enter explicitly. The fast
+solve for the Burgers Laplacian with explicit convection), while a forcing
+and the Wiener increment enter explicitly. The coupled and the averaged
+equation share this one macro-step loop and differ only in the forcing, as
+in the macro solver of a heterogeneous multiscale method: F(x, y) at the
+left endpoint in the coupled run, fbar(x) in the averaged one. The fast
 state advances inside each macro step through n_sub implicit Euler micro
 steps of size dt_macro / n_sub with the slow input frozen at the left
 endpoint; n_sub is the smallest integer keeping dt_micro / epsilon below
@@ -25,10 +28,12 @@ physical space and takes its micro steps one by one through a prefactored
 pttrs solve.
 
 Noise. Each Wiener increment is synthesized from sine-mode coefficients
-(amplitude / k**2) * sqrt(dt) * xi_k. A NoisePath records the raw coefficient
-rows (without the 1/sqrt(epsilon) weight on the fast channel), which is
-exactly enough to replay the same realization into the averaged equation or
-into the block-frozen auxiliary construction, bit for bit.
+(amplitude / k**2) * sqrt(dt) * xi_k. A coupled run draws its whole horizon
+before the first step and keeps it as a NoisePath: the raw coefficient rows
+(without the 1/sqrt(epsilon) weight on the fast channel) together with
+dt_macro and n_sub. The path is the only source of a replay's step grid, and
+it is exactly enough to replay the same realization into the averaged
+equation or into the block-frozen auxiliary construction, bit for bit.
 """
 
 from __future__ import annotations
@@ -112,8 +117,8 @@ class ModelSpec:
     y0: Field
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         for name in ("x0", "y0"):
             if getattr(self, name).grid != self.grid:
                 raise ValueError(f"{name} lives on a different grid")
@@ -190,11 +195,10 @@ class SlowTrajectory:
 
 
 class TrajectoryStats:
-    """Path statistics collected from one coupled run.
+    """Statistics of a slow path x of shape (n_steps + 1, n) at macro times.
 
-    sup_norm_x_sq is sup over macro times of the squared slow-state norm,
-    mean_norm_y_sq the arithmetic mean over macro times of the squared fast
-    L2 norm. increment_integral(delta) integrates the squared distance of the
+    sup_norm_x_sq is sup over macro times of the squared slow-state norm.
+    increment_integral(delta) integrates the squared distance of the
     slow state to its value at the latest block boundary below t, using the
     upper Riemann sum that respects the jump of the block anchor: the term
     for [t_j, t_j + dt) is dt * ||x(t_{j+1}) - x(block_start(j))||^2. With
@@ -207,7 +211,6 @@ class TrajectoryStats:
         self._dt = dt_macro
         self._x = x
         self.sup_norm_x_sq = float(np.max(row_norms(grid, x, kind) ** 2))
-        self.mean_norm_y_sq = math.nan  # filled by the simulation loop
 
     def increment_integral(self, delta: float) -> float:
         n_steps = self._x.shape[0] - 1
@@ -225,7 +228,8 @@ def whole_steps(length: float, dt_macro: float, name: str) -> int:
     Raises ValueError, calling the length `name`, unless it is a positive
     whole multiple of dt_macro.
     """
-    q = round(length / dt_macro) if dt_macro > 0.0 else 0
+    ratio = length / dt_macro if dt_macro > 0.0 else 0.0
+    q = round(ratio) if math.isfinite(ratio) else 0
     if q < 1 or abs(q * dt_macro - length) > 1e-9 * length:
         raise ValueError(
             f"{name} = {length} is not a positive multiple of dt_macro = {dt_macro}"
@@ -391,7 +395,9 @@ class _FastStepper:
 
     def draw(self, gen: np.random.Generator, steps: int) -> Array:
         """Raw noise coefficients of `steps` micro steps, shape (steps, modes)."""
-        return gen.standard_normal((steps, self._modes)) * self._scales
+        rows = gen.standard_normal((steps, self._modes))
+        rows *= self._scales
+        return rows
 
     @functools.cached_property
     def _block_gains(self) -> tuple[Array, Array, Array]:
@@ -458,111 +464,87 @@ def simulate_coupled(
     T: float,
     params: SchemeParams,
     stream: RngStream,
-) -> tuple[Trajectory, NoisePath, TrajectoryStats]:
-    """Advance the coupled pair over [0, T] and collect path statistics.
+) -> tuple[Trajectory, NoisePath]:
+    """Advance the coupled pair over [0, T] and record the noise that drove it.
 
-    The same stream always reproduces the same trajectory bit for bit; the
-    returned NoisePath allows the averaged equation and the block-frozen
-    auxiliary construction to be driven by this very realization.
+    The whole horizon is drawn up front (slow rows on lane 0, fast rows on
+    lane 1 of the stream), the same numbers as drawing step by step. The
+    returned NoisePath drives the averaged equation and the block-frozen
+    auxiliary construction with this very realization.
     """
-    grid = model.grid
-    m = whole_steps(T, params.dt_macro, "horizon T")
     dt = params.dt_macro
-    slow_stepper = _SlowStepper(model.slow, grid, dt, params)
+    m = whole_steps(T, dt, "horizon T")
+    coupling = model.coupling
     fast_stepper = _FastStepper.for_model(model, dt, params)
-    gen_slow = stream.generator(0)
-    gen_fast = stream.generator(1)
-    g1_scales = mode_scales(model.coupling.g1_amplitude, model.coupling.g1_modes) * math.sqrt(dt)
-    basis_slow_t = np.ascontiguousarray(sine_basis(grid, model.coupling.g1_modes).T)
+    n_sub = fast_stepper.n_sub
+    slow_rows = stream.generator(0).standard_normal((m, coupling.g1_modes))
+    slow_rows *= mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
+    fast_rows = fast_stepper.draw(stream.generator(1), m * n_sub).reshape(m, n_sub, -1)
+    path = NoisePath(dt, n_sub, model.epsilon, slow_rows, fast_rows)
+    y_hist = np.empty((m + 1, model.grid.n_interior))
+    y_hist[0] = model.y0.values
 
-    n = grid.n_interior
-    x_hist = np.empty((m + 1, n))
-    y_hist = np.empty((m + 1, n))
-    x = model.x0.values.copy()
-    y = model.y0.values.copy()
-    x_hist[0] = x
-    y_hist[0] = y
-    slow_rows = np.empty((m, model.coupling.g1_modes))
-    fast_rows = np.empty((m, fast_stepper.n_sub, model.coupling.g2_modes))
+    def forcing(j: int, x: Array) -> Array:
+        """F at the left endpoint; the fast state then runs one block with x frozen."""
+        y = y_hist[j]
+        y_hist[j + 1] = fast_stepper.run_block(x, y, path.fast[j])
+        return coupling_f(coupling, x, y)
 
-    for j in range(m):
-        forcing = coupling_f(model.coupling, x, y)
-        block = fast_stepper.draw(gen_fast, fast_stepper.n_sub)
-        y = fast_stepper.run_block(x, y, block)
-        slow_coeffs = g1_scales * gen_slow.standard_normal(model.coupling.g1_modes)
-        noise = slow_coeffs @ basis_slow_t
-        try:
-            x = slow_stepper.step(x, forcing, noise)
-        except NewtonDivergence as exc:
-            raise _located(exc, "coupled", model.epsilon, j) from exc
-        x_hist[j + 1] = x
-        y_hist[j + 1] = y
-        slow_rows[j] = slow_coeffs
-        fast_rows[j] = block
-
-    _raise_on_blow_up("coupled", model.epsilon, x_hist, y_hist)
-    times = np.arange(m + 1) * dt
-    trajectory = Trajectory(times, x_hist, y_hist)
-    stats = TrajectoryStats(grid, model.state_norm, dt, x_hist)
-    stats.mean_norm_y_sq = grid.h * float(np.sum(y_hist * y_hist)) / (m + 1)
-    path = NoisePath(dt, fast_stepper.n_sub, model.epsilon, slow_rows, fast_rows)
-    return trajectory, path, stats
+    slow = _slow_loop(model, params, path, forcing, "coupled", y_hist)
+    return Trajectory(slow.times, slow.x, y_hist), path
 
 
 def simulate_averaged(
     model: ModelSpec,
     fbar: Callable[[Array], Array],
-    T: float,
     params: SchemeParams,
     noise: NoisePath,
 ) -> SlowTrajectory:
-    """Advance the averaged slow equation driven by a recorded slow noise path.
+    """Advance the averaged slow equation on the grid and slow noise of a recorded path.
 
-    fbar maps slow nodal values to the averaged coupling drift. The Wiener
-    increments are resynthesized from the recorded mode coefficients, so a
-    run against the path of simulate_coupled shares its realization exactly.
+    fbar maps slow nodal values to the averaged coupling drift. Against the
+    path of simulate_coupled the run shares that realization exactly.
     """
-    grid = model.grid
-    m = whole_steps(T, params.dt_macro, "horizon T")
-    if noise.dt_macro != params.dt_macro:
-        raise ValueError("noise path was recorded with a different dt_macro")
-    if noise.n_macro < m:
-        raise ValueError(f"noise path has {noise.n_macro} steps, need {m}")
-    dt = params.dt_macro
-    slow_stepper = _SlowStepper(model.slow, grid, dt, params)
-    basis_slow_t = np.ascontiguousarray(sine_basis(grid, noise.slow.shape[1]).T)
+    return _slow_loop(model, params, noise, lambda j, x: fbar(x), "averaged")
 
-    x_hist = np.empty((m + 1, grid.n_interior))
+
+def _slow_loop(
+    model: ModelSpec,
+    params: SchemeParams,
+    noise: NoisePath,
+    forcing: Callable[[int, Array], Array],
+    equation: str,
+    *histories: Array,
+) -> SlowTrajectory:
+    """The one macro-step loop of the slow equation, on the grid of `noise`.
+
+    forcing(j, x) is the explicit drift of macro step j at its left endpoint
+    x. Each Wiener increment is synthesized from its own row: one product
+    over all rows rounds differently. Failures name `equation`, epsilon and
+    the step, also for a non-finite state in `histories` the forcing fills.
+    """
+    grid, epsilon = model.grid, model.epsilon
+    stepper = _SlowStepper(model.slow, grid, noise.dt_macro, params)
+    basis_t = np.ascontiguousarray(sine_basis(grid, noise.slow.shape[1]).T)
+    x_hist = np.empty((noise.n_macro + 1, grid.n_interior))
     x = model.x0.values.copy()
     x_hist[0] = x
-    for j in range(m):
-        forcing = fbar(x)
-        noise_field = noise.slow[j] @ basis_slow_t
+    for j in range(noise.n_macro):
         try:
-            x = slow_stepper.step(x, forcing, noise_field)
+            x = stepper.step(x, forcing(j, x), noise.slow[j] @ basis_t)
         except NewtonDivergence as exc:
-            raise _located(exc, "averaged", model.epsilon, j) from exc
+            # Named like a blow-up: by the state the step computes.
+            raise NewtonDivergence(
+                f"{equation} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
+            ) from exc
         x_hist[j + 1] = x
-    _raise_on_blow_up("averaged", model.epsilon, x_hist)
-    return SlowTrajectory(np.arange(m + 1) * dt, x_hist)
-
-
-def _located(exc: NewtonDivergence, equation: str, epsilon: float, j: int) -> NewtonDivergence:
-    """The failure of macro step j, named like a blow-up: by the state it computes, j + 1."""
-    return NewtonDivergence(
-        f"{equation} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
-    )
-
-
-def _raise_on_blow_up(equation: str, epsilon: float, *histories: Array) -> None:
-    """Raise NumericalBlowUp naming the first macro time with a non-finite state."""
-    finite = np.logical_and.reduce([np.isfinite(h).all(axis=1) for h in histories])
+    finite = np.logical_and.reduce([np.isfinite(h).all(axis=1) for h in (x_hist, *histories)])
     if not finite.all():
-        step = int(np.argmin(finite))
         raise NumericalBlowUp(
             f"{equation} run blew up at epsilon={epsilon:g}: "
-            f"non-finite state at macro step {step}"
+            f"non-finite state at macro step {int(np.argmin(finite))}"
         )
+    return SlowTrajectory(np.arange(noise.n_macro + 1) * noise.dt_macro, x_hist)
 
 
 def strong_error(

@@ -145,6 +145,25 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["converge", "--config", str(cfg), "--replicas", "1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("converge", "epsilon_grid = nan\n", "epsilon_grid must be finite"),
+        ("converge", "g1_amplitude = inf\n", "g1_amplitude must be finite"),
+        ("converge", "slow_kind = p_laplace\nnewton_tol = nan\n", "newton_tol must be finite"),
+        ("simulate", "dt_fast_target = nan\n", "dt_fast_target must be finite"),
+        ("simulate --epsilon nan", "", "epsilon must be positive and finite, got nan"),
+    ],
+    ids=["epsilon_grid", "g1_amplitude", "newton_tol", "dt_fast_target", "epsilon_option"],
+)
+def test_non_finite_values_exit_2(tmp_path, capsys, command, lines, message):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text("n_interior = 8\nreplicas = 2\nT = 0.125\n" + lines, encoding="utf-8")
+    argv = command.split() + ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "converge"])
 def test_horizon_off_the_step_grid_exits_2(tmp_path, capsys, command):
     # T = 0.3 is not a whole number of default macro steps (1/512).

@@ -1,8 +1,21 @@
 """Parsing and validation of the flat key = value experiment config."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spavg.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+
+FLOAT_KEYS = [
+    f.name
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.type in ("float", "tuple[float, ...]")
+]
+NUMERIC_KEYS = [
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.type in ("int", "float")
+]
 
 
 def test_defaults():
@@ -67,6 +80,8 @@ def test_validation_rejects_bad_fields():
         ExperimentConfig(T=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(replicas=1)
+    with pytest.raises(ConfigError, match="fbar_replicas must be at least 2"):
+        ExperimentConfig(fbar_replicas=1)
     with pytest.raises(ConfigError):
         ExperimentConfig(condition_samples=1)
     with pytest.raises(ConfigError):
@@ -103,3 +118,51 @@ def test_load_config(tmp_path):
     assert load_config(None) == ExperimentConfig()
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(str(tmp_path / "absent.cfg"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(FLOAT_KEYS),
+    value=st.sampled_from(["nan", "inf", "-inf", "NaN", "+Infinity", "1e400"]),
+    position=st.integers(0, 2),
+)
+def test_non_finite_float_values_are_config_errors(key, value, position):
+    # Every float key and every epsilon_grid entry must be finite; a
+    # non-finite one is refused before any run, whatever its position.
+    if key == "epsilon_grid":
+        grid = ["0.2", "0.1", "0.05"]
+        grid[position] = value
+        value = ", ".join(grid)
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config_text(f"{key} = {value}\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=60))
+def test_any_text_parses_or_raises_config_error(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    line=st.one_of(
+        st.text(alphabet=st.characters(blacklist_characters="=#\n\r"), max_size=30).filter(
+            str.strip
+        ),
+        st.builds("{} = 1".format, st.from_regex(r"[a-z_]{1,12}", fullmatch=True)).filter(
+            lambda line: line[:-4] not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+        ),
+        st.builds(
+            "{} = {}".format,
+            st.sampled_from(NUMERIC_KEYS),
+            st.from_regex(r"[a-z][a-z ]{0,10}", fullmatch=True),
+        ),
+    )
+)
+def test_malformed_lines_raise_config_error(line):
+    # No '=' at all, an unknown key, or a word where a number belongs.
+    with pytest.raises(ConfigError):
+        parse_config_text(line + "\n")

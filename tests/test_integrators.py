@@ -4,25 +4,46 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spavg.grid import Grid1D, L2, norm_values, sine_mode, smallest_eigenvalue, zeros
+from spavg.blocks import build_auxiliary
+from spavg.grid import (
+    L2,
+    Grid1D,
+    norm_values,
+    row_norms,
+    sine_basis,
+    sine_mode,
+    smallest_eigenvalue,
+    zeros,
+)
 from spavg.integrators import (
     ModelSpec,
     NewtonDivergence,
     NoisePath,
     NumericalBlowUp,
     SchemeParams,
+    TrajectoryStats,
     _FastStepper,
     _SlowStepper,
     simulate_averaged,
     simulate_coupled,
     strong_error,
 )
-from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec
+from spavg.operators import (
+    CouplingSpec,
+    FastOperatorSpec,
+    SlowOperatorSpec,
+    coupling_f,
+    mode_scales,
+)
 from spavg.randomness import RngStream
 
 
-def make_model(n=8, epsilon=0.05, slow_kind="burgers", c_fy=1.0, x0_amp=0.5, **coup_kw):
+def make_model(
+    n=8, epsilon=0.05, slow_kind="burgers", c_fy=1.0, x0_amp=0.5, fast_kind="linear", **coup_kw
+):
     grid = Grid1D(n)
     slow = (
         SlowOperatorSpec(slow_kind, p=3.0)
@@ -35,7 +56,7 @@ def make_model(n=8, epsilon=0.05, slow_kind="burgers", c_fy=1.0, x0_amp=0.5, **c
     return ModelSpec(
         grid=grid,
         slow=slow,
-        fast=FastOperatorSpec("linear", c_b=1.0),
+        fast=FastOperatorSpec(fast_kind, c_b=1.0, b=0.5 if fast_kind == "smooth_bounded" else 0.0),
         coupling=coupling,
         epsilon=epsilon,
         x0=sine_mode(grid, 1, x0_amp),
@@ -97,18 +118,17 @@ def test_same_stream_replays_bitwise():
     np.testing.assert_array_equal(first[0].x, second[0].x)
     np.testing.assert_array_equal(first[0].y, second[0].y)
     assert first[1] == second[1]
-    assert first[2].sup_norm_x_sq == second[2].sup_norm_x_sq
 
 
-def test_averaged_checks_noise_compatibility():
+def test_averaged_runs_on_the_recorded_grid():
+    # The noise path is the only source of the replay's step grid: the
+    # dt_macro of the scheme parameters is not read.
     model = make_model()
-    params = SchemeParams(dt_macro=1 / 64)
-    _, path, _ = simulate_coupled(model, 0.25, params, RngStream(3, 0))
+    trajectory, path = simulate_coupled(model, 0.25, SchemeParams(dt_macro=1 / 64), RngStream(3, 0))
     fbar = lambda x: np.zeros_like(x)  # noqa: E731
-    with pytest.raises(ValueError):
-        simulate_averaged(model, fbar, 0.25, SchemeParams(dt_macro=1 / 32), path)
-    with pytest.raises(ValueError):
-        simulate_averaged(model, fbar, 0.5, params, path)
+    averaged = simulate_averaged(model, fbar, SchemeParams(dt_macro=1 / 32), path)
+    assert averaged.x.shape == trajectory.x.shape
+    np.testing.assert_array_equal(averaged.times, trajectory.times)
 
 
 def test_decoupled_averaging_is_bitwise_exact():
@@ -117,10 +137,10 @@ def test_decoupled_averaging_is_bitwise_exact():
     # slow path bit for bit and the strong error is exactly zero.
     model = make_model(c_fy=0.0, c_fx=0.7)
     params = SchemeParams(dt_macro=1 / 64)
-    trajectory, path, _ = simulate_coupled(model, 0.5, params, RngStream(90, 2))
+    trajectory, path = simulate_coupled(model, 0.5, params, RngStream(90, 2))
     coupling = model.coupling
     fbar = lambda x: coupling.f0.values + coupling.c_fx * x  # noqa: E731
-    averaged = simulate_averaged(model, fbar, 0.5, params, path)
+    averaged = simulate_averaged(model, fbar, params, path)
     assert strong_error(trajectory, averaged, model.grid, L2) == 0.0
 
 
@@ -183,7 +203,7 @@ def test_newton_failure_names_equation_epsilon_and_step():
     path = simulate_coupled(model, 0.25, SchemeParams(dt_macro=1 / 64), RngStream(3, 0))[1]
     fbar = lambda x: np.zeros_like(x)  # noqa: E731
     with pytest.raises(NewtonDivergence, match=r"averaged.*epsilon=0\.05.*macro step 1\b"):
-        simulate_averaged(model, fbar, 0.25, tight, path)
+        simulate_averaged(model, fbar, tight, path)
 
 
 def test_fast_block_contraction_linear_two_sided():
@@ -238,7 +258,8 @@ def test_fast_block_contraction_smooth_bounded_envelope():
 def test_trajectory_stats_sup_and_increments():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
-    trajectory, _, stats = simulate_coupled(model, 0.25, params, RngStream(8, 1))
+    trajectory, _ = simulate_coupled(model, 0.25, params, RngStream(8, 1))
+    stats = TrajectoryStats(model.grid, L2, params.dt_macro, trajectory.x)
     sup = max(norm_values(model.grid, row, L2) ** 2 for row in trajectory.x)
     assert stats.sup_norm_x_sq == pytest.approx(sup, rel=1e-12)
     # delta = dt_macro degenerates to the summed one-step increments.
@@ -261,8 +282,9 @@ def test_mean_norm_y_stays_bounded():
     # Long-run fast energy settles; the mean squared norm must not blow up.
     model = make_model(epsilon=0.02)
     params = SchemeParams(dt_macro=1 / 64)
-    _, _, stats = simulate_coupled(model, 1.0, params, RngStream(21, 0))
-    assert 0.0 < stats.mean_norm_y_sq < 10.0
+    trajectory, _ = simulate_coupled(model, 1.0, params, RngStream(21, 0))
+    mean_norm_y_sq = np.mean(row_norms(model.grid, trajectory.y, L2) ** 2)
+    assert 0.0 < mean_norm_y_sq < 10.0
 
 
 def test_horizon_must_be_step_multiple():
@@ -283,5 +305,67 @@ def test_blow_up_names_epsilon_and_first_bad_step():
         path = simulate_coupled(make_model(epsilon=0.05), 0.25, params, RngStream(3, 0))[1]
         fbar = lambda x: np.zeros_like(x)  # noqa: E731
         with pytest.raises(NumericalBlowUp, match=r"averaged.*macro step 1\b"):
-            simulate_averaged(model, fbar, 0.25, params, path)
+            simulate_averaged(model, fbar, params, path)
     assert issubclass(NumericalBlowUp, ArithmeticError)
+
+
+def reference_coupled(model, m, params, stream):
+    """The coupled loop with one noise draw per macro step, kept as the reference.
+
+    Returns the slow and fast states and the raw slow and fast noise rows.
+    """
+    grid, coupling, dt = model.grid, model.coupling, params.dt_macro
+    slow_stepper = _SlowStepper(model.slow, grid, dt, params)
+    fast_stepper = _FastStepper.for_model(model, dt, params)
+    n_sub = fast_stepper.n_sub
+    gen_slow, gen_fast = stream.generator(0), stream.generator(1)
+    g1_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
+    g2_scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt / n_sub)
+    basis_slow_t = np.ascontiguousarray(sine_basis(grid, coupling.g1_modes).T)
+    x, y = model.x0.values.copy(), model.y0.values.copy()
+    xs, ys, slow_rows, fast_rows = [x], [y], [], []
+    for _ in range(m):
+        forcing = coupling_f(coupling, x, y)
+        block = gen_fast.standard_normal((n_sub, coupling.g2_modes)) * g2_scales
+        y = fast_stepper.run_block(x, y, block)
+        slow_coeffs = g1_scales * gen_slow.standard_normal(coupling.g1_modes)
+        x = slow_stepper.step(x, forcing, slow_coeffs @ basis_slow_t)
+        xs.append(x)
+        ys.append(y)
+        slow_rows.append(slow_coeffs)
+        fast_rows.append(block)
+    return np.array(xs), np.array(ys), np.array(slow_rows), np.array(fast_rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
+    fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
+    n=st.integers(3, 12),
+    epsilon=st.floats(0.01, 0.5),
+    steps=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+)
+def test_shared_slow_loop_matches_reference_bytes(slow_kind, fast_kind, n, epsilon, steps, seed):
+    # Drawing the whole horizon up front and running the shared slow loop
+    # gives the bytes of the per-step reference; the recorded path replays
+    # the fast states exactly and, decoupled, the slow states too.
+    params = SchemeParams(dt_macro=1 / 64)
+    stream = RngStream(seed, 1)
+    model = make_model(n=n, epsilon=epsilon, slow_kind=slow_kind, fast_kind=fast_kind)
+    trajectory, path = simulate_coupled(model, steps / 64, params, stream)
+    x, y, slow_rows, fast_rows = reference_coupled(model, steps, params, stream)
+    assert trajectory.x.tobytes() == x.tobytes()
+    assert trajectory.y.tobytes() == y.tobytes()
+    assert path.slow.tobytes() == slow_rows.tobytes()
+    assert path.fast.tobytes() == fast_rows.tobytes()
+    auxiliary = build_auxiliary(model, trajectory, path, params.dt_macro)
+    assert auxiliary.tobytes() == trajectory.y.tobytes()
+
+    decoupled = make_model(
+        n=n, epsilon=epsilon, slow_kind=slow_kind, fast_kind=fast_kind, c_fy=0.0, c_fx=0.7
+    )
+    trajectory, path = simulate_coupled(decoupled, steps / 64, params, stream)
+    fbar = lambda x: decoupled.coupling.f0.values + 0.7 * x  # noqa: E731
+    averaged = simulate_averaged(decoupled, fbar, params, path)
+    assert strong_error(trajectory, averaged, decoupled.grid, L2) == 0.0

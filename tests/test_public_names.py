@@ -2,7 +2,10 @@
 
 perfbench/tracing.py wraps spavg functions by module and attribute name, so a
 rename in spavg breaks a traced benchmark run without breaking any import.
-These checks load that file read-only and resolve every name it wraps.
+Its step counters read the results and arguments of those functions, so a
+changed return shape or argument order breaks them the same way. These
+checks load that file read-only, resolve every name it wraps and run its
+counters on real runs.
 """
 
 import importlib
@@ -11,10 +14,15 @@ import pathlib
 import pkgutil
 import sys
 
+import numpy as np
 import pytest
 
 import spavg
 import spavg.experiments
+from spavg.integrators import SchemeParams
+from spavg.randomness import RngStream
+
+from test_integrators import make_model
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,6 +48,29 @@ def test_trace_targets_resolve(tracing):
     # The replay counter reads the noise path as the third positional argument.
     parameters = list(inspect.signature(spavg.experiments.build_auxiliary).parameters)
     assert parameters[2] == "noise"
+
+
+def test_trace_step_counters_read_real_runs(tracing):
+    # 16 macro steps of dt = 1/64; n_sub comes from the scheme, so the
+    # counters must report it as the recorded path does.
+    model = make_model()
+    params = SchemeParams(dt_macro=1 / 64, dt_fast_target=0.1)
+    args = (model, 0.25, params, RngStream(5, 0))
+    coupled = spavg.experiments.simulate_coupled(*args)
+    trajectory, path = coupled
+    assert path.n_sub == 4
+    assert tracing._coupled_steps(coupled, args, {}) == (16, 64)
+
+    fbar = lambda x: np.zeros_like(x)  # noqa: E731
+    args = (model, fbar, params, path)
+    averaged = spavg.experiments.simulate_averaged(*args)
+    assert tracing._averaged_steps(averaged, args, {}) == (16, 0)
+
+    args = (model, trajectory, path, 4 / 64)
+    auxiliary = spavg.experiments.build_auxiliary(*args)
+    assert tracing._replayed_steps(auxiliary, args, {}) == (16, 64)
+    keywords = {"noise": path, "delta": 4 / 64}
+    assert tracing._replayed_steps(auxiliary, args[:2], keywords) == (16, 64)
 
 
 def test_export_lists_resolve():
