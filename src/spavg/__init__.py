@@ -15,7 +15,6 @@ from .averaging import (
     OracleFbar,
     ergodicity_decay,
     estimate_fbar,
-    oracle_fbar_ou,
 )
 from .blocks import build_auxiliary, deviation_statistic
 from .conditions import CONDITION_IDS, ConditionReport, check_condition, sample_field
@@ -106,7 +105,6 @@ __all__ = [
     "lp_norm_kind",
     "norm",
     "norm_values",
-    "oracle_fbar_ou",
     "parse_config_text",
     "poisson_solve",
     "row_norms",

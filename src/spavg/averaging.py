@@ -40,7 +40,6 @@ __all__ = [
     "OracleFbar",
     "ergodicity_decay",
     "estimate_fbar",
-    "oracle_fbar_ou",
 ]
 
 
@@ -128,13 +127,6 @@ def estimate_fbar(
     mean = replica_means.mean(axis=0)
     stderr = replica_means.std(axis=0, ddof=1) / math.sqrt(spec.n_replicas)
     return FbarEstimate(Field(grid, mean), Field(grid, stderr), spec.n_replicas, t_avg)
-
-
-def oracle_fbar_ou(
-    fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D, x: Field
-) -> Field:
-    """Closed-form averaged drift for the linear fast operator."""
-    return Field(grid, OracleFbar(fast, coupling, grid)(x.values))
 
 
 @dataclasses.dataclass

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import record
 
-from spavg.averaging import FrozenRunSpec, ergodicity_decay, estimate_fbar, oracle_fbar_ou
+from spavg.averaging import FrozenRunSpec, OracleFbar, ergodicity_decay, estimate_fbar
 from spavg.cli import main
 from spavg.conditions import CONDITION_IDS, check_condition, sample_field
 from spavg.config import ExperimentConfig
@@ -73,7 +73,7 @@ def test_fbar_estimate_matches_closed_form_and_tightens():
     shrinks = []
     for i in range(5):
         x = Field(GRID, sample_field(GRID, np.random.default_rng(100 + i), 0.5))
-        oracle = oracle_fbar_ou(LINEAR_FAST, COUPLING, GRID, x)
+        oracle = OracleFbar(LINEAR_FAST, COUPLING, GRID)(x.values)
         base = estimate_fbar(
             LINEAR_FAST, COUPLING, GRID, x,
             FrozenRunSpec(n_replicas=64),
@@ -84,7 +84,7 @@ def test_fbar_estimate_matches_closed_form_and_tightens():
             FrozenRunSpec(n_replicas=64, t_avg=2.0 * base.t_avg),
             RngStream(CONFIG.master_seed, 45_500 + i),
         )
-        gaps = np.abs(base.mean.values - oracle.values) / base.stderr.values
+        gaps = np.abs(base.mean.values - oracle) / base.stderr.values
         worst = max(worst, float(gaps.max()))
         shrinks.append(
             float(np.linalg.norm(base.stderr.values) / np.linalg.norm(doubled.stderr.values))
@@ -201,7 +201,7 @@ def test_structural_conditions_hold_and_violations_exit_nonzero(tmp_path):
         for fast in fasts:
             for condition in CONDITION_IDS:
                 report = check_condition(
-                    condition, slow, fast, COUPLING, GRID, 500,
+                    condition, slow, fast, GRID, 500,
                     RngStream(CONFIG.master_seed, 60_000 + sweeps),
                 )
                 sweeps += 1

@@ -11,9 +11,8 @@ from spavg.averaging import (
     OracleFbar,
     ergodicity_decay,
     estimate_fbar,
-    oracle_fbar_ou,
 )
-from spavg.grid import Field, Grid1D, sine_mode, smallest_eigenvalue, solve_neg_laplacian, zeros
+from spavg.grid import Grid1D, sine_mode, smallest_eigenvalue, solve_neg_laplacian, zeros
 from spavg.integrators import ModelSpec, SchemeParams, _FastStepper
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
 from spavg.randomness import RngStream
@@ -127,14 +126,14 @@ def test_estimate_fbar_matches_ou_oracle():
     )
     x = sine_mode(grid, 1, 0.8)
     estimate = estimate_fbar(fast, coup, grid, x, FrozenRunSpec(), RngStream(11, 0))
-    oracle = oracle_fbar_ou(fast, coup, grid, x)
-    gap = np.abs(estimate.mean.values - oracle.values)
+    oracle = OracleFbar(fast, coup, grid)(x.values)
+    gap = np.abs(estimate.mean.values - oracle)
     assert np.all(gap <= 3.0 * estimate.stderr.values + 1e-12)
     # The oracle itself: f0 + c_fx x + c_fy c_b L^{-1} x.
     expected = (
         coup.f0.values + 0.5 * x.values + 2.0 * 1.2 * solve_neg_laplacian(grid, x.values)
     )
-    np.testing.assert_allclose(oracle.values, expected, rtol=1e-12)
+    np.testing.assert_allclose(oracle, expected, rtol=1e-12)
 
 
 def test_estimate_fbar_stderr_shrinks_with_longer_window():
@@ -164,8 +163,6 @@ def test_oracle_requires_linear_kind():
     grid = Grid1D(4)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
     with pytest.raises(ValueError):
-        oracle_fbar_ou(FastOperatorSpec("smooth_bounded", b=1.0), coup, grid, zeros(grid))
-    with pytest.raises(ValueError):
         OracleFbar(FastOperatorSpec("smooth_bounded", b=1.0), coup, grid)
 
 
@@ -175,9 +172,9 @@ def test_oracle_provider_matches_function():
     coup = CouplingSpec(f0=sine_mode(grid, 1, 0.1), c_fx=0.2, g1_modes=5, g2_modes=5)
     provider = OracleFbar(fast, coup, grid)
     x = sine_mode(grid, 2, 0.4).values
-    np.testing.assert_array_equal(
-        provider(x), oracle_fbar_ou(fast, coup, grid, Field(grid, x)).values
-    )
+    # The closed form f0 + c_fx x + c_fy c_b L^{-1} x.
+    expected = coup.f0.values + 0.2 * x + 1.0 * 0.7 * solve_neg_laplacian(grid, x)
+    np.testing.assert_allclose(provider(x), expected, rtol=1e-12)
 
 
 def test_ergodicity_decay_linear_rate():

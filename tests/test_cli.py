@@ -118,6 +118,20 @@ def test_check_pass_and_fail(small_cfg, tmp_path, capsys):
     assert rows[-1].startswith("dissipativity_margin,1,1,")
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_check_with_uncomputable_margins_exits_1(tmp_path, capsys):
+    # |grad v|^2000 overflows: the slow checks get NaN margins and must fail.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "slow_kind = p_laplace\np = 2000\nn_interior = 32\ncondition_samples = 10\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == EXIT_THRESHOLD
+    printed = capsys.readouterr().out
+    assert "A2_local_monotone: samples=10 violations=10 worst_margin=nan (FAIL)" in printed
+
+
 def test_fbar_prints_oracle_gap(small_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["fbar", "--config", small_cfg, "--out", str(out)]) == EXIT_OK

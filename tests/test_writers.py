@@ -101,8 +101,7 @@ def test_conditions_csv_constants_string(tmp_path):
             ConditionReport("A4_growth", 40, 0, TINY, {"C": 2.5}),
             ConditionReport("B3_coercive", 40, 3, NAN, {"eta": 1, "C": -0.0}),
             ConditionReport("dissipativity_margin", 1, 0, 19.5, {"margin": 19.5, "k": TINY}),
-        ],
-        margin=19.5,
+        ]
     )
     path = tmp_path / "conditions.csv"
     write_conditions_csv(result, str(path))
