@@ -8,9 +8,7 @@ spavg command line (experiments, cli).
 """
 
 from .averaging import (
-    DecayFit,
     FbarEstimate,
-    FrozenRunSpec,
     MemoizedFbar,
     OracleFbar,
     ergodicity_decay,
@@ -69,12 +67,10 @@ __all__ = [
     "ConditionReport",
     "ConfigError",
     "CouplingSpec",
-    "DecayFit",
     "ExperimentConfig",
     "FastOperatorSpec",
     "FbarEstimate",
     "Field",
-    "FrozenRunSpec",
     "Grid1D",
     "H1_0",
     "H_MINUS1",

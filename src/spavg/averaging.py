@@ -7,12 +7,18 @@ With the slow input frozen at x, the fast equation runs on its own clock
 
 A positive dissipativity margin makes this contract pathwise, so it has a
 unique invariant measure and time averages of F(x, Y_t) converge to the
-averaged coupling drift. estimate_fbar runs a few independent replicas,
-discards a burn-in, and averages the rest; because F is affine in y the time
-average of F(x, Y) equals F(x, time average of Y), which is what the code
-accumulates. Both frozen runs step through the fast stepper of the
-integrators module at epsilon = 1; estimate_fbar advances its replicas side
-by side as the columns of one state, ergodicity_decay its two paths.
+averaged coupling drift. Both frozen runs are set in relaxation times
+1 / margin and step through the fast stepper of the integrators module at
+epsilon = 1:
+
+- estimate_fbar starts its replicas at zero, discards BURN_IN = 8
+  relaxation times, averages over the next WINDOW = 50 (or t_avg) and steps
+  by about DT_FAST = 0.1. Because F is affine in y the time average of
+  F(x, Y) equals F(x, time average of Y), which is what the code
+  accumulates. The replicas advance side by side as the columns of one
+  state.
+- ergodicity_decay runs zero and the first sine mode under shared noise
+  for 50 relaxation times in steps of 0.02, as the two columns of one state.
 
 For the linear fast operator the invariant measure is Gaussian with mean
 L^-1 (c_b x), giving the closed form used as an oracle:
@@ -27,63 +33,30 @@ import math
 
 import numpy as np
 
-from .grid import L2, Array, Field, Grid1D, norm_values, solve_neg_laplacian
-from .integrators import _FastStepper
-from .operators import CouplingSpec, FastOperatorSpec, dissipativity_margin
+from .grid import L2, Array, Field, Grid1D, norm_values, sine_mode, solve_neg_laplacian
+from .integrators import DT_FAST, _FastStepper
+from .operators import CouplingSpec, FastOperatorSpec, contraction_margin
 from .randomness import RngStream
 
 __all__ = [
-    "DecayFit",
+    "BURN_IN",
     "FbarEstimate",
-    "FrozenRunSpec",
     "MemoizedFbar",
     "OracleFbar",
+    "WINDOW",
     "ergodicity_decay",
     "estimate_fbar",
 ]
 
-
-@dataclasses.dataclass(frozen=True)
-class FrozenRunSpec:
-    """Burn-in, averaging window, replica count and micro step of the estimator.
-
-    None entries default to multiples of the relaxation time 1/margin:
-    t_burn = 8 / margin, t_avg = 50 / margin, dt_fast = 0.1 / margin.
-    """
-
-    t_burn: float | None = None
-    t_avg: float | None = None
-    n_replicas: int = 8
-    dt_fast: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("t_burn", "t_avg", "dt_fast"):
-            value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise ValueError(f"{name} must be positive when given")
-        if self.n_replicas < 2:
-            raise ValueError("need at least 2 replicas for a spread estimate")
-
-    def resolved(self, margin: float) -> tuple[float, float, float]:
-        t_burn = self.t_burn if self.t_burn is not None else 8.0 / margin
-        t_avg = self.t_avg if self.t_avg is not None else 50.0 / margin
-        dt_fast = self.dt_fast if self.dt_fast is not None else 0.1 / margin
-        return t_burn, t_avg, dt_fast
+# Burn-in and averaging window of estimate_fbar, in relaxation times 1 / margin.
+BURN_IN = 8
+WINDOW = 50
 
 
 @dataclasses.dataclass
 class FbarEstimate:
     mean: Field
     stderr: Field
-    n_replicas: int
-    t_avg: float
-
-
-def _frozen_margin(fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D) -> float:
-    margin = dissipativity_margin(fast, coupling, grid)
-    if margin <= 0.0:
-        raise ValueError(f"dissipativity margin must be positive, got {margin:.6g}")
-    return margin
 
 
 def estimate_fbar(
@@ -91,18 +64,26 @@ def estimate_fbar(
     coupling: CouplingSpec,
     grid: Grid1D,
     x: Field,
-    spec: FrozenRunSpec,
+    n_replicas: int,
     stream: RngStream,
+    t_avg: float | None = None,
 ) -> FbarEstimate:
     """Monte Carlo time-average estimate of the averaged coupling drift at x.
 
-    Replica r draws from stream id stream.stream_id + r, so estimates with
-    the same base stream are reproducible and replicas are independent. The
-    per-node standard error comes from the spread of the replica means.
+    t_avg is the averaging window, WINDOW / margin when None. Replica r
+    draws from stream id stream.stream_id + r, so estimates with the same
+    base stream are reproducible and replicas are independent. The per-node
+    standard error comes from the spread of the replica means.
     """
-    margin = _frozen_margin(fast, coupling, grid)
-    t_burn, t_avg, dt_fast = spec.resolved(margin)
-    n_steps = max(2, math.ceil((t_burn + t_avg) / dt_fast - 1e-12))
+    if n_replicas < 2:
+        raise ValueError("need at least 2 replicas for a spread estimate")
+    if t_avg is not None and t_avg <= 0.0:
+        raise ValueError("t_avg must be positive when given")
+    margin = contraction_margin(fast, coupling, grid)
+    t_burn = BURN_IN / margin
+    if t_avg is None:
+        t_avg = WINDOW / margin
+    n_steps = max(2, math.ceil((t_burn + t_avg) / (DT_FAST / margin) - 1e-12))
     dt = (t_burn + t_avg) / n_steps
     burn_steps = min(n_steps - 1, int(round(t_burn / dt)))
 
@@ -111,12 +92,12 @@ def estimate_fbar(
     coefficients = np.stack(
         [
             stepper.draw(RngStream(stream.master_seed, stream.stream_id + r).generator(1), n_steps)
-            for r in range(spec.n_replicas)
+            for r in range(n_replicas)
         ],
         axis=-1,
     )
     xv = x.values
-    y_sum = np.zeros((grid.n_interior, spec.n_replicas))
+    y_sum = np.zeros((grid.n_interior, n_replicas))
     path = stepper.path(xv, np.zeros_like(y_sum), coefficients)
     for m, y in enumerate(path):
         if m >= burn_steps:
@@ -125,15 +106,8 @@ def estimate_fbar(
     replica_means = coupling.f0.values + coupling.c_fx * xv + coupling.c_fy * y_mean
 
     mean = replica_means.mean(axis=0)
-    stderr = replica_means.std(axis=0, ddof=1) / math.sqrt(spec.n_replicas)
-    return FbarEstimate(Field(grid, mean), Field(grid, stderr), spec.n_replicas, t_avg)
-
-
-@dataclasses.dataclass
-class DecayFit:
-    slope: float
-    r_squared: float
-    n_points: int
+    stderr = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
+    return FbarEstimate(Field(grid, mean), Field(grid, stderr))
 
 
 def ergodicity_decay(
@@ -141,48 +115,35 @@ def ergodicity_decay(
     coupling: CouplingSpec,
     grid: Grid1D,
     x: Field,
-    y0_a: Field,
-    y0_b: Field,
-    horizon: float,
-    dt_fast: float,
     stream: RngStream,
-) -> DecayFit:
-    """Least-squares decay rate of log ||Y_a - Y_b|| under shared noise.
+) -> tuple[Array, Array]:
+    """Sampled (times, log ||Y_a - Y_b||) of two frozen runs under shared noise.
 
-    Both runs see the same Wiener increments, so with additive noise the
-    difference evolves deterministically and its L2 norm should fall like
-    exp(-margin/2 * t). Sampling stops once the gap is within a factor 1e-10
-    of its initial size to keep rounding noise out of the fit.
+    Y_a starts at zero and Y_b at the first sine mode. Both see the same
+    Wiener increments, so with additive noise the difference evolves
+    deterministically and its L2 norm should fall like exp(-margin/2 * t).
+    Sampling stops once the gap is within a factor 1e-10 of its initial
+    size to keep rounding noise out of a fit.
     """
-    _frozen_margin(fast, coupling, grid)
-    if np.array_equal(y0_a.values, y0_b.values):
-        raise ValueError("initial fast states must differ")
-    n_steps = max(1, math.ceil(horizon / dt_fast - 1e-12))
+    margin = contraction_margin(fast, coupling, grid)
+    horizon = 50.0 / margin
+    n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
     dt = horizon / n_steps
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
     coefficients = stepper.draw(stream.generator(1), n_steps)
 
-    gap0 = norm_values(grid, y0_a.values - y0_b.values, L2)
+    y0_b = sine_mode(grid, 1, 1.0).values
+    pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
+    gap0 = norm_values(grid, y0_b, L2)
     times = [0.0]
     log_gaps = [math.log(gap0)]
-    pair = np.stack([y0_a.values, y0_b.values], axis=1)
     for m, y in enumerate(stepper.path(x.values, pair, coefficients)):
         gap = norm_values(grid, y[:, 0] - y[:, 1], L2)
         if gap <= 1e-10 * gap0:
             break
         times.append((m + 1) * dt)
         log_gaps.append(math.log(gap))
-
-    if len(times) < 3:
-        raise ValueError("horizon too short for a decay fit; need at least 3 samples")
-    t = np.asarray(times)
-    g = np.asarray(log_gaps)
-    slope, intercept = np.polyfit(t, g, 1)
-    fitted = slope * t + intercept
-    ss_res = float(np.sum((g - fitted) ** 2))
-    ss_tot = float(np.sum((g - g.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(float(slope), r_squared, len(times))
+    return np.asarray(times), np.asarray(log_gaps)
 
 
 class OracleFbar:
@@ -223,13 +184,13 @@ class MemoizedFbar:
         fast: FastOperatorSpec,
         coupling: CouplingSpec,
         grid: Grid1D,
-        spec: FrozenRunSpec,
+        n_replicas: int,
         stream: RngStream,
     ):
         self.fast = fast
         self.coupling = coupling
         self.grid = grid
-        self.spec = spec
+        self.n_replicas = n_replicas
         self.stream = stream
         self.refresh_count = 0
         self._cached_x: Array | None = None
@@ -244,10 +205,10 @@ class MemoizedFbar:
                 return self._cached_value
         base = RngStream(
             self.stream.master_seed,
-            self.stream.stream_id + self.refresh_count * self.spec.n_replicas,
+            self.stream.stream_id + self.refresh_count * self.n_replicas,
         )
         estimate = estimate_fbar(
-            self.fast, self.coupling, self.grid, Field(self.grid, x), self.spec, base
+            self.fast, self.coupling, self.grid, Field(self.grid, x), self.n_replicas, base
         )
         self.refresh_count += 1
         self._cached_x = x.copy()

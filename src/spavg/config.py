@@ -69,7 +69,7 @@ class ExperimentConfig:
             raise ConfigError("epsilon_grid must be a non-empty list of positive values")
         if any(a <= b for a, b in zip(self.epsilon_grid, self.epsilon_grid[1:])):
             raise ConfigError("epsilon_grid must be strictly decreasing")
-        for name in ("T", "dt_macro", "newton_tol"):
+        for name in ("T", "dt_macro", "newton_tol", "diag_epsilon"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         try:

@@ -33,17 +33,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .averaging import (
-    FrozenRunSpec,
-    MemoizedFbar,
-    OracleFbar,
-    ergodicity_decay,
-    estimate_fbar,
-)
+from .averaging import MemoizedFbar, OracleFbar, ergodicity_decay, estimate_fbar
 from .blocks import build_auxiliary, deviation_statistic
 from .conditions import CONDITION_IDS, ConditionReport, check_condition
 from .config import ConfigError, ExperimentConfig
-from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue, zeros
+from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
 from .integrators import (
     ModelSpec,
     NewtonDivergence,
@@ -71,11 +65,12 @@ __all__ = [
     "DiagnosticsRow",
     "FbarRunResult",
     "InsufficientPoints",
-    "LogLogFit",
+    "LineFit",
     "NonpositiveValue",
     "SuiteOutcome",
     "build_model",
     "build_specs",
+    "fit_line",
     "fit_loglog",
     "run_check_conditions",
     "run_convergence",
@@ -149,9 +144,10 @@ def build_model(config: ExperimentConfig, epsilon: float) -> ModelSpec:
 
 
 def scheme_params(config: ExperimentConfig) -> SchemeParams:
-    target = config.dt_fast_target if config.dt_fast_target > 0.0 else None
     return SchemeParams(
-        dt_macro=config.dt_macro, dt_fast_target=target, newton_tol=config.newton_tol
+        dt_macro=config.dt_macro,
+        dt_fast_target=config.dt_fast_target,
+        newton_tol=config.newton_tol,
     )
 
 
@@ -167,14 +163,29 @@ class NonpositiveValue(ValueError):
 
 
 @dataclasses.dataclass
-class LogLogFit:
+class LineFit:
     slope: float
     intercept: float
     r_squared: float
     slope_stderr: float
 
 
-def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> LogLogFit:
+def fit_line(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
+    """Least-squares line through (x, y), with its r^2 and slope standard error."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    dof = x.size - 2
+    sx = float(np.sum((x - x.mean()) ** 2))
+    slope_stderr = math.sqrt(ss_res / dof / sx) if dof > 0 and sx > 0 else 0.0
+    return LineFit(float(slope), float(intercept), r_squared, slope_stderr)
+
+
+def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     """Least-squares line through (log x, log y); requires 3 positive points."""
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have the same length")
@@ -184,17 +195,7 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> LogLogFit:
         )
     if any(x <= 0.0 for x in xs) or any(y <= 0.0 for y in ys):
         raise NonpositiveValue("log-log fit requires strictly positive values")
-    lx = np.log(np.asarray(xs, dtype=np.float64))
-    ly = np.log(np.asarray(ys, dtype=np.float64))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + intercept
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    dof = len(xs) - 2
-    sx = float(np.sum((lx - lx.mean()) ** 2))
-    slope_stderr = math.sqrt(ss_res / dof / sx) if dof > 0 and sx > 0 else 0.0
-    return LogLogFit(float(slope), float(intercept), r_squared, slope_stderr)
+    return fit_line(np.log(xs), np.log(ys))
 
 
 def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
@@ -239,7 +240,7 @@ class ConvergenceRow:
 @dataclasses.dataclass
 class ConvergenceResult:
     rows: list[ConvergenceRow]
-    fit: LogLogFit | None
+    fit: LineFit | None
     degenerate: bool
 
     @property
@@ -298,9 +299,10 @@ def _replica_error(config: ExperimentConfig, model: ModelSpec, r: int) -> float:
         if config.fbar_source == "oracle":
             fbar = OracleFbar(model.fast, model.coupling, model.grid)
         else:
-            spec = FrozenRunSpec(n_replicas=config.fbar_replicas)
             base = RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1))
-            fbar = MemoizedFbar(model.fast, model.coupling, model.grid, spec, base)
+            fbar = MemoizedFbar(
+                model.fast, model.coupling, model.grid, config.fbar_replicas, base
+            )
     trajectory, path = simulate_coupled(model, config.T, params, RngStream(config.master_seed, r))
     averaged = simulate_averaged(model, fbar, params, path)
     return strong_error(trajectory, averaged, model.grid, model.state_norm)
@@ -520,17 +522,8 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
         if margin <= 0.0:
             details.append(f"{fast.kind}: skipped (margin {margin:.3f} <= 0)")
             continue
-        fit = ergodicity_decay(
-            fast,
-            coupling,
-            grid,
-            x=x,
-            y0_a=zeros(grid),
-            y0_b=sine_mode(grid, 1, 1.0),
-            horizon=50.0 / margin,
-            dt_fast=0.02 / margin,
-            stream=RngStream(config.master_seed, 500_000 + index),
-        )
+        stream = RngStream(config.master_seed, 500_000 + index)
+        fit = fit_line(*ergodicity_decay(fast, coupling, grid, x, stream))
         row("ergodicity_decay", f"{fast.kind}_slope", fit.slope, n=1)
         row("ergodicity_decay", f"{fast.kind}_r_squared", fit.r_squared, n=1)
         row("ergodicity_decay", f"{fast.kind}_margin_half", margin / 2.0, n=1)
@@ -604,12 +597,13 @@ def run_fbar(config: ExperimentConfig) -> FbarRunResult:
     grid, _, fast, coupling = build_specs(config)
     with _config_errors():
         x = sine_mode(grid, 1, config.x0_amplitude)
-        spec = FrozenRunSpec(n_replicas=config.fbar_replicas)
-        estimate = estimate_fbar(fast, coupling, grid, x, spec, RngStream(config.master_seed, 0))
+        estimate = estimate_fbar(
+            fast, coupling, grid, x, config.fbar_replicas, RngStream(config.master_seed, 0)
+        )
     oracle = None
     if fast.kind == "linear":
         oracle = Field(grid, OracleFbar(fast, coupling, grid)(x.values))
-    return FbarRunResult(x, estimate.mean, estimate.stderr, oracle, estimate.n_replicas)
+    return FbarRunResult(x, estimate.mean, estimate.stderr, oracle, config.fbar_replicas)
 
 
 def run_simulate(config: ExperimentConfig, epsilon: float | None = None):

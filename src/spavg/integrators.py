@@ -52,8 +52,8 @@ from .operators import (
     FastOperatorSpec,
     SlowOperatorSpec,
     burgers_convection,
+    contraction_margin,
     coupling_f,
-    dissipativity_margin,
     face_gradients,
     mode_scales,
     slow_drift,
@@ -61,6 +61,7 @@ from .operators import (
 from .randomness import RngStream
 
 __all__ = [
+    "DT_FAST",
     "ModelSpec",
     "NewtonDivergence",
     "NoisePath",
@@ -75,6 +76,11 @@ __all__ = [
 ]
 
 
+# Fast step in relaxation times 1 / margin: the automatic dt_fast_target of
+# the coupled scheme and the step of the averaging module's estimator.
+DT_FAST = 0.1
+
+
 class NewtonDivergence(RuntimeError):
     """The implicit solve failed to converge; reported as a numerical failure."""
 
@@ -87,19 +93,19 @@ class NumericalBlowUp(ArithmeticError):
 class SchemeParams:
     """Step sizes and the implicit-solve tolerance.
 
-    dt_fast_target caps dt_micro / epsilon (fast-clock units); None picks
-    0.1 / margin, i.e. about a tenth of the fast relaxation time.
+    dt_fast_target caps dt_micro / epsilon (fast-clock units); 0.0 picks
+    DT_FAST / margin, i.e. about a tenth of the fast relaxation time.
     """
 
     dt_macro: float
-    dt_fast_target: float | None = None
+    dt_fast_target: float = 0.0
     newton_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.dt_macro <= 0.0:
             raise ValueError(f"dt_macro must be positive, got {self.dt_macro}")
-        if self.dt_fast_target is not None and self.dt_fast_target <= 0.0:
-            raise ValueError("dt_fast_target must be positive when given")
+        if self.dt_fast_target < 0.0:
+            raise ValueError("dt_fast_target must be >= 0 (0 means automatic)")
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
 
@@ -124,16 +130,7 @@ class ModelSpec:
                 raise ValueError(f"{name} lives on a different grid")
         if self.coupling.f0.grid != self.grid:
             raise ValueError("coupling f0 lives on a different grid")
-        margin = dissipativity_margin(self.fast, self.coupling, self.grid)
-        if margin <= 0.0:
-            raise ValueError(
-                f"dissipativity margin must be positive, got {margin:.6g}; "
-                "the fast equation would not contract"
-            )
-
-    @property
-    def margin(self) -> float:
-        return dissipativity_margin(self.fast, self.coupling, self.grid)
+        contraction_margin(self.fast, self.coupling, self.grid)
 
     @property
     def state_norm(self) -> NormKind:
@@ -386,8 +383,9 @@ class _FastStepper:
     @classmethod
     def for_model(cls, model: "ModelSpec", dt_macro: float, params: SchemeParams) -> "_FastStepper":
         """The micro stepping of the coupled scheme: n_sub steps per macro step."""
-        margin = dissipativity_margin(model.fast, model.coupling, model.grid)
-        target = params.dt_fast_target if params.dt_fast_target is not None else 0.1 / margin
+        target = params.dt_fast_target or DT_FAST / contraction_margin(
+            model.fast, model.coupling, model.grid
+        )
         n_sub = max(1, math.ceil(dt_macro / (model.epsilon * target) - 1e-12))
         return cls(
             model.fast, model.coupling, model.grid, model.epsilon, dt_macro / n_sub, n_sub
@@ -550,7 +548,14 @@ def _slow_loop(
 def strong_error(
     coupled: Trajectory, averaged: SlowTrajectory, grid: Grid1D, kind: NormKind
 ) -> float:
-    """sup over macro times of the squared norm of the slow-state mismatch."""
+    """sup over macro times of the squared norm of the slow-state mismatch.
+
+    Finite states can still square past the floating-point range; such an
+    error raises NumericalBlowUp rather than being returned as inf.
+    """
     if coupled.x.shape != averaged.x.shape:
         raise ValueError("trajectories have different shapes")
-    return float(np.max(row_norms(grid, coupled.x - averaged.x, kind) ** 2))
+    error = float(np.max(row_norms(grid, coupled.x - averaged.x, kind) ** 2))
+    if not math.isfinite(error):
+        raise NumericalBlowUp(f"strong error overflowed: {error!r}")
+    return error

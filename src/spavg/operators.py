@@ -49,6 +49,7 @@ __all__ = [
     "b2_values",
     "burgers_convection",
     "central_difference",
+    "contraction_margin",
     "coupling_f",
     "dissipativity_margin",
     "face_gradients",
@@ -216,6 +217,17 @@ def dissipativity_margin(fast: FastOperatorSpec, coupling: CouplingSpec, grid: G
 
     Positive margin is the structural requirement for the fast equation to
     contract pathwise and admit a unique invariant measure; every simulation
-    entry point refuses to run without it.
+    entry point refuses to run without it, through contraction_margin.
     """
     return 2.0 * smallest_eigenvalue(grid) - 2.0 * fast.lipschitz_y - coupling.lipschitz_g2**2
+
+
+def contraction_margin(fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D) -> float:
+    """The dissipativity margin, or ValueError unless it is positive."""
+    margin = dissipativity_margin(fast, coupling, grid)
+    if not margin > 0.0:
+        raise ValueError(
+            f"dissipativity margin must be positive, got {margin:.6g}; "
+            "the fast equation would not contract"
+        )
+    return margin

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from conftest import record
 
-from spavg.averaging import FrozenRunSpec, OracleFbar, ergodicity_decay, estimate_fbar
+from spavg.averaging import WINDOW, OracleFbar, ergodicity_decay, estimate_fbar
 from spavg.cli import main
 from spavg.conditions import CONDITION_IDS, check_condition, sample_field
 from spavg.config import ExperimentConfig
-from spavg.experiments import run_convergence, run_diagnostics, write_convergence_csv
+from spavg.experiments import fit_line, run_convergence, run_diagnostics, write_convergence_csv
 from spavg.grid import (
     Field,
     Grid1D,
@@ -71,18 +71,17 @@ def test_fbar_estimate_matches_closed_form_and_tightens():
     # and doubling the averaging window must shrink its standard errors
     worst = 0.0
     shrinks = []
+    window = WINDOW / dissipativity_margin(LINEAR_FAST, COUPLING, GRID)
     for i in range(5):
         x = Field(GRID, sample_field(GRID, np.random.default_rng(100 + i), 0.5))
         oracle = OracleFbar(LINEAR_FAST, COUPLING, GRID)(x.values)
         base = estimate_fbar(
-            LINEAR_FAST, COUPLING, GRID, x,
-            FrozenRunSpec(n_replicas=64),
-            RngStream(CONFIG.master_seed, 45_000 + i),
+            LINEAR_FAST, COUPLING, GRID, x, 64, RngStream(CONFIG.master_seed, 45_000 + i)
         )
         doubled = estimate_fbar(
-            LINEAR_FAST, COUPLING, GRID, x,
-            FrozenRunSpec(n_replicas=64, t_avg=2.0 * base.t_avg),
+            LINEAR_FAST, COUPLING, GRID, x, 64,
             RngStream(CONFIG.master_seed, 45_500 + i),
+            t_avg=2.0 * window,
         )
         gaps = np.abs(base.mean.values - oracle) / base.stderr.values
         worst = max(worst, float(gaps.max()))
@@ -110,14 +109,12 @@ def test_frozen_dynamics_contract_at_half_margin_rate():
     ):
         margin = dissipativity_margin(fast, COUPLING, GRID)
         assert margin > 0.0
-        fit = ergodicity_decay(
-            fast, COUPLING, GRID,
-            x=sine_mode(GRID, 1, 0.5),
-            y0_a=zeros(GRID),
-            y0_b=sine_mode(GRID, 1, 1.0),
-            horizon=50.0 / margin,
-            dt_fast=0.02 / margin,
-            stream=RngStream(CONFIG.master_seed, 500_000 + index),
+        fit = fit_line(
+            *ergodicity_decay(
+                fast, COUPLING, GRID,
+                sine_mode(GRID, 1, 0.5),
+                RngStream(CONFIG.master_seed, 500_000 + index),
+            )
         )
         ok = ok and fit.slope <= -0.45 * margin and fit.r_squared >= 0.98
         details.append(f"{fast.kind} slope {fit.slope:.2f} vs {-0.45 * margin:.2f}, r^2 {fit.r_squared:.4f}")

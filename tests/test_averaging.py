@@ -5,31 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from spavg.averaging import (
-    FrozenRunSpec,
-    MemoizedFbar,
-    OracleFbar,
-    ergodicity_decay,
-    estimate_fbar,
-)
+from spavg.averaging import MemoizedFbar, OracleFbar, ergodicity_decay, estimate_fbar
+from spavg.experiments import fit_line
 from spavg.grid import Grid1D, sine_mode, smallest_eigenvalue, solve_neg_laplacian, zeros
 from spavg.integrators import ModelSpec, SchemeParams, _FastStepper
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
 from spavg.randomness import RngStream
 
 
-def test_frozen_run_spec_defaults_scale_with_margin():
-    spec = FrozenRunSpec()
-    t_burn, t_avg, dt_fast = spec.resolved(10.0)
-    assert t_burn == pytest.approx(0.8)
-    assert t_avg == pytest.approx(5.0)
-    assert dt_fast == pytest.approx(0.01)
-    fixed = FrozenRunSpec(t_burn=1.0, t_avg=2.0, dt_fast=0.005)
-    assert fixed.resolved(10.0) == (1.0, 2.0, 0.005)
-    with pytest.raises(ValueError):
-        FrozenRunSpec(n_replicas=1)
-    with pytest.raises(ValueError):
-        FrozenRunSpec(t_avg=-1.0)
+def test_estimate_fbar_validates_replicas_and_window():
+    grid = Grid1D(4)
+    fast = FastOperatorSpec("linear")
+    coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
+    with pytest.raises(ValueError, match="at least 2 replicas"):
+        estimate_fbar(fast, coup, grid, zeros(grid), 1, RngStream(0, 0))
+    with pytest.raises(ValueError, match="t_avg must be positive"):
+        estimate_fbar(fast, coup, grid, zeros(grid), 2, RngStream(0, 0), t_avg=-1.0)
 
 
 def frozen_path(fast, coupling, grid, x, y0, n_steps, dt, stream):
@@ -125,7 +116,7 @@ def test_estimate_fbar_matches_ou_oracle():
         f0=sine_mode(grid, 2, 0.3), c_fx=0.5, c_fy=2.0, g1_modes=6, g2_modes=6
     )
     x = sine_mode(grid, 1, 0.8)
-    estimate = estimate_fbar(fast, coup, grid, x, FrozenRunSpec(), RngStream(11, 0))
+    estimate = estimate_fbar(fast, coup, grid, x, 8, RngStream(11, 0))
     oracle = OracleFbar(fast, coup, grid)(x.values)
     gap = np.abs(estimate.mean.values - oracle)
     assert np.all(gap <= 3.0 * estimate.stderr.values + 1e-12)
@@ -143,17 +134,8 @@ def test_estimate_fbar_stderr_shrinks_with_longer_window():
     x = sine_mode(grid, 1, 0.5)
     margin = dissipativity_margin(fast, coup, grid)
     base_window = 60.0 / margin
-    short = estimate_fbar(
-        fast, coup, grid, x, FrozenRunSpec(t_avg=base_window, n_replicas=12), RngStream(31, 0)
-    )
-    long = estimate_fbar(
-        fast,
-        coup,
-        grid,
-        x,
-        FrozenRunSpec(t_avg=2.0 * base_window, n_replicas=12),
-        RngStream(31, 100),
-    )
+    short = estimate_fbar(fast, coup, grid, x, 12, RngStream(31, 0), t_avg=base_window)
+    long = estimate_fbar(fast, coup, grid, x, 12, RngStream(31, 100), t_avg=2.0 * base_window)
     ratio = np.linalg.norm(short.stderr.values) / np.linalg.norm(long.stderr.values)
     # Theory says sqrt(2); leave room for the replica-level fluctuation.
     assert ratio >= 1.1
@@ -183,17 +165,7 @@ def test_ergodicity_decay_linear_rate():
     coup = CouplingSpec(f0=zeros(grid))
     margin = dissipativity_margin(fast, coup, grid)
     lam = smallest_eigenvalue(grid)
-    fit = ergodicity_decay(
-        fast,
-        coup,
-        grid,
-        x=zeros(grid),
-        y0_a=sine_mode(grid, 1, 1.0),
-        y0_b=zeros(grid),
-        horizon=50.0 / margin,
-        dt_fast=0.02 / margin,
-        stream=RngStream(8, 0),
-    )
+    fit = fit_line(*ergodicity_decay(fast, coup, grid, zeros(grid), RngStream(8, 0)))
     # Pure mode-1 difference decays like a single exponential at rate
     # ln(1 + dt lambda_1) / dt, just below lambda_1 = margin / 2.
     assert fit.slope <= -0.9 * margin / 2.0
@@ -204,24 +176,17 @@ def test_ergodicity_decay_linear_rate():
 def test_ergodicity_decay_validation():
     grid = Grid1D(6)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=6, g2_modes=6)
-    fast = FastOperatorSpec("linear")
-    same = sine_mode(grid, 1, 1.0)
-    with pytest.raises(ValueError):
-        ergodicity_decay(fast, coup, grid, zeros(grid), same, same, 1.0, 0.01, RngStream(1, 0))
     lam = smallest_eigenvalue(grid)
     unstable = FastOperatorSpec("smooth_bounded", b=lam + 1.0)
-    with pytest.raises(ValueError):
-        ergodicity_decay(
-            unstable, coup, grid, zeros(grid), same, zeros(grid), 1.0, 0.01, RngStream(1, 0)
-        )
+    with pytest.raises(ValueError, match="the fast equation would not contract"):
+        ergodicity_decay(unstable, coup, grid, zeros(grid), RngStream(1, 0))
 
 
 def test_memoized_fbar_trust_region():
     grid = Grid1D(4)
     fast = FastOperatorSpec("linear", c_b=1.0)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
-    spec = FrozenRunSpec(n_replicas=4)
-    provider = MemoizedFbar(fast, coup, grid, spec, RngStream(200, 0))
+    provider = MemoizedFbar(fast, coup, grid, 4, RngStream(200, 0))
     x = sine_mode(grid, 1, 1.0).values
     first = provider(x)
     assert provider.refresh_count == 1
@@ -233,7 +198,7 @@ def test_memoized_fbar_trust_region():
     assert provider.refresh_count == 2
     assert not np.array_equal(first, second)
     # Same construction, same stream: the whole call sequence replays.
-    twin = MemoizedFbar(fast, coup, grid, spec, RngStream(200, 0))
+    twin = MemoizedFbar(fast, coup, grid, 4, RngStream(200, 0))
     np.testing.assert_array_equal(twin(x), first)
     np.testing.assert_array_equal(twin(far), second)
 
@@ -244,4 +209,4 @@ def test_estimate_fbar_refuses_nonpositive_margin():
     lam = smallest_eigenvalue(grid)
     unstable = FastOperatorSpec("smooth_bounded", b=lam)
     with pytest.raises(ValueError):
-        estimate_fbar(unstable, coup, grid, zeros(grid), FrozenRunSpec(), RngStream(0, 0))
+        estimate_fbar(unstable, coup, grid, zeros(grid), 8, RngStream(0, 0))

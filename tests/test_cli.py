@@ -219,6 +219,24 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert all("INVALID" in line and "macro step" in line for line in report[:3])
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_strong_error_exits_3(tmp_path, capsys):
+    # The slow states stay finite (max |x| near 1e216), but the squared norm
+    # of their mismatch overflows: a numerical failure, not an inf row.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        "n_interior = 16\ng1_modes = 4\ng2_modes = 4\nreplicas = 2\nx0_amplitude = 200\n"
+        "dt_macro = 0.0625\nT = 0.5\nepsilon_grid = 0.1, 0.05, 0.02\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICS
+    report = read_rows(out / "convergence_report.txt")
+    assert all("INVALID" in line and "strong error" in line for line in report[:3])
+    assert report[3:] == ["fit skipped: fewer than 3 valid rows", "overall: FAIL"]
+    assert "error_mean=inf" not in capsys.readouterr().out
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -90,6 +90,13 @@ def test_validation_rejects_bad_fields():
         ExperimentConfig(master_seed=-1)
 
 
+@pytest.mark.parametrize("diag_epsilon", [0.0, -0.5])
+def test_nonpositive_diag_epsilon_is_rejected_at_load(diag_epsilon):
+    # Caught before diagnose runs the epsilon grid, like epsilon_grid itself.
+    with pytest.raises(ConfigError, match="diag_epsilon must be positive"):
+        parse_config_text(f"diag_epsilon = {diag_epsilon}\n")
+
+
 def test_horizon_must_be_whole_macro_steps():
     # The rule is integrators.whole_steps, applied before any run starts.
     with pytest.raises(ConfigError, match="horizon T = 0.3 is not a positive multiple of dt_macro"):

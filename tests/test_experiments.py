@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.experiments import (
@@ -15,6 +17,7 @@ from spavg.experiments import (
     NonpositiveValue,
     build_model,
     build_specs,
+    fit_line,
     fit_loglog,
     run_check_conditions,
     run_convergence,
@@ -71,6 +74,27 @@ def test_fit_loglog_noisy_data_has_spread():
     assert fit.r_squared < 1.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dt=st.floats(1e-3, 1.0),
+    log_gaps=st.lists(st.floats(-30.0, 5.0), min_size=3, max_size=60),
+)
+def test_fit_line_matches_the_decay_fit_bit_for_bit(dt, log_gaps):
+    # The decay fit ergodicity_decay used to compute inline, on its sampling
+    # grid: sample m at time m * dt.
+    t = np.asarray([0.0] + [(m + 1) * dt for m in range(len(log_gaps) - 1)])
+    g = np.asarray(log_gaps)
+    slope, intercept = np.polyfit(t, g, 1)
+    fitted = slope * t + intercept
+    ss_res = float(np.sum((g - fitted) ** 2))
+    ss_tot = float(np.sum((g - g.mean()) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+    fit = fit_line(t, g)
+    assert fit.slope == float(slope)
+    assert fit.r_squared == r_squared
+
+
 def test_fit_loglog_input_validation():
     with pytest.raises(InsufficientPoints):
         fit_loglog([1.0, 2.0], [1.0, 2.0])
@@ -93,7 +117,7 @@ def test_build_fast_ignores_sin_amplitude_for_linear():
 
 
 def test_scheme_params_zero_target_means_automatic():
-    assert scheme_params(small_config(dt_fast_target=0.0)).dt_fast_target is None
+    assert scheme_params(small_config(dt_fast_target=0.0)).dt_fast_target == 0.0
     assert scheme_params(small_config(dt_fast_target=0.004)).dt_fast_target == 0.004
 
 

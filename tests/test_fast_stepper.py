@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from spavg.averaging import FrozenRunSpec, estimate_fbar
+from spavg.averaging import BURN_IN, WINDOW, estimate_fbar
 from spavg.grid import Grid1D, sine_basis, sine_mode, zeros
-from spavg.integrators import _FastStepper
+from spavg.integrators import DT_FAST, _FastStepper
 from spavg.operators import (
     CouplingSpec,
     FastOperatorSpec,
@@ -116,17 +116,18 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
         f0=sine_mode(grid, 2, 0.2), c_fx=0.3, c_fy=1.5, g1_modes=4, g2_modes=6
     )
     x = sine_mode(grid, 1, 0.7)
-    spec = FrozenRunSpec(n_replicas=5)
+    n_replicas = 5
     stream = RngStream(17, 40)
-    estimate = estimate_fbar(fast, coupling, grid, x, spec, stream)
+    estimate = estimate_fbar(fast, coupling, grid, x, n_replicas, stream)
 
-    t_burn, t_avg, dt_fast = spec.resolved(dissipativity_margin(fast, coupling, grid))
+    margin = dissipativity_margin(fast, coupling, grid)
+    t_burn, t_avg, dt_fast = BURN_IN / margin, WINDOW / margin, DT_FAST / margin
     n_steps = max(2, math.ceil((t_burn + t_avg) / dt_fast - 1e-12))
     dt = (t_burn + t_avg) / n_steps
     burn = min(n_steps - 1, int(round(t_burn / dt)))
     scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt)
     means = []
-    for r in range(spec.n_replicas):
+    for r in range(n_replicas):
         gen = RngStream(stream.master_seed, stream.stream_id + r).generator(1)
         coefficients = gen.standard_normal((n_steps, coupling.g2_modes)) * scales
         states = reference_path(
@@ -137,5 +138,5 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
     means = np.array(means)
     assert_close(estimate.mean.values, means.mean(axis=0))
     scale = float(np.max(np.abs(means)))
-    stderr = means.std(axis=0, ddof=1) / math.sqrt(spec.n_replicas)
+    stderr = means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
     assert float(np.max(np.abs(estimate.stderr.values - stderr))) <= RTOL * scale

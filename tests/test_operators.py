@@ -13,6 +13,7 @@ from spavg.operators import (
     b2_values,
     burgers_convection,
     central_difference,
+    contraction_margin,
     coupling_f,
     dissipativity_margin,
     face_gradients,
@@ -245,3 +246,15 @@ def test_dissipativity_margin_formula():
     # Engineered violation: Lipschitz constant above the spectral gap.
     violating = FastOperatorSpec("smooth_bounded", b=lam + 1.0)
     assert dissipativity_margin(violating, coup, grid) < 0.0
+
+
+def test_contraction_margin_is_positive_or_raises():
+    grid = Grid1D(8)
+    coup = CouplingSpec(f0=zeros(grid))
+    lam = smallest_eigenvalue(grid)
+    bounded = FastOperatorSpec("smooth_bounded", b=1.25)
+    assert contraction_margin(bounded, coup, grid) == dissipativity_margin(bounded, coup, grid)
+    # Zero, negative and NaN margins all fail the one rule.
+    for b in (lam, lam + 1.0, float("nan")):
+        with pytest.raises(ValueError, match="the fast equation would not contract"):
+            contraction_margin(FastOperatorSpec("smooth_bounded", b=b), coup, grid)
