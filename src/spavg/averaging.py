@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .grid import L2, Array, Field, Grid1D, norm_values, sine_mode, solve_neg_laplacian
-from .integrators import DT_FAST, _FastStepper
+from .integrators import DT_FAST, _column, _FastStepper, _matvec
 from .operators import CouplingSpec, FastOperatorSpec, contraction_margin
 from .randomness import RngStream
 
@@ -89,13 +89,8 @@ def estimate_fbar(
 
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
     # Replica r draws its own stream and steps as column r of the state.
-    coefficients = np.stack(
-        [
-            stepper.draw(RngStream(stream.master_seed, stream.stream_id + r).generator(1), n_steps)
-            for r in range(n_replicas)
-        ],
-        axis=-1,
-    )
+    streams = [RngStream(stream.master_seed, stream.stream_id + r) for r in range(n_replicas)]
+    coefficients = stepper.draw(streams, n_steps)
     xv = x.values
     y_sum = np.zeros((grid.n_interior, n_replicas))
     path = stepper.path(xv, np.zeros_like(y_sum), coefficients)
@@ -130,7 +125,7 @@ def ergodicity_decay(
     n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
     dt = horizon / n_steps
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
-    coefficients = stepper.draw(stream.generator(1), n_steps)
+    coefficients = stepper.draw([stream], n_steps)[0]
 
     y0_b = sine_mode(grid, 1, 1.0).values
     pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
@@ -150,7 +145,8 @@ class OracleFbar:
     """Averaged-drift provider backed by the linear closed form.
 
     The map is affine, fbar(x) = f0 + M x with M = c_fx I + c_fy c_b L^-1;
-    M is formed once, so each call is one matrix-vector product.
+    M is formed once, so each call is one matrix-vector product per column
+    of x, which is (n,) or a batch (n, R).
     """
 
     def __init__(self, fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D):
@@ -162,7 +158,7 @@ class OracleFbar:
         self._matrix = coupling.c_fx * identity + (coupling.c_fy * fast.c_b) * inverse
 
     def __call__(self, x: Array) -> Array:
-        return self._offset + self._matrix @ x
+        return _column(self._offset, x) + _matvec(self._matrix, x)
 
 
 class MemoizedFbar:

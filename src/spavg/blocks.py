@@ -17,6 +17,8 @@ blocks is TrajectoryStats.increment_integral in the integrators module.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .grid import L2, Array, Grid1D, row_norms
@@ -39,33 +41,47 @@ def build_auxiliary(
     model: ModelSpec,
     trajectory: Trajectory,
     noise: NoisePath,
-    delta: float,
+    delta: float | Sequence[float],
 ) -> Array:
     """Replay the fast noise with the slow input frozen at block boundaries.
 
-    delta is the block length, a positive whole multiple of the recorded
-    dt_macro. Returns the auxiliary fast states at macro times, shape
-    (n_steps + 1, n). With delta = dt_macro the anchor is the current macro
-    step, which is exactly what the coupled integrator used, so the result
-    reproduces the recorded fast trajectory bit for bit.
+    delta is a block length, a positive whole multiple of the recorded
+    dt_macro, or a sequence of them. Returns the auxiliary fast states at
+    macro times, shape (n_steps + 1, n) for one replica and one delta. A
+    batched trajectory and path add a replica axis before n, and a sequence
+    of deltas adds a delta axis before that: every (delta, replica) pair
+    runs as one column of a single replay. With delta = dt_macro the anchor
+    is the current macro step, which is exactly what the coupled integrator
+    used, so the result reproduces the recorded fast trajectory bit for bit.
     """
     if noise.epsilon != model.epsilon:
         raise ValueError("noise path was recorded at a different epsilon")
-    m = noise.n_macro
+    m, n = noise.n_macro, model.grid.n_interior
     if trajectory.x.shape[0] != m + 1:
         raise ValueError("trajectory and noise path disagree on the step count")
-    anchors = block_anchors(m, whole_steps(delta, noise.dt_macro, "delta"))
+    fast = noise._as_batch().fast
+    replicas = fast.shape[0]
+    x = trajectory.x.reshape(m + 1, -1, n)
+    if x.shape[1] != replicas:
+        raise ValueError("trajectory and noise path disagree on the replica count")
+    deltas = np.atleast_1d(delta)
+    anchors = np.array(
+        [block_anchors(m, whole_steps(float(d), noise.dt_macro, "delta")) for d in deltas]
+    )
     dt_micro = noise.dt_macro / noise.n_sub
     stepper = _FastStepper(
         model.fast, model.coupling, model.grid, model.epsilon, dt_micro, noise.n_sub
     )
-    y_hat = np.empty((m + 1, model.grid.n_interior))
-    y = model.y0.values.copy()
-    y_hat[0] = y
+    # Column d * replicas + r replays replica r under block length deltas[d].
+    y_hat = np.empty((m + 1, deltas.size * replicas, n))
+    y_hat[0] = model.y0.values
+    y = y_hat[0].T
     for j in range(m):
-        y = stepper.run_block(trajectory.x[anchors[j]], y, noise.fast[j])
-        y_hat[j + 1] = y
-    return y_hat
+        x_frozen = x[anchors[:, j]].reshape(-1, n).T
+        y = stepper.run_block(x_frozen, y, fast[:, j])
+        y_hat[j + 1] = y.T
+    batch = (replicas,) if noise.batched else ()
+    return y_hat.reshape((m + 1, *np.shape(delta), *batch, n))
 
 
 def deviation_statistic(trajectory: Trajectory, auxiliary: Array, grid: Grid1D) -> float:

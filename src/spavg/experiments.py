@@ -39,8 +39,8 @@ from .conditions import CONDITION_IDS, ConditionReport, check_condition
 from .config import ConfigError, ExperimentConfig
 from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
 from .integrators import (
+    REPLICA_CHUNK,
     ModelSpec,
-    NewtonDivergence,
     NumericalBlowUp,
     SchemeParams,
     TrajectoryStats,
@@ -286,26 +286,52 @@ class ConvergenceResult:
         return lines
 
 
-def _replica_error(config: ExperimentConfig, model: ModelSpec, r: int) -> float:
-    """Strong error of replica r at model.epsilon.
+def _chunk_errors(
+    config: ExperimentConfig, model: ModelSpec, replicas: Sequence[int]
+) -> tuple[list[float], str | None]:
+    """Strong errors of the given replicas at model.epsilon, run as one batch.
 
-    The averaged drift, the closed form or an estimator on replica r's own
-    streams, is built here for this replica alone, so an estimator's
-    trust-region cache never carries over between replicas and the result
-    does not depend on which replicas ran before.
+    Each replica's averaged drift, the closed form or an estimator on the
+    replica's own streams, is built for that replica alone, so an
+    estimator's trust-region cache never carries over between replicas and
+    the result does not depend on which replicas ran before or beside it.
+    The first failing replica, in the coupled run, the averaged run or its
+    strong error, ends the chunk: the errors of the replicas below it come
+    back with its failure.
     """
     params = scheme_params(config)
     with _config_errors():
         if config.fbar_source == "oracle":
             fbar = OracleFbar(model.fast, model.coupling, model.grid)
         else:
-            base = RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1))
-            fbar = MemoizedFbar(
-                model.fast, model.coupling, model.grid, config.fbar_replicas, base
-            )
-    trajectory, path = simulate_coupled(model, config.T, params, RngStream(config.master_seed, r))
+            fbar = [
+                MemoizedFbar(
+                    model.fast,
+                    model.coupling,
+                    model.grid,
+                    config.fbar_replicas,
+                    RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)),
+                )
+                for r in replicas
+            ]
+    streams = [RngStream(config.master_seed, r) for r in replicas]
+    trajectory, path = simulate_coupled(model, config.T, params, streams)
     averaged = simulate_averaged(model, fbar, params, path)
-    return strong_error(trajectory, averaged, model.grid, model.state_norm)
+    errors: list[float] = []
+    failure = averaged.failure or trajectory.failure
+    for r in range(averaged.x.shape[1]):
+        try:
+            errors.append(
+                strong_error(
+                    trajectory.replica(r), averaged.replica(r), model.grid, model.state_norm
+                )
+            )
+        except NumericalBlowUp as exc:
+            failure = exc
+            break
+    if failure is None:
+        return errors, None
+    return errors, f"replica {replicas[len(errors)]}: {failure}"
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
@@ -313,9 +339,10 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 
     Epsilons are processed in descending order; replica r reuses stream id r
     across epsilons, which correlates rows and sharpens the monotonicity
-    comparison without biasing any single row. A Newton breakdown or a
-    blow-up at one epsilon invalidates that row but the remaining epsilons
-    still run.
+    comparison without biasing any single row. Replicas run in batches of
+    at most REPLICA_CHUNK. A Newton breakdown or a blow-up at one epsilon
+    invalidates that row, reported for the lowest failing replica, but the
+    remaining epsilons still run.
     """
     rows: list[ConvergenceRow] = []
     for epsilon in sorted(config.epsilon_grid, reverse=True):
@@ -323,11 +350,11 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
         model = build_model(config, epsilon)
         errors: list[float] = []
         failure = None
-        for r in range(config.replicas):
-            try:
-                errors.append(_replica_error(config, model, r))
-            except (NewtonDivergence, NumericalBlowUp) as exc:
-                failure = f"replica {r}: {exc}"
+        for start in range(0, config.replicas, REPLICA_CHUNK):
+            chunk = range(start, min(start + REPLICA_CHUNK, config.replicas))
+            chunk_errors, failure = _chunk_errors(config, model, chunk)
+            errors += chunk_errors
+            if failure is not None:
                 break
         mean, stderr = _mean_stderr(errors) if failure is None else (math.nan, math.nan)
         rows.append(
@@ -387,19 +414,53 @@ class DiagnosticsResult:
         return lines
 
 
+def _block_statistics(
+    config: ExperimentConfig,
+    model: ModelSpec,
+    replicas: Sequence[int],
+    deltas: Sequence[float],
+    sup_list: list[float],
+    dev_lists: dict[float, list[float]],
+    inc_lists: dict[float, list[float]],
+) -> None:
+    """Append the statistics of one batch of replicas, replica by replica.
+
+    One coupled run and one auxiliary replay cover the batch; the increment
+    integrals are taken for the block lengths inc_lists holds. The batch's
+    arrays are freed on return, before the next batch or epsilon allocates
+    its own.
+    """
+    streams = [RngStream(config.master_seed, r) for r in replicas]
+    batch, path = simulate_coupled(model, config.T, scheme_params(config), streams)
+    if batch.failure is not None:
+        raise batch.failure
+    auxiliary = build_auxiliary(model, batch, path, deltas)
+    for r in range(len(streams)):
+        trajectory = batch.replica(r)
+        stats = TrajectoryStats(model.grid, model.state_norm, config.dt_macro, trajectory.x)
+        sup_list.append(stats.sup_norm_x_sq)
+        for d, delta in enumerate(deltas):
+            dev_lists[delta].append(
+                deviation_statistic(trajectory, auxiliary[:, d, r], model.grid)
+            )
+            if delta in inc_lists:
+                inc_lists[delta].append(stats.increment_integral(delta))
+
+
 def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     """Moment uniformity, increment scaling, auxiliary deviation, decay rates.
 
     The moment and fixed-block deviation statistics are collected for every
     epsilon in the grid; the delta-resolved scaling statistics run at
     diag_epsilon only, since block length is a post-processing parameter for
-    the slow increments but requires one auxiliary replay per (delta,
-    replica) for the deviations. Each (epsilon, replica, delta) is replayed
-    once: at diag_epsilon the fixed block length is one of the delta grid.
+    the slow increments but requires an auxiliary replay per (delta,
+    replica) for the deviations. Replicas run in batches of at most
+    REPLICA_CHUNK, and one replay per batch covers each of its (replica,
+    delta) pairs once: at diag_epsilon the fixed block length is one of the
+    delta grid.
     A ratio or fit whose means are degenerate (see _degenerate) is skipped,
     and its suite reports it as degenerate and passes.
     """
-    params = scheme_params(config)
     grid, _, _, coupling = build_specs(config)
     delta_grid = [config.T * 2.0**-k for k in range(3, 8)]
     delta_fixed = delta_grid[2]
@@ -424,16 +485,11 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
         sup_list: list[float] = []
         inc_lists: dict[float, list[float]] = {d: [] for d in deltas}
         dev_lists: dict[float, list[float]] = {d: [] for d in deltas}
-        for r in range(config.replicas):
-            stream = RngStream(config.master_seed, r)
-            trajectory, path = simulate_coupled(model, config.T, params, stream)
-            stats = TrajectoryStats(grid, model.state_norm, config.dt_macro, trajectory.x)
-            sup_list.append(stats.sup_norm_x_sq)
-            for delta in deltas:
-                aux = build_auxiliary(model, trajectory, path, delta)
-                dev_lists[delta].append(deviation_statistic(trajectory, aux, grid))
-                if at_diag:
-                    inc_lists[delta].append(stats.increment_integral(delta))
+        for start in range(0, config.replicas, REPLICA_CHUNK):
+            replicas = range(start, min(start + REPLICA_CHUNK, config.replicas))
+            _block_statistics(
+                config, model, replicas, deltas, sup_list, dev_lists, inc_lists if at_diag else {}
+            )
         if epsilon in config.epsilon_grid:
             sup_by_eps[epsilon] = _mean_stderr(sup_list)
             dev_fixed_by_eps[epsilon] = _mean_stderr(dev_lists[delta_fixed])
@@ -441,9 +497,6 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
             inc_by_delta = {d: _mean_stderr(inc_lists[d]) for d in delta_grid}
             dev_by_delta = {d: _mean_stderr(dev_lists[d]) for d in delta_grid}
 
-    # Freed before the decay fits below, which would otherwise run with the
-    # last replica's paths alive and raise the peak memory of the command.
-    del trajectory, path, stats, aux
     rows: list[DiagnosticsRow] = []
     outcomes: list[SuiteOutcome] = []
 

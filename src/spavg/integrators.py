@@ -34,6 +34,30 @@ before the first step and keeps it as a NoisePath: the raw coefficient rows
 dt_macro and n_sub. The path is the only source of a replay's step grid, and
 it is exactly enough to replay the same realization into the averaged
 equation or into the block-frozen auxiliary construction, bit for bit.
+
+Batches. The replicas of one epsilon advance together as the columns of
+one state, shape (n, R), in the same macro-step loop that runs a single
+replica as a batch of one. Replica r draws its whole horizon from its own
+stream into row r of one preallocated array, so recorded noise puts the
+replica first, (R, n_macro, ...), and each replica's rows are contiguous;
+trajectories are time first, (n_steps + 1, R, n), so that each macro step
+writes one contiguous block. A replica's bytes do not
+depend on its batch, because every batched operation is one of:
+
+- elementwise;
+- column by column: the prefactored pttrs solve with many right-hand sides,
+  the Burgers convection, and the porous-medium and p-Laplace Newton solve,
+  which runs one column at a time;
+- a product with a fixed matrix (the sine transforms, the noise synthesis,
+  the closed-form averaged drift), taken by _matvec through np.matmul with
+  the columns on the stacked axis. That makes the one BLAS gemv call per
+  column a single vector gets. One gemm over all columns would round each
+  column differently depending on the batch width.
+
+In a batch a failing replica ends the batch at its column: the replicas
+below it finish, and the result keeps them and the failure (see
+Trajectory). The experiment drivers run at most REPLICA_CHUNK replicas per
+batch, which bounds the memory the recorded fast noise takes.
 """
 
 from __future__ import annotations
@@ -41,7 +65,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -62,6 +86,7 @@ from .randomness import RngStream
 
 __all__ = [
     "DT_FAST",
+    "REPLICA_CHUNK",
     "ModelSpec",
     "NewtonDivergence",
     "NoisePath",
@@ -79,6 +104,9 @@ __all__ = [
 # Fast step in relaxation times 1 / margin: the automatic dt_fast_target of
 # the coupled scheme and the step of the averaging module's estimator.
 DT_FAST = 0.1
+
+# Most replicas the experiment drivers advance as the columns of one batch.
+REPLICA_CHUNK = 16
 
 
 class NewtonDivergence(RuntimeError):
@@ -102,12 +130,15 @@ class SchemeParams:
     newton_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.dt_macro <= 0.0:
+        # Written as "not ... > 0" so that NaN fails too.
+        if not self.dt_macro > 0.0:
             raise ValueError(f"dt_macro must be positive, got {self.dt_macro}")
-        if self.dt_fast_target < 0.0:
-            raise ValueError("dt_fast_target must be >= 0 (0 means automatic)")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not self.dt_fast_target >= 0.0:
+            raise ValueError(
+                f"dt_fast_target must be >= 0 (0 means automatic), got {self.dt_fast_target}"
+            )
+        if not self.newton_tol > 0.0:
+            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,10 +169,11 @@ class ModelSpec:
 
 
 class NoisePath:
-    """Recorded mode coefficients of both Wiener processes for one replica.
+    """Recorded mode coefficients of both Wiener processes, one replica or a batch.
 
-    slow has shape (n_macro, g1_modes); fast has shape (n_macro, n_sub,
-    g2_modes). Rows are raw Wiener-increment coefficients over dt_macro and
+    For one replica slow has shape (n_macro, g1_modes) and fast (n_macro,
+    n_sub, g2_modes); a batch of R replicas adds a leading replica axis to
+    both. Rows are raw Wiener-increment coefficients over dt_macro and
     dt_macro / n_sub respectively.
     """
 
@@ -150,9 +182,11 @@ class NoisePath:
     ) -> None:
         slow = np.ascontiguousarray(slow, dtype=np.float64)
         fast = np.ascontiguousarray(fast, dtype=np.float64)
-        if slow.ndim != 2 or fast.ndim != 3:
-            raise ValueError("slow must be 2d (steps, modes), fast 3d (steps, sub, modes)")
-        if fast.shape[0] != slow.shape[0] or fast.shape[1] != n_sub:
+        if slow.ndim not in (2, 3) or fast.ndim != slow.ndim + 1:
+            raise ValueError(
+                "slow must be ([replicas,] steps, modes), fast ([replicas,] steps, sub, modes)"
+            )
+        if fast.shape[:-2] != slow.shape[:-1] or fast.shape[-2] != n_sub:
             raise ValueError("fast coefficient shape disagrees with n_sub / step count")
         self.dt_macro = float(dt_macro)
         self.n_sub = int(n_sub)
@@ -162,7 +196,20 @@ class NoisePath:
 
     @property
     def n_macro(self) -> int:
-        return self.slow.shape[0]
+        return self.slow.shape[-2]
+
+    @property
+    def batched(self) -> bool:
+        return self.slow.ndim == 3
+
+    def replica(self, r: int) -> "NoisePath":
+        """The path of replica r of a batch."""
+        return NoisePath(self.dt_macro, self.n_sub, self.epsilon, self.slow[r], self.fast[r])
+
+    def _as_batch(self) -> "NoisePath":
+        if self.batched:
+            return self
+        return NoisePath(self.dt_macro, self.n_sub, self.epsilon, self.slow[None], self.fast[None])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NoisePath):
@@ -178,17 +225,33 @@ class NoisePath:
 
 @dataclasses.dataclass
 class Trajectory:
-    """Coupled states at macro times; x and y have shape (n_steps + 1, n)."""
+    """Coupled states at macro times; x and y have shape (n_steps + 1, n).
+
+    A batch of R replicas has x and y of shape (n_steps + 1, R, n). If a
+    replica failed, the batch keeps only the replicas below it, so the
+    failing one's index is the number kept, and failure holds its
+    NewtonDivergence or NumericalBlowUp; failure is None when all finished.
+    """
 
     times: Array
     x: Array
     y: Array
+    failure: Exception | None = None
+
+    def replica(self, r: int) -> "Trajectory":
+        return Trajectory(self.times, self.x[:, r], self.y[:, r])
 
 
 @dataclasses.dataclass
 class SlowTrajectory:
+    """Slow states at macro times, batched and failing as in Trajectory."""
+
     times: Array
     x: Array
+    failure: Exception | None = None
+
+    def replica(self, r: int) -> "SlowTrajectory":
+        return SlowTrajectory(self.times, self.x[:, r])
 
 
 class TrajectoryStats:
@@ -251,12 +314,26 @@ class _SlowStepper:
             self._solver = ShiftedLaplacian(grid, 1.0, dt * slow.viscosity)
 
     def step(self, x: Array, forcing: Array, noise: Array) -> Array:
+        """The next state, for x of shape (n,) or for every column of (n, R).
+
+        A Newton failure in column r of a batch raises with r as its
+        `column` attribute; the columns below it converged.
+        """
         dt = self.dt
         if self.slow.kind == "burgers":
             rhs = x + dt * (burgers_convection(self.grid, x) + forcing) + noise
             return self._solver.solve(rhs)
         b = x + dt * forcing + noise
-        return _newton_monotone_solve(self.slow, self.grid, b, dt, self.params)
+        if b.ndim == 1:
+            return _newton_monotone_solve(self.slow, self.grid, b, dt, self.params)
+        x_new = np.empty_like(b)
+        for r in range(b.shape[1]):
+            try:
+                x_new[:, r] = _newton_monotone_solve(self.slow, self.grid, b[:, r], dt, self.params)
+            except NewtonDivergence as exc:
+                exc.column = r
+                raise
+        return x_new
 
     def residual(self, x_new: Array, x: Array, forcing: Array, noise: Array) -> Array:
         """x_new - dt * A_implicit(x_new) - explicit terms; zero for an exact step."""
@@ -276,21 +353,30 @@ NEWTON_MAX_HALVINGS = 30
 def _newton_monotone_solve(
     slow: SlowOperatorSpec, grid: Grid1D, b: Array, dt: float, params: SchemeParams
 ) -> Array:
-    """Solve u - dt * A(u) = b by Newton with step halving on the residual."""
+    """Solve u - dt * A(u) = b by Newton with step halving on the residual.
+
+    For p_laplace the face gradients of an iterate serve both its residual
+    and the Jacobian of the next direction.
+    """
+
+    def residual_at(u: Array) -> tuple[Array, Array | None]:
+        g = face_gradients(grid, u) if slow.kind == "p_laplace" else None
+        return u - dt * slow_drift(slow, grid, u, g) - b, g
+
     u = b.copy()
     scale = max(1.0, float(np.abs(b).max()))
-    residual = u - dt * slow_drift(slow, grid, u) - b
+    residual, gradients = residual_at(u)
     res_norm = float(np.abs(residual).max())
     if not math.isfinite(res_norm):
         raise NewtonDivergence(f"implicit {slow.kind} solve met a non-finite residual")
     for _ in range(NEWTON_MAX_ITER):
         if res_norm <= params.newton_tol * scale:
             return u
-        direction = _newton_direction(slow, grid, u, dt, residual)
+        direction = _newton_direction(slow, grid, u, dt, residual, gradients)
         step = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             candidate = u + step * direction
-            cand_residual = candidate - dt * slow_drift(slow, grid, candidate) - b
+            cand_residual, cand_gradients = residual_at(candidate)
             cand_norm = float(np.abs(cand_residual).max())
             if cand_norm < res_norm:
                 break
@@ -299,7 +385,7 @@ def _newton_monotone_solve(
             raise NewtonDivergence(
                 f"implicit {slow.kind} solve stalled at residual {res_norm:.3e}"
             )
-        u, residual, res_norm = candidate, cand_residual, cand_norm
+        u, residual, res_norm, gradients = candidate, cand_residual, cand_norm, cand_gradients
     if res_norm <= params.newton_tol * scale:
         return u
     raise NewtonDivergence(
@@ -308,7 +394,12 @@ def _newton_monotone_solve(
 
 
 def _newton_direction(
-    slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float, residual: Array
+    slow: SlowOperatorSpec,
+    grid: Grid1D,
+    u: Array,
+    dt: float,
+    residual: Array,
+    gradients: Array | None = None,
 ) -> Array:
     """Solve J(u) d = -residual with one LAPACK gtsv call.
 
@@ -316,7 +407,7 @@ def _newton_direction(
     for (1, 1) bands, without its validation. It copies the diagonals, so
     sub and super may share memory, and writes d over its right-hand side.
     """
-    sub, diag, sup = _monotone_jacobian_bands(slow, grid, u, dt)
+    sub, diag, sup = _monotone_jacobian_bands(slow, grid, u, dt, gradients)
     if diag.shape[0] == 1:  # the gtsv wrapper rejects empty off-diagonals
         return -residual / diag
     *_, direction, info = dgtsv(sub, diag, sup, -residual, overwrite_b=True)
@@ -326,13 +417,14 @@ def _newton_direction(
 
 
 def _monotone_jacobian_bands(
-    slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float
+    slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float, gradients: Array | None = None
 ) -> tuple[Array, Array, Array]:
     """Jacobian of u - dt * A(u) as its (sub, diag, super) diagonals.
 
     These are the three arrays LAPACK gtsv takes, with no (3, n) banded
     layout in between. The porous-medium Jacobian I + dt L diag(psi'(u)) is
-    not symmetric, so its two off-diagonals differ.
+    not symmetric, so its two off-diagonals differ. For p_laplace,
+    gradients may pass face_gradients(grid, u) in.
     """
     h2 = grid.h**2
     if slow.kind == "porous_medium":
@@ -340,7 +432,7 @@ def _monotone_jacobian_bands(
         off = -dt * dpsi / h2
         return off[:-1], 1.0 + 2.0 * dt * dpsi / h2, off[1:]
     # p_laplace: face weights phi'(g) = (p-1) |g|^(p-2)
-    g = face_gradients(grid, u)
+    g = face_gradients(grid, u) if gradients is None else gradients
     w = (slow.p - 1.0) * np.abs(g) ** (slow.p - 2.0)
     off = -dt * w[1:-1] / h2
     return off, 1.0 + dt * (w[:-1] + w[1:]) / h2, off
@@ -352,9 +444,12 @@ class _FastStepper:
     A step of size dt_micro solves (I + a L) y' = y + a B2(x, y) + xi with
     a = dt_micro / epsilon and xi the fast Wiener increment weighted by
     1 / sqrt(epsilon); epsilon = 1 is the frozen equation of the averaging
-    module. The state y is one vector (n,) or R of them as columns (n, R).
-    Noise coefficients come as rows of shape (steps, modes), shared by every
-    column, or (steps, modes, R), one column per state.
+    module. The state y is one vector (n,) or a batch of C columns (n, C),
+    and the frozen x is (n,) or one column per state column. Noise
+    coefficients come as rows of shape (steps, modes), shared by every
+    column, or as (R, steps, modes), one set per replica, where column c
+    takes set c mod R: an auxiliary replay runs each replica under several
+    block lengths at once.
     """
 
     def __init__(
@@ -391,11 +486,12 @@ class _FastStepper:
             model.fast, model.coupling, model.grid, model.epsilon, dt_macro / n_sub, n_sub
         )
 
-    def draw(self, gen: np.random.Generator, steps: int) -> Array:
-        """Raw noise coefficients of `steps` micro steps, shape (steps, modes)."""
-        rows = gen.standard_normal((steps, self._modes))
-        rows *= self._scales
-        return rows
+    def draw(self, streams: Sequence[RngStream], steps: int) -> Array:
+        """Raw noise coefficients of `steps` micro steps, shape (R, steps, modes).
+
+        Row r is drawn from lane 1 of streams[r].
+        """
+        return _draw(streams, 1, (steps, self._modes), self._scales)
 
     @functools.cached_property
     def _block_gains(self) -> tuple[Array, Array, Array]:
@@ -406,104 +502,170 @@ class _FastStepper:
         return powers[0], drive, self._noise_weight * powers[:, : self._modes]
 
     def run_block(self, x_frozen: Array, y: Array, coefficients: Array) -> Array:
-        """Advance y through one macro step; coefficients has n_sub rows."""
+        """Advance y through one macro step; coefficients have n_sub steps."""
         if self.fast.kind != "linear":
             for y in self.path(x_frozen, y, coefficients):
                 pass
             return y
-        coefficients = _per_column(coefficients, y)
         decay, drive, noise_gain = self._block_gains
-        y_hat = _column(decay, y) * (self._analysis @ y)
-        y_hat += _column(drive * (self._analysis @ x_frozen), y)
-        y_hat[: self._modes] += np.einsum("mk,mk...->k...", noise_gain, coefficients)
-        return self._basis @ y_hat
+        y_hat = _column(decay, y) * _matvec(self._analysis, y)
+        forced = _column(drive, x_frozen) * _matvec(self._analysis, x_frozen)
+        y_hat += _column(forced, y)
+        noise = np.einsum("mk,...mk->...k", noise_gain, coefficients)
+        y_hat[: self._modes] += _by_column(noise, y)
+        return _matvec(self._basis, y_hat)
 
     def path(self, x_frozen: Array, y: Array, coefficients: Array) -> Iterator[Array]:
-        """Yield the state after each micro step, one per coefficient row."""
-        coefficients = _per_column(coefficients, y) * self._noise_weight
+        """Yield the state after each micro step, one per coefficient step."""
+        coefficients = coefficients * self._noise_weight
         a = self.a
         if self.fast.kind == "linear":
             # In mode coefficients a micro step is y^ <- d (y^ + a c_b x^ + xi^).
             d = _column(self._d, y)
-            forcing = _column(a * self.fast.c_b * (self._analysis @ x_frozen), y)
+            forcing = _column(a * self.fast.c_b * _matvec(self._analysis, x_frozen), y)
             modes = self._modes
 
             def step(y_hat: Array, xi: Array) -> Array:
                 rhs = y_hat + forcing
-                rhs[:modes] += xi
+                rhs[:modes] += _by_column(xi, y)
                 return d * rhs
 
-            state, basis = self._analysis @ y, self._basis
+            state, basis = _matvec(self._analysis, y), self._basis
+            noise = coefficients
         else:
             cx = _column(self.fast.c_b * x_frozen, y)
             b = self.fast.b
 
             def step(y: Array, xi: Array) -> Array:
-                return self._solver.solve(y + a * (cx + b * np.sin(y)) + self._noise_basis @ xi)
+                return self._solver.solve(y + a * (cx + b * np.sin(y)) + _by_column(xi, y))
 
             state, basis = y, None
-        for xi in coefficients:
+            # The physical noise of every step: one gemv per (replica, step).
+            noise = np.matmul(self._noise_basis, coefficients[..., None])[..., 0]
+        for xi in np.moveaxis(noise, -2, 0):
             state = step(state, xi)
-            yield state if basis is None else basis @ state
+            yield state if basis is None else _matvec(basis, state)
+
+
+def _matvec(matrix: Array, v: Array) -> Array:
+    """matrix @ v for a vector (n,), or for each column of a batch (n, C).
+
+    A batch goes through np.matmul with its columns on the stacked axis:
+    one gemv per column, the call a single vector gets, so a column's bytes
+    do not depend on the batch. matrix @ v would be one gemm.
+    """
+    if v.ndim == 1:
+        return matrix @ v
+    return np.matmul(matrix, v.T[:, :, None])[:, :, 0].T
 
 
 def _column(v: Array, like: Array) -> Array:
-    """v (n,) shaped to broadcast against a state of shape (n,) or (n, R)."""
-    return v if like.ndim == 1 else v[:, None]
+    """A vector v (n,) shaped to broadcast against a state (n,) or (n, C)."""
+    return v[:, None] if like.ndim == 2 and v.ndim == 1 else v
 
 
-def _per_column(coefficients: Array, y: Array) -> Array:
-    """Rows shared by every column of a batched state get a broadcast axis."""
-    return coefficients[:, :, None] if y.ndim == 2 and coefficients.ndim == 2 else coefficients
+def _by_column(v: Array, y: Array) -> Array:
+    """Rows (n,) shared by every column of y, or (R, n) where column c takes row c mod R."""
+    if v.ndim == 1:
+        return _column(v, y)
+    repeats, rest = divmod(y.shape[1], v.shape[0]) if y.ndim == 2 else (0, 1)
+    if rest or not repeats:
+        raise ValueError(f"{v.shape[0]} noise replicas cannot drive a state of shape {y.shape}")
+    return v.T if repeats == 1 else np.tile(v.T, repeats)
+
+
+def _draw(streams: Sequence[RngStream], lane: int, shape: tuple[int, ...], scales: Array) -> Array:
+    """Scaled standard normals, shape (R, *shape); row r from lane `lane` of stream r.
+
+    Each replica fills its own contiguous row of one preallocated array,
+    with the numbers it would draw alone.
+    """
+    rows = np.empty((len(streams), *shape))
+    for row, stream in zip(rows, streams):
+        stream.generator(lane).standard_normal(out=row)
+    rows *= scales
+    return rows
 
 
 def simulate_coupled(
     model: ModelSpec,
     T: float,
     params: SchemeParams,
-    stream: RngStream,
+    stream: RngStream | Sequence[RngStream],
 ) -> tuple[Trajectory, NoisePath]:
     """Advance the coupled pair over [0, T] and record the noise that drove it.
 
-    The whole horizon is drawn up front (slow rows on lane 0, fast rows on
-    lane 1 of the stream), the same numbers as drawing step by step. The
-    returned NoisePath drives the averaged equation and the block-frozen
-    auxiliary construction with this very realization.
+    stream is one RngStream for a single run, or one per replica for a
+    batch (see the module docstring). The whole horizon is drawn up front
+    (slow rows on lane 0, fast rows on lane 1 of each stream), the same
+    numbers as drawing step by step. The returned NoisePath drives the
+    averaged equation and the block-frozen auxiliary construction with this
+    very realization. A single run raises its failure; a batch reports it
+    in Trajectory.failure and keeps the replicas below it, in the path too.
     """
+    single = isinstance(stream, RngStream)
+    streams = [stream] if single else list(stream)
     dt = params.dt_macro
     m = whole_steps(T, dt, "horizon T")
     coupling = model.coupling
     fast_stepper = _FastStepper.for_model(model, dt, params)
     n_sub = fast_stepper.n_sub
-    slow_rows = stream.generator(0).standard_normal((m, coupling.g1_modes))
-    slow_rows *= mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
-    fast_rows = fast_stepper.draw(stream.generator(1), m * n_sub).reshape(m, n_sub, -1)
+    slow_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
+    slow_rows = _draw(streams, 0, (m, coupling.g1_modes), slow_scales)
+    fast_rows = fast_stepper.draw(streams, m * n_sub).reshape(len(streams), m, n_sub, -1)
     path = NoisePath(dt, n_sub, model.epsilon, slow_rows, fast_rows)
-    y_hist = np.empty((m + 1, model.grid.n_interior))
+    y_hist = np.empty((m + 1, len(streams), model.grid.n_interior))
     y_hist[0] = model.y0.values
 
     def forcing(j: int, x: Array) -> Array:
         """F at the left endpoint; the fast state then runs one block with x frozen."""
-        y = y_hist[j]
-        y_hist[j + 1] = fast_stepper.run_block(x, y, path.fast[j])
+        live = x.shape[1]
+        y = y_hist[j, :live].T
+        y_hist[j + 1, :live] = fast_stepper.run_block(x, y, fast_rows[:live, j]).T
         return coupling_f(coupling, x, y)
 
     slow = _slow_loop(model, params, path, forcing, "coupled", y_hist)
-    return Trajectory(slow.times, slow.x, y_hist), path
+    kept = slow.x.shape[1]
+    trajectory = Trajectory(slow.times, slow.x, y_hist[:, :kept], slow.failure)
+    path = NoisePath(dt, n_sub, model.epsilon, slow_rows[:kept], fast_rows[:kept])
+    if not single:
+        return trajectory, path
+    if trajectory.failure is not None:
+        raise trajectory.failure
+    return trajectory.replica(0), path.replica(0)
 
 
 def simulate_averaged(
     model: ModelSpec,
-    fbar: Callable[[Array], Array],
+    fbar: Callable[[Array], Array] | Sequence[Callable[[Array], Array]],
     params: SchemeParams,
     noise: NoisePath,
 ) -> SlowTrajectory:
     """Advance the averaged slow equation on the grid and slow noise of a recorded path.
 
-    fbar maps slow nodal values to the averaged coupling drift. Against the
-    path of simulate_coupled the run shares that realization exactly.
+    fbar maps slow nodal values to the averaged coupling drift. On a
+    batched path one callable gets every column at once, (n, R), as
+    OracleFbar takes them; a sequence holds one callable per replica, each
+    called on its own column. Against the path of simulate_coupled the run
+    shares that realization exactly. Failures are raised or reported as in
+    simulate_coupled.
     """
-    return _slow_loop(model, params, noise, lambda j, x: fbar(x), "averaged")
+    if not noise.batched:
+        fbar = [fbar]
+    if callable(fbar):
+        forcing = lambda j, x: fbar(x)  # noqa: E731
+    else:
+        providers = list(fbar)
+
+        def forcing(j: int, x: Array) -> Array:
+            return np.stack([providers[r](x[:, r]) for r in range(x.shape[1])], axis=1)
+
+    slow = _slow_loop(model, params, noise._as_batch(), forcing, "averaged")
+    if noise.batched:
+        return slow
+    if slow.failure is not None:
+        raise slow.failure
+    return slow.replica(0)
 
 
 def _slow_loop(
@@ -514,35 +676,54 @@ def _slow_loop(
     equation: str,
     *histories: Array,
 ) -> SlowTrajectory:
-    """The one macro-step loop of the slow equation, on the grid of `noise`.
+    """The one macro-step loop of the slow equation, on the grid of a batched `noise`.
 
-    forcing(j, x) is the explicit drift of macro step j at its left endpoint
-    x. Each Wiener increment is synthesized from its own row: one product
-    over all rows rounds differently. Failures name `equation`, epsilon and
-    the step, also for a non-finite state in `histories` the forcing fills.
+    The state holds one column per live replica. forcing(j, x) is the
+    explicit drift of macro step j at its left endpoint x, for those
+    columns. The Wiener increments of every step and replica are synthesized
+    before the loop, one gemv per row. Failures name `equation`, epsilon and
+    the step, also for a non-finite state in `histories` (shape
+    (n_steps + 1, R, n)) the forcing fills. A failing column ends the live
+    columns there; a Newton failure solves the step again for the columns
+    below it, which gives the bytes they had.
     """
     grid, epsilon = model.grid, model.epsilon
     stepper = _SlowStepper(model.slow, grid, noise.dt_macro, params)
-    basis_t = np.ascontiguousarray(sine_basis(grid, noise.slow.shape[1]).T)
-    x_hist = np.empty((noise.n_macro + 1, grid.n_interior))
-    x = model.x0.values.copy()
-    x_hist[0] = x
-    for j in range(noise.n_macro):
+    basis_t = np.ascontiguousarray(sine_basis(grid, noise.slow.shape[-1]).T)
+    # increments[j, r] is the Wiener increment of replica r over macro step j.
+    increments = np.matmul(noise.slow.transpose(1, 0, 2)[:, :, None, :], basis_t)[:, :, 0]
+    n_macro, replicas = increments.shape[:2]
+    x_hist = np.empty((n_macro + 1, replicas, grid.n_interior))
+    x_hist[0] = model.x0.values
+    x = x_hist[0].T
+    failure: Exception | None = None
+    for j in range(n_macro):
+        if not x.shape[1]:
+            break
+        f = forcing(j, x)
         try:
-            x = stepper.step(x, forcing(j, x), noise.slow[j] @ basis_t)
+            x = stepper.step(x, f, increments[j, : x.shape[1]].T)
         except NewtonDivergence as exc:
             # Named like a blow-up: by the state the step computes.
-            raise NewtonDivergence(
+            failure = NewtonDivergence(
                 f"{equation} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
-            ) from exc
-        x_hist[j + 1] = x
-    finite = np.logical_and.reduce([np.isfinite(h).all(axis=1) for h in (x_hist, *histories)])
-    if not finite.all():
-        raise NumericalBlowUp(
+            )
+            failure.__cause__ = exc
+            kept = exc.column
+            x = stepper.step(x[:, :kept], f[:, :kept], increments[j, :kept].T)
+        x_hist[j + 1, : x.shape[1]] = x.T
+    live = x.shape[1]
+    finite = np.logical_and.reduce(
+        [np.isfinite(h[:, :live]).all(axis=2) for h in (x_hist, *histories)]
+    )
+    blown = np.flatnonzero(~finite.all(axis=0))
+    if blown.size:
+        live = int(blown[0])
+        failure = NumericalBlowUp(
             f"{equation} run blew up at epsilon={epsilon:g}: "
-            f"non-finite state at macro step {int(np.argmin(finite))}"
+            f"non-finite state at macro step {int(np.argmin(finite[:, live]))}"
         )
-    return SlowTrajectory(np.arange(noise.n_macro + 1) * noise.dt_macro, x_hist)
+    return SlowTrajectory(np.arange(n_macro + 1) * noise.dt_macro, x_hist[:, :live], failure)
 
 
 def strong_error(

@@ -176,18 +176,33 @@ def face_gradients(grid: Grid1D, v: Array) -> Array:
 
 
 def burgers_convection(grid: Grid1D, u: Array) -> Array:
-    return (central_difference(grid, u * u) + u * central_difference(grid, u)) / 3.0
+    """(D(u*u) + u * D u) / 3 along the first axis, for u of shape (n,) or (n, R).
+
+    Both central differences come from one zero-padded copy holding u*u and
+    u. Each is (0.0 + right) - left, the order central_difference adds and
+    subtracts in, so the bytes match it, signed zeros included.
+    """
+    padded = np.zeros((2, u.shape[0] + 2) + u.shape[1:])
+    np.multiply(u, u, out=padded[0, 1:-1])
+    padded[1, 1:-1] = u
+    d = np.add(0.0, padded[:, 2:])
+    d -= padded[:, :-2]
+    d /= 2.0 * grid.h
+    return (d[0] + u * d[1]) / 3.0
 
 
 def _psi(spec: SlowOperatorSpec, u: Array) -> Array:
     return spec.c * u * np.abs(u) ** (spec.p - 2.0)
 
 
-def slow_drift(spec: SlowOperatorSpec, grid: Grid1D, x: Array) -> Array:
+def slow_drift(
+    spec: SlowOperatorSpec, grid: Grid1D, x: Array, gradients: Array | None = None
+) -> Array:
+    """A(x); for p_laplace, gradients may pass face_gradients(grid, x) in."""
     if spec.kind == "porous_medium":
         return -grid.apply_neg_laplacian(_psi(spec, x))
     if spec.kind == "p_laplace":
-        g = face_gradients(grid, x)
+        g = face_gradients(grid, x) if gradients is None else gradients
         flux = np.abs(g) ** (spec.p - 2.0) * g
         return (flux[1:] - flux[:-1]) / grid.h
     return -spec.viscosity * grid.apply_neg_laplacian(x) + burgers_convection(grid, x)
@@ -204,7 +219,9 @@ def fast_drift(fast: FastOperatorSpec, grid: Grid1D, x: Array, y: Array) -> Arra
 
 
 def coupling_f(coupling: CouplingSpec, x: Array, y: Array) -> Array:
-    return coupling.f0.values + coupling.c_fx * x + coupling.c_fy * y
+    """F(x, y) for states of shape (n,) or batches of columns (n, R)."""
+    f0 = coupling.f0.values if x.ndim == 1 else coupling.f0.values[:, None]
+    return f0 + coupling.c_fx * x + coupling.c_fy * y
 
 
 def mode_scales(amplitude: float, modes: int) -> Array:

@@ -26,7 +26,7 @@ def test_estimate_fbar_validates_replicas_and_window():
 def frozen_path(fast, coupling, grid, x, y0, n_steps, dt, stream):
     """Every micro state of a frozen run: the fast stepper at epsilon = 1."""
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
-    coefficients = stepper.draw(stream.generator(1), n_steps)
+    coefficients = stepper.draw([stream], n_steps)[0]
     return np.array(list(stepper.path(x.values, y0.values, coefficients)))
 
 
@@ -87,7 +87,7 @@ def test_frozen_matches_fast_block_distribution():
     block_terminal = np.empty((n_rep, 6))
     frozen_terminal = np.empty((n_rep, 6))
     for r in range(n_rep):
-        coefficients = block.draw(RngStream(1000, r).generator(1), block.n_sub)
+        coefficients = block.draw([RngStream(1000, r)], block.n_sub)[0]
         block_terminal[r] = block.run_block(x.values, y0.values, coefficients)
         states = frozen_path(
             model.fast, model.coupling, grid, x, y0, n_frozen, horizon / n_frozen, RngStream(2000, r)

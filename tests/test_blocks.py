@@ -57,6 +57,26 @@ def test_auxiliary_deviates_for_coarser_blocks():
     assert gaps[8] > 0.0
 
 
+@pytest.mark.parametrize("fast_kind", ["linear", "smooth_bounded"])
+def test_batched_auxiliary_equals_one_replay_per_replica_and_delta(fast_kind):
+    # One replay runs every (delta, replica) pair as a column; each gives
+    # the bytes of its own replay.
+    model = make_model(fast_kind=fast_kind)
+    params = SchemeParams(dt_macro=1 / 64)
+    streams = [RngStream(42, r) for r in range(3)]
+    deltas = [1 / 64, 4 / 64, 8 / 64]
+    batch, path = simulate_coupled(model, 0.25, params, streams)
+    auxiliary = build_auxiliary(model, batch, path, deltas)
+    assert auxiliary.shape == (17, 3, 3, model.grid.n_interior)
+    assert build_auxiliary(model, batch, path, deltas[1]).shape == (17, 3, model.grid.n_interior)
+    for r, stream in enumerate(streams):
+        trajectory, alone = simulate_coupled(model, 0.25, params, stream)
+        for d, delta in enumerate(deltas):
+            single = build_auxiliary(model, trajectory, alone, delta)
+            assert auxiliary[:, d, r].tobytes() == single.tobytes()
+        assert auxiliary[:, 0, r].tobytes() == batch.replica(r).y.tobytes()
+
+
 def test_auxiliary_validates_consistency():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
@@ -69,6 +89,9 @@ def test_auxiliary_validates_consistency():
     shorter = Trajectory(trajectory.times[:-1], trajectory.x[:-1], trajectory.y[:-1])
     with pytest.raises(ValueError, match="step count"):
         build_auxiliary(model, shorter, path, 1 / 32)
+    batch, _ = simulate_coupled(model, 0.25, params, [RngStream(41, 0), RngStream(41, 1)])
+    with pytest.raises(ValueError, match="replica count"):
+        build_auxiliary(model, batch, path, 1 / 32)
 
 
 def test_deviation_statistic_constant_offset():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.experiments import (
     ConvergenceRow,
-    _replica_error,
+    _chunk_errors,
     InsufficientPoints,
     NonpositiveValue,
     build_model,
@@ -33,6 +33,8 @@ from spavg.experiments import (
     write_suite_csvs,
     write_trajectory_csv,
 )
+
+from test_integrators import poison_fast_state
 
 SMALL = dict(
     n_interior=8,
@@ -181,13 +183,13 @@ def test_run_convergence_with_estimated_fbar_runs():
 def test_estimator_replica_does_not_depend_on_other_replicas():
     cfg = small_config(fbar_source="estimator", fbar_replicas=2)
     model = build_model(cfg, 0.1)
-    after = [_replica_error(cfg, model, r) for r in (0, 1)][1]
-    before = [_replica_error(cfg, model, r) for r in (1, 0)][0]
-    alone = _replica_error(cfg, model, 1)
+    after = _chunk_errors(cfg, model, [0, 1])[0][1]
+    before = _chunk_errors(cfg, model, [1, 0])[0][0]
+    alone = _chunk_errors(cfg, model, [1])[0][0]
     assert after.hex() == before.hex() == alone.hex()
     # the rows are built from these very values
     row = run_convergence(dataclasses.replace(cfg, epsilon_grid=(0.1,))).rows[0]
-    assert row.error_mean == np.mean([_replica_error(cfg, model, 0), alone])
+    assert row.error_mean == np.mean([_chunk_errors(cfg, model, [0])[0][0], alone])
 
 
 def test_newton_failure_row_names_where_it_happened():
@@ -200,6 +202,27 @@ def test_newton_failure_row_names_where_it_happened():
         assert re.search(rf"coupled run at epsilon={row.epsilon:g} failed at macro step 1\b", line)
         # the replica that failed comes first: replica 0, since none finished
         assert line.startswith(f"epsilon={row.epsilon:g} INVALID after 0 replicas: replica 0: ")
+
+
+def test_failing_replica_row_keeps_the_replicas_below_it(monkeypatch):
+    # NaN in column 1 of the fast state at macro step 5: the row names
+    # replica 1 and that step, keeps replica 0, and replica 0's error is the
+    # one it has without the failure.
+    cfg = small_config(epsilon_grid=(0.1,), replicas=3)
+    model = build_model(cfg, 0.1)
+    error_0 = _chunk_errors(cfg, model, [0])[0]
+    reset = poison_fast_state(monkeypatch, {5: 1})
+    reset()
+    errors, failure = _chunk_errors(cfg, model, [0, 1, 2])
+    assert [e.hex() for e in errors] == [e.hex() for e in error_0]
+    assert re.fullmatch(
+        r"replica 1: coupled run blew up at epsilon=0\.1: non-finite state at macro step 5",
+        failure,
+    )
+    reset()
+    (row,) = run_convergence(cfg).rows
+    assert row.replicas == 1 and row.failure == failure
+    assert math.isnan(row.error_mean)
 
 
 def test_invalid_row_fails_result():

@@ -67,6 +67,9 @@ def make_case(n, kind, modes, n_sub, a, replicas, seed):
     y = gen.standard_normal(shape)
     coefficients = gen.standard_normal((n_sub, modes) + shape[1:]) * math.sqrt(dt)
     reference = reference_path(fast, coupling, grid, epsilon, dt, x, y, coefficients)
+    # The stepper takes a batch's coefficients replica first: (R, steps, modes).
+    if replicas:
+        coefficients = np.moveaxis(coefficients, -1, 0)
     return stepper, x, y, coefficients, reference
 
 

@@ -1,12 +1,14 @@
 """Time stepping: replay exactness, implicit-solve contracts, contraction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spavg.averaging import OracleFbar
 from spavg.blocks import build_auxiliary
 from spavg.grid import (
     L2,
@@ -72,6 +74,19 @@ def test_scheme_params_validation():
         SchemeParams(dt_macro=0.01, dt_fast_target=-1.0)
     with pytest.raises(ValueError):
         SchemeParams(dt_macro=0.01, newton_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, params",
+    [
+        ("dt_macro", dict(dt_macro=math.nan)),
+        ("dt_fast_target", dict(dt_macro=0.01, dt_fast_target=math.nan)),
+        ("newton_tol", dict(dt_macro=0.01, newton_tol=math.nan)),
+    ],
+)
+def test_scheme_params_reject_nan(field, params):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        SchemeParams(**params)
 
 
 def test_model_spec_validation():
@@ -219,7 +234,7 @@ def test_fast_block_contraction_linear_two_sided():
     y_a = sine_mode(model.grid, 1, 1.0)
     y_b = zeros(model.grid)
     stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.draw(RngStream(55, 0).generator(1), stepper.n_sub)
+    block = stepper.draw([RngStream(55, 0)], stepper.n_sub)[0]
     out_a = stepper.run_block(x.values, y_a.values, block)
     out_b = stepper.run_block(x.values, y_b.values, block)
     gap = norm_values(model.grid, out_a - out_b, L2)
@@ -248,7 +263,7 @@ def test_fast_block_contraction_smooth_bounded_envelope():
     y_a = sine_mode(grid, 1, 1.0)
     y_b = sine_mode(grid, 2, -0.5)
     stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.draw(RngStream(56, 0).generator(1), stepper.n_sub)
+    block = stepper.draw([RngStream(56, 0)], stepper.n_sub)[0]
     out_a = stepper.run_block(x.values, y_a.values, block)
     out_b = stepper.run_block(x.values, y_b.values, block)
     gap0 = norm_values(grid, y_a.values - y_b.values, L2)
@@ -372,3 +387,96 @@ def test_shared_slow_loop_matches_reference_bytes(slow_kind, fast_kind, n, epsil
     fbar = lambda x: decoupled.coupling.f0.values + 0.7 * x  # noqa: E731
     averaged = simulate_averaged(decoupled, fbar, params, path)
     assert strong_error(trajectory, averaged, decoupled.grid, L2) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
+    fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
+    batch=st.sampled_from([1, 2, 5]),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+)
+def test_replica_bytes_do_not_depend_on_the_batch(slow_kind, fast_kind, batch, data, seed):
+    # Replica r's coupled states, noise and strong error have the same bytes
+    # run alone, in a batch of its first r + 1 replicas and in a batch of
+    # `batch`, and the per-step reference loop gives them too.
+    r = data.draw(st.integers(0, batch - 1), label="replica")
+    steps = 6
+    params = SchemeParams(dt_macro=1 / 64)
+    model = make_model(n=9, epsilon=0.05, slow_kind=slow_kind, fast_kind=fast_kind)
+    # The closed form of the linear fast equation as an affine drift for both kinds.
+    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
+    streams = [RngStream(seed, i) for i in range(batch)]
+
+    def outputs(trajectory, path, averaged):
+        error = strong_error(trajectory, averaged, model.grid, model.state_norm)
+        return (
+            trajectory.x.tobytes(),
+            trajectory.y.tobytes(),
+            path.slow.tobytes(),
+            path.fast.tobytes(),
+            error.hex(),
+        )
+
+    def in_batch(streams):
+        trajectory, path = simulate_coupled(model, steps / 64, params, streams)
+        averaged = simulate_averaged(model, fbar, params, path)
+        assert trajectory.failure is None and averaged.failure is None
+        return outputs(trajectory.replica(r), path.replica(r), averaged.replica(r))
+
+    trajectory, path = simulate_coupled(model, steps / 64, params, streams[r])
+    alone = outputs(trajectory, path, simulate_averaged(model, fbar, params, path))
+    assert in_batch(streams) == alone
+    assert in_batch(streams[: r + 1]) == alone
+    x, y, slow_rows, fast_rows = reference_coupled(model, steps, params, streams[r])
+    assert (x.tobytes(), y.tobytes(), slow_rows.tobytes(), fast_rows.tobytes()) == alone[:4]
+
+
+def poison_fast_state(monkeypatch, columns_by_step):
+    """Make the fast state of a column NaN at chosen macro steps of each run.
+
+    columns_by_step maps a macro step k >= 1 to the column whose state at k
+    turns NaN. Each coupled macro step runs one fast block, so the counter
+    of blocks is the step; call the returned function before each run.
+    """
+    run_block = _FastStepper.run_block
+    blocks = [0]
+
+    def poisoned(self, x_frozen, y, coefficients):
+        blocks[0] += 1
+        y_next = run_block(self, x_frozen, y, coefficients)
+        column = columns_by_step.get(blocks[0])
+        if column is not None and column < y_next.shape[1]:
+            y_next[:, column] = np.nan
+        return y_next
+
+    monkeypatch.setattr(_FastStepper, "run_block", poisoned)
+    return lambda: blocks.__setitem__(0, 0)
+
+
+@pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
+def test_batch_keeps_the_replicas_below_the_lowest_failure(monkeypatch, slow_kind):
+    # Column 2 fails first, at step 2, and column 1 later, at step 4: the
+    # batch keeps column 0 with the bytes it has alone and reports replica
+    # 1 with its own failure, the one it raises alone. Burgers carries the
+    # NaN to the end of the run; the porous-medium Newton solve of the next
+    # step fails on it.
+    model = make_model(epsilon=0.05, slow_kind=slow_kind)
+    params = SchemeParams(dt_macro=1 / 64)
+    streams = [RngStream(8, i) for i in range(4)]
+    reset = poison_fast_state(monkeypatch, {2: 2, 4: 1})
+    reset()
+    first, _ = simulate_coupled(model, 0.125, params, streams[:1])
+    reset()
+    trajectory, path = simulate_coupled(model, 0.125, params, streams)
+    assert trajectory.x.shape[1] == trajectory.y.shape[1] == path.slow.shape[0] == 1
+    assert trajectory.x.tobytes() == first.x.tobytes()
+    assert trajectory.y.tobytes() == first.y.tobytes()
+    monkeypatch.undo()
+    poison_fast_state(monkeypatch, {4: 0})  # replica 1 alone is column 0
+    with pytest.raises(type(trajectory.failure)) as alone:
+        simulate_coupled(model, 0.125, params, streams[1])
+    assert str(trajectory.failure) == str(alone.value)
+    step = 4 if slow_kind == "burgers" else 5
+    assert re.search(rf"coupled run .*epsilon=0\.05.* macro step {step}\b", str(alone.value))

@@ -84,6 +84,35 @@ def test_non_finite_residual_is_newton_divergence(kind):
         stepper.step(np.linspace(-1.0, 1.0, 8), forcing, np.zeros(8))
 
 
+def test_p_laplace_newton_takes_face_gradients_once_per_iterate(monkeypatch):
+    # Each iterate's face gradients serve its residual, which still goes
+    # through slow_drift as the integrators module binds it, and the
+    # Jacobian of the next direction: one gradient per slow_drift call.
+    import spavg.integrators as integrators
+    import spavg.operators as operators
+
+    counts = {"face_gradients": 0, "slow_drift": 0}
+    for module, name in [
+        (integrators, "slow_drift"),
+        (integrators, "face_gradients"),
+        (operators, "face_gradients"),
+    ]:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    grid = Grid1D(16)
+    params = SchemeParams(dt_macro=1 / 16)
+    stepper = _SlowStepper(SlowOperatorSpec("p_laplace", p=4.0), grid, 1 / 16, params)
+    x = np.sin(np.pi * np.arange(1, 17) * grid.h)
+    stepper.step(x, np.ones(16), np.zeros(16))
+    assert counts["slow_drift"] > 2
+    assert counts["face_gradients"] == counts["slow_drift"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 64),
