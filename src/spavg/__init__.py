@@ -27,7 +27,6 @@ from .grid import (
     lp_norm_kind,
     norm,
     norm_values,
-    poisson_solve,
     row_norms,
     sine_basis,
     sine_mode,
@@ -102,7 +101,6 @@ __all__ = [
     "norm",
     "norm_values",
     "parse_config_text",
-    "poisson_solve",
     "row_norms",
     "sample_field",
     "simulate_averaged",

@@ -197,7 +197,8 @@ def _check_a3(slow, fast, grid, samples, gen):
     p-Laplace (discrete integration by parts is exact for the face fluxes),
     and the viscosity for Burgers (the skew convection pairs to zero). The
     reported theta is the largest one the samples allow (inf when no sample
-    has positive energy).
+    has positive energy). A sample whose energy is not > 0, say one that
+    underflowed, bounds nothing: its margin is NaN, a violation.
     """
     theta = {"porous_medium": slow.c, "p_laplace": 1.0, "burgers": slow.viscosity}[slow.kind]
     lhs, energy, slack = [], [], []
@@ -211,8 +212,9 @@ def _check_a3(slow, fast, grid, samples, gen):
     lhs, energy = np.array(lhs), np.array(energy)
     positive = energy > 0.0
     theta_fit = float(np.min(-lhs[positive] / energy[positive], initial=np.inf))
+    base = np.where(positive, energy, np.nan)
     return _report(
-        "A3_coercive", lhs, energy, slack, -theta, {"theta": theta_fit, "alpha": slow.alpha}
+        "A3_coercive", lhs, base, slack, -theta, {"theta": theta_fit, "alpha": slow.alpha}
     )
 
 

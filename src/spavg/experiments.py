@@ -29,7 +29,7 @@ import dataclasses
 import math
 import os
 import time
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .conditions import CONDITION_IDS, ConditionReport, check_condition
 from .config import ConfigError, ExperimentConfig
 from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
 from .integrators import (
-    REPLICA_CHUNK,
     ModelSpec,
+    NewtonDivergence,
     NumericalBlowUp,
     SchemeParams,
     TrajectoryStats,
@@ -89,6 +89,10 @@ __all__ = [
 
 # First estimator stream id of replica 0; replica r starts at (r + 1) times it.
 ESTIMATOR_STREAMS = 1_000_000
+
+# Most replicas converge and diagnose advance as the columns of one batch,
+# which bounds the memory the recorded fast noise of a batch takes.
+REPLICA_CHUNK = 16
 
 
 # ---------------------------------------------------------------- builders
@@ -215,6 +219,30 @@ def _degenerate(means: Sequence[float]) -> bool:
     return bool(means) and (max(means) <= 1e-12 or min(means) <= 0.0)
 
 
+_Result = TypeVar("_Result")
+
+
+def _by_replica(
+    replicas: Sequence[int], run: Callable[[Sequence[int]], list[_Result]]
+) -> Iterator[_Result]:
+    """Yield the result of each replica, running them in batches of at most REPLICA_CHUNK.
+
+    run(batch) returns one result per replica of the batch, or raises
+    NewtonDivergence or NumericalBlowUp. A batch that raises runs again one
+    replica at a time: the results of the replicas below its lowest failing
+    replica are yielded, then that replica's own error, the one it raises
+    alone, propagates. A replica's bytes do not depend on its batch, so the
+    rerun yields the results the batch would have.
+    """
+    for start in range(0, len(replicas), REPLICA_CHUNK):
+        batch = replicas[start : start + REPLICA_CHUNK]
+        try:
+            results = run(batch)
+        except (NewtonDivergence, NumericalBlowUp):
+            results = (result for r in batch for result in run([r]))
+        yield from results
+
+
 # ---------------------------------------------------------------- convergence
 
 # The delta column of convergence.csv is epsilon ** DELTA_EXPONENT, the block
@@ -289,49 +317,48 @@ class ConvergenceResult:
 def _chunk_errors(
     config: ExperimentConfig, model: ModelSpec, replicas: Sequence[int]
 ) -> tuple[list[float], str | None]:
-    """Strong errors of the given replicas at model.epsilon, run as one batch.
+    """Strong errors of the given replicas at model.epsilon, with the first failure.
 
     Each replica's averaged drift, the closed form or an estimator on the
     replica's own streams, is built for that replica alone, so an
     estimator's trust-region cache never carries over between replicas and
     the result does not depend on which replicas ran before or beside it.
-    The first failing replica, in the coupled run, the averaged run or its
-    strong error, ends the chunk: the errors of the replicas below it come
-    back with its failure.
+    The lowest failing replica, in the coupled run, the averaged run or its
+    strong error, ends the list (see _by_replica): the errors of the
+    replicas below it come back with its error, prefixed "replica r: ".
     """
     params = scheme_params(config)
-    with _config_errors():
-        if config.fbar_source == "oracle":
-            fbar = OracleFbar(model.fast, model.coupling, model.grid)
-        else:
-            fbar = [
-                MemoizedFbar(
-                    model.fast,
-                    model.coupling,
-                    model.grid,
-                    config.fbar_replicas,
-                    RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)),
-                )
-                for r in replicas
-            ]
-    streams = [RngStream(config.master_seed, r) for r in replicas]
-    trajectory, path = simulate_coupled(model, config.T, params, streams)
-    averaged = simulate_averaged(model, fbar, params, path)
+
+    def batch_errors(batch: Sequence[int]) -> list[float]:
+        with _config_errors():
+            if config.fbar_source == "oracle":
+                fbar = OracleFbar(model.fast, model.coupling, model.grid)
+            else:
+                fbar = [
+                    MemoizedFbar(
+                        model.fast,
+                        model.coupling,
+                        model.grid,
+                        config.fbar_replicas,
+                        RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)),
+                    )
+                    for r in batch
+                ]
+        streams = [RngStream(config.master_seed, r) for r in batch]
+        trajectory, path = simulate_coupled(model, config.T, params, streams)
+        averaged = simulate_averaged(model, fbar, params, path)
+        return [
+            strong_error(trajectory.replica(r), averaged.replica(r), model.grid, model.state_norm)
+            for r in range(len(batch))
+        ]
+
     errors: list[float] = []
-    failure = averaged.failure or trajectory.failure
-    for r in range(averaged.x.shape[1]):
-        try:
-            errors.append(
-                strong_error(
-                    trajectory.replica(r), averaged.replica(r), model.grid, model.state_norm
-                )
-            )
-        except NumericalBlowUp as exc:
-            failure = exc
-            break
-    if failure is None:
-        return errors, None
-    return errors, f"replica {replicas[len(errors)]}: {failure}"
+    try:
+        for error in _by_replica(replicas, batch_errors):
+            errors.append(error)
+    except (NewtonDivergence, NumericalBlowUp) as exc:
+        return errors, f"replica {replicas[len(errors)]}: {exc}"
+    return errors, None
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
@@ -348,14 +375,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     for epsilon in sorted(config.epsilon_grid, reverse=True):
         started = time.perf_counter()
         model = build_model(config, epsilon)
-        errors: list[float] = []
-        failure = None
-        for start in range(0, config.replicas, REPLICA_CHUNK):
-            chunk = range(start, min(start + REPLICA_CHUNK, config.replicas))
-            chunk_errors, failure = _chunk_errors(config, model, chunk)
-            errors += chunk_errors
-            if failure is not None:
-                break
+        errors, failure = _chunk_errors(config, model, range(config.replicas))
         mean, stderr = _mean_stderr(errors) if failure is None else (math.nan, math.nan)
         rows.append(
             ConvergenceRow(
@@ -419,32 +439,29 @@ def _block_statistics(
     model: ModelSpec,
     replicas: Sequence[int],
     deltas: Sequence[float],
-    sup_list: list[float],
-    dev_lists: dict[float, list[float]],
-    inc_lists: dict[float, list[float]],
-) -> None:
-    """Append the statistics of one batch of replicas, replica by replica.
+    increments: bool,
+) -> list[tuple[float, ...]]:
+    """The statistics of one batch of replicas, one tuple per replica.
 
-    One coupled run and one auxiliary replay cover the batch; the increment
-    integrals are taken for the block lengths inc_lists holds. The batch's
-    arrays are freed on return, before the next batch or epsilon allocates
-    its own.
+    A tuple holds sup ||x||^2, the auxiliary deviation of each delta and,
+    if `increments`, the increment integral of each delta. One coupled run
+    and one auxiliary replay cover the batch, whose arrays are freed on
+    return, before the next batch or epsilon allocates its own.
     """
     streams = [RngStream(config.master_seed, r) for r in replicas]
     batch, path = simulate_coupled(model, config.T, scheme_params(config), streams)
-    if batch.failure is not None:
-        raise batch.failure
     auxiliary = build_auxiliary(model, batch, path, deltas)
+    statistics = []
     for r in range(len(streams)):
         trajectory = batch.replica(r)
         stats = TrajectoryStats(model.grid, model.state_norm, config.dt_macro, trajectory.x)
-        sup_list.append(stats.sup_norm_x_sq)
-        for d, delta in enumerate(deltas):
-            dev_lists[delta].append(
-                deviation_statistic(trajectory, auxiliary[:, d, r], model.grid)
-            )
-            if delta in inc_lists:
-                inc_lists[delta].append(stats.increment_integral(delta))
+        deviations = [
+            deviation_statistic(trajectory, auxiliary[:, d, r], model.grid)
+            for d in range(len(deltas))
+        ]
+        integrals = [stats.increment_integral(delta) for delta in deltas] if increments else []
+        statistics.append((stats.sup_norm_x_sq, *deviations, *integrals))
+    return statistics
 
 
 def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
@@ -457,7 +474,8 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     replica) for the deviations. Replicas run in batches of at most
     REPLICA_CHUNK, and one replay per batch covers each of its (replica,
     delta) pairs once: at diag_epsilon the fixed block length is one of the
-    delta grid.
+    delta grid. The lowest failing replica raises its own error (see
+    _by_replica).
     A ratio or fit whose means are degenerate (see _degenerate) is skipped,
     and its suite reports it as degenerate and passes.
     """
@@ -482,20 +500,19 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
         model = build_model(config, epsilon)
         at_diag = epsilon == config.diag_epsilon
         deltas = delta_grid if at_diag else [delta_fixed]
-        sup_list: list[float] = []
-        inc_lists: dict[float, list[float]] = {d: [] for d in deltas}
-        dev_lists: dict[float, list[float]] = {d: [] for d in deltas}
-        for start in range(0, config.replicas, REPLICA_CHUNK):
-            replicas = range(start, min(start + REPLICA_CHUNK, config.replicas))
-            _block_statistics(
-                config, model, replicas, deltas, sup_list, dev_lists, inc_lists if at_diag else {}
-            )
+        statistics = _by_replica(
+            range(config.replicas),
+            lambda batch: _block_statistics(config, model, batch, deltas, at_diag),
+        )
+        sup, *columns = zip(*statistics)
+        deviations = dict(zip(deltas, columns))
+        integrals = dict(zip(deltas, columns[len(deltas) :]))
         if epsilon in config.epsilon_grid:
-            sup_by_eps[epsilon] = _mean_stderr(sup_list)
-            dev_fixed_by_eps[epsilon] = _mean_stderr(dev_lists[delta_fixed])
+            sup_by_eps[epsilon] = _mean_stderr(sup)
+            dev_fixed_by_eps[epsilon] = _mean_stderr(deviations[delta_fixed])
         if at_diag:
-            inc_by_delta = {d: _mean_stderr(inc_lists[d]) for d in delta_grid}
-            dev_by_delta = {d: _mean_stderr(dev_lists[d]) for d in delta_grid}
+            inc_by_delta = {d: _mean_stderr(integrals[d]) for d in delta_grid}
+            dev_by_delta = {d: _mean_stderr(deviations[d]) for d in delta_grid}
 
     rows: list[DiagnosticsRow] = []
     outcomes: list[SuiteOutcome] = []

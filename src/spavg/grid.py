@@ -46,7 +46,6 @@ __all__ = [
     "lp_norm_kind",
     "norm",
     "norm_values",
-    "poisson_solve",
     "row_norms",
     "sine_basis",
     "sine_mode",
@@ -261,11 +260,6 @@ def solve_neg_laplacian(grid: Grid1D, rhs: Array, *, tol_scale: float = 1e-12) -
             return u
         u = u + solver.solve(residual)
     raise ArithmeticError("Poisson solve failed to reach the residual tolerance")
-
-
-def poisson_solve(rhs: Field) -> Field:
-    """Field-level L u = rhs with max-norm residual <= 1e-12 * max(1, max|rhs|)."""
-    return Field(rhs.grid, solve_neg_laplacian(rhs.grid, rhs.values))
 
 
 def smallest_eigenvalue(grid: Grid1D) -> float:

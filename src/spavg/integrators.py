@@ -54,10 +54,11 @@ depend on its batch, because every batched operation is one of:
   column a single vector gets. One gemm over all columns would round each
   column differently depending on the batch width.
 
-In a batch a failing replica ends the batch at its column: the replicas
-below it finish, and the result keeps them and the failure (see
-Trajectory). The experiment drivers run at most REPLICA_CHUNK replicas per
-batch, which bounds the memory the recorded fast noise takes.
+A run, single or batched, either finishes every replica or raises
+NewtonDivergence or NumericalBlowUp; there are no partial results. Since a
+replica's bytes do not depend on its batch, running the replicas of a
+failed batch one at a time finds the lowest failing one and its own error,
+which is what the experiment drivers do.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ from .randomness import RngStream
 
 __all__ = [
     "DT_FAST",
-    "REPLICA_CHUNK",
     "ModelSpec",
     "NewtonDivergence",
     "NoisePath",
@@ -104,9 +104,6 @@ __all__ = [
 # Fast step in relaxation times 1 / margin: the automatic dt_fast_target of
 # the coupled scheme and the step of the averaging module's estimator.
 DT_FAST = 0.1
-
-# Most replicas the experiment drivers advance as the columns of one batch.
-REPLICA_CHUNK = 16
 
 
 class NewtonDivergence(RuntimeError):
@@ -227,16 +224,13 @@ class NoisePath:
 class Trajectory:
     """Coupled states at macro times; x and y have shape (n_steps + 1, n).
 
-    A batch of R replicas has x and y of shape (n_steps + 1, R, n). If a
-    replica failed, the batch keeps only the replicas below it, so the
-    failing one's index is the number kept, and failure holds its
-    NewtonDivergence or NumericalBlowUp; failure is None when all finished.
+    A batch of R replicas has x and y of shape (n_steps + 1, R, n), every
+    replica run to the horizon: a run that fails raises instead.
     """
 
     times: Array
     x: Array
     y: Array
-    failure: Exception | None = None
 
     def replica(self, r: int) -> "Trajectory":
         return Trajectory(self.times, self.x[:, r], self.y[:, r])
@@ -244,11 +238,10 @@ class Trajectory:
 
 @dataclasses.dataclass
 class SlowTrajectory:
-    """Slow states at macro times, batched and failing as in Trajectory."""
+    """Slow states at macro times, single or batched as in Trajectory."""
 
     times: Array
     x: Array
-    failure: Exception | None = None
 
     def replica(self, r: int) -> "SlowTrajectory":
         return SlowTrajectory(self.times, self.x[:, r])
@@ -314,11 +307,7 @@ class _SlowStepper:
             self._solver = ShiftedLaplacian(grid, 1.0, dt * slow.viscosity)
 
     def step(self, x: Array, forcing: Array, noise: Array) -> Array:
-        """The next state, for x of shape (n,) or for every column of (n, R).
-
-        A Newton failure in column r of a batch raises with r as its
-        `column` attribute; the columns below it converged.
-        """
+        """The next state, for x of shape (n,) or for every column of (n, R)."""
         dt = self.dt
         if self.slow.kind == "burgers":
             rhs = x + dt * (burgers_convection(self.grid, x) + forcing) + noise
@@ -328,11 +317,7 @@ class _SlowStepper:
             return _newton_monotone_solve(self.slow, self.grid, b, dt, self.params)
         x_new = np.empty_like(b)
         for r in range(b.shape[1]):
-            try:
-                x_new[:, r] = _newton_monotone_solve(self.slow, self.grid, b[:, r], dt, self.params)
-            except NewtonDivergence as exc:
-                exc.column = r
-                raise
+            x_new[:, r] = _newton_monotone_solve(self.slow, self.grid, b[:, r], dt, self.params)
         return x_new
 
     def residual(self, x_new: Array, x: Array, forcing: Array, noise: Array) -> Array:
@@ -600,8 +585,7 @@ def simulate_coupled(
     (slow rows on lane 0, fast rows on lane 1 of each stream), the same
     numbers as drawing step by step. The returned NoisePath drives the
     averaged equation and the block-frozen auxiliary construction with this
-    very realization. A single run raises its failure; a batch reports it
-    in Trajectory.failure and keeps the replicas below it, in the path too.
+    very realization. A failure of any replica raises (see _slow_loop).
     """
     single = isinstance(stream, RngStream)
     streams = [stream] if single else list(stream)
@@ -619,20 +603,15 @@ def simulate_coupled(
 
     def forcing(j: int, x: Array) -> Array:
         """F at the left endpoint; the fast state then runs one block with x frozen."""
-        live = x.shape[1]
-        y = y_hist[j, :live].T
-        y_hist[j + 1, :live] = fast_stepper.run_block(x, y, fast_rows[:live, j]).T
+        y = y_hist[j].T
+        y_hist[j + 1] = fast_stepper.run_block(x, y, fast_rows[:, j]).T
         return coupling_f(coupling, x, y)
 
     slow = _slow_loop(model, params, path, forcing, "coupled", y_hist)
-    kept = slow.x.shape[1]
-    trajectory = Trajectory(slow.times, slow.x, y_hist[:, :kept], slow.failure)
-    path = NoisePath(dt, n_sub, model.epsilon, slow_rows[:kept], fast_rows[:kept])
-    if not single:
-        return trajectory, path
-    if trajectory.failure is not None:
-        raise trajectory.failure
-    return trajectory.replica(0), path.replica(0)
+    trajectory = Trajectory(slow.times, slow.x, y_hist)
+    if single:
+        return trajectory.replica(0), path.replica(0)
+    return trajectory, path
 
 
 def simulate_averaged(
@@ -647,8 +626,7 @@ def simulate_averaged(
     batched path one callable gets every column at once, (n, R), as
     OracleFbar takes them; a sequence holds one callable per replica, each
     called on its own column. Against the path of simulate_coupled the run
-    shares that realization exactly. Failures are raised or reported as in
-    simulate_coupled.
+    shares that realization exactly. Failures raise as in simulate_coupled.
     """
     if not noise.batched:
         fbar = [fbar]
@@ -661,11 +639,7 @@ def simulate_averaged(
             return np.stack([providers[r](x[:, r]) for r in range(x.shape[1])], axis=1)
 
     slow = _slow_loop(model, params, noise._as_batch(), forcing, "averaged")
-    if noise.batched:
-        return slow
-    if slow.failure is not None:
-        raise slow.failure
-    return slow.replica(0)
+    return slow if noise.batched else slow.replica(0)
 
 
 def _slow_loop(
@@ -678,14 +652,14 @@ def _slow_loop(
 ) -> SlowTrajectory:
     """The one macro-step loop of the slow equation, on the grid of a batched `noise`.
 
-    The state holds one column per live replica. forcing(j, x) is the
-    explicit drift of macro step j at its left endpoint x, for those
-    columns. The Wiener increments of every step and replica are synthesized
-    before the loop, one gemv per row. Failures name `equation`, epsilon and
-    the step, also for a non-finite state in `histories` (shape
-    (n_steps + 1, R, n)) the forcing fills. A failing column ends the live
-    columns there; a Newton failure solves the step again for the columns
-    below it, which gives the bytes they had.
+    The state holds one column per replica. forcing(j, x) is the explicit
+    drift of macro step j at its left endpoint x. The Wiener increments of
+    every step and replica are synthesized before the loop, one gemv per
+    row. Every column runs to the horizon or the loop raises, naming
+    `equation`, epsilon and the step: NewtonDivergence at the step whose
+    solve fails, NumericalBlowUp at the first macro step with a non-finite
+    state in x or in `histories` (shape (n_steps + 1, R, n)) the forcing
+    fills.
     """
     grid, epsilon = model.grid, model.epsilon
     stepper = _SlowStepper(model.slow, grid, noise.dt_macro, params)
@@ -696,34 +670,23 @@ def _slow_loop(
     x_hist = np.empty((n_macro + 1, replicas, grid.n_interior))
     x_hist[0] = model.x0.values
     x = x_hist[0].T
-    failure: Exception | None = None
     for j in range(n_macro):
-        if not x.shape[1]:
-            break
         f = forcing(j, x)
         try:
-            x = stepper.step(x, f, increments[j, : x.shape[1]].T)
+            x = stepper.step(x, f, increments[j].T)
         except NewtonDivergence as exc:
             # Named like a blow-up: by the state the step computes.
-            failure = NewtonDivergence(
+            raise NewtonDivergence(
                 f"{equation} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
-            )
-            failure.__cause__ = exc
-            kept = exc.column
-            x = stepper.step(x[:, :kept], f[:, :kept], increments[j, :kept].T)
-        x_hist[j + 1, : x.shape[1]] = x.T
-    live = x.shape[1]
-    finite = np.logical_and.reduce(
-        [np.isfinite(h[:, :live]).all(axis=2) for h in (x_hist, *histories)]
-    )
-    blown = np.flatnonzero(~finite.all(axis=0))
-    if blown.size:
-        live = int(blown[0])
-        failure = NumericalBlowUp(
+            ) from exc
+        x_hist[j + 1] = x.T
+    finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2)) for h in (x_hist, *histories)])
+    if not finite.all():
+        raise NumericalBlowUp(
             f"{equation} run blew up at epsilon={epsilon:g}: "
-            f"non-finite state at macro step {int(np.argmin(finite[:, live]))}"
+            f"non-finite state at macro step {int(np.argmin(finite))}"
         )
-    return SlowTrajectory(np.arange(n_macro + 1) * noise.dt_macro, x_hist[:, :live], failure)
+    return SlowTrajectory(np.arange(n_macro + 1) * noise.dt_macro, x_hist)
 
 
 def strong_error(

@@ -5,6 +5,12 @@ import os
 import pytest
 
 from spavg.cli import EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK, EXIT_THRESHOLD, main
+from spavg.config import load_config
+from spavg.experiments import build_model, scheme_params
+from spavg.integrators import NumericalBlowUp, simulate_coupled
+from spavg.randomness import RngStream
+
+from test_integrators import poison_fast_noise
 
 SMALL_CFG = """
 n_interior = 8
@@ -103,6 +109,22 @@ def test_diagnose_writes_suite_files(tmp_path, capsys):
     ):
         assert os.path.exists(out / name), name
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_diagnose_with_a_failing_replica_exits_3(tmp_path, capsys, monkeypatch):
+    # Replica 2 fails first, at step 3, and replica 1 later, at step 5:
+    # diagnose stops with replica 1's own error, the one it raises alone.
+    cfg = tmp_path / "diag.cfg"
+    cfg.write_text(DIAG_CFG.replace("replicas = 2", "replicas = 3"), encoding="utf-8")
+    poison_fast_noise(monkeypatch, {2: 3, 1: 5})
+    config = load_config(str(cfg))
+    model = build_model(config, 0.1)  # the largest epsilon runs first
+    with pytest.raises(NumericalBlowUp) as alone:
+        simulate_coupled(model, config.T, scheme_params(config), RngStream(config.master_seed, 1))
+    assert "macro step 5" in str(alone.value)
+    code = main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICS
+    assert capsys.readouterr().err.strip().endswith(f"numerical failure: {alone.value}")
 
 
 def test_check_pass_and_fail(small_cfg, tmp_path, capsys):

@@ -151,8 +151,9 @@ def test_violations_iff_worst_margin_not_positive(slow_kind, p, fast_kind, b, sa
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_a3_without_positive_energy_reports_unbounded_theta():
     # With p = 2500 both fields of this seed underflow ||v||_p^p to 0, so no
-    # sample bounds theta; the check still runs and reports it as inf.
+    # sample bounds theta: the check reports it as inf, and each sample it
+    # could not test is a violation.
     slow = SlowOperatorSpec("porous_medium", p=2500.0)
     report = check_condition("A3_coercive", slow, FAST_SPECS[0], GRID, 2, RngStream(198, 0))
     assert report.fitted_constants["theta"] == math.inf
-    assert report.violations == 0
+    assert report.violations == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spavg.experiments
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.experiments import (
     ConvergenceRow,
@@ -34,7 +35,7 @@ from spavg.experiments import (
     write_trajectory_csv,
 )
 
-from test_integrators import poison_fast_state
+from test_integrators import poison_fast_noise
 
 SMALL = dict(
     n_interior=8,
@@ -205,24 +206,56 @@ def test_newton_failure_row_names_where_it_happened():
 
 
 def test_failing_replica_row_keeps_the_replicas_below_it(monkeypatch):
-    # NaN in column 1 of the fast state at macro step 5: the row names
+    # Replica 1's fast state turns NaN at macro step 5: the row names
     # replica 1 and that step, keeps replica 0, and replica 0's error is the
     # one it has without the failure.
     cfg = small_config(epsilon_grid=(0.1,), replicas=3)
     model = build_model(cfg, 0.1)
     error_0 = _chunk_errors(cfg, model, [0])[0]
-    reset = poison_fast_state(monkeypatch, {5: 1})
-    reset()
+    poison_fast_noise(monkeypatch, {1: 5})
     errors, failure = _chunk_errors(cfg, model, [0, 1, 2])
     assert [e.hex() for e in errors] == [e.hex() for e in error_0]
     assert re.fullmatch(
         r"replica 1: coupled run blew up at epsilon=0\.1: non-finite state at macro step 5",
         failure,
     )
-    reset()
     (row,) = run_convergence(cfg).rows
     assert row.replicas == 1 and row.failure == failure
     assert math.isnan(row.error_mean)
+
+
+@pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
+def test_row_names_the_lowest_failing_replica(monkeypatch, slow_kind):
+    # Replica 2 fails first, at step 2, and replica 1 later, at step 4: the
+    # row names replica 1 with the step of its own failure and keeps
+    # replica 0's error. The porous-medium Newton solve fails one step after
+    # the NaN.
+    cfg = small_config(slow_kind=slow_kind, epsilon_grid=(0.05,), replicas=4)
+    model = build_model(cfg, 0.05)
+    error_0 = _chunk_errors(cfg, model, [0])[0]
+    poison_fast_noise(monkeypatch, {2: 2, 1: 4})
+    errors, failure = _chunk_errors(cfg, model, range(4))
+    assert [e.hex() for e in errors] == [e.hex() for e in error_0]
+    step = 4 if slow_kind == "burgers" else 5
+    assert re.match(rf"replica 1: coupled run .*epsilon=0\.05.* macro step {step}\b", failure)
+    (row,) = run_convergence(cfg).rows
+    assert row.replicas == 1 and row.failure == failure
+    assert math.isnan(row.error_mean)
+
+
+def test_failure_past_a_batch_boundary_keeps_the_batches_below(monkeypatch):
+    # Batches of 2: replicas 0 and 1 finish in the first, replica 2 in the
+    # rerun of the second, and the row stops at replica 3.
+    cfg = small_config(epsilon_grid=(0.1,), replicas=5)
+    model = build_model(cfg, 0.1)
+    clean = _chunk_errors(cfg, model, range(3))[0]
+    monkeypatch.setattr(spavg.experiments, "REPLICA_CHUNK", 2)
+    poison_fast_noise(monkeypatch, {3: 5})
+    errors, failure = _chunk_errors(cfg, model, range(5))
+    assert [e.hex() for e in errors] == [e.hex() for e in clean]
+    assert failure.startswith("replica 3: coupled run blew up at epsilon=0.1")
+    (row,) = run_convergence(cfg).rows
+    assert row.replicas == 3 and row.failure == failure
 
 
 def test_invalid_row_fails_result():

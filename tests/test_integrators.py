@@ -422,7 +422,6 @@ def test_replica_bytes_do_not_depend_on_the_batch(slow_kind, fast_kind, batch, d
     def in_batch(streams):
         trajectory, path = simulate_coupled(model, steps / 64, params, streams)
         averaged = simulate_averaged(model, fbar, params, path)
-        assert trajectory.failure is None and averaged.failure is None
         return outputs(trajectory.replica(r), path.replica(r), averaged.replica(r))
 
     trajectory, path = simulate_coupled(model, steps / 64, params, streams[r])
@@ -433,50 +432,41 @@ def test_replica_bytes_do_not_depend_on_the_batch(slow_kind, fast_kind, batch, d
     assert (x.tobytes(), y.tobytes(), slow_rows.tobytes(), fast_rows.tobytes()) == alone[:4]
 
 
-def poison_fast_state(monkeypatch, columns_by_step):
-    """Make the fast state of a column NaN at chosen macro steps of each run.
+def poison_fast_noise(monkeypatch, first_step_by_stream):
+    """Make the fast noise of chosen replicas NaN from a chosen macro step on.
 
-    columns_by_step maps a macro step k >= 1 to the column whose state at k
-    turns NaN. Each coupled macro step runs one fast block, so the counter
-    of blocks is the step; call the returned function before each run.
+    first_step_by_stream maps a stream id to the macro step k >= 1 whose
+    fast state is the first to turn NaN: the stream's lane-1 rows from
+    micro step (k - 1) * n_sub on. The poison follows the replica, so it
+    fails the same way alone, in any batch and when run again.
     """
-    run_block = _FastStepper.run_block
-    blocks = [0]
+    draw = _FastStepper.draw
 
-    def poisoned(self, x_frozen, y, coefficients):
-        blocks[0] += 1
-        y_next = run_block(self, x_frozen, y, coefficients)
-        column = columns_by_step.get(blocks[0])
-        if column is not None and column < y_next.shape[1]:
-            y_next[:, column] = np.nan
-        return y_next
+    def poisoned(self, streams, steps):
+        rows = draw(self, streams, steps)
+        for row, stream in zip(rows, streams):
+            step = first_step_by_stream.get(stream.stream_id)
+            if step is not None:
+                row[(step - 1) * self.n_sub :] = np.nan
+        return rows
 
-    monkeypatch.setattr(_FastStepper, "run_block", poisoned)
-    return lambda: blocks.__setitem__(0, 0)
+    monkeypatch.setattr(_FastStepper, "draw", poisoned)
 
 
 @pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
-def test_batch_keeps_the_replicas_below_the_lowest_failure(monkeypatch, slow_kind):
-    # Column 2 fails first, at step 2, and column 1 later, at step 4: the
-    # batch keeps column 0 with the bytes it has alone and reports replica
-    # 1 with its own failure, the one it raises alone. Burgers carries the
-    # NaN to the end of the run; the porous-medium Newton solve of the next
-    # step fails on it.
+def test_batch_with_a_failing_replica_raises(monkeypatch, slow_kind):
+    # Replica 1's fast state turns NaN at step 4: its batch of 4 raises the
+    # error replica 1 raises alone. Burgers carries the NaN to the end of
+    # the run; the porous-medium Newton solve of the next step fails on it.
     model = make_model(epsilon=0.05, slow_kind=slow_kind)
     params = SchemeParams(dt_macro=1 / 64)
     streams = [RngStream(8, i) for i in range(4)]
-    reset = poison_fast_state(monkeypatch, {2: 2, 4: 1})
-    reset()
-    first, _ = simulate_coupled(model, 0.125, params, streams[:1])
-    reset()
-    trajectory, path = simulate_coupled(model, 0.125, params, streams)
-    assert trajectory.x.shape[1] == trajectory.y.shape[1] == path.slow.shape[0] == 1
-    assert trajectory.x.tobytes() == first.x.tobytes()
-    assert trajectory.y.tobytes() == first.y.tobytes()
-    monkeypatch.undo()
-    poison_fast_state(monkeypatch, {4: 0})  # replica 1 alone is column 0
-    with pytest.raises(type(trajectory.failure)) as alone:
+    poison_fast_noise(monkeypatch, {1: 4})
+    failures = (NewtonDivergence, NumericalBlowUp)
+    with pytest.raises(failures) as batch:
+        simulate_coupled(model, 0.125, params, streams)
+    with pytest.raises(failures) as alone:
         simulate_coupled(model, 0.125, params, streams[1])
-    assert str(trajectory.failure) == str(alone.value)
+    assert batch.type is alone.type and str(batch.value) == str(alone.value)
     step = 4 if slow_kind == "burgers" else 5
     assert re.search(rf"coupled run .*epsilon=0\.05.* macro step {step}\b", str(alone.value))
