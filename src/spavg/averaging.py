@@ -16,7 +16,12 @@ epsilon = 1:
   by about DT_FAST = 0.1. Because F is affine in y the time average of
   F(x, Y) equals F(x, time average of Y), which is what the code
   accumulates. The replicas advance side by side as the columns of one
-  state.
+  state. Points stack the same way: given an (n, S) array of points with
+  one base stream each, all S * n_replicas replicas run as the columns of
+  one frozen run, each with its own point frozen and on its own stream, and
+  each point's estimate has the bytes of a call of its own. MemoizedFbar
+  uses that to refresh, in one run, every column of a batch whose input
+  left its trust region at the same macro step.
 - ergodicity_decay runs zero and the first sine mode under shared noise
   for 50 relaxation times in steps of 0.02, as the two columns of one state.
 
@@ -30,10 +35,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .grid import L2, Array, Field, Grid1D, norm_values, sine_mode, solve_neg_laplacian
+from .grid import (
+    L2,
+    Array,
+    Field,
+    Grid1D,
+    norm_values,
+    row_norms,
+    sine_mode,
+    solve_neg_laplacian,
+)
 from .integrators import DT_FAST, _column, _FastStepper, _matvec
 from .operators import CouplingSpec, FastOperatorSpec, contraction_margin
 from .randomness import RngStream
@@ -63,22 +78,32 @@ def estimate_fbar(
     fast: FastOperatorSpec,
     coupling: CouplingSpec,
     grid: Grid1D,
-    x: Field,
+    x: Field | Array,
     n_replicas: int,
-    stream: RngStream,
+    stream: RngStream | Sequence[RngStream],
     t_avg: float | None = None,
-) -> FbarEstimate:
+) -> FbarEstimate | list[FbarEstimate]:
     """Monte Carlo time-average estimate of the averaged coupling drift at x.
 
     t_avg is the averaging window, WINDOW / margin when None. Replica r
     draws from stream id stream.stream_id + r, so estimates with the same
     base stream are reproducible and replicas are independent. The per-node
     standard error comes from the spread of the replica means.
+
+    x may also be an (n, S) array of points with a sequence of S base
+    streams, one per point; that returns one estimate per point, each with
+    the bytes of its own call, from one frozen run of S * n_replicas
+    columns.
     """
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a spread estimate")
     if t_avg is not None and t_avg <= 0.0:
         raise ValueError("t_avg must be positive when given")
+    single = isinstance(x, Field)
+    points = x.values[:, None] if single else np.asarray(x, dtype=np.float64)
+    bases = [stream] if single else list(stream)
+    if points.shape != (grid.n_interior, len(bases)):
+        raise ValueError(f"{len(bases)} base streams cannot go with points of {points.shape}")
     margin = contraction_margin(fast, coupling, grid)
     t_burn = BURN_IN / margin
     if t_avg is None:
@@ -88,21 +113,24 @@ def estimate_fbar(
     burn_steps = min(n_steps - 1, int(round(t_burn / dt)))
 
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
-    # Replica r draws its own stream and steps as column r of the state.
-    streams = [RngStream(stream.master_seed, stream.stream_id + r) for r in range(n_replicas)]
+    # Column s * n_replicas + r is replica r of point s: it draws its own
+    # stream and steps with that point frozen.
+    streams = [RngStream(b.master_seed, b.stream_id + r) for b in bases for r in range(n_replicas)]
     coefficients = stepper.draw(streams, n_steps)
-    xv = x.values
-    y_sum = np.zeros((grid.n_interior, n_replicas))
-    path = stepper.path(xv, np.zeros_like(y_sum), coefficients)
+    y_sum = np.zeros((grid.n_interior, len(streams)))
+    path = stepper.path(np.repeat(points, n_replicas, axis=1), np.zeros_like(y_sum), coefficients)
     for m, y in enumerate(path):
         if m >= burn_steps:
             y_sum += y
-    y_mean = (y_sum / (n_steps - burn_steps)).T
-    replica_means = coupling.f0.values + coupling.c_fx * xv + coupling.c_fy * y_mean
-
-    mean = replica_means.mean(axis=0)
-    stderr = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
-    return FbarEstimate(Field(grid, mean), Field(grid, stderr))
+    estimates = []
+    for s, xv in enumerate(points.T):
+        own = y_sum[:, s * n_replicas : (s + 1) * n_replicas]
+        y_mean = (own / (n_steps - burn_steps)).T
+        replica_means = coupling.f0.values + coupling.c_fx * xv + coupling.c_fy * y_mean
+        mean = replica_means.mean(axis=0)
+        stderr = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
+        estimates.append(FbarEstimate(Field(grid, mean), Field(grid, stderr)))
+    return estimates[0] if single else estimates
 
 
 def ergodicity_decay(
@@ -162,14 +190,18 @@ class OracleFbar:
 
 
 class MemoizedFbar:
-    """Averaged-drift provider backed by the Monte Carlo estimator.
+    """Averaged-drift provider backed by the Monte Carlo estimator, per column.
 
-    The estimate is refreshed only when x leaves a trust region around the
-    cached input (TRUST_RELATIVE times its L2 norm plus TRUST_ABSOLUTE),
-    since re-running the frozen equation at every macro step would dominate
-    the run time.
-    Each refresh uses a fresh block of stream ids, so a given call sequence
-    is reproducible.
+    Column r of the input, a replica of a batch, has its own base stream
+    streams[r], cached input and cached estimate. A column's estimate is
+    refreshed only when its x leaves a trust region around its cached input
+    (TRUST_RELATIVE times its L2 norm plus TRUST_ABSOLUTE), since re-running
+    the frozen equation at every macro step would dominate the run time.
+    Refresh k of column r uses the stream ids from streams[r].stream_id +
+    k * n_replicas on, so a given call sequence is reproducible. The columns
+    due at one call refresh in one estimate_fbar call, each with the bytes
+    it would get alone: a column's values and refresh_counts[r] do not
+    depend on the other columns. x is (n, R), or (n,) with one stream.
     """
 
     TRUST_RELATIVE = 0.05
@@ -181,32 +213,43 @@ class MemoizedFbar:
         coupling: CouplingSpec,
         grid: Grid1D,
         n_replicas: int,
-        stream: RngStream,
+        streams: Sequence[RngStream],
     ):
         self.fast = fast
         self.coupling = coupling
         self.grid = grid
         self.n_replicas = n_replicas
-        self.stream = stream
-        self.refresh_count = 0
-        self._cached_x: Array | None = None
-        self._cached_value: Array | None = None
+        self.streams = list(streams)
+        self.refresh_counts = np.zeros(len(self.streams), dtype=np.int64)
+        # Row r caches column r's input; NaN radii put every column outside
+        # its trust region until its first refresh.
+        self._x = np.zeros((len(self.streams), grid.n_interior))
+        self._radius = np.full(len(self.streams), math.nan)
+        self._values = np.zeros((grid.n_interior, len(self.streams)))
 
     def __call__(self, x: Array) -> Array:
-        if self._cached_x is not None:
-            radius = self.TRUST_RELATIVE * norm_values(self.grid, self._cached_x, L2)
-            radius += self.TRUST_ABSOLUTE
-            if norm_values(self.grid, x - self._cached_x, L2) <= radius:
-                assert self._cached_value is not None
-                return self._cached_value
-        base = RngStream(
-            self.stream.master_seed,
-            self.stream.stream_id + self.refresh_count * self.n_replicas,
-        )
-        estimate = estimate_fbar(
-            self.fast, self.coupling, self.grid, Field(self.grid, x), self.n_replicas, base
-        )
-        self.refresh_count += 1
-        self._cached_x = x.copy()
-        self._cached_value = estimate.mean.values
-        return self._cached_value
+        columns = x.reshape(x.shape[0], -1)
+        if columns.shape[1] != len(self.streams):
+            raise ValueError(f"{len(self.streams)} streams cannot go with x of shape {x.shape}")
+        # Row by row in C order: each gap's norm sums as a lone vector's would.
+        gaps = row_norms(self.grid, np.ascontiguousarray(columns.T) - self._x, L2)
+        stale = np.flatnonzero(~(gaps <= self._radius))
+        if stale.size:
+            bases = [
+                RngStream(
+                    self.streams[r].master_seed,
+                    self.streams[r].stream_id + int(self.refresh_counts[r]) * self.n_replicas,
+                )
+                for r in stale
+            ]
+            estimates = estimate_fbar(
+                self.fast, self.coupling, self.grid, columns[:, stale], self.n_replicas, bases
+            )
+            self.refresh_counts[stale] += 1
+            self._x[stale] = columns.T[stale]
+            self._radius[stale] = self.TRUST_RELATIVE * row_norms(self.grid, self._x[stale], L2)
+            self._radius[stale] += self.TRUST_ABSOLUTE
+            # A new array, so a value returned earlier never changes.
+            self._values = self._values.copy()
+            self._values[:, stale] = np.stack([e.mean.values for e in estimates], axis=1)
+        return self._values.reshape(x.shape)

@@ -6,12 +6,15 @@ streams are keyed by stream id:
 
 - converge and diagnose: replica r drives its coupled run with stream id r
   at every epsilon.
-- converge with fbar_source = estimator: replica r builds its own
-  estimator, which starts at stream id ESTIMATOR_STREAMS * (r + 1) and
-  takes fbar_replicas ids per refresh. Replica r's strong error thus
-  depends on (config, master_seed, r) only, not on which replicas ran
-  before it. The ranges stay disjoint while replicas and refreshes *
-  fbar_replicas both stay below ESTIMATOR_STREAMS.
+- converge with fbar_source = estimator: replica r's estimator starts at
+  stream id ESTIMATOR_STREAMS * (r + 1) and takes fbar_replicas ids per
+  refresh of replica r. A batch shares one MemoizedFbar, in which column r
+  keeps replica r's streams, cache and refresh count; the refreshes due at
+  one macro step run as one frozen run without changing any stream id.
+  Replica r's strong error thus depends on (config, master_seed, r) only,
+  not on which replicas ran before it or beside it. The ranges stay
+  disjoint while replicas and refreshes * fbar_replicas both stay below
+  ESTIMATOR_STREAMS.
 - diagnose: the decay fit of catalog fast operator i uses 500_000 + i.
 - check: condition i uses stream id i.
 - fbar and simulate: stream id 0 (estimator replica j of fbar uses id j).
@@ -41,8 +44,10 @@ from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
 from .integrators import (
     ModelSpec,
     NewtonDivergence,
+    NoisePath,
     NumericalBlowUp,
     SchemeParams,
+    SlowTrajectory,
     TrajectoryStats,
     simulate_averaged,
     simulate_coupled,
@@ -319,10 +324,10 @@ def _chunk_errors(
 ) -> tuple[list[float], str | None]:
     """Strong errors of the given replicas at model.epsilon, with the first failure.
 
-    Each replica's averaged drift, the closed form or an estimator on the
-    replica's own streams, is built for that replica alone, so an
-    estimator's trust-region cache never carries over between replicas and
-    the result does not depend on which replicas ran before or beside it.
+    The averaged drift of a batch is the closed form or one estimator whose
+    column r has replica r's own streams, trust-region cache and refresh
+    count, so the result does not depend on which replicas ran before or
+    beside it.
     The lowest failing replica, in the coupled run, the averaged run or its
     strong error, ends the list (see _by_replica): the errors of the
     replicas below it come back with its error, prefixed "replica r: ".
@@ -334,21 +339,24 @@ def _chunk_errors(
             if config.fbar_source == "oracle":
                 fbar = OracleFbar(model.fast, model.coupling, model.grid)
             else:
-                fbar = [
-                    MemoizedFbar(
-                        model.fast,
-                        model.coupling,
-                        model.grid,
-                        config.fbar_replicas,
-                        RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)),
-                    )
-                    for r in batch
-                ]
+                fbar = MemoizedFbar(
+                    model.fast,
+                    model.coupling,
+                    model.grid,
+                    config.fbar_replicas,
+                    [RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)) for r in batch],
+                )
         streams = [RngStream(config.master_seed, r) for r in batch]
         trajectory, path = simulate_coupled(model, config.T, params, streams)
+        # The replay and the errors read only the slow noise and states, so
+        # the recorded fast rows and fast states are freed before them.
+        coupled = SlowTrajectory(trajectory.times, trajectory.x)
+        fast = np.empty((*path.slow.shape[:-1], path.n_sub, 0))
+        path = NoisePath(path.dt_macro, path.n_sub, path.epsilon, path.slow, fast)
+        del trajectory
         averaged = simulate_averaged(model, fbar, params, path)
         return [
-            strong_error(trajectory.replica(r), averaged.replica(r), model.grid, model.state_norm)
+            strong_error(coupled.replica(r), averaged.replica(r), model.grid, model.state_norm)
             for r in range(len(batch))
         ]
 

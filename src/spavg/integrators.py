@@ -423,6 +423,10 @@ def _monotone_jacobian_bands(
     return off, 1.0 + dt * (w[:-1] + w[1:]) / h2, off
 
 
+# Micro steps whose noise _FastStepper.path synthesizes at once.
+NOISE_BLOCK = 64
+
+
 class _FastStepper:
     """Implicit Euler micro steps of the fast equation with the slow input frozen.
 
@@ -497,12 +501,16 @@ class _FastStepper:
         forced = _column(drive, x_frozen) * _matvec(self._analysis, x_frozen)
         y_hat += _column(forced, y)
         noise = np.einsum("mk,...mk->...k", noise_gain, coefficients)
-        y_hat[: self._modes] += _by_column(noise, y)
+        y_hat[: self._modes] += _by_column(noise, y, coefficients.ndim == 3)
         return _matvec(self._basis, y_hat)
 
     def path(self, x_frozen: Array, y: Array, coefficients: Array) -> Iterator[Array]:
-        """Yield the state after each micro step, one per coefficient step."""
-        coefficients = coefficients * self._noise_weight
+        """Yield the state after each micro step, one per coefficient step.
+
+        The noise of NOISE_BLOCK steps at a time is weighted, synthesized and
+        laid out against the columns of y before their steps run, so memory
+        does not grow with the step count.
+        """
         a = self.a
         if self.fast.kind == "linear":
             # In mode coefficients a micro step is y^ <- d (y^ + a c_b x^ + xi^).
@@ -512,24 +520,29 @@ class _FastStepper:
 
             def step(y_hat: Array, xi: Array) -> Array:
                 rhs = y_hat + forcing
-                rhs[:modes] += _by_column(xi, y)
+                rhs[:modes] += xi
                 return d * rhs
 
             state, basis = _matvec(self._analysis, y), self._basis
-            noise = coefficients
+            noise_basis = None
         else:
             cx = _column(self.fast.c_b * x_frozen, y)
             b = self.fast.b
 
             def step(y: Array, xi: Array) -> Array:
-                return self._solver.solve(y + a * (cx + b * np.sin(y)) + _by_column(xi, y))
+                return self._solver.solve(y + a * (cx + b * np.sin(y)) + xi)
 
             state, basis = y, None
-            # The physical noise of every step: one gemv per (replica, step).
-            noise = np.matmul(self._noise_basis, coefficients[..., None])[..., 0]
-        for xi in np.moveaxis(noise, -2, 0):
-            state = step(state, xi)
-            yield state if basis is None else _matvec(basis, state)
+            noise_basis = self._noise_basis
+        per_replica = coefficients.ndim == 3
+        for start in range(0, coefficients.shape[-2], NOISE_BLOCK):
+            noise = coefficients[..., start : start + NOISE_BLOCK, :] * self._noise_weight
+            if noise_basis is not None:
+                # The physical noise of each step: one gemv per (replica, step).
+                noise = np.matmul(noise_basis, noise[..., None])[..., 0]
+            for xi in _by_column(noise, y, per_replica):
+                state = step(state, xi)
+                yield state if basis is None else _matvec(basis, state)
 
 
 def _matvec(matrix: Array, v: Array) -> Array:
@@ -549,14 +562,20 @@ def _column(v: Array, like: Array) -> Array:
     return v[:, None] if like.ndim == 2 and v.ndim == 1 else v
 
 
-def _by_column(v: Array, y: Array) -> Array:
-    """Rows (n,) shared by every column of y, or (R, n) where column c takes row c mod R."""
-    if v.ndim == 1:
-        return _column(v, y)
+def _by_column(v: Array, y: Array, per_replica: bool) -> Array:
+    """Noise v laid out against the columns of a state y, (n,) or (n, C).
+
+    Rows shared by every column gain a trailing column axis when y has
+    columns. Per-replica rows (R, ...) move the replica axis last, and
+    column c takes replica c mod R.
+    """
+    if not per_replica:
+        return v[..., None] if y.ndim == 2 else v
     repeats, rest = divmod(y.shape[1], v.shape[0]) if y.ndim == 2 else (0, 1)
     if rest or not repeats:
         raise ValueError(f"{v.shape[0]} noise replicas cannot drive a state of shape {y.shape}")
-    return v.T if repeats == 1 else np.tile(v.T, repeats)
+    v = v.transpose(*range(1, v.ndim), 0)
+    return v if repeats == 1 else np.tile(v, repeats)
 
 
 def _draw(streams: Sequence[RngStream], lane: int, shape: tuple[int, ...], scales: Array) -> Array:
@@ -616,28 +635,22 @@ def simulate_coupled(
 
 def simulate_averaged(
     model: ModelSpec,
-    fbar: Callable[[Array], Array] | Sequence[Callable[[Array], Array]],
+    fbar: Callable[[Array], Array],
     params: SchemeParams,
     noise: NoisePath,
 ) -> SlowTrajectory:
     """Advance the averaged slow equation on the grid and slow noise of a recorded path.
 
-    fbar maps slow nodal values to the averaged coupling drift. On a
-    batched path one callable gets every column at once, (n, R), as
-    OracleFbar takes them; a sequence holds one callable per replica, each
-    called on its own column. Against the path of simulate_coupled the run
-    shares that realization exactly. Failures raise as in simulate_coupled.
+    fbar maps slow nodal values to the averaged coupling drift: (n,) on a
+    single path, and every column at once, (n, R), on a batched one, as
+    OracleFbar and MemoizedFbar take them. Against the path of
+    simulate_coupled the run shares that realization exactly. Failures
+    raise as in simulate_coupled.
     """
-    if not noise.batched:
-        fbar = [fbar]
-    if callable(fbar):
+    if noise.batched:
         forcing = lambda j, x: fbar(x)  # noqa: E731
     else:
-        providers = list(fbar)
-
-        def forcing(j: int, x: Array) -> Array:
-            return np.stack([providers[r](x[:, r]) for r in range(x.shape[1])], axis=1)
-
+        forcing = lambda j, x: fbar(x[:, 0])[:, None]  # noqa: E731
     slow = _slow_loop(model, params, noise._as_batch(), forcing, "averaged")
     return slow if noise.batched else slow.replica(0)
 
@@ -690,7 +703,7 @@ def _slow_loop(
 
 
 def strong_error(
-    coupled: Trajectory, averaged: SlowTrajectory, grid: Grid1D, kind: NormKind
+    coupled: Trajectory | SlowTrajectory, averaged: SlowTrajectory, grid: Grid1D, kind: NormKind
 ) -> float:
     """sup over macro times of the squared norm of the slow-state mismatch.
 
@@ -699,7 +712,8 @@ def strong_error(
     """
     if coupled.x.shape != averaged.x.shape:
         raise ValueError("trajectories have different shapes")
-    error = float(np.max(row_norms(grid, coupled.x - averaged.x, kind) ** 2))
+    with np.errstate(over="ignore"):
+        error = float(np.max(row_norms(grid, coupled.x - averaged.x, kind) ** 2))
     if not math.isfinite(error):
         raise NumericalBlowUp(f"strong error overflowed: {error!r}")
     return error

@@ -48,7 +48,6 @@ __all__ = [
     "SlowOperatorSpec",
     "b2_values",
     "burgers_convection",
-    "central_difference",
     "contraction_margin",
     "coupling_f",
     "dissipativity_margin",
@@ -152,15 +151,6 @@ class CouplingSpec:
             raise ValueError("noise mode count cannot exceed n_interior")
 
 
-def central_difference(grid: Grid1D, v: Array) -> Array:
-    """(v[i+1] - v[i-1]) / (2h) with zero Dirichlet neighbours at both ends."""
-    out = np.zeros_like(v)
-    out[:-1] += v[1:]
-    out[1:] -= v[:-1]
-    out /= 2.0 * grid.h
-    return out
-
-
 def face_gradients(grid: Grid1D, v: Array) -> Array:
     """Forward differences on the n_interior + 1 faces, boundaries included.
 
@@ -178,9 +168,10 @@ def face_gradients(grid: Grid1D, v: Array) -> Array:
 def burgers_convection(grid: Grid1D, u: Array) -> Array:
     """(D(u*u) + u * D u) / 3 along the first axis, for u of shape (n,) or (n, R).
 
-    Both central differences come from one zero-padded copy holding u*u and
-    u. Each is (0.0 + right) - left, the order central_difference adds and
-    subtracts in, so the bytes match it, signed zeros included.
+    D is the central difference (v[i+1] - v[i-1]) / (2h) with zero Dirichlet
+    neighbours at both ends. Both differences come from one zero-padded copy
+    holding u*u and u, each computed as (0.0 + right) - left, so a zero
+    neighbour gives the signed zero a difference gives.
     """
     padded = np.zeros((2, u.shape[0] + 2) + u.shape[1:])
     np.multiply(u, u, out=padded[0, 1:-1])

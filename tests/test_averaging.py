@@ -1,9 +1,12 @@
 """Frozen dynamics, invariant-measure averaging and the closed-form oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spavg.averaging import MemoizedFbar, OracleFbar, ergodicity_decay, estimate_fbar
 from spavg.experiments import fit_line
@@ -21,6 +24,8 @@ def test_estimate_fbar_validates_replicas_and_window():
         estimate_fbar(fast, coup, grid, zeros(grid), 1, RngStream(0, 0))
     with pytest.raises(ValueError, match="t_avg must be positive"):
         estimate_fbar(fast, coup, grid, zeros(grid), 2, RngStream(0, 0), t_avg=-1.0)
+    with pytest.raises(ValueError, match="1 base streams"):
+        estimate_fbar(fast, coup, grid, np.zeros((4, 2)), 2, [RngStream(0, 0)])
 
 
 def frozen_path(fast, coupling, grid, x, y0, n_steps, dt, stream):
@@ -186,21 +191,67 @@ def test_memoized_fbar_trust_region():
     grid = Grid1D(4)
     fast = FastOperatorSpec("linear", c_b=1.0)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
-    provider = MemoizedFbar(fast, coup, grid, 4, RngStream(200, 0))
+    streams = [RngStream(200, 0), RngStream(200, 100)]
+    provider = MemoizedFbar(fast, coup, grid, 4, streams)
     x = sine_mode(grid, 1, 1.0).values
-    first = provider(x)
-    assert provider.refresh_count == 1
-    nearby = x * 1.01  # inside the 5% trust radius
+    first = provider(np.stack([x, -x], axis=1))
+    assert provider.refresh_counts.tolist() == [1, 1]
+    nearby = np.stack([x, -x], axis=1) * 1.01  # inside the 5% trust radius
     np.testing.assert_array_equal(provider(nearby), first)
-    assert provider.refresh_count == 1
-    far = x * 2.0
-    second = provider(far)
-    assert provider.refresh_count == 2
-    assert not np.array_equal(first, second)
-    # Same construction, same stream: the whole call sequence replays.
-    twin = MemoizedFbar(fast, coup, grid, 4, RngStream(200, 0))
-    np.testing.assert_array_equal(twin(x), first)
-    np.testing.assert_array_equal(twin(far), second)
+    assert provider.refresh_counts.tolist() == [1, 1]
+    # Only the column that leaves its trust region refreshes.
+    second = provider(np.stack([2.0 * x, -x], axis=1))
+    assert provider.refresh_counts.tolist() == [2, 1]
+    assert not np.array_equal(first[:, 0], second[:, 0])
+    np.testing.assert_array_equal(second[:, 1], first[:, 1])
+    # Same construction, same stream: the whole call sequence replays, here
+    # for one column on a vector.
+    twin = MemoizedFbar(fast, coup, grid, 4, streams[:1])
+    np.testing.assert_array_equal(twin(x), first[:, 0])
+    np.testing.assert_array_equal(twin(2.0 * x), second[:, 0])
+    assert twin.refresh_counts.tolist() == [2]
+    with pytest.raises(ValueError, match="2 streams"):
+        provider(x)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "smooth_bounded"]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_chunk_provider_equals_one_column_providers(kind, seed, data):
+    # A script of calls in which every column either stays inside its trust
+    # region (a 0.1 % nudge) or leaves it (doubled). The chunk provider runs
+    # one estimate_fbar per call with stale columns and must give every
+    # column the values and refresh count of a provider of its own.
+    replicas = data.draw(st.integers(1, 4), label="replicas")
+    script = data.draw(
+        st.lists(
+            st.lists(st.booleans(), min_size=replicas, max_size=replicas),
+            min_size=1,
+            max_size=3,
+        ),
+        label="moves",
+    )
+    grid = Grid1D(6)
+    fast = FastOperatorSpec(kind, c_b=1.1, b=0.5 if kind == "smooth_bounded" else 0.0)
+    coup = CouplingSpec(f0=sine_mode(grid, 2, 0.2), c_fx=0.3, g1_modes=3, g2_modes=4)
+    streams = [RngStream(seed, 1000 * (r + 1)) for r in range(replicas)]
+    chunk = MemoizedFbar(fast, coup, grid, 2, streams)
+    alone = [MemoizedFbar(fast, coup, grid, 2, [stream]) for stream in streams]
+    x = np.random.default_rng(seed).standard_normal((6, replicas)) + 1.0
+    for call, moves in enumerate([[True] * replicas] + script):
+        if call:
+            x = x * np.where(moves, 2.0, 1.001)
+        with mock.patch("spavg.averaging.estimate_fbar", wraps=estimate_fbar) as spy:
+            values = chunk(x)
+        assert spy.call_count == int(any(moves))
+        for r, provider in enumerate(alone):
+            assert values[:, r].tobytes() == provider(x[:, r]).tobytes()
+    expected = 1 + np.sum(script, axis=0, dtype=int)
+    assert chunk.refresh_counts.tolist() == expected.tolist()
+    assert [p.refresh_counts[0] for p in alone] == expected.tolist()
 
 
 def test_estimate_fbar_refuses_nonpositive_margin():

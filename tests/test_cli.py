@@ -1,6 +1,7 @@
 """End-to-end command line runs against temporary config files."""
 
 import os
+import warnings
 
 import pytest
 
@@ -241,10 +242,10 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert all("INVALID" in line and "macro step" in line for line in report[:3])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_strong_error_exits_3(tmp_path, capsys):
     # The slow states stay finite (max |x| near 1e216), but the squared norm
-    # of their mismatch overflows: a numerical failure, not an inf row.
+    # of their mismatch overflows: a numerical failure, not an inf row, and
+    # reported without a raw numpy RuntimeWarning beside it.
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(
         "n_interior = 16\ng1_modes = 4\ng2_modes = 4\nreplicas = 2\nx0_amplitude = 200\n"
@@ -252,11 +253,17 @@ def test_overflowing_strong_error_exits_3(tmp_path, capsys):
         encoding="utf-8",
     )
     out = tmp_path / "out"
-    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICS
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["converge", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_NUMERICS
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     report = read_rows(out / "convergence_report.txt")
     assert all("INVALID" in line and "strong error" in line for line in report[:3])
     assert report[3:] == ["fit skipped: fewer than 3 valid rows", "overall: FAIL"]
-    assert "error_mean=inf" not in capsys.readouterr().out
+    printed = capsys.readouterr()
+    assert "error_mean=inf" not in printed.out
+    assert "RuntimeWarning" not in printed.err
 
 
 def test_missing_subcommand_is_usage_error():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from spavg.averaging import BURN_IN, WINDOW, estimate_fbar
-from spavg.grid import Grid1D, sine_basis, sine_mode, zeros
+from spavg.grid import Field, Grid1D, sine_basis, sine_mode, zeros
 from spavg.integrators import DT_FAST, _FastStepper
 from spavg.operators import (
     CouplingSpec,
@@ -143,3 +143,13 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
     scale = float(np.max(np.abs(means)))
     stderr = means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
     assert float(np.max(np.abs(estimate.stderr.values - stderr))) <= RTOL * scale
+
+    # Points stacked in one call: each estimate has the bytes of its own call.
+    points = np.stack([x.values, sine_mode(grid, 2, -0.4).values, 0.5 * x.values], axis=1)
+    bases = [stream, RngStream(17, 90), RngStream(23, 40)]
+    stacked = estimate_fbar(fast, coupling, grid, points, n_replicas, bases)
+    assert len(stacked) == len(bases)
+    for s, base in enumerate(bases):
+        alone = estimate_fbar(fast, coupling, grid, Field(grid, points[:, s]), n_replicas, base)
+        assert stacked[s].mean.values.tobytes() == alone.mean.values.tobytes()
+        assert stacked[s].stderr.values.tobytes() == alone.stderr.values.tobytes()
