@@ -44,12 +44,10 @@ from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
 from .integrators import (
     ModelSpec,
     NewtonDivergence,
-    NoisePath,
     NumericalBlowUp,
     SchemeParams,
-    SlowTrajectory,
     TrajectoryStats,
-    simulate_averaged,
+    simulate_averaged,  # noqa: F401  (perfbench/tracing.py wraps it here by name)
     simulate_coupled,
     strong_error,
     whole_steps,
@@ -324,13 +322,17 @@ def _chunk_errors(
 ) -> tuple[list[float], str | None]:
     """Strong errors of the given replicas at model.epsilon, with the first failure.
 
-    The averaged drift of a batch is the closed form or one estimator whose
-    column r has replica r's own streams, trust-region cache and refresh
-    count, so the result does not depend on which replicas ran before or
-    beside it.
+    One run covers a batch: the averaged equation advances beside the
+    coupled one on the same slow increments (simulate_coupled with fbar),
+    so every Newton solve serves both. The averaged drift of a batch is the
+    closed form or one estimator whose column r has replica r's own
+    streams, trust-region cache and refresh count, so the result does not
+    depend on which replicas ran before or beside it.
     The lowest failing replica, in the coupled run, the averaged run or its
     strong error, ends the list (see _by_replica): the errors of the
     replicas below it come back with its error, prefixed "replica r: ".
+    A run fails at the earliest macro step at which either equation fails,
+    the coupled one first at the same step (see integrators._slow_loop).
     """
     params = scheme_params(config)
 
@@ -347,14 +349,7 @@ def _chunk_errors(
                     [RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)) for r in batch],
                 )
         streams = [RngStream(config.master_seed, r) for r in batch]
-        trajectory, path = simulate_coupled(model, config.T, params, streams)
-        # The replay and the errors read only the slow noise and states, so
-        # the recorded fast rows and fast states are freed before them.
-        coupled = SlowTrajectory(trajectory.times, trajectory.x)
-        fast = np.empty((*path.slow.shape[:-1], path.n_sub, 0))
-        path = NoisePath(path.dt_macro, path.n_sub, path.epsilon, path.slow, fast)
-        del trajectory
-        averaged = simulate_averaged(model, fbar, params, path)
+        coupled, _, averaged = simulate_coupled(model, config.T, params, streams, fbar)
         return [
             strong_error(coupled.replica(r), averaged.replica(r), model.grid, model.state_norm)
             for r in range(len(batch))

@@ -18,9 +18,10 @@ Every linear solve with shift * I + scale * L goes through ShiftedLaplacian:
 the matrix is symmetric positive definite and tridiagonal, so LAPACK pttrf
 factors it once as L D L^T and each solve is a single pttrs call. The one
 tridiagonal solve outside it is the Newton direction of the implicit
-porous-medium and p-Laplace step (integrators._newton_direction, LAPACK
-gtsv), because the porous-medium Jacobian I + dt L diag(psi'(u)) is not
-symmetric and changes with every iterate.
+porous-medium and p-Laplace step (integrators._newton_direction, one LAPACK
+gtsv call for the Jacobians of all columns of a batch, laid end to end),
+because the porous-medium Jacobian I + dt L diag(psi'(u)) is not symmetric
+and changes with every iterate and every column.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ solve for the Burgers Laplacian with explicit convection), while a forcing
 and the Wiener increment enter explicitly. The coupled and the averaged
 equation share this one macro-step loop and differ only in the forcing, as
 in the macro solver of a heterogeneous multiscale method: F(x, y) at the
-left endpoint in the coupled run, fbar(x) in the averaged one. The fast
+left endpoint in the coupled run, fbar(x) in the averaged one. Given fbar,
+simulate_coupled advances both in one loop, the averaged run as more
+columns of the same state on the same slow increments. The fast
 state advances inside each macro step through n_sub implicit Euler micro
 steps of size dt_macro / n_sub with the slow input frozen at the left
 endpoint; n_sub is the smallest integer keeping dt_micro / epsilon below
@@ -46,8 +48,15 @@ depend on its batch, because every batched operation is one of:
 
 - elementwise;
 - column by column: the prefactored pttrs solve with many right-hand sides,
-  the Burgers convection, and the porous-medium and p-Laplace Newton solve,
-  which runs one column at a time;
+  the Burgers convection, and the porous-medium and p-Laplace Newton solve.
+  There each column keeps its own residual norm, step length and iteration
+  count and is frozen once it converges, while one gtsv call per iteration
+  solves for the directions of all columns still iterating: their
+  tridiagonal Jacobians lie end to end in one system with zero couplings
+  between the blocks. Such a coupling is never a pivot and gives a zero
+  elimination factor, so the blocks do not mix and each column gets the
+  bytes of its own gtsv solve (_newton_direction says when it falls back to
+  one solve per column);
 - a product with a fixed matrix (the sine transforms, the noise synthesis,
   the closed-form averaged drift), taken by _matvec through np.matmul with
   the columns on the stacked axis. That makes the one BLAS gemv call per
@@ -55,10 +64,12 @@ depend on its batch, because every batched operation is one of:
   column differently depending on the batch width.
 
 A run, single or batched, either finishes every replica or raises
-NewtonDivergence or NumericalBlowUp; there are no partial results. Since a
-replica's bytes do not depend on its batch, running the replicas of a
-failed batch one at a time finds the lowest failing one and its own error,
-which is what the experiment drivers do.
+NewtonDivergence or NumericalBlowUp; there are no partial results. It
+raises at the earliest macro step at which any column fails, a coupled
+column before an averaged one at the same step. Since a replica's bytes do
+not depend on its batch, running the replicas of a failed batch one at a
+time finds the lowest failing one and its own error, which is what the
+experiment drivers do.
 """
 
 from __future__ import annotations
@@ -107,7 +118,14 @@ DT_FAST = 0.1
 
 
 class NewtonDivergence(RuntimeError):
-    """The implicit solve failed to converge; reported as a numerical failure."""
+    """The implicit solve failed to converge; reported as a numerical failure.
+
+    column is the failing column of a batched solve.
+    """
+
+    def __init__(self, message: str, column: int = 0) -> None:
+        super().__init__(message)
+        self.column = column
 
 
 class NumericalBlowUp(ArithmeticError):
@@ -307,18 +325,17 @@ class _SlowStepper:
             self._solver = ShiftedLaplacian(grid, 1.0, dt * slow.viscosity)
 
     def step(self, x: Array, forcing: Array, noise: Array) -> Array:
-        """The next state, for x of shape (n,) or for every column of (n, R)."""
+        """The next state, for x of shape (n,) or for every column of (n, C).
+
+        noise has the shape of x, or (n, R) for C = G * R: then it drives
+        each of the G groups of R columns (see _plus_noise).
+        """
         dt = self.dt
         if self.slow.kind == "burgers":
-            rhs = x + dt * (burgers_convection(self.grid, x) + forcing) + noise
-            return self._solver.solve(rhs)
-        b = x + dt * forcing + noise
-        if b.ndim == 1:
-            return _newton_monotone_solve(self.slow, self.grid, b, dt, self.params)
-        x_new = np.empty_like(b)
-        for r in range(b.shape[1]):
-            x_new[:, r] = _newton_monotone_solve(self.slow, self.grid, b[:, r], dt, self.params)
-        return x_new
+            rhs = x + dt * (burgers_convection(self.grid, x) + forcing)
+            return self._solver.solve(_plus_noise(rhs, noise))
+        b = _plus_noise(x + dt * forcing, noise)
+        return _newton_monotone_solve(self.slow, self.grid, b, dt, self.params)
 
     def residual(self, x_new: Array, x: Array, forcing: Array, noise: Array) -> Array:
         """x_new - dt * A_implicit(x_new) - explicit terms; zero for an exact step."""
@@ -326,8 +343,21 @@ class _SlowStepper:
         if self.slow.kind == "burgers":
             implicit = -self.slow.viscosity * self.grid.apply_neg_laplacian(x_new)
             explicit = burgers_convection(self.grid, x) + forcing
-            return x_new - dt * implicit - (x + dt * explicit + noise)
-        return x_new - dt * slow_drift(self.slow, self.grid, x_new) - (x + dt * forcing + noise)
+            return x_new - dt * implicit - _plus_noise(x + dt * explicit, noise)
+        return x_new - dt * slow_drift(self.slow, self.grid, x_new) - _plus_noise(
+            x + dt * forcing, noise
+        )
+
+
+def _plus_noise(b: Array, noise: Array) -> Array:
+    """b + noise, written into b: each group of R columns of b gets noise (n, R)."""
+    if noise.shape == b.shape:
+        b += noise
+        return b
+    width = noise.shape[1]
+    for start in range(0, b.shape[1], width):
+        b[:, start : start + width] += noise
+    return b
 
 
 # Newton iterations per implicit slow step, and step halvings per iteration.
@@ -335,47 +365,117 @@ NEWTON_MAX_ITER = 50
 NEWTON_MAX_HALVINGS = 30
 
 
+def _column_max(a: Array) -> Array:
+    """max |a| of each column; the ufunc reduce without ndarray.max's wrapper."""
+    return np.maximum.reduce(np.abs(a), axis=0)
+
+
+def _columns(mask: Array, *arrays: Array) -> list[Array]:
+    """The columns where mask is True of each array (last axis); each stays contiguous."""
+    return [a[..., mask] for a in arrays]
+
+
 def _newton_monotone_solve(
     slow: SlowOperatorSpec, grid: Grid1D, b: Array, dt: float, params: SchemeParams
 ) -> Array:
     """Solve u - dt * A(u) = b by Newton with step halving on the residual.
 
-    For p_laplace the face gradients of an iterate serve both its residual
-    and the Jacobian of the next direction.
+    b is (n,) or a batch (n, C), solved column by column: each column keeps
+    its own residual norm, step length and iteration count, and leaves the
+    iteration once it converges, so it follows exactly the iterates of its
+    solve alone, while one gtsv call serves the directions of all columns
+    still iterating (see _newton_direction). The powers |v| ** (p - 2)
+    an iterate's residual takes (see slow_drift) also give the Jacobian of
+    the next direction. A column that fails is dropped; once every column has
+    finished, NewtonDivergence is raised for the lowest failing one, with the
+    message of its solve alone and its position in `column`.
     """
 
-    def residual_at(u: Array) -> tuple[Array, Array | None]:
+    def residual_at(u: Array, rhs: Array) -> tuple[Array, Array]:
         g = face_gradients(grid, u) if slow.kind == "p_laplace" else None
-        return u - dt * slow_drift(slow, grid, u, g) - b, g
+        powers = np.abs(u if g is None else g) ** (slow.p - 2.0)
+        return u - dt * slow_drift(slow, grid, u, g, powers) - rhs, powers
 
-    u = b.copy()
-    scale = max(1.0, float(np.abs(b).max()))
-    residual, gradients = residual_at(u)
-    res_norm = float(np.abs(residual).max())
-    if not math.isfinite(res_norm):
-        raise NewtonDivergence(f"implicit {slow.kind} solve met a non-finite residual")
-    for _ in range(NEWTON_MAX_ITER):
-        if res_norm <= params.newton_tol * scale:
-            return u
-        direction = _newton_direction(slow, grid, u, dt, residual, gradients)
-        step = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            candidate = u + step * direction
-            cand_residual, cand_gradients = residual_at(candidate)
-            cand_norm = float(np.abs(cand_residual).max())
-            if cand_norm < res_norm:
-                break
-            step *= 0.5
-        else:
-            raise NewtonDivergence(
-                f"implicit {slow.kind} solve stalled at residual {res_norm:.3e}"
+    # Column-major throughout, so that _newton_direction solves in place.
+    rhs = np.asfortranarray(b if b.ndim == 2 else b[:, None])
+    width = rhs.shape[1]
+    u = rhs.copy(order="F")
+    residual, powers = residual_at(u, rhs)
+    norm = _column_max(residual)
+    tol = params.newton_tol * np.fmax(1.0, _column_max(rhs))
+    # index holds the places in b of the columns still iterating; rhs, tol,
+    # u, residual, powers and norm hold theirs alone. np.count_nonzero is
+    # the cheap any / all of a small mask.
+    index = np.arange(width)
+    solution = None
+    failures: dict[int, str] = {}
+
+    def fail(failed: Array, message: str) -> list[Array]:
+        for column, column_norm in zip(index[failed], norm[failed]):
+            failures[int(column)] = f"implicit {slow.kind} solve " + message.format(column_norm)
+        return _columns(~failed, index, rhs, tol, u, residual, powers, norm)
+
+    finite = np.isfinite(norm)
+    if np.count_nonzero(finite) < width:
+        index, rhs, tol, u, residual, powers, norm = fail(~finite, "met a non-finite residual")
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        done = norm <= tol
+        finished = np.count_nonzero(done)
+        if finished == width:
+            return u if b.ndim == 2 else u[:, 0]
+        if finished:
+            if solution is None:
+                solution = np.empty((b.shape[0], width), order="F")
+            solution[:, index[done]] = u[:, done]
+            index, rhs, tol, u, residual, powers, norm = _columns(
+                ~done, index, rhs, tol, u, residual, powers, norm
             )
-        u, residual, res_norm, gradients = candidate, cand_residual, cand_norm, cand_gradients
-    if res_norm <= params.newton_tol * scale:
-        return u
-    raise NewtonDivergence(
-        f"implicit {slow.kind} solve did not reach tolerance, residual {res_norm:.3e}"
-    )
+        if not index.size:
+            break
+        if iteration == NEWTON_MAX_ITER:
+            fail(np.full(index.size, True), "did not reach tolerance, residual {:.3e}")
+            break
+        direction, singular = _newton_direction(slow, grid, u, dt, residual, powers)
+        if singular is not None:
+            index, rhs, tol, u, residual, powers, norm = fail(singular, "met a singular Jacobian")
+            direction = direction[:, ~singular]
+        # u + direction has the bytes of u + 1.0 * direction.
+        candidate = u + direction
+        cand_residual, cand_powers = residual_at(candidate, rhs)
+        cand_norm = _column_max(cand_residual)
+        better = cand_norm < norm
+        if np.count_nonzero(better) < better.size:
+            pending = np.flatnonzero(~better)
+            step = 1.0
+            for _ in range(NEWTON_MAX_HALVINGS):
+                step *= 0.5
+                trial = u[:, pending] + step * direction[:, pending]
+                trial_residual, trial_powers = residual_at(trial, rhs[:, pending])
+                trial_norm = _column_max(trial_residual)
+                better = trial_norm < norm[pending]
+                accepted = pending[better]
+                candidate[:, accepted] = trial[:, better]
+                cand_residual[:, accepted] = trial_residual[:, better]
+                cand_norm[accepted] = trial_norm[better]
+                cand_powers[:, accepted] = trial_powers[:, better]
+                pending = pending[~better]
+                if not pending.size:
+                    break
+            else:
+                # Dropped with the residual norm of their last iterate.
+                stalled = np.full(index.size, False)
+                stalled[pending] = True
+                index, rhs, tol, u, residual, powers, norm = fail(
+                    stalled, "stalled at residual {:.3e}"
+                )
+                candidate, cand_residual, cand_powers, cand_norm = _columns(
+                    ~stalled, candidate, cand_residual, cand_powers, cand_norm
+                )
+        u, residual, powers, norm = candidate, cand_residual, cand_powers, cand_norm
+    if failures:
+        column = min(failures)
+        raise NewtonDivergence(failures[column], column)
+    return solution if b.ndim == 2 else solution[:, 0]
 
 
 def _newton_direction(
@@ -384,43 +484,79 @@ def _newton_direction(
     u: Array,
     dt: float,
     residual: Array,
-    gradients: Array | None = None,
-) -> Array:
-    """Solve J(u) d = -residual with one LAPACK gtsv call.
+    powers: Array | None = None,
+) -> tuple[Array, Array | None]:
+    """Solve J(u) d = -residual for every column of u (n, C) with one LAPACK gtsv call.
 
     gtsv is the tridiagonal LU with partial pivoting that solve_banded uses
     for (1, 1) bands, without its validation. It copies the diagonals, so
     sub and super may share memory, and writes d over its right-hand side.
+    The C Jacobians lie end to end in one system (_monotone_jacobian_bands).
+    Returns the directions and None, or with a boolean mask of the columns
+    whose Jacobian is singular, whose directions are then meaningless.
+
+    A zero coupling below the last row of a block is never a pivot and
+    makes a zero elimination factor, so the blocks do not mix: every
+    nonzero entry has the bytes of the column's own gtsv solve, and an
+    entry that is exactly zero may at most change its sign, which no later
+    nonzero value depends on. Two cases break this: a zero pivot stops
+    gtsv at its block, and a non-finite entry reaches the block before it
+    through a zero coupling (0 * inf). Then every column is solved on its
+    own, as a single column always is.
     """
-    sub, diag, sup = _monotone_jacobian_bands(slow, grid, u, dt, gradients)
-    if diag.shape[0] == 1:  # the gtsv wrapper rejects empty off-diagonals
-        return -residual / diag
-    *_, direction, info = dgtsv(sub, diag, sup, -residual, overwrite_b=True)
-    if info:
-        raise NewtonDivergence(f"implicit {slow.kind} solve met a singular Jacobian")
-    return direction
+    sub, diag, sup = _monotone_jacobian_bands(slow, grid, u, dt, powers)
+    n, columns = u.shape
+    if n == 1:  # the gtsv wrapper rejects empty off-diagonals
+        return -residual / diag, None
+    # gtsv writes the directions over rhs when its column-major view is no copy.
+    rhs = -residual
+    *_, direction, info = dgtsv(sub, diag, sup, rhs.ravel(order="F"), overwrite_b=True)
+    if not info and direction.base is rhs and (columns == 1 or np.isfinite(direction).all()):
+        return rhs, None
+    singular = np.zeros(columns, dtype=bool)
+    for c in range(columns):
+        band = slice(c * n, c * n + n - 1)
+        *_, rhs[:, c], info = dgtsv(
+            sub[band], diag[c * n : (c + 1) * n], sup[band], -residual[:, c], overwrite_b=True
+        )
+        singular[c] = info != 0
+    return rhs, singular if singular.any() else None
 
 
 def _monotone_jacobian_bands(
-    slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float, gradients: Array | None = None
+    slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float, powers: Array | None = None
 ) -> tuple[Array, Array, Array]:
-    """Jacobian of u - dt * A(u) as its (sub, diag, super) diagonals.
+    """Jacobians of u - dt * A(u) for the columns of u (n, C), laid end to end.
 
-    These are the three arrays LAPACK gtsv takes, with no (3, n) banded
-    layout in between. The porous-medium Jacobian I + dt L diag(psi'(u)) is
-    not symmetric, so its two off-diagonals differ. For p_laplace,
-    gradients may pass face_gradients(grid, u) in.
+    Returns the (sub, diag, super) diagonals of one tridiagonal system of
+    size C n, the three arrays LAPACK gtsv takes: column c's Jacobian is the
+    block on rows c n to c n + n - 1, and the two off-diagonal entries
+    between one block and the next are zero. The porous-medium Jacobian
+    I + dt L diag(psi'(u)) is not symmetric, so its two off-diagonals
+    differ. powers may pass |v| ** (p - 2) as slow_drift takes it.
     """
     h2 = grid.h**2
+    n, columns = u.shape
+    if powers is None:
+        v = u if slow.kind == "porous_medium" else face_gradients(grid, u)
+        powers = np.abs(v) ** (slow.p - 2.0)
     if slow.kind == "porous_medium":
-        dpsi = slow.c * (slow.p - 1.0) * np.abs(u) ** (slow.p - 2.0)
-        off = -dt * dpsi / h2
-        return off[:-1], 1.0 + 2.0 * dt * dpsi / h2, off[1:]
-    # p_laplace: face weights phi'(g) = (p-1) |g|^(p-2)
-    g = face_gradients(grid, u) if gradients is None else gradients
-    w = (slow.p - 1.0) * np.abs(g) ** (slow.p - 2.0)
-    off = -dt * w[1:-1] / h2
-    return off, 1.0 + dt * (w[:-1] + w[1:]) / h2, off
+        dpsi = slow.c * (slow.p - 1.0) * powers
+        off = (-dt * dpsi / h2).ravel(order="F")
+        sub = off[:-1]
+        if columns > 1:
+            sub = sub.copy()
+            sub[n - 1 :: n] = 0.0
+            off[n::n] = 0.0
+        return sub, (1.0 + 2.0 * dt * dpsi / h2).ravel(order="F"), off[1:]
+    # p_laplace: face weights phi'(g) = (p-1) |g|^(p-2); row n - 1 of off
+    # would couple a block to the next one.
+    w = (slow.p - 1.0) * powers
+    off = -dt * w[1:] / h2
+    if columns > 1:
+        off[-1] = 0.0
+    off = off.ravel(order="F")[:-1]
+    return off, (1.0 + dt * (w[:-1] + w[1:]) / h2).ravel(order="F"), off
 
 
 # Micro steps whose noise _FastStepper.path synthesizes at once.
@@ -596,7 +732,8 @@ def simulate_coupled(
     T: float,
     params: SchemeParams,
     stream: RngStream | Sequence[RngStream],
-) -> tuple[Trajectory, NoisePath]:
+    fbar: Callable[[Array], Array] | None = None,
+) -> tuple[Trajectory, NoisePath] | tuple[Trajectory, NoisePath, SlowTrajectory]:
     """Advance the coupled pair over [0, T] and record the noise that drove it.
 
     stream is one RngStream for a single run, or one per replica for a
@@ -604,10 +741,18 @@ def simulate_coupled(
     (slow rows on lane 0, fast rows on lane 1 of each stream), the same
     numbers as drawing step by step. The returned NoisePath drives the
     averaged equation and the block-frozen auxiliary construction with this
-    very realization. A failure of any replica raises (see _slow_loop).
+    very realization.
+
+    Given fbar, a drift as simulate_averaged takes it, the averaged equation
+    advances beside the coupled one, as R more columns of the same slow
+    loop on the same slow increments, and its SlowTrajectory comes third:
+    the bytes of simulate_averaged(model, fbar, params, path), in one
+    macro-step loop whose Newton solves serve both equations. A failure of
+    any replica in either equation raises (see _slow_loop).
     """
     single = isinstance(stream, RngStream)
     streams = [stream] if single else list(stream)
+    replicas = len(streams)
     dt = params.dt_macro
     m = whole_steps(T, dt, "horizon T")
     coupling = model.coupling
@@ -615,22 +760,34 @@ def simulate_coupled(
     n_sub = fast_stepper.n_sub
     slow_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
     slow_rows = _draw(streams, 0, (m, coupling.g1_modes), slow_scales)
-    fast_rows = fast_stepper.draw(streams, m * n_sub).reshape(len(streams), m, n_sub, -1)
+    fast_rows = fast_stepper.draw(streams, m * n_sub).reshape(replicas, m, n_sub, -1)
     path = NoisePath(dt, n_sub, model.epsilon, slow_rows, fast_rows)
-    y_hist = np.empty((m + 1, len(streams), model.grid.n_interior))
+    y_hist = np.empty((m + 1, replicas, model.grid.n_interior))
     y_hist[0] = model.y0.values
+    averaged_drift = None if fbar is None else _columns_drift(fbar, single)
 
     def forcing(j: int, x: Array) -> Array:
         """F at the left endpoint; the fast state then runs one block with x frozen."""
+        coupled = x if averaged_drift is None else x[:, :replicas]
         y = y_hist[j].T
-        y_hist[j + 1] = fast_stepper.run_block(x, y, fast_rows[:, j]).T
-        return coupling_f(coupling, x, y)
+        y_hist[j + 1] = fast_stepper.run_block(coupled, y, fast_rows[:, j]).T
+        f = coupling_f(coupling, coupled, y)
+        if averaged_drift is None:
+            return f
+        both = np.empty_like(x)
+        both[:, :replicas] = f
+        both[:, replicas:] = averaged_drift(x[:, replicas:])
+        return both
 
-    slow = _slow_loop(model, params, path, forcing, "coupled", y_hist)
-    trajectory = Trajectory(slow.times, slow.x, y_hist)
+    runs = [("coupled", (y_hist,))] + ([] if fbar is None else [("averaged", ())])
+    slow = _slow_loop(model, params, path, forcing, runs)
+    trajectory = Trajectory(slow.times, slow.x[:, :replicas], y_hist)
+    results = (trajectory, path)
+    if fbar is not None:
+        results += (SlowTrajectory(slow.times, slow.x[:, replicas:]),)
     if single:
-        return trajectory.replica(0), path.replica(0)
-    return trajectory, path
+        return tuple(result.replica(0) for result in results)
+    return results
 
 
 def simulate_averaged(
@@ -647,12 +804,18 @@ def simulate_averaged(
     simulate_coupled the run shares that realization exactly. Failures
     raise as in simulate_coupled.
     """
-    if noise.batched:
-        forcing = lambda j, x: fbar(x)  # noqa: E731
-    else:
-        forcing = lambda j, x: fbar(x[:, 0])[:, None]  # noqa: E731
-    slow = _slow_loop(model, params, noise._as_batch(), forcing, "averaged")
+    drift = _columns_drift(fbar, not noise.batched)
+    slow = _slow_loop(
+        model, params, noise._as_batch(), lambda j, x: drift(x), [("averaged", ())]
+    )
     return slow if noise.batched else slow.replica(0)
+
+
+def _columns_drift(fbar: Callable[[Array], Array], single: bool) -> Callable[[Array], Array]:
+    """fbar as a drift on columns (n, R); the fbar of a single run takes (n,)."""
+    if single:
+        return lambda x: fbar(x[:, 0])[:, None]
+    return fbar
 
 
 def _slow_loop(
@@ -660,19 +823,28 @@ def _slow_loop(
     params: SchemeParams,
     noise: NoisePath,
     forcing: Callable[[int, Array], Array],
-    equation: str,
-    *histories: Array,
+    runs: Sequence[tuple[str, tuple[Array, ...]]],
 ) -> SlowTrajectory:
     """The one macro-step loop of the slow equation, on the grid of a batched `noise`.
 
-    The state holds one column per replica. forcing(j, x) is the explicit
-    drift of macro step j at its left endpoint x. The Wiener increments of
-    every step and replica are synthesized before the loop, one gemv per
-    row. Every column runs to the horizon or the loop raises, naming
-    `equation`, epsilon and the step: NewtonDivergence at the step whose
-    solve fails, NumericalBlowUp at the first macro step with a non-finite
-    state in x or in `histories` (shape (n_steps + 1, R, n)) the forcing
-    fills.
+    The state holds one group of R columns, one per replica, for each
+    (equation, histories) entry of `runs`, in order, and every group takes
+    the same slow increments: the coupled run alone, the averaged run
+    alone, or both side by side. forcing(j, x) is the explicit drift of
+    macro step j at its left endpoint x, all columns at once. The Wiener
+    increments of every step and replica are synthesized before the loop,
+    one gemv per row.
+
+    Every column runs to the horizon, or the loop raises for the earliest
+    macro step at which a column fails, an earlier group first at one step,
+    naming the equation, epsilon and the step. A column fails where its run
+    alone would: at the step whose Newton solve fails (NewtonDivergence,
+    for the lowest failing column), or else at its first macro step with a
+    non-finite state in x or in the histories (shape (n_steps + 1, R, n))
+    its group's forcing fills (NumericalBlowUp, checked after the loop). A
+    non-finite state fails the next Newton solve, so for porous medium and
+    p-Laplace a blow-up before the last step is a NewtonDivergence one step
+    later.
     """
     grid, epsilon = model.grid, model.epsilon
     stepper = _SlowStepper(model.slow, grid, noise.dt_macro, params)
@@ -680,25 +852,41 @@ def _slow_loop(
     # increments[j, r] is the Wiener increment of replica r over macro step j.
     increments = np.matmul(noise.slow.transpose(1, 0, 2)[:, :, None, :], basis_t)[:, :, 0]
     n_macro, replicas = increments.shape[:2]
-    x_hist = np.empty((n_macro + 1, replicas, grid.n_interior))
+    x_hist = np.empty((n_macro + 1, len(runs) * replicas, grid.n_interior))
     x_hist[0] = model.x0.values
     x = x_hist[0].T
+
+    def blow_up(step: int, equation: str) -> NumericalBlowUp:
+        return NumericalBlowUp(
+            f"{equation} run blew up at epsilon={epsilon:g}: non-finite state at macro step {step}"
+        )
+
     for j in range(n_macro):
         f = forcing(j, x)
         try:
             x = stepper.step(x, f, increments[j].T)
         except NewtonDivergence as exc:
+            group = exc.column // replicas
+            if j + 1 == n_macro:
+                # A non-finite last state of an earlier group's histories
+                # has no later solve to fail: it fails at this step too.
+                for equation, histories in runs[:group]:
+                    if not all(np.isfinite(h[-1]).all() for h in histories):
+                        raise blow_up(n_macro, equation) from exc
             # Named like a blow-up: by the state the step computes.
             raise NewtonDivergence(
-                f"{equation} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
+                f"{runs[group][0]} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
             ) from exc
         x_hist[j + 1] = x.T
-    finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2)) for h in (x_hist, *histories)])
-    if not finite.all():
-        raise NumericalBlowUp(
-            f"{equation} run blew up at epsilon={epsilon:g}: "
-            f"non-finite state at macro step {int(np.argmin(finite))}"
-        )
+    blow_ups = []
+    for g, (equation, histories) in enumerate(runs):
+        states = (x_hist[:, g * replicas : (g + 1) * replicas], *histories)
+        finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2)) for h in states])
+        if not finite.all():
+            blow_ups.append((int(np.argmin(finite)), g))
+    if blow_ups:
+        step, g = min(blow_ups)
+        raise blow_up(step, runs[g][0])
     return SlowTrajectory(np.arange(n_macro + 1) * noise.dt_macro, x_hist)
 
 

@@ -152,15 +152,17 @@ class CouplingSpec:
 
 
 def face_gradients(grid: Grid1D, v: Array) -> Array:
-    """Forward differences on the n_interior + 1 faces, boundaries included.
+    """Forward differences on the n_interior + 1 faces along the first axis.
 
-    Built by slicing into one array. The last face is 0.0 - v[-1], not
-    -v[-1], so that a zero node gives the +0.0 a difference gives.
+    v is (n,) or (n, C), boundaries included; each column of the result is
+    contiguous. Built in one zeroed array: v is copied onto the first n
+    faces and subtracted from the last n, so the first face is v[0] and the
+    last 0.0 - v[-1], not -v[-1], which gives a zero node the +0.0 a
+    difference gives.
     """
-    g = np.empty(v.shape[0] + 1)
-    g[0] = v[0]
-    np.subtract(v[1:], v[:-1], out=g[1:-1])
-    g[-1] = 0.0 - v[-1]
+    g = np.zeros((v.shape[0] + 1,) + v.shape[1:], order="F")
+    g[:-1] = v
+    g[1:] -= v
     g /= grid.h
     return g
 
@@ -182,19 +184,28 @@ def burgers_convection(grid: Grid1D, u: Array) -> Array:
     return (d[0] + u * d[1]) / 3.0
 
 
-def _psi(spec: SlowOperatorSpec, u: Array) -> Array:
-    return spec.c * u * np.abs(u) ** (spec.p - 2.0)
+def _psi(spec: SlowOperatorSpec, u: Array, powers: Array | None = None) -> Array:
+    return spec.c * u * (np.abs(u) ** (spec.p - 2.0) if powers is None else powers)
 
 
 def slow_drift(
-    spec: SlowOperatorSpec, grid: Grid1D, x: Array, gradients: Array | None = None
+    spec: SlowOperatorSpec,
+    grid: Grid1D,
+    x: Array,
+    gradients: Array | None = None,
+    powers: Array | None = None,
 ) -> Array:
-    """A(x); for p_laplace, gradients may pass face_gradients(grid, x) in."""
+    """A(x), along the first axis for x of shape (n,) or (n, C).
+
+    For p_laplace, gradients may pass face_gradients(grid, x) in. For
+    porous_medium and p_laplace, powers may pass |v| ** (p - 2) of the
+    values the drift raises to a power: x, or its face gradients.
+    """
     if spec.kind == "porous_medium":
-        return -grid.apply_neg_laplacian(_psi(spec, x))
+        return -grid.apply_neg_laplacian(_psi(spec, x, powers))
     if spec.kind == "p_laplace":
         g = face_gradients(grid, x) if gradients is None else gradients
-        flux = np.abs(g) ** (spec.p - 2.0) * g
+        flux = (np.abs(g) ** (spec.p - 2.0) if powers is None else powers) * g
         return (flux[1:] - flux[:-1]) / grid.h
     return -spec.viscosity * grid.apply_neg_laplacian(x) + burgers_convection(grid, x)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spavg.experiments
+from spavg.averaging import OracleFbar
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.experiments import (
     ConvergenceRow,
@@ -439,3 +440,25 @@ def test_diagnostics_csvs(tmp_path):
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             assert fh.readline().strip() == "suite,param,value_mean,value_stderr,replicas"
+
+
+def test_averaged_failure_row_names_the_averaged_run(monkeypatch):
+    # The averaged drift of every run turns NaN at macro step k: the coupled
+    # run is sound, and the row names replica 0, the averaged run and the
+    # first non-finite averaged state, the one macro step k computes.
+    k = 3
+
+    class NaNFromStepK(OracleFbar):
+        calls = 0
+
+        def __call__(self, x):
+            value = super().__call__(x)
+            self.calls += 1
+            return value if self.calls <= k else np.full_like(value, np.nan)
+
+    monkeypatch.setattr(spavg.experiments, "OracleFbar", NaNFromStepK)
+    (row,) = run_convergence(small_config(epsilon_grid=(0.1,))).rows
+    assert row.replicas == 0 and math.isnan(row.error_mean)
+    assert row.failure == (
+        f"replica 0: averaged run blew up at epsilon=0.1: non-finite state at macro step {k + 1}"
+    )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spavg.averaging import OracleFbar
+from spavg.averaging import MemoizedFbar, OracleFbar
 from spavg.blocks import build_auxiliary
 from spavg.grid import (
     L2,
@@ -470,3 +470,118 @@ def test_batch_with_a_failing_replica_raises(monkeypatch, slow_kind):
     assert batch.type is alone.type and str(batch.value) == str(alone.value)
     step = 4 if slow_kind == "burgers" else 5
     assert re.search(rf"coupled run .*epsilon=0\.05.* macro step {step}\b", str(alone.value))
+
+
+class NaNFrom:
+    """A drift that turns NaN from its call `first` on; call j drives macro step j."""
+
+    def __init__(self, fbar, first):
+        self.fbar, self.first, self.calls = fbar, first, 0
+
+    def __call__(self, x):
+        value = self.fbar(x)
+        if self.calls >= self.first:
+            value = np.full_like(value, np.nan)
+        self.calls += 1
+        return value
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
+    fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
+    batch=st.sampled_from([None, 1, 2, 5]),
+    steps=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_joint_run_equals_coupled_run_then_averaged_replay(
+    slow_kind, fast_kind, batch, steps, seed
+):
+    # Stepping the averaged equation beside the coupled one gives the bytes
+    # of the coupled run followed by simulate_averaged on its path, for a
+    # single stream (batch None) and for batches.
+    params = SchemeParams(dt_macro=1 / 64)
+    model = make_model(n=9, epsilon=0.05, slow_kind=slow_kind, fast_kind=fast_kind)
+    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
+    streams = RngStream(seed, 0) if batch is None else [RngStream(seed, i) for i in range(batch)]
+    trajectory, path, averaged = simulate_coupled(model, steps / 64, params, streams, fbar)
+    alone, alone_path = simulate_coupled(model, steps / 64, params, streams)
+    replay = simulate_averaged(model, fbar, params, alone_path)
+    assert trajectory.x.shape == alone.x.shape and averaged.x.shape == replay.x.shape
+    assert trajectory.x.tobytes() == alone.x.tobytes()
+    assert trajectory.y.tobytes() == alone.y.tobytes()
+    assert path == alone_path
+    assert averaged.x.tobytes() == replay.x.tobytes()
+    assert np.array_equal(averaged.times, replay.times)
+
+
+def test_joint_run_with_the_estimator_equals_the_replay():
+    # A MemoizedFbar keeps state, so each run gets its own; the joint run
+    # calls it on the same states as the replay and so refreshes alike.
+    params = SchemeParams(dt_macro=1 / 64)
+    model = make_model(n=8, epsilon=0.05, fast_kind="smooth_bounded")
+    streams = [RngStream(7, r) for r in range(2)]
+
+    def estimator():
+        bases = [RngStream(7, 1000 * (r + 1)) for r in range(2)]
+        return MemoizedFbar(model.fast, model.coupling, model.grid, 2, bases)
+
+    joint = estimator()
+    trajectory, path, averaged = simulate_coupled(model, 4 / 64, params, streams, joint)
+    alone, alone_path = simulate_coupled(model, 4 / 64, params, streams)
+    replayed = estimator()
+    replay = simulate_averaged(model, replayed, params, alone_path)
+    assert trajectory.x.tobytes() == alone.x.tobytes()
+    assert averaged.x.tobytes() == replay.x.tobytes()
+    assert joint.refresh_counts.tolist() == replayed.refresh_counts.tolist()
+    assert joint.refresh_counts.min() > 0
+
+
+@pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
+def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
+    # The averaged drift turns NaN at macro step 2 and the coupled fast
+    # state at step 5: the joint run names the averaged failure, the one at
+    # the earlier step. Burgers carries the NaN state to the end; the
+    # porous-medium Newton solve of the next step fails on it.
+    model = make_model(epsilon=0.05, slow_kind=slow_kind)
+    params = SchemeParams(dt_macro=1 / 64)
+    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
+    poison_fast_noise(monkeypatch, {0: 5})
+    failures = (NewtonDivergence, NumericalBlowUp)
+    with pytest.raises(failures) as joint:
+        simulate_coupled(model, 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 2))
+    if slow_kind == "burgers":
+        assert str(joint.value) == (
+            "averaged run blew up at epsilon=0.05: non-finite state at macro step 3"
+        )
+    else:
+        assert str(joint.value) == (
+            "averaged run at epsilon=0.05 failed at macro step 3: "
+            "implicit porous_medium solve met a non-finite residual"
+        )
+    # Failing at the same step, the coupled run comes first: step 5 for
+    # Burgers, step 6 for the Newton solve after the NaN.
+    first = 4 if slow_kind == "burgers" else 5
+    with pytest.raises(failures) as same_step:
+        simulate_coupled(model, 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, first))
+    with pytest.raises(failures) as coupled:
+        simulate_coupled(model, 0.125, params, [RngStream(8, 0)])
+    assert same_step.type is coupled.type and str(same_step.value) == str(coupled.value)
+    assert str(coupled.value).startswith("coupled run")
+
+
+def test_fast_blow_up_at_the_last_step_comes_before_an_averaged_newton_failure(monkeypatch):
+    # The coupled fast state turns NaN at the last macro step, 8, where no
+    # later solve fails on it, and the averaged Newton solve fails at step 8
+    # too: the coupled blow-up comes first, as the coupled run alone names it.
+    model = make_model(epsilon=0.05, slow_kind="porous_medium")
+    params = SchemeParams(dt_macro=1 / 64)
+    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
+    poison_fast_noise(monkeypatch, {0: 8})
+    with pytest.raises(NumericalBlowUp) as alone:
+        simulate_coupled(model, 0.125, params, [RngStream(8, 0)])
+    with pytest.raises(NumericalBlowUp) as joint:
+        simulate_coupled(model, 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 7))
+    assert str(joint.value) == str(alone.value) == (
+        "coupled run blew up at epsilon=0.05: non-finite state at macro step 8"
+    )

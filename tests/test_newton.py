@@ -1,22 +1,29 @@
 """The damped Newton solve of the porous-medium and p-Laplace slow step.
 
-Each direction is one LAPACK gtsv solve with the three diagonals of the
-Jacobian of u - dt * A(u). The bands are checked against a central finite
-difference Jacobian, the direction against a dense solve, and the step
-against its residual contract over random grids, exponents and step sizes.
+Each iteration solves for the directions of all columns of a batch with one
+LAPACK gtsv call over their Jacobians laid end to end. The bands are checked
+against a central finite difference Jacobian, the directions against a
+dense solve, the step against its residual contract over random grids,
+exponents and step sizes, and the batched solve against a plain per-column
+Newton loop, byte for byte.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgtsv
 
 from spavg.grid import Grid1D
 from spavg.integrators import (
+    NEWTON_MAX_HALVINGS,
+    NEWTON_MAX_ITER,
     NewtonDivergence,
     SchemeParams,
     _monotone_jacobian_bands,
     _newton_direction,
+    _newton_monotone_solve,
     _SlowStepper,
 )
 from spavg.operators import SlowOperatorSpec, slow_drift
@@ -36,39 +43,51 @@ def dense_jacobian(bands):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-p{s.p}")
 def test_jacobian_bands_match_finite_differences(spec):
+    # The bands of one column, and of a batch of three: the block-diagonal
+    # matrix of the columns' own Jacobians, with zero couplings between.
     grid = Grid1D(12)
     dt = 1 / 128
-    u = np.random.default_rng(1).uniform(-1.5, 1.5, size=12)
 
     def residual_map(v):
         return v - dt * slow_drift(spec, grid, v)
 
     step = 1e-6
-    columns = []
-    for j in range(12):
-        e = np.zeros(12)
-        e[j] = step
-        columns.append((residual_map(u + e) - residual_map(u - e)) / (2 * step))
-    reference = np.array(columns).T
-    jacobian = dense_jacobian(_monotone_jacobian_bands(spec, grid, u, dt))
-    scale = float(np.abs(reference).max())
-    assert float(np.abs(jacobian - reference).max()) <= 1e-7 * scale
+    for columns in (1, 3):
+        u = np.random.default_rng(1).uniform(-1.5, 1.5, size=(columns, 12)).T
+        blocks = []
+        for c in range(columns):
+            derivatives = []
+            for j in range(12):
+                e = np.zeros(12)
+                e[j] = step
+                difference = residual_map(u[:, c] + e) - residual_map(u[:, c] - e)
+                derivatives.append(difference / (2 * step))
+            blocks.append(np.array(derivatives).T)
+        reference = scipy.linalg.block_diag(*blocks)
+        jacobian = dense_jacobian(_monotone_jacobian_bands(spec, grid, u, dt))
+        scale = float(np.abs(reference).max())
+        assert float(np.abs(jacobian - reference).max()) <= 1e-7 * scale
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-p{s.p}")
 @pytest.mark.parametrize("n", [1, 2, 64])
 def test_direction_matches_dense_solve(spec, n):
+    # One column, and a batch of three solved by one gtsv call.
     grid = Grid1D(n)
     dt = 1 / 64
-    gen = np.random.default_rng(n)
-    u = gen.uniform(-1.0, 1.0, size=n)
-    residual = gen.standard_normal(n)
-    expected = np.linalg.solve(
-        dense_jacobian(_monotone_jacobian_bands(spec, grid, u, dt)), -residual
-    )
-    direction = _newton_direction(spec, grid, u, dt, residual)
-    scale = max(1.0, float(np.abs(expected).max()))
-    assert float(np.abs(direction - expected).max()) <= 1e-12 * scale
+    for columns in (1, 3):
+        gen = np.random.default_rng(n)
+        u = gen.uniform(-1.0, 1.0, size=(columns, n)).T
+        residual = gen.standard_normal((columns, n)).T
+        blocks = [
+            dense_jacobian(_monotone_jacobian_bands(spec, grid, u[:, [c]], dt))
+            for c in range(columns)
+        ]
+        expected = np.linalg.solve(scipy.linalg.block_diag(*blocks), -residual.T.ravel())
+        direction, singular = _newton_direction(spec, grid, u, dt, residual)
+        assert singular is None and direction.shape == (n, columns)
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert float(np.abs(direction.T.ravel() - expected).max()) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind", ["porous_medium", "p_laplace"])
@@ -137,3 +156,138 @@ def test_implicit_residual_contract_property(n, kind, p, dt, seed):
     x_new = stepper.step(x, forcing, noise)
     scale = max(1.0, float(np.abs(x + dt * forcing + noise).max()))
     assert float(np.abs(stepper.residual(x_new, x, forcing, noise)).max()) <= tol * scale
+
+
+def reference_newton(spec, grid, b, dt, tol):
+    """The damped Newton solve of one column, one gtsv call per direction.
+
+    Returns the solution with its iteration and halving counts, or raises
+    NewtonDivergence with the message of the solve.
+    """
+    h2 = grid.h**2
+
+    def residual(u):
+        return u - dt * slow_drift(spec, grid, u) - b
+
+    def direction(u, r):
+        if spec.kind == "porous_medium":
+            dpsi = spec.c * (spec.p - 1.0) * np.abs(u) ** (spec.p - 2.0)
+            off = -dt * dpsi / h2
+            sub, diag, sup = off[:-1], 1.0 + 2.0 * dt * dpsi / h2, off[1:]
+        else:
+            g = np.diff(u, prepend=0.0, append=0.0) / grid.h
+            w = (spec.p - 1.0) * np.abs(g) ** (spec.p - 2.0)
+            sub = sup = -dt * w[1:-1] / h2
+            diag = 1.0 + dt * (w[:-1] + w[1:]) / h2
+        if u.size == 1:
+            return -r / diag
+        *_, d, info = dgtsv(sub, diag, sup, -r)
+        if info:
+            raise NewtonDivergence(f"implicit {spec.kind} solve met a singular Jacobian")
+        return d
+
+    u = b.copy()
+    scale = max(1.0, float(np.abs(b).max()))
+    r = residual(u)
+    norm = float(np.abs(r).max())
+    if not np.isfinite(norm):
+        raise NewtonDivergence(f"implicit {spec.kind} solve met a non-finite residual")
+    halvings = 0
+    for iteration in range(NEWTON_MAX_ITER):
+        if norm <= tol * scale:
+            return u, iteration, halvings
+        d = direction(u, r)
+        step = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
+            candidate = u + step * d
+            candidate_r = residual(candidate)
+            candidate_norm = float(np.abs(candidate_r).max())
+            if candidate_norm < norm:
+                break
+            step *= 0.5
+            halvings += 1
+        else:
+            raise NewtonDivergence(f"implicit {spec.kind} solve stalled at residual {norm:.3e}")
+        u, r, norm = candidate, candidate_r, candidate_norm
+    if norm <= tol * scale:
+        return u, NEWTON_MAX_ITER, halvings
+    raise NewtonDivergence(
+        f"implicit {spec.kind} solve did not reach tolerance, residual {norm:.3e}"
+    )
+
+
+def assert_batch_solves_like_its_columns(spec, grid, b, dt, tol):
+    """The batched solve of b (n, C) against reference_newton on each column.
+
+    Returns the iteration and halving counts of the columns that converge.
+    """
+    outcomes = []
+    for c in range(b.shape[1]):
+        try:
+            outcomes.append(reference_newton(spec, grid, b[:, c].copy(), dt, tol))
+        except NewtonDivergence as exc:
+            outcomes.append(str(exc))
+    failing = [c for c, outcome in enumerate(outcomes) if isinstance(outcome, str)]
+    params = SchemeParams(dt_macro=dt, newton_tol=tol)
+    if failing:
+        with pytest.raises(NewtonDivergence) as raised:
+            _newton_monotone_solve(spec, grid, b, dt, params)
+        assert raised.value.column == failing[0]
+        assert str(raised.value) == outcomes[failing[0]]
+        return []
+    solution = _newton_monotone_solve(spec, grid, b, dt, params)
+    for c, (u, _, _) in enumerate(outcomes):
+        assert solution[:, c].tobytes() == u.tobytes()
+    return [outcome[1:] for outcome in outcomes]
+
+
+def rough_columns(gen, n, amplitudes):
+    """Columns of white noise (rough) and of a few sine modes (smooth), column-major."""
+    nodes = np.arange(1, n + 1) / (n + 1)
+    modes = np.sin(np.pi * np.outer(nodes, np.arange(1, 4)))
+    smooth = modes @ gen.uniform(-1, 1, (3, len(amplitudes)))
+    rough = gen.standard_normal((n, len(amplitudes)))
+    pick = gen.integers(0, 2, len(amplitudes)).astype(bool)
+    return np.asfortranarray(np.where(pick, rough, smooth) * amplitudes)
+
+
+def test_batch_with_halvings_and_uneven_iteration_counts():
+    # Rough columns of growing size take more iterations and step halvings:
+    # each still follows its own iterates, and a column that does not
+    # converge fails the batch with its own message.
+    grid = Grid1D(64)
+    gen = np.random.default_rng(4)
+    b = np.asfortranarray(gen.standard_normal((64, 5)) * np.array([0.01, 0.3, 1.0, 3.0, 10.0]))
+    porous_medium = SlowOperatorSpec("porous_medium", p=3.0)
+    p_laplace = SlowOperatorSpec("p_laplace", p=4.0)
+    for spec in [porous_medium, p_laplace]:
+        counts = assert_batch_solves_like_its_columns(spec, grid, b, 1 / 8, 1e-10)
+        iterations, halvings = zip(*counts)
+        assert len(set(iterations)) > 2 and max(halvings) > 0 and min(halvings) == 0
+    # Column 3 meets a NaN at once, column 1 is too large to converge in
+    # NEWTON_MAX_ITER iterations and names the batch; with an unreachable
+    # tolerance every column fails and column 0 names it.
+    failing = b.copy(order="F")
+    failing[:, 1] *= 1e30
+    failing[5, 3] = np.nan
+    assert_batch_solves_like_its_columns(p_laplace, grid, failing, 1 / 8, 1e-10)
+    assert_batch_solves_like_its_columns(porous_medium, grid, b, 1 / 8, 1e-320)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["porous_medium", "p_laplace"]),
+    p=st.floats(2.0, 5.0),
+    n=st.sampled_from([1, 2, 5, 64]),
+    columns=st.integers(1, 16),
+    dt=st.sampled_from([1 / 512, 1 / 64, 1 / 8, 1 / 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_newton_equals_the_per_column_solve(kind, p, n, columns, dt, seed):
+    # Columns of very different size and roughness converge after different
+    # iteration counts, some with step halvings; the batched solve gives
+    # each the bytes of its own solve, or the error of the lowest failing one.
+    gen = np.random.default_rng(seed)
+    amplitudes = 10.0 ** gen.uniform(-3, 1.3, columns)
+    b = rough_columns(gen, n, amplitudes)
+    assert_batch_solves_like_its_columns(SlowOperatorSpec(kind, p=p), Grid1D(n), b, dt, 1e-10)

@@ -69,20 +69,47 @@ NODE_VALUE = st.one_of(
 NODE_VALUES = st.lists(NODE_VALUE, min_size=1, max_size=64)
 
 
+def same_bits(a, b):
+    """Bit for bit, signed zeros included, except that any NaN matches any NaN."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    equal = (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and bool(equal.all())
+
+
 @settings(max_examples=200, deadline=None)
-@given(values=NODE_VALUES, p=st.floats(2.0, 5.0))
-def test_face_gradients_and_p_laplace_drift_are_bit_equal_to_np_diff(values, p):
+@given(
+    values=NODE_VALUES,
+    p=st.floats(2.0, 5.0),
+    columns=st.sampled_from([None, 3]),
+    data=st.data(),
+)
+def test_face_gradients_and_p_laplace_drift_are_bit_equal_to_np_diff(values, p, columns, data):
     # The slice-built forms give the very bits of the np.diff expressions
-    # they replace, which stay here as the reference.
+    # they replace, which stay here as the reference: for one vector, and
+    # for each column of (n, 3) columns along the first axis, against the
+    # expressions on that column alone. Which of two NaN operands an
+    # operation returns depends on the vector lane numpy puts it in, so
+    # there a NaN matches any NaN.
     v = np.array(values)
-    grid = Grid1D(v.size)
+    if columns is not None:
+        more = [data.draw(st.lists(NODE_VALUE, min_size=v.size, max_size=v.size)) for _ in range(2)]
+        v = np.column_stack([v, *more])
+    grid = Grid1D(v.shape[0])
     with np.errstate(all="ignore"):
-        g = np.diff(v, prepend=0.0, append=0.0) / grid.h
-        flux = np.abs(g) ** (p - 2.0) * g
-        drift = np.diff(flux) / grid.h
-        assert face_gradients(grid, v).tobytes() == g.tobytes()
+        gradients = face_gradients(grid, v)
         actual = slow_drift(SlowOperatorSpec("p_laplace", p=p), grid, v)
-    assert actual.tobytes() == drift.tobytes()
+        for c in range(1 if columns is None else columns):
+            column = v if columns is None else v[:, c].copy()
+            g = np.diff(column, prepend=0.0, append=0.0) / grid.h
+            flux = np.abs(g) ** (p - 2.0) * g
+            drift = np.diff(flux) / grid.h
+            if columns is None:
+                assert gradients.tobytes() == g.tobytes()
+                assert actual.tobytes() == drift.tobytes()
+            else:
+                assert gradients.shape == (v.shape[0] + 1, columns)
+                assert same_bits(gradients[:, c], g)
+                assert same_bits(actual[:, c], drift)
 
 
 def test_burgers_convection_hand_values():

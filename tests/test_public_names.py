@@ -66,6 +66,11 @@ def test_trace_step_counters_read_real_runs(tracing):
     averaged = spavg.experiments.simulate_averaged(*args)
     assert tracing._averaged_steps(averaged, args, {}) == (16, 0)
 
+    # With the averaged run stepped beside it, the path is still second.
+    args = (model, 0.25, params, RngStream(5, 0), fbar)
+    joint = spavg.experiments.simulate_coupled(*args)
+    assert joint[1] == path and tracing._coupled_steps(joint, args, {}) == (16, 64)
+
     args = (model, trajectory, path, 4 / 64)
     auxiliary = spavg.experiments.build_auxiliary(*args)
     assert tracing._replayed_steps(auxiliary, args, {}) == (16, 64)
