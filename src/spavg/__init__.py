@@ -45,6 +45,7 @@ from .integrators import (
     TrajectoryStats,
     simulate_averaged,
     simulate_coupled,
+    simulate_epsilon_grid,
     strong_error,
 )
 from .operators import (
@@ -105,6 +106,7 @@ __all__ = [
     "sample_field",
     "simulate_averaged",
     "simulate_coupled",
+    "simulate_epsilon_grid",
     "sine_basis",
     "sine_mode",
     "slow_drift",

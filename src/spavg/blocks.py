@@ -5,9 +5,12 @@ input frozen at block boundaries: on [k*delta, (k+1)*delta) it sees the slow
 state from time k*delta instead of the current macro step. It runs on the
 step grid the NoisePath recorded (dt_macro and n_sub micro steps per macro
 step), so a replay needs no scheme parameters and cannot disagree with the
-recording run. Comparing it with the true fast trajectory isolates how much
-the fast equation feels the slow motion inside one block, which is the
-quantity whose delta-scaling the diagnostics suites measure.
+recording run; the path holds the fast noise as the fast stepper of that
+epsilon and n_sub consumes it (one noise sum per macro step for the linear
+kind), so the replay reads it unchanged. Comparing it with the true fast
+trajectory isolates how much the fast equation feels the slow motion inside
+one block, which is the quantity whose delta-scaling the diagnostics suites
+measure.
 
 Statistics conventions. deviation_statistic integrates ||y(t) - y_hat(t)||^2
 with the trapezoid rule; the integrand is continuous, and a constant offset c
@@ -72,6 +75,8 @@ def build_auxiliary(
     stepper = _FastStepper(
         model.fast, model.coupling, model.grid, model.epsilon, dt_micro, noise.n_sub
     )
+    if fast.shape[2:] != stepper.noise_shape:
+        raise ValueError(f"recorded fast noise does not fit the {model.fast.kind} fast operator")
     # Column d * replicas + r replays replica r under block length deltas[d].
     y_hat = np.empty((m + 1, deltas.size * replicas, n))
     y_hat[0] = model.y0.values

@@ -5,14 +5,17 @@ All drivers are deterministic functions of (config, master_seed). Random
 streams are keyed by stream id:
 
 - converge and diagnose: replica r drives its coupled run with stream id r
-  at every epsilon.
+  at every epsilon. converge runs a batch of replicas at every epsilon at
+  once; replica r's slow rows are the same at each, so they are drawn once.
 - converge with fbar_source = estimator: replica r's estimator starts at
-  stream id ESTIMATOR_STREAMS * (r + 1) and takes fbar_replicas ids per
-  refresh of replica r. A batch shares one MemoizedFbar, in which column r
-  keeps replica r's streams, cache and refresh count; the refreshes due at
-  one macro step run as one frozen run without changing any stream id.
-  Replica r's strong error thus depends on (config, master_seed, r) only,
-  not on which replicas ran before it or beside it. The ranges stay
+  stream id ESTIMATOR_STREAMS * (r + 1) at every epsilon and takes
+  fbar_replicas ids per refresh of replica r at that epsilon. A batch
+  shares one MemoizedFbar, in which the column of (epsilon, replica r)
+  keeps replica r's streams and its own cache and refresh count; the
+  refreshes due at one macro step, at every epsilon, run as one frozen run
+  without changing any stream id. Replica r's strong error at an epsilon
+  thus depends on (config, master_seed, epsilon, r) only, not on which
+  replicas or epsilons ran before it or beside it. The ranges stay
   disjoint while replicas and refreshes * fbar_replicas both stay below
   ESTIMATOR_STREAMS.
 - diagnose: the decay fit of catalog fast operator i uses 500_000 + i.
@@ -49,6 +52,7 @@ from .integrators import (
     TrajectoryStats,
     simulate_averaged,  # noqa: F401  (perfbench/tracing.py wraps it here by name)
     simulate_coupled,
+    simulate_epsilon_grid,
     strong_error,
     whole_steps,
 )
@@ -93,8 +97,9 @@ __all__ = [
 # First estimator stream id of replica 0; replica r starts at (r + 1) times it.
 ESTIMATOR_STREAMS = 1_000_000
 
-# Most replicas converge and diagnose advance as the columns of one batch,
-# which bounds the memory the recorded fast noise of a batch takes.
+# Most replicas converge and diagnose advance as the columns of one batch
+# (converge: at every epsilon), which bounds the memory the trajectories and
+# recorded noise of a batch take.
 REPLICA_CHUNK = 16
 
 
@@ -255,6 +260,13 @@ DELTA_EXPONENT = 2.0 / 3.0
 
 @dataclasses.dataclass
 class ConvergenceRow:
+    """One epsilon's strong error over its replicas.
+
+    wall_time_s is the row's share of the run's time: each batch of
+    replicas runs every epsilon at once, and its time is split evenly over
+    the epsilons it covered, so the column sums to the run's time.
+    """
+
     epsilon: float
     delta: float
     error_mean: float
@@ -317,78 +329,130 @@ class ConvergenceResult:
         return lines
 
 
-def _chunk_errors(
-    config: ExperimentConfig, model: ModelSpec, replicas: Sequence[int]
-) -> tuple[list[float], str | None]:
-    """Strong errors of the given replicas at model.epsilon, with the first failure.
+def _batch_errors(
+    config: ExperimentConfig, epsilons: Sequence[float], batch: Sequence[int]
+) -> list[list[float]]:
+    """Strong errors of one batch of replicas at each epsilon, one list per epsilon.
 
-    One run covers a batch: the averaged equation advances beside the
-    coupled one on the same slow increments (simulate_coupled with fbar),
-    so every Newton solve serves both. The averaged drift of a batch is the
-    closed form or one estimator whose column r has replica r's own
-    streams, trust-region cache and refresh count, so the result does not
-    depend on which replicas ran before or beside it.
-    The lowest failing replica, in the coupled run, the averaged run or its
-    strong error, ends the list (see _by_replica): the errors of the
-    replicas below it come back with its error, prefixed "replica r: ".
-    A run fails at the earliest macro step at which either equation fails,
-    the coupled one first at the same step (see integrators._slow_loop).
+    One run covers the batch at every epsilon (simulate_epsilon_grid): the
+    coupled and averaged equations of each epsilon are column groups of one
+    slow loop on the same slow increments, so every slow solve serves them
+    all. The averaged drift is the closed form or one estimator whose
+    column (epsilon i, replica r) has replica r's own streams and its own
+    trust-region cache and refresh count, so a result does not depend on
+    which replicas or epsilons ran before or beside it. Raises
+    NewtonDivergence or NumericalBlowUp if any column fails.
     """
-    params = scheme_params(config)
-
-    def batch_errors(batch: Sequence[int]) -> list[float]:
-        with _config_errors():
-            if config.fbar_source == "oracle":
-                fbar = OracleFbar(model.fast, model.coupling, model.grid)
-            else:
-                fbar = MemoizedFbar(
-                    model.fast,
-                    model.coupling,
-                    model.grid,
-                    config.fbar_replicas,
-                    [RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)) for r in batch],
-                )
-        streams = [RngStream(config.master_seed, r) for r in batch]
-        coupled, _, averaged = simulate_coupled(model, config.T, params, streams, fbar)
-        return [
-            strong_error(coupled.replica(r), averaged.replica(r), model.grid, model.state_norm)
-            for r in range(len(batch))
+    model = build_model(config, epsilons[0])
+    with _config_errors():
+        if config.fbar_source == "oracle":
+            fbar = OracleFbar(model.fast, model.coupling, model.grid)
+        else:
+            fbar = MemoizedFbar(
+                model.fast,
+                model.coupling,
+                model.grid,
+                config.fbar_replicas,
+                [
+                    RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1))
+                    for _ in epsilons
+                    for r in batch
+                ],
+            )
+    streams = [RngStream(config.master_seed, r) for r in batch]
+    runs = simulate_epsilon_grid(model, epsilons, config.T, scheme_params(config), streams, fbar)
+    return [
+        [
+            strong_error(coupled.replica(k), averaged.replica(k), model.grid, model.state_norm)
+            for k in range(len(batch))
         ]
+        for coupled, _, averaged in runs
+    ]
 
-    errors: list[float] = []
-    try:
-        for error in _by_replica(replicas, batch_errors):
-            errors.append(error)
-    except (NewtonDivergence, NumericalBlowUp) as exc:
-        return errors, f"replica {replicas[len(errors)]}: {exc}"
-    return errors, None
+
+@dataclasses.dataclass
+class _EpsilonErrors:
+    """The strong errors of one epsilon's replicas, its first failure and its wall time."""
+
+    errors: list[float] = dataclasses.field(default_factory=list)
+    failure: str | None = None
+    wall_s: float = 0.0
+
+
+def _grid_errors(
+    config: ExperimentConfig, epsilons: Sequence[float], replicas: Sequence[int]
+) -> dict[float, _EpsilonErrors]:
+    """Strong errors of the given replicas at each epsilon, with each one's first failure.
+
+    Replicas run in batches of at most REPLICA_CHUNK, and one run covers a
+    batch at every epsilon without a failure so far (_batch_errors). A run
+    that raises runs again one epsilon at a time through _by_replica, so the
+    lowest failing replica of an epsilon ends its list, as its run alone
+    would: the errors of the replicas below it come back with its error,
+    prefixed "replica r: ", and its later batches are not run. A run fails
+    at the earliest macro step at which either equation fails, the coupled
+    one first at the same step (see integrators._slow_loop). Each batch's
+    wall time is split evenly over the epsilons it covered, and a rerun's
+    time goes to its own epsilon, so the times add up to the whole run's.
+    """
+    results = {epsilon: _EpsilonErrors() for epsilon in epsilons}
+    for start in range(0, len(replicas), REPLICA_CHUNK):
+        batch = replicas[start : start + REPLICA_CHUNK]
+        live = [epsilon for epsilon in epsilons if results[epsilon].failure is None]
+        if not live:
+            break
+        started = time.perf_counter()
+        try:
+            errors = _batch_errors(config, live, batch)
+        except (NewtonDivergence, NumericalBlowUp):
+            errors = None
+        share = (time.perf_counter() - started) / len(live)
+        for i, epsilon in enumerate(live):
+            result = results[epsilon]
+            result.wall_s += share
+            if errors is not None:
+                result.errors += errors[i]
+                continue
+            started = time.perf_counter()
+            done = len(result.errors)
+            rerun = _by_replica(batch, lambda b: _batch_errors(config, [epsilon], b)[0])
+            try:
+                for error in rerun:
+                    result.errors.append(error)
+            except (NewtonDivergence, NumericalBlowUp) as exc:
+                result.failure = f"replica {batch[len(result.errors) - done]}: {exc}"
+            result.wall_s += time.perf_counter() - started
+    return results
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """Pathwise-coupled strong error of the averaged equation per epsilon.
 
-    Epsilons are processed in descending order; replica r reuses stream id r
-    across epsilons, which correlates rows and sharpens the monotonicity
+    Rows come in descending epsilon. Replica r reuses stream id r across
+    epsilons, which correlates rows and sharpens the monotonicity
     comparison without biasing any single row. Replicas run in batches of
-    at most REPLICA_CHUNK. A Newton breakdown or a blow-up at one epsilon
-    invalidates that row, reported for the lowest failing replica, but the
-    remaining epsilons still run.
+    at most REPLICA_CHUNK, each batch at every epsilon in one run (see
+    _grid_errors), and a row's wall_time_s is its share of those runs. A
+    Newton breakdown or a blow-up at one epsilon invalidates that row,
+    reported for the lowest failing replica, but the remaining epsilons
+    still run.
     """
+    epsilons = sorted(config.epsilon_grid, reverse=True)
+    results = _grid_errors(config, epsilons, range(config.replicas))
     rows: list[ConvergenceRow] = []
-    for epsilon in sorted(config.epsilon_grid, reverse=True):
-        started = time.perf_counter()
-        model = build_model(config, epsilon)
-        errors, failure = _chunk_errors(config, model, range(config.replicas))
-        mean, stderr = _mean_stderr(errors) if failure is None else (math.nan, math.nan)
+    for epsilon in epsilons:
+        result = results[epsilon]
+        valid = result.failure is None
+        mean, stderr = _mean_stderr(result.errors) if valid else (math.nan, math.nan)
         rows.append(
             ConvergenceRow(
                 epsilon=epsilon,
                 delta=epsilon**DELTA_EXPONENT,
                 error_mean=mean,
                 error_stderr=stderr,
-                replicas=len(errors),
-                wall_time_s=time.perf_counter() - started,
-                failure=failure,
+                replicas=len(result.errors),
+                wall_time_s=result.wall_s,
+                failure=result.failure,
             )
         )
     valid = [row for row in rows if row.valid]

@@ -31,20 +31,33 @@ pttrs solve.
 
 Noise. Each Wiener increment is synthesized from sine-mode coefficients
 (amplitude / k**2) * sqrt(dt) * xi_k. A coupled run draws its whole horizon
-before the first step and keeps it as a NoisePath: the raw coefficient rows
-(without the 1/sqrt(epsilon) weight on the fast channel) together with
-dt_macro and n_sub. The path is the only source of a replay's step grid, and
-it is exactly enough to replay the same realization into the averaged
-equation or into the block-frozen auxiliary construction, bit for bit.
+before the first step and keeps it as a NoisePath, together with dt_macro
+and n_sub: the raw slow coefficient rows, and the fast noise in the form the
+fast stepper consumes it. For smooth_bounded these are the raw micro-step
+rows (without the 1/sqrt(epsilon) weight). For the linear kind a macro step
+reads its n_sub rows only through the per-mode sum
+sum_m noise_gain[m] xi^_m = epsilon^(-1/2) sum_m d^(M-m) xi^_m of the exact
+update above, so the path stores that sum, one row per macro step: the raw
+rows are drawn and summed a block of macro steps at a time, each stream's
+generator carrying on from block to block, and memory does not grow with
+n_sub. The path is the only source of a replay's step grid, and it is
+exactly enough to replay the same realization into the averaged equation or
+into the block-frozen auxiliary construction (same epsilon and n_sub, so the
+same gains), bit for bit.
 
 Batches. The replicas of one epsilon advance together as the columns of
 one state, shape (n, R), in the same macro-step loop that runs a single
-replica as a batch of one. Replica r draws its whole horizon from its own
+replica as a batch of one; simulate_epsilon_grid adds a group of R columns
+per epsilon of a grid. Replica r draws the same slow rows at every epsilon
+(lane 0 of its stream does not depend on epsilon), so one set of slow
+increments drives every group, and each group keeps its own fast stepper,
+fast noise and fast states. Replica r draws its whole horizon from its own
 stream into row r of one preallocated array, so recorded noise puts the
 replica first, (R, n_macro, ...), and each replica's rows are contiguous;
 trajectories are time first, (n_steps + 1, R, n), so that each macro step
 writes one contiguous block. A replica's bytes do not
-depend on its batch, because every batched operation is one of:
+depend on its batch or on the other epsilons of its grid, because every
+batched operation is one of:
 
 - elementwise;
 - column by column: the prefactored pttrs solve with many right-hand sides,
@@ -61,15 +74,17 @@ depend on its batch, because every batched operation is one of:
   the closed-form averaged drift), taken by _matvec through np.matmul with
   the columns on the stacked axis. That makes the one BLAS gemv call per
   column a single vector gets. One gemm over all columns would round each
-  column differently depending on the batch width.
+  column differently depending on the batch width;
+- the noise sums of the linear kind, one einsum over a block of macro steps
+  whose every row sums as the one-step einsum does.
 
 A run, single or batched, either finishes every replica or raises
 NewtonDivergence or NumericalBlowUp; there are no partial results. It
 raises at the earliest macro step at which any column fails, a coupled
 column before an averaged one at the same step. Since a replica's bytes do
-not depend on its batch, running the replicas of a failed batch one at a
-time finds the lowest failing one and its own error, which is what the
-experiment drivers do.
+not depend on its batch, running a failed grid one epsilon at a time and
+the replicas of a failed batch one at a time finds the lowest failing one
+and its own error, which is what converge and diagnose do.
 """
 
 from __future__ import annotations
@@ -108,6 +123,7 @@ __all__ = [
     "TrajectoryStats",
     "simulate_averaged",
     "simulate_coupled",
+    "simulate_epsilon_grid",
     "strong_error",
 ]
 
@@ -184,12 +200,16 @@ class ModelSpec:
 
 
 class NoisePath:
-    """Recorded mode coefficients of both Wiener processes, one replica or a batch.
+    """Recorded noise of both Wiener processes, one replica or a batch.
 
-    For one replica slow has shape (n_macro, g1_modes) and fast (n_macro,
-    n_sub, g2_modes); a batch of R replicas adds a leading replica axis to
-    both. Rows are raw Wiener-increment coefficients over dt_macro and
-    dt_macro / n_sub respectively.
+    For one replica slow has shape (n_macro, g1_modes): raw Wiener-increment
+    coefficients over dt_macro. fast holds, per macro step, what the fast
+    stepper of this epsilon and n_sub consumes (_FastStepper.record): the
+    gain-weighted noise sums, (n_macro, g2_modes), for the linear kind, and
+    the raw coefficient rows over dt_macro / n_sub, (n_macro, n_sub,
+    g2_modes), for smooth_bounded. A batch of R replicas adds a leading
+    replica axis to both. Which of the two layouts fits is the fast kind's
+    business; the stepper checks it where a path is replayed.
     """
 
     def __init__(
@@ -197,12 +217,14 @@ class NoisePath:
     ) -> None:
         slow = np.ascontiguousarray(slow, dtype=np.float64)
         fast = np.ascontiguousarray(fast, dtype=np.float64)
-        if slow.ndim not in (2, 3) or fast.ndim != slow.ndim + 1:
+        if slow.ndim not in (2, 3) or fast.ndim not in (slow.ndim, slow.ndim + 1):
             raise ValueError(
-                "slow must be ([replicas,] steps, modes), fast ([replicas,] steps, sub, modes)"
+                "slow must be ([replicas,] steps, modes), fast ([replicas,] steps, [sub,] modes)"
             )
-        if fast.shape[:-2] != slow.shape[:-1] or fast.shape[-2] != n_sub:
-            raise ValueError("fast coefficient shape disagrees with n_sub / step count")
+        if fast.shape[: slow.ndim - 1] != slow.shape[:-1] or (
+            fast.ndim > slow.ndim and fast.shape[-2] != n_sub
+        ):
+            raise ValueError("fast noise shape disagrees with n_sub / step count")
         self.dt_macro = float(dt_macro)
         self.n_sub = int(n_sub)
         self.epsilon = float(epsilon)
@@ -561,6 +583,8 @@ def _monotone_jacobian_bands(
 
 # Micro steps whose noise _FastStepper.path synthesizes at once.
 NOISE_BLOCK = 64
+# Micro steps per replica whose raw rows _FastStepper.record draws and sums at once.
+RECORD_BLOCK = 4096
 
 
 class _FastStepper:
@@ -570,11 +594,12 @@ class _FastStepper:
     a = dt_micro / epsilon and xi the fast Wiener increment weighted by
     1 / sqrt(epsilon); epsilon = 1 is the frozen equation of the averaging
     module. The state y is one vector (n,) or a batch of C columns (n, C),
-    and the frozen x is (n,) or one column per state column. Noise
-    coefficients come as rows of shape (steps, modes), shared by every
+    and the frozen x is (n,) or one column per state column. path takes
+    raw noise coefficients as rows of shape (steps, modes), shared by every
     column, or as (R, steps, modes), one set per replica, where column c
     takes set c mod R: an auxiliary replay runs each replica under several
-    block lengths at once.
+    block lengths at once. run_block takes one macro step's noise, of
+    noise_shape, in the same two layouts.
     """
 
     def __init__(
@@ -616,7 +641,48 @@ class _FastStepper:
 
         Row r is drawn from lane 1 of streams[r].
         """
-        return _draw(streams, 1, (steps, self._modes), self._scales)
+        generators = [stream.generator(1) for stream in streams]
+        return _draw(generators, (steps, self._modes), self._scales)
+
+    @property
+    def noise_shape(self) -> tuple[int, ...]:
+        """The shape of the noise run_block takes for one macro step and one replica."""
+        if self.fast.kind == "linear":
+            return (self._modes,)
+        return (self.n_sub, self._modes)
+
+    def record(self, streams: Sequence[RngStream], n_macro: int) -> Array:
+        """The fast noise of n_macro macro steps as run_block takes it, (R, n_macro, ...).
+
+        Row r comes from lane 1 of streams[r], the numbers draw(streams,
+        n_macro * n_sub) gives, reduced one macro step at a time (see
+        reduce). The linear kind draws RECORD_BLOCK micro steps' rows at a
+        time, each stream's generator carrying on from block to block, and
+        reduces them before drawing the next, so its memory does not grow
+        with n_sub.
+        """
+        generators = [stream.generator(1) for stream in streams]
+        if self.fast.kind != "linear":
+            return _draw(generators, (n_macro, self.n_sub, self._modes), self._scales)
+        per_block = max(1, RECORD_BLOCK // self.n_sub)
+        sums = np.empty((len(streams), n_macro, self._modes))
+        for start in range(0, n_macro, per_block):
+            steps = min(per_block, n_macro - start)
+            rows = _draw(generators, (steps, self.n_sub, self._modes), self._scales)
+            sums[:, start : start + steps] = self.reduce(rows)
+        return sums
+
+    def reduce(self, rows: Array) -> Array:
+        """What run_block reads of raw rows (..., n_sub, modes), one set per macro step.
+
+        The linear kind reads the sum over micro steps m of noise_gain[m]
+        times the row, per mode, shape (..., modes); smooth_bounded reads
+        the rows themselves. One einsum over any number of leading axes sums
+        each row as it would alone.
+        """
+        if self.fast.kind != "linear":
+            return rows
+        return np.einsum("mk,...mk->...k", self._block_gains[2], rows)
 
     @functools.cached_property
     def _block_gains(self) -> tuple[Array, Array, Array]:
@@ -626,18 +692,21 @@ class _FastStepper:
         drive = self.a * self.fast.c_b * powers.sum(axis=0)
         return powers[0], drive, self._noise_weight * powers[:, : self._modes]
 
-    def run_block(self, x_frozen: Array, y: Array, coefficients: Array) -> Array:
-        """Advance y through one macro step; coefficients have n_sub steps."""
+    def run_block(self, x_frozen: Array, y: Array, noise: Array) -> Array:
+        """Advance y through one macro step driven by noise of noise_shape.
+
+        noise is shared by every column of y, or (R, *noise_shape), one per
+        replica (see the class docstring); reduce makes it from raw rows.
+        """
         if self.fast.kind != "linear":
-            for y in self.path(x_frozen, y, coefficients):
+            for y in self.path(x_frozen, y, noise):
                 pass
             return y
-        decay, drive, noise_gain = self._block_gains
+        decay, drive, _ = self._block_gains
         y_hat = _column(decay, y) * _matvec(self._analysis, y)
         forced = _column(drive, x_frozen) * _matvec(self._analysis, x_frozen)
         y_hat += _column(forced, y)
-        noise = np.einsum("mk,...mk->...k", noise_gain, coefficients)
-        y_hat[: self._modes] += _by_column(noise, y, coefficients.ndim == 3)
+        y_hat[: self._modes] += _by_column(noise, y, noise.ndim == 2)
         return _matvec(self._basis, y_hat)
 
     def path(self, x_frozen: Array, y: Array, coefficients: Array) -> Iterator[Array]:
@@ -714,15 +783,18 @@ def _by_column(v: Array, y: Array, per_replica: bool) -> Array:
     return v if repeats == 1 else np.tile(v, repeats)
 
 
-def _draw(streams: Sequence[RngStream], lane: int, shape: tuple[int, ...], scales: Array) -> Array:
-    """Scaled standard normals, shape (R, *shape); row r from lane `lane` of stream r.
+def _draw(
+    generators: Sequence[np.random.Generator], shape: tuple[int, ...], scales: Array
+) -> Array:
+    """Scaled standard normals, shape (R, *shape); row r from generators[r].
 
     Each replica fills its own contiguous row of one preallocated array,
-    with the numbers it would draw alone.
+    with the numbers it would draw alone; drawing on from the same
+    generators gives the numbers that follow in one longer draw.
     """
-    rows = np.empty((len(streams), *shape))
-    for row, stream in zip(rows, streams):
-        stream.generator(lane).standard_normal(out=row)
+    rows = np.empty((len(generators), *shape))
+    for row, generator in zip(rows, generators):
+        generator.standard_normal(out=row)
     rows *= scales
     return rows
 
@@ -739,54 +811,93 @@ def simulate_coupled(
     stream is one RngStream for a single run, or one per replica for a
     batch (see the module docstring). The whole horizon is drawn up front
     (slow rows on lane 0, fast rows on lane 1 of each stream), the same
-    numbers as drawing step by step. The returned NoisePath drives the
-    averaged equation and the block-frozen auxiliary construction with this
-    very realization.
+    numbers as drawing step by step, and recorded as a NoisePath, whose
+    fast noise is what the fast stepper consumes (noise sums for the linear
+    kind). That path drives the averaged equation and the block-frozen
+    auxiliary construction with this very realization.
 
     Given fbar, a drift as simulate_averaged takes it, the averaged equation
     advances beside the coupled one, as R more columns of the same slow
     loop on the same slow increments, and its SlowTrajectory comes third:
     the bytes of simulate_averaged(model, fbar, params, path), in one
     macro-step loop whose Newton solves serve both equations. A failure of
-    any replica in either equation raises (see _slow_loop).
+    any replica in either equation raises (see _slow_loop). This is the
+    one-epsilon case of simulate_epsilon_grid.
     """
     single = isinstance(stream, RngStream)
     streams = [stream] if single else list(stream)
+    drift = None if fbar is None else _columns_drift(fbar, single)
+    (results,) = simulate_epsilon_grid(model, [model.epsilon], T, params, streams, drift)
+    if single:
+        return tuple(result.replica(0) for result in results)
+    return results
+
+
+def simulate_epsilon_grid(
+    model: ModelSpec,
+    epsilons: Sequence[float],
+    T: float,
+    params: SchemeParams,
+    streams: Sequence[RngStream],
+    fbar: Callable[[Array], Array] | None = None,
+) -> list[tuple[Trajectory, NoisePath] | tuple[Trajectory, NoisePath, SlowTrajectory]]:
+    """simulate_coupled for a batch at each epsilon of a grid, in one slow loop.
+
+    Returns, for each epsilon in order, what simulate_coupled returns for
+    the batch of `streams` on model with that epsilon, with the same bytes.
+    Each epsilon is a group of R coupled columns with its own fast stepper,
+    noise and fast states; the slow rows are drawn once and drive every
+    group, since a replica draws the same ones at every epsilon. Given fbar,
+    a drift on columns, the averaged equation of every epsilon advances
+    too: fbar is called once per macro step on all E * R averaged columns,
+    column e * R + r being replica r at epsilons[e], so one MemoizedFbar
+    with one column per (epsilon, replica) refreshes all of them in one
+    estimate_fbar call. Each macro step makes one slow solve for every
+    column. A failure of any column raises, naming its equation and epsilon
+    (see _slow_loop).
+    """
     replicas = len(streams)
     dt = params.dt_macro
     m = whole_steps(T, dt, "horizon T")
     coupling = model.coupling
-    fast_stepper = _FastStepper.for_model(model, dt, params)
-    n_sub = fast_stepper.n_sub
     slow_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
-    slow_rows = _draw(streams, 0, (m, coupling.g1_modes), slow_scales)
-    fast_rows = fast_stepper.draw(streams, m * n_sub).reshape(replicas, m, n_sub, -1)
-    path = NoisePath(dt, n_sub, model.epsilon, slow_rows, fast_rows)
-    y_hist = np.empty((m + 1, replicas, model.grid.n_interior))
-    y_hist[0] = model.y0.values
-    averaged_drift = None if fbar is None else _columns_drift(fbar, single)
+    generators = [stream.generator(0) for stream in streams]
+    slow_rows = _draw(generators, (m, coupling.g1_modes), slow_scales)
+    groups = []
+    for epsilon in epsilons:
+        stepper = _FastStepper.for_model(dataclasses.replace(model, epsilon=epsilon), dt, params)
+        path = NoisePath(dt, stepper.n_sub, epsilon, slow_rows, stepper.record(streams, m))
+        y_hist = np.empty((m + 1, replicas, model.grid.n_interior))
+        y_hist[0] = model.y0.values
+        groups.append((stepper, path, y_hist))
+    coupled_width = len(groups) * replicas
 
     def forcing(j: int, x: Array) -> Array:
-        """F at the left endpoint; the fast state then runs one block with x frozen."""
-        coupled = x if averaged_drift is None else x[:, :replicas]
-        y = y_hist[j].T
-        y_hist[j + 1] = fast_stepper.run_block(coupled, y, fast_rows[:, j]).T
-        f = coupling_f(coupling, coupled, y)
-        if averaged_drift is None:
-            return f
-        both = np.empty_like(x)
-        both[:, :replicas] = f
-        both[:, replicas:] = averaged_drift(x[:, replicas:])
-        return both
+        """F at the left endpoint; each fast state then runs one block with x frozen."""
+        f = np.empty_like(x)
+        for g, (stepper, path, y_hist) in enumerate(groups):
+            columns = slice(g * replicas, (g + 1) * replicas)
+            coupled, y = x[:, columns], y_hist[j].T
+            y_hist[j + 1] = stepper.run_block(coupled, y, path.fast[:, j]).T
+            f[:, columns] = coupling_f(coupling, coupled, y)
+        if fbar is not None:
+            f[:, coupled_width:] = fbar(x[:, coupled_width:])
+        return f
 
-    runs = [("coupled", (y_hist,))] + ([] if fbar is None else [("averaged", ())])
-    slow = _slow_loop(model, params, path, forcing, runs)
-    trajectory = Trajectory(slow.times, slow.x[:, :replicas], y_hist)
-    results = (trajectory, path)
+    runs = [("coupled", path.epsilon, (y_hist,)) for _, path, y_hist in groups]
     if fbar is not None:
-        results += (SlowTrajectory(slow.times, slow.x[:, replicas:]),)
-    if single:
-        return tuple(result.replica(0) for result in results)
+        runs += [("averaged", path.epsilon, ()) for _, path, _ in groups]
+    slow = _slow_loop(model, params, groups[0][1], forcing, runs)
+
+    def columns(g: int) -> Array:
+        return slow.x[:, g * replicas : (g + 1) * replicas]
+
+    results = []
+    for g, (_, path, y_hist) in enumerate(groups):
+        result = (Trajectory(slow.times, columns(g), y_hist), path)
+        if fbar is not None:
+            result += (SlowTrajectory(slow.times, columns(len(groups) + g)),)
+        results.append(result)
     return results
 
 
@@ -806,7 +917,7 @@ def simulate_averaged(
     """
     drift = _columns_drift(fbar, not noise.batched)
     slow = _slow_loop(
-        model, params, noise._as_batch(), lambda j, x: drift(x), [("averaged", ())]
+        model, params, noise._as_batch(), lambda j, x: drift(x), [("averaged", model.epsilon, ())]
     )
     return slow if noise.batched else slow.replica(0)
 
@@ -823,22 +934,23 @@ def _slow_loop(
     params: SchemeParams,
     noise: NoisePath,
     forcing: Callable[[int, Array], Array],
-    runs: Sequence[tuple[str, tuple[Array, ...]]],
+    runs: Sequence[tuple[str, float, tuple[Array, ...]]],
 ) -> SlowTrajectory:
     """The one macro-step loop of the slow equation, on the grid of a batched `noise`.
 
     The state holds one group of R columns, one per replica, for each
-    (equation, histories) entry of `runs`, in order, and every group takes
-    the same slow increments: the coupled run alone, the averaged run
-    alone, or both side by side. forcing(j, x) is the explicit drift of
+    (equation, epsilon, histories) entry of `runs`, in order, and every
+    group takes the same slow increments of noise.slow: the coupled run
+    alone, the averaged run alone, or both side by side, at one epsilon or
+    at each of a grid. forcing(j, x) is the explicit drift of
     macro step j at its left endpoint x, all columns at once. The Wiener
     increments of every step and replica are synthesized before the loop,
     one gemv per row.
 
     Every column runs to the horizon, or the loop raises for the earliest
     macro step at which a column fails, an earlier group first at one step,
-    naming the equation, epsilon and the step. A column fails where its run
-    alone would: at the step whose Newton solve fails (NewtonDivergence,
+    naming the group's equation, its epsilon and the step. A column fails
+    where its run alone would: at the step whose Newton solve fails (NewtonDivergence,
     for the lowest failing column), or else at its first macro step with a
     non-finite state in x or in the histories (shape (n_steps + 1, R, n))
     its group's forcing fills (NumericalBlowUp, checked after the loop). A
@@ -846,7 +958,7 @@ def _slow_loop(
     p-Laplace a blow-up before the last step is a NewtonDivergence one step
     later.
     """
-    grid, epsilon = model.grid, model.epsilon
+    grid = model.grid
     stepper = _SlowStepper(model.slow, grid, noise.dt_macro, params)
     basis_t = np.ascontiguousarray(sine_basis(grid, noise.slow.shape[-1]).T)
     # increments[j, r] is the Wiener increment of replica r over macro step j.
@@ -856,7 +968,7 @@ def _slow_loop(
     x_hist[0] = model.x0.values
     x = x_hist[0].T
 
-    def blow_up(step: int, equation: str) -> NumericalBlowUp:
+    def blow_up(step: int, equation: str, epsilon: float) -> NumericalBlowUp:
         return NumericalBlowUp(
             f"{equation} run blew up at epsilon={epsilon:g}: non-finite state at macro step {step}"
         )
@@ -870,23 +982,24 @@ def _slow_loop(
             if j + 1 == n_macro:
                 # A non-finite last state of an earlier group's histories
                 # has no later solve to fail: it fails at this step too.
-                for equation, histories in runs[:group]:
+                for equation, epsilon, histories in runs[:group]:
                     if not all(np.isfinite(h[-1]).all() for h in histories):
-                        raise blow_up(n_macro, equation) from exc
+                        raise blow_up(n_macro, equation, epsilon) from exc
             # Named like a blow-up: by the state the step computes.
+            equation, epsilon, _ = runs[group]
             raise NewtonDivergence(
-                f"{runs[group][0]} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
+                f"{equation} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
             ) from exc
         x_hist[j + 1] = x.T
     blow_ups = []
-    for g, (equation, histories) in enumerate(runs):
+    for g, (_, _, histories) in enumerate(runs):
         states = (x_hist[:, g * replicas : (g + 1) * replicas], *histories)
         finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2)) for h in states])
         if not finite.all():
             blow_ups.append((int(np.argmin(finite)), g))
     if blow_ups:
         step, g = min(blow_ups)
-        raise blow_up(step, runs[g][0])
+        raise blow_up(step, *runs[g][:2])
     return SlowTrajectory(np.arange(n_macro + 1) * noise.dt_macro, x_hist)
 
 

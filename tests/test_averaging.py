@@ -92,8 +92,8 @@ def test_frozen_matches_fast_block_distribution():
     block_terminal = np.empty((n_rep, 6))
     frozen_terminal = np.empty((n_rep, 6))
     for r in range(n_rep):
-        coefficients = block.draw([RngStream(1000, r)], block.n_sub)[0]
-        block_terminal[r] = block.run_block(x.values, y0.values, coefficients)
+        noise = block.record([RngStream(1000, r)], 1)[0, 0]
+        block_terminal[r] = block.run_block(x.values, y0.values, noise)
         states = frozen_path(
             model.fast, model.coupling, grid, x, y0, n_frozen, horizon / n_frozen, RngStream(2000, r)
         )

@@ -1,8 +1,10 @@
 """Orchestration layer: builders, log-log fits, runners, CSV emitters."""
 
 import dataclasses
+import itertools
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from spavg.averaging import OracleFbar
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.experiments import (
     ConvergenceRow,
-    _chunk_errors,
+    _grid_errors,
     InsufficientPoints,
     NonpositiveValue,
     build_model,
@@ -51,6 +53,12 @@ SMALL = dict(
 def small_config(**overrides):
     merged = {**SMALL, **overrides}
     return ExperimentConfig(**merged)
+
+
+def errors_at(cfg, epsilon, replicas):
+    """The strong errors of the given replicas at one epsilon, and its first failure."""
+    result = _grid_errors(cfg, [epsilon], replicas)[epsilon]
+    return result.errors, result.failure
 
 
 # ---------------------------------------------------------------- fits
@@ -184,14 +192,15 @@ def test_run_convergence_with_estimated_fbar_runs():
 
 def test_estimator_replica_does_not_depend_on_other_replicas():
     cfg = small_config(fbar_source="estimator", fbar_replicas=2)
-    model = build_model(cfg, 0.1)
-    after = _chunk_errors(cfg, model, [0, 1])[0][1]
-    before = _chunk_errors(cfg, model, [1, 0])[0][0]
-    alone = _chunk_errors(cfg, model, [1])[0][0]
-    assert after.hex() == before.hex() == alone.hex()
+    after = errors_at(cfg, 0.1, [0, 1])[0][1]
+    before = errors_at(cfg, 0.1, [1, 0])[0][0]
+    alone = errors_at(cfg, 0.1, [1])[0][0]
+    # nor on the other epsilons of its batch
+    beside = _grid_errors(cfg, [0.2, 0.1, 0.05], [0, 1])[0.1].errors[1]
+    assert after.hex() == before.hex() == alone.hex() == beside.hex()
     # the rows are built from these very values
     row = run_convergence(dataclasses.replace(cfg, epsilon_grid=(0.1,))).rows[0]
-    assert row.error_mean == np.mean([_chunk_errors(cfg, model, [0])[0][0], alone])
+    assert row.error_mean == np.mean([errors_at(cfg, 0.1, [0])[0][0], alone])
 
 
 def test_newton_failure_row_names_where_it_happened():
@@ -211,10 +220,9 @@ def test_failing_replica_row_keeps_the_replicas_below_it(monkeypatch):
     # replica 1 and that step, keeps replica 0, and replica 0's error is the
     # one it has without the failure.
     cfg = small_config(epsilon_grid=(0.1,), replicas=3)
-    model = build_model(cfg, 0.1)
-    error_0 = _chunk_errors(cfg, model, [0])[0]
+    error_0 = errors_at(cfg, 0.1, [0])[0]
     poison_fast_noise(monkeypatch, {1: 5})
-    errors, failure = _chunk_errors(cfg, model, [0, 1, 2])
+    errors, failure = errors_at(cfg, 0.1, [0, 1, 2])
     assert [e.hex() for e in errors] == [e.hex() for e in error_0]
     assert re.fullmatch(
         r"replica 1: coupled run blew up at epsilon=0\.1: non-finite state at macro step 5",
@@ -232,10 +240,9 @@ def test_row_names_the_lowest_failing_replica(monkeypatch, slow_kind):
     # replica 0's error. The porous-medium Newton solve fails one step after
     # the NaN.
     cfg = small_config(slow_kind=slow_kind, epsilon_grid=(0.05,), replicas=4)
-    model = build_model(cfg, 0.05)
-    error_0 = _chunk_errors(cfg, model, [0])[0]
+    error_0 = errors_at(cfg, 0.05, [0])[0]
     poison_fast_noise(monkeypatch, {2: 2, 1: 4})
-    errors, failure = _chunk_errors(cfg, model, range(4))
+    errors, failure = errors_at(cfg, 0.05, range(4))
     assert [e.hex() for e in errors] == [e.hex() for e in error_0]
     step = 4 if slow_kind == "burgers" else 5
     assert re.match(rf"replica 1: coupled run .*epsilon=0\.05.* macro step {step}\b", failure)
@@ -248,15 +255,53 @@ def test_failure_past_a_batch_boundary_keeps_the_batches_below(monkeypatch):
     # Batches of 2: replicas 0 and 1 finish in the first, replica 2 in the
     # rerun of the second, and the row stops at replica 3.
     cfg = small_config(epsilon_grid=(0.1,), replicas=5)
-    model = build_model(cfg, 0.1)
-    clean = _chunk_errors(cfg, model, range(3))[0]
+    clean = errors_at(cfg, 0.1, range(3))[0]
     monkeypatch.setattr(spavg.experiments, "REPLICA_CHUNK", 2)
     poison_fast_noise(monkeypatch, {3: 5})
-    errors, failure = _chunk_errors(cfg, model, range(5))
+    errors, failure = errors_at(cfg, 0.1, range(5))
     assert [e.hex() for e in errors] == [e.hex() for e in clean]
     assert failure.startswith("replica 3: coupled run blew up at epsilon=0.1")
     (row,) = run_convergence(cfg).rows
     assert row.replicas == 3 and row.failure == failure
+
+
+def test_a_failing_epsilon_invalidates_its_row_alone(monkeypatch):
+    # Replica 1's fast noise turns NaN at macro step 5 at epsilon = 0.1
+    # only: the run of the whole grid raises and runs again one epsilon at
+    # a time. The 0.1 row reads as that epsilon's run alone reports it, and
+    # the other rows are those of the run without the failure.
+    cfg = small_config(replicas=3)
+    strip = lambda row: dataclasses.replace(row, wall_time_s=0.0)  # noqa: E731
+    clean = [strip(row) for row in run_convergence(cfg).rows]
+    error_0 = errors_at(cfg, 0.1, [0])[0]
+    poison_fast_noise(monkeypatch, {1: 5}, epsilon=0.1)
+    result = run_convergence(cfg)
+    assert result.report_lines()[1] == (
+        "epsilon=0.1 INVALID after 1 replicas: replica 1: "
+        "coupled run blew up at epsilon=0.1: non-finite state at macro step 5"
+    )
+    assert [strip(row) for row in result.rows if row.epsilon != 0.1] == [
+        row for row in clean if row.epsilon != 0.1
+    ]
+    failed = _grid_errors(cfg, [0.2, 0.1, 0.05], range(3))[0.1]
+    assert [e.hex() for e in failed.errors] == [e.hex() for e in error_0]
+
+
+@pytest.mark.parametrize("poisoned, expected", [(False, 2 / 3), (True, 5 / 3)])
+def test_wall_time_of_a_batch_is_split_over_its_epsilons(monkeypatch, poisoned, expected):
+    # A clock that moves one second per reading: each batch of one replica
+    # takes a second, shared by the three epsilons it covered. Poisoned,
+    # the second batch fails and each epsilon's rerun adds its own second;
+    # the column still sums to the run's time.
+    clock = itertools.count()
+    fake = types.SimpleNamespace(perf_counter=lambda: float(next(clock)))
+    monkeypatch.setattr(spavg.experiments, "time", fake)
+    monkeypatch.setattr(spavg.experiments, "REPLICA_CHUNK", 1)
+    if poisoned:
+        poison_fast_noise(monkeypatch, {1: 5}, epsilon=0.1)
+    rows = run_convergence(small_config()).rows
+    assert [row.wall_time_s for row in rows] == pytest.approx([expected] * 3)
+    assert sum(row.wall_time_s for row in rows) == pytest.approx(3 * expected)
 
 
 def test_invalid_row_fails_result():

@@ -8,6 +8,7 @@ must reproduce the reference to 1e-12 relative.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scipy.linalg import solve_banded
 
 from spavg.averaging import BURN_IN, WINDOW, estimate_fbar
 from spavg.grid import Field, Grid1D, sine_basis, sine_mode, zeros
+import spavg.integrators
 from spavg.integrators import DT_FAST, _FastStepper
 from spavg.operators import (
     CouplingSpec,
@@ -77,7 +79,7 @@ def make_case(n, kind, modes, n_sub, a, replicas, seed):
 @pytest.mark.parametrize("replicas", [0, 3])
 def test_block_and_path_match_reference(kind, replicas):
     stepper, x, y, coefficients, reference = make_case(64, kind, 8, 17, 0.3, replicas, 1)
-    assert_close(stepper.run_block(x, y, coefficients), reference[-1])
+    assert_close(stepper.run_block(x, y, stepper.reduce(coefficients)), reference[-1])
     assert_close(np.array(list(stepper.path(x, y, coefficients))), reference)
 
 
@@ -87,9 +89,10 @@ def test_shared_noise_rows_drive_every_column(kind):
     # the same increments, as in the synchronous-coupling decay fit.
     stepper, x, y, coefficients, _ = make_case(16, kind, 4, 6, 0.5, 0, 2)
     pair = np.stack([y, -y], axis=1)
-    block = stepper.run_block(x, pair, coefficients)
+    noise = stepper.reduce(coefficients)
+    block = stepper.run_block(x, pair, noise)
     for column in range(2):
-        assert_close(block[:, column], stepper.run_block(x, pair[:, column], coefficients))
+        assert_close(block[:, column], stepper.run_block(x, pair[:, column], noise))
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,7 +110,7 @@ def test_stepper_matches_reference_property(n, kind, mode_fraction, n_sub, a, re
     stepper, x, y, coefficients, reference = make_case(
         n, kind, modes, n_sub, a, replicas, seed
     )
-    assert_close(stepper.run_block(x, y, coefficients), reference[-1])
+    assert_close(stepper.run_block(x, y, stepper.reduce(coefficients)), reference[-1])
     assert_close(np.array(list(stepper.path(x, y, coefficients))), reference)
 
 
@@ -153,3 +156,32 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
         alone = estimate_fbar(fast, coupling, grid, Field(grid, points[:, s]), n_replicas, base)
         assert stacked[s].mean.values.tobytes() == alone.mean.values.tobytes()
         assert stacked[s].stderr.values.tobytes() == alone.stderr.values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "smooth_bounded"]),
+    n_sub=st.integers(1, 40),
+    n_macro=st.integers(1, 12),
+    replicas=st.integers(1, 3),
+    record_block=st.integers(1, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recorded_noise_is_one_whole_draw_reduced_step_by_step(
+    kind, n_sub, n_macro, replicas, record_block, seed
+):
+    # However record splits the horizon into blocks, each stream's draws
+    # carry on where the last block stopped, so the recorded noise has the
+    # bytes of one whole draw reduced one macro step at a time: the block
+    # sums of the linear kind, the raw rows of smooth_bounded.
+    grid = Grid1D(9)
+    fast = FastOperatorSpec(kind, c_b=1.3, b=0.7 if kind == "smooth_bounded" else 0.0)
+    coupling = CouplingSpec(f0=zeros(grid), g1_modes=1, g2_modes=5, g2_amplitude=0.8)
+    stepper = _FastStepper(fast, coupling, grid, 0.05, 0.01, n_sub)
+    streams = [RngStream(seed, r) for r in range(replicas)]
+    whole = stepper.draw(streams, n_macro * n_sub).reshape(replicas, n_macro, n_sub, 5)
+    expected = np.stack([stepper.reduce(whole[:, j]) for j in range(n_macro)], axis=1)
+    with mock.patch.object(spavg.integrators, "RECORD_BLOCK", record_block):
+        recorded = stepper.record(streams, n_macro)
+    assert recorded.shape == (replicas, n_macro, *stepper.noise_shape)
+    assert recorded.tobytes() == expected.tobytes()

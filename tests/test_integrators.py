@@ -1,13 +1,16 @@
 """Time stepping: replay exactness, implicit-solve contracts, contraction."""
 
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spavg.averaging
 from spavg.averaging import MemoizedFbar, OracleFbar
 from spavg.blocks import build_auxiliary
 from spavg.grid import (
@@ -31,7 +34,9 @@ from spavg.integrators import (
     _SlowStepper,
     simulate_averaged,
     simulate_coupled,
+    simulate_epsilon_grid,
     strong_error,
+    whole_steps,
 )
 from spavg.operators import (
     CouplingSpec,
@@ -41,6 +46,8 @@ from spavg.operators import (
     dissipativity_margin,
     mode_scales,
 )
+from spavg.config import ExperimentConfig
+from spavg.experiments import build_model, scheme_params
 from spavg.randomness import RngStream
 
 
@@ -234,7 +241,7 @@ def test_fast_block_contraction_linear_two_sided():
     y_a = sine_mode(model.grid, 1, 1.0)
     y_b = zeros(model.grid)
     stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.draw([RngStream(55, 0)], stepper.n_sub)[0]
+    block = stepper.record([RngStream(55, 0)], 1)[0, 0]
     out_a = stepper.run_block(x.values, y_a.values, block)
     out_b = stepper.run_block(x.values, y_b.values, block)
     gap = norm_values(model.grid, out_a - out_b, L2)
@@ -263,7 +270,7 @@ def test_fast_block_contraction_smooth_bounded_envelope():
     y_a = sine_mode(grid, 1, 1.0)
     y_b = sine_mode(grid, 2, -0.5)
     stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.draw([RngStream(56, 0)], stepper.n_sub)[0]
+    block = stepper.record([RngStream(56, 0)], 1)[0, 0]
     out_a = stepper.run_block(x.values, y_a.values, block)
     out_b = stepper.run_block(x.values, y_b.values, block)
     gap0 = norm_values(grid, y_a.values - y_b.values, L2)
@@ -330,7 +337,9 @@ def test_blow_up_names_epsilon_and_first_bad_step():
 def reference_coupled(model, m, params, stream):
     """The coupled loop with one noise draw per macro step, kept as the reference.
 
-    Returns the slow and fast states and the raw slow and fast noise rows.
+    Returns the slow and fast states, the raw slow and fast noise rows, and
+    the fast noise each macro step consumed: the stepper's block sums of
+    its raw rows for the linear kind, the rows themselves for smooth_bounded.
     """
     grid, coupling, dt = model.grid, model.coupling, params.dt_macro
     slow_stepper = _SlowStepper(model.slow, grid, dt, params)
@@ -341,18 +350,20 @@ def reference_coupled(model, m, params, stream):
     g2_scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt / n_sub)
     basis_slow_t = np.ascontiguousarray(sine_basis(grid, coupling.g1_modes).T)
     x, y = model.x0.values.copy(), model.y0.values.copy()
-    xs, ys, slow_rows, fast_rows = [x], [y], [], []
+    xs, ys, slow_rows, fast_rows, consumed = [x], [y], [], [], []
     for _ in range(m):
         forcing = coupling_f(coupling, x, y)
         block = gen_fast.standard_normal((n_sub, coupling.g2_modes)) * g2_scales
-        y = fast_stepper.run_block(x, y, block)
+        noise = fast_stepper.reduce(block)
+        y = fast_stepper.run_block(x, y, noise)
         slow_coeffs = g1_scales * gen_slow.standard_normal(coupling.g1_modes)
         x = slow_stepper.step(x, forcing, slow_coeffs @ basis_slow_t)
         xs.append(x)
         ys.append(y)
         slow_rows.append(slow_coeffs)
         fast_rows.append(block)
-    return np.array(xs), np.array(ys), np.array(slow_rows), np.array(fast_rows)
+        consumed.append(noise)
+    return tuple(map(np.array, (xs, ys, slow_rows, fast_rows, consumed)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -372,11 +383,14 @@ def test_shared_slow_loop_matches_reference_bytes(slow_kind, fast_kind, n, epsil
     stream = RngStream(seed, 1)
     model = make_model(n=n, epsilon=epsilon, slow_kind=slow_kind, fast_kind=fast_kind)
     trajectory, path = simulate_coupled(model, steps / 64, params, stream)
-    x, y, slow_rows, fast_rows = reference_coupled(model, steps, params, stream)
+    x, y, slow_rows, fast_rows, consumed = reference_coupled(model, steps, params, stream)
     assert trajectory.x.tobytes() == x.tobytes()
     assert trajectory.y.tobytes() == y.tobytes()
     assert path.slow.tobytes() == slow_rows.tobytes()
-    assert path.fast.tobytes() == fast_rows.tobytes()
+    # The path holds the block sums of the raw rows (linear) or the rows.
+    assert path.fast.tobytes() == consumed.tobytes()
+    if fast_kind == "smooth_bounded":
+        assert path.fast.tobytes() == fast_rows.tobytes()
     auxiliary = build_auxiliary(model, trajectory, path, params.dt_macro)
     assert auxiliary.tobytes() == trajectory.y.tobytes()
 
@@ -428,29 +442,41 @@ def test_replica_bytes_do_not_depend_on_the_batch(slow_kind, fast_kind, batch, d
     alone = outputs(trajectory, path, simulate_averaged(model, fbar, params, path))
     assert in_batch(streams) == alone
     assert in_batch(streams[: r + 1]) == alone
-    x, y, slow_rows, fast_rows = reference_coupled(model, steps, params, streams[r])
-    assert (x.tobytes(), y.tobytes(), slow_rows.tobytes(), fast_rows.tobytes()) == alone[:4]
+    x, y, slow_rows, _, consumed = reference_coupled(model, steps, params, streams[r])
+    assert (x.tobytes(), y.tobytes(), slow_rows.tobytes(), consumed.tobytes()) == alone[:4]
 
 
-def poison_fast_noise(monkeypatch, first_step_by_stream):
+def poison_fast_noise(monkeypatch, first_step_by_stream, epsilon=None):
     """Make the fast noise of chosen replicas NaN from a chosen macro step on.
 
     first_step_by_stream maps a stream id to the macro step k >= 1 whose
-    fast state is the first to turn NaN: the stream's lane-1 rows from
-    micro step (k - 1) * n_sub on. The poison follows the replica, so it
-    fails the same way alone, in any batch and when run again.
+    fast state is the first to turn NaN: the stream's recorded fast noise
+    from macro step k on, the noise sums of the linear kind or the raw rows
+    from micro step (k - 1) * n_sub on. The poison follows the replica, so
+    it fails the same way alone, in any batch, at any epsilon of a grid and
+    when run again. Given epsilon, only the fast noise recorded at that
+    epsilon is poisoned.
     """
-    draw = _FastStepper.draw
+    record = _FastStepper.record
+    for_model = _FastStepper.for_model.__func__
 
-    def poisoned(self, streams, steps):
-        rows = draw(self, streams, steps)
-        for row, stream in zip(rows, streams):
+    def tagged(cls, model, dt_macro, params):
+        stepper = for_model(cls, model, dt_macro, params)
+        stepper.epsilon = model.epsilon
+        return stepper
+
+    def poisoned(self, streams, n_macro):
+        noise = record(self, streams, n_macro)
+        if epsilon is not None and getattr(self, "epsilon", None) != epsilon:
+            return noise
+        for row, stream in zip(noise, streams):
             step = first_step_by_stream.get(stream.stream_id)
             if step is not None:
-                row[(step - 1) * self.n_sub :] = np.nan
-        return rows
+                row[step - 1 :] = np.nan
+        return noise
 
-    monkeypatch.setattr(_FastStepper, "draw", poisoned)
+    monkeypatch.setattr(_FastStepper, "for_model", classmethod(tagged))
+    monkeypatch.setattr(_FastStepper, "record", poisoned)
 
 
 @pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
@@ -585,3 +611,114 @@ def test_fast_blow_up_at_the_last_step_comes_before_an_averaged_newton_failure(m
     assert str(joint.value) == str(alone.value) == (
         "coupled run blew up at epsilon=0.05: non-finite state at macro step 8"
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
+    fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
+    epsilons=st.lists(
+        st.sampled_from([0.2, 0.1, 0.05, 0.02, 0.01]), min_size=2, max_size=4, unique=True
+    ),
+    replicas=st.integers(1, 3),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_epsilon_grid_columns_equal_one_epsilon_runs(
+    slow_kind, fast_kind, epsilons, replicas, steps, seed
+):
+    # Every (epsilon, replica) column of one grid run has the coupled x and
+    # y, the path, the averaged x and the strong error of its run alone.
+    params = SchemeParams(dt_macro=1 / 64)
+    model = make_model(n=9, epsilon=0.3, slow_kind=slow_kind, fast_kind=fast_kind)
+    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
+    streams = [RngStream(seed, r) for r in range(replicas)]
+    runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams, fbar)
+    assert len(runs) == len(epsilons)
+    for epsilon, (trajectory, path, averaged) in zip(epsilons, runs):
+        at = dataclasses.replace(model, epsilon=epsilon)
+        assert path.epsilon == epsilon
+        for r, stream in enumerate(streams):
+            alone, alone_path, alone_averaged = simulate_coupled(
+                at, steps / 64, params, stream, fbar
+            )
+            coupled, mean_field = trajectory.replica(r), averaged.replica(r)
+            assert coupled.x.tobytes() == alone.x.tobytes()
+            assert coupled.y.tobytes() == alone.y.tobytes()
+            assert path.replica(r) == alone_path
+            assert mean_field.x.tobytes() == alone_averaged.x.tobytes()
+            error = strong_error(coupled, mean_field, model.grid, model.state_norm)
+            alone_error = strong_error(alone, alone_averaged, model.grid, model.state_norm)
+            assert error.hex() == alone_error.hex()
+
+
+def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
+    # One MemoizedFbar serves every (epsilon, replica) column: each column
+    # has the bytes and the refresh count of its one-epsilon run, and the
+    # refreshes due at one macro step, at every epsilon, run as one call.
+    params = SchemeParams(dt_macro=1 / 64)
+    model = make_model(n=8, epsilon=0.1, fast_kind="smooth_bounded")
+    epsilons, replicas = [0.1, 0.05, 0.02], 2
+    streams = [RngStream(7, r) for r in range(replicas)]
+
+    def estimator(columns):
+        bases = [RngStream(7, 1000 * (r + 1)) for r in range(replicas)] * columns
+        return MemoizedFbar(model.fast, model.coupling, model.grid, 2, bases)
+
+    calls = []
+    estimate_fbar = spavg.averaging.estimate_fbar
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return estimate_fbar(*args, **kwargs)
+
+    monkeypatch.setattr(spavg.averaging, "estimate_fbar", counted)
+    joint = estimator(len(epsilons))
+    runs = simulate_epsilon_grid(model, epsilons, 4 / 64, params, streams, joint)
+    grid_calls, calls[:] = len(calls), []
+    for e, (epsilon, (trajectory, _, averaged)) in enumerate(zip(epsilons, runs)):
+        at = dataclasses.replace(model, epsilon=epsilon)
+        alone = estimator(1)
+        coupled, _, alone_averaged = simulate_coupled(at, 4 / 64, params, streams, alone)
+        assert trajectory.x.tobytes() == coupled.x.tobytes()
+        assert averaged.x.tobytes() == alone_averaged.x.tobytes()
+        counts = joint.refresh_counts[e * replicas : (e + 1) * replicas]
+        assert counts.tolist() == alone.refresh_counts.tolist()
+    assert joint.refresh_counts.min() > 0
+    # The first macro step refreshes every column: one call instead of three.
+    assert grid_calls <= len(calls) - (len(epsilons) - 1)
+
+
+def test_a_failing_epsilon_fails_the_grid_run_naming_it(monkeypatch):
+    model = make_model(epsilon=0.1)
+    params = SchemeParams(dt_macro=1 / 64)
+    poison_fast_noise(monkeypatch, {1: 4}, epsilon=0.05)
+    streams = [RngStream(8, r) for r in range(3)]
+    with pytest.raises(NumericalBlowUp) as grid:
+        simulate_epsilon_grid(model, [0.1, 0.05, 0.02], 0.125, params, streams)
+    with pytest.raises(NumericalBlowUp) as alone:
+        simulate_coupled(dataclasses.replace(model, epsilon=0.05), 0.125, params, streams[1])
+    assert str(grid.value) == str(alone.value) == (
+        "coupled run blew up at epsilon=0.05: non-finite state at macro step 4"
+    )
+    simulate_epsilon_grid(model, [0.1, 0.02], 0.125, params, streams)
+
+
+def test_linear_fast_noise_memory_does_not_grow_with_n_sub():
+    # One replica of the default model at epsilon = 0.001 takes hundreds of
+    # micro steps per macro step; its path keeps one noise sum per macro
+    # step, and recording it holds only a block of raw rows at a time.
+    config = ExperimentConfig()
+    model, params = build_model(config, 0.001), scheme_params(config)
+    n_sub = _FastStepper.for_model(model, params.dt_macro, params).n_sub
+    m = whole_steps(config.T, params.dt_macro, "T")
+    raw_rows = m * n_sub * model.coupling.g2_modes * 8
+    assert raw_rows > 10e6
+    tracemalloc.start()
+    try:
+        _, path = simulate_coupled(model, config.T, params, RngStream(0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.fast.shape == (m, model.coupling.g2_modes)
+    assert peak < raw_rows / 4
