@@ -49,7 +49,7 @@ from .grid import (
     sine_mode,
     solve_neg_laplacian,
 )
-from .integrators import DT_FAST, _column, _FastStepper, _matvec
+from .integrators import DT_FAST, _FastStepper, _matvec
 from .operators import CouplingSpec, FastOperatorSpec, contraction_margin
 from .randomness import RngStream
 
@@ -90,20 +90,25 @@ def estimate_fbar(
     base stream are reproducible and replicas are independent. The per-node
     standard error comes from the spread of the replica means.
 
-    x may also be an (n, S) array of points with a sequence of S base
-    streams, one per point; that returns one estimate per point, each with
-    the bytes of its own call, from one frozen run of S * n_replicas
-    columns.
+    One RngStream goes with one point, a Field or an (n,) array, and gives
+    one estimate. S base streams go with an (n, S) array of points, one per
+    stream, and give one estimate per point, each with the bytes of its own
+    call, from one frozen run of S * n_replicas columns.
     """
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a spread estimate")
     if t_avg is not None and t_avg <= 0.0:
         raise ValueError("t_avg must be positive when given")
-    single = isinstance(x, Field)
-    points = x.values[:, None] if single else np.asarray(x, dtype=np.float64)
+    single = isinstance(stream, RngStream)
     bases = [stream] if single else list(stream)
-    if points.shape != (grid.n_interior, len(bases)):
-        raise ValueError(f"{len(bases)} base streams cannot go with points of {points.shape}")
+    points = np.asarray(x.values if isinstance(x, Field) else x, dtype=np.float64)
+    expected = (grid.n_interior,) if single else (grid.n_interior, len(bases))
+    if points.shape != expected:
+        raise ValueError(
+            f"{len(bases)} base streams cannot go with points of {points.shape}: one RngStream "
+            "takes a Field or an (n,) array, a sequence of S streams an (n, S) array"
+        )
+    points = points.reshape(grid.n_interior, -1)
     margin = contraction_margin(fast, coupling, grid)
     t_burn = BURN_IN / margin
     if t_avg is None:
@@ -153,14 +158,14 @@ def ergodicity_decay(
     n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
     dt = horizon / n_steps
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
-    coefficients = stepper.draw([stream], n_steps)[0]
+    coefficients = stepper.draw([stream], n_steps)
 
     y0_b = sine_mode(grid, 1, 1.0).values
     pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
     gap0 = norm_values(grid, y0_b, L2)
     times = [0.0]
     log_gaps = [math.log(gap0)]
-    for m, y in enumerate(stepper.path(x.values, pair, coefficients)):
+    for m, y in enumerate(stepper.path(x.values[:, None], pair, coefficients)):
         gap = norm_values(grid, y[:, 0] - y[:, 1], L2)
         if gap <= 1e-10 * gap0:
             break
@@ -174,7 +179,7 @@ class OracleFbar:
 
     The map is affine, fbar(x) = f0 + M x with M = c_fx I + c_fy c_b L^-1;
     M is formed once, so each call is one matrix-vector product per column
-    of x, which is (n,) or a batch (n, R).
+    of x, (n, R), or of an (n,) vector widened to one column at entry.
     """
 
     def __init__(self, fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D):
@@ -186,7 +191,8 @@ class OracleFbar:
         self._matrix = coupling.c_fx * identity + (coupling.c_fy * fast.c_b) * inverse
 
     def __call__(self, x: Array) -> Array:
-        return _column(self._offset, x) + _matvec(self._matrix, x)
+        columns = x.reshape(x.shape[0], -1)
+        return (self._offset[:, None] + _matvec(self._matrix, columns)).reshape(x.shape)
 
 
 class MemoizedFbar:
@@ -201,7 +207,7 @@ class MemoizedFbar:
     k * n_replicas on, so a given call sequence is reproducible. The columns
     due at one call refresh in one estimate_fbar call, each with the bytes
     it would get alone: a column's values and refresh_counts[r] do not
-    depend on the other columns. x is (n, R), or (n,) with one stream.
+    depend on the other columns. x is (n, R), or (n,) widened at entry.
     """
 
     TRUST_RELATIVE = 0.05

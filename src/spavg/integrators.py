@@ -55,9 +55,12 @@ fast noise and fast states. Replica r draws its whole horizon from its own
 stream into row r of one preallocated array, so recorded noise puts the
 replica first, (R, n_macro, ...), and each replica's rows are contiguous;
 trajectories are time first, (n_steps + 1, R, n), so that each macro step
-writes one contiguous block. A replica's bytes do not
-depend on its batch or on the other epsilons of its grid, because every
-batched operation is one of:
+writes one contiguous block. Private code knows no other layout: states are
+(n, C) and noise (R, ...). A lone replica is a batch of one, widened once by
+the public entry point it enters (simulate_coupled, simulate_averaged,
+build_auxiliary, OracleFbar, MemoizedFbar, estimate_fbar). A replica's
+bytes do not depend on its batch or on the other epsilons of its grid,
+because every batched operation is one of:
 
 - elementwise;
 - column by column: the prefactored pttrs solve with many right-hand sides,
@@ -72,9 +75,9 @@ batched operation is one of:
   one solve per column);
 - a product with a fixed matrix (the sine transforms, the noise synthesis,
   the closed-form averaged drift), taken by _matvec through np.matmul with
-  the columns on the stacked axis. That makes the one BLAS gemv call per
-  column a single vector gets. One gemm over all columns would round each
-  column differently depending on the batch width;
+  the columns on the stacked axis: one BLAS gemv call per column. One gemm
+  over all columns would round each column differently depending on the
+  batch width;
 - the noise sums of the linear kind, one einsum over a block of macro steps
   whose every row sums as the one-step einsum does.
 
@@ -347,7 +350,7 @@ class _SlowStepper:
             self._solver = ShiftedLaplacian(grid, 1.0, dt * slow.viscosity)
 
     def step(self, x: Array, forcing: Array, noise: Array) -> Array:
-        """The next state, for x of shape (n,) or for every column of (n, C).
+        """The next state of every column of x, shape (n, C); a single run is C = 1.
 
         noise has the shape of x, or (n, R) for C = G * R: then it drives
         each of the G groups of R columns (see _plus_noise).
@@ -402,7 +405,7 @@ def _newton_monotone_solve(
 ) -> Array:
     """Solve u - dt * A(u) = b by Newton with step halving on the residual.
 
-    b is (n,) or a batch (n, C), solved column by column: each column keeps
+    b is (n, C), one solve being C = 1, solved column by column: each keeps
     its own residual norm, step length and iteration count, and leaves the
     iteration once it converges, so it follows exactly the iterates of its
     solve alone, while one gtsv call serves the directions of all columns
@@ -419,7 +422,7 @@ def _newton_monotone_solve(
         return u - dt * slow_drift(slow, grid, u, g, powers) - rhs, powers
 
     # Column-major throughout, so that _newton_direction solves in place.
-    rhs = np.asfortranarray(b if b.ndim == 2 else b[:, None])
+    rhs = np.asfortranarray(b)
     width = rhs.shape[1]
     u = rhs.copy(order="F")
     residual, powers = residual_at(u, rhs)
@@ -444,7 +447,7 @@ def _newton_monotone_solve(
         done = norm <= tol
         finished = np.count_nonzero(done)
         if finished == width:
-            return u if b.ndim == 2 else u[:, 0]
+            return u
         if finished:
             if solution is None:
                 solution = np.empty((b.shape[0], width), order="F")
@@ -497,7 +500,7 @@ def _newton_monotone_solve(
     if failures:
         column = min(failures)
         raise NewtonDivergence(failures[column], column)
-    return solution if b.ndim == 2 else solution[:, 0]
+    return solution
 
 
 def _newton_direction(
@@ -553,30 +556,28 @@ def _monotone_jacobian_bands(
     Returns the (sub, diag, super) diagonals of one tridiagonal system of
     size C n, the three arrays LAPACK gtsv takes: column c's Jacobian is the
     block on rows c n to c n + n - 1, and the two off-diagonal entries
-    between one block and the next are zero. The porous-medium Jacobian
-    I + dt L diag(psi'(u)) is not symmetric, so its two off-diagonals
-    differ. powers may pass |v| ** (p - 2) as slow_drift takes it.
+    between one block and the next are zero (with C = 1 they fall outside
+    the bands). The porous-medium Jacobian I + dt L diag(psi'(u)) is not
+    symmetric, so its two off-diagonals differ. powers may pass
+    |v| ** (p - 2) as slow_drift takes it.
     """
     h2 = grid.h**2
-    n, columns = u.shape
+    n = u.shape[0]
     if powers is None:
         v = u if slow.kind == "porous_medium" else face_gradients(grid, u)
         powers = np.abs(v) ** (slow.p - 2.0)
     if slow.kind == "porous_medium":
         dpsi = slow.c * (slow.p - 1.0) * powers
         off = (-dt * dpsi / h2).ravel(order="F")
-        sub = off[:-1]
-        if columns > 1:
-            sub = sub.copy()
-            sub[n - 1 :: n] = 0.0
-            off[n::n] = 0.0
+        sub = off[:-1].copy()
+        sub[n - 1 :: n] = 0.0
+        off[n::n] = 0.0
         return sub, (1.0 + 2.0 * dt * dpsi / h2).ravel(order="F"), off[1:]
     # p_laplace: face weights phi'(g) = (p-1) |g|^(p-2); row n - 1 of off
     # would couple a block to the next one.
     w = (slow.p - 1.0) * powers
     off = -dt * w[1:] / h2
-    if columns > 1:
-        off[-1] = 0.0
+    off[-1] = 0.0
     off = off.ravel(order="F")[:-1]
     return off, (1.0 + dt * (w[:-1] + w[1:]) / h2).ravel(order="F"), off
 
@@ -593,13 +594,10 @@ class _FastStepper:
     A step of size dt_micro solves (I + a L) y' = y + a B2(x, y) + xi with
     a = dt_micro / epsilon and xi the fast Wiener increment weighted by
     1 / sqrt(epsilon); epsilon = 1 is the frozen equation of the averaging
-    module. The state y is one vector (n,) or a batch of C columns (n, C),
-    and the frozen x is (n,) or one column per state column. path takes
-    raw noise coefficients as rows of shape (steps, modes), shared by every
-    column, or as (R, steps, modes), one set per replica, where column c
-    takes set c mod R: an auxiliary replay runs each replica under several
-    block lengths at once. run_block takes one macro step's noise, of
-    noise_shape, in the same two layouts.
+    module. One layout: the state y is (n, C), a single run being C = 1; the
+    frozen x is (n, C) or one column (n, 1) under every state column; noise
+    is replica first, (R, steps, modes) for path and (R, *noise_shape) for
+    run_block, and column c takes replica c mod R (see _by_column).
     """
 
     def __init__(
@@ -693,20 +691,18 @@ class _FastStepper:
         return powers[0], drive, self._noise_weight * powers[:, : self._modes]
 
     def run_block(self, x_frozen: Array, y: Array, noise: Array) -> Array:
-        """Advance y through one macro step driven by noise of noise_shape.
+        """Advance y through one macro step driven by noise (R, *noise_shape).
 
-        noise is shared by every column of y, or (R, *noise_shape), one per
-        replica (see the class docstring); reduce makes it from raw rows.
+        reduce makes the noise from raw rows (see the class docstring).
         """
         if self.fast.kind != "linear":
             for y in self.path(x_frozen, y, noise):
                 pass
             return y
         decay, drive, _ = self._block_gains
-        y_hat = _column(decay, y) * _matvec(self._analysis, y)
-        forced = _column(drive, x_frozen) * _matvec(self._analysis, x_frozen)
-        y_hat += _column(forced, y)
-        y_hat[: self._modes] += _by_column(noise, y, noise.ndim == 2)
+        y_hat = decay[:, None] * _matvec(self._analysis, y)
+        y_hat += drive[:, None] * _matvec(self._analysis, x_frozen)
+        y_hat[: self._modes] += _by_column(noise, y)
         return _matvec(self._basis, y_hat)
 
     def path(self, x_frozen: Array, y: Array, coefficients: Array) -> Iterator[Array]:
@@ -719,8 +715,8 @@ class _FastStepper:
         a = self.a
         if self.fast.kind == "linear":
             # In mode coefficients a micro step is y^ <- d (y^ + a c_b x^ + xi^).
-            d = _column(self._d, y)
-            forcing = _column(a * self.fast.c_b * _matvec(self._analysis, x_frozen), y)
+            d = self._d[:, None]
+            forcing = a * self.fast.c_b * _matvec(self._analysis, x_frozen)
             modes = self._modes
 
             def step(y_hat: Array, xi: Array) -> Array:
@@ -731,7 +727,7 @@ class _FastStepper:
             state, basis = _matvec(self._analysis, y), self._basis
             noise_basis = None
         else:
-            cx = _column(self.fast.c_b * x_frozen, y)
+            cx = self.fast.c_b * x_frozen
             b = self.fast.b
 
             def step(y: Array, xi: Array) -> Array:
@@ -739,48 +735,36 @@ class _FastStepper:
 
             state, basis = y, None
             noise_basis = self._noise_basis
-        per_replica = coefficients.ndim == 3
-        for start in range(0, coefficients.shape[-2], NOISE_BLOCK):
-            noise = coefficients[..., start : start + NOISE_BLOCK, :] * self._noise_weight
+        for start in range(0, coefficients.shape[1], NOISE_BLOCK):
+            noise = coefficients[:, start : start + NOISE_BLOCK] * self._noise_weight
             if noise_basis is not None:
                 # The physical noise of each step: one gemv per (replica, step).
                 noise = np.matmul(noise_basis, noise[..., None])[..., 0]
-            for xi in _by_column(noise, y, per_replica):
+            for xi in _by_column(noise, y):
                 state = step(state, xi)
                 yield state if basis is None else _matvec(basis, state)
 
 
 def _matvec(matrix: Array, v: Array) -> Array:
-    """matrix @ v for a vector (n,), or for each column of a batch (n, C).
+    """matrix @ v for each column of a batch v (n, C); a single vector is C = 1.
 
-    A batch goes through np.matmul with its columns on the stacked axis:
-    one gemv per column, the call a single vector gets, so a column's bytes
-    do not depend on the batch. matrix @ v would be one gemm.
+    The columns go on np.matmul's stacked axis: one gemv per column, so a
+    column's bytes do not depend on the batch. matrix @ v would be one gemm.
     """
-    if v.ndim == 1:
-        return matrix @ v
     return np.matmul(matrix, v.T[:, :, None])[:, :, 0].T
 
 
-def _column(v: Array, like: Array) -> Array:
-    """A vector v (n,) shaped to broadcast against a state (n,) or (n, C)."""
-    return v[:, None] if like.ndim == 2 and v.ndim == 1 else v
+def _by_column(v: Array, y: Array) -> Array:
+    """Noise v (R, ...) laid out against the columns of a state y (n, C).
 
-
-def _by_column(v: Array, y: Array, per_replica: bool) -> Array:
-    """Noise v laid out against the columns of a state y, (n,) or (n, C).
-
-    Rows shared by every column gain a trailing column axis when y has
-    columns. Per-replica rows (R, ...) move the replica axis last, and
-    column c takes replica c mod R.
+    The replica axis moves last and column c takes replica c mod R, so a
+    single replica (R = 1) broadcasts to every column.
     """
-    if not per_replica:
-        return v[..., None] if y.ndim == 2 else v
-    repeats, rest = divmod(y.shape[1], v.shape[0]) if y.ndim == 2 else (0, 1)
-    if rest or not repeats:
-        raise ValueError(f"{v.shape[0]} noise replicas cannot drive a state of shape {y.shape}")
+    replicas, columns = v.shape[0], y.shape[1]
+    if columns % replicas:
+        raise ValueError(f"{replicas} noise replicas cannot drive a state of shape {y.shape}")
     v = v.transpose(*range(1, v.ndim), 0)
-    return v if repeats == 1 else np.tile(v, repeats)
+    return v if replicas in (1, columns) else np.tile(v, columns // replicas)
 
 
 def _draw(

@@ -29,10 +29,11 @@ def test_estimate_fbar_validates_replicas_and_window():
 
 
 def frozen_path(fast, coupling, grid, x, y0, n_steps, dt, stream):
-    """Every micro state of a frozen run: the fast stepper at epsilon = 1."""
+    """Every micro state of a frozen run: the fast stepper at epsilon = 1, one column."""
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
-    coefficients = stepper.draw([stream], n_steps)[0]
-    return np.array(list(stepper.path(x.values, y0.values, coefficients)))
+    coefficients = stepper.draw([stream], n_steps)
+    path = stepper.path(x.values[:, None], y0.values[:, None], coefficients)
+    return np.array([y[:, 0] for y in path])
 
 
 def test_simulate_frozen_shapes_and_reproducibility():
@@ -92,8 +93,9 @@ def test_frozen_matches_fast_block_distribution():
     block_terminal = np.empty((n_rep, 6))
     frozen_terminal = np.empty((n_rep, 6))
     for r in range(n_rep):
-        noise = block.record([RngStream(1000, r)], 1)[0, 0]
-        block_terminal[r] = block.run_block(x.values, y0.values, noise)
+        noise = block.record([RngStream(1000, r)], 1)[:, 0]
+        y_end = block.run_block(x.values[:, None], y0.values[:, None], noise)
+        block_terminal[r] = y_end[:, 0]
         states = frozen_path(
             model.fast, model.coupling, grid, x, y0, n_frozen, horizon / n_frozen, RngStream(2000, r)
         )
@@ -162,6 +164,46 @@ def test_oracle_provider_matches_function():
     # The closed form f0 + c_fx x + c_fy c_b L^{-1} x.
     expected = coup.f0.values + 0.2 * x + 1.0 * 0.7 * solve_neg_laplacian(grid, x)
     np.testing.assert_allclose(provider(x), expected, rtol=1e-12)
+
+
+def test_one_point_is_a_batch_of_one():
+    # One RngStream goes with one point, a Field or an (n,) array, and gives
+    # the bytes of the (n, 1) points form with one stream; every other
+    # pairing of points and streams is refused, naming the accepted shapes.
+    grid = Grid1D(6)
+    fast = FastOperatorSpec("linear", c_b=1.2)
+    coup = CouplingSpec(f0=sine_mode(grid, 2, 0.3), c_fx=0.5, c_fy=2.0, g1_modes=6, g2_modes=6)
+    x = sine_mode(grid, 1, 0.8)
+    stream = RngStream(1, 0)
+    field = estimate_fbar(fast, coup, grid, x, 2, stream)
+    array = estimate_fbar(fast, coup, grid, x.values, 2, stream)
+    (points,) = estimate_fbar(fast, coup, grid, x.values[:, None], 2, [stream])
+    for estimate in (array, points):
+        assert estimate.mean.values.tobytes() == field.mean.values.tobytes()
+        assert estimate.stderr.values.tobytes() == field.stderr.values.tobytes()
+    accepted = r"one RngStream takes a Field or an \(n,\) array, a sequence of S streams an"
+    for bad_x, bad_stream in [
+        (x.values[:, None], stream),
+        (np.zeros(5), stream),
+        (x, [stream]),
+        (x.values, [stream]),
+        (np.zeros((6, 2)), [stream]),
+    ]:
+        with pytest.raises(ValueError, match=accepted):
+            estimate_fbar(fast, coup, grid, bad_x, 2, bad_stream)
+
+    # The oracle on an (n,) vector has the bytes of that vector as column 0
+    # of (n, 1) and as column r of (n, R).
+    for n in (1, 7, 64):
+        grid = Grid1D(n)
+        coup = CouplingSpec(f0=sine_mode(grid, 1, 0.1), c_fx=0.2, g1_modes=1, g2_modes=1)
+        oracle = OracleFbar(fast, coup, grid)
+        batch = np.random.default_rng(n).standard_normal((n, 5))
+        for r in range(5):
+            lone = oracle(batch[:, r].copy())
+            assert lone.shape == (n,)
+            assert lone.tobytes() == oracle(batch[:, r].copy()[:, None])[:, 0].tobytes()
+            assert lone.tobytes() == oracle(batch)[:, r].tobytes()
 
 
 def test_ergodicity_decay_linear_rate():

@@ -41,11 +41,10 @@ def reference_path(fast, coupling, grid, epsilon, dt, x, y, coefficients):
     ab[1, :] = 1.0 + 2.0 * a / h**2
     ab[2, :-1] = -a / h**2
     basis = sine_basis(grid, coupling.g2_modes)
-    xs = x if y.ndim == 1 else x[:, None]
     states = []
     for row in coefficients:
         noise = (basis @ row) / math.sqrt(epsilon)
-        y = solve_banded((1, 1), ab, y + a * b2_values(fast, xs, y) + noise)
+        y = solve_banded((1, 1), ab, y + a * b2_values(fast, x, y) + noise)
         states.append(y)
     return np.array(states)
 
@@ -56,7 +55,11 @@ def assert_close(actual, reference):
 
 
 def make_case(n, kind, modes, n_sub, a, replicas, seed):
-    """A stepper, its inputs and the reference states for one random case."""
+    """A stepper, its inputs and the reference states for one random case.
+
+    The state has one column per replica, or a single column for replicas =
+    0 (a single run), and one frozen x (n, 1) lies under every column.
+    """
     grid = Grid1D(n)
     fast = FastOperatorSpec(kind, c_b=1.3, b=0.7 if kind == "smooth_bounded" else 0.0)
     coupling = CouplingSpec(f0=zeros(grid), g1_modes=1, g2_modes=modes, g2_amplitude=0.8)
@@ -64,14 +67,13 @@ def make_case(n, kind, modes, n_sub, a, replicas, seed):
     dt = a * epsilon
     stepper = _FastStepper(fast, coupling, grid, epsilon, dt, n_sub)
     gen = np.random.default_rng(seed)
-    x = gen.standard_normal(n)
-    shape = (n,) if replicas == 0 else (n, replicas)
-    y = gen.standard_normal(shape)
-    coefficients = gen.standard_normal((n_sub, modes) + shape[1:]) * math.sqrt(dt)
+    x = gen.standard_normal((n, 1))
+    columns = max(replicas, 1)
+    y = gen.standard_normal((n, columns))
+    coefficients = gen.standard_normal((n_sub, modes, columns)) * math.sqrt(dt)
     reference = reference_path(fast, coupling, grid, epsilon, dt, x, y, coefficients)
-    # The stepper takes a batch's coefficients replica first: (R, steps, modes).
-    if replicas:
-        coefficients = np.moveaxis(coefficients, -1, 0)
+    # The stepper takes coefficients replica first: (R, steps, modes).
+    coefficients = np.moveaxis(coefficients, -1, 0)
     return stepper, x, y, coefficients, reference
 
 
@@ -85,14 +87,15 @@ def test_block_and_path_match_reference(kind, replicas):
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
 def test_shared_noise_rows_drive_every_column(kind):
-    # Rows of shape (steps, modes) with a batched state: every column sees
-    # the same increments, as in the synchronous-coupling decay fit.
+    # One replica's rows, (1, steps, modes), drive every column of a batched
+    # state: each sees the same increments, as in the synchronous-coupling
+    # decay fit.
     stepper, x, y, coefficients, _ = make_case(16, kind, 4, 6, 0.5, 0, 2)
-    pair = np.stack([y, -y], axis=1)
+    pair = np.concatenate([y, -y], axis=1)
     noise = stepper.reduce(coefficients)
     block = stepper.run_block(x, pair, noise)
     for column in range(2):
-        assert_close(block[:, column], stepper.run_block(x, pair[:, column], noise))
+        assert_close(block[:, [column]], stepper.run_block(x, pair[:, [column]], noise))
 
 
 @settings(max_examples=60, deadline=None)

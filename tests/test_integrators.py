@@ -183,9 +183,9 @@ def test_implicit_residual_contract():
     for spec in specs:
         stepper = _SlowStepper(spec, grid, params.dt_macro, params)
         for _ in range(5):
-            x = gen.uniform(-2.0, 2.0, size=16)
-            forcing = gen.standard_normal(16)
-            noise = 0.05 * gen.standard_normal(16)
+            x = gen.uniform(-2.0, 2.0, size=(16, 1))
+            forcing = gen.standard_normal((16, 1))
+            noise = 0.05 * gen.standard_normal((16, 1))
             x_new = stepper.step(x, forcing, noise)
             b = x + params.dt_macro * forcing + noise
             scale = max(1.0, float(np.abs(b).max()))
@@ -199,9 +199,9 @@ def test_burgers_step_residual_is_small():
     params = SchemeParams(dt_macro=1 / 256)
     stepper = _SlowStepper(SlowOperatorSpec("burgers", viscosity=2.0), grid, params.dt_macro, params)
     for _ in range(5):
-        x = gen.standard_normal(32)
-        forcing = gen.standard_normal(32)
-        noise = 0.01 * gen.standard_normal(32)
+        x = gen.standard_normal((32, 1))
+        forcing = gen.standard_normal((32, 1))
+        noise = 0.01 * gen.standard_normal((32, 1))
         x_new = stepper.step(x, forcing, noise)
         res = stepper.residual(x_new, x, forcing, noise)
         assert np.abs(res).max() <= 1e-9
@@ -211,9 +211,9 @@ def test_newton_divergence_is_reported():
     grid = Grid1D(8)
     params = SchemeParams(dt_macro=0.25, newton_tol=1e-320)
     stepper = _SlowStepper(SlowOperatorSpec("porous_medium", p=3.0), grid, 0.25, params)
-    x = np.linspace(-1.0, 1.0, 8)
+    x = np.linspace(-1.0, 1.0, 8)[:, None]
     with pytest.raises(NewtonDivergence):
-        stepper.step(x, np.ones(8), np.zeros(8))
+        stepper.step(x, np.ones((8, 1)), np.zeros((8, 1)))
 
 
 def test_newton_failure_names_equation_epsilon_and_step():
@@ -241,10 +241,10 @@ def test_fast_block_contraction_linear_two_sided():
     y_a = sine_mode(model.grid, 1, 1.0)
     y_b = zeros(model.grid)
     stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.record([RngStream(55, 0)], 1)[0, 0]
-    out_a = stepper.run_block(x.values, y_a.values, block)
-    out_b = stepper.run_block(x.values, y_b.values, block)
-    gap = norm_values(model.grid, out_a - out_b, L2)
+    block = stepper.record([RngStream(55, 0)], 1)[:, 0]
+    out_a = stepper.run_block(x.values[:, None], y_a.values[:, None], block)
+    out_b = stepper.run_block(x.values[:, None], y_b.values[:, None], block)
+    gap = norm_values(model.grid, (out_a - out_b)[:, 0], L2)
     tau = dt_macro / epsilon
     lam = smallest_eigenvalue(model.grid)
     margin = dissipativity_margin(model.fast, model.coupling, model.grid)
@@ -270,11 +270,11 @@ def test_fast_block_contraction_smooth_bounded_envelope():
     y_a = sine_mode(grid, 1, 1.0)
     y_b = sine_mode(grid, 2, -0.5)
     stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.record([RngStream(56, 0)], 1)[0, 0]
-    out_a = stepper.run_block(x.values, y_a.values, block)
-    out_b = stepper.run_block(x.values, y_b.values, block)
+    block = stepper.record([RngStream(56, 0)], 1)[:, 0]
+    out_a = stepper.run_block(x.values[:, None], y_a.values[:, None], block)
+    out_b = stepper.run_block(x.values[:, None], y_b.values[:, None], block)
     gap0 = norm_values(grid, y_a.values - y_b.values, L2)
-    gap = norm_values(grid, out_a - out_b, L2)
+    gap = norm_values(grid, (out_a - out_b)[:, 0], L2)
     margin = dissipativity_margin(model.fast, model.coupling, model.grid)
     envelope = gap0 * math.exp(-0.5 * margin * dt_macro / epsilon) * 1.1
     assert gap <= envelope
@@ -337,6 +337,7 @@ def test_blow_up_names_epsilon_and_first_bad_step():
 def reference_coupled(model, m, params, stream):
     """The coupled loop with one noise draw per macro step, kept as the reference.
 
+    The states are single columns (n, 1) and the noise one replica's rows.
     Returns the slow and fast states, the raw slow and fast noise rows, and
     the fast noise each macro step consumed: the stepper's block sums of
     its raw rows for the linear kind, the rows themselves for smooth_bounded.
@@ -349,17 +350,17 @@ def reference_coupled(model, m, params, stream):
     g1_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
     g2_scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt / n_sub)
     basis_slow_t = np.ascontiguousarray(sine_basis(grid, coupling.g1_modes).T)
-    x, y = model.x0.values.copy(), model.y0.values.copy()
-    xs, ys, slow_rows, fast_rows, consumed = [x], [y], [], [], []
+    x, y = model.x0.values[:, None].copy(), model.y0.values[:, None].copy()
+    xs, ys, slow_rows, fast_rows, consumed = [x[:, 0]], [y[:, 0]], [], [], []
     for _ in range(m):
         forcing = coupling_f(coupling, x, y)
         block = gen_fast.standard_normal((n_sub, coupling.g2_modes)) * g2_scales
         noise = fast_stepper.reduce(block)
-        y = fast_stepper.run_block(x, y, noise)
+        y = fast_stepper.run_block(x, y, noise[None])
         slow_coeffs = g1_scales * gen_slow.standard_normal(coupling.g1_modes)
-        x = slow_stepper.step(x, forcing, slow_coeffs @ basis_slow_t)
-        xs.append(x)
-        ys.append(y)
+        x = slow_stepper.step(x, forcing, (slow_coeffs @ basis_slow_t)[:, None])
+        xs.append(x[:, 0])
+        ys.append(y[:, 0])
         slow_rows.append(slow_coeffs)
         fast_rows.append(block)
         consumed.append(noise)

@@ -97,10 +97,10 @@ def test_non_finite_residual_is_newton_divergence(kind):
     grid = Grid1D(8)
     params = SchemeParams(dt_macro=1 / 64)
     stepper = _SlowStepper(SlowOperatorSpec(kind, p=3.0), grid, params.dt_macro, params)
-    forcing = np.ones(8)
+    forcing = np.ones((8, 1))
     forcing[3] = np.nan
     with pytest.raises(NewtonDivergence, match=rf"implicit {kind} solve met a non-finite residual"):
-        stepper.step(np.linspace(-1.0, 1.0, 8), forcing, np.zeros(8))
+        stepper.step(np.linspace(-1.0, 1.0, 8)[:, None], forcing, np.zeros((8, 1)))
 
 
 def test_p_laplace_newton_takes_face_gradients_once_per_iterate(monkeypatch):
@@ -126,8 +126,8 @@ def test_p_laplace_newton_takes_face_gradients_once_per_iterate(monkeypatch):
     grid = Grid1D(16)
     params = SchemeParams(dt_macro=1 / 16)
     stepper = _SlowStepper(SlowOperatorSpec("p_laplace", p=4.0), grid, 1 / 16, params)
-    x = np.sin(np.pi * np.arange(1, 17) * grid.h)
-    stepper.step(x, np.ones(16), np.zeros(16))
+    x = np.sin(np.pi * np.arange(1, 17) * grid.h)[:, None]
+    stepper.step(x, np.ones((16, 1)), np.zeros((16, 1)))
     assert counts["slow_drift"] > 2
     assert counts["face_gradients"] == counts["slow_drift"]
 
@@ -150,9 +150,9 @@ def test_implicit_residual_contract_property(n, kind, p, dt, seed):
     gen = np.random.default_rng(seed)
     nodes = np.arange(1, n + 1) * grid.h
     modes = np.sin(np.pi * np.outer(nodes, np.arange(1, 4)))
-    x = modes @ gen.uniform(-0.5, 0.5, size=3)
-    forcing = gen.standard_normal(n)
-    noise = 0.05 * gen.standard_normal(n)
+    x = modes @ gen.uniform(-0.5, 0.5, size=(3, 1))
+    forcing = gen.standard_normal((n, 1))
+    noise = 0.05 * gen.standard_normal((n, 1))
     x_new = stepper.step(x, forcing, noise)
     scale = max(1.0, float(np.abs(x + dt * forcing + noise).max()))
     assert float(np.abs(stepper.residual(x_new, x, forcing, noise)).max()) <= tol * scale
