@@ -16,12 +16,13 @@ epsilon = 1:
   by about DT_FAST = 0.1. Because F is affine in y the time average of
   F(x, Y) equals F(x, time average of Y), which is what the code
   accumulates. The replicas advance side by side as the columns of one
-  state. Points stack the same way: given an (n, S) array of points with
-  one base stream each, all S * n_replicas replicas run as the columns of
-  one frozen run, each with its own point frozen and on its own stream, and
-  each point's estimate has the bytes of a call of its own. MemoizedFbar
-  uses that to refresh, in one run, every column of a batch whose input
-  left its trust region at the same macro step.
+  state. Points stack the same way: it takes an (n, S) array of points with
+  one base stream each, a lone point being S = 1, and all S * n_replicas
+  replicas run as the columns of one frozen run, each with its own point
+  frozen and on its own stream, so each point's estimate has the bytes of
+  a call of its own. MemoizedFbar uses that to refresh, in one run, every
+  column of a batch whose input left its trust region at the same macro
+  step.
 - ergodicity_decay runs zero and the first sine mode under shared noise
   for 50 relaxation times in steps of 0.02, as the two columns of one state.
 
@@ -29,6 +30,10 @@ For the linear fast operator the invariant measure is Gaussian with mean
 L^-1 (c_b x), giving the closed form used as an oracle:
 
     fbar(x) = f0 + c_fx * x + c_fy * c_b * L^-1 x.
+
+The two drift providers, OracleFbar and MemoizedFbar, map slow states of a
+batch, (n, R), to their drifts column by column, as simulate_averaged and
+simulate_epsilon_grid call them; a lone state is one column, x[:, None].
 """
 
 from __future__ import annotations
@@ -78,37 +83,32 @@ def estimate_fbar(
     fast: FastOperatorSpec,
     coupling: CouplingSpec,
     grid: Grid1D,
-    x: Field | Array,
+    x: Array,
     n_replicas: int,
-    stream: RngStream | Sequence[RngStream],
+    streams: Sequence[RngStream],
     t_avg: float | None = None,
-) -> FbarEstimate | list[FbarEstimate]:
-    """Monte Carlo time-average estimate of the averaged coupling drift at x.
+) -> list[FbarEstimate]:
+    """Monte Carlo time-average estimates of the averaged coupling drift at points x.
 
-    t_avg is the averaging window, WINDOW / margin when None. Replica r
-    draws from stream id stream.stream_id + r, so estimates with the same
-    base stream are reproducible and replicas are independent. The per-node
-    standard error comes from the spread of the replica means.
-
-    One RngStream goes with one point, a Field or an (n,) array, and gives
-    one estimate. S base streams go with an (n, S) array of points, one per
-    stream, and give one estimate per point, each with the bytes of its own
-    call, from one frozen run of S * n_replicas columns.
+    x is an (n, S) array of points and streams their S base streams; a lone
+    point is x[:, None] with [stream]. Returns one estimate per point, each
+    with the bytes of its own call, from one frozen run of S * n_replicas
+    columns. t_avg is the averaging window, WINDOW / margin when None.
+    Replica r of a point draws from stream id base.stream_id + r, so
+    estimates with the same base stream are reproducible and replicas are
+    independent. The per-node standard error comes from the spread of the
+    replica means.
     """
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a spread estimate")
-    if t_avg is not None and t_avg <= 0.0:
-        raise ValueError("t_avg must be positive when given")
-    single = isinstance(stream, RngStream)
-    bases = [stream] if single else list(stream)
-    points = np.asarray(x.values if isinstance(x, Field) else x, dtype=np.float64)
-    expected = (grid.n_interior,) if single else (grid.n_interior, len(bases))
-    if points.shape != expected:
+    if t_avg is not None and not 0.0 < t_avg < math.inf:
+        raise ValueError(f"t_avg must be positive and finite when given, got {t_avg}")
+    points = np.asarray(x, dtype=np.float64)
+    if points.shape != (grid.n_interior, len(streams)):
         raise ValueError(
-            f"{len(bases)} base streams cannot go with points of {points.shape}: one RngStream "
-            "takes a Field or an (n,) array, a sequence of S streams an (n, S) array"
+            f"{len(streams)} base streams cannot go with points of {points.shape}: "
+            "S streams take an (n, S) array"
         )
-    points = points.reshape(grid.n_interior, -1)
     margin = contraction_margin(fast, coupling, grid)
     t_burn = BURN_IN / margin
     if t_avg is None:
@@ -120,9 +120,11 @@ def estimate_fbar(
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
     # Column s * n_replicas + r is replica r of point s: it draws its own
     # stream and steps with that point frozen.
-    streams = [RngStream(b.master_seed, b.stream_id + r) for b in bases for r in range(n_replicas)]
-    coefficients = stepper.draw(streams, n_steps)
-    y_sum = np.zeros((grid.n_interior, len(streams)))
+    columns = [
+        RngStream(b.master_seed, b.stream_id + r) for b in streams for r in range(n_replicas)
+    ]
+    coefficients = stepper.draw(columns, n_steps)
+    y_sum = np.zeros((grid.n_interior, len(columns)))
     path = stepper.path(np.repeat(points, n_replicas, axis=1), np.zeros_like(y_sum), coefficients)
     for m, y in enumerate(path):
         if m >= burn_steps:
@@ -135,7 +137,7 @@ def estimate_fbar(
         mean = replica_means.mean(axis=0)
         stderr = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
         estimates.append(FbarEstimate(Field(grid, mean), Field(grid, stderr)))
-    return estimates[0] if single else estimates
+    return estimates
 
 
 def ergodicity_decay(
@@ -179,7 +181,7 @@ class OracleFbar:
 
     The map is affine, fbar(x) = f0 + M x with M = c_fx I + c_fy c_b L^-1;
     M is formed once, so each call is one matrix-vector product per column
-    of x, (n, R), or of an (n,) vector widened to one column at entry.
+    of x, (n, R).
     """
 
     def __init__(self, fast: FastOperatorSpec, coupling: CouplingSpec, grid: Grid1D):
@@ -191,8 +193,7 @@ class OracleFbar:
         self._matrix = coupling.c_fx * identity + (coupling.c_fy * fast.c_b) * inverse
 
     def __call__(self, x: Array) -> Array:
-        columns = x.reshape(x.shape[0], -1)
-        return (self._offset[:, None] + _matvec(self._matrix, columns)).reshape(x.shape)
+        return self._offset[:, None] + _matvec(self._matrix, x)
 
 
 class MemoizedFbar:
@@ -207,7 +208,7 @@ class MemoizedFbar:
     k * n_replicas on, so a given call sequence is reproducible. The columns
     due at one call refresh in one estimate_fbar call, each with the bytes
     it would get alone: a column's values and refresh_counts[r] do not
-    depend on the other columns. x is (n, R), or (n,) widened at entry.
+    depend on the other columns. x is (n, R).
     """
 
     TRUST_RELATIVE = 0.05
@@ -234,11 +235,10 @@ class MemoizedFbar:
         self._values = np.zeros((grid.n_interior, len(self.streams)))
 
     def __call__(self, x: Array) -> Array:
-        columns = x.reshape(x.shape[0], -1)
-        if columns.shape[1] != len(self.streams):
+        if x.shape != (self.grid.n_interior, len(self.streams)):
             raise ValueError(f"{len(self.streams)} streams cannot go with x of shape {x.shape}")
         # Row by row in C order: each gap's norm sums as a lone vector's would.
-        gaps = row_norms(self.grid, np.ascontiguousarray(columns.T) - self._x, L2)
+        gaps = row_norms(self.grid, np.ascontiguousarray(x.T) - self._x, L2)
         stale = np.flatnonzero(~(gaps <= self._radius))
         if stale.size:
             bases = [
@@ -249,13 +249,13 @@ class MemoizedFbar:
                 for r in stale
             ]
             estimates = estimate_fbar(
-                self.fast, self.coupling, self.grid, columns[:, stale], self.n_replicas, bases
+                self.fast, self.coupling, self.grid, x[:, stale], self.n_replicas, bases
             )
             self.refresh_counts[stale] += 1
-            self._x[stale] = columns.T[stale]
+            self._x[stale] = x.T[stale]
             self._radius[stale] = self.TRUST_RELATIVE * row_norms(self.grid, self._x[stale], L2)
             self._radius[stale] += self.TRUST_ABSOLUTE
             # A new array, so a value returned earlier never changes.
             self._values = self._values.copy()
             self._values[:, stale] = np.stack([e.mean.values for e in estimates], axis=1)
-        return self._values.reshape(x.shape)
+        return self._values

@@ -44,30 +44,29 @@ def build_auxiliary(
     model: ModelSpec,
     trajectory: Trajectory,
     noise: NoisePath,
-    delta: float | Sequence[float],
+    deltas: Sequence[float],
 ) -> Array:
-    """Replay the fast noise with the slow input frozen at block boundaries.
+    """Replay the fast noise of a batch with the slow input frozen at block boundaries.
 
-    delta is a block length, a positive whole multiple of the recorded
-    dt_macro, or a sequence of them. Returns the auxiliary fast states at
-    macro times, shape (n_steps + 1, n) for one replica and one delta. A
-    batched trajectory and path add a replica axis before n, and a sequence
-    of deltas adds a delta axis before that: every (delta, replica) pair
-    runs as one column of a single replay. With delta = dt_macro the anchor
-    is the current macro step, which is exactly what the coupled integrator
-    used, so the result reproduces the recorded fast trajectory bit for bit.
+    deltas are block lengths, each a positive whole multiple of the
+    recorded dt_macro; one block length is [delta]. Returns the auxiliary
+    fast states at macro times, shape (n_steps + 1, D, R, n) for D deltas
+    and the R replicas of the trajectory and path: every (delta, replica)
+    pair runs as one column of a single replay. With delta = dt_macro the
+    anchor is the current macro step, which is exactly what the coupled
+    integrator used, so the result reproduces the recorded fast trajectory
+    bit for bit.
     """
     if noise.epsilon != model.epsilon:
         raise ValueError("noise path was recorded at a different epsilon")
     m, n = noise.n_macro, model.grid.n_interior
-    if trajectory.x.shape[0] != m + 1:
+    x = trajectory.x
+    if x.shape[0] != m + 1:
         raise ValueError("trajectory and noise path disagree on the step count")
-    fast = noise._as_batch().fast
+    fast = noise.fast
     replicas = fast.shape[0]
-    x = trajectory.x.reshape(m + 1, -1, n)
-    if x.shape[1] != replicas:
+    if x.shape[1:] != (replicas, n):
         raise ValueError("trajectory and noise path disagree on the replica count")
-    deltas = np.atleast_1d(delta)
     anchors = np.array(
         [block_anchors(m, whole_steps(float(d), noise.dt_macro, "delta")) for d in deltas]
     )
@@ -78,15 +77,14 @@ def build_auxiliary(
     if fast.shape[2:] != stepper.noise_shape:
         raise ValueError(f"recorded fast noise does not fit the {model.fast.kind} fast operator")
     # Column d * replicas + r replays replica r under block length deltas[d].
-    y_hat = np.empty((m + 1, deltas.size * replicas, n))
+    y_hat = np.empty((m + 1, len(anchors) * replicas, n))
     y_hat[0] = model.y0.values
     y = y_hat[0].T
     for j in range(m):
         x_frozen = x[anchors[:, j]].reshape(-1, n).T
         y = stepper.run_block(x_frozen, y, fast[:, j])
         y_hat[j + 1] = y.T
-    batch = (replicas,) if noise.batched else ()
-    return y_hat.reshape((m + 1, *np.shape(delta), *batch, n))
+    return y_hat.reshape(m + 1, len(anchors), replicas, n)
 
 
 def deviation_statistic(trajectory: Trajectory, auxiliary: Array, grid: Grid1D) -> float:

@@ -734,22 +734,23 @@ def run_fbar(config: ExperimentConfig) -> FbarRunResult:
     grid, _, fast, coupling = build_specs(config)
     with _config_errors():
         x = sine_mode(grid, 1, config.x0_amplitude)
-        estimate = estimate_fbar(
-            fast, coupling, grid, x, config.fbar_replicas, RngStream(config.master_seed, 0)
+        point = x.values[:, None]
+        (estimate,) = estimate_fbar(
+            fast, coupling, grid, point, config.fbar_replicas, [RngStream(config.master_seed, 0)]
         )
     oracle = None
     if fast.kind == "linear":
-        oracle = Field(grid, OracleFbar(fast, coupling, grid)(x.values))
+        oracle = Field(grid, OracleFbar(fast, coupling, grid)(point)[:, 0])
     return FbarRunResult(x, estimate.mean, estimate.stderr, oracle, config.fbar_replicas)
 
 
 def run_simulate(config: ExperimentConfig, epsilon: float | None = None):
     eps = epsilon if epsilon is not None else config.epsilon_grid[0]
     model = build_model(config, eps)
-    trajectory, _ = simulate_coupled(
-        model, config.T, scheme_params(config), RngStream(config.master_seed, 0)
+    batch, _ = simulate_coupled(
+        model, config.T, scheme_params(config), [RngStream(config.master_seed, 0)]
     )
-    return trajectory
+    return batch.replica(0)
 
 
 # ---------------------------------------------------------------- CSV emitters

@@ -9,7 +9,7 @@ and the Wiener increment enter explicitly. The coupled and the averaged
 equation share this one macro-step loop and differ only in the forcing, as
 in the macro solver of a heterogeneous multiscale method: F(x, y) at the
 left endpoint in the coupled run, fbar(x) in the averaged one. Given fbar,
-simulate_coupled advances both in one loop, the averaged run as more
+simulate_epsilon_grid advances both in one loop, the averaged run as more
 columns of the same state on the same slow increments. The fast
 state advances inside each macro step through n_sub implicit Euler micro
 steps of size dt_macro / n_sub with the slow input frozen at the left
@@ -55,12 +55,12 @@ fast noise and fast states. Replica r draws its whole horizon from its own
 stream into row r of one preallocated array, so recorded noise puts the
 replica first, (R, n_macro, ...), and each replica's rows are contiguous;
 trajectories are time first, (n_steps + 1, R, n), so that each macro step
-writes one contiguous block. Private code knows no other layout: states are
-(n, C) and noise (R, ...). A lone replica is a batch of one, widened once by
-the public entry point it enters (simulate_coupled, simulate_averaged,
-build_auxiliary, OracleFbar, MemoizedFbar, estimate_fbar). A replica's
+writes one contiguous block. There is no other layout, in private code or
+at the public entry points: states are (n, C) and noise (R, ...), a lone
+replica is a batch of one that its caller builds ([stream], x[:, None]),
+and statistics take one replica out with Trajectory.replica. A replica's
 bytes do not depend on its batch or on the other epsilons of its grid,
-because every batched operation is one of:
+because every operation on a batch is one of:
 
 - elementwise;
 - column by column: the prefactored pttrs solve with many right-hand sides,
@@ -81,7 +81,7 @@ because every batched operation is one of:
 - the noise sums of the linear kind, one einsum over a block of macro steps
   whose every row sums as the one-step einsum does.
 
-A run, single or batched, either finishes every replica or raises
+A run either finishes every replica of its batch or raises
 NewtonDivergence or NumericalBlowUp; there are no partial results. It
 raises at the earliest macro step at which any column fails, a coupled
 column before an averaged one at the same step. Since a replica's bytes do
@@ -139,7 +139,7 @@ DT_FAST = 0.1
 class NewtonDivergence(RuntimeError):
     """The implicit solve failed to converge; reported as a numerical failure.
 
-    column is the failing column of a batched solve.
+    column is the failing column of a solve over many columns.
     """
 
     def __init__(self, message: str, column: int = 0) -> None:
@@ -203,15 +203,14 @@ class ModelSpec:
 
 
 class NoisePath:
-    """Recorded noise of both Wiener processes, one replica or a batch.
+    """Recorded noise of both Wiener processes for a batch of R replicas.
 
-    For one replica slow has shape (n_macro, g1_modes): raw Wiener-increment
-    coefficients over dt_macro. fast holds, per macro step, what the fast
-    stepper of this epsilon and n_sub consumes (_FastStepper.record): the
-    gain-weighted noise sums, (n_macro, g2_modes), for the linear kind, and
-    the raw coefficient rows over dt_macro / n_sub, (n_macro, n_sub,
-    g2_modes), for smooth_bounded. A batch of R replicas adds a leading
-    replica axis to both. Which of the two layouts fits is the fast kind's
+    slow has shape (R, n_macro, g1_modes): raw Wiener-increment coefficients
+    over dt_macro. fast holds, per macro step, what the fast stepper of this
+    epsilon and n_sub consumes (_FastStepper.record): the gain-weighted
+    noise sums, (R, n_macro, g2_modes), for the linear kind, and the raw
+    coefficient rows over dt_macro / n_sub, (R, n_macro, n_sub, g2_modes),
+    for smooth_bounded. Which of the two layouts fits is the fast kind's
     business; the stepper checks it where a path is replayed.
     """
 
@@ -220,13 +219,11 @@ class NoisePath:
     ) -> None:
         slow = np.ascontiguousarray(slow, dtype=np.float64)
         fast = np.ascontiguousarray(fast, dtype=np.float64)
-        if slow.ndim not in (2, 3) or fast.ndim not in (slow.ndim, slow.ndim + 1):
+        if slow.ndim != 3 or fast.ndim not in (3, 4):
             raise ValueError(
-                "slow must be ([replicas,] steps, modes), fast ([replicas,] steps, [sub,] modes)"
+                "slow must be (replicas, steps, modes), fast (replicas, steps, [sub,] modes)"
             )
-        if fast.shape[: slow.ndim - 1] != slow.shape[:-1] or (
-            fast.ndim > slow.ndim and fast.shape[-2] != n_sub
-        ):
+        if fast.shape[:2] != slow.shape[:2] or (fast.ndim == 4 and fast.shape[2] != n_sub):
             raise ValueError("fast noise shape disagrees with n_sub / step count")
         self.dt_macro = float(dt_macro)
         self.n_sub = int(n_sub)
@@ -236,20 +233,7 @@ class NoisePath:
 
     @property
     def n_macro(self) -> int:
-        return self.slow.shape[-2]
-
-    @property
-    def batched(self) -> bool:
-        return self.slow.ndim == 3
-
-    def replica(self, r: int) -> "NoisePath":
-        """The path of replica r of a batch."""
-        return NoisePath(self.dt_macro, self.n_sub, self.epsilon, self.slow[r], self.fast[r])
-
-    def _as_batch(self) -> "NoisePath":
-        if self.batched:
-            return self
-        return NoisePath(self.dt_macro, self.n_sub, self.epsilon, self.slow[None], self.fast[None])
+        return self.slow.shape[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NoisePath):
@@ -265,10 +249,10 @@ class NoisePath:
 
 @dataclasses.dataclass
 class Trajectory:
-    """Coupled states at macro times; x and y have shape (n_steps + 1, n).
+    """Coupled states of a batch at macro times; x and y are (n_steps + 1, R, n).
 
-    A batch of R replicas has x and y of shape (n_steps + 1, R, n), every
-    replica run to the horizon: a run that fails raises instead.
+    Every replica runs to the horizon: a run that fails raises instead.
+    replica(r) is replica r alone, (n_steps + 1, n), as statistics take it.
     """
 
     times: Array
@@ -281,7 +265,7 @@ class Trajectory:
 
 @dataclasses.dataclass
 class SlowTrajectory:
-    """Slow states at macro times, single or batched as in Trajectory."""
+    """Slow states of a batch at macro times, x as in Trajectory."""
 
     times: Array
     x: Array
@@ -784,37 +768,20 @@ def _draw(
 
 
 def simulate_coupled(
-    model: ModelSpec,
-    T: float,
-    params: SchemeParams,
-    stream: RngStream | Sequence[RngStream],
-    fbar: Callable[[Array], Array] | None = None,
-) -> tuple[Trajectory, NoisePath] | tuple[Trajectory, NoisePath, SlowTrajectory]:
-    """Advance the coupled pair over [0, T] and record the noise that drove it.
+    model: ModelSpec, T: float, params: SchemeParams, streams: Sequence[RngStream]
+) -> tuple[Trajectory, NoisePath]:
+    """Advance the coupled pair of a batch over [0, T] and record the noise that drove it.
 
-    stream is one RngStream for a single run, or one per replica for a
-    batch (see the module docstring). The whole horizon is drawn up front
-    (slow rows on lane 0, fast rows on lane 1 of each stream), the same
-    numbers as drawing step by step, and recorded as a NoisePath, whose
-    fast noise is what the fast stepper consumes (noise sums for the linear
-    kind). That path drives the averaged equation and the block-frozen
-    auxiliary construction with this very realization.
-
-    Given fbar, a drift as simulate_averaged takes it, the averaged equation
-    advances beside the coupled one, as R more columns of the same slow
-    loop on the same slow increments, and its SlowTrajectory comes third:
-    the bytes of simulate_averaged(model, fbar, params, path), in one
-    macro-step loop whose Newton solves serve both equations. A failure of
-    any replica in either equation raises (see _slow_loop). This is the
-    one-epsilon case of simulate_epsilon_grid.
+    streams holds one RngStream per replica; a lone replica is [stream].
+    The whole horizon is drawn up front (slow rows on lane 0, fast rows on
+    lane 1 of each stream), the same numbers as drawing step by step, and
+    recorded as a NoisePath, whose fast noise is what the fast stepper
+    consumes (noise sums for the linear kind). That path drives the
+    averaged equation and the block-frozen auxiliary construction with this
+    very realization. This is the one-epsilon case of simulate_epsilon_grid,
+    which can also step the averaged equation beside the coupled one.
     """
-    single = isinstance(stream, RngStream)
-    streams = [stream] if single else list(stream)
-    drift = None if fbar is None else _columns_drift(fbar, single)
-    (results,) = simulate_epsilon_grid(model, [model.epsilon], T, params, streams, drift)
-    if single:
-        return tuple(result.replica(0) for result in results)
-    return results
+    return simulate_epsilon_grid(model, [model.epsilon], T, params, streams)[0]
 
 
 def simulate_epsilon_grid(
@@ -828,7 +795,9 @@ def simulate_epsilon_grid(
     """simulate_coupled for a batch at each epsilon of a grid, in one slow loop.
 
     Returns, for each epsilon in order, what simulate_coupled returns for
-    the batch of `streams` on model with that epsilon, with the same bytes.
+    the batch of `streams` on model with that epsilon, with the same bytes,
+    and given fbar the averaged SlowTrajectory third: the bytes of
+    simulate_averaged(model, fbar, params, path) for that path.
     Each epsilon is a group of R coupled columns with its own fast stepper,
     noise and fast states; the slow rows are drawn once and drive every
     group, since a replica draws the same ones at every epsilon. Given fbar,
@@ -840,6 +809,8 @@ def simulate_epsilon_grid(
     column. A failure of any column raises, naming its equation and epsilon
     (see _slow_loop).
     """
+    if isinstance(streams, RngStream):
+        raise TypeError("streams must be a sequence of RngStream; one replica is [stream]")
     replicas = len(streams)
     dt = params.dt_macro
     m = whole_steps(T, dt, "horizon T")
@@ -893,24 +864,12 @@ def simulate_averaged(
 ) -> SlowTrajectory:
     """Advance the averaged slow equation on the grid and slow noise of a recorded path.
 
-    fbar maps slow nodal values to the averaged coupling drift: (n,) on a
-    single path, and every column at once, (n, R), on a batched one, as
-    OracleFbar and MemoizedFbar take them. Against the path of
-    simulate_coupled the run shares that realization exactly. Failures
-    raise as in simulate_coupled.
+    fbar maps the slow nodal values of every replica at once, (n, R), to
+    the averaged coupling drift, as OracleFbar and MemoizedFbar take them.
+    Against the path of simulate_coupled the run shares that realization
+    exactly. Failures raise as in simulate_coupled.
     """
-    drift = _columns_drift(fbar, not noise.batched)
-    slow = _slow_loop(
-        model, params, noise._as_batch(), lambda j, x: drift(x), [("averaged", model.epsilon, ())]
-    )
-    return slow if noise.batched else slow.replica(0)
-
-
-def _columns_drift(fbar: Callable[[Array], Array], single: bool) -> Callable[[Array], Array]:
-    """fbar as a drift on columns (n, R); the fbar of a single run takes (n,)."""
-    if single:
-        return lambda x: fbar(x[:, 0])[:, None]
-    return fbar
+    return _slow_loop(model, params, noise, lambda j, x: fbar(x), [("averaged", model.epsilon, ())])
 
 
 def _slow_loop(
@@ -920,7 +879,7 @@ def _slow_loop(
     forcing: Callable[[int, Array], Array],
     runs: Sequence[tuple[str, float, tuple[Array, ...]]],
 ) -> SlowTrajectory:
-    """The one macro-step loop of the slow equation, on the grid of a batched `noise`.
+    """The one macro-step loop of the slow equation, on the grid of `noise`.
 
     The state holds one group of R columns, one per replica, for each
     (equation, epsilon, histories) entry of `runs`, in order, and every

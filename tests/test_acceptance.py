@@ -20,7 +20,6 @@ from spavg.conditions import CONDITION_IDS, check_condition, sample_field
 from spavg.config import ExperimentConfig
 from spavg.experiments import fit_line, run_convergence, run_diagnostics, write_convergence_csv
 from spavg.grid import (
-    Field,
     Grid1D,
     H1_0,
     H_MINUS1,
@@ -73,14 +72,14 @@ def test_fbar_estimate_matches_closed_form_and_tightens():
     shrinks = []
     window = WINDOW / dissipativity_margin(LINEAR_FAST, COUPLING, GRID)
     for i in range(5):
-        x = Field(GRID, sample_field(GRID, np.random.default_rng(100 + i), 0.5))
-        oracle = OracleFbar(LINEAR_FAST, COUPLING, GRID)(x.values)
-        base = estimate_fbar(
-            LINEAR_FAST, COUPLING, GRID, x, 64, RngStream(CONFIG.master_seed, 45_000 + i)
+        x = sample_field(GRID, np.random.default_rng(100 + i), 0.5)[:, None]
+        oracle = OracleFbar(LINEAR_FAST, COUPLING, GRID)(x)[:, 0]
+        (base,) = estimate_fbar(
+            LINEAR_FAST, COUPLING, GRID, x, 64, [RngStream(CONFIG.master_seed, 45_000 + i)]
         )
-        doubled = estimate_fbar(
+        (doubled,) = estimate_fbar(
             LINEAR_FAST, COUPLING, GRID, x, 64,
-            RngStream(CONFIG.master_seed, 45_500 + i),
+            [RngStream(CONFIG.master_seed, 45_500 + i)],
             t_avg=2.0 * window,
         )
         gaps = np.abs(base.mean.values - oracle) / base.stderr.values

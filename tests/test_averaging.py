@@ -20,10 +20,12 @@ def test_estimate_fbar_validates_replicas_and_window():
     grid = Grid1D(4)
     fast = FastOperatorSpec("linear")
     coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
+    point, streams = np.zeros((4, 1)), [RngStream(0, 0)]
     with pytest.raises(ValueError, match="at least 2 replicas"):
-        estimate_fbar(fast, coup, grid, zeros(grid), 1, RngStream(0, 0))
-    with pytest.raises(ValueError, match="t_avg must be positive"):
-        estimate_fbar(fast, coup, grid, zeros(grid), 2, RngStream(0, 0), t_avg=-1.0)
+        estimate_fbar(fast, coup, grid, point, 1, streams)
+    for t_avg in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_avg must be positive and finite"):
+            estimate_fbar(fast, coup, grid, point, 2, streams, t_avg=t_avg)
     with pytest.raises(ValueError, match="1 base streams"):
         estimate_fbar(fast, coup, grid, np.zeros((4, 2)), 2, [RngStream(0, 0)])
 
@@ -123,8 +125,8 @@ def test_estimate_fbar_matches_ou_oracle():
         f0=sine_mode(grid, 2, 0.3), c_fx=0.5, c_fy=2.0, g1_modes=6, g2_modes=6
     )
     x = sine_mode(grid, 1, 0.8)
-    estimate = estimate_fbar(fast, coup, grid, x, 8, RngStream(11, 0))
-    oracle = OracleFbar(fast, coup, grid)(x.values)
+    (estimate,) = estimate_fbar(fast, coup, grid, x.values[:, None], 8, [RngStream(11, 0)])
+    oracle = OracleFbar(fast, coup, grid)(x.values[:, None])[:, 0]
     gap = np.abs(estimate.mean.values - oracle)
     assert np.all(gap <= 3.0 * estimate.stderr.values + 1e-12)
     # The oracle itself: f0 + c_fx x + c_fy c_b L^{-1} x.
@@ -138,11 +140,13 @@ def test_estimate_fbar_stderr_shrinks_with_longer_window():
     grid = Grid1D(4)
     fast = FastOperatorSpec("linear", c_b=1.0)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
-    x = sine_mode(grid, 1, 0.5)
+    x = sine_mode(grid, 1, 0.5).values[:, None]
     margin = dissipativity_margin(fast, coup, grid)
     base_window = 60.0 / margin
-    short = estimate_fbar(fast, coup, grid, x, 12, RngStream(31, 0), t_avg=base_window)
-    long = estimate_fbar(fast, coup, grid, x, 12, RngStream(31, 100), t_avg=2.0 * base_window)
+    (short,) = estimate_fbar(fast, coup, grid, x, 12, [RngStream(31, 0)], t_avg=base_window)
+    (long,) = estimate_fbar(
+        fast, coup, grid, x, 12, [RngStream(31, 100)], t_avg=2.0 * base_window
+    )
     ratio = np.linalg.norm(short.stderr.values) / np.linalg.norm(long.stderr.values)
     # Theory says sqrt(2); leave room for the replica-level fluctuation.
     assert ratio >= 1.1
@@ -163,46 +167,35 @@ def test_oracle_provider_matches_function():
     x = sine_mode(grid, 2, 0.4).values
     # The closed form f0 + c_fx x + c_fy c_b L^{-1} x.
     expected = coup.f0.values + 0.2 * x + 1.0 * 0.7 * solve_neg_laplacian(grid, x)
-    np.testing.assert_allclose(provider(x), expected, rtol=1e-12)
+    np.testing.assert_allclose(provider(x[:, None])[:, 0], expected, rtol=1e-12)
 
 
 def test_one_point_is_a_batch_of_one():
-    # One RngStream goes with one point, a Field or an (n,) array, and gives
-    # the bytes of the (n, 1) points form with one stream; every other
-    # pairing of points and streams is refused, naming the accepted shapes.
+    # One point is an (n, 1) array with one base stream and gives a list of
+    # one estimate; every other pairing of points and streams is refused,
+    # naming the accepted shape.
     grid = Grid1D(6)
     fast = FastOperatorSpec("linear", c_b=1.2)
     coup = CouplingSpec(f0=sine_mode(grid, 2, 0.3), c_fx=0.5, c_fy=2.0, g1_modes=6, g2_modes=6)
     x = sine_mode(grid, 1, 0.8)
     stream = RngStream(1, 0)
-    field = estimate_fbar(fast, coup, grid, x, 2, stream)
-    array = estimate_fbar(fast, coup, grid, x.values, 2, stream)
-    (points,) = estimate_fbar(fast, coup, grid, x.values[:, None], 2, [stream])
-    for estimate in (array, points):
-        assert estimate.mean.values.tobytes() == field.mean.values.tobytes()
-        assert estimate.stderr.values.tobytes() == field.stderr.values.tobytes()
-    accepted = r"one RngStream takes a Field or an \(n,\) array, a sequence of S streams an"
-    for bad_x, bad_stream in [
-        (x.values[:, None], stream),
-        (np.zeros(5), stream),
-        (x, [stream]),
-        (x.values, [stream]),
-        (np.zeros((6, 2)), [stream]),
-    ]:
+    (estimate,) = estimate_fbar(fast, coup, grid, x.values[:, None], 2, [stream])
+    assert estimate.mean.values.shape == estimate.stderr.values.shape == (6,)
+    accepted = r"S streams take an \(n, S\) array"
+    for bad_x in (x.values, np.zeros((5, 1)), np.zeros((6, 2))):
         with pytest.raises(ValueError, match=accepted):
-            estimate_fbar(fast, coup, grid, bad_x, 2, bad_stream)
+            estimate_fbar(fast, coup, grid, bad_x, 2, [stream])
 
-    # The oracle on an (n,) vector has the bytes of that vector as column 0
-    # of (n, 1) and as column r of (n, R).
+    # The oracle on one column (n, 1) has the bytes of that column as column
+    # r of (n, R).
     for n in (1, 7, 64):
         grid = Grid1D(n)
         coup = CouplingSpec(f0=sine_mode(grid, 1, 0.1), c_fx=0.2, g1_modes=1, g2_modes=1)
         oracle = OracleFbar(fast, coup, grid)
         batch = np.random.default_rng(n).standard_normal((n, 5))
         for r in range(5):
-            lone = oracle(batch[:, r].copy())
-            assert lone.shape == (n,)
-            assert lone.tobytes() == oracle(batch[:, r].copy()[:, None])[:, 0].tobytes()
+            lone = oracle(batch[:, r].copy()[:, None])
+            assert lone.shape == (n, 1)
             assert lone.tobytes() == oracle(batch)[:, r].tobytes()
 
 
@@ -247,10 +240,10 @@ def test_memoized_fbar_trust_region():
     assert not np.array_equal(first[:, 0], second[:, 0])
     np.testing.assert_array_equal(second[:, 1], first[:, 1])
     # Same construction, same stream: the whole call sequence replays, here
-    # for one column on a vector.
+    # for a batch of one column.
     twin = MemoizedFbar(fast, coup, grid, 4, streams[:1])
-    np.testing.assert_array_equal(twin(x), first[:, 0])
-    np.testing.assert_array_equal(twin(2.0 * x), second[:, 0])
+    np.testing.assert_array_equal(twin(x[:, None])[:, 0], first[:, 0])
+    np.testing.assert_array_equal(twin(2.0 * x[:, None])[:, 0], second[:, 0])
     assert twin.refresh_counts.tolist() == [2]
     with pytest.raises(ValueError, match="2 streams"):
         provider(x)
@@ -290,7 +283,7 @@ def test_chunk_provider_equals_one_column_providers(kind, seed, data):
             values = chunk(x)
         assert spy.call_count == int(any(moves))
         for r, provider in enumerate(alone):
-            assert values[:, r].tobytes() == provider(x[:, r]).tobytes()
+            assert values[:, r].tobytes() == provider(x[:, r : r + 1])[:, 0].tobytes()
     expected = 1 + np.sum(script, axis=0, dtype=int)
     assert chunk.refresh_counts.tolist() == expected.tolist()
     assert [p.refresh_counts[0] for p in alone] == expected.tolist()
@@ -302,4 +295,4 @@ def test_estimate_fbar_refuses_nonpositive_margin():
     lam = smallest_eigenvalue(grid)
     unstable = FastOperatorSpec("smooth_bounded", b=lam)
     with pytest.raises(ValueError):
-        estimate_fbar(unstable, coup, grid, zeros(grid), 8, RngStream(0, 0))
+        estimate_fbar(unstable, coup, grid, np.zeros((4, 1)), 8, [RngStream(0, 0)])

@@ -38,17 +38,18 @@ def test_block_schedule_validation():
 def test_auxiliary_with_delta_equal_dt_is_exact_replay():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
-    trajectory, path = simulate_coupled(model, 0.25, params, RngStream(40, 0))
-    auxiliary = build_auxiliary(model, trajectory, path, params.dt_macro)
-    np.testing.assert_array_equal(auxiliary, trajectory.y)
-    assert deviation_statistic(trajectory, auxiliary, model.grid) == 0.0
+    batch, path = simulate_coupled(model, 0.25, params, [RngStream(40, 0)])
+    auxiliary = build_auxiliary(model, batch, path, [params.dt_macro])[:, 0]
+    np.testing.assert_array_equal(auxiliary, batch.y)
+    assert deviation_statistic(batch.replica(0), auxiliary[:, 0], model.grid) == 0.0
 
 
 def test_auxiliary_deviates_for_coarser_blocks():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
-    trajectory, path = simulate_coupled(model, 0.25, params, RngStream(40, 0))
-    auxiliary = build_auxiliary(model, trajectory, path, 8 / 64)
+    batch, path = simulate_coupled(model, 0.25, params, [RngStream(40, 0)])
+    trajectory = batch.replica(0)
+    auxiliary = build_auxiliary(model, batch, path, [8 / 64])[:, 0, 0]
     assert auxiliary[0] == pytest.approx(trajectory.y[0])
     assert deviation_statistic(trajectory, auxiliary, model.grid) > 0.0
     # Block boundaries re-anchor the slow input but the auxiliary state
@@ -68,11 +69,11 @@ def test_batched_auxiliary_equals_one_replay_per_replica_and_delta(fast_kind):
     batch, path = simulate_coupled(model, 0.25, params, streams)
     auxiliary = build_auxiliary(model, batch, path, deltas)
     assert auxiliary.shape == (17, 3, 3, model.grid.n_interior)
-    assert build_auxiliary(model, batch, path, deltas[1]).shape == (17, 3, model.grid.n_interior)
     for r, stream in enumerate(streams):
-        trajectory, alone = simulate_coupled(model, 0.25, params, stream)
+        trajectory, alone = simulate_coupled(model, 0.25, params, [stream])
         for d, delta in enumerate(deltas):
-            single = build_auxiliary(model, trajectory, alone, delta)
+            single = build_auxiliary(model, trajectory, alone, [delta])
+            assert single.shape == (17, 1, 1, model.grid.n_interior)
             assert auxiliary[:, d, r].tobytes() == single.tobytes()
         assert auxiliary[:, 0, r].tobytes() == batch.replica(r).y.tobytes()
 
@@ -80,18 +81,18 @@ def test_batched_auxiliary_equals_one_replay_per_replica_and_delta(fast_kind):
 def test_auxiliary_validates_consistency():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
-    trajectory, path = simulate_coupled(model, 0.25, params, RngStream(41, 0))
+    trajectory, path = simulate_coupled(model, 0.25, params, [RngStream(41, 0)])
     with pytest.raises(ValueError):
-        build_auxiliary(model, trajectory, path, 1.5 / 64)  # not whole steps
+        build_auxiliary(model, trajectory, path, [1.5 / 64])  # not whole steps
     other = make_model(epsilon=0.1)
     with pytest.raises(ValueError):
-        build_auxiliary(other, trajectory, path, 1 / 32)
+        build_auxiliary(other, trajectory, path, [1 / 32])
     shorter = Trajectory(trajectory.times[:-1], trajectory.x[:-1], trajectory.y[:-1])
     with pytest.raises(ValueError, match="step count"):
-        build_auxiliary(model, shorter, path, 1 / 32)
+        build_auxiliary(model, shorter, path, [1 / 32])
     batch, _ = simulate_coupled(model, 0.25, params, [RngStream(41, 0), RngStream(41, 1)])
     with pytest.raises(ValueError, match="replica count"):
-        build_auxiliary(model, batch, path, 1 / 32)
+        build_auxiliary(model, batch, path, [1 / 32])
 
 
 def test_deviation_statistic_constant_offset():

@@ -1,5 +1,6 @@
 """End-to-end command line runs against temporary config files."""
 
+import hashlib
 import os
 import warnings
 
@@ -121,7 +122,7 @@ def test_diagnose_with_a_failing_replica_exits_3(tmp_path, capsys, monkeypatch):
     config = load_config(str(cfg))
     model = build_model(config, 0.1)  # the largest epsilon runs first
     with pytest.raises(NumericalBlowUp) as alone:
-        simulate_coupled(model, config.T, scheme_params(config), RngStream(config.master_seed, 1))
+        simulate_coupled(model, config.T, scheme_params(config), [RngStream(config.master_seed, 1)])
     assert "macro step 5" in str(alone.value)
     code = main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICS
@@ -169,6 +170,33 @@ def test_simulate_with_epsilon_override(small_cfg, tmp_path):
     rows = read_rows(out / "trajectory.csv")
     assert rows[0].startswith("t,x_1,")
     assert len(rows) == 2 + round(0.125 / 0.0078125)
+
+
+# sha256 of the files `simulate` and `fbar` write for SMALL_CFG, as is and
+# with the smooth_bounded fast operator. No benchmark workload runs these two
+# commands, so these digests are what pins their answers byte for byte. A
+# numpy or BLAS build that rounds differently changes them.
+OUTPUT_DIGESTS = {
+    ("", "simulate"): "d578955a71290222530c0baced13c5d8921e306fd906d8afc555ef684fd6fb86",
+    ("", "fbar"): "ff48ed533014c2eda6ce2675e355c5fae538dcb4433933fa9cb69b649aead86b",
+    ("fast_kind = smooth_bounded\nb = 0.5\n", "simulate"): (
+        "6713e8ef4afd2e6aaf1bcbdf17abbf24c23844283bffb882d2bbd91c3607b6b6"
+    ),
+    ("fast_kind = smooth_bounded\nb = 0.5\n", "fbar"): (
+        "333474e414b9657c69e4efb034e28f80dbfe4e42928b93cd62931d26e44a3479"
+    ),
+}
+
+
+@pytest.mark.parametrize("extra, command", list(OUTPUT_DIGESTS))
+def test_simulate_and_fbar_outputs_keep_their_bytes(tmp_path, extra, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + extra, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    name = "trajectory.csv" if command == "simulate" else "fbar.csv"
+    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest == OUTPUT_DIGESTS[extra, command]
 
 
 def test_config_errors_exit_2(tmp_path):

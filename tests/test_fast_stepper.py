@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from spavg.averaging import BURN_IN, WINDOW, estimate_fbar
-from spavg.grid import Field, Grid1D, sine_basis, sine_mode, zeros
+from spavg.grid import Grid1D, sine_basis, sine_mode, zeros
 import spavg.integrators
 from spavg.integrators import DT_FAST, _FastStepper
 from spavg.operators import (
@@ -127,7 +127,7 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
     x = sine_mode(grid, 1, 0.7)
     n_replicas = 5
     stream = RngStream(17, 40)
-    estimate = estimate_fbar(fast, coupling, grid, x, n_replicas, stream)
+    (estimate,) = estimate_fbar(fast, coupling, grid, x.values[:, None], n_replicas, [stream])
 
     margin = dissipativity_margin(fast, coupling, grid)
     t_burn, t_avg, dt_fast = BURN_IN / margin, WINDOW / margin, DT_FAST / margin
@@ -156,7 +156,7 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
     stacked = estimate_fbar(fast, coupling, grid, points, n_replicas, bases)
     assert len(stacked) == len(bases)
     for s, base in enumerate(bases):
-        alone = estimate_fbar(fast, coupling, grid, Field(grid, points[:, s]), n_replicas, base)
+        (alone,) = estimate_fbar(fast, coupling, grid, points[:, s : s + 1], n_replicas, [base])
         assert stacked[s].mean.values.tobytes() == alone.mean.values.tobytes()
         assert stacked[s].stderr.values.tobytes() == alone.stderr.values.tobytes()
 

@@ -128,16 +128,29 @@ def test_model_spec_validation():
 
 def test_noise_path_shape_validation():
     with pytest.raises(ValueError):
-        NoisePath(0.01, 2, 0.1, np.zeros((4, 3)), np.zeros((4, 3, 2)))  # n_sub mismatch
+        NoisePath(0.01, 2, 0.1, np.zeros((1, 4, 3)), np.zeros((1, 4, 3, 2)))  # n_sub mismatch
     with pytest.raises(ValueError):
-        NoisePath(0.01, 2, 0.1, np.zeros(4), np.zeros((4, 2, 2)))
+        NoisePath(0.01, 2, 0.1, np.zeros((1, 4)), np.zeros((1, 4, 2, 2)))
+    with pytest.raises(ValueError):  # one replica without its replica axis
+        NoisePath(0.01, 2, 0.1, np.zeros((4, 3)), np.zeros((4, 3)))
+    with pytest.raises(ValueError):  # replica counts disagree
+        NoisePath(0.01, 2, 0.1, np.zeros((2, 4, 3)), np.zeros((1, 4, 3)))
+
+
+def test_a_lone_stream_is_refused_naming_the_batch_form():
+    model = make_model()
+    params = SchemeParams(dt_macro=1 / 64)
+    with pytest.raises(TypeError, match=r"one replica is \[stream\]"):
+        simulate_epsilon_grid(model, [0.05], 0.25, params, RngStream(0, 0))
+    with pytest.raises(TypeError, match=r"one replica is \[stream\]"):
+        simulate_coupled(model, 0.25, params, RngStream(0, 0))
 
 
 def test_same_stream_replays_bitwise():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
-    first = simulate_coupled(model, 0.25, params, RngStream(12, 4))
-    second = simulate_coupled(model, 0.25, params, RngStream(12, 4))
+    first = simulate_coupled(model, 0.25, params, [RngStream(12, 4)])
+    second = simulate_coupled(model, 0.25, params, [RngStream(12, 4)])
     np.testing.assert_array_equal(first[0].x, second[0].x)
     np.testing.assert_array_equal(first[0].y, second[0].y)
     assert first[1] == second[1]
@@ -147,7 +160,9 @@ def test_averaged_runs_on_the_recorded_grid():
     # The noise path is the only source of the replay's step grid: the
     # dt_macro of the scheme parameters is not read.
     model = make_model()
-    trajectory, path = simulate_coupled(model, 0.25, SchemeParams(dt_macro=1 / 64), RngStream(3, 0))
+    trajectory, path = simulate_coupled(
+        model, 0.25, SchemeParams(dt_macro=1 / 64), [RngStream(3, 0)]
+    )
     fbar = lambda x: np.zeros_like(x)  # noqa: E731
     averaged = simulate_averaged(model, fbar, SchemeParams(dt_macro=1 / 32), path)
     assert averaged.x.shape == trajectory.x.shape
@@ -160,11 +175,11 @@ def test_decoupled_averaging_is_bitwise_exact():
     # slow path bit for bit and the strong error is exactly zero.
     model = make_model(c_fy=0.0, c_fx=0.7)
     params = SchemeParams(dt_macro=1 / 64)
-    trajectory, path = simulate_coupled(model, 0.5, params, RngStream(90, 2))
+    trajectory, path = simulate_coupled(model, 0.5, params, [RngStream(90, 2)])
     coupling = model.coupling
-    fbar = lambda x: coupling.f0.values + coupling.c_fx * x  # noqa: E731
+    fbar = lambda x: coupling.f0.values[:, None] + coupling.c_fx * x  # noqa: E731
     averaged = simulate_averaged(model, fbar, params, path)
-    assert strong_error(trajectory, averaged, model.grid, L2) == 0.0
+    assert strong_error(trajectory.replica(0), averaged.replica(0), model.grid, L2) == 0.0
 
 
 def test_implicit_residual_contract():
@@ -222,8 +237,8 @@ def test_newton_failure_names_equation_epsilon_and_step():
     model = make_model(epsilon=0.05, slow_kind="porous_medium")
     tight = SchemeParams(dt_macro=1 / 64, newton_tol=1e-320)
     with pytest.raises(NewtonDivergence, match=r"coupled.*epsilon=0\.05.*macro step 1\b"):
-        simulate_coupled(model, 0.25, tight, RngStream(3, 0))
-    path = simulate_coupled(model, 0.25, SchemeParams(dt_macro=1 / 64), RngStream(3, 0))[1]
+        simulate_coupled(model, 0.25, tight, [RngStream(3, 0)])
+    path = simulate_coupled(model, 0.25, SchemeParams(dt_macro=1 / 64), [RngStream(3, 0)])[1]
     fbar = lambda x: np.zeros_like(x)  # noqa: E731
     with pytest.raises(NewtonDivergence, match=r"averaged.*epsilon=0\.05.*macro step 1\b"):
         simulate_averaged(model, fbar, tight, path)
@@ -283,7 +298,7 @@ def test_fast_block_contraction_smooth_bounded_envelope():
 def test_trajectory_stats_sup_and_increments():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
-    trajectory, _ = simulate_coupled(model, 0.25, params, RngStream(8, 1))
+    trajectory = simulate_coupled(model, 0.25, params, [RngStream(8, 1)])[0].replica(0)
     stats = TrajectoryStats(model.grid, L2, params.dt_macro, trajectory.x)
     sup = max(norm_values(model.grid, row, L2) ** 2 for row in trajectory.x)
     assert stats.sup_norm_x_sq == pytest.approx(sup, rel=1e-12)
@@ -307,7 +322,7 @@ def test_mean_norm_y_stays_bounded():
     # Long-run fast energy settles; the mean squared norm must not blow up.
     model = make_model(epsilon=0.02)
     params = SchemeParams(dt_macro=1 / 64)
-    trajectory, _ = simulate_coupled(model, 1.0, params, RngStream(21, 0))
+    trajectory = simulate_coupled(model, 1.0, params, [RngStream(21, 0)])[0].replica(0)
     mean_norm_y_sq = np.mean(row_norms(model.grid, trajectory.y, L2) ** 2)
     assert 0.0 < mean_norm_y_sq < 10.0
 
@@ -316,7 +331,7 @@ def test_horizon_must_be_step_multiple():
     model = make_model()
     params = SchemeParams(dt_macro=1 / 64)
     with pytest.raises(ValueError):
-        simulate_coupled(model, 0.2501, params, RngStream(0, 0))
+        simulate_coupled(model, 0.2501, params, [RngStream(0, 0)])
 
 
 def test_blow_up_names_epsilon_and_first_bad_step():
@@ -326,8 +341,8 @@ def test_blow_up_names_epsilon_and_first_bad_step():
     params = SchemeParams(dt_macro=1 / 64)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalBlowUp, match=r"epsilon=0\.05.*macro step 1\b"):
-            simulate_coupled(model, 0.25, params, RngStream(3, 0))
-        path = simulate_coupled(make_model(epsilon=0.05), 0.25, params, RngStream(3, 0))[1]
+            simulate_coupled(model, 0.25, params, [RngStream(3, 0)])
+        path = simulate_coupled(make_model(epsilon=0.05), 0.25, params, [RngStream(3, 0)])[1]
         fbar = lambda x: np.zeros_like(x)  # noqa: E731
         with pytest.raises(NumericalBlowUp, match=r"averaged.*macro step 1\b"):
             simulate_averaged(model, fbar, params, path)
@@ -383,7 +398,7 @@ def test_shared_slow_loop_matches_reference_bytes(slow_kind, fast_kind, n, epsil
     params = SchemeParams(dt_macro=1 / 64)
     stream = RngStream(seed, 1)
     model = make_model(n=n, epsilon=epsilon, slow_kind=slow_kind, fast_kind=fast_kind)
-    trajectory, path = simulate_coupled(model, steps / 64, params, stream)
+    trajectory, path = simulate_coupled(model, steps / 64, params, [stream])
     x, y, slow_rows, fast_rows, consumed = reference_coupled(model, steps, params, stream)
     assert trajectory.x.tobytes() == x.tobytes()
     assert trajectory.y.tobytes() == y.tobytes()
@@ -392,16 +407,17 @@ def test_shared_slow_loop_matches_reference_bytes(slow_kind, fast_kind, n, epsil
     assert path.fast.tobytes() == consumed.tobytes()
     if fast_kind == "smooth_bounded":
         assert path.fast.tobytes() == fast_rows.tobytes()
-    auxiliary = build_auxiliary(model, trajectory, path, params.dt_macro)
+    auxiliary = build_auxiliary(model, trajectory, path, [params.dt_macro])
     assert auxiliary.tobytes() == trajectory.y.tobytes()
 
     decoupled = make_model(
         n=n, epsilon=epsilon, slow_kind=slow_kind, fast_kind=fast_kind, c_fy=0.0, c_fx=0.7
     )
-    trajectory, path = simulate_coupled(decoupled, steps / 64, params, stream)
-    fbar = lambda x: decoupled.coupling.f0.values + 0.7 * x  # noqa: E731
+    trajectory, path = simulate_coupled(decoupled, steps / 64, params, [stream])
+    fbar = lambda x: decoupled.coupling.f0.values[:, None] + 0.7 * x  # noqa: E731
     averaged = simulate_averaged(decoupled, fbar, params, path)
-    assert strong_error(trajectory, averaged, decoupled.grid, L2) == 0.0
+    error = strong_error(trajectory.replica(0), averaged.replica(0), decoupled.grid, L2)
+    assert error == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -424,25 +440,23 @@ def test_replica_bytes_do_not_depend_on_the_batch(slow_kind, fast_kind, batch, d
     fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
     streams = [RngStream(seed, i) for i in range(batch)]
 
-    def outputs(trajectory, path, averaged):
+    def outputs(streams, k):
+        """The bytes of replica k of a run of the batch `streams`."""
+        batch, path = simulate_coupled(model, steps / 64, params, streams)
+        trajectory = batch.replica(k)
+        averaged = simulate_averaged(model, fbar, params, path).replica(k)
         error = strong_error(trajectory, averaged, model.grid, model.state_norm)
         return (
             trajectory.x.tobytes(),
             trajectory.y.tobytes(),
-            path.slow.tobytes(),
-            path.fast.tobytes(),
+            path.slow[k].tobytes(),
+            path.fast[k].tobytes(),
             error.hex(),
         )
 
-    def in_batch(streams):
-        trajectory, path = simulate_coupled(model, steps / 64, params, streams)
-        averaged = simulate_averaged(model, fbar, params, path)
-        return outputs(trajectory.replica(r), path.replica(r), averaged.replica(r))
-
-    trajectory, path = simulate_coupled(model, steps / 64, params, streams[r])
-    alone = outputs(trajectory, path, simulate_averaged(model, fbar, params, path))
-    assert in_batch(streams) == alone
-    assert in_batch(streams[: r + 1]) == alone
+    alone = outputs([streams[r]], 0)
+    assert outputs(streams, r) == alone
+    assert outputs(streams[: r + 1], r) == alone
     x, y, slow_rows, _, consumed = reference_coupled(model, steps, params, streams[r])
     assert (x.tobytes(), y.tobytes(), slow_rows.tobytes(), consumed.tobytes()) == alone[:4]
 
@@ -493,7 +507,7 @@ def test_batch_with_a_failing_replica_raises(monkeypatch, slow_kind):
     with pytest.raises(failures) as batch:
         simulate_coupled(model, 0.125, params, streams)
     with pytest.raises(failures) as alone:
-        simulate_coupled(model, 0.125, params, streams[1])
+        simulate_coupled(model, 0.125, params, streams[1:2])
     assert batch.type is alone.type and str(batch.value) == str(alone.value)
     step = 4 if slow_kind == "burgers" else 5
     assert re.search(rf"coupled run .*epsilon=0\.05.* macro step {step}\b", str(alone.value))
@@ -517,21 +531,23 @@ class NaNFrom:
 @given(
     slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
     fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
-    batch=st.sampled_from([None, 1, 2, 5]),
+    batch=st.sampled_from([1, 2, 5]),
     steps=st.integers(1, 8),
     seed=st.integers(0, 2**16),
 )
 def test_joint_run_equals_coupled_run_then_averaged_replay(
     slow_kind, fast_kind, batch, steps, seed
 ):
-    # Stepping the averaged equation beside the coupled one gives the bytes
-    # of the coupled run followed by simulate_averaged on its path, for a
-    # single stream (batch None) and for batches.
+    # Stepping the averaged equation beside the coupled one, in a grid run
+    # of one epsilon, gives the bytes of the coupled run followed by
+    # simulate_averaged on its path.
     params = SchemeParams(dt_macro=1 / 64)
     model = make_model(n=9, epsilon=0.05, slow_kind=slow_kind, fast_kind=fast_kind)
     fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
-    streams = RngStream(seed, 0) if batch is None else [RngStream(seed, i) for i in range(batch)]
-    trajectory, path, averaged = simulate_coupled(model, steps / 64, params, streams, fbar)
+    streams = [RngStream(seed, i) for i in range(batch)]
+    ((trajectory, path, averaged),) = simulate_epsilon_grid(
+        model, [0.05], steps / 64, params, streams, fbar
+    )
     alone, alone_path = simulate_coupled(model, steps / 64, params, streams)
     replay = simulate_averaged(model, fbar, params, alone_path)
     assert trajectory.x.shape == alone.x.shape and averaged.x.shape == replay.x.shape
@@ -554,7 +570,9 @@ def test_joint_run_with_the_estimator_equals_the_replay():
         return MemoizedFbar(model.fast, model.coupling, model.grid, 2, bases)
 
     joint = estimator()
-    trajectory, path, averaged = simulate_coupled(model, 4 / 64, params, streams, joint)
+    ((trajectory, path, averaged),) = simulate_epsilon_grid(
+        model, [0.05], 4 / 64, params, streams, joint
+    )
     alone, alone_path = simulate_coupled(model, 4 / 64, params, streams)
     replayed = estimator()
     replay = simulate_averaged(model, replayed, params, alone_path)
@@ -576,7 +594,7 @@ def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
     poison_fast_noise(monkeypatch, {0: 5})
     failures = (NewtonDivergence, NumericalBlowUp)
     with pytest.raises(failures) as joint:
-        simulate_coupled(model, 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 2))
+        simulate_epsilon_grid(model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 2))
     if slow_kind == "burgers":
         assert str(joint.value) == (
             "averaged run blew up at epsilon=0.05: non-finite state at macro step 3"
@@ -590,7 +608,9 @@ def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
     # Burgers, step 6 for the Newton solve after the NaN.
     first = 4 if slow_kind == "burgers" else 5
     with pytest.raises(failures) as same_step:
-        simulate_coupled(model, 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, first))
+        simulate_epsilon_grid(
+            model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, first)
+        )
     with pytest.raises(failures) as coupled:
         simulate_coupled(model, 0.125, params, [RngStream(8, 0)])
     assert same_step.type is coupled.type and str(same_step.value) == str(coupled.value)
@@ -608,7 +628,7 @@ def test_fast_blow_up_at_the_last_step_comes_before_an_averaged_newton_failure(m
     with pytest.raises(NumericalBlowUp) as alone:
         simulate_coupled(model, 0.125, params, [RngStream(8, 0)])
     with pytest.raises(NumericalBlowUp) as joint:
-        simulate_coupled(model, 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 7))
+        simulate_epsilon_grid(model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 7))
     assert str(joint.value) == str(alone.value) == (
         "coupled run blew up at epsilon=0.05: non-finite state at macro step 8"
     )
@@ -637,16 +657,19 @@ def test_epsilon_grid_columns_equal_one_epsilon_runs(
     runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams, fbar)
     assert len(runs) == len(epsilons)
     for epsilon, (trajectory, path, averaged) in zip(epsilons, runs):
-        at = dataclasses.replace(model, epsilon=epsilon)
         assert path.epsilon == epsilon
         for r, stream in enumerate(streams):
-            alone, alone_path, alone_averaged = simulate_coupled(
-                at, steps / 64, params, stream, fbar
+            ((alone, alone_path, alone_averaged),) = simulate_epsilon_grid(
+                model, [epsilon], steps / 64, params, [stream], fbar
             )
             coupled, mean_field = trajectory.replica(r), averaged.replica(r)
+            alone, alone_averaged = alone.replica(0), alone_averaged.replica(0)
             assert coupled.x.tobytes() == alone.x.tobytes()
             assert coupled.y.tobytes() == alone.y.tobytes()
-            assert path.replica(r) == alone_path
+            own = slice(r, r + 1)
+            assert alone_path == NoisePath(
+                path.dt_macro, path.n_sub, epsilon, path.slow[own], path.fast[own]
+            )
             assert mean_field.x.tobytes() == alone_averaged.x.tobytes()
             error = strong_error(coupled, mean_field, model.grid, model.state_norm)
             alone_error = strong_error(alone, alone_averaged, model.grid, model.state_norm)
@@ -678,9 +701,10 @@ def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
     runs = simulate_epsilon_grid(model, epsilons, 4 / 64, params, streams, joint)
     grid_calls, calls[:] = len(calls), []
     for e, (epsilon, (trajectory, _, averaged)) in enumerate(zip(epsilons, runs)):
-        at = dataclasses.replace(model, epsilon=epsilon)
         alone = estimator(1)
-        coupled, _, alone_averaged = simulate_coupled(at, 4 / 64, params, streams, alone)
+        ((coupled, _, alone_averaged),) = simulate_epsilon_grid(
+            model, [epsilon], 4 / 64, params, streams, alone
+        )
         assert trajectory.x.tobytes() == coupled.x.tobytes()
         assert averaged.x.tobytes() == alone_averaged.x.tobytes()
         counts = joint.refresh_counts[e * replicas : (e + 1) * replicas]
@@ -698,7 +722,7 @@ def test_a_failing_epsilon_fails_the_grid_run_naming_it(monkeypatch):
     with pytest.raises(NumericalBlowUp) as grid:
         simulate_epsilon_grid(model, [0.1, 0.05, 0.02], 0.125, params, streams)
     with pytest.raises(NumericalBlowUp) as alone:
-        simulate_coupled(dataclasses.replace(model, epsilon=0.05), 0.125, params, streams[1])
+        simulate_coupled(dataclasses.replace(model, epsilon=0.05), 0.125, params, streams[1:2])
     assert str(grid.value) == str(alone.value) == (
         "coupled run blew up at epsilon=0.05: non-finite state at macro step 4"
     )
@@ -717,9 +741,9 @@ def test_linear_fast_noise_memory_does_not_grow_with_n_sub():
     assert raw_rows > 10e6
     tracemalloc.start()
     try:
-        _, path = simulate_coupled(model, config.T, params, RngStream(0, 0))
+        _, path = simulate_coupled(model, config.T, params, [RngStream(0, 0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert path.fast.shape == (m, model.coupling.g2_modes)
+    assert path.fast.shape == (1, m, model.coupling.g2_modes)
     assert peak < raw_rows / 4
