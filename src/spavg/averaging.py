@@ -56,7 +56,7 @@ from .grid import (
 )
 from .integrators import DT_FAST, _FastStepper, _matvec
 from .operators import CouplingSpec, FastOperatorSpec, contraction_margin
-from .randomness import RngStream
+from .randomness import RngStream, stream_batch
 
 __all__ = [
     "BURN_IN",
@@ -99,6 +99,7 @@ def estimate_fbar(
     independent. The per-node standard error comes from the spread of the
     replica means.
     """
+    streams = stream_batch(streams, "point")
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a spread estimate")
     if t_avg is not None and not 0.0 < t_avg < math.inf:
@@ -226,7 +227,7 @@ class MemoizedFbar:
         self.coupling = coupling
         self.grid = grid
         self.n_replicas = n_replicas
-        self.streams = list(streams)
+        self.streams = stream_batch(streams)
         self.refresh_counts = np.zeros(len(self.streams), dtype=np.int64)
         # Row r caches column r's input; NaN radii put every column outside
         # its trust region until its first refresh.

@@ -57,6 +57,8 @@ def build_auxiliary(
     integrator used, so the result reproduces the recorded fast trajectory
     bit for bit.
     """
+    if np.ndim(deltas) == 0:
+        raise TypeError("deltas must be a sequence of block lengths; one block length is [delta]")
     if noise.epsilon != model.epsilon:
         raise ValueError("noise path was recorded at a different epsilon")
     m, n = noise.n_macro, model.grid.n_interior

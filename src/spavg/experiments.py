@@ -7,17 +7,17 @@ streams are keyed by stream id:
 - converge and diagnose: replica r drives its coupled run with stream id r
   at every epsilon. converge runs a batch of replicas at every epsilon at
   once; replica r's slow rows are the same at each, so they are drawn once.
-- converge with fbar_source = estimator: replica r's estimator starts at
-  stream id ESTIMATOR_STREAMS * (r + 1) at every epsilon and takes
-  fbar_replicas ids per refresh of replica r at that epsilon. A batch
-  shares one MemoizedFbar, in which the column of (epsilon, replica r)
-  keeps replica r's streams and its own cache and refresh count; the
-  refreshes due at one macro step, at every epsilon, run as one frozen run
-  without changing any stream id. Replica r's strong error at an epsilon
-  thus depends on (config, master_seed, epsilon, r) only, not on which
-  replicas or epsilons ran before it or beside it. The ranges stay
-  disjoint while replicas and refreshes * fbar_replicas both stay below
-  ESTIMATOR_STREAMS.
+- converge with fbar_source = estimator: the averaged equation has no
+  epsilon, so replica r has one averaged run and one estimator column,
+  whatever the epsilons of its batch. That column starts at stream id
+  ESTIMATOR_STREAMS * (r + 1) and takes fbar_replicas ids per refresh. A
+  batch shares one MemoizedFbar, in which column r keeps replica r's
+  streams and its own cache and refresh count; the refreshes due at one
+  macro step run as one frozen run without changing any stream id.
+  Replica r's strong error at an epsilon thus depends on (config,
+  master_seed, epsilon, r) only, not on which replicas or epsilons ran
+  before it or beside it. The ranges stay disjoint while replicas and
+  refreshes * fbar_replicas both stay below ESTIMATOR_STREAMS.
 - diagnose: the decay fit of catalog fast operator i uses 500_000 + i.
 - check: condition i uses stream id i.
 - fbar and simulate: stream id 0 (estimator replica j of fbar uses id j).
@@ -335,13 +335,14 @@ def _batch_errors(
     """Strong errors of one batch of replicas at each epsilon, one list per epsilon.
 
     One run covers the batch at every epsilon (simulate_epsilon_grid): the
-    coupled and averaged equations of each epsilon are column groups of one
-    slow loop on the same slow increments, so every slow solve serves them
-    all. The averaged drift is the closed form or one estimator whose
-    column (epsilon i, replica r) has replica r's own streams and its own
-    trust-region cache and refresh count, so a result does not depend on
-    which replicas or epsilons ran before or beside it. Raises
-    NewtonDivergence or NumericalBlowUp if any column fails.
+    coupled equation of each epsilon and the averaged equation, which has
+    no epsilon, are column groups of one slow loop on the same slow
+    increments, so every slow solve serves them all, and every epsilon's
+    errors are taken against the one averaged run. The averaged drift is
+    the closed form or one estimator whose column r has replica r's own
+    streams and its own trust-region cache and refresh count, so a result
+    does not depend on which replicas or epsilons ran before or beside it.
+    Raises NewtonDivergence or NumericalBlowUp if any column fails.
     """
     model = build_model(config, epsilons[0])
     with _config_errors():
@@ -353,11 +354,7 @@ def _batch_errors(
                 model.coupling,
                 model.grid,
                 config.fbar_replicas,
-                [
-                    RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1))
-                    for _ in epsilons
-                    for r in batch
-                ],
+                [RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)) for r in batch],
             )
     streams = [RngStream(config.master_seed, r) for r in batch]
     runs = simulate_epsilon_grid(model, epsilons, config.T, scheme_params(config), streams, fbar)

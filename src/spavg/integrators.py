@@ -10,8 +10,9 @@ equation share this one macro-step loop and differ only in the forcing, as
 in the macro solver of a heterogeneous multiscale method: F(x, y) at the
 left endpoint in the coupled run, fbar(x) in the averaged one. Given fbar,
 simulate_epsilon_grid advances both in one loop, the averaged run as more
-columns of the same state on the same slow increments. The fast
-state advances inside each macro step through n_sub implicit Euler micro
+columns of the same state on the same slow increments: one column per
+replica, since the averaged equation has no epsilon. The fast state
+advances inside each macro step through n_sub implicit Euler micro
 steps of size dt_macro / n_sub with the slow input frozen at the left
 endpoint; n_sub is the smallest integer keeping dt_micro / epsilon below
 dt_fast_target, so the fast equation is resolved on its own clock no matter
@@ -47,8 +48,9 @@ same gains), bit for bit.
 
 Batches. The replicas of one epsilon advance together as the columns of
 one state, shape (n, R), in the same macro-step loop that runs a single
-replica as a batch of one; simulate_epsilon_grid adds a group of R columns
-per epsilon of a grid. Replica r draws the same slow rows at every epsilon
+replica as a batch of one; simulate_epsilon_grid adds a group of R coupled
+columns per epsilon of a grid, and at most one averaged group of R columns
+for them all. Replica r draws the same slow rows at every epsilon
 (lane 0 of its stream does not depend on epsilon), so one set of slow
 increments drives every group, and each group keeps its own fast stepper,
 fast noise and fast states. Replica r draws its whole horizon from its own
@@ -112,7 +114,7 @@ from .operators import (
     mode_scales,
     slow_drift,
 )
-from .randomness import RngStream
+from .randomness import RngStream, stream_batch
 
 __all__ = [
     "DT_FAST",
@@ -797,20 +799,19 @@ def simulate_epsilon_grid(
     Returns, for each epsilon in order, what simulate_coupled returns for
     the batch of `streams` on model with that epsilon, with the same bytes,
     and given fbar the averaged SlowTrajectory third: the bytes of
-    simulate_averaged(model, fbar, params, path) for that path.
+    simulate_averaged(model, fbar, params, path) for any of the paths.
     Each epsilon is a group of R coupled columns with its own fast stepper,
     noise and fast states; the slow rows are drawn once and drive every
     group, since a replica draws the same ones at every epsilon. Given fbar,
-    a drift on columns, the averaged equation of every epsilon advances
-    too: fbar is called once per macro step on all E * R averaged columns,
-    column e * R + r being replica r at epsilons[e], so one MemoizedFbar
-    with one column per (epsilon, replica) refreshes all of them in one
-    estimate_fbar call. Each macro step makes one slow solve for every
-    column. A failure of any column raises, naming its equation and epsilon
-    (see _slow_loop).
+    a drift on columns, the averaged equation advances too. It has no
+    epsilon, so it is one more group of R columns, one per replica, after
+    the coupled ones: fbar is called once per macro step on that (n, R)
+    group, and every epsilon's result holds the same averaged
+    SlowTrajectory. Each macro step makes one slow solve for every column.
+    A failure of any column raises, naming its equation and, for a coupled
+    run, its epsilon (see _slow_loop).
     """
-    if isinstance(streams, RngStream):
-        raise TypeError("streams must be a sequence of RngStream; one replica is [stream]")
+    streams = stream_batch(streams)
     replicas = len(streams)
     dt = params.dt_macro
     m = whole_steps(T, dt, "horizon T")
@@ -841,19 +842,16 @@ def simulate_epsilon_grid(
 
     runs = [("coupled", path.epsilon, (y_hist,)) for _, path, y_hist in groups]
     if fbar is not None:
-        runs += [("averaged", path.epsilon, ()) for _, path, _ in groups]
+        runs.append(("averaged", None, ()))
     slow = _slow_loop(model, params, groups[0][1], forcing, runs)
-
-    def columns(g: int) -> Array:
-        return slow.x[:, g * replicas : (g + 1) * replicas]
-
-    results = []
-    for g, (_, path, y_hist) in enumerate(groups):
-        result = (Trajectory(slow.times, columns(g), y_hist), path)
-        if fbar is not None:
-            result += (SlowTrajectory(slow.times, columns(len(groups) + g)),)
-        results.append(result)
-    return results
+    results = [
+        (Trajectory(slow.times, slow.x[:, g * replicas : (g + 1) * replicas], y_hist), path)
+        for g, (_, path, y_hist) in enumerate(groups)
+    ]
+    if fbar is None:
+        return results
+    averaged = SlowTrajectory(slow.times, slow.x[:, coupled_width:])
+    return [result + (averaged,) for result in results]
 
 
 def simulate_averaged(
@@ -869,7 +867,7 @@ def simulate_averaged(
     Against the path of simulate_coupled the run shares that realization
     exactly. Failures raise as in simulate_coupled.
     """
-    return _slow_loop(model, params, noise, lambda j, x: fbar(x), [("averaged", model.epsilon, ())])
+    return _slow_loop(model, params, noise, lambda j, x: fbar(x), [("averaged", None, ())])
 
 
 def _slow_loop(
@@ -877,29 +875,29 @@ def _slow_loop(
     params: SchemeParams,
     noise: NoisePath,
     forcing: Callable[[int, Array], Array],
-    runs: Sequence[tuple[str, float, tuple[Array, ...]]],
+    runs: Sequence[tuple[str, float | None, tuple[Array, ...]]],
 ) -> SlowTrajectory:
     """The one macro-step loop of the slow equation, on the grid of `noise`.
 
     The state holds one group of R columns, one per replica, for each
     (equation, epsilon, histories) entry of `runs`, in order, and every
-    group takes the same slow increments of noise.slow: the coupled run
-    alone, the averaged run alone, or both side by side, at one epsilon or
-    at each of a grid. forcing(j, x) is the explicit drift of
-    macro step j at its left endpoint x, all columns at once. The Wiener
-    increments of every step and replica are synthesized before the loop,
-    one gemv per row.
+    group takes the same slow increments of noise.slow: the coupled run at
+    one epsilon or at each of a grid, the averaged run, whose epsilon is
+    None since its equation has none, or both side by side. forcing(j, x)
+    is the explicit drift of macro step j at its left endpoint x, all
+    columns at once. The Wiener increments of every step and replica are
+    synthesized before the loop, one gemv per row.
 
     Every column runs to the horizon, or the loop raises for the earliest
     macro step at which a column fails, an earlier group first at one step,
-    naming the group's equation, its epsilon and the step. A column fails
-    where its run alone would: at the step whose Newton solve fails (NewtonDivergence,
-    for the lowest failing column), or else at its first macro step with a
-    non-finite state in x or in the histories (shape (n_steps + 1, R, n))
-    its group's forcing fills (NumericalBlowUp, checked after the loop). A
-    non-finite state fails the next Newton solve, so for porous medium and
-    p-Laplace a blow-up before the last step is a NewtonDivergence one step
-    later.
+    naming the group's equation, its epsilon if it has one, and the step.
+    A column fails where its run alone would: at the step whose Newton
+    solve fails (NewtonDivergence, for the lowest failing column), or else
+    at its first macro step with a non-finite state in x or in the
+    histories (shape (n_steps + 1, R, n)) its group's forcing fills
+    (NumericalBlowUp, checked after the loop). A non-finite state fails the
+    next Newton solve, so for porous medium and p-Laplace a blow-up before
+    the last step is a NewtonDivergence one step later.
     """
     grid = model.grid
     stepper = _SlowStepper(model.slow, grid, noise.dt_macro, params)
@@ -911,9 +909,12 @@ def _slow_loop(
     x_hist[0] = model.x0.values
     x = x_hist[0].T
 
-    def blow_up(step: int, equation: str, epsilon: float) -> NumericalBlowUp:
+    def at(epsilon: float | None) -> str:
+        return "" if epsilon is None else f" at epsilon={epsilon:g}"
+
+    def blow_up(step: int, equation: str, epsilon: float | None) -> NumericalBlowUp:
         return NumericalBlowUp(
-            f"{equation} run blew up at epsilon={epsilon:g}: non-finite state at macro step {step}"
+            f"{equation} run blew up{at(epsilon)}: non-finite state at macro step {step}"
         )
 
     for j in range(n_macro):
@@ -931,7 +932,7 @@ def _slow_loop(
             # Named like a blow-up: by the state the step computes.
             equation, epsilon, _ = runs[group]
             raise NewtonDivergence(
-                f"{equation} run at epsilon={epsilon:g} failed at macro step {j + 1}: {exc}"
+                f"{equation} run{at(epsilon)} failed at macro step {j + 1}: {exc}"
             ) from exc
         x_hist[j + 1] = x.T
     blow_ups = []

@@ -12,10 +12,11 @@ replica (slow noise on lane 0, fast noise on lane 1).
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["RngStream"]
+__all__ = ["RngStream", "stream_batch"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,3 +32,13 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id, lane))
         return np.random.Generator(np.random.Philox(seq))
 
+
+def stream_batch(streams: Sequence[RngStream], member: str = "replica") -> list[RngStream]:
+    """The streams of a batch as a list; a lone RngStream raises TypeError.
+
+    Entry points that take one stream per batch member call this, so that
+    the lone form is refused naming the batch form: one `member` is [stream].
+    """
+    if isinstance(streams, RngStream):
+        raise TypeError(f"streams must be a sequence of RngStream; one {member} is [stream]")
+    return list(streams)

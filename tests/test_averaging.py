@@ -30,6 +30,22 @@ def test_estimate_fbar_validates_replicas_and_window():
         estimate_fbar(fast, coup, grid, np.zeros((4, 2)), 2, [RngStream(0, 0)])
 
 
+def test_estimate_fbar_refuses_a_lone_stream_naming_the_batch_form():
+    grid = Grid1D(4)
+    fast = FastOperatorSpec("linear")
+    coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
+    with pytest.raises(TypeError, match=r"one point is \[stream\]"):
+        estimate_fbar(fast, coup, grid, np.zeros((4, 1)), 2, RngStream(0, 0))
+
+
+def test_memoized_fbar_refuses_a_lone_stream_naming_the_batch_form():
+    grid = Grid1D(4)
+    fast = FastOperatorSpec("linear")
+    coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
+    with pytest.raises(TypeError, match=r"one replica is \[stream\]"):
+        MemoizedFbar(fast, coup, grid, 2, RngStream(0, 0))
+
+
 def frozen_path(fast, coupling, grid, x, y0, n_steps, dt, stream):
     """Every micro state of a frozen run: the fast stepper at epsilon = 1, one column."""
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)

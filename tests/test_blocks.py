@@ -95,6 +95,14 @@ def test_auxiliary_validates_consistency():
         build_auxiliary(model, batch, path, [1 / 32])
 
 
+def test_auxiliary_refuses_a_lone_delta_naming_the_batch_form():
+    model = make_model()
+    params = SchemeParams(dt_macro=1 / 64)
+    trajectory, path = simulate_coupled(model, 0.25, params, [RngStream(41, 0)])
+    with pytest.raises(TypeError, match=r"one block length is \[delta\]"):
+        build_auxiliary(model, trajectory, path, 4 / 64)
+
+
 def test_deviation_statistic_constant_offset():
     # Constant integrand: the trapezoid rule integrates it exactly to
     # T * ||c||^2.

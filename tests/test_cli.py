@@ -199,6 +199,26 @@ def test_simulate_and_fbar_outputs_keep_their_bytes(tmp_path, extra, command):
     assert digest == OUTPUT_DIGESTS[extra, command]
 
 
+# sha256 of what `converge` writes for SMALL_CFG (three epsilons) with the
+# smooth_bounded fast operator and the estimator's averaged drift:
+# convergence.csv without its wall_time_s column, then
+# convergence_report.txt. The benchmark checks this run's output only
+# statistically, so this digest is what pins it byte for byte.
+ESTIMATOR_CONVERGE_DIGEST = "d44ebe79ad0a27d2757c686e60f9a3c9a344f0f0535dca52a8b1f2ad52d3befb"
+
+
+def test_estimator_converge_keeps_its_bytes(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    extra = "fast_kind = smooth_bounded\nb = 0.5\nfbar_source = estimator\n"
+    cfg.write_text(SMALL_CFG + extra, encoding="utf-8")
+    out = tmp_path / "out"
+    # Two replicas cannot resolve the rate: the fit fails, as the report says.
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_THRESHOLD
+    rows = [row.rsplit(",", 1)[0] + "\n" for row in read_rows(out / "convergence.csv")]
+    text = "".join(rows) + (out / "convergence_report.txt").read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest() == ESTIMATOR_CONVERGE_DIGEST
+
+
 def test_config_errors_exit_2(tmp_path):
     assert main(["converge", "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
     bad = tmp_path / "bad.cfg"

@@ -505,5 +505,5 @@ def test_averaged_failure_row_names_the_averaged_run(monkeypatch):
     (row,) = run_convergence(small_config(epsilon_grid=(0.1,))).rows
     assert row.replicas == 0 and math.isnan(row.error_mean)
     assert row.failure == (
-        f"replica 0: averaged run blew up at epsilon=0.1: non-finite state at macro step {k + 1}"
+        f"replica 0: averaged run blew up: non-finite state at macro step {k + 1}"
     )

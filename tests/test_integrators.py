@@ -234,13 +234,14 @@ def test_newton_divergence_is_reported():
 def test_newton_failure_names_equation_epsilon_and_step():
     # An unreachable tolerance stalls the first implicit porous medium step;
     # the error names the equation, epsilon and the state being computed.
+    # The averaged equation has no epsilon, so its error names none.
     model = make_model(epsilon=0.05, slow_kind="porous_medium")
     tight = SchemeParams(dt_macro=1 / 64, newton_tol=1e-320)
     with pytest.raises(NewtonDivergence, match=r"coupled.*epsilon=0\.05.*macro step 1\b"):
         simulate_coupled(model, 0.25, tight, [RngStream(3, 0)])
     path = simulate_coupled(model, 0.25, SchemeParams(dt_macro=1 / 64), [RngStream(3, 0)])[1]
     fbar = lambda x: np.zeros_like(x)  # noqa: E731
-    with pytest.raises(NewtonDivergence, match=r"averaged.*epsilon=0\.05.*macro step 1\b"):
+    with pytest.raises(NewtonDivergence, match=r"^averaged run failed at macro step 1\b"):
         simulate_averaged(model, fbar, tight, path)
 
 
@@ -596,12 +597,10 @@ def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
     with pytest.raises(failures) as joint:
         simulate_epsilon_grid(model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 2))
     if slow_kind == "burgers":
-        assert str(joint.value) == (
-            "averaged run blew up at epsilon=0.05: non-finite state at macro step 3"
-        )
+        assert str(joint.value) == "averaged run blew up: non-finite state at macro step 3"
     else:
         assert str(joint.value) == (
-            "averaged run at epsilon=0.05 failed at macro step 3: "
+            "averaged run failed at macro step 3: "
             "implicit porous_medium solve met a non-finite residual"
         )
     # Failing at the same step, the coupled run comes first: step 5 for
@@ -650,12 +649,20 @@ def test_epsilon_grid_columns_equal_one_epsilon_runs(
 ):
     # Every (epsilon, replica) column of one grid run has the coupled x and
     # y, the path, the averaged x and the strong error of its run alone.
+    # The averaged run has no epsilon: one run of R columns, shared by all.
     params = SchemeParams(dt_macro=1 / 64)
     model = make_model(n=9, epsilon=0.3, slow_kind=slow_kind, fast_kind=fast_kind)
     fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
     streams = [RngStream(seed, r) for r in range(replicas)]
-    runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams, fbar)
+    shapes = set()
+
+    def seen(x):
+        shapes.add(x.shape)
+        return fbar(x)
+
+    runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams, seen)
     assert len(runs) == len(epsilons)
+    assert all(run[2] is runs[0][2] for run in runs) and shapes == {(9, replicas)}
     for epsilon, (trajectory, path, averaged) in zip(epsilons, runs):
         assert path.epsilon == epsilon
         for r, stream in enumerate(streams):
@@ -677,16 +684,16 @@ def test_epsilon_grid_columns_equal_one_epsilon_runs(
 
 
 def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
-    # One MemoizedFbar serves every (epsilon, replica) column: each column
-    # has the bytes and the refresh count of its one-epsilon run, and the
-    # refreshes due at one macro step, at every epsilon, run as one call.
+    # The averaged equation has no epsilon: one MemoizedFbar column per
+    # replica serves every epsilon of the grid, with the bytes, the refresh
+    # counts and the estimate_fbar calls of any one-epsilon run.
     params = SchemeParams(dt_macro=1 / 64)
     model = make_model(n=8, epsilon=0.1, fast_kind="smooth_bounded")
     epsilons, replicas = [0.1, 0.05, 0.02], 2
     streams = [RngStream(7, r) for r in range(replicas)]
 
-    def estimator(columns):
-        bases = [RngStream(7, 1000 * (r + 1)) for r in range(replicas)] * columns
+    def estimator():
+        bases = [RngStream(7, 1000 * (r + 1)) for r in range(replicas)]
         return MemoizedFbar(model.fast, model.coupling, model.grid, 2, bases)
 
     calls = []
@@ -697,21 +704,20 @@ def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
         return estimate_fbar(*args, **kwargs)
 
     monkeypatch.setattr(spavg.averaging, "estimate_fbar", counted)
-    joint = estimator(len(epsilons))
+    joint = estimator()
     runs = simulate_epsilon_grid(model, epsilons, 4 / 64, params, streams, joint)
     grid_calls, calls[:] = len(calls), []
-    for e, (epsilon, (trajectory, _, averaged)) in enumerate(zip(epsilons, runs)):
-        alone = estimator(1)
+    for epsilon, (trajectory, _, averaged) in zip(epsilons, runs):
+        alone = estimator()
         ((coupled, _, alone_averaged),) = simulate_epsilon_grid(
             model, [epsilon], 4 / 64, params, streams, alone
         )
         assert trajectory.x.tobytes() == coupled.x.tobytes()
         assert averaged.x.tobytes() == alone_averaged.x.tobytes()
-        counts = joint.refresh_counts[e * replicas : (e + 1) * replicas]
-        assert counts.tolist() == alone.refresh_counts.tolist()
+        assert joint.refresh_counts.tolist() == alone.refresh_counts.tolist()
+        assert len(calls) == grid_calls
+        calls.clear()
     assert joint.refresh_counts.min() > 0
-    # The first macro step refreshes every column: one call instead of three.
-    assert grid_calls <= len(calls) - (len(epsilons) - 1)
 
 
 def test_a_failing_epsilon_fails_the_grid_run_naming_it(monkeypatch):
