@@ -35,7 +35,7 @@ import dataclasses
 import math
 import os
 import time
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -97,9 +97,10 @@ __all__ = [
 # First estimator stream id of replica 0; replica r starts at (r + 1) times it.
 ESTIMATOR_STREAMS = 1_000_000
 
-# Most replicas converge and diagnose advance as the columns of one batch
-# (converge: at every epsilon), which bounds the memory the trajectories and
-# recorded noise of a batch take.
+# Most replicas that advance as the columns of one batch in _by_replica, the
+# batch driver of converge (at every epsilon at once) and diagnose (at one
+# epsilon), which bounds the memory the trajectories and recorded noise of a
+# batch take.
 REPLICA_CHUNK = 16
 
 
@@ -227,28 +228,65 @@ def _degenerate(means: Sequence[float]) -> bool:
     return bool(means) and (max(means) <= 1e-12 or min(means) <= 0.0)
 
 
-_Result = TypeVar("_Result")
+@dataclasses.dataclass
+class _Replicas:
+    """One epsilon's per-replica values, its failure, the failing replica and its wall time."""
+
+    values: list = dataclasses.field(default_factory=list)
+    error: NewtonDivergence | NumericalBlowUp | None = None
+    replica: int | None = None
+    wall_s: float = 0.0
 
 
 def _by_replica(
-    replicas: Sequence[int], run: Callable[[Sequence[int]], list[_Result]]
-) -> Iterator[_Result]:
-    """Yield the result of each replica, running them in batches of at most REPLICA_CHUNK.
+    epsilons: Sequence[float],
+    replicas: Sequence[int],
+    run: Callable[[list[float], Sequence[int]], list[list]],
+) -> dict[float, _Replicas]:
+    """The values of the given replicas at each epsilon, with each one's first failure.
 
-    run(batch) returns one result per replica of the batch, or raises
-    NewtonDivergence or NumericalBlowUp. A batch that raises runs again one
-    replica at a time: the results of the replicas below its lowest failing
-    replica are yielded, then that replica's own error, the one it raises
-    alone, propagates. A replica's bytes do not depend on its batch, so the
-    rerun yields the results the batch would have.
+    run(live, batch) returns one list of per-replica values for each epsilon
+    of live, or raises NewtonDivergence or NumericalBlowUp. Replicas run in
+    batches of at most REPLICA_CHUNK, each batch at every epsilon without a
+    failure so far in one call. A call over several epsilons that raises
+    runs again one epsilon at a time, and a one-epsilon call over several
+    replicas that raises runs again one replica at a time. When a lone run
+    fails, that replica's own error ends its epsilon's list, and later calls
+    leave the epsilon out. A replica's bytes do not depend on its batch or
+    on the other epsilons of its call, so each list holds the values of the
+    replicas below the lowest failing one as their runs alone give them. A
+    call's wall time is split evenly over the epsilons it covered, so the
+    times add up to the whole run's.
     """
-    for start in range(0, len(replicas), REPLICA_CHUNK):
-        batch = replicas[start : start + REPLICA_CHUNK]
+    records = {epsilon: _Replicas() for epsilon in epsilons}
+
+    def attempt(epsilons: Sequence[float], batch: Sequence[int]) -> None:
+        live = [epsilon for epsilon in epsilons if records[epsilon].error is None]
+        if not live:
+            return
+        started = time.perf_counter()
         try:
-            results = run(batch)
-        except (NewtonDivergence, NumericalBlowUp):
-            results = (result for r in batch for result in run([r]))
-        yield from results
+            values = run(live, batch)
+        except (NewtonDivergence, NumericalBlowUp) as exc:
+            values = None
+            if len(live) == len(batch) == 1:
+                records[live[0]].error, records[live[0]].replica = exc, batch[0]
+        share = (time.perf_counter() - started) / len(live)
+        for epsilon in live:
+            records[epsilon].wall_s += share
+        if values is not None:
+            for epsilon, values_at in zip(live, values):
+                records[epsilon].values += values_at
+        elif len(live) > 1:
+            for epsilon in live:
+                attempt([epsilon], batch)
+        elif len(batch) > 1:
+            for r in batch:
+                attempt(live, [r])
+
+    for start in range(0, len(replicas), REPLICA_CHUNK):
+        attempt(epsilons, replicas[start : start + REPLICA_CHUNK])
+    return records
 
 
 # ---------------------------------------------------------------- convergence
@@ -342,7 +380,8 @@ def _batch_errors(
     the closed form or one estimator whose column r has replica r's own
     streams and its own trust-region cache and refresh count, so a result
     does not depend on which replicas or epsilons ran before or beside it.
-    Raises NewtonDivergence or NumericalBlowUp if any column fails.
+    Raises NewtonDivergence or NumericalBlowUp if any column fails; this is
+    converge's run for _by_replica, which reruns a failed call.
     """
     model = build_model(config, epsilons[0])
     with _config_errors():
@@ -367,89 +406,36 @@ def _batch_errors(
     ]
 
 
-@dataclasses.dataclass
-class _EpsilonErrors:
-    """The strong errors of one epsilon's replicas, its first failure and its wall time."""
-
-    errors: list[float] = dataclasses.field(default_factory=list)
-    failure: str | None = None
-    wall_s: float = 0.0
-
-
-def _grid_errors(
-    config: ExperimentConfig, epsilons: Sequence[float], replicas: Sequence[int]
-) -> dict[float, _EpsilonErrors]:
-    """Strong errors of the given replicas at each epsilon, with each one's first failure.
-
-    Replicas run in batches of at most REPLICA_CHUNK, and one run covers a
-    batch at every epsilon without a failure so far (_batch_errors). A run
-    that raises runs again one epsilon at a time through _by_replica, so the
-    lowest failing replica of an epsilon ends its list, as its run alone
-    would: the errors of the replicas below it come back with its error,
-    prefixed "replica r: ", and its later batches are not run. A run fails
-    at the earliest macro step at which either equation fails, the coupled
-    one first at the same step (see integrators._slow_loop). Each batch's
-    wall time is split evenly over the epsilons it covered, and a rerun's
-    time goes to its own epsilon, so the times add up to the whole run's.
-    """
-    results = {epsilon: _EpsilonErrors() for epsilon in epsilons}
-    for start in range(0, len(replicas), REPLICA_CHUNK):
-        batch = replicas[start : start + REPLICA_CHUNK]
-        live = [epsilon for epsilon in epsilons if results[epsilon].failure is None]
-        if not live:
-            break
-        started = time.perf_counter()
-        try:
-            errors = _batch_errors(config, live, batch)
-        except (NewtonDivergence, NumericalBlowUp):
-            errors = None
-        share = (time.perf_counter() - started) / len(live)
-        for i, epsilon in enumerate(live):
-            result = results[epsilon]
-            result.wall_s += share
-            if errors is not None:
-                result.errors += errors[i]
-                continue
-            started = time.perf_counter()
-            done = len(result.errors)
-            rerun = _by_replica(batch, lambda b: _batch_errors(config, [epsilon], b)[0])
-            try:
-                for error in rerun:
-                    result.errors.append(error)
-            except (NewtonDivergence, NumericalBlowUp) as exc:
-                result.failure = f"replica {batch[len(result.errors) - done]}: {exc}"
-            result.wall_s += time.perf_counter() - started
-    return results
-
-
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     """Pathwise-coupled strong error of the averaged equation per epsilon.
 
     Rows come in descending epsilon. Replica r reuses stream id r across
     epsilons, which correlates rows and sharpens the monotonicity
     comparison without biasing any single row. Replicas run in batches of
-    at most REPLICA_CHUNK, each batch at every epsilon in one run (see
-    _grid_errors), and a row's wall_time_s is its share of those runs. A
-    Newton breakdown or a blow-up at one epsilon invalidates that row,
-    reported for the lowest failing replica, but the remaining epsilons
-    still run.
+    at most REPLICA_CHUNK, each batch at every epsilon in one
+    _batch_errors run, by the rerun rule of _by_replica, and a row's
+    wall_time_s is its share of those runs. A Newton breakdown or a blow-up
+    at one epsilon invalidates that row, reported as "replica r: <error>"
+    for the lowest failing replica r, but the remaining epsilons still run.
     """
     epsilons = sorted(config.epsilon_grid, reverse=True)
-    results = _grid_errors(config, epsilons, range(config.replicas))
+    records = _by_replica(
+        epsilons, range(config.replicas), lambda live, batch: _batch_errors(config, live, batch)
+    )
     rows: list[ConvergenceRow] = []
     for epsilon in epsilons:
-        result = results[epsilon]
-        valid = result.failure is None
-        mean, stderr = _mean_stderr(result.errors) if valid else (math.nan, math.nan)
+        record = records[epsilon]
+        valid = record.error is None
+        mean, stderr = _mean_stderr(record.values) if valid else (math.nan, math.nan)
         rows.append(
             ConvergenceRow(
                 epsilon=epsilon,
                 delta=epsilon**DELTA_EXPONENT,
                 error_mean=mean,
                 error_stderr=stderr,
-                replicas=len(result.errors),
-                wall_time_s=result.wall_s,
-                failure=result.failure,
+                replicas=len(record.values),
+                wall_time_s=record.wall_s,
+                failure=None if valid else f"replica {record.replica}: {record.error}",
             )
         )
     valid = [row for row in rows if row.valid]
@@ -510,7 +496,9 @@ def _block_statistics(
     A tuple holds sup ||x||^2, the auxiliary deviation of each delta and,
     if `increments`, the increment integral of each delta. One coupled run
     and one auxiliary replay cover the batch, whose arrays are freed on
-    return, before the next batch or epsilon allocates its own.
+    return, before the next batch or epsilon allocates its own. Raises
+    NewtonDivergence or NumericalBlowUp if any replica fails; diagnose runs
+    it through _by_replica, which reruns a failed batch.
     """
     streams = [RngStream(config.master_seed, r) for r in replicas]
     batch, path = simulate_coupled(model, config.T, scheme_params(config), streams)
@@ -535,11 +523,13 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     epsilon in the grid; the delta-resolved scaling statistics run at
     diag_epsilon only, since block length is a post-processing parameter for
     the slow increments but requires an auxiliary replay per (delta,
-    replica) for the deviations. Replicas run in batches of at most
-    REPLICA_CHUNK, and one replay per batch covers each of its (replica,
-    delta) pairs once: at diag_epsilon the fixed block length is one of the
-    delta grid. The lowest failing replica raises its own error (see
-    _by_replica).
+    replica) for the deviations. Each epsilon is one call of _by_replica,
+    the driver converge uses, with its replicas in batches of at most
+    REPLICA_CHUNK; one replay per batch covers each of its (replica, delta)
+    pairs once: at diag_epsilon the fixed block length is one of the delta
+    grid. One epsilon per call bounds the memory at one batch's and stops
+    at the first epsilon, in descending order, that fails: the error its
+    lowest failing replica raises alone propagates.
     A ratio or fit whose means are degenerate (see _degenerate) is skipped,
     and its suite reports it as degenerate and passes.
     """
@@ -564,11 +554,14 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
         model = build_model(config, epsilon)
         at_diag = epsilon == config.diag_epsilon
         deltas = delta_grid if at_diag else [delta_fixed]
-        statistics = _by_replica(
+        (record,) = _by_replica(
+            [epsilon],
             range(config.replicas),
-            lambda batch: _block_statistics(config, model, batch, deltas, at_diag),
-        )
-        sup, *columns = zip(*statistics)
+            lambda _, batch: [_block_statistics(config, model, batch, deltas, at_diag)],
+        ).values()
+        if record.error is not None:
+            raise record.error
+        sup, *columns = zip(*record.values)
         deviations = dict(zip(deltas, columns))
         integrals = dict(zip(deltas, columns[len(deltas) :]))
         if epsilon in config.epsilon_grid:

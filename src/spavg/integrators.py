@@ -87,9 +87,11 @@ A run either finishes every replica of its batch or raises
 NewtonDivergence or NumericalBlowUp; there are no partial results. It
 raises at the earliest macro step at which any column fails, a coupled
 column before an averaged one at the same step. Since a replica's bytes do
-not depend on its batch, running a failed grid one epsilon at a time and
-the replicas of a failed batch one at a time finds the lowest failing one
-and its own error, which is what converge and diagnose do.
+not depend on its batch or on the other epsilons of its grid, running a
+failed grid one epsilon at a time and the replicas of a failed one-epsilon
+batch one at a time finds the lowest failing one and its own error. That
+is the one rerun rule of converge and diagnose (experiments._by_replica):
+converge runs a batch at every epsilon at once, diagnose at one.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Orchestration layer: builders, log-log fits, runners, CSV emitters."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -16,7 +17,8 @@ from spavg.averaging import OracleFbar
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.experiments import (
     ConvergenceRow,
-    _grid_errors,
+    _batch_errors,
+    _by_replica,
     InsufficientPoints,
     NonpositiveValue,
     build_model,
@@ -37,6 +39,7 @@ from spavg.experiments import (
     write_suite_csvs,
     write_trajectory_csv,
 )
+from spavg.integrators import NewtonDivergence, NumericalBlowUp
 
 from test_integrators import poison_fast_noise
 
@@ -55,10 +58,29 @@ def small_config(**overrides):
     return ExperimentConfig(**merged)
 
 
+def grid_errors(cfg, epsilons, replicas):
+    """The converge driver's record per epsilon for the given replicas."""
+    return _by_replica(epsilons, replicas, functools.partial(_batch_errors, cfg))
+
+
 def errors_at(cfg, epsilon, replicas):
     """The strong errors of the given replicas at one epsilon, and its first failure."""
-    result = _grid_errors(cfg, [epsilon], replicas)[epsilon]
-    return result.errors, result.failure
+    record = grid_errors(cfg, [epsilon], replicas)[epsilon]
+    failure = None if record.error is None else f"replica {record.replica}: {record.error}"
+    return record.values, failure
+
+
+def record_calls(monkeypatch, name, key):
+    """Wrap spavg.experiments.<name> so that each call appends key(*args) to the returned list."""
+    calls = []
+    function = getattr(spavg.experiments, name)
+
+    def recorded(*args):
+        calls.append(key(*args))
+        return function(*args)
+
+    monkeypatch.setattr(spavg.experiments, name, recorded)
+    return calls
 
 
 # ---------------------------------------------------------------- fits
@@ -196,7 +218,7 @@ def test_estimator_replica_does_not_depend_on_other_replicas():
     before = errors_at(cfg, 0.1, [1, 0])[0][0]
     alone = errors_at(cfg, 0.1, [1])[0][0]
     # nor on the other epsilons of its batch
-    beside = _grid_errors(cfg, [0.2, 0.1, 0.05], [0, 1])[0.1].errors[1]
+    beside = grid_errors(cfg, [0.2, 0.1, 0.05], [0, 1])[0.1].values[1]
     assert after.hex() == before.hex() == alone.hex() == beside.hex()
     # the rows are built from these very values
     row = run_convergence(dataclasses.replace(cfg, epsilon_grid=(0.1,))).rows[0]
@@ -275,7 +297,24 @@ def test_a_failing_epsilon_invalidates_its_row_alone(monkeypatch):
     clean = [strip(row) for row in run_convergence(cfg).rows]
     error_0 = errors_at(cfg, 0.1, [0])[0]
     poison_fast_noise(monkeypatch, {1: 5}, epsilon=0.1)
+    calls = record_calls(
+        monkeypatch,
+        "simulate_epsilon_grid",
+        lambda model, epsilons, T, params, streams, fbar: (
+            tuple(epsilons),
+            [stream.stream_id for stream in streams],
+        ),
+    )
     result = run_convergence(cfg)
+    # the grid, then one epsilon at a time, and 0.1's replicas one at a time
+    assert calls == [
+        ((0.2, 0.1, 0.05), [0, 1, 2]),
+        ((0.2,), [0, 1, 2]),
+        ((0.1,), [0, 1, 2]),
+        ((0.1,), [0]),
+        ((0.1,), [1]),
+        ((0.05,), [0, 1, 2]),
+    ]
     assert result.report_lines()[1] == (
         "epsilon=0.1 INVALID after 1 replicas: replica 1: "
         "coupled run blew up at epsilon=0.1: non-finite state at macro step 5"
@@ -283,8 +322,8 @@ def test_a_failing_epsilon_invalidates_its_row_alone(monkeypatch):
     assert [strip(row) for row in result.rows if row.epsilon != 0.1] == [
         row for row in clean if row.epsilon != 0.1
     ]
-    failed = _grid_errors(cfg, [0.2, 0.1, 0.05], range(3))[0.1]
-    assert [e.hex() for e in failed.errors] == [e.hex() for e in error_0]
+    failed = grid_errors(cfg, [0.2, 0.1, 0.05], range(3))[0.1]
+    assert [e.hex() for e in failed.values] == [e.hex() for e in error_0]
 
 
 @pytest.mark.parametrize("poisoned, expected", [(False, 2 / 3), (True, 5 / 3)])
@@ -302,6 +341,38 @@ def test_wall_time_of_a_batch_is_split_over_its_epsilons(monkeypatch, poisoned, 
     rows = run_convergence(small_config()).rows
     assert [row.wall_time_s for row in rows] == pytest.approx([expected] * 3)
     assert sum(row.wall_time_s for row in rows) == pytest.approx(3 * expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    chunk=st.integers(1, 5),
+    poisons=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(1, 16), st.sampled_from([0.2, 0.1, 0.05])),
+        max_size=2,
+        unique_by=lambda poison: poison[0],
+    ),
+)
+def test_rows_equal_each_replica_run_alone_up_to_the_first_failure(chunk, poisons):
+    # Whatever the batch size and wherever replicas fail, a row is what
+    # running its epsilon's replicas alone, in order, gives up to the
+    # first failing one.
+    cfg = small_config(replicas=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spavg.experiments, "REPLICA_CHUNK", chunk)
+        for replica, step, epsilon in poisons:
+            poison_fast_noise(mp, {replica: step}, epsilon=epsilon)
+        rows = run_convergence(cfg).rows
+        for row in rows:
+            errors, failure = [], None
+            for r in range(cfg.replicas):
+                try:
+                    errors += _batch_errors(cfg, [row.epsilon], [r])[0]
+                except (NewtonDivergence, NumericalBlowUp) as exc:
+                    failure = f"replica {r}: {exc}"
+                    break
+            mean = math.nan if failure else float(np.mean(errors))
+            assert (row.failure, row.replicas) == (failure, len(errors))
+            assert row.error_mean.hex() == mean.hex()
 
 
 def test_invalid_row_fails_result():
@@ -365,6 +436,31 @@ def test_run_diagnostics_without_slow_to_fast_coupling_is_degenerate():
     deviation = [r for r in result.rows if r.suite == "deviation_scaling"]
     assert all(r.value_mean == 0.0 for r in deviation)
     assert result.passed
+
+
+def test_failing_diagnose_raises_for_the_first_failing_epsilon(monkeypatch):
+    # Batches of 2 over 5 replicas: replica 3 fails from step 5 at
+    # epsilon = 0.1 and replica 0 from step 4 at 0.05. The epsilons run in
+    # descending order, so 0.1's second batch raises, runs again one
+    # replica at a time, and replica 3's own error stops the run before
+    # 0.05 starts, although replica 0 there is the lower one.
+    monkeypatch.setattr(spavg.experiments, "REPLICA_CHUNK", 2)
+    poison_fast_noise(monkeypatch, {3: 5}, epsilon=0.1)
+    poison_fast_noise(monkeypatch, {0: 4}, epsilon=0.05)
+    calls = record_calls(
+        monkeypatch,
+        "simulate_coupled",
+        lambda model, T, params, streams: (
+            model.epsilon,
+            [stream.stream_id for stream in streams],
+        ),
+    )
+    with pytest.raises(NumericalBlowUp) as raised:
+        run_diagnostics(ExperimentConfig(**{**DIAG, "replicas": 5}))
+    assert str(raised.value) == (
+        "coupled run blew up at epsilon=0.1: non-finite state at macro step 5"
+    )
+    assert calls == [(0.1, [0, 1]), (0.1, [2, 3]), (0.1, [2]), (0.1, [3])]
 
 
 # ---------------------------------------------------------------- conditions
