@@ -52,8 +52,11 @@ replica as a batch of one; simulate_epsilon_grid adds a group of R coupled
 columns per epsilon of a grid, and at most one averaged group of R columns
 for them all. Replica r draws the same slow rows at every epsilon
 (lane 0 of its stream does not depend on epsilon), so one set of slow
-increments drives every group, and each group keeps its own fast stepper,
-fast noise and fast states. Replica r draws its whole horizon from its own
+increments drives every group. Each group has its own fast stepper and fast
+noise, but the fast states of all groups are one state. The linear kind's
+epsilons differ only in per-mode gains, so one exact update per macro step
+advances every group; smooth_bounded, whose n_sub differs per epsilon,
+steps each group on its own. Replica r draws its whole horizon from its own
 stream into row r of one preallocated array, so recorded noise puts the
 replica first, (R, n_macro, ...), and each replica's rows are contiguous;
 trajectories are time first, (n_steps + 1, R, n), so that each macro step
@@ -363,13 +366,14 @@ class _SlowStepper:
 
 
 def _plus_noise(b: Array, noise: Array) -> Array:
-    """b + noise, written into b: each group of R columns of b gets noise (n, R)."""
-    if noise.shape == b.shape:
-        b += noise
-        return b
-    width = noise.shape[1]
-    for start in range(0, b.shape[1], width):
-        b[:, start : start + width] += noise
+    """b + noise, written into b: each group of R columns of b gets noise (n, R).
+
+    One add through a (G, R, n) view of b; a b that has no such view raises
+    rather than taking the noise into a copy.
+    """
+    n, replicas = noise.shape
+    groups = b.T.reshape(-1, replicas, n, copy=False)
+    groups += noise.T
     return b
 
 
@@ -673,10 +677,11 @@ class _FastStepper:
     @functools.cached_property
     def _block_gains(self) -> tuple[Array, Array, Array]:
         # Row m of powers is d^(n_sub - m): the decay the noise of micro step
-        # m sees by the end of the block.
+        # m sees by the end of the block. Decay and drive are (n, 1) columns,
+        # the gains linear_block takes for every state column.
         powers = self._d ** np.arange(self.n_sub, 0, -1)[:, None]
         drive = self.a * self.fast.c_b * powers.sum(axis=0)
-        return powers[0], drive, self._noise_weight * powers[:, : self._modes]
+        return powers[0][:, None], drive[:, None], self._noise_weight * powers[:, : self._modes]
 
     def run_block(self, x_frozen: Array, y: Array, noise: Array) -> Array:
         """Advance y through one macro step driven by noise (R, *noise_shape).
@@ -688,9 +693,21 @@ class _FastStepper:
                 pass
             return y
         decay, drive, _ = self._block_gains
-        y_hat = decay[:, None] * _matvec(self._analysis, y)
-        y_hat += drive[:, None] * _matvec(self._analysis, x_frozen)
-        y_hat[: self._modes] += _by_column(noise, y)
+        return self.linear_block(decay, drive, x_frozen, y, _by_column(noise, y))
+
+    def linear_block(
+        self, decay: Array, drive: Array, x_frozen: Array, y: Array, noise: Array
+    ) -> Array:
+        """The exact macro step of the linear kind: y^ <- decay y^ + drive x^ + noise.
+
+        decay and drive are (n, 1), or (n, C) with each state column's own
+        gains, and noise is (modes, C). Only the sine transforms, which
+        every epsilon shares, come from this stepper, so one call can
+        advance the columns of every epsilon of a grid.
+        """
+        y_hat = decay * _matvec(self._analysis, y)
+        y_hat += drive * _matvec(self._analysis, x_frozen)
+        y_hat[: self._modes] += noise
         return _matvec(self._basis, y_hat)
 
     def path(self, x_frozen: Array, y: Array, coefficients: Array) -> Iterator[Array]:
@@ -802,16 +819,21 @@ def simulate_epsilon_grid(
     the batch of `streams` on model with that epsilon, with the same bytes,
     and given fbar the averaged SlowTrajectory third: the bytes of
     simulate_averaged(model, fbar, params, path) for any of the paths.
-    Each epsilon is a group of R coupled columns with its own fast stepper,
-    noise and fast states; the slow rows are drawn once and drive every
-    group, since a replica draws the same ones at every epsilon. Given fbar,
-    a drift on columns, the averaged equation advances too. It has no
-    epsilon, so it is one more group of R columns, one per replica, after
-    the coupled ones: fbar is called once per macro step on that (n, R)
-    group, and every epsilon's result holds the same averaged
-    SlowTrajectory. Each macro step makes one slow solve for every column.
-    A failure of any column raises, naming its equation and, for a coupled
-    run, its epsilon (see _slow_loop).
+    Each epsilon is a group of R coupled columns with its own fast stepper
+    and noise; the slow rows are drawn once and drive every group, since a
+    replica draws the same ones at every epsilon. The fast states of all
+    groups are one (n, E R) state with one history, each Trajectory.y a
+    view of its group. For the linear kind one linear_block call per macro
+    step advances them all, each column with its group's gains, and each
+    path's fast noise is a view of one (E R, n_macro, modes) array;
+    smooth_bounded runs each group's run_block in turn. Given fbar, a drift
+    on columns, the averaged equation advances too. It has no epsilon, so
+    it is one more group of R columns, one per replica, after the coupled
+    ones: fbar is called once per macro step on that (n, R) group, and
+    every epsilon's result holds the same averaged SlowTrajectory. Each
+    macro step makes one slow solve for every column. A failure of any
+    column raises, naming its equation and, for a coupled run, its epsilon
+    (see _slow_loop).
     """
     streams = stream_batch(streams)
     replicas = len(streams)
@@ -821,38 +843,68 @@ def simulate_epsilon_grid(
     slow_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
     generators = [stream.generator(0) for stream in streams]
     slow_rows = _draw(generators, (m, coupling.g1_modes), slow_scales)
-    groups = []
-    for epsilon in epsilons:
-        stepper = _FastStepper.for_model(dataclasses.replace(model, epsilon=epsilon), dt, params)
-        path = NoisePath(dt, stepper.n_sub, epsilon, slow_rows, stepper.record(streams, m))
-        y_hist = np.empty((m + 1, replicas, model.grid.n_interior))
-        y_hist[0] = model.y0.values
-        groups.append((stepper, path, y_hist))
-    coupled_width = len(groups) * replicas
+    steppers = [
+        _FastStepper.for_model(dataclasses.replace(model, epsilon=epsilon), dt, params)
+        for epsilon in epsilons
+    ]
+    groups = [slice(g * replicas, (g + 1) * replicas) for g in range(len(steppers))]
+    width = len(groups) * replicas
+    # The fast states of every group, column g R + r for replica r at epsilon g.
+    y_hist = np.empty((m + 1, width, model.grid.n_interior))
+    y_hist[0] = model.y0.values
+    if model.fast.kind == "linear":
+        # One update for every group: the noise sums of all groups in one
+        # stack, each group's path a view of it, and each group's gains
+        # repeated over its R columns.
+        fast = np.empty((width, m, coupling.g2_modes))
+        for stepper, columns in zip(steppers, groups):
+            fast[columns] = stepper.record(streams, m)
+        noises = [fast[columns] for columns in groups]
+        gains = [stepper._block_gains for stepper in steppers]
+        decay = np.repeat(np.hstack([g[0] for g in gains]), replicas, axis=1)
+        drive = np.repeat(np.hstack([g[1] for g in gains]), replicas, axis=1)
+
+        def advance(j: int, x: Array, y: Array) -> None:
+            y_hist[j + 1] = steppers[0].linear_block(decay, drive, x, y, fast[:, j].T).T
+
+    else:
+        # smooth_bounded takes each group's n_sub micro steps on its own.
+        noises = [stepper.record(streams, m) for stepper in steppers]
+
+        def advance(j: int, x: Array, y: Array) -> None:
+            for stepper, columns, noise in zip(steppers, groups, noises):
+                y_hist[j + 1, columns] = stepper.run_block(
+                    x[:, columns], y[:, columns], noise[:, j]
+                ).T
+
+    paths = [
+        NoisePath(dt, stepper.n_sub, epsilon, slow_rows, noise)
+        for stepper, epsilon, noise in zip(steppers, epsilons, noises)
+    ]
 
     def forcing(j: int, x: Array) -> Array:
-        """F at the left endpoint; each fast state then runs one block with x frozen."""
+        """F at the left endpoint; the fast states then run one block with x frozen."""
+        coupled, y = x[:, :width], y_hist[j].T
         f = np.empty_like(x)
-        for g, (stepper, path, y_hist) in enumerate(groups):
-            columns = slice(g * replicas, (g + 1) * replicas)
-            coupled, y = x[:, columns], y_hist[j].T
-            y_hist[j + 1] = stepper.run_block(coupled, y, path.fast[:, j]).T
-            f[:, columns] = coupling_f(coupling, coupled, y)
+        f[:, :width] = coupling_f(coupling, coupled, y)
+        advance(j, coupled, y)
         if fbar is not None:
-            f[:, coupled_width:] = fbar(x[:, coupled_width:])
+            f[:, width:] = fbar(x[:, width:])
         return f
 
-    runs = [("coupled", path.epsilon, (y_hist,)) for _, path, y_hist in groups]
+    runs = [
+        ("coupled", path.epsilon, (y_hist[:, columns],)) for path, columns in zip(paths, groups)
+    ]
     if fbar is not None:
         runs.append(("averaged", None, ()))
-    slow = _slow_loop(model, params, groups[0][1], forcing, runs)
+    slow = _slow_loop(model, params, paths[0], forcing, runs)
     results = [
-        (Trajectory(slow.times, slow.x[:, g * replicas : (g + 1) * replicas], y_hist), path)
-        for g, (_, path, y_hist) in enumerate(groups)
+        (Trajectory(slow.times, slow.x[:, columns], y_hist[:, columns]), path)
+        for path, columns in zip(paths, groups)
     ]
     if fbar is None:
         return results
-    averaged = SlowTrajectory(slow.times, slow.x[:, coupled_width:])
+    averaged = SlowTrajectory(slow.times, slow.x[:, width:])
     return [result + (averaged,) for result in results]
 
 

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spavg.averaging
 from spavg.averaging import MemoizedFbar, OracleFbar, ergodicity_decay, estimate_fbar
 from spavg.experiments import fit_line
-from spavg.grid import Grid1D, sine_mode, smallest_eigenvalue, solve_neg_laplacian, zeros
+from spavg.grid import (
+    L2,
+    Grid1D,
+    norm_values,
+    sine_mode,
+    smallest_eigenvalue,
+    solve_neg_laplacian,
+    zeros,
+)
 from spavg.integrators import ModelSpec, SchemeParams, _FastStepper
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
 from spavg.randomness import RngStream
@@ -227,6 +236,80 @@ def test_ergodicity_decay_linear_rate():
     assert fit.slope <= -0.9 * margin / 2.0
     assert fit.slope >= -1.05 * lam
     assert fit.r_squared >= 0.99
+
+
+def per_step_decay(fast, coupling, grid, x, stream):
+    """ergodicity_decay as a loop taking one norm per micro step."""
+    margin = spavg.averaging.contraction_margin(fast, coupling, grid)
+    horizon = 50.0 / margin
+    n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
+    dt = horizon / n_steps
+    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
+    coefficients = stepper.draw([stream], n_steps)
+    y0_b = sine_mode(grid, 1, 1.0).values
+    pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
+    gap0 = norm_values(grid, y0_b, L2)
+    times, log_gaps = [0.0], [math.log(gap0)]
+    for m, y in enumerate(stepper.path(x.values[:, None], pair, coefficients)):
+        gap = norm_values(grid, y[:, 0] - y[:, 1], L2)
+        if gap <= 1e-10 * gap0:
+            break
+        times.append((m + 1) * dt)
+        log_gaps.append(math.log(gap))
+    return np.asarray(times), np.asarray(log_gaps)
+
+
+DECAY_KINDS = [
+    FastOperatorSpec("linear", c_b=1.0),
+    FastOperatorSpec("smooth_bounded", c_b=1.0, b=0.5),
+]
+
+
+def decay_case(fast, seed):
+    grid = Grid1D(16)
+    coupling = CouplingSpec(f0=zeros(grid), g1_modes=8, g2_modes=8)
+    return fast, coupling, grid, sine_mode(grid, 1, 0.5), RngStream(seed, 0)
+
+
+def assert_same_decay(got, expected):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2026])
+@pytest.mark.parametrize("fast", DECAY_KINDS, ids=lambda fast: fast.kind)
+def test_ergodicity_decay_equals_the_per_step_loop(fast, seed):
+    case = decay_case(fast, seed)
+    assert_same_decay(ergodicity_decay(*case), per_step_decay(*case))
+
+
+@pytest.mark.parametrize("fast", DECAY_KINDS, ids=lambda fast: fast.kind)
+def test_ergodicity_decay_stops_on_a_block_boundary(monkeypatch, fast):
+    # The series stops before the step at index len - 1; blocks of that
+    # many steps put it on the first row of the second block, one more on
+    # the last row of the first.
+    case = decay_case(fast, 3)
+    expected = per_step_decay(*case)
+    stop = len(expected[1]) - 1
+    assert stop > spavg.averaging.NOISE_BLOCK
+    for block in (stop, stop + 1):
+        monkeypatch.setattr(spavg.averaging, "NOISE_BLOCK", block)
+        assert_same_decay(ergodicity_decay(*case), expected)
+
+
+@pytest.mark.parametrize("fast", DECAY_KINDS, ids=lambda fast: fast.kind)
+def test_ergodicity_decay_without_a_stop_runs_to_the_horizon(monkeypatch, fast):
+    # A margin taken four times too large cuts the horizon to 12.5
+    # relaxation times, too short for the gap to reach the threshold: every
+    # step is sampled, the last block a partial one.
+    margin = spavg.averaging.contraction_margin
+    monkeypatch.setattr(
+        spavg.averaging, "contraction_margin", lambda *args: 4.0 * margin(*args)
+    )
+    case = decay_case(fast, 5)
+    expected = per_step_decay(*case)
+    n_steps = len(expected[1]) - 1
+    assert n_steps == 2500 and n_steps % spavg.averaging.NOISE_BLOCK
+    assert_same_decay(ergodicity_decay(*case), expected)
 
 
 def test_ergodicity_decay_validation():

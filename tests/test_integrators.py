@@ -1,5 +1,6 @@
 """Time stepping: replay exactness, implicit-solve contracts, contraction."""
 
+import collections
 import dataclasses
 import math
 import re
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spavg.averaging
+import spavg.integrators
 from spavg.averaging import MemoizedFbar, OracleFbar
 from spavg.blocks import build_auxiliary
 from spavg.grid import (
@@ -733,6 +735,38 @@ def test_a_failing_epsilon_fails_the_grid_run_naming_it(monkeypatch):
         "coupled run blew up at epsilon=0.05: non-finite state at macro step 4"
     )
     simulate_epsilon_grid(model, [0.1, 0.02], 0.125, params, streams)
+
+
+def test_linear_grid_calls_per_macro_step_do_not_grow_with_the_epsilon_count(monkeypatch):
+    # The linear fast states of every epsilon advance in one update per
+    # macro step: one epsilon or four, the same sine transforms (_matvec)
+    # and coupling_f calls.
+    counts = collections.Counter()
+
+    def counted(name):
+        function = getattr(spavg.integrators, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(spavg.integrators, name, wrapper)
+
+    counted("_matvec")
+    counted("coupling_f")
+    model = make_model(epsilon=0.1)
+    params = SchemeParams(dt_macro=1 / 64)
+    streams = [RngStream(5, r) for r in range(3)]
+    per_grid = []
+    for epsilons in ([0.1], [0.1, 0.05, 0.02, 0.01]):
+        counts.clear()
+        runs = simulate_epsilon_grid(model, epsilons, 8 / 64, params, streams)
+        per_grid.append(dict(counts))
+    assert per_grid[0] == per_grid[1]
+    assert per_grid[0]["_matvec"] > 0 and per_grid[0]["coupling_f"] > 0
+    # Every epsilon's fast noise and fast states are views of one array each.
+    assert all(path.fast.base is runs[0][1].fast.base is not None for _, path in runs)
+    assert all(trajectory.y.base is runs[0][0].y.base is not None for trajectory, _ in runs)
 
 
 def test_linear_fast_noise_memory_does_not_grow_with_n_sub():
