@@ -43,6 +43,7 @@ from .integrators import (
     SlowTrajectory,
     Trajectory,
     TrajectoryStats,
+    epsilon_grid_errors,
     simulate_averaged,
     simulate_coupled,
     simulate_epsilon_grid,
@@ -94,6 +95,7 @@ __all__ = [
     "coupling_f",
     "deviation_statistic",
     "dissipativity_margin",
+    "epsilon_grid_errors",
     "ergodicity_decay",
     "estimate_fbar",
     "fast_drift",

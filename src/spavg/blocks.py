@@ -59,6 +59,8 @@ def build_auxiliary(
     """
     if np.ndim(deltas) == 0:
         raise TypeError("deltas must be a sequence of block lengths; one block length is [delta]")
+    if not len(deltas):
+        raise ValueError("deltas must hold at least one block length")
     if noise.epsilon != model.epsilon:
         raise ValueError("noise path was recorded at a different epsilon")
     m, n = noise.n_macro, model.grid.n_interior

@@ -50,10 +50,10 @@ from .integrators import (
     NumericalBlowUp,
     SchemeParams,
     TrajectoryStats,
+    epsilon_grid_errors,
     simulate_averaged,  # noqa: F401  (perfbench/tracing.py wraps it here by name)
     simulate_coupled,
-    simulate_epsilon_grid,
-    strong_error,
+    strong_error,  # noqa: F401  (perfbench/tracing.py wraps it here by name)
     whole_steps,
 )
 from .operators import (
@@ -99,8 +99,7 @@ ESTIMATOR_STREAMS = 1_000_000
 
 # Most replicas that advance as the columns of one batch in _by_replica, the
 # batch driver of converge (at every epsilon at once) and diagnose (at one
-# epsilon), which bounds the memory the trajectories and recorded noise of a
-# batch take.
+# epsilon): it bounds the memory of a batch's recorded noise and states.
 REPLICA_CHUNK = 16
 
 
@@ -372,16 +371,9 @@ def _batch_errors(
 ) -> list[list[float]]:
     """Strong errors of one batch of replicas at each epsilon, one list per epsilon.
 
-    One run covers the batch at every epsilon (simulate_epsilon_grid): the
-    coupled equation of each epsilon and the averaged equation, which has
-    no epsilon, are column groups of one slow loop on the same slow
-    increments, so every slow solve serves them all, and every epsilon's
-    errors are taken against the one averaged run. The averaged drift is
-    the closed form or one estimator whose column r has replica r's own
-    streams and its own trust-region cache and refresh count, so a result
-    does not depend on which replicas or epsilons ran before or beside it.
-    Raises NewtonDivergence or NumericalBlowUp if any column fails; this is
-    converge's run for _by_replica, which reruns a failed call.
+    One epsilon_grid_errors run against the closed-form drift or one
+    estimator with a column per replica (see the module docstring); this
+    is converge's run for _by_replica, which reruns a call that raises.
     """
     model = build_model(config, epsilons[0])
     with _config_errors():
@@ -396,14 +388,8 @@ def _batch_errors(
                 [RngStream(config.master_seed, ESTIMATOR_STREAMS * (r + 1)) for r in batch],
             )
     streams = [RngStream(config.master_seed, r) for r in batch]
-    runs = simulate_epsilon_grid(model, epsilons, config.T, scheme_params(config), streams, fbar)
-    return [
-        [
-            strong_error(coupled.replica(k), averaged.replica(k), model.grid, model.state_norm)
-            for k in range(len(batch))
-        ]
-        for coupled, _, averaged in runs
-    ]
+    params = scheme_params(config)
+    return epsilon_grid_errors(model, epsilons, config.T, params, streams, fbar).tolist()
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
@@ -411,12 +397,11 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
 
     Rows come in descending epsilon. Replica r reuses stream id r across
     epsilons, which correlates rows and sharpens the monotonicity
-    comparison without biasing any single row. Replicas run in batches of
-    at most REPLICA_CHUNK, each batch at every epsilon in one
-    _batch_errors run, by the rerun rule of _by_replica, and a row's
-    wall_time_s is its share of those runs. A Newton breakdown or a blow-up
-    at one epsilon invalidates that row, reported as "replica r: <error>"
-    for the lowest failing replica r, but the remaining epsilons still run.
+    comparison without biasing any single row. Batches run through
+    _by_replica and _batch_errors, and a row's wall_time_s is its share of
+    those runs. A failure at one epsilon invalidates that row, reported as
+    "replica r: <error>" for the lowest failing replica r, but the
+    remaining epsilons still run.
     """
     epsilons = sorted(config.epsilon_grid, reverse=True)
     records = _by_replica(

@@ -48,24 +48,25 @@ same gains), bit for bit.
 
 Batches. The replicas of one epsilon advance together as the columns of
 one state, shape (n, R), in the same macro-step loop that runs a single
-replica as a batch of one; simulate_epsilon_grid adds a group of R coupled
-columns per epsilon of a grid, and at most one averaged group of R columns
-for them all. Replica r draws the same slow rows at every epsilon
-(lane 0 of its stream does not depend on epsilon), so one set of slow
-increments drives every group. Each group has its own fast stepper and fast
-noise, but the fast states of all groups are one state. The linear kind's
-epsilons differ only in per-mode gains, so one exact update per macro step
-advances every group; smooth_bounded, whose n_sub differs per epsilon,
-steps each group on its own. Replica r draws its whole horizon from its own
-stream into row r of one preallocated array, so recorded noise puts the
-replica first, (R, n_macro, ...), and each replica's rows are contiguous;
-trajectories are time first, (n_steps + 1, R, n), so that each macro step
-writes one contiguous block. There is no other layout, in private code or
-at the public entry points: states are (n, C) and noise (R, ...), a lone
-replica is a batch of one that its caller builds ([stream], x[:, None]),
-and statistics take one replica out with Trajectory.replica. A replica's
-bytes do not depend on its batch or on the other epsilons of its grid,
-because every operation on a batch is one of:
+replica as a batch of one; a grid run adds a group of R coupled columns
+per epsilon, column g R + r for replica r at epsilon g, and at most one
+averaged group of R columns after them all. Replica r draws the same slow
+rows at every epsilon (lane 0 of its stream does not depend on epsilon),
+so one set of slow increments drives every group. Each group has its own
+fast stepper and fast noise, but the fast states of all groups are one
+state. The linear kind's epsilons differ only in per-mode gains, so one
+exact update per macro step advances every group; smooth_bounded, whose
+n_sub differs per epsilon, steps each group on its own. The loop keeps no
+history: simulate_epsilon_grid and simulate_averaged write every state
+into trajectories, time first, (n_steps + 1, R, n), while
+epsilon_grid_errors folds each state into the strong errors. Recorded
+noise puts the replica first, (R, n_macro, ...), each replica's rows
+contiguous. There is no other layout: states are (n, C) and noise
+(R, ...), a lone replica is a batch of one that its caller builds
+([stream], x[:, None]), and statistics take one replica out with
+Trajectory.replica. A replica's bytes do not depend on its batch or on
+the other epsilons of its grid, because every operation on a batch is
+one of:
 
 - elementwise;
 - column by column: the prefactored pttrs solve with many right-hand sides,
@@ -87,14 +88,14 @@ because every operation on a batch is one of:
   whose every row sums as the one-step einsum does.
 
 A run either finishes every replica of its batch or raises
-NewtonDivergence or NumericalBlowUp; there are no partial results. It
-raises at the earliest macro step at which any column fails, a coupled
-column before an averaged one at the same step. Since a replica's bytes do
-not depend on its batch or on the other epsilons of its grid, running a
-failed grid one epsilon at a time and the replicas of a failed one-epsilon
-batch one at a time finds the lowest failing one and its own error. That
-is the one rerun rule of converge and diagnose (experiments._by_replica):
-converge runs a batch at every epsilon at once, diagnose at one.
+NewtonDivergence or NumericalBlowUp; there are no partial results. A
+column fails at the first macro step whose solve fails or whose x or y is
+not finite, and the run raises there for the lowest failing group:
+NewtonDivergence if its solve failed, else NumericalBlowUp. Since
+a replica's bytes do not depend on its batch or grid, running a failed
+grid one epsilon at a time and a failed one-epsilon batch one replica at
+a time finds the lowest failing one and its own error: the one rerun rule
+of converge and diagnose (experiments._by_replica).
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ __all__ = [
     "SlowTrajectory",
     "Trajectory",
     "TrajectoryStats",
+    "epsilon_grid_errors",
     "simulate_averaged",
     "simulate_coupled",
     "simulate_epsilon_grid",
@@ -794,13 +796,10 @@ def simulate_coupled(
     """Advance the coupled pair of a batch over [0, T] and record the noise that drove it.
 
     streams holds one RngStream per replica; a lone replica is [stream].
-    The whole horizon is drawn up front (slow rows on lane 0, fast rows on
-    lane 1 of each stream), the same numbers as drawing step by step, and
-    recorded as a NoisePath, whose fast noise is what the fast stepper
-    consumes (noise sums for the linear kind). That path drives the
-    averaged equation and the block-frozen auxiliary construction with this
-    very realization. This is the one-epsilon case of simulate_epsilon_grid,
-    which can also step the averaged equation beside the coupled one.
+    The whole horizon is drawn up front and recorded as a NoisePath (see
+    Noise above), which drives the averaged equation and the block-frozen
+    auxiliary construction with this very realization. This is the
+    one-epsilon case of simulate_epsilon_grid.
     """
     return simulate_epsilon_grid(model, [model.epsilon], T, params, streams)[0]
 
@@ -819,43 +818,89 @@ def simulate_epsilon_grid(
     the batch of `streams` on model with that epsilon, with the same bytes,
     and given fbar the averaged SlowTrajectory third: the bytes of
     simulate_averaged(model, fbar, params, path) for any of the paths.
-    Each epsilon is a group of R coupled columns with its own fast stepper
-    and noise; the slow rows are drawn once and drive every group, since a
-    replica draws the same ones at every epsilon. The fast states of all
-    groups are one (n, E R) state with one history, each Trajectory.y a
-    view of its group. For the linear kind one linear_block call per macro
-    step advances them all, each column with its group's gains, and each
-    path's fast noise is a view of one (E R, n_macro, modes) array;
-    smooth_bounded runs each group's run_block in turn. Given fbar, a drift
-    on columns, the averaged equation advances too. It has no epsilon, so
-    it is one more group of R columns, one per replica, after the coupled
-    ones: fbar is called once per macro step on that (n, R) group, and
-    every epsilon's result holds the same averaged SlowTrajectory. Each
-    macro step makes one slow solve for every column. A failure of any
-    column raises, naming its equation and, for a coupled run, its epsilon
-    (see _slow_loop).
+    Every state of the run goes into one x and one y history, of which
+    each Trajectory is a view.
     """
+    paths, states = _epsilon_grid(model, epsilons, T, params, streams, fbar)
+    times, x_hist, y_hist = _histories(states, paths[0])
+    width = y_hist.shape[1]
+    averaged = () if fbar is None else (SlowTrajectory(times, x_hist[:, width:]),)
+    xs, ys = (np.split(h[:, :width], len(paths), axis=1) for h in (x_hist, y_hist))
+    return [(Trajectory(times, x, y), path, *averaged) for x, y, path in zip(xs, ys, paths)]
+
+
+def epsilon_grid_errors(
+    model: ModelSpec,
+    epsilons: Sequence[float],
+    T: float,
+    params: SchemeParams,
+    streams: Sequence[RngStream],
+    fbar: Callable[[Array], Array],
+) -> Array:
+    """strong_error of each replica at each epsilon against its averaged run, (E, R).
+
+    The run of simulate_epsilon_grid with fbar, without histories: each
+    coupled column's squared gap to its replica's averaged column goes into
+    a running sup, NOISE_BLOCK macro times at a time through row_norms, with
+    the bytes and the overflow error (the first by epsilon, then replica)
+    strong_error gives on the histories.
+    """
+    paths, states = _epsilon_grid(model, epsilons, T, params, streams, fbar)
+    n, groups, replicas = model.grid.n_interior, len(paths) + 1, paths[0].slow.shape[0]
+    sup = np.zeros((groups - 1, replicas))
+    size = min(NOISE_BLOCK, paths[0].n_macro + 1)
+    block = np.empty((size, groups, replicas, n))
+    for j, (x, _) in enumerate(states):
+        block.reshape(size, -1, n)[j % size] = x.T
+        steps = j % size + 1
+        if steps == size or j == paths[0].n_macro:
+            gaps = (block[:steps, :-1] - block[:steps, -1:]).reshape(-1, n)
+            with np.errstate(over="ignore"):
+                norms = row_norms(model.grid, gaps, model.state_norm) ** 2
+            np.maximum(sup, norms.reshape(steps, *sup.shape).max(axis=0), out=sup)
+    if not np.isfinite(sup).all():
+        raise NumericalBlowUp(f"strong error overflowed: {float(sup[~np.isfinite(sup)][0])!r}")
+    return sup
+
+
+def _histories(states: Iterator[tuple[Array, Array]], path: NoisePath) -> tuple[Array, ...]:
+    """The macro times of a _slow_loop on path, and every x and y it yields, time first."""
+    x, y = next(states)
+    x_hist, y_hist = (np.empty((path.n_macro + 1, *state.T.shape)) for state in (x, y))
+    x_hist[0], y_hist[0] = x.T, y.T
+    for j, (x, y) in enumerate(states, 1):
+        x_hist[j], y_hist[j] = x.T, y.T
+    return np.arange(path.n_macro + 1) * path.dt_macro, x_hist, y_hist
+
+
+def _epsilon_grid(
+    model: ModelSpec,
+    epsilons: Sequence[float],
+    T: float,
+    params: SchemeParams,
+    streams: Sequence[RngStream],
+    fbar: Callable[[Array], Array] | None,
+) -> tuple[list[NoisePath], Iterator[tuple[Array, Array]]]:
+    """The paths of a grid run, one per epsilon, and its _slow_loop (see Batches above)."""
     streams = stream_batch(streams)
+    if not len(epsilons):
+        raise ValueError("epsilons must hold at least one epsilon")
     replicas = len(streams)
     dt = params.dt_macro
     m = whole_steps(T, dt, "horizon T")
     coupling = model.coupling
     slow_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
-    generators = [stream.generator(0) for stream in streams]
-    slow_rows = _draw(generators, (m, coupling.g1_modes), slow_scales)
+    slow_rows = _draw([s.generator(0) for s in streams], (m, coupling.g1_modes), slow_scales)
     steppers = [
         _FastStepper.for_model(dataclasses.replace(model, epsilon=epsilon), dt, params)
         for epsilon in epsilons
     ]
     groups = [slice(g * replicas, (g + 1) * replicas) for g in range(len(steppers))]
     width = len(groups) * replicas
-    # The fast states of every group, column g R + r for replica r at epsilon g.
-    y_hist = np.empty((m + 1, width, model.grid.n_interior))
-    y_hist[0] = model.y0.values
+    y = np.tile(model.y0.values, (width, 1)).T
     if model.fast.kind == "linear":
-        # One update for every group: the noise sums of all groups in one
-        # stack, each group's path a view of it, and each group's gains
-        # repeated over its R columns.
+        # One update for every group: one stack of noise sums, of which each
+        # path is a view, and each group's gains repeated over its R columns.
         fast = np.empty((width, m, coupling.g2_modes))
         for stepper, columns in zip(steppers, groups):
             fast[columns] = stepper.record(streams, m)
@@ -864,48 +909,35 @@ def simulate_epsilon_grid(
         decay = np.repeat(np.hstack([g[0] for g in gains]), replicas, axis=1)
         drive = np.repeat(np.hstack([g[1] for g in gains]), replicas, axis=1)
 
-        def advance(j: int, x: Array, y: Array) -> None:
-            y_hist[j + 1] = steppers[0].linear_block(decay, drive, x, y, fast[:, j].T).T
+        def advance(j: int, x: Array, y: Array) -> Array:
+            return steppers[0].linear_block(decay, drive, x, y, fast[:, j].T)
 
     else:
         # smooth_bounded takes each group's n_sub micro steps on its own.
         noises = [stepper.record(streams, m) for stepper in steppers]
 
-        def advance(j: int, x: Array, y: Array) -> None:
+        def advance(j: int, x: Array, y: Array) -> Array:
+            y_next = np.empty_like(y)
             for stepper, columns, noise in zip(steppers, groups, noises):
-                y_hist[j + 1, columns] = stepper.run_block(
-                    x[:, columns], y[:, columns], noise[:, j]
-                ).T
+                y_next[:, columns] = stepper.run_block(x[:, columns], y[:, columns], noise[:, j])
+            return y_next
 
     paths = [
         NoisePath(dt, stepper.n_sub, epsilon, slow_rows, noise)
         for stepper, epsilon, noise in zip(steppers, epsilons, noises)
     ]
 
-    def forcing(j: int, x: Array) -> Array:
+    def forcing(j: int, x: Array, y: Array) -> tuple[Array, Array]:
         """F at the left endpoint; the fast states then run one block with x frozen."""
-        coupled, y = x[:, :width], y_hist[j].T
         f = np.empty_like(x)
-        f[:, :width] = coupling_f(coupling, coupled, y)
-        advance(j, coupled, y)
+        f[:, :width] = coupling_f(coupling, x[:, :width], y)
+        y = advance(j, x[:, :width], y)
         if fbar is not None:
             f[:, width:] = fbar(x[:, width:])
-        return f
+        return f, y
 
-    runs = [
-        ("coupled", path.epsilon, (y_hist[:, columns],)) for path, columns in zip(paths, groups)
-    ]
-    if fbar is not None:
-        runs.append(("averaged", None, ()))
-    slow = _slow_loop(model, params, paths[0], forcing, runs)
-    results = [
-        (Trajectory(slow.times, slow.x[:, columns], y_hist[:, columns]), path)
-        for path, columns in zip(paths, groups)
-    ]
-    if fbar is None:
-        return results
-    averaged = SlowTrajectory(slow.times, slow.x[:, width:])
-    return [result + (averaged,) for result in results]
+    run_epsilons = [path.epsilon for path in paths] + [None] * (fbar is not None)
+    return paths, _slow_loop(model, params, paths[0], run_epsilons, forcing, y)
 
 
 def simulate_averaged(
@@ -921,84 +953,61 @@ def simulate_averaged(
     Against the path of simulate_coupled the run shares that realization
     exactly. Failures raise as in simulate_coupled.
     """
-    return _slow_loop(model, params, noise, lambda j, x: fbar(x), [("averaged", None, ())])
+    no_fast = np.empty((model.grid.n_interior, 0))
+    states = _slow_loop(model, params, noise, [None], lambda j, x, y: (fbar(x), y), no_fast)
+    times, x_hist, _ = _histories(states, noise)
+    return SlowTrajectory(times, x_hist)
 
 
 def _slow_loop(
     model: ModelSpec,
     params: SchemeParams,
     noise: NoisePath,
-    forcing: Callable[[int, Array], Array],
-    runs: Sequence[tuple[str, float | None, tuple[Array, ...]]],
-) -> SlowTrajectory:
-    """The one macro-step loop of the slow equation, on the grid of `noise`.
+    epsilons: Sequence[float | None],
+    forcing: Callable[[int, Array, Array], tuple[Array, Array]],
+    y: Array,
+) -> Iterator[tuple[Array, Array]]:
+    """The one macro-step loop of the slow equation; yields (x, y) at every macro time.
 
-    The state holds one group of R columns, one per replica, for each
-    (equation, epsilon, histories) entry of `runs`, in order, and every
-    group takes the same slow increments of noise.slow: the coupled run at
-    one epsilon or at each of a grid, the averaged run, whose epsilon is
-    None since its equation has none, or both side by side. forcing(j, x)
-    is the explicit drift of macro step j at its left endpoint x, all
-    columns at once. The Wiener increments of every step and replica are
-    synthesized before the loop, one gemv per row.
-
-    Every column runs to the horizon, or the loop raises for the earliest
-    macro step at which a column fails, an earlier group first at one step,
-    naming the group's equation, its epsilon if it has one, and the step.
-    A column fails where its run alone would: at the step whose Newton
-    solve fails (NewtonDivergence, for the lowest failing column), or else
-    at its first macro step with a non-finite state in x or in the
-    histories (shape (n_steps + 1, R, n)) its group's forcing fills
-    (NumericalBlowUp, checked after the loop). A non-finite state fails the
-    next Newton solve, so for porous medium and p-Laplace a blow-up before
-    the last step is a NewtonDivergence one step later.
+    x holds a group of R columns for each of `epsilons`, a coupled run's
+    epsilon or None for the averaged run, all on the slow increments of
+    noise.slow, synthesized NOISE_BLOCK steps at a time; y, (n, W), is the
+    fast state of the coupled groups, the first W columns. forcing(j, x, y)
+    returns the drift of macro step j at its left endpoint and y at its
+    right endpoint. Nothing is kept. A step makes one all-finite test and
+    looks for the failing group (see the module docstring) only on failure.
     """
     grid = model.grid
     stepper = _SlowStepper(model.slow, grid, noise.dt_macro, params)
     basis_t = np.ascontiguousarray(sine_basis(grid, noise.slow.shape[-1]).T)
-    # increments[j, r] is the Wiener increment of replica r over macro step j.
-    increments = np.matmul(noise.slow.transpose(1, 0, 2)[:, :, None, :], basis_t)[:, :, 0]
-    n_macro, replicas = increments.shape[:2]
-    x_hist = np.empty((n_macro + 1, len(runs) * replicas, grid.n_interior))
-    x_hist[0] = model.x0.values
-    x = x_hist[0].T
-
-    def at(epsilon: float | None) -> str:
-        return "" if epsilon is None else f" at epsilon={epsilon:g}"
-
-    def blow_up(step: int, equation: str, epsilon: float | None) -> NumericalBlowUp:
-        return NumericalBlowUp(
-            f"{equation} run blew up{at(epsilon)}: non-finite state at macro step {step}"
-        )
-
-    for j in range(n_macro):
-        f = forcing(j, x)
+    slow = noise.slow.transpose(1, 0, 2)[:, :, None, :]
+    n_macro, replicas = slow.shape[:2]
+    x = np.tile(model.x0.values, (len(epsilons) * replicas, 1)).T
+    failed = None
+    for j in range(n_macro + 1):
+        if failed is not None or not (np.isfinite(x).all() and np.isfinite(y).all()):
+            lost = ~np.isfinite(x).all(axis=0)
+            lost[: y.shape[1]] |= ~np.isfinite(y).all(axis=0)
+            g = int(np.argmax(lost)) // replicas if lost.any() else len(epsilons)
+            newton = failed is not None and failed.column // replicas <= g
+            epsilon = epsilons[failed.column // replicas if newton else g]
+            equation = "averaged" if epsilon is None else "coupled"
+            at = "" if epsilon is None else f" at epsilon={epsilon:g}"
+            if newton:
+                message = f"{equation} run{at} failed at macro step {j}: {failed}"
+                raise NewtonDivergence(message) from failed
+            raise NumericalBlowUp(f"{equation} run blew up{at}: non-finite state at macro step {j}")
+        yield x, y
+        if j == n_macro:
+            return
+        if j % NOISE_BLOCK == 0:
+            # increments[i, r] is the Wiener increment of replica r over macro step j + i.
+            increments = np.matmul(slow[j : j + NOISE_BLOCK], basis_t)[:, :, 0]
+        f, y = forcing(j, x, y)
         try:
-            x = stepper.step(x, f, increments[j].T)
+            x = stepper.step(x, f, increments[j % NOISE_BLOCK].T)
         except NewtonDivergence as exc:
-            group = exc.column // replicas
-            if j + 1 == n_macro:
-                # A non-finite last state of an earlier group's histories
-                # has no later solve to fail: it fails at this step too.
-                for equation, epsilon, histories in runs[:group]:
-                    if not all(np.isfinite(h[-1]).all() for h in histories):
-                        raise blow_up(n_macro, equation, epsilon) from exc
-            # Named like a blow-up: by the state the step computes.
-            equation, epsilon, _ = runs[group]
-            raise NewtonDivergence(
-                f"{equation} run{at(epsilon)} failed at macro step {j + 1}: {exc}"
-            ) from exc
-        x_hist[j + 1] = x.T
-    blow_ups = []
-    for g, (_, _, histories) in enumerate(runs):
-        states = (x_hist[:, g * replicas : (g + 1) * replicas], *histories)
-        finite = np.logical_and.reduce([np.isfinite(h).all(axis=(1, 2)) for h in states])
-        if not finite.all():
-            blow_ups.append((int(np.argmin(finite)), g))
-    if blow_ups:
-        step, g = min(blow_ups)
-        raise blow_up(step, *runs[g][:2])
-    return SlowTrajectory(np.arange(n_macro + 1) * noise.dt_macro, x_hist)
+            failed = exc
 
 
 def strong_error(

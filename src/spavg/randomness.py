@@ -34,11 +34,13 @@ class RngStream:
 
 
 def stream_batch(streams: Sequence[RngStream], member: str = "replica") -> list[RngStream]:
-    """The streams of a batch as a list; a lone RngStream raises TypeError.
+    """The streams of a batch as a list; a lone RngStream raises TypeError, none ValueError.
 
     Entry points that take one stream per batch member call this, so that
     the lone form is refused naming the batch form: one `member` is [stream].
     """
     if isinstance(streams, RngStream):
         raise TypeError(f"streams must be a sequence of RngStream; one {member} is [stream]")
-    return list(streams)
+    if not (streams := list(streams)):
+        raise ValueError(f"streams must hold at least one RngStream, one per {member}")
+    return streams

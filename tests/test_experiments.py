@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -39,7 +40,7 @@ from spavg.experiments import (
     write_suite_csvs,
     write_trajectory_csv,
 )
-from spavg.integrators import NewtonDivergence, NumericalBlowUp
+from spavg.integrators import NewtonDivergence, NumericalBlowUp, whole_steps
 
 from test_integrators import poison_fast_noise
 
@@ -259,15 +260,15 @@ def test_failing_replica_row_keeps_the_replicas_below_it(monkeypatch):
 def test_row_names_the_lowest_failing_replica(monkeypatch, slow_kind):
     # Replica 2 fails first, at step 2, and replica 1 later, at step 4: the
     # row names replica 1 with the step of its own failure and keeps
-    # replica 0's error. The porous-medium Newton solve fails one step after
-    # the NaN.
+    # replica 0's error. Every slow kind fails at the step of the NaN.
     cfg = small_config(slow_kind=slow_kind, epsilon_grid=(0.05,), replicas=4)
     error_0 = errors_at(cfg, 0.05, [0])[0]
     poison_fast_noise(monkeypatch, {2: 2, 1: 4})
     errors, failure = errors_at(cfg, 0.05, range(4))
     assert [e.hex() for e in errors] == [e.hex() for e in error_0]
-    step = 4 if slow_kind == "burgers" else 5
-    assert re.match(rf"replica 1: coupled run .*epsilon=0\.05.* macro step {step}\b", failure)
+    assert failure == (
+        "replica 1: coupled run blew up at epsilon=0.05: non-finite state at macro step 4"
+    )
     (row,) = run_convergence(cfg).rows
     assert row.replicas == 1 and row.failure == failure
     assert math.isnan(row.error_mean)
@@ -299,7 +300,7 @@ def test_a_failing_epsilon_invalidates_its_row_alone(monkeypatch):
     poison_fast_noise(monkeypatch, {1: 5}, epsilon=0.1)
     calls = record_calls(
         monkeypatch,
-        "simulate_epsilon_grid",
+        "epsilon_grid_errors",
         lambda model, epsilons, T, params, streams, fbar: (
             tuple(epsilons),
             [stream.stream_id for stream in streams],
@@ -373,6 +374,24 @@ def test_rows_equal_each_replica_run_alone_up_to_the_first_failure(chunk, poison
             mean = math.nan if failure else float(np.mean(errors))
             assert (row.failure, row.replicas) == (failure, len(errors))
             assert row.error_mean.hex() == mean.hex()
+
+
+def test_batch_errors_keep_no_history():
+    # converge folds every macro step into its strong errors as the loop
+    # goes: a batch of 3 replicas at 4 epsilons over 512 macro steps peaks
+    # below the size of one x history of its coupled columns.
+    cfg = ExperimentConfig(epsilon_grid=(0.1, 0.05, 0.02, 0.01), replicas=3)
+    epsilons, batch = list(cfg.epsilon_grid), [0, 1, 2]
+    _batch_errors(cfg, epsilons[:1], batch[:1])
+    tracemalloc.start()
+    try:
+        _batch_errors(cfg, epsilons, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = whole_steps(cfg.T, cfg.dt_macro, "T")
+    assert steps == 512
+    assert peak < (steps + 1) * len(epsilons) * len(batch) * cfg.n_interior * 8
 
 
 def test_invalid_row_fails_result():

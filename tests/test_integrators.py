@@ -3,7 +3,6 @@
 import collections
 import dataclasses
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 import spavg.averaging
 import spavg.integrators
-from spavg.averaging import MemoizedFbar, OracleFbar
+from spavg.averaging import MemoizedFbar, OracleFbar, estimate_fbar
 from spavg.blocks import build_auxiliary
 from spavg.grid import (
     L2,
@@ -34,6 +33,7 @@ from spavg.integrators import (
     TrajectoryStats,
     _FastStepper,
     _SlowStepper,
+    epsilon_grid_errors,
     simulate_averaged,
     simulate_coupled,
     simulate_epsilon_grid,
@@ -146,6 +146,23 @@ def test_a_lone_stream_is_refused_naming_the_batch_form():
         simulate_epsilon_grid(model, [0.05], 0.25, params, RngStream(0, 0))
     with pytest.raises(TypeError, match=r"one replica is \[stream\]"):
         simulate_coupled(model, 0.25, params, RngStream(0, 0))
+
+
+def test_an_empty_batch_is_refused_naming_the_argument():
+    model = make_model()
+    params = SchemeParams(dt_macro=1 / 64)
+    no_streams = r"^streams must hold at least one RngStream, one per {}$"
+    with pytest.raises(ValueError, match=no_streams.format("replica")):
+        simulate_coupled(model, 0.25, params, [])
+    with pytest.raises(ValueError, match=no_streams.format("point")):
+        estimate_fbar(model.fast, model.coupling, model.grid, np.zeros((8, 0)), 2, [])
+    with pytest.raises(ValueError, match=no_streams.format("replica")):
+        MemoizedFbar(model.fast, model.coupling, model.grid, 2, [])
+    with pytest.raises(ValueError, match=r"^epsilons must hold at least one epsilon$"):
+        simulate_epsilon_grid(model, [], 0.25, params, [RngStream(0, 0)])
+    trajectory, path = simulate_coupled(model, 0.25, params, [RngStream(0, 0)])
+    with pytest.raises(ValueError, match=r"^deltas must hold at least one block length$"):
+        build_auxiliary(model, trajectory, path, [])
 
 
 def test_same_stream_replays_bitwise():
@@ -500,8 +517,7 @@ def poison_fast_noise(monkeypatch, first_step_by_stream, epsilon=None):
 @pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
 def test_batch_with_a_failing_replica_raises(monkeypatch, slow_kind):
     # Replica 1's fast state turns NaN at step 4: its batch of 4 raises the
-    # error replica 1 raises alone. Burgers carries the NaN to the end of
-    # the run; the porous-medium Newton solve of the next step fails on it.
+    # error replica 1 raises alone, at that step for every slow kind.
     model = make_model(epsilon=0.05, slow_kind=slow_kind)
     params = SchemeParams(dt_macro=1 / 64)
     streams = [RngStream(8, i) for i in range(4)]
@@ -512,8 +528,9 @@ def test_batch_with_a_failing_replica_raises(monkeypatch, slow_kind):
     with pytest.raises(failures) as alone:
         simulate_coupled(model, 0.125, params, streams[1:2])
     assert batch.type is alone.type and str(batch.value) == str(alone.value)
-    step = 4 if slow_kind == "burgers" else 5
-    assert re.search(rf"coupled run .*epsilon=0\.05.* macro step {step}\b", str(alone.value))
+    assert str(alone.value) == (
+        "coupled run blew up at epsilon=0.05: non-finite state at macro step 4"
+    )
 
 
 class NaNFrom:
@@ -587,10 +604,10 @@ def test_joint_run_with_the_estimator_equals_the_replay():
 
 @pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
 def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
-    # The averaged drift turns NaN at macro step 2 and the coupled fast
-    # state at step 5: the joint run names the averaged failure, the one at
-    # the earlier step. Burgers carries the NaN state to the end; the
-    # porous-medium Newton solve of the next step fails on it.
+    # The averaged drift turns NaN from the call that drives macro step 3
+    # and the coupled fast state at step 5: the joint run names the averaged
+    # failure, the one at the earlier step, a blow-up for Burgers and a
+    # failed Newton solve for porous medium.
     model = make_model(epsilon=0.05, slow_kind=slow_kind)
     params = SchemeParams(dt_macro=1 / 64)
     fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
@@ -605,9 +622,10 @@ def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
             "averaged run failed at macro step 3: "
             "implicit porous_medium solve met a non-finite residual"
         )
-    # Failing at the same step, the coupled run comes first: step 5 for
-    # Burgers, step 6 for the Newton solve after the NaN.
-    first = 4 if slow_kind == "burgers" else 5
+    # Failing at the same step, 5, the coupled run comes first: its fast
+    # state blows up where the averaged run blows up (Burgers) or its
+    # Newton solve fails (porous medium).
+    first = 4
     with pytest.raises(failures) as same_step:
         simulate_epsilon_grid(
             model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, first)
@@ -619,9 +637,9 @@ def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
 
 
 def test_fast_blow_up_at_the_last_step_comes_before_an_averaged_newton_failure(monkeypatch):
-    # The coupled fast state turns NaN at the last macro step, 8, where no
-    # later solve fails on it, and the averaged Newton solve fails at step 8
-    # too: the coupled blow-up comes first, as the coupled run alone names it.
+    # The coupled fast state turns NaN at the last macro step, 8, and the
+    # averaged Newton solve fails at step 8 too: the coupled blow-up comes
+    # first, as the coupled run alone names it.
     model = make_model(epsilon=0.05, slow_kind="porous_medium")
     params = SchemeParams(dt_macro=1 / 64)
     fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
@@ -720,6 +738,44 @@ def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
         assert len(calls) == grid_calls
         calls.clear()
     assert joint.refresh_counts.min() > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
+    fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
+    replicas=st.integers(1, 3),
+    # 64 macro times fill one fold block (NOISE_BLOCK) exactly; 71 leave a
+    # partial second one.
+    steps=st.sampled_from([1, 5, 63, 70]),
+    seed=st.integers(0, 2**16),
+)
+def test_epsilon_grid_errors_equal_strong_error_on_the_histories(
+    slow_kind, fast_kind, replicas, steps, seed
+):
+    # The running sup that converge folds a block of macro steps at a time
+    # has the bytes strong_error takes on the histories of the same grid
+    # run, in both state norms (H^-1 for porous medium, L2 otherwise).
+    assert spavg.integrators.NOISE_BLOCK == 64
+    params = SchemeParams(dt_macro=1 / 64)
+    model = make_model(n=9, slow_kind=slow_kind, fast_kind=fast_kind)
+    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
+    streams = [RngStream(seed, r) for r in range(replicas)]
+    epsilons = [0.1, 0.05]
+    errors = epsilon_grid_errors(model, epsilons, steps / 64, params, streams, fbar)
+    runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams, fbar)
+    expected = [
+        [
+            strong_error(coupled.replica(r), averaged.replica(r), model.grid, model.state_norm)
+            for r in range(replicas)
+        ]
+        for coupled, _, averaged in runs
+    ]
+    assert errors.shape == (len(epsilons), replicas)
+    assert [[e.hex() for e in row] for row in errors.tolist()] == [
+        [e.hex() for e in row] for row in expected
+    ]
+    assert errors.min() > 0.0
 
 
 def test_a_failing_epsilon_fails_the_grid_run_naming_it(monkeypatch):
