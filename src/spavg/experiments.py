@@ -5,8 +5,8 @@ All drivers are deterministic functions of (config, master_seed). Random
 streams are keyed by stream id:
 
 - converge and diagnose: replica r drives its coupled run with stream id r
-  at every epsilon. converge runs a batch of replicas at every epsilon at
-  once; replica r's slow rows are the same at each, so they are drawn once.
+  at every epsilon. Both run a batch of replicas at every epsilon at once;
+  replica r's slow rows are the same at each, so they are drawn once.
 - converge with fbar_source = estimator: the averaged equation has no
   epsilon, so replica r has one averaged run and one estimator column,
   whatever the epsilons of its batch. That column starts at stream id
@@ -40,16 +40,19 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .averaging import MemoizedFbar, OracleFbar, ergodicity_decay, estimate_fbar
-from .blocks import build_auxiliary, deviation_statistic
+# perfbench/tracing.py wraps these two here by name.
+from .blocks import build_auxiliary, deviation_statistic  # noqa: F401
 from .conditions import CONDITION_IDS, ConditionReport, check_condition
 from .config import ConfigError, ExperimentConfig
-from .grid import Field, Grid1D, sine_mode, smallest_eigenvalue
+from .grid import L2, Field, Grid1D, row_norms, sine_mode, smallest_eigenvalue
 from .integrators import (
+    NOISE_BLOCK,
     ModelSpec,
     NewtonDivergence,
     NumericalBlowUp,
     SchemeParams,
-    TrajectoryStats,
+    _block_replay,
+    _epsilon_grid,
     epsilon_grid_errors,
     simulate_averaged,  # noqa: F401  (perfbench/tracing.py wraps it here by name)
     simulate_coupled,
@@ -98,8 +101,8 @@ __all__ = [
 ESTIMATOR_STREAMS = 1_000_000
 
 # Most replicas that advance as the columns of one batch in _by_replica, the
-# batch driver of converge (at every epsilon at once) and diagnose (at one
-# epsilon): it bounds the memory of a batch's recorded noise and states.
+# batch driver of converge and diagnose, each batch at every epsilon at once:
+# it bounds the memory of a batch's recorded noise, states and statistics.
 REPLICA_CHUNK = 16
 
 
@@ -469,35 +472,64 @@ class DiagnosticsResult:
         return lines
 
 
-def _block_statistics(
+def _batch_statistics(
     config: ExperimentConfig,
-    model: ModelSpec,
-    replicas: Sequence[int],
-    deltas: Sequence[float],
-    increments: bool,
-) -> list[tuple[float, ...]]:
-    """The statistics of one batch of replicas, one tuple per replica.
+    epsilons: Sequence[float],
+    batch: Sequence[int],
+    deltas: dict[float, list[float]],
+) -> list[list[tuple[float, ...]]]:
+    """Diagnose's statistics of a batch of replicas, one list of per-replica tuples per epsilon.
 
-    A tuple holds sup ||x||^2, the auxiliary deviation of each delta and,
-    if `increments`, the increment integral of each delta. One coupled run
-    and one auxiliary replay cover the batch, whose arrays are freed on
-    return, before the next batch or epsilon allocates its own. Raises
-    NewtonDivergence or NumericalBlowUp if any replica fails; diagnose runs
-    it through _by_replica, which reruns a failed batch.
+    A tuple holds sup ||x||^2, the auxiliary deviation of each of the
+    epsilon's deltas and, at diag_epsilon, their increment integrals. One
+    _epsilon_grid loop without a drift runs every epsilon; in it
+    _block_replay steps each (epsilon, delta, replica) column with x frozen
+    at the column's latest block start, the increments' anchor too. Each
+    column keeps its per-step norms alone (row_norms over NOISE_BLOCK steps
+    at a time) and reduces them as TrajectoryStats and deviation_statistic do.
     """
-    streams = [RngStream(config.master_seed, r) for r in replicas]
-    batch, path = simulate_coupled(model, config.T, scheme_params(config), streams)
-    auxiliary = build_auxiliary(model, batch, path, deltas)
-    statistics = []
-    for r in range(len(streams)):
-        trajectory = batch.replica(r)
-        stats = TrajectoryStats(model.grid, model.state_norm, config.dt_macro, trajectory.x)
-        deviations = [
-            deviation_statistic(trajectory, auxiliary[:, d, r], model.grid)
-            for d in range(len(deltas))
-        ]
-        integrals = [stats.increment_integral(delta) for delta in deltas] if increments else []
-        statistics.append((stats.sup_norm_x_sq, *deviations, *integrals))
+    model = build_model(config, epsilons[0])
+    grid, n, dt = model.grid, model.grid.n_interior, config.dt_macro
+    streams = [RngStream(config.master_seed, r) for r in batch]
+    paths, states = _epsilon_grid(model, epsilons, config.T, scheme_params(config), streams, None)
+    source, replay = _block_replay(model, paths, [len(deltas[e]) for e in epsilons])
+    columns = [(e, d) for e in epsilons for d in deltas[e] for _ in batch]
+    block_steps = np.array([whole_steps(d, dt, "delta") for _, d in columns])
+    diag = np.flatnonzero([e == config.diag_epsilon for e, _ in columns])
+    m, replicas, coupled = paths[0].n_macro, len(batch), len(epsilons) * len(batch)
+    frozen = np.tile(model.x0.values, (len(columns), 1))
+    y_hat = np.tile(model.y0.values, (len(columns), 1)).T
+    # A macro time's rows: for the state norm x of every coupled column,
+    # then the increments of the diag_epsilon columns (zero at time 0); for
+    # L2 the deviation of every replay column.
+    size = min(NOISE_BLOCK, m + 1)
+    x_rows = np.empty((size, coupled + diag.size, n))
+    y_rows = np.empty((size, len(columns), n))
+    x_norms, y_norms = np.empty((x_rows.shape[1], m + 1)), np.empty((len(columns), m + 1))
+    for j, (x, y) in enumerate(states):
+        if j:
+            y_hat = replay(j - 1, frozen.T, y_hat)
+        i = j % size
+        x_rows[i, :coupled] = x.T
+        np.subtract(x.T[source[diag]], frozen[diag], out=x_rows[i, coupled:])
+        np.subtract(y.T[source], y_hat.T, out=y_rows[i])
+        due = j % block_steps == 0
+        frozen[due] = x.T[source[due]]
+        if i == size - 1 or j == m:
+            for rows, norms, kind in ((x_rows, x_norms, model.state_norm), (y_rows, y_norms, L2)):
+                values = row_norms(grid, rows[: i + 1].reshape(-1, n), kind)
+                norms[:, j - i : j + 1] = values.reshape(i + 1, -1).T
+    sup = [float(np.max(v**2)) for v in x_norms[:coupled]]
+    increments = [dt * float(np.sum(v[1:] ** 2)) for v in x_norms[coupled:]]
+    deviations = [float(np.trapezoid(v**2, dx=dt)) for v in y_norms]
+    statistics, start = [], 0
+    for g, epsilon in enumerate(epsilons):
+        stop = start + len(deltas[epsilon]) * replicas
+        own = [deviations[start + r : stop : replicas] for r in range(replicas)]
+        if epsilon == config.diag_epsilon:
+            own = [values + increments[r::replicas] for r, values in enumerate(own)]
+        statistics.append([(sup[g * replicas + r], *own[r]) for r in range(replicas)])
+        start = stop
     return statistics
 
 
@@ -508,13 +540,12 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     epsilon in the grid; the delta-resolved scaling statistics run at
     diag_epsilon only, since block length is a post-processing parameter for
     the slow increments but requires an auxiliary replay per (delta,
-    replica) for the deviations. Each epsilon is one call of _by_replica,
-    the driver converge uses, with its replicas in batches of at most
-    REPLICA_CHUNK; one replay per batch covers each of its (replica, delta)
-    pairs once: at diag_epsilon the fixed block length is one of the delta
-    grid. One epsilon per call bounds the memory at one batch's and stops
-    at the first epsilon, in descending order, that fails: the error its
-    lowest failing replica raises alone propagates.
+    replica) for the deviations. One _by_replica call, the driver converge
+    uses, runs every epsilon of the grid and diag_epsilon in batches of at
+    most REPLICA_CHUNK replicas, each batch one _batch_statistics run: at
+    diag_epsilon the fixed block length is one of the delta grid. The
+    first epsilon, in descending order, whose record holds an error raises
+    it: the error its lowest failing replica raises alone.
     A ratio or fit whose means are degenerate (see _degenerate) is skipped,
     and its suite reports it as degenerate and passes.
     """
@@ -533,26 +564,25 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
         )
 
     epsilons = sorted(set(config.epsilon_grid) | {config.diag_epsilon}, reverse=True)
+    deltas = {e: delta_grid if e == config.diag_epsilon else [delta_fixed] for e in epsilons}
+    records = _by_replica(
+        epsilons,
+        range(config.replicas),
+        lambda live, batch: _batch_statistics(config, live, batch, deltas),
+    )
     sup_by_eps: dict[float, tuple[float, float]] = {}
     dev_fixed_by_eps: dict[float, tuple[float, float]] = {}
     for epsilon in epsilons:
-        model = build_model(config, epsilon)
-        at_diag = epsilon == config.diag_epsilon
-        deltas = delta_grid if at_diag else [delta_fixed]
-        (record,) = _by_replica(
-            [epsilon],
-            range(config.replicas),
-            lambda _, batch: [_block_statistics(config, model, batch, deltas, at_diag)],
-        ).values()
+        record = records[epsilon]
         if record.error is not None:
             raise record.error
         sup, *columns = zip(*record.values)
-        deviations = dict(zip(deltas, columns))
-        integrals = dict(zip(deltas, columns[len(deltas) :]))
+        deviations = dict(zip(deltas[epsilon], columns))
+        integrals = dict(zip(deltas[epsilon], columns[len(deltas[epsilon]) :]))
         if epsilon in config.epsilon_grid:
             sup_by_eps[epsilon] = _mean_stderr(sup)
             dev_fixed_by_eps[epsilon] = _mean_stderr(deviations[delta_fixed])
-        if at_diag:
+        if epsilon == config.diag_epsilon:
             inc_by_delta = {d: _mean_stderr(integrals[d]) for d in delta_grid}
             dev_by_delta = {d: _mean_stderr(deviations[d]) for d in delta_grid}
 

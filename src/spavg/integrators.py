@@ -55,11 +55,11 @@ rows at every epsilon (lane 0 of its stream does not depend on epsilon),
 so one set of slow increments drives every group. Each group has its own
 fast stepper and fast noise, but the fast states of all groups are one
 state. The linear kind's epsilons differ only in per-mode gains, so one
-exact update per macro step advances every group; smooth_bounded, whose
-n_sub differs per epsilon, steps each group on its own. The loop keeps no
-history: simulate_epsilon_grid and simulate_averaged write every state
-into trajectories, time first, (n_steps + 1, R, n), while
-epsilon_grid_errors folds each state into the strong errors. Recorded
+exact update per macro step advances every group; smooth_bounded steps
+each group on its own (_block_replay, the auxiliary replay's rule too).
+The loop keeps no history: simulate_epsilon_grid and simulate_averaged
+write every state into trajectories, time first, (n_steps + 1, R, n);
+epsilon_grid_errors and diagnose fold each state into statistics. Recorded
 noise puts the replica first, (R, n_macro, ...), each replica's rows
 contiguous. There is no other layout: states are (n, C) and noise
 (R, ...), a lone replica is a batch of one that its caller builds
@@ -717,7 +717,9 @@ class _FastStepper:
 
         The noise of NOISE_BLOCK steps at a time is weighted, synthesized and
         laid out against the columns of y before their steps run, so memory
-        does not grow with the step count.
+        does not grow with the step count. The linear kind steps a block in
+        mode coefficients, then transforms it in one _matvec call (a gemv per
+        step and column, the bytes of one transform per step) and yields views.
         """
         a = self.a
         if self.fast.kind == "linear":
@@ -731,8 +733,7 @@ class _FastStepper:
                 rhs[:modes] += xi
                 return d * rhs
 
-            state, basis = _matvec(self._analysis, y), self._basis
-            noise_basis = None
+            state = _matvec(self._analysis, y)
         else:
             cx = self.fast.c_b * x_frozen
             b = self.fast.b
@@ -740,16 +741,22 @@ class _FastStepper:
             def step(y: Array, xi: Array) -> Array:
                 return self._solver.solve(y + a * (cx + b * np.sin(y)) + xi)
 
-            state, basis = y, None
-            noise_basis = self._noise_basis
+            state = y
         for start in range(0, coefficients.shape[1], NOISE_BLOCK):
             noise = coefficients[:, start : start + NOISE_BLOCK] * self._noise_weight
-            if noise_basis is not None:
+            if self.fast.kind != "linear":
                 # The physical noise of each step: one gemv per (replica, step).
-                noise = np.matmul(noise_basis, noise[..., None])[..., 0]
-            for xi in _by_column(noise, y):
+                noise = np.matmul(self._noise_basis, noise[..., None])[..., 0]
+                for xi in _by_column(noise, y):
+                    state = step(state, xi)
+                    yield state
+                continue
+            steps = np.empty((noise.shape[1], *state.T.shape))
+            for row, xi in zip(steps, _by_column(noise, y)):
                 state = step(state, xi)
-                yield state if basis is None else _matvec(basis, state)
+                row[...] = state.T
+            states = _matvec(self._basis, steps.reshape(-1, state.shape[0]).T)
+            yield from states.T.reshape(steps.shape).transpose(0, 2, 1)
 
 
 def _matvec(matrix: Array, v: Array) -> Array:
@@ -895,37 +902,21 @@ def _epsilon_grid(
         _FastStepper.for_model(dataclasses.replace(model, epsilon=epsilon), dt, params)
         for epsilon in epsilons
     ]
-    groups = [slice(g * replicas, (g + 1) * replicas) for g in range(len(steppers))]
-    width = len(groups) * replicas
+    width = len(steppers) * replicas
     y = np.tile(model.y0.values, (width, 1)).T
     if model.fast.kind == "linear":
-        # One update for every group: one stack of noise sums, of which each
-        # path is a view, and each group's gains repeated over its R columns.
-        fast = np.empty((width, m, coupling.g2_modes))
-        for stepper, columns in zip(steppers, groups):
-            fast[columns] = stepper.record(streams, m)
-        noises = [fast[columns] for columns in groups]
-        gains = [stepper._block_gains for stepper in steppers]
-        decay = np.repeat(np.hstack([g[0] for g in gains]), replicas, axis=1)
-        drive = np.repeat(np.hstack([g[1] for g in gains]), replicas, axis=1)
-
-        def advance(j: int, x: Array, y: Array) -> Array:
-            return steppers[0].linear_block(decay, drive, x, y, fast[:, j].T)
-
+        # One stack of noise sums, of which each path's is a view.
+        noises = np.split(np.empty((width, m, coupling.g2_modes)), len(steppers))
+        for stepper, noise in zip(steppers, noises):
+            noise[...] = stepper.record(streams, m)
     else:
-        # smooth_bounded takes each group's n_sub micro steps on its own.
         noises = [stepper.record(streams, m) for stepper in steppers]
-
-        def advance(j: int, x: Array, y: Array) -> Array:
-            y_next = np.empty_like(y)
-            for stepper, columns, noise in zip(steppers, groups, noises):
-                y_next[:, columns] = stepper.run_block(x[:, columns], y[:, columns], noise[:, j])
-            return y_next
-
     paths = [
         NoisePath(dt, stepper.n_sub, epsilon, slow_rows, noise)
         for stepper, epsilon, noise in zip(steppers, epsilons, noises)
     ]
+    # The coupled fast states are a replay whose blocks are single macro steps.
+    _, advance = _block_replay(model, paths, [1] * len(paths))
 
     def forcing(j: int, x: Array, y: Array) -> tuple[Array, Array]:
         """F at the left endpoint; the fast states then run one block with x frozen."""
@@ -938,6 +929,52 @@ def _epsilon_grid(
 
     run_epsilons = [path.epsilon for path in paths] + [None] * (fbar is not None)
     return paths, _slow_loop(model, params, paths[0], run_epsilons, forcing, y)
+
+
+def _block_replay(
+    model: ModelSpec, paths: Sequence[NoisePath], copies: Sequence[int]
+) -> tuple[Array, Callable[[int, Array, Array], Array]]:
+    """The one fast-block rule: macro step j of copies of a grid's recorded fast runs.
+
+    Path g, the R-replica path of coupled group g of one grid run, has
+    copies[g] sets of R columns, group after group. Returns source, where
+    source[c] = g R + r is the coupled column whose noise drives column c,
+    and step(j, x_frozen, y), called for j = 0, 1, ... in turn, which moves
+    the fast states y (n, W) through macro step j with the slow input
+    x_frozen (n, W): for the linear kind one linear_block call with each
+    column's gains, on noise gathered NOISE_BLOCK steps at a time; for
+    smooth_bounded one run_block call per path.
+    """
+    replicas = paths[0].fast.shape[0]
+    fast, coupling, grid = model.fast, model.coupling, model.grid
+    steppers = [
+        _FastStepper(fast, coupling, grid, p.epsilon, p.dt_macro / p.n_sub, p.n_sub) for p in paths
+    ]
+    if any(p.fast.shape[2:] != stepper.noise_shape for p, stepper in zip(paths, steppers)):
+        raise ValueError(f"recorded fast noise does not fit the {fast.kind} fast operator")
+    group = np.repeat(np.arange(len(paths)), np.multiply(copies, replicas))
+    source = group * replicas + np.arange(group.size) % replicas
+    if fast.kind == "linear":
+        gains = [stepper._block_gains for stepper in steppers]
+        decay, drive = (np.hstack([g[i] for g in gains])[:, group] for i in (0, 1))
+        noise = None
+
+        def step(j: int, x_frozen: Array, y: Array) -> Array:
+            nonlocal noise
+            if j % NOISE_BLOCK == 0:
+                noise = np.concatenate([p.fast[:, j : j + NOISE_BLOCK] for p in paths])[source]
+            return steppers[0].linear_block(decay, drive, x_frozen, y, noise[:, j % NOISE_BLOCK].T)
+
+        return source, step
+    columns = [group == g for g in range(len(paths))]
+
+    def step(j: int, x_frozen: Array, y: Array) -> Array:
+        y_next = np.empty_like(y)
+        for stepper, own, path in zip(steppers, columns, paths):
+            y_next[:, own] = stepper.run_block(x_frozen[:, own], y[:, own], path.fast[:, j])
+        return y_next
+
+    return source, step
 
 
 def simulate_averaged(

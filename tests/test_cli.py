@@ -35,6 +35,16 @@ replicas = 2
 master_seed = 5
 """
 
+# The six files `diagnose` writes.
+DIAGNOSE_FILES = (
+    "diagnostics.csv",
+    "diagnostics_report.txt",
+    "moment_uniformity.csv",
+    "increment_scaling.csv",
+    "deviation_scaling.csv",
+    "ergodicity_decay.csv",
+)
+
 
 @pytest.fixture
 def small_cfg(tmp_path):
@@ -101,14 +111,7 @@ def test_diagnose_writes_suite_files(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["diagnose", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_OK
-    for name in (
-        "diagnostics.csv",
-        "diagnostics_report.txt",
-        "moment_uniformity.csv",
-        "increment_scaling.csv",
-        "deviation_scaling.csv",
-        "ergodicity_decay.csv",
-    ):
+    for name in DIAGNOSE_FILES:
         assert os.path.exists(out / name), name
     assert "overall: PASS" in capsys.readouterr().out
 
@@ -231,6 +234,50 @@ def test_converge_keeps_its_bytes(tmp_path, extra):
     rows = [row.rsplit(",", 1)[0] + "\n" for row in read_rows(out / "convergence.csv")]
     text = "".join(rows) + (out / "convergence_report.txt").read_text(encoding="utf-8")
     assert hashlib.sha256(text.encode()).hexdigest() == CONVERGE_DIGESTS[extra]
+
+
+def with_lines(base, extra):
+    """base config text with the key = value lines of extra in place of its own."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in base.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
+
+
+# sha256 of the six files `diagnose` writes for DIAG_CFG, in DIAGNOSE_FILES
+# order, as is, with each Newton slow kind, with the smooth_bounded fast
+# operator, and with a diag_epsilon outside epsilon_grid. porous_medium
+# takes its H^-1 norms through solve_neg_laplacian, whose refinement test
+# spans every row of one call, so these pin the statistics byte for byte
+# whatever rows a norm call batches together.
+DIAGNOSE_DIGESTS = {
+    "": "add05fd7e2dd3121e8de2dfc181e7575df6de9bed0902260dec90bb3be7d54ee",
+    "slow_kind = porous_medium\n": (
+        "4601634257d1fb2ce7bc92983b1a4828fbfe40b291ac9052515185553bae1a8d"
+    ),
+    "slow_kind = p_laplace\n": (
+        "705594afec57e4c66d97e01457d4f12f9b4fb81b9bb16293a4f209999135fd13"
+    ),
+    "fast_kind = smooth_bounded\nb = 0.5\n": (
+        "688d99acadb37812ed5f6fb491889cf31c46b8fba8d8ce69f620f71f451fa370"
+    ),
+    "diag_epsilon = 0.02\n": (
+        "ead11725a592ccc4ac0ea15d8c98ea2566e47eb9f7f54ab14da5baac61e1b71c"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "extra",
+    list(DIAGNOSE_DIGESTS),
+    ids=["burgers", "porous_medium", "p_laplace", "smooth_bounded", "diag_off_grid"],
+)
+def test_diagnose_keeps_its_bytes(tmp_path, extra):
+    cfg = tmp_path / "diag.cfg"
+    cfg.write_text(with_lines(DIAG_CFG, extra), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    text = b"".join((out / name).read_bytes() for name in DIAGNOSE_FILES)
+    assert hashlib.sha256(text).hexdigest() == DIAGNOSE_DIGESTS[extra]
 
 
 def test_config_errors_exit_2(tmp_path):

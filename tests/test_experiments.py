@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 import spavg.experiments
 from spavg.averaging import OracleFbar
 from spavg.config import ConfigError, ExperimentConfig
+from spavg.blocks import build_auxiliary, deviation_statistic
 from spavg.experiments import (
     ConvergenceRow,
     _batch_errors,
+    _batch_statistics,
     _by_replica,
     InsufficientPoints,
     NonpositiveValue,
@@ -40,7 +42,14 @@ from spavg.experiments import (
     write_suite_csvs,
     write_trajectory_csv,
 )
-from spavg.integrators import NewtonDivergence, NumericalBlowUp, whole_steps
+from spavg.integrators import (
+    NewtonDivergence,
+    NumericalBlowUp,
+    TrajectoryStats,
+    simulate_epsilon_grid,
+    whole_steps,
+)
+from spavg.randomness import RngStream
 
 from test_integrators import poison_fast_noise
 
@@ -457,29 +466,94 @@ def test_run_diagnostics_without_slow_to_fast_coupling_is_degenerate():
     assert result.passed
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [{}, {"fast_kind": "smooth_bounded", "b": 0.5}, {"slow_kind": "porous_medium"}],
+    ids=["linear", "smooth_bounded", "porous_medium"],
+)
+def test_folded_statistics_equal_the_history_reference(extra):
+    # diagnose folds each macro time into its statistics; the reference
+    # keeps every history: simulate_epsilon_grid, build_auxiliary,
+    # TrajectoryStats and deviation_statistic, one replica at a time.
+    cfg = ExperimentConfig(**{**DIAG, **extra, "epsilon_grid": (0.1, 0.05, 0.02)})
+    dt = cfg.dt_macro
+    deltas = {0.1: [8 * dt], 0.05: [dt, 4 * dt, 16 * dt], 0.02: [8 * dt]}
+    epsilons, batch = list(deltas), [0, 2]
+    folded = _batch_statistics(cfg, epsilons, batch, deltas)
+    model = build_model(cfg, epsilons[0])
+    streams = [RngStream(cfg.master_seed, r) for r in batch]
+    runs = simulate_epsilon_grid(model, epsilons, cfg.T, scheme_params(cfg), streams)
+    for epsilon, (trajectory, path), values in zip(epsilons, runs, folded):
+        at = dataclasses.replace(model, epsilon=epsilon)
+        auxiliary = build_auxiliary(at, trajectory, path, deltas[epsilon])
+        for r in range(len(batch)):
+            alone = trajectory.replica(r)
+            stats = TrajectoryStats(model.grid, model.state_norm, dt, alone.x)
+            expected = [stats.sup_norm_x_sq] + [
+                deviation_statistic(alone, auxiliary[:, d, r], model.grid)
+                for d in range(len(deltas[epsilon]))
+            ]
+            if epsilon == cfg.diag_epsilon:
+                expected += [stats.increment_integral(delta) for delta in deltas[epsilon]]
+            assert values[r] == tuple(expected)
+    # Blocks of one macro step replay the coupled fast states bit for bit.
+    assert [values[1] for values in folded[1]] == [0.0, 0.0]
+    assert all(values[2] > 0.0 for values in folded[1])
+
+
+def test_diagnose_batch_memory_stays_below_one_auxiliary_array():
+    # The replay and the statistics keep no history: one batch of 3
+    # replicas at 3 epsilons over 512 macro steps, diag_epsilon among them,
+    # peaks below the (steps + 1, 5, R, n) auxiliary array that a replay
+    # of diag_epsilon's five block lengths writes.
+    cfg = ExperimentConfig(epsilon_grid=(0.1, 0.05, 0.02), replicas=3)
+    delta_grid = [cfg.T * 2.0**-k for k in range(3, 8)]
+    epsilons, batch = list(cfg.epsilon_grid), [0, 1, 2]
+    assert cfg.diag_epsilon in epsilons
+    deltas = {e: delta_grid if e == cfg.diag_epsilon else delta_grid[2:3] for e in epsilons}
+    _batch_statistics(cfg, epsilons[:1], batch[:1], deltas)
+    tracemalloc.start()
+    try:
+        _batch_statistics(cfg, epsilons, batch, deltas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = whole_steps(cfg.T, cfg.dt_macro, "T")
+    assert steps == 512
+    assert peak < (steps + 1) * len(delta_grid) * len(batch) * cfg.n_interior * 8
+
+
 def test_failing_diagnose_raises_for_the_first_failing_epsilon(monkeypatch):
     # Batches of 2 over 5 replicas: replica 3 fails from step 5 at
-    # epsilon = 0.1 and replica 0 from step 4 at 0.05. The epsilons run in
-    # descending order, so 0.1's second batch raises, runs again one
-    # replica at a time, and replica 3's own error stops the run before
-    # 0.05 starts, although replica 0 there is the lower one.
+    # epsilon = 0.1 and replica 0 from step 4 at 0.05. Each batch runs
+    # every epsilon without a failure so far, so the first batch fails
+    # at 0.05 and runs again one epsilon and then one replica at a time,
+    # which ends 0.05's record with replica 0's error; the second batch
+    # runs at 0.1 alone and ends its record with replica 3's. The
+    # epsilons raise in descending order, so replica 3's own error stops
+    # the run, although replica 0 at 0.05 is the lower one.
     monkeypatch.setattr(spavg.experiments, "REPLICA_CHUNK", 2)
     poison_fast_noise(monkeypatch, {3: 5}, epsilon=0.1)
     poison_fast_noise(monkeypatch, {0: 4}, epsilon=0.05)
     calls = record_calls(
         monkeypatch,
-        "simulate_coupled",
-        lambda model, T, params, streams: (
-            model.epsilon,
-            [stream.stream_id for stream in streams],
-        ),
+        "_batch_statistics",
+        lambda config, epsilons, batch, deltas: ([*epsilons], [*batch]),
     )
     with pytest.raises(NumericalBlowUp) as raised:
         run_diagnostics(ExperimentConfig(**{**DIAG, "replicas": 5}))
     assert str(raised.value) == (
         "coupled run blew up at epsilon=0.1: non-finite state at macro step 5"
     )
-    assert calls == [(0.1, [0, 1]), (0.1, [2, 3]), (0.1, [2]), (0.1, [3])]
+    assert calls == [
+        ([0.1, 0.05], [0, 1]),
+        ([0.1], [0, 1]),
+        ([0.05], [0, 1]),
+        ([0.05], [0]),
+        ([0.1], [2, 3]),
+        ([0.1], [2]),
+        ([0.1], [3]),
+    ]
 
 
 # ---------------------------------------------------------------- conditions

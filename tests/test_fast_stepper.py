@@ -19,7 +19,7 @@ from scipy.linalg import solve_banded
 from spavg.averaging import BURN_IN, WINDOW, estimate_fbar
 from spavg.grid import Grid1D, sine_basis, sine_mode, zeros
 import spavg.integrators
-from spavg.integrators import DT_FAST, _FastStepper
+from spavg.integrators import DT_FAST, NOISE_BLOCK, _FastStepper, _matvec
 from spavg.operators import (
     CouplingSpec,
     FastOperatorSpec,
@@ -83,6 +83,34 @@ def test_block_and_path_match_reference(kind, replicas):
     stepper, x, y, coefficients, reference = make_case(64, kind, 8, 17, 0.3, replicas, 1)
     assert_close(stepper.run_block(x, y, stepper.reduce(coefficients)), reference[-1])
     assert_close(np.array(list(stepper.path(x, y, coefficients))), reference)
+
+
+def test_linear_path_transforms_a_block_of_states_at_once(monkeypatch):
+    # The linear path steps NOISE_BLOCK micro steps in mode coefficients and
+    # transforms them in one call, yet every state it yields has the bytes
+    # of its own per-step transform.
+    steps = 2 * NOISE_BLOCK + 22
+    stepper, x, y, coefficients, _ = make_case(16, "linear", 4, steps, 0.3, 3, 4)
+    transforms = []
+
+    def counted(matrix, v):
+        transforms.append(v.shape)
+        return _matvec(matrix, v)
+
+    monkeypatch.setattr(spavg.integrators, "_matvec", counted)
+    states = list(stepper.path(x, y, coefficients))
+    # Two analysis transforms (x and y), then one synthesis per block.
+    assert len(transforms) == 2 + math.ceil(steps / NOISE_BLOCK)
+    d = stepper._d[:, None]
+    forcing = stepper.a * stepper.fast.c_b * _matvec(stepper._analysis, x)
+    noise = coefficients * stepper._noise_weight
+    y_hat = _matvec(stepper._analysis, y)
+    assert len(states) == steps
+    for step, state in enumerate(states):
+        rhs = y_hat + forcing
+        rhs[:4] += noise[:, step].T
+        y_hat = d * rhs
+        assert state.tobytes() == _matvec(stepper._basis, y_hat).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
