@@ -25,7 +25,6 @@ from .grid import (
     Grid1D,
     NormKind,
     lp_norm_kind,
-    norm,
     norm_values,
     row_norms,
     sine_basis,
@@ -101,7 +100,6 @@ __all__ = [
     "fast_drift",
     "load_config",
     "lp_norm_kind",
-    "norm",
     "norm_values",
     "parse_config_text",
     "row_norms",

@@ -55,7 +55,7 @@ from .grid import (
     sine_mode,
     solve_neg_laplacian,
 )
-from .integrators import DT_FAST, NOISE_BLOCK, _FastStepper, _matvec
+from .integrators import DT_FAST, NOISE_BLOCK, NumericalBlowUp, _FastStepper, _matvec
 from .operators import CouplingSpec, FastOperatorSpec, contraction_margin
 from .randomness import RngStream, stream_batch
 
@@ -98,8 +98,24 @@ def estimate_fbar(
     Replica r of a point draws from stream id base.stream_id + r, so
     estimates with the same base stream are reproducible and replicas are
     independent. The per-node standard error comes from the spread of the
-    replica means.
+    replica means. An estimate that is not finite raises NumericalBlowUp.
     """
+    means, stderrs = _replica_statistics(fast, coupling, grid, x, n_replicas, streams, t_avg)
+    if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
+        raise NumericalBlowUp("fbar estimate is not finite: the frozen runs overflowed")
+    return [FbarEstimate(Field(grid, m), Field(grid, s)) for m, s in zip(means, stderrs)]
+
+
+def _replica_statistics(
+    fast: FastOperatorSpec,
+    coupling: CouplingSpec,
+    grid: Grid1D,
+    x: Array,
+    n_replicas: int,
+    streams: Sequence[RngStream],
+    t_avg: float | None,
+) -> tuple[Array, Array]:
+    """estimate_fbar's means and standard errors, (S, n) each, finite or not."""
     streams = stream_batch(streams, "point")
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a spread estimate")
@@ -131,15 +147,14 @@ def estimate_fbar(
     for m, y in enumerate(path):
         if m >= burn_steps:
             y_sum += y
-    estimates = []
+    means, stderrs = np.empty((2, len(streams), grid.n_interior))
     for s, xv in enumerate(points.T):
         own = y_sum[:, s * n_replicas : (s + 1) * n_replicas]
         y_mean = (own / (n_steps - burn_steps)).T
         replica_means = coupling.f0.values + coupling.c_fx * xv + coupling.c_fy * y_mean
-        mean = replica_means.mean(axis=0)
-        stderr = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
-        estimates.append(FbarEstimate(Field(grid, mean), Field(grid, stderr)))
-    return estimates
+        means[s] = replica_means.mean(axis=0)
+        stderrs[s] = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
+    return means, stderrs
 
 
 def ergodicity_decay(
@@ -257,8 +272,10 @@ class MemoizedFbar:
                 )
                 for r in stale
             ]
-            estimates = estimate_fbar(
-                self.fast, self.coupling, self.grid, x[:, stale], self.n_replicas, bases
+            # A drift that is not finite goes on to the slow step, whose
+            # run then fails as any non-finite state does.
+            means, _ = _replica_statistics(
+                self.fast, self.coupling, self.grid, x[:, stale], self.n_replicas, bases, None
             )
             self.refresh_counts[stale] += 1
             self._x[stale] = x.T[stale]
@@ -266,5 +283,5 @@ class MemoizedFbar:
             self._radius[stale] += self.TRUST_ABSOLUTE
             # A new array, so a value returned earlier never changes.
             self._values = self._values.copy()
-            self._values[:, stale] = np.stack([e.mean.values for e in estimates], axis=1)
+            self._values[:, stale] = means.T
         return self._values

@@ -70,9 +70,8 @@ def build_auxiliary(
     replicas = noise.fast.shape[0]
     if x.shape[1:] != (replicas, n):
         raise ValueError("trajectory and noise path disagree on the replica count")
-    anchors = np.array(
-        [block_anchors(m, whole_steps(float(d), noise.dt_macro, "delta")) for d in deltas]
-    )
+    block_steps = [whole_steps(float(d), noise.dt_macro, "delta") for d in deltas]
+    anchors = block_anchors(np.arange(m), np.array(block_steps)[:, None])
     _, replay = _block_replay(model, [noise], [len(anchors)])
     # Column d * replicas + r replays replica r under block length deltas[d].
     y_hat = np.empty((m + 1, len(anchors) * replicas, n))

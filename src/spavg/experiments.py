@@ -53,6 +53,7 @@ from .integrators import (
     SchemeParams,
     _block_replay,
     _epsilon_grid,
+    block_anchors,
     epsilon_grid_errors,
     simulate_averaged,  # noqa: F401  (perfbench/tracing.py wraps it here by name)
     simulate_coupled,
@@ -513,7 +514,7 @@ def _batch_statistics(
         x_rows[i, :coupled] = x.T
         np.subtract(x.T[source[diag]], frozen[diag], out=x_rows[i, coupled:])
         np.subtract(y.T[source], y_hat.T, out=y_rows[i])
-        due = j % block_steps == 0
+        due = block_anchors(j, block_steps) == j
         frozen[due] = x.T[source[due]]
         if i == size - 1 or j == m:
             for rows, norms, kind in ((x_rows, x_norms, model.state_norm), (y_rows, y_norms, L2)):

@@ -45,7 +45,6 @@ __all__ = [
     "NormKind",
     "ShiftedLaplacian",
     "lp_norm_kind",
-    "norm",
     "norm_values",
     "row_norms",
     "sine_basis",
@@ -239,21 +238,17 @@ def norm_values(grid: Grid1D, v: Array, kind: NormKind) -> float:
     return float(row_norms(grid, v, kind))
 
 
-def norm(field: Field, kind: NormKind) -> float:
-    return norm_values(field.grid, field.values, kind)
-
-
-def solve_neg_laplacian(grid: Grid1D, rhs: Array, *, tol_scale: float = 1e-12) -> Array:
+def solve_neg_laplacian(grid: Grid1D, rhs: Array) -> Array:
     """Solve L u = rhs with iterative refinement; rhs may be (n,) or (n, R).
 
     The tridiagonal solve alone leaves a residual around eps * ||L||,
     which for fine grids exceeds the promised bound; one or two refinement
     passes push it to the rounding floor. Raises ArithmeticError if the
-    residual fails to drop below tol_scale * max(1, max|rhs|), which would
+    residual fails to drop below 1e-12 * max(1, max|rhs|), which would
     indicate a badly conditioned or corrupted system rather than a user error.
     """
     solver = grid._neg_laplacian
-    tol = tol_scale * max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 0.0)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 0.0)
     u = solver.solve(rhs)
     for _ in range(4):
         residual = rhs - grid.apply_neg_laplacian(u)

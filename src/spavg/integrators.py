@@ -33,9 +33,10 @@ pttrs solve.
 Noise. Each Wiener increment is synthesized from sine-mode coefficients
 (amplitude / k**2) * sqrt(dt) * xi_k. A coupled run draws its whole horizon
 before the first step and keeps it as a NoisePath, together with dt_macro
-and n_sub: the raw slow coefficient rows, and the fast noise in the form the
-fast stepper consumes it. For smooth_bounded these are the raw micro-step
-rows (without the 1/sqrt(epsilon) weight). For the linear kind a macro step
+and n_sub: the raw slow coefficient rows, and the fast noise in the form
+the one macro-step rule, _block_replay, reads it; _FastStepper.record is
+its one producer. For smooth_bounded these are the raw micro-step rows
+(without the 1/sqrt(epsilon) weight). For the linear kind a macro step
 reads its n_sub rows only through the per-mode sum
 sum_m noise_gain[m] xi^_m = epsilon^(-1/2) sum_m d^(M-m) xi^_m of the exact
 update above, so the path stores that sum, one row per macro step: the raw
@@ -54,9 +55,10 @@ averaged group of R columns after them all. Replica r draws the same slow
 rows at every epsilon (lane 0 of its stream does not depend on epsilon),
 so one set of slow increments drives every group. Each group has its own
 fast stepper and fast noise, but the fast states of all groups are one
-state. The linear kind's epsilons differ only in per-mode gains, so one
-exact update per macro step advances every group; smooth_bounded steps
-each group on its own (_block_replay, the auxiliary replay's rule too).
+state, and _block_replay, the auxiliary replay's rule too, moves it through
+a macro step. The linear kind's epsilons differ only in per-mode gains, so
+one exact update per macro step advances every group; smooth_bounded steps
+each group through its micro steps on its own.
 The loop keeps no history: simulate_epsilon_grid and simulate_averaged
 write every state into trajectories, time first, (n_steps + 1, R, n);
 epsilon_grid_errors and diagnose fold each state into statistics. Recorded
@@ -215,12 +217,12 @@ class NoisePath:
     """Recorded noise of both Wiener processes for a batch of R replicas.
 
     slow has shape (R, n_macro, g1_modes): raw Wiener-increment coefficients
-    over dt_macro. fast holds, per macro step, what the fast stepper of this
-    epsilon and n_sub consumes (_FastStepper.record): the gain-weighted
-    noise sums, (R, n_macro, g2_modes), for the linear kind, and the raw
+    over dt_macro. fast holds, per macro step, what _block_replay reads at
+    this epsilon and n_sub (_FastStepper.record): the gain-weighted noise
+    sums, (R, n_macro, g2_modes), for the linear kind, and the raw
     coefficient rows over dt_macro / n_sub, (R, n_macro, n_sub, g2_modes),
     for smooth_bounded. Which of the two layouts fits is the fast kind's
-    business; the stepper checks it where a path is replayed.
+    business; _block_replay checks it where a path is replayed.
     """
 
     def __init__(
@@ -307,7 +309,7 @@ class TrajectoryStats:
         if q > n_steps:
             raise ValueError(f"delta = {delta} exceeds the horizon of {n_steps} macro steps")
         x = self._x
-        gaps = x[1:] - x[block_anchors(n_steps, q)]
+        gaps = x[1:] - x[block_anchors(np.arange(n_steps), q)]
         return self._dt * float(np.sum(row_norms(self._grid, gaps, self._kind) ** 2))
 
 
@@ -326,9 +328,13 @@ def whole_steps(length: float, dt_macro: float, name: str) -> int:
     return q
 
 
-def block_anchors(n_steps: int, q: int) -> Array:
-    """For each macro step j < n_steps, the step that starts its block of q steps."""
-    return (np.arange(n_steps) // q) * q
+def block_anchors(step: Array | int, q: Array | int) -> Array:
+    """The macro step that starts the block of q macro steps holding `step`.
+
+    The one block-anchor rule, elementwise in step and block length with
+    numpy broadcasting: step j starts a block exactly when its anchor is j.
+    """
+    return np.asarray(step) // q * q
 
 
 class _SlowStepper:
@@ -590,8 +596,9 @@ class _FastStepper:
     1 / sqrt(epsilon); epsilon = 1 is the frozen equation of the averaging
     module. One layout: the state y is (n, C), a single run being C = 1; the
     frozen x is (n, C) or one column (n, 1) under every state column; noise
-    is replica first, (R, steps, modes) for path and (R, *noise_shape) for
-    run_block, and column c takes replica c mod R (see _by_column).
+    is replica first, (R, steps, modes), and column c takes replica c mod R
+    (see _by_column). path takes the micro steps one by one; a coupled or
+    auxiliary macro step is _block_replay's, from the noise record keeps.
     """
 
     def __init__(
@@ -636,22 +643,17 @@ class _FastStepper:
         generators = [stream.generator(1) for stream in streams]
         return _draw(generators, (steps, self._modes), self._scales)
 
-    @property
-    def noise_shape(self) -> tuple[int, ...]:
-        """The shape of the noise run_block takes for one macro step and one replica."""
-        if self.fast.kind == "linear":
-            return (self._modes,)
-        return (self.n_sub, self._modes)
-
     def record(self, streams: Sequence[RngStream], n_macro: int) -> Array:
-        """The fast noise of n_macro macro steps as run_block takes it, (R, n_macro, ...).
+        """The fast noise of n_macro macro steps as _block_replay reads it, (R, n_macro, ...).
 
         Row r comes from lane 1 of streams[r], the numbers draw(streams,
-        n_macro * n_sub) gives, reduced one macro step at a time (see
-        reduce). The linear kind draws RECORD_BLOCK micro steps' rows at a
-        time, each stream's generator carrying on from block to block, and
-        reduces them before drawing the next, so its memory does not grow
-        with n_sub.
+        n_macro * n_sub) gives, one set per macro step: smooth_bounded keeps
+        the raw rows, (R, n_macro, n_sub, modes), and the linear kind their
+        sums over micro steps m of noise_gain[m] times the row, per mode,
+        (R, n_macro, modes). The linear kind draws RECORD_BLOCK micro steps'
+        rows at a time, each stream's generator carrying on from block to
+        block, and sums them in one einsum, every row as it would alone,
+        before drawing the next, so its memory does not grow with n_sub.
         """
         generators = [stream.generator(1) for stream in streams]
         if self.fast.kind != "linear":
@@ -661,56 +663,19 @@ class _FastStepper:
         for start in range(0, n_macro, per_block):
             steps = min(per_block, n_macro - start)
             rows = _draw(generators, (steps, self.n_sub, self._modes), self._scales)
-            sums[:, start : start + steps] = self.reduce(rows)
+            sums[:, start : start + steps] = np.einsum(
+                "mk,...mk->...k", self._block_gains[2], rows
+            )
         return sums
-
-    def reduce(self, rows: Array) -> Array:
-        """What run_block reads of raw rows (..., n_sub, modes), one set per macro step.
-
-        The linear kind reads the sum over micro steps m of noise_gain[m]
-        times the row, per mode, shape (..., modes); smooth_bounded reads
-        the rows themselves. One einsum over any number of leading axes sums
-        each row as it would alone.
-        """
-        if self.fast.kind != "linear":
-            return rows
-        return np.einsum("mk,...mk->...k", self._block_gains[2], rows)
 
     @functools.cached_property
     def _block_gains(self) -> tuple[Array, Array, Array]:
         # Row m of powers is d^(n_sub - m): the decay the noise of micro step
         # m sees by the end of the block. Decay and drive are (n, 1) columns,
-        # the gains linear_block takes for every state column.
+        # the gains of the exact macro step in _block_replay.
         powers = self._d ** np.arange(self.n_sub, 0, -1)[:, None]
         drive = self.a * self.fast.c_b * powers.sum(axis=0)
         return powers[0][:, None], drive[:, None], self._noise_weight * powers[:, : self._modes]
-
-    def run_block(self, x_frozen: Array, y: Array, noise: Array) -> Array:
-        """Advance y through one macro step driven by noise (R, *noise_shape).
-
-        reduce makes the noise from raw rows (see the class docstring).
-        """
-        if self.fast.kind != "linear":
-            for y in self.path(x_frozen, y, noise):
-                pass
-            return y
-        decay, drive, _ = self._block_gains
-        return self.linear_block(decay, drive, x_frozen, y, _by_column(noise, y))
-
-    def linear_block(
-        self, decay: Array, drive: Array, x_frozen: Array, y: Array, noise: Array
-    ) -> Array:
-        """The exact macro step of the linear kind: y^ <- decay y^ + drive x^ + noise.
-
-        decay and drive are (n, 1), or (n, C) with each state column's own
-        gains, and noise is (modes, C). Only the sine transforms, which
-        every epsilon shares, come from this stepper, so one call can
-        advance the columns of every epsilon of a grid.
-        """
-        y_hat = decay * _matvec(self._analysis, y)
-        y_hat += drive * _matvec(self._analysis, x_frozen)
-        y_hat[: self._modes] += noise
-        return _matvec(self._basis, y_hat)
 
     def path(self, x_frozen: Array, y: Array, coefficients: Array) -> Iterator[Array]:
         """Yield the state after each micro step, one per coefficient step.
@@ -905,7 +870,10 @@ def _epsilon_grid(
     width = len(steppers) * replicas
     y = np.tile(model.y0.values, (width, 1)).T
     if model.fast.kind == "linear":
-        # One stack of noise sums, of which each path's is a view.
+        # Copied into one stack rather than kept as record returns them,
+        # though that allocates more: with one array per path, perfbench's
+        # converge-burgers peaked at 61.6 to 62.1 MB RSS, against 61.3 to
+        # 61.4 MB with the stack (5 runs each, numpy 2.4 on Linux).
         noises = np.split(np.empty((width, m, coupling.g2_modes)), len(steppers))
         for stepper, noise in zip(steppers, noises):
             noise[...] = stepper.record(streams, m)
@@ -941,20 +909,26 @@ def _block_replay(
     source[c] = g R + r is the coupled column whose noise drives column c,
     and step(j, x_frozen, y), called for j = 0, 1, ... in turn, which moves
     the fast states y (n, W) through macro step j with the slow input
-    x_frozen (n, W): for the linear kind one linear_block call with each
-    column's gains, on noise gathered NOISE_BLOCK steps at a time; for
-    smooth_bounded one run_block call per path.
+    x_frozen (n, W). For the linear kind that is one exact update of every
+    column, y^ <- decay y^ + drive x^ + noise, with each column's own gains
+    and the noise sums of its source gathered NOISE_BLOCK steps at a time;
+    smooth_bounded runs each path's columns through the n_sub micro steps
+    of its raw rows.
     """
     replicas = paths[0].fast.shape[0]
     fast, coupling, grid = model.fast, model.coupling, model.grid
     steppers = [
         _FastStepper(fast, coupling, grid, p.epsilon, p.dt_macro / p.n_sub, p.n_sub) for p in paths
     ]
-    if any(p.fast.shape[2:] != stepper.noise_shape for p, stepper in zip(paths, steppers)):
+    # The linear kind records one sum per macro step and mode, smooth_bounded the raw rows.
+    sub = [() if fast.kind == "linear" else (p.n_sub,) for p in paths]
+    if any(p.fast.shape[2:] != (*s, coupling.g2_modes) for p, s in zip(paths, sub)):
         raise ValueError(f"recorded fast noise does not fit the {fast.kind} fast operator")
     group = np.repeat(np.arange(len(paths)), np.multiply(copies, replicas))
     source = group * replicas + np.arange(group.size) % replicas
     if fast.kind == "linear":
+        # Only the sine transforms, which every epsilon shares, come from one stepper.
+        analysis, basis = steppers[0]._analysis, steppers[0]._basis
         gains = [stepper._block_gains for stepper in steppers]
         decay, drive = (np.hstack([g[i] for g in gains])[:, group] for i in (0, 1))
         noise = None
@@ -963,7 +937,10 @@ def _block_replay(
             nonlocal noise
             if j % NOISE_BLOCK == 0:
                 noise = np.concatenate([p.fast[:, j : j + NOISE_BLOCK] for p in paths])[source]
-            return steppers[0].linear_block(decay, drive, x_frozen, y, noise[:, j % NOISE_BLOCK].T)
+            y_hat = decay * _matvec(analysis, y)
+            y_hat += drive * _matvec(analysis, x_frozen)
+            y_hat[: coupling.g2_modes] += noise[:, j % NOISE_BLOCK].T
+            return _matvec(basis, y_hat)
 
         return source, step
     columns = [group == g for g in range(len(paths))]
@@ -971,7 +948,9 @@ def _block_replay(
     def step(j: int, x_frozen: Array, y: Array) -> Array:
         y_next = np.empty_like(y)
         for stepper, own, path in zip(steppers, columns, paths):
-            y_next[:, own] = stepper.run_block(x_frozen[:, own], y[:, own], path.fast[:, j])
+            for state in stepper.path(x_frozen[:, own], y[:, own], path.fast[:, j]):
+                pass
+            y_next[:, own] = state
         return y_next
 
     return source, step

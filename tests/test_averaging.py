@@ -20,9 +20,11 @@ from spavg.grid import (
     solve_neg_laplacian,
     zeros,
 )
-from spavg.integrators import ModelSpec, SchemeParams, _FastStepper
+from spavg.integrators import ModelSpec, NumericalBlowUp, SchemeParams, _block_replay, _FastStepper
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
 from spavg.randomness import RngStream
+
+from test_fast_stepper import recorded_path
 
 
 def test_estimate_fbar_validates_replicas_and_window():
@@ -114,15 +116,16 @@ def test_frozen_matches_fast_block_distribution():
     x = sine_mode(grid, 1, 1.0)
     y0 = zeros(grid)
     n_rep = 300
-    block = _FastStepper.for_model(model, dt_macro, params)
+    # All replicas take the one macro step of _block_replay as the columns of one state.
+    stepper = _FastStepper.for_model(model, dt_macro, params)
+    rows = stepper.draw([RngStream(1000, r) for r in range(n_rep)], stepper.n_sub)[:, None]
+    _, step = _block_replay(model, [recorded_path(model, epsilon, dt_macro, rows)], [1])
+    y_end = step(0, np.tile(x.values, (n_rep, 1)).T, np.tile(y0.values, (n_rep, 1)).T)
+    block_terminal = y_end.T
     horizon = dt_macro / epsilon
     n_frozen = math.ceil(horizon / 0.04 - 1e-12)
-    block_terminal = np.empty((n_rep, 6))
     frozen_terminal = np.empty((n_rep, 6))
     for r in range(n_rep):
-        noise = block.record([RngStream(1000, r)], 1)[:, 0]
-        y_end = block.run_block(x.values[:, None], y0.values[:, None], noise)
-        block_terminal[r] = y_end[:, 0]
         states = frozen_path(
             model.fast, model.coupling, grid, x, y0, n_frozen, horizon / n_frozen, RngStream(2000, r)
         )
@@ -348,6 +351,26 @@ def test_memoized_fbar_trust_region():
         provider(x)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_estimate_is_a_numerical_failure():
+    # At a huge point the frozen runs overflow. estimate_fbar raises a
+    # numerical failure, not the ValueError of a non-finite Field, and
+    # MemoizedFbar hands the non-finite drift on, so that the slow step
+    # fails on it; a finite column keeps the bytes of its own provider.
+    grid = Grid1D(8)
+    fast = FastOperatorSpec("smooth_bounded", c_b=1.0, b=0.5)
+    coup = CouplingSpec(f0=zeros(grid), c_fy=1000.0, g1_modes=4, g2_modes=4)
+    huge, x = sine_mode(grid, 1, 1e306).values, sine_mode(grid, 1, 0.5).values
+    streams = [RngStream(7, 0), RngStream(7, 100)]
+    with pytest.raises(NumericalBlowUp, match="fbar estimate is not finite"):
+        estimate_fbar(fast, coup, grid, huge[:, None], 2, streams[:1])
+    provider = MemoizedFbar(fast, coup, grid, 2, streams)
+    drift = provider(np.stack([huge, x], axis=1))
+    assert not np.isfinite(drift[:, 0]).all()
+    alone = MemoizedFbar(fast, coup, grid, 2, streams[1:])(x[:, None])
+    assert drift[:, 1].tobytes() == alone[:, 0].tobytes()
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     kind=st.sampled_from(["linear", "smooth_bounded"]),
@@ -357,8 +380,9 @@ def test_memoized_fbar_trust_region():
 def test_chunk_provider_equals_one_column_providers(kind, seed, data):
     # A script of calls in which every column either stays inside its trust
     # region (a 0.1 % nudge) or leaves it (doubled). The chunk provider runs
-    # one estimate_fbar per call with stale columns and must give every
-    # column the values and refresh count of a provider of its own.
+    # one frozen run (estimate_fbar's _replica_statistics) per call with
+    # stale columns and must give every column the values and refresh count
+    # of a provider of its own.
     replicas = data.draw(st.integers(1, 4), label="replicas")
     script = data.draw(
         st.lists(
@@ -378,7 +402,8 @@ def test_chunk_provider_equals_one_column_providers(kind, seed, data):
     for call, moves in enumerate([[True] * replicas] + script):
         if call:
             x = x * np.where(moves, 2.0, 1.001)
-        with mock.patch("spavg.averaging.estimate_fbar", wraps=estimate_fbar) as spy:
+        frozen_run = spavg.averaging._replica_statistics
+        with mock.patch("spavg.averaging._replica_statistics", wraps=frozen_run) as spy:
             values = chunk(x)
         assert spy.call_count == int(any(moves))
         for r, provider in enumerate(alone):

@@ -32,7 +32,10 @@ def test_block_schedule_validation():
         whole_steps(0.04 * (1.0 + 1e-8), 0.01, "delta")
     assert whole_steps(0.04 * (1.0 + 1e-10), 0.01, "delta") == 4
     assert whole_steps(0.04, 0.01, "delta") == 4
-    assert block_anchors(9, 4).tolist() == [0, 0, 0, 0, 4, 4, 4, 4, 8]
+    assert block_anchors(np.arange(9), 4).tolist() == [0, 0, 0, 0, 4, 4, 4, 4, 8]
+    # Elementwise in block length too: step 6 starts a block of 1, 2 and 3
+    # steps, its own anchor, but not of 4 or 5.
+    assert block_anchors(6, np.array([1, 2, 3, 4, 5])).tolist() == [6, 6, 6, 4, 5]
 
 
 def test_auxiliary_with_delta_equal_dt_is_exact_replay():

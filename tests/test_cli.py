@@ -351,6 +351,32 @@ def test_blow_up_exits_3(tmp_path, capsys):
     assert all("INVALID" in line and "macro step" in line for line in report[:3])
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_estimator_exits_3(tmp_path, capsys):
+    # The frozen runs of the estimator overflow at a huge initial state.
+    # converge hands the non-finite drift to the slow step, so each row
+    # names the replica, epsilon and step as any blow-up does, and fbar
+    # reports a numerical failure, not a config error.
+    cfg = tmp_path / "estimator.cfg"
+    cfg.write_text(
+        "fast_kind = smooth_bounded\nb = 0.5\nfbar_source = estimator\nfbar_replicas = 2\n"
+        "replicas = 2\nT = 0.0625\nx0_amplitude = 1e306\nc_fy = 1000\nn_interior = 8\n"
+        "g1_modes = 4\ng2_modes = 4\nepsilon_grid = 0.1, 0.05, 0.02\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICS
+    report = read_rows(out / "convergence_report.txt")
+    assert report[:3] == [
+        f"epsilon={epsilon} INVALID after 0 replicas: replica 0: coupled run blew up "
+        f"at epsilon={epsilon}: non-finite state at macro step 1"
+        for epsilon in ("0.1", "0.05", "0.02")
+    ]
+    capsys.readouterr()
+    assert main(["fbar", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICS
+    assert "numerical failure: fbar estimate is not finite" in capsys.readouterr().err
+
+
 def test_overflowing_strong_error_exits_3(tmp_path, capsys):
     # The slow states stay finite (max |x| near 1e216), but the squared norm
     # of their mismatch overflows: a numerical failure, not an inf row, and

@@ -1,10 +1,12 @@
-"""The fast stepper against a plain banded implicit Euler reference.
+"""The fast stepper and the block rule against a plain banded implicit Euler reference.
 
 The reference takes every micro step with scipy's general banded solver on
 I + a L, with the noise synthesized in physical space, exactly as the scheme
-is written down. The stepper takes whole macro blocks in the sine eigenbasis
-(linear) or steps through a prefactored pttrs solve (smooth_bounded); both
-must reproduce the reference to 1e-12 relative.
+is written down. The stepper's path steps through the micro steps one by
+one; the one macro-step rule, _block_replay, takes whole macro blocks in the
+sine eigenbasis (linear) or runs that path (smooth_bounded). All must
+reproduce the reference to 1e-12 relative. The block rule reads the noise
+a path recorded; these tests make it from raw rows themselves (noise_sums).
 """
 
 import math
@@ -19,10 +21,19 @@ from scipy.linalg import solve_banded
 from spavg.averaging import BURN_IN, WINDOW, estimate_fbar
 from spavg.grid import Grid1D, sine_basis, sine_mode, zeros
 import spavg.integrators
-from spavg.integrators import DT_FAST, NOISE_BLOCK, _FastStepper, _matvec
+from spavg.integrators import (
+    DT_FAST,
+    NOISE_BLOCK,
+    ModelSpec,
+    NoisePath,
+    _block_replay,
+    _FastStepper,
+    _matvec,
+)
 from spavg.operators import (
     CouplingSpec,
     FastOperatorSpec,
+    SlowOperatorSpec,
     b2_values,
     dissipativity_margin,
     mode_scales,
@@ -54,34 +65,80 @@ def assert_close(actual, reference):
     assert float(np.max(np.abs(actual - reference))) <= RTOL * scale
 
 
+def noise_sums(grid, epsilon, dt_micro, rows):
+    """The linear kind's noise of a macro step from its raw rows (..., n_sub, modes).
+
+    Per mode k, sum_m d_k^(n_sub - m) row_m / sqrt(epsilon) with d_k = 1 /
+    (1 + a lambda_k) and a = dt_micro / epsilon: how much of each micro
+    step's noise is left at the end of the block of implicit Euler steps.
+    """
+    n_sub, modes = rows.shape[-2:]
+    d = 1.0 / (1.0 + dt_micro / epsilon * grid.eigenvalues[:modes])
+    gains = (1.0 / math.sqrt(epsilon)) * d ** np.arange(n_sub, 0, -1)[:, None]
+    return np.einsum("mk,...mk->...k", gains, rows)
+
+
+def recorded_path(model, epsilon, dt_macro, rows):
+    """The NoisePath of raw fast rows (R, n_macro, n_sub, modes) at epsilon.
+
+    It holds what _block_replay reads: noise_sums of the rows for the
+    linear kind, the rows themselves for smooth_bounded. The slow rows are
+    zero.
+    """
+    replicas, n_macro, n_sub, _ = rows.shape
+    if model.fast.kind == "linear":
+        rows = noise_sums(model.grid, epsilon, dt_macro / n_sub, rows)
+    return NoisePath(dt_macro, n_sub, epsilon, np.zeros((replicas, n_macro, 1)), rows)
+
+
+def fast_model(n, kind, modes):
+    grid = Grid1D(n)
+    fast = FastOperatorSpec(kind, c_b=1.3, b=0.7 if kind == "smooth_bounded" else 0.0)
+    coupling = CouplingSpec(f0=zeros(grid), g1_modes=1, g2_modes=modes, g2_amplitude=0.8)
+    return ModelSpec(
+        grid, SlowOperatorSpec("burgers"), fast, coupling, 0.05, zeros(grid), zeros(grid)
+    )
+
+
 def make_case(n, kind, modes, n_sub, a, replicas, seed):
-    """A stepper, its inputs and the reference states for one random case.
+    """A model, a stepper, their inputs and the reference states for one random case.
 
     The state has one column per replica, or a single column for replicas =
     0 (a single run), and one frozen x (n, 1) lies under every column.
     """
-    grid = Grid1D(n)
-    fast = FastOperatorSpec(kind, c_b=1.3, b=0.7 if kind == "smooth_bounded" else 0.0)
-    coupling = CouplingSpec(f0=zeros(grid), g1_modes=1, g2_modes=modes, g2_amplitude=0.8)
-    epsilon = 0.05
+    model = fast_model(n, kind, modes)
+    epsilon = model.epsilon
     dt = a * epsilon
-    stepper = _FastStepper(fast, coupling, grid, epsilon, dt, n_sub)
+    stepper = _FastStepper(model.fast, model.coupling, model.grid, epsilon, dt, n_sub)
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((n, 1))
     columns = max(replicas, 1)
     y = gen.standard_normal((n, columns))
     coefficients = gen.standard_normal((n_sub, modes, columns)) * math.sqrt(dt)
-    reference = reference_path(fast, coupling, grid, epsilon, dt, x, y, coefficients)
+    reference = reference_path(
+        model.fast, model.coupling, model.grid, epsilon, dt, x, y, coefficients
+    )
     # The stepper takes coefficients replica first: (R, steps, modes).
     coefficients = np.moveaxis(coefficients, -1, 0)
-    return stepper, x, y, coefficients, reference
+    return model, stepper, x, y, coefficients, reference
+
+
+def replay_block(model, stepper, x, y, coefficients):
+    """y (n, C) after the one macro step of _block_replay on raw rows (R, n_sub, modes).
+
+    Column c takes replica c mod R, and x (n, 1) lies under every column.
+    """
+    dt_macro = stepper.a * model.epsilon * stepper.n_sub
+    path = recorded_path(model, model.epsilon, dt_macro, coefficients[:, None])
+    _, step = _block_replay(model, [path], [y.shape[1] // coefficients.shape[0]])
+    return step(0, np.repeat(x, y.shape[1], axis=1), y)
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
 @pytest.mark.parametrize("replicas", [0, 3])
 def test_block_and_path_match_reference(kind, replicas):
-    stepper, x, y, coefficients, reference = make_case(64, kind, 8, 17, 0.3, replicas, 1)
-    assert_close(stepper.run_block(x, y, stepper.reduce(coefficients)), reference[-1])
+    model, stepper, x, y, coefficients, reference = make_case(64, kind, 8, 17, 0.3, replicas, 1)
+    assert_close(replay_block(model, stepper, x, y, coefficients), reference[-1])
     assert_close(np.array(list(stepper.path(x, y, coefficients))), reference)
 
 
@@ -90,7 +147,7 @@ def test_linear_path_transforms_a_block_of_states_at_once(monkeypatch):
     # transforms them in one call, yet every state it yields has the bytes
     # of its own per-step transform.
     steps = 2 * NOISE_BLOCK + 22
-    stepper, x, y, coefficients, _ = make_case(16, "linear", 4, steps, 0.3, 3, 4)
+    _, stepper, x, y, coefficients, _ = make_case(16, "linear", 4, steps, 0.3, 3, 4)
     transforms = []
 
     def counted(matrix, v):
@@ -118,12 +175,12 @@ def test_shared_noise_rows_drive_every_column(kind):
     # One replica's rows, (1, steps, modes), drive every column of a batched
     # state: each sees the same increments, as in the synchronous-coupling
     # decay fit.
-    stepper, x, y, coefficients, _ = make_case(16, kind, 4, 6, 0.5, 0, 2)
+    model, stepper, x, y, coefficients, _ = make_case(16, kind, 4, 6, 0.5, 0, 2)
     pair = np.concatenate([y, -y], axis=1)
-    noise = stepper.reduce(coefficients)
-    block = stepper.run_block(x, pair, noise)
+    block = replay_block(model, stepper, x, pair, coefficients)
     for column in range(2):
-        assert_close(block[:, [column]], stepper.run_block(x, pair[:, [column]], noise))
+        alone = replay_block(model, stepper, x, pair[:, [column]], coefficients)
+        assert_close(block[:, [column]], alone)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,18 +188,74 @@ def test_shared_noise_rows_drive_every_column(kind):
     n=st.integers(2, 64),
     kind=st.sampled_from(["linear", "smooth_bounded"]),
     mode_fraction=st.floats(0.0, 1.0),
-    n_sub=st.integers(1, 40),
-    a=st.floats(1e-4, 10.0),
-    replicas=st.sampled_from([0, 1, 4]),
+    grid_steps=st.lists(
+        st.tuples(st.integers(1, 40), st.floats(1e-4, 10.0)),
+        min_size=2,
+        max_size=3,
+        unique_by=lambda step: step[0],
+    ),
+    replicas=st.integers(1, 3),
+    n_macro=st.integers(1, 3),
+    data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stepper_matches_reference_property(n, kind, mode_fraction, n_sub, a, replicas, seed):
+def test_stepper_matches_reference_property(
+    n, kind, mode_fraction, grid_steps, replicas, n_macro, data, seed
+):
+    # Paths at two or three epsilons, each with its own n_sub and micro
+    # step a = dt_micro / epsilon, replayed by _block_replay with copies[g]
+    # sets of R columns (the first always more than one), every column on
+    # its own frozen x per macro step: each column must follow the
+    # reference of its source replica's rows at its own epsilon. This
+    # checks the per-column gains, the source gather and the tiling of a
+    # path's replicas over its copies. The first path's columns also take
+    # their first macro step through the stepper's path, one micro step at
+    # a time.
     modes = 1 + int(mode_fraction * (n - 1))
-    stepper, x, y, coefficients, reference = make_case(
-        n, kind, modes, n_sub, a, replicas, seed
+    dt_macro = 0.01
+    copies = [data.draw(st.integers(2, 3), label="copies[0]")] + data.draw(
+        st.lists(st.integers(1, 3), min_size=len(grid_steps) - 1, max_size=len(grid_steps) - 1),
+        label="copies[1:]",
     )
-    assert_close(stepper.run_block(x, y, stepper.reduce(coefficients)), reference[-1])
-    assert_close(np.array(list(stepper.path(x, y, coefficients))), reference)
+    model = fast_model(n, kind, modes)
+    gen = np.random.default_rng(seed)
+    paths, rows = [], []
+    for n_sub, a in grid_steps:
+        epsilon = dt_macro / (n_sub * a)
+        raw = gen.standard_normal((replicas, n_macro, n_sub, modes)) * math.sqrt(dt_macro / n_sub)
+        paths.append(recorded_path(model, epsilon, dt_macro, raw))
+        rows.append(raw)
+    source, step = _block_replay(model, paths, copies)
+    width = sum(copies) * replicas
+    groups = np.repeat(np.arange(len(paths)), np.multiply(copies, replicas))
+    assert source.tolist() == [g * replicas + c % replicas for c, g in enumerate(groups)]
+    x = gen.standard_normal((n_macro, n, width))
+    y = gen.standard_normal((n, width))
+    first = paths[0]
+    stepper = _FastStepper(
+        model.fast, model.coupling, model.grid, first.epsilon, dt_macro / first.n_sub, first.n_sub
+    )
+    own = copies[0] * replicas
+    micro = np.array(list(stepper.path(x[0][:, :own], y[:, :own], rows[0][:, 0])))
+    expected = y.copy()
+    for j in range(n_macro):
+        y = step(j, x[j], y)
+        for c, g in enumerate(groups):
+            path = paths[g]
+            states = reference_path(
+                model.fast,
+                model.coupling,
+                model.grid,
+                path.epsilon,
+                dt_macro / path.n_sub,
+                x[j][:, c],
+                expected[:, c],
+                rows[g][c % replicas, j],
+            )
+            if j == 0 and g == 0:
+                assert_close(micro[:, :, c], states)
+            expected[:, c] = states[-1]
+        assert_close(y, expected)
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
@@ -204,15 +317,18 @@ def test_recorded_noise_is_one_whole_draw_reduced_step_by_step(
     # However record splits the horizon into blocks, each stream's draws
     # carry on where the last block stopped, so the recorded noise has the
     # bytes of one whole draw reduced one macro step at a time: the block
-    # sums of the linear kind, the raw rows of smooth_bounded.
+    # sums of the linear kind (noise_sums), the raw rows of smooth_bounded.
     grid = Grid1D(9)
     fast = FastOperatorSpec(kind, c_b=1.3, b=0.7 if kind == "smooth_bounded" else 0.0)
     coupling = CouplingSpec(f0=zeros(grid), g1_modes=1, g2_modes=5, g2_amplitude=0.8)
     stepper = _FastStepper(fast, coupling, grid, 0.05, 0.01, n_sub)
     streams = [RngStream(seed, r) for r in range(replicas)]
     whole = stepper.draw(streams, n_macro * n_sub).reshape(replicas, n_macro, n_sub, 5)
-    expected = np.stack([stepper.reduce(whole[:, j]) for j in range(n_macro)], axis=1)
+    expected = whole
+    if kind == "linear":
+        steps = [noise_sums(grid, 0.05, 0.01, whole[:, j]) for j in range(n_macro)]
+        expected = np.stack(steps, axis=1)
     with mock.patch.object(spavg.integrators, "RECORD_BLOCK", record_block):
         recorded = stepper.record(streams, n_macro)
-    assert recorded.shape == (replicas, n_macro, *stepper.noise_shape)
+    assert recorded.shape == expected.shape
     assert recorded.tobytes() == expected.tobytes()

@@ -31,6 +31,7 @@ from spavg.integrators import (
     NumericalBlowUp,
     SchemeParams,
     TrajectoryStats,
+    _block_replay,
     _FastStepper,
     _SlowStepper,
     epsilon_grid_errors,
@@ -51,6 +52,8 @@ from spavg.operators import (
 from spavg.config import ExperimentConfig
 from spavg.experiments import build_model, scheme_params
 from spavg.randomness import RngStream
+
+from test_fast_stepper import recorded_path
 
 
 def make_model(
@@ -264,6 +267,18 @@ def test_newton_failure_names_equation_epsilon_and_step():
         simulate_averaged(model, fbar, tight, path)
 
 
+def synchronous_block(model, dt_macro, params, x, y_a, y_b, stream):
+    """y_a and y_b after one macro step of _block_replay on the same noise, (n, 2).
+
+    The two start states are the two copies of the stream's one replica.
+    """
+    stepper = _FastStepper.for_model(model, dt_macro, params)
+    rows = stepper.draw([stream], stepper.n_sub)[:, None]
+    _, step = _block_replay(model, [recorded_path(model, model.epsilon, dt_macro, rows)], [2])
+    x_frozen = np.repeat(x.values[:, None], 2, axis=1)
+    return step(0, x_frozen, np.stack([y_a.values, y_b.values], axis=1))
+
+
 def test_fast_block_contraction_linear_two_sided():
     # Additive noise cancels under synchronous coupling, so the mode-1 gap
     # contracts by exactly (1 + a lambda_1)^(-n_sub); the continuum rate
@@ -275,11 +290,8 @@ def test_fast_block_contraction_linear_two_sided():
     x = zeros(model.grid)
     y_a = sine_mode(model.grid, 1, 1.0)
     y_b = zeros(model.grid)
-    stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.record([RngStream(55, 0)], 1)[:, 0]
-    out_a = stepper.run_block(x.values[:, None], y_a.values[:, None], block)
-    out_b = stepper.run_block(x.values[:, None], y_b.values[:, None], block)
-    gap = norm_values(model.grid, (out_a - out_b)[:, 0], L2)
+    out = synchronous_block(model, dt_macro, params, x, y_a, y_b, RngStream(55, 0))
+    gap = norm_values(model.grid, out[:, 0] - out[:, 1], L2)
     tau = dt_macro / epsilon
     lam = smallest_eigenvalue(model.grid)
     margin = dissipativity_margin(model.fast, model.coupling, model.grid)
@@ -304,12 +316,9 @@ def test_fast_block_contraction_smooth_bounded_envelope():
     x = sine_mode(grid, 1, 0.3)
     y_a = sine_mode(grid, 1, 1.0)
     y_b = sine_mode(grid, 2, -0.5)
-    stepper = _FastStepper.for_model(model, dt_macro, params)
-    block = stepper.record([RngStream(56, 0)], 1)[:, 0]
-    out_a = stepper.run_block(x.values[:, None], y_a.values[:, None], block)
-    out_b = stepper.run_block(x.values[:, None], y_b.values[:, None], block)
+    out = synchronous_block(model, dt_macro, params, x, y_a, y_b, RngStream(56, 0))
     gap0 = norm_values(grid, y_a.values - y_b.values, L2)
-    gap = norm_values(grid, (out_a - out_b)[:, 0], L2)
+    gap = norm_values(grid, out[:, 0] - out[:, 1], L2)
     margin = dissipativity_margin(model.fast, model.coupling, model.grid)
     envelope = gap0 * math.exp(-0.5 * margin * dt_macro / epsilon) * 1.1
     assert gap <= envelope
@@ -373,14 +382,15 @@ def reference_coupled(model, m, params, stream):
     """The coupled loop with one noise draw per macro step, kept as the reference.
 
     The states are single columns (n, 1) and the noise one replica's rows.
-    Returns the slow and fast states, the raw slow and fast noise rows, and
-    the fast noise each macro step consumed: the stepper's block sums of
-    its raw rows for the linear kind, the rows themselves for smooth_bounded.
+    Each macro step of the fast state is one _block_replay step on a path
+    of that step's raw rows. Returns the slow and fast states, the raw slow
+    and fast noise rows, and the fast noise each macro step consumed: the
+    sums of its raw rows with the gains d^(n_sub - m) / sqrt(epsilon) for
+    the linear kind (noise_sums), the rows themselves for smooth_bounded.
     """
     grid, coupling, dt = model.grid, model.coupling, params.dt_macro
     slow_stepper = _SlowStepper(model.slow, grid, dt, params)
-    fast_stepper = _FastStepper.for_model(model, dt, params)
-    n_sub = fast_stepper.n_sub
+    n_sub = _FastStepper.for_model(model, dt, params).n_sub
     gen_slow, gen_fast = stream.generator(0), stream.generator(1)
     g1_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
     g2_scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt / n_sub)
@@ -390,15 +400,15 @@ def reference_coupled(model, m, params, stream):
     for _ in range(m):
         forcing = coupling_f(coupling, x, y)
         block = gen_fast.standard_normal((n_sub, coupling.g2_modes)) * g2_scales
-        noise = fast_stepper.reduce(block)
-        y = fast_stepper.run_block(x, y, noise[None])
+        path = recorded_path(model, model.epsilon, dt, block[None, None])
+        y = _block_replay(model, [path], [1])[1](0, x, y)
         slow_coeffs = g1_scales * gen_slow.standard_normal(coupling.g1_modes)
         x = slow_stepper.step(x, forcing, (slow_coeffs @ basis_slow_t)[:, None])
         xs.append(x[:, 0])
         ys.append(y[:, 0])
         slow_rows.append(slow_coeffs)
         fast_rows.append(block)
-        consumed.append(noise)
+        consumed.append(path.fast[0, 0])
     return tuple(map(np.array, (xs, ys, slow_rows, fast_rows, consumed)))
 
 
