@@ -100,22 +100,6 @@ def estimate_fbar(
     independent. The per-node standard error comes from the spread of the
     replica means. An estimate that is not finite raises NumericalBlowUp.
     """
-    means, stderrs = _replica_statistics(fast, coupling, grid, x, n_replicas, streams, t_avg)
-    if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
-        raise NumericalBlowUp("fbar estimate is not finite: the frozen runs overflowed")
-    return [FbarEstimate(Field(grid, m), Field(grid, s)) for m, s in zip(means, stderrs)]
-
-
-def _replica_statistics(
-    fast: FastOperatorSpec,
-    coupling: CouplingSpec,
-    grid: Grid1D,
-    x: Array,
-    n_replicas: int,
-    streams: Sequence[RngStream],
-    t_avg: float | None,
-) -> tuple[Array, Array]:
-    """estimate_fbar's means and standard errors, (S, n) each, finite or not."""
     streams = stream_batch(streams, "point")
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a spread estimate")
@@ -154,7 +138,9 @@ def _replica_statistics(
         replica_means = coupling.f0.values + coupling.c_fx * xv + coupling.c_fy * y_mean
         means[s] = replica_means.mean(axis=0)
         stderrs[s] = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
-    return means, stderrs
+    if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
+        raise NumericalBlowUp("fbar estimate is not finite: the frozen runs overflowed")
+    return [FbarEstimate(Field(grid, m), Field(grid, s)) for m, s in zip(means, stderrs)]
 
 
 def ergodicity_decay(
@@ -232,7 +218,9 @@ class MemoizedFbar:
     k * n_replicas on, so a given call sequence is reproducible. The columns
     due at one call refresh in one estimate_fbar call, each with the bytes
     it would get alone: a column's values and refresh_counts[r] do not
-    depend on the other columns. x is (n, R).
+    depend on the other columns. When that estimate is not finite, every
+    column it refreshed reads NaN, so the slow step that takes the drift
+    fails. x is (n, R).
     """
 
     TRUST_RELATIVE = 0.05
@@ -272,16 +260,20 @@ class MemoizedFbar:
                 )
                 for r in stale
             ]
-            # A drift that is not finite goes on to the slow step, whose
-            # run then fails as any non-finite state does.
-            means, _ = _replica_statistics(
-                self.fast, self.coupling, self.grid, x[:, stale], self.n_replicas, bases, None
-            )
+            try:
+                estimates = estimate_fbar(
+                    self.fast, self.coupling, self.grid, x[:, stale], self.n_replicas, bases
+                )
+                means = np.stack([e.mean.values for e in estimates], axis=1)
+            except NumericalBlowUp:
+                # A NaN drift goes on to the slow step, whose run then fails
+                # as any non-finite state does.
+                means = np.full((self.grid.n_interior, stale.size), math.nan)
             self.refresh_counts[stale] += 1
             self._x[stale] = x.T[stale]
             self._radius[stale] = self.TRUST_RELATIVE * row_norms(self.grid, self._x[stale], L2)
             self._radius[stale] += self.TRUST_ABSOLUTE
             # A new array, so a value returned earlier never changes.
             self._values = self._values.copy()
-            self._values[:, stale] = means.T
+            self._values[:, stale] = means
         return self._values

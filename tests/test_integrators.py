@@ -737,6 +737,7 @@ def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
     joint = estimator()
     runs = simulate_epsilon_grid(model, epsilons, 4 / 64, params, streams, joint)
     grid_calls, calls[:] = len(calls), []
+    assert grid_calls > 0
     for epsilon, (trajectory, _, averaged) in zip(epsilons, runs):
         alone = estimator()
         ((coupled, _, alone_averaged),) = simulate_epsilon_grid(
