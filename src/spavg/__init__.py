@@ -8,7 +8,6 @@ spavg command line (experiments, cli).
 """
 
 from .averaging import (
-    FbarEstimate,
     MemoizedFbar,
     OracleFbar,
     ergodicity_decay,
@@ -69,7 +68,6 @@ __all__ = [
     "CouplingSpec",
     "ExperimentConfig",
     "FastOperatorSpec",
-    "FbarEstimate",
     "Field",
     "Grid1D",
     "H1_0",

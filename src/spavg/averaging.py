@@ -19,10 +19,10 @@ epsilon = 1:
   state. Points stack the same way: it takes an (n, S) array of points with
   one base stream each, a lone point being S = 1, and all S * n_replicas
   replicas run as the columns of one frozen run, each with its own point
-  frozen and on its own stream, so each point's estimate has the bytes of
-  a call of its own. MemoizedFbar uses that to refresh, in one run, every
-  column of a batch whose input left its trust region at the same macro
-  step.
+  frozen and on its own stream. It returns (mean, stderr), two (n, S)
+  arrays whose column s has the bytes of point s's own call. MemoizedFbar
+  uses that to refresh, in one run, every column of a batch whose input
+  left its trust region at the same macro step.
 - ergodicity_decay runs zero and the first sine mode under shared noise
   for 50 relaxation times in steps of 0.02, as the two columns of one state,
   and takes the norms of their gaps a block of steps at a time.
@@ -34,12 +34,11 @@ L^-1 (c_b x), giving the closed form used as an oracle:
 
 The two drift providers, OracleFbar and MemoizedFbar, map slow states of a
 batch, (n, R), to their drifts column by column, as simulate_averaged and
-simulate_epsilon_grid call them; a lone state is one column, x[:, None].
+epsilon_grid_errors call them; a lone state is one column, x[:, None].
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Sequence
 
@@ -61,7 +60,6 @@ from .randomness import RngStream, stream_batch
 
 __all__ = [
     "BURN_IN",
-    "FbarEstimate",
     "MemoizedFbar",
     "OracleFbar",
     "WINDOW",
@@ -74,12 +72,6 @@ BURN_IN = 8
 WINDOW = 50
 
 
-@dataclasses.dataclass
-class FbarEstimate:
-    mean: Field
-    stderr: Field
-
-
 def estimate_fbar(
     fast: FastOperatorSpec,
     coupling: CouplingSpec,
@@ -88,13 +80,14 @@ def estimate_fbar(
     n_replicas: int,
     streams: Sequence[RngStream],
     t_avg: float | None = None,
-) -> list[FbarEstimate]:
+) -> tuple[Array, Array]:
     """Monte Carlo time-average estimates of the averaged coupling drift at points x.
 
     x is an (n, S) array of points and streams their S base streams; a lone
-    point is x[:, None] with [stream]. Returns one estimate per point, each
-    with the bytes of its own call, from one frozen run of S * n_replicas
-    columns. t_avg is the averaging window, WINDOW / margin when None.
+    point is x[:, None] with [stream]. Returns (mean, stderr), each (n, S),
+    column s with the bytes of point s's own call, from one frozen run of
+    S * n_replicas columns. t_avg is the averaging window, WINDOW / margin
+    when None.
     Replica r of a point draws from stream id base.stream_id + r, so
     estimates with the same base stream are reproducible and replicas are
     independent. The per-node standard error comes from the spread of the
@@ -128,19 +121,21 @@ def estimate_fbar(
     coefficients = stepper.draw(columns, n_steps)
     y_sum = np.zeros((grid.n_interior, len(columns)))
     path = stepper.path(np.repeat(points, n_replicas, axis=1), np.zeros_like(y_sum), coefficients)
-    for m, y in enumerate(path):
-        if m >= burn_steps:
-            y_sum += y
-    means, stderrs = np.empty((2, len(streams), grid.n_interior))
-    for s, xv in enumerate(points.T):
-        own = y_sum[:, s * n_replicas : (s + 1) * n_replicas]
-        y_mean = (own / (n_steps - burn_steps)).T
-        replica_means = coupling.f0.values + coupling.c_fx * xv + coupling.c_fy * y_mean
-        means[s] = replica_means.mean(axis=0)
-        stderrs[s] = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
+    # The finiteness test below classifies an overflow of the frozen runs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, y in enumerate(path):
+            if m >= burn_steps:
+                y_sum += y
+        # (replica, point, node): every point's replicas reduce along axis 0
+        # one after another, as a lone point's (replica, node) block does.
+        y_mean = (y_sum / (n_steps - burn_steps)).T.reshape(len(streams), n_replicas, -1)
+        y_mean = y_mean.transpose(1, 0, 2)
+        replica_means = coupling.f0.values + coupling.c_fx * points.T + coupling.c_fy * y_mean
+        means = replica_means.mean(axis=0)
+        stderrs = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
     if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
         raise NumericalBlowUp("fbar estimate is not finite: the frozen runs overflowed")
-    return [FbarEstimate(Field(grid, m), Field(grid, s)) for m, s in zip(means, stderrs)]
+    return means.T, stderrs.T
 
 
 def ergodicity_decay(
@@ -249,8 +244,10 @@ class MemoizedFbar:
     def __call__(self, x: Array) -> Array:
         if x.shape != (self.grid.n_interior, len(self.streams)):
             raise ValueError(f"{len(self.streams)} streams cannot go with x of shape {x.shape}")
-        # Row by row in C order: each gap's norm sums as a lone vector's would.
-        gaps = row_norms(self.grid, np.ascontiguousarray(x.T) - self._x, L2)
+        # Row by row in C order, each norm as a lone vector's. An x too large
+        # to square refreshes, and the slow step classifies its NaN drift.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps, sizes = row_norms(self.grid, np.stack([x.T - self._x, x.T]), L2)
         stale = np.flatnonzero(~(gaps <= self._radius))
         if stale.size:
             bases = [
@@ -261,18 +258,16 @@ class MemoizedFbar:
                 for r in stale
             ]
             try:
-                estimates = estimate_fbar(
+                means, _ = estimate_fbar(
                     self.fast, self.coupling, self.grid, x[:, stale], self.n_replicas, bases
                 )
-                means = np.stack([e.mean.values for e in estimates], axis=1)
             except NumericalBlowUp:
                 # A NaN drift goes on to the slow step, whose run then fails
                 # as any non-finite state does.
                 means = np.full((self.grid.n_interior, stale.size), math.nan)
             self.refresh_counts[stale] += 1
             self._x[stale] = x.T[stale]
-            self._radius[stale] = self.TRUST_RELATIVE * row_norms(self.grid, self._x[stale], L2)
-            self._radius[stale] += self.TRUST_ABSOLUTE
+            self._radius[stale] = self.TRUST_RELATIVE * sizes[stale] + self.TRUST_ABSOLUTE
             # A new array, so a value returned earlier never changes.
             self._values = self._values.copy()
             self._values[:, stale] = means

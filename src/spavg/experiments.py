@@ -507,19 +507,21 @@ def _batch_statistics(
     x_rows = np.empty((size, coupled + diag.size, n))
     y_rows = np.empty((size, len(columns), n))
     x_norms, y_norms = np.empty((x_rows.shape[1], m + 1)), np.empty((len(columns), m + 1))
-    for j, (x, y) in enumerate(states):
-        if j:
-            y_hat = replay(j - 1, frozen.T, y_hat)
-        i = j % size
-        x_rows[i, :coupled] = x.T
-        np.subtract(x.T[source[diag]], frozen[diag], out=x_rows[i, coupled:])
-        np.subtract(y.T[source], y_hat.T, out=y_rows[i])
-        due = block_anchors(j, block_steps) == j
-        frozen[due] = x.T[source[due]]
-        if i == size - 1 or j == m:
-            for rows, norms, kind in ((x_rows, x_norms, model.state_norm), (y_rows, y_norms, L2)):
-                values = row_norms(grid, rows[: i + 1].reshape(-1, n), kind)
-                norms[:, j - i : j + 1] = values.reshape(i + 1, -1).T
+    tables = ((x_rows, x_norms, model.state_norm), (y_rows, y_norms, L2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (x, y) in enumerate(states):
+            if j:
+                y_hat = replay(j - 1, frozen.T, y_hat)
+            i = j % size
+            x_rows[i, :coupled] = x.T
+            np.subtract(x.T[source[diag]], frozen[diag], out=x_rows[i, coupled:])
+            np.subtract(y.T[source], y_hat.T, out=y_rows[i])
+            due = block_anchors(j, block_steps) == j
+            frozen[due] = x.T[source[due]]
+            if i == size - 1 or j == m:
+                for rows, norms, kind in tables:
+                    values = row_norms(grid, rows[: i + 1].reshape(-1, n), kind)
+                    norms[:, j - i : j + 1] = values.reshape(i + 1, -1).T
     sup = [float(np.max(v**2)) for v in x_norms[:coupled]]
     increments = [dt * float(np.sum(v[1:] ** 2)) for v in x_norms[coupled:]]
     deviations = [float(np.trapezoid(v**2, dx=dt)) for v in y_norms]
@@ -741,13 +743,14 @@ def run_fbar(config: ExperimentConfig) -> FbarRunResult:
     with _config_errors():
         x = sine_mode(grid, 1, config.x0_amplitude)
         point = x.values[:, None]
-        (estimate,) = estimate_fbar(
+        estimate = estimate_fbar(
             fast, coupling, grid, point, config.fbar_replicas, [RngStream(config.master_seed, 0)]
         )
     oracle = None
     if fast.kind == "linear":
         oracle = Field(grid, OracleFbar(fast, coupling, grid)(point)[:, 0])
-    return FbarRunResult(x, estimate.mean, estimate.stderr, oracle, config.fbar_replicas)
+    mean, stderr = (Field(grid, values[:, 0]) for values in estimate)
+    return FbarRunResult(x, mean, stderr, oracle, config.fbar_replicas)
 
 
 def run_simulate(config: ExperimentConfig, epsilon: float | None = None):

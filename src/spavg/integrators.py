@@ -8,15 +8,17 @@ solve for the Burgers Laplacian with explicit convection), while a forcing
 and the Wiener increment enter explicitly. The coupled and the averaged
 equation share this one macro-step loop and differ only in the forcing, as
 in the macro solver of a heterogeneous multiscale method: F(x, y) at the
-left endpoint in the coupled run, fbar(x) in the averaged one. Given fbar,
-simulate_epsilon_grid advances both in one loop, the averaged run as more
-columns of the same state on the same slow increments: one column per
-replica, since the averaged equation has no epsilon. The fast state
-advances inside each macro step through n_sub implicit Euler micro
-steps of size dt_macro / n_sub with the slow input frozen at the left
-endpoint; n_sub is the smallest integer keeping dt_micro / epsilon below
-dt_fast_target, so the fast equation is resolved on its own clock no matter
-how small epsilon gets. With a = dt_micro / epsilon a micro step solves
+left endpoint in the coupled run, fbar(x) in the averaged one. The averaged
+run has two forms: alone on a recorded path, with histories
+(simulate_averaged), and beside a grid run in converge's fold
+(epsilon_grid_errors), as more columns of the same state on the same slow
+increments: one column per replica, since the averaged equation has no
+epsilon. The fast state advances inside each macro step through n_sub
+implicit Euler micro steps of size dt_macro / n_sub with the slow input
+frozen at the left endpoint; n_sub is the smallest integer keeping
+dt_micro / epsilon below dt_fast_target, so the fast equation is resolved
+on its own clock no matter how small epsilon gets. With
+a = dt_micro / epsilon a micro step solves
 
     (I + a L) y' = y + a B2(x, y) + xi.
 
@@ -50,25 +52,28 @@ same gains), bit for bit.
 Batches. The replicas of one epsilon advance together as the columns of
 one state, shape (n, R), in the same macro-step loop that runs a single
 replica as a batch of one; a grid run adds a group of R coupled columns
-per epsilon, column g R + r for replica r at epsilon g, and at most one
-averaged group of R columns after them all. Replica r draws the same slow
-rows at every epsilon (lane 0 of its stream does not depend on epsilon),
-so one set of slow increments drives every group. Each group has its own
-fast stepper and fast noise, but the fast states of all groups are one
-state, and _block_replay, the auxiliary replay's rule too, moves it through
-a macro step. The linear kind's epsilons differ only in per-mode gains, so
-one exact update per macro step advances every group; smooth_bounded steps
-each group through its micro steps on its own.
+per epsilon, column g R + r for replica r at epsilon g, and in
+epsilon_grid_errors one averaged group of R columns after them all.
+Replica r draws the same slow rows at every epsilon (lane 0 of its stream
+does not depend on epsilon), so one set of slow increments drives every
+group. Each group has its own fast stepper and fast noise, but the fast
+states of all groups are one state, and _block_replay, the auxiliary
+replay's rule too, moves it through a macro step. The linear kind's
+epsilons differ only in per-mode gains, so one exact update per macro step
+advances every group; smooth_bounded steps each group through its micro
+steps on its own.
 The loop keeps no history: simulate_epsilon_grid and simulate_averaged
 write every state into trajectories, time first, (n_steps + 1, R, n);
-epsilon_grid_errors and diagnose fold each state into statistics. Recorded
-noise puts the replica first, (R, n_macro, ...), each replica's rows
-contiguous. There is no other layout: states are (n, C) and noise
-(R, ...), a lone replica is a batch of one that its caller builds
-([stream], x[:, None]), and statistics take one replica out with
-Trajectory.replica. A replica's bytes do not depend on its batch or on
-the other epsilons of its grid, because every operation on a batch is
-one of:
+epsilon_grid_errors and diagnose fold each state into statistics. Each
+silences numpy's overflow and invalid warnings once around the loop, which
+classifies non-finite states itself; an errstate inside the generator
+would leak into its caller at each yield. Recorded noise puts the replica
+first, (R, n_macro, ...), each replica's rows contiguous. There is no other
+layout: states are (n, C) and noise (R, ...), a lone replica is a batch of
+one that its caller builds ([stream], x[:, None]), and statistics take one
+replica out with Trajectory.replica. A replica's bytes do not depend on its
+batch or on the other epsilons of its grid, because every operation on a
+batch is one of:
 
 - elementwise;
 - column by column: the prefactored pttrs solve with many right-hand sides,
@@ -782,23 +787,18 @@ def simulate_epsilon_grid(
     T: float,
     params: SchemeParams,
     streams: Sequence[RngStream],
-    fbar: Callable[[Array], Array] | None = None,
-) -> list[tuple[Trajectory, NoisePath] | tuple[Trajectory, NoisePath, SlowTrajectory]]:
+) -> list[tuple[Trajectory, NoisePath]]:
     """simulate_coupled for a batch at each epsilon of a grid, in one slow loop.
 
     Returns, for each epsilon in order, what simulate_coupled returns for
-    the batch of `streams` on model with that epsilon, with the same bytes,
-    and given fbar the averaged SlowTrajectory third: the bytes of
-    simulate_averaged(model, fbar, params, path) for any of the paths.
+    the batch of `streams` on model with that epsilon, with the same bytes.
     Every state of the run goes into one x and one y history, of which
     each Trajectory is a view.
     """
-    paths, states = _epsilon_grid(model, epsilons, T, params, streams, fbar)
+    paths, states = _epsilon_grid(model, epsilons, T, params, streams, None)
     times, x_hist, y_hist = _histories(states, paths[0])
-    width = y_hist.shape[1]
-    averaged = () if fbar is None else (SlowTrajectory(times, x_hist[:, width:]),)
-    xs, ys = (np.split(h[:, :width], len(paths), axis=1) for h in (x_hist, y_hist))
-    return [(Trajectory(times, x, y), path, *averaged) for x, y, path in zip(xs, ys, paths)]
+    xs, ys = (np.split(h, len(paths), axis=1) for h in (x_hist, y_hist))
+    return [(Trajectory(times, x, y), path) for x, y, path in zip(xs, ys, paths)]
 
 
 def epsilon_grid_errors(
@@ -811,25 +811,26 @@ def epsilon_grid_errors(
 ) -> Array:
     """strong_error of each replica at each epsilon against its averaged run, (E, R).
 
-    The run of simulate_epsilon_grid with fbar, without histories: each
-    coupled column's squared gap to its replica's averaged column goes into
-    a running sup, NOISE_BLOCK macro times at a time through row_norms, with
-    the bytes and the overflow error (the first by epsilon, then replica)
-    strong_error gives on the histories.
+    simulate_epsilon_grid's run with the averaged equation beside it (see
+    Batches above), without histories: each coupled column's squared gap to
+    its replica's averaged column goes into a running sup, NOISE_BLOCK macro
+    times at a time through row_norms, with the bytes and the overflow error
+    (the first by epsilon, then replica) strong_error gives on the histories
+    of simulate_coupled at each epsilon and simulate_averaged on its path.
     """
     paths, states = _epsilon_grid(model, epsilons, T, params, streams, fbar)
     n, groups, replicas = model.grid.n_interior, len(paths) + 1, paths[0].slow.shape[0]
     sup = np.zeros((groups - 1, replicas))
     size = min(NOISE_BLOCK, paths[0].n_macro + 1)
     block = np.empty((size, groups, replicas, n))
-    for j, (x, _) in enumerate(states):
-        block.reshape(size, -1, n)[j % size] = x.T
-        steps = j % size + 1
-        if steps == size or j == paths[0].n_macro:
-            gaps = (block[:steps, :-1] - block[:steps, -1:]).reshape(-1, n)
-            with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (x, _) in enumerate(states):
+            block.reshape(size, -1, n)[j % size] = x.T
+            steps = j % size + 1
+            if steps == size or j == paths[0].n_macro:
+                gaps = (block[:steps, :-1] - block[:steps, -1:]).reshape(-1, n)
                 norms = row_norms(model.grid, gaps, model.state_norm) ** 2
-            np.maximum(sup, norms.reshape(steps, *sup.shape).max(axis=0), out=sup)
+                np.maximum(sup, norms.reshape(steps, *sup.shape).max(axis=0), out=sup)
     if not np.isfinite(sup).all():
         raise NumericalBlowUp(f"strong error overflowed: {float(sup[~np.isfinite(sup)][0])!r}")
     return sup
@@ -837,11 +838,12 @@ def epsilon_grid_errors(
 
 def _histories(states: Iterator[tuple[Array, Array]], path: NoisePath) -> tuple[Array, ...]:
     """The macro times of a _slow_loop on path, and every x and y it yields, time first."""
-    x, y = next(states)
-    x_hist, y_hist = (np.empty((path.n_macro + 1, *state.T.shape)) for state in (x, y))
-    x_hist[0], y_hist[0] = x.T, y.T
-    for j, (x, y) in enumerate(states, 1):
-        x_hist[j], y_hist[j] = x.T, y.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = next(states)
+        x_hist, y_hist = (np.empty((path.n_macro + 1, *state.T.shape)) for state in (x, y))
+        x_hist[0], y_hist[0] = x.T, y.T
+        for j, (x, y) in enumerate(states, 1):
+            x_hist[j], y_hist[j] = x.T, y.T
     return np.arange(path.n_macro + 1) * path.dt_macro, x_hist, y_hist
 
 

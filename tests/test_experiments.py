@@ -501,6 +501,29 @@ def test_folded_statistics_equal_the_history_reference(extra):
     assert all(values[2] > 0.0 for values in folded[1])
 
 
+def test_runs_silence_warnings_once_not_per_macro_step(monkeypatch):
+    # converge's and diagnose's batch runs and simulate's history run each
+    # enter numpy's errstate once around their macro-step loop, over 16
+    # macro steps as over 256.
+    entered = []
+
+    class Counted(np.errstate):
+        def __enter__(self):
+            entered.append(1)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", Counted)
+    counts = []
+    for steps in (16, 256):
+        cfg = ExperimentConfig(**{**DIAG, "T": steps * DIAG["dt_macro"]})
+        entered.clear()
+        _batch_errors(cfg, [0.1, 0.05], [0, 1])
+        _batch_statistics(cfg, [0.1, 0.05], [0, 1], {0.1: [8 * cfg.dt_macro], 0.05: []})
+        run_simulate(cfg)
+        counts.append(len(entered))
+    assert counts == [3, 3]
+
+
 def test_diagnose_batch_memory_stays_below_one_auxiliary_array():
     # The replay and the statistics keep no history: one batch of 3
     # replicas at 3 epsilons over 512 macro steps, diag_epsilon among them,

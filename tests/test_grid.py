@@ -295,6 +295,28 @@ def test_poisson_residual_contract_on_fine_grid():
         assert np.abs(residual).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
+def test_poisson_solve_on_a_fine_grid_meets_its_rounding_floor():
+    # The stencil residual of a solve on n = 256 nodes has a rounding floor
+    # near eps * 4 max|u| / h^2, above a fixed 1e-12 bound: the one pttrs
+    # solve is checked against that floor, so a sine mode solves (to its
+    # closed form u = e_1 / lambda_1) and each row of a stack of amplitudes
+    # 1e-6 ... 1e6 has the bytes of its own solve.
+    grid = Grid1D(256)
+    mode = sine_mode(grid, 1, 0.5).values
+    np.testing.assert_allclose(
+        solve_neg_laplacian(grid, mode), mode / grid.eigenvalues[0], rtol=1e-9
+    )
+    gen = np.random.default_rng(7)
+    rows = gen.standard_normal((5, 256)) * np.logspace(-6, 6, 5)[:, None]
+    stacked = solve_neg_laplacian(grid, rows.T)
+    for row, column in zip(rows, stacked.T):
+        assert solve_neg_laplacian(grid, row).tobytes() == column.tobytes()
+    norms = row_norms(grid, rows, H_MINUS1)
+    assert [norm_values(grid, row, H_MINUS1) for row in rows] == norms.tolist()
+    with pytest.raises(ArithmeticError, match="residual tolerance"):
+        solve_neg_laplacian(grid, np.full(256, np.nan))
+
+
 def test_zeros_helper():
     grid = Grid1D(6)
     z = zeros(grid)

@@ -557,74 +557,20 @@ class NaNFrom:
         return value
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
-    fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
-    batch=st.sampled_from([1, 2, 5]),
-    steps=st.integers(1, 8),
-    seed=st.integers(0, 2**16),
-)
-def test_joint_run_equals_coupled_run_then_averaged_replay(
-    slow_kind, fast_kind, batch, steps, seed
-):
-    # Stepping the averaged equation beside the coupled one, in a grid run
-    # of one epsilon, gives the bytes of the coupled run followed by
-    # simulate_averaged on its path.
-    params = SchemeParams(dt_macro=1 / 64)
-    model = make_model(n=9, epsilon=0.05, slow_kind=slow_kind, fast_kind=fast_kind)
-    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
-    streams = [RngStream(seed, i) for i in range(batch)]
-    ((trajectory, path, averaged),) = simulate_epsilon_grid(
-        model, [0.05], steps / 64, params, streams, fbar
-    )
-    alone, alone_path = simulate_coupled(model, steps / 64, params, streams)
-    replay = simulate_averaged(model, fbar, params, alone_path)
-    assert trajectory.x.shape == alone.x.shape and averaged.x.shape == replay.x.shape
-    assert trajectory.x.tobytes() == alone.x.tobytes()
-    assert trajectory.y.tobytes() == alone.y.tobytes()
-    assert path == alone_path
-    assert averaged.x.tobytes() == replay.x.tobytes()
-    assert np.array_equal(averaged.times, replay.times)
-
-
-def test_joint_run_with_the_estimator_equals_the_replay():
-    # A MemoizedFbar keeps state, so each run gets its own; the joint run
-    # calls it on the same states as the replay and so refreshes alike.
-    params = SchemeParams(dt_macro=1 / 64)
-    model = make_model(n=8, epsilon=0.05, fast_kind="smooth_bounded")
-    streams = [RngStream(7, r) for r in range(2)]
-
-    def estimator():
-        bases = [RngStream(7, 1000 * (r + 1)) for r in range(2)]
-        return MemoizedFbar(model.fast, model.coupling, model.grid, 2, bases)
-
-    joint = estimator()
-    ((trajectory, path, averaged),) = simulate_epsilon_grid(
-        model, [0.05], 4 / 64, params, streams, joint
-    )
-    alone, alone_path = simulate_coupled(model, 4 / 64, params, streams)
-    replayed = estimator()
-    replay = simulate_averaged(model, replayed, params, alone_path)
-    assert trajectory.x.tobytes() == alone.x.tobytes()
-    assert averaged.x.tobytes() == replay.x.tobytes()
-    assert joint.refresh_counts.tolist() == replayed.refresh_counts.tolist()
-    assert joint.refresh_counts.min() > 0
-
-
 @pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
 def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
     # The averaged drift turns NaN from the call that drives macro step 3
-    # and the coupled fast state at step 5: the joint run names the averaged
-    # failure, the one at the earlier step, a blow-up for Burgers and a
-    # failed Newton solve for porous medium.
+    # and the coupled fast state at step 5: converge's run of the averaged
+    # equation beside the grid names the averaged failure, the one at the
+    # earlier step, a blow-up for Burgers and a failed Newton solve for
+    # porous medium.
     model = make_model(epsilon=0.05, slow_kind=slow_kind)
     params = SchemeParams(dt_macro=1 / 64)
     fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
     poison_fast_noise(monkeypatch, {0: 5})
     failures = (NewtonDivergence, NumericalBlowUp)
     with pytest.raises(failures) as joint:
-        simulate_epsilon_grid(model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 2))
+        epsilon_grid_errors(model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 2))
     if slow_kind == "burgers":
         assert str(joint.value) == "averaged run blew up: non-finite state at macro step 3"
     else:
@@ -637,7 +583,7 @@ def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
     # Newton solve fails (porous medium).
     first = 4
     with pytest.raises(failures) as same_step:
-        simulate_epsilon_grid(
+        epsilon_grid_errors(
             model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, first)
         )
     with pytest.raises(failures) as coupled:
@@ -657,7 +603,7 @@ def test_fast_blow_up_at_the_last_step_comes_before_an_averaged_newton_failure(m
     with pytest.raises(NumericalBlowUp) as alone:
         simulate_coupled(model, 0.125, params, [RngStream(8, 0)])
     with pytest.raises(NumericalBlowUp) as joint:
-        simulate_epsilon_grid(model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 7))
+        epsilon_grid_errors(model, [0.05], 0.125, params, [RngStream(8, 0)], NaNFrom(fbar, 7))
     assert str(joint.value) == str(alone.value) == (
         "coupled run blew up at epsilon=0.05: non-finite state at macro step 8"
     )
@@ -678,45 +624,32 @@ def test_epsilon_grid_columns_equal_one_epsilon_runs(
     slow_kind, fast_kind, epsilons, replicas, steps, seed
 ):
     # Every (epsilon, replica) column of one grid run has the coupled x and
-    # y, the path, the averaged x and the strong error of its run alone.
-    # The averaged run has no epsilon: one run of R columns, shared by all.
+    # y and the path of its run alone.
     params = SchemeParams(dt_macro=1 / 64)
     model = make_model(n=9, epsilon=0.3, slow_kind=slow_kind, fast_kind=fast_kind)
-    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
     streams = [RngStream(seed, r) for r in range(replicas)]
-    shapes = set()
-
-    def seen(x):
-        shapes.add(x.shape)
-        return fbar(x)
-
-    runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams, seen)
+    runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams)
     assert len(runs) == len(epsilons)
-    assert all(run[2] is runs[0][2] for run in runs) and shapes == {(9, replicas)}
-    for epsilon, (trajectory, path, averaged) in zip(epsilons, runs):
+    for epsilon, (trajectory, path) in zip(epsilons, runs):
         assert path.epsilon == epsilon
+        at_epsilon = dataclasses.replace(model, epsilon=epsilon)
         for r, stream in enumerate(streams):
-            ((alone, alone_path, alone_averaged),) = simulate_epsilon_grid(
-                model, [epsilon], steps / 64, params, [stream], fbar
-            )
-            coupled, mean_field = trajectory.replica(r), averaged.replica(r)
-            alone, alone_averaged = alone.replica(0), alone_averaged.replica(0)
+            alone, alone_path = simulate_coupled(at_epsilon, steps / 64, params, [stream])
+            coupled, alone = trajectory.replica(r), alone.replica(0)
             assert coupled.x.tobytes() == alone.x.tobytes()
             assert coupled.y.tobytes() == alone.y.tobytes()
             own = slice(r, r + 1)
             assert alone_path == NoisePath(
                 path.dt_macro, path.n_sub, epsilon, path.slow[own], path.fast[own]
             )
-            assert mean_field.x.tobytes() == alone_averaged.x.tobytes()
-            error = strong_error(coupled, mean_field, model.grid, model.state_norm)
-            alone_error = strong_error(alone, alone_averaged, model.grid, model.state_norm)
-            assert error.hex() == alone_error.hex()
 
 
 def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
     # The averaged equation has no epsilon: one MemoizedFbar column per
-    # replica serves every epsilon of the grid, with the bytes, the refresh
-    # counts and the estimate_fbar calls of any one-epsilon run.
+    # replica serves every epsilon of converge's grid run. Its errors,
+    # refresh counts and estimate_fbar calls are those of the coupled run
+    # at each epsilon alone and simulate_averaged on its path with an
+    # estimator of its own.
     params = SchemeParams(dt_macro=1 / 64)
     model = make_model(n=8, epsilon=0.1, fast_kind="smooth_bounded")
     epsilons, replicas = [0.1, 0.05, 0.02], 2
@@ -735,27 +668,29 @@ def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
 
     monkeypatch.setattr(spavg.averaging, "estimate_fbar", counted)
     joint = estimator()
-    runs = simulate_epsilon_grid(model, epsilons, 4 / 64, params, streams, joint)
+    errors = epsilon_grid_errors(model, epsilons, 4 / 64, params, streams, joint)
     grid_calls, calls[:] = len(calls), []
-    assert grid_calls > 0
-    for epsilon, (trajectory, _, averaged) in zip(epsilons, runs):
+    assert grid_calls > 0 and joint.refresh_counts.min() > 0
+    for epsilon, row in zip(epsilons, errors.tolist()):
+        at_epsilon = dataclasses.replace(model, epsilon=epsilon)
+        coupled, path = simulate_coupled(at_epsilon, 4 / 64, params, streams)
         alone = estimator()
-        ((coupled, _, alone_averaged),) = simulate_epsilon_grid(
-            model, [epsilon], 4 / 64, params, streams, alone
-        )
-        assert trajectory.x.tobytes() == coupled.x.tobytes()
-        assert averaged.x.tobytes() == alone_averaged.x.tobytes()
+        averaged = simulate_averaged(model, alone, params, path)
+        expected = [
+            strong_error(coupled.replica(r), averaged.replica(r), model.grid, model.state_norm)
+            for r in range(replicas)
+        ]
+        assert [e.hex() for e in row] == [e.hex() for e in expected]
         assert joint.refresh_counts.tolist() == alone.refresh_counts.tolist()
         assert len(calls) == grid_calls
         calls.clear()
-    assert joint.refresh_counts.min() > 0
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
     fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
-    replicas=st.integers(1, 3),
+    replicas=st.sampled_from([1, 2, 5]),
     # 64 macro times fill one fold block (NOISE_BLOCK) exactly; 71 leave a
     # partial second one.
     steps=st.sampled_from([1, 5, 63, 70]),
@@ -764,28 +699,37 @@ def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
 def test_epsilon_grid_errors_equal_strong_error_on_the_histories(
     slow_kind, fast_kind, replicas, steps, seed
 ):
-    # The running sup that converge folds a block of macro steps at a time
-    # has the bytes strong_error takes on the histories of the same grid
-    # run, in both state norms (H^-1 for porous medium, L2 otherwise).
+    # converge's run: the averaged equation beside the grid, its gaps
+    # folded into a running sup a block of macro steps at a time. Every
+    # (epsilon, replica) error has the bytes strong_error gives on runs that
+    # share no loop with the grid, simulate_coupled at that epsilon alone
+    # and simulate_averaged on its path, in both state norms (H^-1 for
+    # porous medium, L2 otherwise). The drift is called once per macro step,
+    # on the averaged group (n, R).
     assert spavg.integrators.NOISE_BLOCK == 64
     params = SchemeParams(dt_macro=1 / 64)
     model = make_model(n=9, slow_kind=slow_kind, fast_kind=fast_kind)
     fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
     streams = [RngStream(seed, r) for r in range(replicas)]
     epsilons = [0.1, 0.05]
-    errors = epsilon_grid_errors(model, epsilons, steps / 64, params, streams, fbar)
-    runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams, fbar)
-    expected = [
-        [
-            strong_error(coupled.replica(r), averaged.replica(r), model.grid, model.state_norm)
-            for r in range(replicas)
-        ]
-        for coupled, _, averaged in runs
-    ]
+    shapes = []
+
+    def seen(x):
+        shapes.append(x.shape)
+        return fbar(x)
+
+    errors = epsilon_grid_errors(model, epsilons, steps / 64, params, streams, seen)
+    assert shapes == [(9, replicas)] * steps
     assert errors.shape == (len(epsilons), replicas)
-    assert [[e.hex() for e in row] for row in errors.tolist()] == [
-        [e.hex() for e in row] for row in expected
-    ]
+    for epsilon, row in zip(epsilons, errors.tolist()):
+        at_epsilon = dataclasses.replace(model, epsilon=epsilon)
+        for error, stream in zip(row, streams):
+            coupled, path = simulate_coupled(at_epsilon, steps / 64, params, [stream])
+            averaged = simulate_averaged(model, fbar, params, path)
+            alone = strong_error(
+                coupled.replica(0), averaged.replica(0), model.grid, model.state_norm
+            )
+            assert error.hex() == alone.hex()
     assert errors.min() > 0.0
 
 
