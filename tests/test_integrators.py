@@ -557,6 +557,59 @@ class NaNFrom:
         return value
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    slow_kind=st.sampled_from(["burgers", "porous_medium", "p_laplace"]),
+    fast_kind=st.sampled_from(["linear", "smooth_bounded"]),
+    batch=st.sampled_from([1, 2, 5]),
+    steps=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_joint_run_equals_coupled_run_then_averaged_replay(
+    slow_kind, fast_kind, batch, steps, seed
+):
+    # Stepping the averaged equation beside the coupled one, in converge's
+    # run of one epsilon, gives the errors of the coupled run of the whole
+    # batch followed by simulate_averaged on its path.
+    params = SchemeParams(dt_macro=1 / 64)
+    model = make_model(n=9, epsilon=0.05, slow_kind=slow_kind, fast_kind=fast_kind)
+    fbar = OracleFbar(FastOperatorSpec("linear"), model.coupling, model.grid)
+    streams = [RngStream(seed, i) for i in range(batch)]
+    (errors,) = epsilon_grid_errors(model, [0.05], steps / 64, params, streams, fbar)
+    alone, alone_path = simulate_coupled(model, steps / 64, params, streams)
+    replay = simulate_averaged(model, fbar, params, alone_path)
+    expected = [
+        strong_error(alone.replica(r), replay.replica(r), model.grid, model.state_norm)
+        for r in range(batch)
+    ]
+    assert [e.hex() for e in errors.tolist()] == [e.hex() for e in expected]
+
+
+def test_joint_run_with_the_estimator_equals_the_replay():
+    # A MemoizedFbar keeps state, so each run gets its own; the joint run
+    # calls it on the same states as the replay and so refreshes alike.
+    params = SchemeParams(dt_macro=1 / 64)
+    model = make_model(n=8, epsilon=0.05, fast_kind="smooth_bounded")
+    streams = [RngStream(7, r) for r in range(2)]
+
+    def estimator():
+        bases = [RngStream(7, 1000 * (r + 1)) for r in range(2)]
+        return MemoizedFbar(model.fast, model.coupling, model.grid, 2, bases)
+
+    joint = estimator()
+    (errors,) = epsilon_grid_errors(model, [0.05], 4 / 64, params, streams, joint)
+    alone, alone_path = simulate_coupled(model, 4 / 64, params, streams)
+    replayed = estimator()
+    replay = simulate_averaged(model, replayed, params, alone_path)
+    expected = [
+        strong_error(alone.replica(r), replay.replica(r), model.grid, model.state_norm)
+        for r in range(2)
+    ]
+    assert [e.hex() for e in errors.tolist()] == [e.hex() for e in expected]
+    assert joint.refresh_counts.tolist() == replayed.refresh_counts.tolist()
+    assert joint.refresh_counts.min() > 0
+
+
 @pytest.mark.parametrize("slow_kind", ["burgers", "porous_medium"])
 def test_joint_run_raises_at_the_earliest_failing_step(monkeypatch, slow_kind):
     # The averaged drift turns NaN from the call that drives macro step 3
