@@ -23,9 +23,9 @@ epsilon = 1:
   arrays whose column s has the bytes of point s's own call. MemoizedFbar
   uses that to refresh, in one run, every column of a batch whose input
   left its trust region at the same macro step.
-- ergodicity_decay runs zero and the first sine mode under shared noise
-  for 50 relaxation times in steps of 0.02, as the two columns of one state,
-  and takes the norms of their gaps a block of steps at a time.
+- ergodicity_decay follows the gap of runs from zero and the first sine
+  mode under shared noise for 50 relaxation times in steps of 0.02: the gap
+  alone in sine modes for the linear kind, else the pair as two columns.
 
 For the linear fast operator the invariant measure is Gaussian with mean
 L^-1 (c_b x), giving the closed form used as an oracle:
@@ -40,6 +40,7 @@ epsilon_grid_errors call them; a lone state is one column, x[:, None].
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +56,7 @@ from .grid import (
     solve_neg_laplacian,
 )
 from .integrators import DT_FAST, NOISE_BLOCK, NumericalBlowUp, _FastStepper, _matvec
+from .integrators import _fast_coordinates
 from .operators import CouplingSpec, FastOperatorSpec, contraction_margin
 from .randomness import RngStream, stream_batch
 
@@ -152,28 +154,31 @@ def ergodicity_decay(
     deterministically and its L2 norm should fall like exp(-margin/2 * t).
     Sampling stops before the first step whose gap is within a factor 1e-10
     of its initial size, to keep rounding noise out of a fit, or else at
-    the horizon. The differences of NOISE_BLOCK steps at a time go into one
-    buffer and take their norms in one row_norms call, each row with the
-    bytes of its own; the steps of a block past the stop are discarded.
+    the horizon. With a linear drift the noise cancels from the gap, which
+    steps alone, g^ <- d g^ per sine mode, NOISE_BLOCK steps per cumprod;
+    smooth_bounded steps the pair. A block's gaps take their norms at once.
     """
     margin = contraction_margin(fast, coupling, grid)
     horizon = 50.0 / margin
     n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
     dt = horizon / n_steps
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
-    coefficients = stepper.draw([stream], n_steps)
-
     y0_b = sine_mode(grid, 1, 1.0).values
-    pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
     gap0 = norm_values(grid, y0_b, L2)
+    to_state, _, l2_norms = _fast_coordinates(fast, grid)
+    if fast.kind == "linear":
+        gap = to_state(y0_b[:, None]).T
+    else:
+        pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
+        states = stepper.path(x.values[:, None], pair, stepper.draw([stream], n_steps))
     log_gaps = [math.log(gap0)]
-    states = stepper.path(x.values[:, None], pair, coefficients)
-    differences = np.empty((NOISE_BLOCK, grid.n_interior))
     for start in range(0, n_steps, NOISE_BLOCK):
-        block = differences[: n_steps - start]
-        for row, y in zip(block, states):
-            np.subtract(y[:, 0], y[:, 1], out=row)
-        gaps = row_norms(grid, block, L2)
+        steps = min(NOISE_BLOCK, n_steps - start)
+        if fast.kind == "linear":
+            gap = np.cumprod(np.vstack([gap[-1:], np.tile(stepper._d, (steps, 1))]), axis=0)[1:]
+        else:
+            gap = np.array([y[:, 0] - y[:, 1] for y in islice(states, steps)])
+        gaps = l2_norms(gap)
         stop = np.flatnonzero(gaps <= 1e-10 * gap0)
         log_gaps.extend(math.log(gap) for gap in gaps[: stop[0] if stop.size else len(gaps)])
         if stop.size:

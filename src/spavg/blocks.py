@@ -8,9 +8,11 @@ step) and reads its fast noise as recorded, so a replay needs no scheme
 parameters and cannot disagree with the recording run. Its one step rule,
 integrators._block_replay, also advances the coupled fast states (blocks of
 one macro step); build_auxiliary writes its history, while diagnose steps
-it inside its coupled run and keeps none. Comparing it with the true fast
-trajectory isolates how much the fast equation feels the slow motion inside
-one block, the quantity whose delta-scaling the diagnostics suites measure.
+it inside its coupled run and keeps none, both in the fast state's
+coordinates (sine modes for the linear kind). Comparing it with the true
+fast trajectory isolates how much the fast equation feels the slow motion
+inside one block, the quantity whose delta-scaling the diagnostics suites
+measure.
 
 Statistics conventions. deviation_statistic integrates ||y(t) - y_hat(t)||^2
 with the trapezoid rule; the integrand is continuous, and a constant offset c
@@ -30,6 +32,7 @@ from .integrators import (
     NoisePath,
     Trajectory,
     _block_replay,
+    _fast_coordinates,
     block_anchors,
     whole_steps,
 )
@@ -73,14 +76,16 @@ def build_auxiliary(
     block_steps = [whole_steps(float(d), noise.dt_macro, "delta") for d in deltas]
     anchors = block_anchors(np.arange(m), np.array(block_steps)[:, None])
     _, replay = _block_replay(model, [noise], [len(anchors)])
+    to_state, to_nodes, _ = _fast_coordinates(model.fast, model.grid)
+    x = to_state(x.reshape(-1, n).T).T.reshape(x.shape)
     # Column d * replicas + r replays replica r under block length deltas[d].
     y_hat = np.empty((m + 1, len(anchors) * replicas, n))
-    y_hat[0] = model.y0.values
-    y = y_hat[0].T
+    y = to_state(np.tile(model.y0.values, (len(anchors) * replicas, 1)).T)
+    y_hat[0] = y.T
     for j in range(m):
         y = replay(j, x[anchors[:, j]].reshape(-1, n).T, y)
         y_hat[j + 1] = y.T
-    return y_hat.reshape(m + 1, len(anchors), replicas, n)
+    return to_nodes(y_hat.reshape(-1, n).T).T.reshape(m + 1, len(anchors), replicas, n)
 
 
 def deviation_statistic(trajectory: Trajectory, auxiliary: Array, grid: Grid1D) -> float:

@@ -131,7 +131,8 @@ def check_condition(
         "B3_coercive": _check_b3,
         "B4_growth": _check_b4,
     }[condition]
-    return checker(slow, fast, grid, samples, stream.generator())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return checker(slow, fast, grid, samples, stream.generator())
 
 
 def _amplitude(i: int) -> float:

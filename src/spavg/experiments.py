@@ -44,7 +44,7 @@ from .averaging import MemoizedFbar, OracleFbar, ergodicity_decay, estimate_fbar
 from .blocks import build_auxiliary, deviation_statistic  # noqa: F401
 from .conditions import CONDITION_IDS, ConditionReport, check_condition
 from .config import ConfigError, ExperimentConfig
-from .grid import L2, Field, Grid1D, row_norms, sine_mode, smallest_eigenvalue
+from .grid import Field, Grid1D, row_norms, sine_mode, smallest_eigenvalue
 from .integrators import (
     NOISE_BLOCK,
     ModelSpec,
@@ -53,6 +53,7 @@ from .integrators import (
     SchemeParams,
     _block_replay,
     _epsilon_grid,
+    _fast_coordinates,
     block_anchors,
     epsilon_grid_errors,
     simulate_averaged,  # noqa: F401  (perfbench/tracing.py wraps it here by name)
@@ -485,33 +486,38 @@ def _batch_statistics(
     epsilon's deltas and, at diag_epsilon, their increment integrals. One
     _epsilon_grid loop without a drift runs every epsilon; in it
     _block_replay steps each (epsilon, delta, replica) column with x frozen
-    at the column's latest block start, the increments' anchor too. Each
-    column keeps its per-step norms alone (row_norms over NOISE_BLOCK steps
-    at a time) and reduces them as TrajectoryStats and deviation_statistic do.
+    at the column's latest block start, the increments' anchor too, and
+    gathered from the x^ of the coupled step. Each column keeps its per-step
+    norms alone (over NOISE_BLOCK steps at a time) and reduces them as
+    TrajectoryStats and deviation_statistic do.
     """
     model = build_model(config, epsilons[0])
     grid, n, dt = model.grid, model.grid.n_interior, config.dt_macro
     streams = [RngStream(config.master_seed, r) for r in batch]
-    paths, states = _epsilon_grid(model, epsilons, config.T, scheme_params(config), streams, None)
+    params = scheme_params(config)
+    paths, states, x_fast = _epsilon_grid(model, epsilons, config.T, params, streams, None)
     source, replay = _block_replay(model, paths, [len(deltas[e]) for e in epsilons])
     columns = [(e, d) for e in epsilons for d in deltas[e] for _ in batch]
     block_steps = np.array([whole_steps(d, dt, "delta") for _, d in columns])
     diag = np.flatnonzero([e == config.diag_epsilon for e, _ in columns])
     m, replicas, coupled = paths[0].n_macro, len(batch), len(epsilons) * len(batch)
-    frozen = np.tile(model.x0.values, (len(columns), 1))
-    y_hat = np.tile(model.y0.values, (len(columns), 1)).T
+    frozen, frozen_fast = np.tile(model.x0.values, (len(columns), 1)), np.empty((len(columns), n))
     # A macro time's rows: for the state norm x of every coupled column,
     # then the increments of the diag_epsilon columns (zero at time 0); for
-    # L2 the deviation of every replay column.
+    # L2 the deviation of every replay column, in sine modes if linear.
     size = min(NOISE_BLOCK, m + 1)
     x_rows = np.empty((size, coupled + diag.size, n))
     y_rows = np.empty((size, len(columns), n))
     x_norms, y_norms = np.empty((x_rows.shape[1], m + 1)), np.empty((len(columns), m + 1))
-    tables = ((x_rows, x_norms, model.state_norm), (y_rows, y_norms, L2))
+    tables = (
+        (x_rows, x_norms, lambda v: row_norms(grid, v, model.state_norm)),
+        (y_rows, y_norms, _fast_coordinates(model.fast, grid)[2]),
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (x, y) in enumerate(states):
-            if j:
-                y_hat = replay(j - 1, frozen.T, y_hat)
+            if j:  # due is step j - 1's, and x_fast the x^ its coupled step took.
+                frozen_fast[due] = x_fast.T[source[due]]
+            y_hat = replay(j - 1, frozen_fast.T, y_hat) if j else y[:, source]
             i = j % size
             x_rows[i, :coupled] = x.T
             np.subtract(x.T[source[diag]], frozen[diag], out=x_rows[i, coupled:])
@@ -519,8 +525,8 @@ def _batch_statistics(
             due = block_anchors(j, block_steps) == j
             frozen[due] = x.T[source[due]]
             if i == size - 1 or j == m:
-                for rows, norms, kind in tables:
-                    values = row_norms(grid, rows[: i + 1].reshape(-1, n), kind)
+                for rows, norms, row_norm in tables:
+                    values = row_norm(rows[: i + 1].reshape(-1, n))
                     norms[:, j - i : j + 1] = values.reshape(i + 1, -1).T
     sup = [float(np.max(v**2)) for v in x_norms[:coupled]]
     increments = [dt * float(np.sum(v[1:] ** 2)) for v in x_norms[coupled:]]

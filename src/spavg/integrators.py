@@ -28,26 +28,23 @@ steps of a macro step collapse to one exact update of the mode coefficients,
 
     y^ <- d^M y^ + (sum_{j=1..M} d^j) a c_b x^ + sum_m d^(M-m) xi^_m,
 
-the same scheme up to rounding. The smooth_bounded operator needs sin(y) in
-physical space and takes its micro steps one by one through a prefactored
-pttrs solve.
+the same scheme up to rounding. The linear kind keeps its fast state in
+these coefficients (_fast_coordinates): a coupled macro step transforms x
+for the drive and synthesizes the nodal y only for F(x, y). The
+smooth_bounded operator needs sin(y) in physical space and takes its micro
+steps one by one through a prefactored pttrs solve.
 
 Noise. Each Wiener increment is synthesized from sine-mode coefficients
 (amplitude / k**2) * sqrt(dt) * xi_k. A coupled run draws its whole horizon
-before the first step and keeps it as a NoisePath, together with dt_macro
-and n_sub: the raw slow coefficient rows, and the fast noise in the form
-the one macro-step rule, _block_replay, reads it; _FastStepper.record is
-its one producer. For smooth_bounded these are the raw micro-step rows
-(without the 1/sqrt(epsilon) weight). For the linear kind a macro step
-reads its n_sub rows only through the per-mode sum
-sum_m noise_gain[m] xi^_m = epsilon^(-1/2) sum_m d^(M-m) xi^_m of the exact
-update above, so the path stores that sum, one row per macro step: the raw
-rows are drawn and summed a block of macro steps at a time, each stream's
-generator carrying on from block to block, and memory does not grow with
-n_sub. The path is the only source of a replay's step grid, and it is
-exactly enough to replay the same realization into the averaged equation or
-into the block-frozen auxiliary construction (same epsilon and n_sub, so the
-same gains), bit for bit.
+up front into a NoisePath with dt_macro and n_sub: the raw slow rows, and
+the fast noise as _block_replay reads it (_FastStepper.record is its one
+producer): the raw micro-step rows (without the 1/sqrt(epsilon) weight)
+for smooth_bounded; for the linear kind one row per macro step of the
+per-mode sum epsilon^(-1/2) sum_m d^(M-m) xi^_m of the exact update, drawn
+and summed a block of macro steps at a time, so memory does not grow with
+n_sub. The path alone fixes a replay's step grid and replays the same
+realization into the averaged equation or the block-frozen auxiliary
+construction (same epsilon and n_sub, so the same gains), bit for bit.
 
 Batches. The replicas of one epsilon advance together as the columns of
 one state, shape (n, R), in the same macro-step loop that runs a single
@@ -57,11 +54,11 @@ epsilon_grid_errors one averaged group of R columns after them all.
 Replica r draws the same slow rows at every epsilon (lane 0 of its stream
 does not depend on epsilon), so one set of slow increments drives every
 group. Each group has its own fast stepper and fast noise, but the fast
-states of all groups are one state, and _block_replay, the auxiliary
-replay's rule too, moves it through a macro step. The linear kind's
-epsilons differ only in per-mode gains, so one exact update per macro step
-advances every group; smooth_bounded steps each group through its micro
-steps on its own.
+states of all groups are one state, which _block_replay moves through a
+macro step. The linear kind's epsilons differ only in per-mode gains, so
+one exact update advances every group, and diagnose's replay columns,
+frozen at the x^ of their block start, add no transform: two per macro
+step in all (x^ and B y^). smooth_bounded steps each group on its own.
 The loop keeps no history: simulate_epsilon_grid and simulate_averaged
 write every state into trajectories, time first, (n_steps + 1, R, n);
 epsilon_grid_errors and diagnose fold each state into statistics. Each
@@ -115,7 +112,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .grid import Array, Field, Grid1D, NormKind, ShiftedLaplacian, row_norms, sine_basis
+from .grid import L2, Array, Field, Grid1D, NormKind, ShiftedLaplacian, row_norms, sine_basis
 from .operators import (
     CouplingSpec,
     FastOperatorSpec,
@@ -738,6 +735,18 @@ def _matvec(matrix: Array, v: Array) -> Array:
     return np.matmul(matrix, v.T[:, :, None])[:, :, 0].T
 
 
+def _fast_coordinates(fast: FastOperatorSpec, grid: Grid1D) -> tuple[Callable, ...]:
+    """(to_state, to_nodes, l2_norms): nodal columns (n, C) into the coordinates a fast
+    state is kept in and back, and the grid L2 norm of rows (..., n) in them: for the
+    linear kind sine modes y^ = h B^T y, y = B y^, and their Euclidean norm (Parseval)."""
+    if fast.kind != "linear":
+        return (lambda v: v), (lambda v: v), (lambda v: row_norms(grid, v, L2))
+    basis = sine_basis(grid, grid.n_interior)
+    analysis = np.ascontiguousarray(grid.h * basis.T)
+    euclidean = lambda v: np.sqrt(np.sum(v * v, axis=-1))  # noqa: E731
+    return (lambda v: _matvec(analysis, v)), (lambda v: _matvec(basis, v)), euclidean
+
+
 def _by_column(v: Array, y: Array) -> Array:
     """Noise v (R, ...) laid out against the columns of a state y (n, C).
 
@@ -795,8 +804,10 @@ def simulate_epsilon_grid(
     Every state of the run goes into one x and one y history, of which
     each Trajectory is a view.
     """
-    paths, states = _epsilon_grid(model, epsilons, T, params, streams, None)
+    paths, states, _ = _epsilon_grid(model, epsilons, T, params, streams, None)
     times, x_hist, y_hist = _histories(states, paths[0])
+    to_nodes = _fast_coordinates(model.fast, model.grid)[1]  # one transform of all y
+    y_hist = to_nodes(y_hist.reshape(-1, y_hist.shape[-1]).T).T.reshape(y_hist.shape)
     xs, ys = (np.split(h, len(paths), axis=1) for h in (x_hist, y_hist))
     return [(Trajectory(times, x, y), path) for x, y, path in zip(xs, ys, paths)]
 
@@ -818,7 +829,7 @@ def epsilon_grid_errors(
     (the first by epsilon, then replica) strong_error gives on the histories
     of simulate_coupled at each epsilon and simulate_averaged on its path.
     """
-    paths, states = _epsilon_grid(model, epsilons, T, params, streams, fbar)
+    paths, states, _ = _epsilon_grid(model, epsilons, T, params, streams, fbar)
     n, groups, replicas = model.grid.n_interior, len(paths) + 1, paths[0].slow.shape[0]
     sup = np.zeros((groups - 1, replicas))
     size = min(NOISE_BLOCK, paths[0].n_macro + 1)
@@ -854,8 +865,9 @@ def _epsilon_grid(
     params: SchemeParams,
     streams: Sequence[RngStream],
     fbar: Callable[[Array], Array] | None,
-) -> tuple[list[NoisePath], Iterator[tuple[Array, Array]]]:
-    """The paths of a grid run, one per epsilon, and its _slow_loop (see Batches above)."""
+) -> tuple[list[NoisePath], Iterator[tuple[Array, Array]], Array]:
+    """The paths of a grid run, one per epsilon, its _slow_loop (see Batches
+    above) and x^, (n, W), the input of its fast steps, which each overwrites."""
     streams = stream_batch(streams)
     if not len(epsilons):
         raise ValueError("epsilons must hold at least one epsilon")
@@ -870,7 +882,6 @@ def _epsilon_grid(
         for epsilon in epsilons
     ]
     width = len(steppers) * replicas
-    y = np.tile(model.y0.values, (width, 1)).T
     if model.fast.kind == "linear":
         # Copied into one stack rather than kept as record returns them,
         # though that allocates more: with one array per path, perfbench's
@@ -887,18 +898,22 @@ def _epsilon_grid(
     ]
     # The coupled fast states are a replay whose blocks are single macro steps.
     _, advance = _block_replay(model, paths, [1] * len(paths))
+    to_state, to_nodes, _ = _fast_coordinates(model.fast, model.grid)
+    y = to_state(np.tile(model.y0.values, (width, 1)).T)
+    x_fast = np.empty((model.grid.n_interior, width))
 
     def forcing(j: int, x: Array, y: Array) -> tuple[Array, Array]:
         """F at the left endpoint; the fast states then run one block with x frozen."""
         f = np.empty_like(x)
-        f[:, :width] = coupling_f(coupling, x[:, :width], y)
-        y = advance(j, x[:, :width], y)
+        f[:, :width] = coupling_f(coupling, x[:, :width], to_nodes(y))
+        x_fast[...] = to_state(x[:, :width])
+        y = advance(j, x_fast, y)
         if fbar is not None:
             f[:, width:] = fbar(x[:, width:])
         return f, y
 
     run_epsilons = [path.epsilon for path in paths] + [None] * (fbar is not None)
-    return paths, _slow_loop(model, params, paths[0], run_epsilons, forcing, y)
+    return paths, _slow_loop(model, params, paths[0], run_epsilons, forcing, y), x_fast
 
 
 def _block_replay(
@@ -911,11 +926,11 @@ def _block_replay(
     source[c] = g R + r is the coupled column whose noise drives column c,
     and step(j, x_frozen, y), called for j = 0, 1, ... in turn, which moves
     the fast states y (n, W) through macro step j with the slow input
-    x_frozen (n, W). For the linear kind that is one exact update of every
-    column, y^ <- decay y^ + drive x^ + noise, with each column's own gains
-    and the noise sums of its source gathered NOISE_BLOCK steps at a time;
-    smooth_bounded runs each path's columns through the n_sub micro steps
-    of its raw rows.
+    x_frozen (n, W), both as _fast_coordinates keeps them. For the linear
+    kind that is one exact update in sine modes, y^ <- decay y^ + drive x^ +
+    noise, with each column's own gains and the noise sums of its source
+    gathered NOISE_BLOCK steps at a time; smooth_bounded runs each path's
+    columns through the n_sub micro steps of its raw rows.
     """
     replicas = paths[0].fast.shape[0]
     fast, coupling, grid = model.fast, model.coupling, model.grid
@@ -929,8 +944,6 @@ def _block_replay(
     group = np.repeat(np.arange(len(paths)), np.multiply(copies, replicas))
     source = group * replicas + np.arange(group.size) % replicas
     if fast.kind == "linear":
-        # Only the sine transforms, which every epsilon shares, come from one stepper.
-        analysis, basis = steppers[0]._analysis, steppers[0]._basis
         gains = [stepper._block_gains for stepper in steppers]
         decay, drive = (np.hstack([g[i] for g in gains])[:, group] for i in (0, 1))
         noise = None
@@ -939,10 +952,10 @@ def _block_replay(
             nonlocal noise
             if j % NOISE_BLOCK == 0:
                 noise = np.concatenate([p.fast[:, j : j + NOISE_BLOCK] for p in paths])[source]
-            y_hat = decay * _matvec(analysis, y)
-            y_hat += drive * _matvec(analysis, x_frozen)
-            y_hat[: coupling.g2_modes] += noise[:, j % NOISE_BLOCK].T
-            return _matvec(basis, y_hat)
+            y_next = decay * y
+            y_next += drive * x_frozen
+            y_next[: coupling.g2_modes] += noise[:, j % NOISE_BLOCK].T
+            return y_next
 
         return source, step
     columns = [group == g for g in range(len(paths))]
@@ -990,9 +1003,9 @@ def _slow_loop(
     x holds a group of R columns for each of `epsilons`, a coupled run's
     epsilon or None for the averaged run, all on the slow increments of
     noise.slow, synthesized NOISE_BLOCK steps at a time; y, (n, W), is the
-    fast state of the coupled groups, the first W columns. forcing(j, x, y)
-    returns the drift of macro step j at its left endpoint and y at its
-    right endpoint. Nothing is kept. A step makes one all-finite test and
+    fast state of the coupled groups, the first W columns (_fast_coordinates).
+    forcing(j, x, y) returns macro step j's drift at its left endpoint and y
+    at its right one. Nothing is kept. A step makes one all-finite test and
     looks for the failing group (see the module docstring) only on failure.
     """
     grid = model.grid

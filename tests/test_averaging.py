@@ -24,7 +24,7 @@ from spavg.integrators import ModelSpec, NumericalBlowUp, SchemeParams, _block_r
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
 from spavg.randomness import RngStream
 
-from test_fast_stepper import recorded_path
+from test_fast_stepper import nodal_step, recorded_path
 
 
 def test_estimate_fbar_validates_replicas_and_window():
@@ -120,7 +120,8 @@ def test_frozen_matches_fast_block_distribution():
     stepper = _FastStepper.for_model(model, dt_macro, params)
     rows = stepper.draw([RngStream(1000, r) for r in range(n_rep)], stepper.n_sub)[:, None]
     _, step = _block_replay(model, [recorded_path(model, epsilon, dt_macro, rows)], [1])
-    y_end = step(0, np.tile(x.values, (n_rep, 1)).T, np.tile(y0.values, (n_rep, 1)).T)
+    x_frozen, y_start = (np.tile(v.values, (n_rep, 1)).T for v in (x, y0))
+    y_end = nodal_step(stepper, step, 0, x_frozen, y_start)
     block_terminal = y_end.T
     horizon = dt_macro / epsilon
     n_frozen = math.ceil(horizon / 0.04 - 1e-12)
@@ -227,18 +228,24 @@ def test_one_point_is_a_batch_of_one():
             assert lone.tobytes() == oracle(batch)[:, r].tobytes()
 
 
-def test_ergodicity_decay_linear_rate():
+def test_ergodicity_decay_linear_rate(monkeypatch):
     grid = Grid1D(8)
     fast = FastOperatorSpec("linear", c_b=1.0)
     coup = CouplingSpec(f0=zeros(grid))
     margin = dissipativity_margin(fast, coup, grid)
     lam = smallest_eigenvalue(grid)
-    fit = fit_line(*ergodicity_decay(fast, coup, grid, zeros(grid), RngStream(8, 0)))
+    # The noise cancels from the linear gap, so the fit draws none.
+    monkeypatch.setattr(_FastStepper, "draw", lambda *args: pytest.fail("noise drawn"))
+    times, log_gaps = ergodicity_decay(fast, coup, grid, zeros(grid), RngStream(8, 0))
+    fit = fit_line(times, log_gaps)
     # Pure mode-1 difference decays like a single exponential at rate
-    # ln(1 + dt lambda_1) / dt, just below lambda_1 = margin / 2.
+    # ln(1 + dt lambda_1) / dt, just below lambda_1 = margin / 2: the linear
+    # gap steps without noise, so the fit gives that rate to rounding.
     assert fit.slope <= -0.9 * margin / 2.0
     assert fit.slope >= -1.05 * lam
-    assert fit.r_squared >= 0.99
+    dt = times[1]
+    assert fit.slope == pytest.approx(-math.log1p(dt * grid.eigenvalues[0]) / dt, rel=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def per_step_decay(fast, coupling, grid, x, stream):
@@ -274,15 +281,45 @@ def decay_case(fast, seed):
     return fast, coupling, grid, sine_mode(grid, 1, 0.5), RngStream(seed, 0)
 
 
-def assert_same_decay(got, expected):
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+def noisy_state_size(fast, coupling, grid, x, stream):
+    """The largest |Y| of the shared-noise pair per_step_decay steps."""
+    margin = spavg.averaging.contraction_margin(fast, coupling, grid)
+    horizon = 50.0 / margin
+    n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
+    stepper = _FastStepper(fast, coupling, grid, 1.0, horizon / n_steps)
+    y0_b = sine_mode(grid, 1, 1.0).values
+    pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
+    states = stepper.path(x.values[:, None], pair, stepper.draw([stream], n_steps))
+    return max(float(np.max(np.abs(y))) for y in states)
+
+
+def assert_same_decay(got, expected, case):
+    """smooth_bounded: the bytes of the per-step loop. linear: its numbers to its rounding.
+
+    The linear gap steps without noise, while the per-step loop subtracts
+    two noisy states of size S, each rounded at every step: that loop's gap
+    carries an absolute error of a few eps S (at most 4 eps S measured on
+    these cases), so each log gap must agree within 64 eps S / gap. Its
+    slope moves by up to 3e-9 relative through that rounding (measured on
+    these cases), and must agree to 1e-8.
+    """
+    if case[0].kind != "linear":
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        return
+    (times, log_gaps), (want_times, want_log_gaps) = got, expected
+    assert times.tobytes() == want_times.tobytes()
+    size = noisy_state_size(*case)
+    tolerance = 64 * np.finfo(float).eps * size / np.exp(log_gaps)
+    assert np.all(np.abs(log_gaps - want_log_gaps) <= tolerance)
+    slope, want_slope = fit_line(times, log_gaps).slope, fit_line(times, want_log_gaps).slope
+    assert slope == pytest.approx(want_slope, rel=1e-8)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 2026])
 @pytest.mark.parametrize("fast", DECAY_KINDS, ids=lambda fast: fast.kind)
 def test_ergodicity_decay_equals_the_per_step_loop(fast, seed):
     case = decay_case(fast, seed)
-    assert_same_decay(ergodicity_decay(*case), per_step_decay(*case))
+    assert_same_decay(ergodicity_decay(*case), per_step_decay(*case), case)
 
 
 @pytest.mark.parametrize("fast", DECAY_KINDS, ids=lambda fast: fast.kind)
@@ -296,7 +333,7 @@ def test_ergodicity_decay_stops_on_a_block_boundary(monkeypatch, fast):
     assert stop > spavg.averaging.NOISE_BLOCK
     for block in (stop, stop + 1):
         monkeypatch.setattr(spavg.averaging, "NOISE_BLOCK", block)
-        assert_same_decay(ergodicity_decay(*case), expected)
+        assert_same_decay(ergodicity_decay(*case), expected, case)
 
 
 @pytest.mark.parametrize("fast", DECAY_KINDS, ids=lambda fast: fast.kind)
@@ -312,7 +349,7 @@ def test_ergodicity_decay_without_a_stop_runs_to_the_horizon(monkeypatch, fast):
     expected = per_step_decay(*case)
     n_steps = len(expected[1]) - 1
     assert n_steps == 2500 and n_steps % spavg.averaging.NOISE_BLOCK
-    assert_same_decay(ergodicity_decay(*case), expected)
+    assert_same_decay(ergodicity_decay(*case), expected, case)
 
 
 def test_ergodicity_decay_validation():

@@ -116,7 +116,6 @@ def test_reports_are_reproducible():
     assert a == b
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_uncomputable_margins_are_violations():
     # |grad v|^2000 overflows on these fields, so the pairings, energies and
     # the fitted growth constant come out inf or NaN: the checks must fail.
@@ -127,11 +126,6 @@ def test_uncomputable_margins_are_violations():
         assert math.isnan(report.worst_margin), condition
 
 
-@pytest.mark.filterwarnings(
-    "ignore:overflow:RuntimeWarning",
-    "ignore:invalid:RuntimeWarning",
-    "ignore:divide by zero:RuntimeWarning",
-)
 @settings(max_examples=30, deadline=None)
 @given(
     slow_kind=st.sampled_from(SLOW_KINDS),
@@ -148,7 +142,6 @@ def test_violations_iff_worst_margin_not_positive(slow_kind, p, fast_kind, b, sa
         assert (report.violations > 0) == (not report.worst_margin > 0.0), condition
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_a3_without_positive_energy_reports_unbounded_theta():
     # With p = 2500 both fields of this seed underflow ||v||_p^p to 0, so no
     # sample bounds theta: the check reports it as inf, and each sample it

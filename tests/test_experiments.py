@@ -1,5 +1,6 @@
 """Orchestration layer: builders, log-log fits, runners, CSV emitters."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spavg.experiments
+import spavg.integrators
 from spavg.averaging import OracleFbar
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.blocks import build_auxiliary, deviation_statistic
@@ -42,13 +44,17 @@ from spavg.experiments import (
     write_suite_csvs,
     write_trajectory_csv,
 )
+from spavg.grid import L2, Grid1D, row_norms, sine_basis
 from spavg.integrators import (
     NewtonDivergence,
     NumericalBlowUp,
     TrajectoryStats,
+    _fast_coordinates,
+    _matvec,
     simulate_epsilon_grid,
     whole_steps,
 )
+from spavg.operators import FastOperatorSpec
 from spavg.randomness import RngStream
 
 from test_integrators import poison_fast_noise
@@ -474,7 +480,14 @@ def test_run_diagnostics_without_slow_to_fast_coupling_is_degenerate():
 def test_folded_statistics_equal_the_history_reference(extra):
     # diagnose folds each macro time into its statistics; the reference
     # keeps every history: simulate_epsilon_grid, build_auxiliary,
-    # TrajectoryStats and deviation_statistic, one replica at a time.
+    # TrajectoryStats and deviation_statistic, one replica at a time. Every
+    # statistic has the reference's bytes, except the linear kind's
+    # deviations: diagnose takes the norms of y^ - y^_aux in sine modes,
+    # the reference those of B y^ - B y^_aux, whose two transforms each
+    # round by up to about n eps max|y| per node, e. Then the squared norms
+    # differ by at most 2 ||y - y_aux|| e + e^2, and the integrals D over
+    # [0, T] by 2 sqrt(T D) e + T e^2 (Cauchy-Schwarz), with e taken as
+    # 4 n^1.5 eps max|y| for the L2 norm of n nodes.
     cfg = ExperimentConfig(**{**DIAG, **extra, "epsilon_grid": (0.1, 0.05, 0.02)})
     dt = cfg.dt_macro
     deltas = {0.1: [8 * dt], 0.05: [dt, 4 * dt, 16 * dt], 0.02: [8 * dt]}
@@ -495,10 +508,64 @@ def test_folded_statistics_equal_the_history_reference(extra):
             ]
             if epsilon == cfg.diag_epsilon:
                 expected += [stats.increment_integral(delta) for delta in deltas[epsilon]]
-            assert values[r] == tuple(expected)
+            if model.fast.kind != "linear":
+                assert values[r] == tuple(expected)
+                continue
+            stop = 1 + len(deltas[epsilon])
+            assert values[r][:1] + values[r][stop:] == tuple(expected[:1] + expected[stop:])
+            n = model.grid.n_interior
+            e = 4 * n**1.5 * np.finfo(float).eps * float(np.max(np.abs(alone.y)))
+            for got, want in zip(values[r][1:stop], expected[1:stop]):
+                assert abs(got - want) <= 2 * math.sqrt(cfg.T * want) * e + cfg.T * e**2
     # Blocks of one macro step replay the coupled fast states bit for bit.
     assert [values[1] for values in folded[1]] == [0.0, 0.0]
     assert all(values[2] > 0.0 for values in folded[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 160),
+    rows=st.integers(1, 4),
+    exponent=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_deviation_norms_in_modes_equal_the_nodal_l2_norms(n, rows, exponent, seed):
+    # diagnose takes the linear kind's deviation norms as the Euclidean
+    # norms of y^ - y^_aux; by Parseval they are the grid L2 norms of the
+    # nodal values B (y^ - y^_aux).
+    grid = Grid1D(n)
+    difference = np.random.default_rng(seed).standard_normal((rows, n)) * 10.0**exponent
+    norms = _fast_coordinates(FastOperatorSpec("linear"), grid)[2](difference)
+    nodal = row_norms(grid, _matvec(sine_basis(grid, n), difference.T).T, L2)
+    np.testing.assert_allclose(norms, nodal, rtol=1e-13, atol=0.0)
+
+
+def count_matvec(monkeypatch):
+    """A Counter of spavg.integrators._matvec calls, counted from now on."""
+    counts = collections.Counter()
+    matvec = spavg.integrators._matvec
+
+    def counted(matrix, v):
+        counts["_matvec"] += 1
+        return matvec(matrix, v)
+
+    monkeypatch.setattr(spavg.integrators, "_matvec", counted)
+    return counts
+
+
+def test_diagnose_transforms_do_not_grow_with_the_replay_columns(monkeypatch):
+    # A linear diagnose batch makes two sine transforms per macro step, x^
+    # and B y^ of the coupled columns, and one of y0: the replay columns
+    # take their frozen x^ from the coupled step and stay in modes.
+    counts = count_matvec(monkeypatch)
+    cfg = ExperimentConfig(**DIAG)
+    dt, m = cfg.dt_macro, whole_steps(cfg.T, cfg.dt_macro, "T")
+    per_deltas = []
+    for deltas in ([8 * dt], [dt, 2 * dt, 4 * dt, 8 * dt, 16 * dt]):
+        counts.clear()
+        _batch_statistics(cfg, [0.1, 0.05], [0, 1], {0.1: deltas, 0.05: deltas})
+        per_deltas.append(counts["_matvec"])
+    assert per_deltas == [2 * m + 1] * 2
 
 
 def test_runs_silence_warnings_once_not_per_macro_step(monkeypatch):

@@ -7,6 +7,9 @@ one; the one macro-step rule, _block_replay, takes whole macro blocks in the
 sine eigenbasis (linear) or runs that path (smooth_bounded). All must
 reproduce the reference to 1e-12 relative. The block rule reads the noise
 a path recorded; these tests make it from raw rows themselves (noise_sums).
+It steps the linear kind's state in sine-mode coefficients, which these
+tests convert with the stepper's _analysis and _basis at their boundary
+only (to_modes, to_nodes).
 """
 
 import math
@@ -123,6 +126,21 @@ def make_case(n, kind, modes, n_sub, a, replicas, seed):
     return model, stepper, x, y, coefficients, reference
 
 
+def to_modes(stepper, v):
+    """Nodal columns v (n, C) in the coordinates _block_replay steps the kind's state in."""
+    return _matvec(stepper._analysis, v) if stepper.fast.kind == "linear" else v
+
+
+def to_nodes(stepper, v):
+    """The nodal values (n, C) of states v kept as to_modes gives them."""
+    return _matvec(stepper._basis, v) if stepper.fast.kind == "linear" else v
+
+
+def nodal_step(stepper, step, j, x, y):
+    """step(j, x, y) of _block_replay on nodal x and y (n, C); returns nodal values."""
+    return to_nodes(stepper, step(j, to_modes(stepper, x), to_modes(stepper, y)))
+
+
 def replay_block(model, stepper, x, y, coefficients):
     """y (n, C) after the one macro step of _block_replay on raw rows (R, n_sub, modes).
 
@@ -131,7 +149,7 @@ def replay_block(model, stepper, x, y, coefficients):
     dt_macro = stepper.a * model.epsilon * stepper.n_sub
     path = recorded_path(model, model.epsilon, dt_macro, coefficients[:, None])
     _, step = _block_replay(model, [path], [y.shape[1] // coefficients.shape[0]])
-    return step(0, np.repeat(x, y.shape[1], axis=1), y)
+    return nodal_step(stepper, step, 0, np.repeat(x, y.shape[1], axis=1), y)
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
@@ -210,7 +228,8 @@ def test_stepper_matches_reference_property(
     # checks the per-column gains, the source gather and the tiling of a
     # path's replicas over its copies. The first path's columns also take
     # their first macro step through the stepper's path, one micro step at
-    # a time.
+    # a time. The state stays in the coordinates of _block_replay from step
+    # to step; only x and the comparison convert.
     modes = 1 + int(mode_fraction * (n - 1))
     dt_macro = 0.01
     copies = [data.draw(st.integers(2, 3), label="copies[0]")] + data.draw(
@@ -238,8 +257,9 @@ def test_stepper_matches_reference_property(
     own = copies[0] * replicas
     micro = np.array(list(stepper.path(x[0][:, :own], y[:, :own], rows[0][:, 0])))
     expected = y.copy()
+    state = to_modes(stepper, y)
     for j in range(n_macro):
-        y = step(j, x[j], y)
+        state = step(j, to_modes(stepper, x[j]), state)
         for c, g in enumerate(groups):
             path = paths[g]
             states = reference_path(
@@ -255,7 +275,7 @@ def test_stepper_matches_reference_property(
             if j == 0 and g == 0:
                 assert_close(micro[:, :, c], states)
             expected[:, c] = states[-1]
-        assert_close(y, expected)
+        assert_close(to_nodes(stepper, state), expected)
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])

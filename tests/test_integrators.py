@@ -53,7 +53,7 @@ from spavg.config import ExperimentConfig
 from spavg.experiments import build_model, scheme_params
 from spavg.randomness import RngStream
 
-from test_fast_stepper import recorded_path
+from test_fast_stepper import nodal_step, recorded_path, to_modes, to_nodes
 
 
 def make_model(
@@ -276,7 +276,7 @@ def synchronous_block(model, dt_macro, params, x, y_a, y_b, stream):
     rows = stepper.draw([stream], stepper.n_sub)[:, None]
     _, step = _block_replay(model, [recorded_path(model, model.epsilon, dt_macro, rows)], [2])
     x_frozen = np.repeat(x.values[:, None], 2, axis=1)
-    return step(0, x_frozen, np.stack([y_a.values, y_b.values], axis=1))
+    return nodal_step(stepper, step, 0, x_frozen, np.stack([y_a.values, y_b.values], axis=1))
 
 
 def test_fast_block_contraction_linear_two_sided():
@@ -383,29 +383,33 @@ def reference_coupled(model, m, params, stream):
 
     The states are single columns (n, 1) and the noise one replica's rows.
     Each macro step of the fast state is one _block_replay step on a path
-    of that step's raw rows. Returns the slow and fast states, the raw slow
+    of that step's raw rows; the fast state stays in the coordinates that
+    step takes, and F reads its nodal values. Returns the slow and fast states, the raw slow
     and fast noise rows, and the fast noise each macro step consumed: the
     sums of its raw rows with the gains d^(n_sub - m) / sqrt(epsilon) for
     the linear kind (noise_sums), the rows themselves for smooth_bounded.
     """
     grid, coupling, dt = model.grid, model.coupling, params.dt_macro
     slow_stepper = _SlowStepper(model.slow, grid, dt, params)
-    n_sub = _FastStepper.for_model(model, dt, params).n_sub
+    fast_stepper = _FastStepper.for_model(model, dt, params)
+    n_sub = fast_stepper.n_sub
     gen_slow, gen_fast = stream.generator(0), stream.generator(1)
     g1_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
     g2_scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt / n_sub)
     basis_slow_t = np.ascontiguousarray(sine_basis(grid, coupling.g1_modes).T)
-    x, y = model.x0.values[:, None].copy(), model.y0.values[:, None].copy()
-    xs, ys, slow_rows, fast_rows, consumed = [x[:, 0]], [y[:, 0]], [], [], []
+    x = model.x0.values[:, None].copy()
+    y = to_modes(fast_stepper, model.y0.values[:, None].copy())
+    xs, ys = [x[:, 0]], [to_nodes(fast_stepper, y)[:, 0]]
+    slow_rows, fast_rows, consumed = [], [], []
     for _ in range(m):
-        forcing = coupling_f(coupling, x, y)
+        forcing = coupling_f(coupling, x, to_nodes(fast_stepper, y))
         block = gen_fast.standard_normal((n_sub, coupling.g2_modes)) * g2_scales
         path = recorded_path(model, model.epsilon, dt, block[None, None])
-        y = _block_replay(model, [path], [1])[1](0, x, y)
+        y = _block_replay(model, [path], [1])[1](0, to_modes(fast_stepper, x), y)
         slow_coeffs = g1_scales * gen_slow.standard_normal(coupling.g1_modes)
         x = slow_stepper.step(x, forcing, (slow_coeffs @ basis_slow_t)[:, None])
         xs.append(x[:, 0])
-        ys.append(y[:, 0])
+        ys.append(to_nodes(fast_stepper, y)[:, 0])
         slow_rows.append(slow_coeffs)
         fast_rows.append(block)
         consumed.append(path.fast[0, 0])
@@ -804,7 +808,9 @@ def test_a_failing_epsilon_fails_the_grid_run_naming_it(monkeypatch):
 def test_linear_grid_calls_per_macro_step_do_not_grow_with_the_epsilon_count(monkeypatch):
     # The linear fast states of every epsilon advance in one update per
     # macro step: one epsilon or four, the same sine transforms (_matvec)
-    # and coupling_f calls.
+    # and coupling_f calls. A macro step makes exactly two transforms, x^
+    # for the drive and B y^ for F; the run adds one of y0 and one of the
+    # whole history.
     counts = collections.Counter()
 
     def counted(name):
@@ -823,11 +829,13 @@ def test_linear_grid_calls_per_macro_step_do_not_grow_with_the_epsilon_count(mon
     streams = [RngStream(5, r) for r in range(3)]
     per_grid = []
     for epsilons in ([0.1], [0.1, 0.05, 0.02, 0.01]):
-        counts.clear()
-        runs = simulate_epsilon_grid(model, epsilons, 8 / 64, params, streams)
-        per_grid.append(dict(counts))
-    assert per_grid[0] == per_grid[1]
-    assert per_grid[0]["_matvec"] > 0 and per_grid[0]["coupling_f"] > 0
+        for steps in (8, 16):
+            counts.clear()
+            runs = simulate_epsilon_grid(model, epsilons, steps / 64, params, streams)
+            per_grid.append(dict(counts))
+    assert per_grid[0] == per_grid[2] and per_grid[1] == per_grid[3]
+    assert per_grid[0] == {"_matvec": 2 * 8 + 2, "coupling_f": 8}
+    assert per_grid[1] == {"_matvec": 2 * 16 + 2, "coupling_f": 16}
     # Every epsilon's fast noise and fast states are views of one array each.
     assert all(path.fast.base is runs[0][1].fast.base is not None for _, path in runs)
     assert all(trajectory.y.base is runs[0][0].y.base is not None for trajectory, _ in runs)

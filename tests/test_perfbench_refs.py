@@ -1,11 +1,11 @@
 """The benchmark's workloads still give the committed reference answers.
 
 perfbench/run.py checks every repetition against perfbench/refs, but only
-when the benchmark runs. These checks run three workloads at seed 0 through
-spavg.cli.main, as the benchmark's child process does, and compare their
-outputs with the same functions, so a change of answer shows up in the test
-suite. The workload definitions and the comparison are loaded read-only
-from perfbench/.
+when the benchmark runs. These checks run the workloads at reference seeds
+0, 7 and 13 (the estimator at seed 0) through spavg.cli.main, as the
+benchmark's child process does, and compare their outputs with the same
+functions, so a change of answer shows up in the test suite. The workload
+definitions and the comparison are loaded read-only from perfbench/.
 """
 
 import importlib
@@ -17,7 +17,7 @@ import pytest
 import spavg.cli
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-SEED = 0
+SEEDS = (0, 7, 13)
 
 
 @pytest.fixture
@@ -33,32 +33,45 @@ def perfbench(monkeypatch):
         sys.modules.pop(name, None)
 
 
-def run_workload(workloads, name, tmp_path):
-    """Run workload `name` at SEED into tmp_path; returns its output directory."""
+def run_workload(workloads, name, seed, tmp_path):
+    """Run workload `name` at reference seed `seed` into tmp_path; returns its output directory."""
     workload = workloads.WORKLOADS[name]
     config = tmp_path / f"{name}.cfg"
     config.write_text(workload.config_text(), encoding="utf-8")
     out = tmp_path / name
-    argv = [workload.command, "--config", str(config), "--seed", str(workloads.master_seed(SEED))]
+    argv = [workload.command, "--config", str(config), "--seed", str(workloads.master_seed(seed))]
     assert spavg.cli.main(argv + ["--out", str(out)]) in (0, 1)
     return out
 
 
-def reference(name):
-    return PERFBENCH / "refs" / name / f"seed{SEED:02d}"
+def reference(name, seed):
+    return PERFBENCH / "refs" / name / f"seed{seed:02d}"
 
 
-@pytest.mark.parametrize("name", ["converge-burgers", "converge-plaplace", "diagnose-burgers"])
-def test_exact_workloads_match_their_references(perfbench, tmp_path, name):
+EXACT = ["converge-burgers", "converge-plaplace", "diagnose-burgers"]
+
+
+def check_exact(perfbench, tmp_path, name, seed):
     workloads, compare = perfbench
     assert workloads.WORKLOADS[name].exact
-    out = run_workload(workloads, name, tmp_path)
-    assert compare.compare_outputs(str(reference(name)), str(out)) == []
+    out = run_workload(workloads, name, seed, tmp_path)
+    assert compare.compare_outputs(str(reference(name, seed)), str(out)) == []
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_workloads_match_their_references(perfbench, tmp_path, name):
+    check_exact(perfbench, tmp_path, name, SEEDS[0])
+
+
+@pytest.mark.parametrize("seed", SEEDS[1:])
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_workloads_match_their_references_at_more_seeds(perfbench, tmp_path, name, seed):
+    check_exact(perfbench, tmp_path, name, seed)
 
 
 def test_estimator_workload_matches_its_reference(perfbench, tmp_path):
     workloads, compare = perfbench
     name = "converge-estimator"
-    out = run_workload(workloads, name, tmp_path)
+    out = run_workload(workloads, name, SEEDS[0], tmp_path)
     replicas = dict(workloads.WORKLOADS[name].config)["replicas"]
-    assert compare.check_estimator(str(reference(name)), str(out), int(replicas)) == []
+    assert compare.check_estimator(str(reference(name, SEEDS[0])), str(out), int(replicas)) == []
