@@ -15,7 +15,9 @@ epsilon = 1:
   relaxation times, averages over the next WINDOW = 50 (or t_avg) and steps
   by about DT_FAST = 0.1. Because F is affine in y the time average of
   F(x, Y) equals F(x, time average of Y), which is what the code
-  accumulates. The replicas advance side by side as the columns of one
+  accumulates, in the coordinates the fast state is kept in (sine modes for
+  the linear kind): one transform of the points in and one of the mean
+  out. The replicas advance side by side as the columns of one
   state. Points stack the same way: it takes an (n, S) array of points with
   one base stream each, a lone point being S = 1, and all S * n_replicas
   replicas run as the columns of one frozen run, each with its own point
@@ -89,7 +91,8 @@ def estimate_fbar(
     point is x[:, None] with [stream]. Returns (mean, stderr), each (n, S),
     column s with the bytes of point s's own call, from one frozen run of
     S * n_replicas columns. t_avg is the averaging window, WINDOW / margin
-    when None.
+    when None. The frozen runs step in the coordinates _fast_coordinates
+    keeps the fast state in; their time sums go back to nodes once.
     Replica r of a point draws from stream id base.stream_id + r, so
     estimates with the same base stream are reproducible and replicas are
     independent. The per-node standard error comes from the spread of the
@@ -121,8 +124,10 @@ def estimate_fbar(
         RngStream(b.master_seed, b.stream_id + r) for b in streams for r in range(n_replicas)
     ]
     coefficients = stepper.draw(columns, n_steps)
+    to_state, to_nodes, _ = _fast_coordinates(fast, grid)
     y_sum = np.zeros((grid.n_interior, len(columns)))
-    path = stepper.path(np.repeat(points, n_replicas, axis=1), np.zeros_like(y_sum), coefficients)
+    frozen = np.repeat(to_state(points), n_replicas, axis=1)
+    path = stepper.path(frozen, np.zeros_like(y_sum), coefficients)
     # The finiteness test below classifies an overflow of the frozen runs.
     with np.errstate(over="ignore", invalid="ignore"):
         for m, y in enumerate(path):
@@ -130,7 +135,7 @@ def estimate_fbar(
                 y_sum += y
         # (replica, point, node): every point's replicas reduce along axis 0
         # one after another, as a lone point's (replica, node) block does.
-        y_mean = (y_sum / (n_steps - burn_steps)).T.reshape(len(streams), n_replicas, -1)
+        y_mean = to_nodes(y_sum / (n_steps - burn_steps)).T.reshape(len(streams), n_replicas, -1)
         y_mean = y_mean.transpose(1, 0, 2)
         replica_means = coupling.f0.values + coupling.c_fx * points.T + coupling.c_fy * y_mean
         means = replica_means.mean(axis=0)

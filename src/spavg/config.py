@@ -13,6 +13,7 @@ import dataclasses
 import math
 
 from .integrators import whole_steps
+from .operators import FAST_KINDS, SLOW_KINDS
 
 
 class ConfigError(Exception):
@@ -57,9 +58,9 @@ class ExperimentConfig:
                 value = getattr(self, name)
                 if not all(map(math.isfinite, [value] if kind == "float" else value)):
                     raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.slow_kind not in ("burgers", "porous_medium", "p_laplace"):
+        if self.slow_kind not in SLOW_KINDS:
             raise ConfigError(f"unknown slow_kind {self.slow_kind!r}")
-        if self.fast_kind not in ("linear", "smooth_bounded"):
+        if self.fast_kind not in FAST_KINDS:
             raise ConfigError(f"unknown fast_kind {self.fast_kind!r}")
         if self.fbar_source not in ("oracle", "estimator"):
             raise ConfigError(

@@ -76,9 +76,7 @@ __all__ = [
     "DiagnosticsResult",
     "DiagnosticsRow",
     "FbarRunResult",
-    "InsufficientPoints",
     "LineFit",
-    "NonpositiveValue",
     "SuiteOutcome",
     "build_model",
     "build_specs",
@@ -171,14 +169,6 @@ def scheme_params(config: ExperimentConfig) -> SchemeParams:
 # ---------------------------------------------------------------- fitting
 
 
-class InsufficientPoints(ValueError):
-    """Raised when a log-log fit gets fewer than three points."""
-
-
-class NonpositiveValue(ValueError):
-    """Raised when a log-log fit sees a value the log cannot take."""
-
-
 @dataclasses.dataclass
 class LineFit:
     slope: float
@@ -207,11 +197,9 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> LineFit:
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have the same length")
     if len(xs) < 3:
-        raise InsufficientPoints(
-            f"need at least 3 points for a log-log fit, got {len(xs)}"
-        )
+        raise ValueError(f"need at least 3 points for a log-log fit, got {len(xs)}")
     if any(x <= 0.0 for x in xs) or any(y <= 0.0 for y in ys):
-        raise NonpositiveValue("log-log fit requires strictly positive values")
+        raise ValueError("log-log fit requires strictly positive values")
     return fit_line(np.log(xs), np.log(ys))
 
 

@@ -29,10 +29,12 @@ steps of a macro step collapse to one exact update of the mode coefficients,
     y^ <- d^M y^ + (sum_{j=1..M} d^j) a c_b x^ + sum_m d^(M-m) xi^_m,
 
 the same scheme up to rounding. The linear kind keeps its fast state in
-these coefficients (_fast_coordinates): a coupled macro step transforms x
-for the drive and synthesizes the nodal y only for F(x, y). The
-smooth_bounded operator needs sin(y) in physical space and takes its micro
-steps one by one through a prefactored pttrs solve.
+these coefficients, frozen runs included, and _fast_coordinates is the one
+place that transforms it: a coupled macro step transforms x for the drive
+and synthesizes the nodal y only for F(x, y); a frozen micro step is
+y^ <- d (y^ + a c_b x^ + xi^), with no transform. The smooth_bounded
+operator needs sin(y) in physical space: its state is nodal, and it takes
+its micro steps one by one through a prefactored pttrs solve.
 
 Noise. Each Wiener increment is synthesized from sine-mode coefficients
 (amplitude / k**2) * sqrt(dt) * xi_k. A coupled run draws its whole horizon
@@ -597,7 +599,8 @@ class _FastStepper:
     a = dt_micro / epsilon and xi the fast Wiener increment weighted by
     1 / sqrt(epsilon); epsilon = 1 is the frozen equation of the averaging
     module. One layout: the state y is (n, C), a single run being C = 1; the
-    frozen x is (n, C) or one column (n, 1) under every state column; noise
+    frozen x is (n, C) or one column (n, 1) under every state column, both
+    in the coordinates _fast_coordinates keeps the kind's state in; noise
     is replica first, (R, steps, modes), and column c takes replica c mod R
     (see _by_column). path takes the micro steps one by one; a coupled or
     auxiliary macro step is _block_replay's, from the noise record keeps.
@@ -619,8 +622,6 @@ class _FastStepper:
         self._scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt_micro)
         self._noise_weight = 1.0 / math.sqrt(epsilon)
         if fast.kind == "linear":
-            self._basis = sine_basis(grid, grid.n_interior)
-            self._analysis = np.ascontiguousarray(grid.h * self._basis.T)
             self._d = 1.0 / (1.0 + self.a * grid.eigenvalues)
         else:
             self._noise_basis = sine_basis(grid, coupling.g2_modes)
@@ -682,17 +683,17 @@ class _FastStepper:
     def path(self, x_frozen: Array, y: Array, coefficients: Array) -> Iterator[Array]:
         """Yield the state after each micro step, one per coefficient step.
 
-        The noise of NOISE_BLOCK steps at a time is weighted, synthesized and
-        laid out against the columns of y before their steps run, so memory
-        does not grow with the step count. The linear kind steps a block in
-        mode coefficients, then transforms it in one _matvec call (a gemv per
-        step and column, the bytes of one transform per step) and yields views.
+        x_frozen, y and the states yielded are in the coordinates
+        _fast_coordinates keeps the kind's state in. The noise of NOISE_BLOCK
+        steps at a time is weighted (for smooth_bounded, synthesized at the
+        nodes) and laid out against the columns of y before their steps run,
+        so memory does not grow with the step count.
         """
         a = self.a
         if self.fast.kind == "linear":
             # In mode coefficients a micro step is y^ <- d (y^ + a c_b x^ + xi^).
             d = self._d[:, None]
-            forcing = a * self.fast.c_b * _matvec(self._analysis, x_frozen)
+            forcing = a * self.fast.c_b * x_frozen
             modes = self._modes
 
             def step(y_hat: Array, xi: Array) -> Array:
@@ -700,7 +701,6 @@ class _FastStepper:
                 rhs[:modes] += xi
                 return d * rhs
 
-            state = _matvec(self._analysis, y)
         else:
             cx = self.fast.c_b * x_frozen
             b = self.fast.b
@@ -708,22 +708,15 @@ class _FastStepper:
             def step(y: Array, xi: Array) -> Array:
                 return self._solver.solve(y + a * (cx + b * np.sin(y)) + xi)
 
-            state = y
+        state = y
         for start in range(0, coefficients.shape[1], NOISE_BLOCK):
             noise = coefficients[:, start : start + NOISE_BLOCK] * self._noise_weight
             if self.fast.kind != "linear":
                 # The physical noise of each step: one gemv per (replica, step).
                 noise = np.matmul(self._noise_basis, noise[..., None])[..., 0]
-                for xi in _by_column(noise, y):
-                    state = step(state, xi)
-                    yield state
-                continue
-            steps = np.empty((noise.shape[1], *state.T.shape))
-            for row, xi in zip(steps, _by_column(noise, y)):
+            for xi in _by_column(noise, y):
                 state = step(state, xi)
-                row[...] = state.T
-            states = _matvec(self._basis, steps.reshape(-1, state.shape[0]).T)
-            yield from states.T.reshape(steps.shape).transpose(0, 2, 1)
+                yield state
 
 
 def _matvec(matrix: Array, v: Array) -> Array:

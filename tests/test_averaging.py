@@ -24,7 +24,7 @@ from spavg.integrators import ModelSpec, NumericalBlowUp, SchemeParams, _block_r
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
 from spavg.randomness import RngStream
 
-from test_fast_stepper import nodal_step, recorded_path
+from test_fast_stepper import nodal_path, nodal_step, recorded_path
 
 
 def test_estimate_fbar_validates_replicas_and_window():
@@ -58,11 +58,10 @@ def test_memoized_fbar_refuses_a_lone_stream_naming_the_batch_form():
 
 
 def frozen_path(fast, coupling, grid, x, y0, n_steps, dt, stream):
-    """Every micro state of a frozen run: the fast stepper at epsilon = 1, one column."""
+    """Every micro state of a frozen run, nodal: the fast stepper at epsilon = 1, one column."""
     stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
     coefficients = stepper.draw([stream], n_steps)
-    path = stepper.path(x.values[:, None], y0.values[:, None], coefficients)
-    return np.array([y[:, 0] for y in path])
+    return nodal_path(stepper, grid, x.values[:, None], y0.values[:, None], coefficients)[:, :, 0]
 
 
 def test_simulate_frozen_shapes_and_reproducibility():
@@ -121,7 +120,7 @@ def test_frozen_matches_fast_block_distribution():
     rows = stepper.draw([RngStream(1000, r) for r in range(n_rep)], stepper.n_sub)[:, None]
     _, step = _block_replay(model, [recorded_path(model, epsilon, dt_macro, rows)], [1])
     x_frozen, y_start = (np.tile(v.values, (n_rep, 1)).T for v in (x, y0))
-    y_end = nodal_step(stepper, step, 0, x_frozen, y_start)
+    y_end = nodal_step(model, step, 0, x_frozen, y_start)
     block_terminal = y_end.T
     horizon = dt_macro / epsilon
     n_frozen = math.ceil(horizon / 0.04 - 1e-12)
@@ -260,7 +259,7 @@ def per_step_decay(fast, coupling, grid, x, stream):
     pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
     gap0 = norm_values(grid, y0_b, L2)
     times, log_gaps = [0.0], [math.log(gap0)]
-    for m, y in enumerate(stepper.path(x.values[:, None], pair, coefficients)):
+    for m, y in enumerate(nodal_path(stepper, grid, x.values[:, None], pair, coefficients)):
         gap = norm_values(grid, y[:, 0] - y[:, 1], L2)
         if gap <= 1e-10 * gap0:
             break
@@ -289,8 +288,8 @@ def noisy_state_size(fast, coupling, grid, x, stream):
     stepper = _FastStepper(fast, coupling, grid, 1.0, horizon / n_steps)
     y0_b = sine_mode(grid, 1, 1.0).values
     pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
-    states = stepper.path(x.values[:, None], pair, stepper.draw([stream], n_steps))
-    return max(float(np.max(np.abs(y))) for y in states)
+    states = nodal_path(stepper, grid, x.values[:, None], pair, stepper.draw([stream], n_steps))
+    return float(np.max(np.abs(states)))
 
 
 def assert_same_decay(got, expected, case):

@@ -191,7 +191,7 @@ def test_simulate_with_epsilon_override(small_cfg, tmp_path):
 # numpy or BLAS build that rounds differently changes them.
 OUTPUT_DIGESTS = {
     ("", "simulate"): "00b6c30d69d71e773b792d320dabf66a745eec8041b26ef1a29e5f0cd07a6784",
-    ("", "fbar"): "ff48ed533014c2eda6ce2675e355c5fae538dcb4433933fa9cb69b649aead86b",
+    ("", "fbar"): "57cc894d452ec665bc50f2c519bb512c98aefbff4d96b01a8536481769956f9d",
     ("fast_kind = smooth_bounded\nb = 0.5\n", "simulate"): (
         "6713e8ef4afd2e6aaf1bcbdf17abbf24c23844283bffb882d2bbd91c3607b6b6"
     ),

@@ -7,9 +7,9 @@ one; the one macro-step rule, _block_replay, takes whole macro blocks in the
 sine eigenbasis (linear) or runs that path (smooth_bounded). All must
 reproduce the reference to 1e-12 relative. The block rule reads the noise
 a path recorded; these tests make it from raw rows themselves (noise_sums).
-It steps the linear kind's state in sine-mode coefficients, which these
-tests convert with the stepper's _analysis and _basis at their boundary
-only (to_modes, to_nodes).
+Both step the linear kind's state in sine-mode coefficients, which these
+tests convert with _fast_coordinates at their boundary only (nodal_step,
+nodal_path).
 """
 
 import math
@@ -30,6 +30,7 @@ from spavg.integrators import (
     ModelSpec,
     NoisePath,
     _block_replay,
+    _fast_coordinates,
     _FastStepper,
     _matvec,
 )
@@ -126,19 +127,22 @@ def make_case(n, kind, modes, n_sub, a, replicas, seed):
     return model, stepper, x, y, coefficients, reference
 
 
-def to_modes(stepper, v):
-    """Nodal columns v (n, C) in the coordinates _block_replay steps the kind's state in."""
-    return _matvec(stepper._analysis, v) if stepper.fast.kind == "linear" else v
-
-
-def to_nodes(stepper, v):
-    """The nodal values (n, C) of states v kept as to_modes gives them."""
-    return _matvec(stepper._basis, v) if stepper.fast.kind == "linear" else v
-
-
-def nodal_step(stepper, step, j, x, y):
+def nodal_step(model, step, j, x, y):
     """step(j, x, y) of _block_replay on nodal x and y (n, C); returns nodal values."""
-    return to_nodes(stepper, step(j, to_modes(stepper, x), to_modes(stepper, y)))
+    to_state, to_nodes, _ = _fast_coordinates(model.fast, model.grid)
+    return to_nodes(step(j, to_state(x), to_state(y)))
+
+
+def nodal_path(stepper, grid, x, y, coefficients):
+    """The states (steps, n, C) of stepper.path on nodal x and y (n, C), as nodal values.
+
+    They are mapped back in one transform, each column with the bytes of its own.
+    """
+    to_state, to_nodes, _ = _fast_coordinates(stepper.fast, grid)
+    states = np.array(list(stepper.path(to_state(x), to_state(y), coefficients)))
+    steps, n, columns = states.shape
+    nodal = to_nodes(states.transpose(1, 0, 2).reshape(n, -1))
+    return nodal.reshape(n, steps, columns).transpose(1, 0, 2)
 
 
 def replay_block(model, stepper, x, y, coefficients):
@@ -149,7 +153,7 @@ def replay_block(model, stepper, x, y, coefficients):
     dt_macro = stepper.a * model.epsilon * stepper.n_sub
     path = recorded_path(model, model.epsilon, dt_macro, coefficients[:, None])
     _, step = _block_replay(model, [path], [y.shape[1] // coefficients.shape[0]])
-    return nodal_step(stepper, step, 0, np.repeat(x, y.shape[1], axis=1), y)
+    return nodal_step(model, step, 0, np.repeat(x, y.shape[1], axis=1), y)
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
@@ -157,15 +161,18 @@ def replay_block(model, stepper, x, y, coefficients):
 def test_block_and_path_match_reference(kind, replicas):
     model, stepper, x, y, coefficients, reference = make_case(64, kind, 8, 17, 0.3, replicas, 1)
     assert_close(replay_block(model, stepper, x, y, coefficients), reference[-1])
-    assert_close(np.array(list(stepper.path(x, y, coefficients))), reference)
+    assert_close(nodal_path(stepper, model.grid, x, y, coefficients), reference)
 
 
-def test_linear_path_transforms_a_block_of_states_at_once(monkeypatch):
-    # The linear path steps NOISE_BLOCK micro steps in mode coefficients and
-    # transforms them in one call, yet every state it yields has the bytes
-    # of its own per-step transform.
+def test_linear_frozen_runs_transform_only_at_their_ends(monkeypatch):
+    # The linear path steps in sine modes and makes no transform, and every
+    # state it yields has the bytes of the per-step formula y^ <- d (y^ +
+    # a c_b x^ + xi^). estimate_fbar then makes two, its points into modes
+    # and its mean back to nodes, whatever its window and its points.
     steps = 2 * NOISE_BLOCK + 22
-    _, stepper, x, y, coefficients, _ = make_case(16, "linear", 4, steps, 0.3, 3, 4)
+    model, stepper, x, y, coefficients, _ = make_case(16, "linear", 4, steps, 0.3, 3, 4)
+    to_state = _fast_coordinates(model.fast, model.grid)[0]
+    x_hat, y_hat = to_state(x), to_state(y)
     transforms = []
 
     def counted(matrix, v):
@@ -173,19 +180,27 @@ def test_linear_path_transforms_a_block_of_states_at_once(monkeypatch):
         return _matvec(matrix, v)
 
     monkeypatch.setattr(spavg.integrators, "_matvec", counted)
-    states = list(stepper.path(x, y, coefficients))
-    # Two analysis transforms (x and y), then one synthesis per block.
-    assert len(transforms) == 2 + math.ceil(steps / NOISE_BLOCK)
+    states = list(stepper.path(x_hat, y_hat, coefficients))
+    assert transforms == []
     d = stepper._d[:, None]
-    forcing = stepper.a * stepper.fast.c_b * _matvec(stepper._analysis, x)
+    forcing = stepper.a * stepper.fast.c_b * x_hat
     noise = coefficients * stepper._noise_weight
-    y_hat = _matvec(stepper._analysis, y)
     assert len(states) == steps
     for step, state in enumerate(states):
         rhs = y_hat + forcing
         rhs[:4] += noise[:, step].T
         y_hat = d * rhs
-        assert state.tobytes() == _matvec(stepper._basis, y_hat).tobytes()
+        assert state.tobytes() == y_hat.tobytes()
+
+    points = np.stack([x[:, 0], -x[:, 0], 0.5 * x[:, 0]], axis=1)
+    bases = [RngStream(9, 100 * s) for s in range(3)]
+    for t_avg in (None, 1.0):
+        for count in (1, 3):
+            transforms.clear()
+            estimate_fbar(
+                model.fast, model.coupling, model.grid, points[:, :count], 2, bases[:count], t_avg
+            )
+            assert len(transforms) == 2
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
@@ -255,11 +270,12 @@ def test_stepper_matches_reference_property(
         model.fast, model.coupling, model.grid, first.epsilon, dt_macro / first.n_sub, first.n_sub
     )
     own = copies[0] * replicas
-    micro = np.array(list(stepper.path(x[0][:, :own], y[:, :own], rows[0][:, 0])))
+    micro = nodal_path(stepper, model.grid, x[0][:, :own], y[:, :own], rows[0][:, 0])
+    to_state, to_nodes, _ = _fast_coordinates(model.fast, model.grid)
     expected = y.copy()
-    state = to_modes(stepper, y)
+    state = to_state(y)
     for j in range(n_macro):
-        state = step(j, to_modes(stepper, x[j]), state)
+        state = step(j, to_state(x[j]), state)
         for c, g in enumerate(groups):
             path = paths[g]
             states = reference_path(
@@ -275,7 +291,16 @@ def test_stepper_matches_reference_property(
             if j == 0 and g == 0:
                 assert_close(micro[:, :, c], states)
             expected[:, c] = states[-1]
-        assert_close(to_nodes(stepper, state), expected)
+        assert_close(to_nodes(state), expected)
+
+
+def frozen_schedule(fast, coupling, grid):
+    """estimate_fbar's (n_steps, dt, burn-in steps) at the default window."""
+    margin = dissipativity_margin(fast, coupling, grid)
+    t_burn, t_avg, dt_fast = BURN_IN / margin, WINDOW / margin, DT_FAST / margin
+    n_steps = max(2, math.ceil((t_burn + t_avg) / dt_fast - 1e-12))
+    dt = (t_burn + t_avg) / n_steps
+    return n_steps, dt, min(n_steps - 1, int(round(t_burn / dt)))
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
@@ -290,11 +315,7 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
     stream = RngStream(17, 40)
     mean, stderr = estimate_fbar(fast, coupling, grid, x.values[:, None], n_replicas, [stream])
 
-    margin = dissipativity_margin(fast, coupling, grid)
-    t_burn, t_avg, dt_fast = BURN_IN / margin, WINDOW / margin, DT_FAST / margin
-    n_steps = max(2, math.ceil((t_burn + t_avg) / dt_fast - 1e-12))
-    dt = (t_burn + t_avg) / n_steps
-    burn = min(n_steps - 1, int(round(t_burn / dt)))
+    n_steps, dt, burn = frozen_schedule(fast, coupling, grid)
     scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt)
     means = []
     for r in range(n_replicas):
@@ -320,6 +341,52 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
         alone = estimate_fbar(fast, coupling, grid, points[:, s : s + 1], n_replicas, [base])
         for batched, own in zip(stacked, alone):
             assert batched[:, s].tobytes() == own[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
+def test_estimate_fbar_is_the_nodal_time_average_of_its_path(kind):
+    # The reference maps every state the frozen path yields to nodes on its
+    # own and averages those, as the drift is defined; estimate_fbar sums
+    # the states in their own coordinates and maps the mean back once.
+    # smooth_bounded keeps nodal states, so the two have the same bytes.
+    # For the linear kind they agree in exact arithmetic, and each side
+    # rounds a transform B v by at most n eps |B| |v| <= sqrt(2) n eps |v|_1
+    # per node (|B_jk| <= sqrt 2) and a mean of K terms by at most K eps
+    # times their largest size. With A the largest l1 norm of a summed
+    # state in modes, each side lies within sqrt(2) (n + K) eps A of the
+    # exact nodal mean, so the two within 2 sqrt(2) (n + K) eps A; the drift
+    # scales that by |c_fy| and rounds its own sum and replica mean, a few
+    # eps of its size.
+    grid = Grid1D(16)
+    fast = FastOperatorSpec(kind, c_b=1.1, b=0.5 if kind == "smooth_bounded" else 0.0)
+    coupling = CouplingSpec(
+        f0=sine_mode(grid, 2, 0.2), c_fx=0.3, c_fy=1.5, g1_modes=4, g2_modes=6
+    )
+    x = sine_mode(grid, 1, 0.7).values + sine_mode(grid, 3, -0.4).values
+    n_replicas, stream = 4, RngStream(5, 30)
+    mean = estimate_fbar(fast, coupling, grid, x[:, None], n_replicas, [stream])[0][:, 0]
+
+    n_steps, dt, burn = frozen_schedule(fast, coupling, grid)
+    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
+    columns = [RngStream(stream.master_seed, stream.stream_id + r) for r in range(n_replicas)]
+    to_state, to_nodes, _ = _fast_coordinates(fast, grid)
+    frozen = np.repeat(to_state(x[:, None]), n_replicas, axis=1)
+    y_sum = np.zeros((grid.n_interior, n_replicas))
+    size = 0.0
+    path = stepper.path(frozen, np.zeros_like(y_sum), stepper.draw(columns, n_steps))
+    for m, y in enumerate(path):
+        if m >= burn:
+            y_sum += to_nodes(y)
+            size = max(size, float(np.max(np.sum(np.abs(y), axis=0))))
+    y_mean = (y_sum / (n_steps - burn)).T
+    expected = (coupling.f0.values + coupling.c_fx * x + coupling.c_fy * y_mean).mean(axis=0)
+    if kind != "linear":
+        assert mean.tobytes() == expected.tobytes()
+        return
+    eps, n, k = np.finfo(float).eps, grid.n_interior, n_steps - burn
+    bound = 2 * math.sqrt(2) * (n + k) * eps * size * abs(coupling.c_fy)
+    bound += 4 * eps * float(np.max(np.abs(expected)))
+    assert float(np.max(np.abs(mean - expected))) <= bound
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,6 +32,7 @@ from spavg.integrators import (
     SchemeParams,
     TrajectoryStats,
     _block_replay,
+    _fast_coordinates,
     _FastStepper,
     _SlowStepper,
     epsilon_grid_errors,
@@ -53,7 +54,7 @@ from spavg.config import ExperimentConfig
 from spavg.experiments import build_model, scheme_params
 from spavg.randomness import RngStream
 
-from test_fast_stepper import nodal_step, recorded_path, to_modes, to_nodes
+from test_fast_stepper import nodal_step, recorded_path
 
 
 def make_model(
@@ -276,7 +277,7 @@ def synchronous_block(model, dt_macro, params, x, y_a, y_b, stream):
     rows = stepper.draw([stream], stepper.n_sub)[:, None]
     _, step = _block_replay(model, [recorded_path(model, model.epsilon, dt_macro, rows)], [2])
     x_frozen = np.repeat(x.values[:, None], 2, axis=1)
-    return nodal_step(stepper, step, 0, x_frozen, np.stack([y_a.values, y_b.values], axis=1))
+    return nodal_step(model, step, 0, x_frozen, np.stack([y_a.values, y_b.values], axis=1))
 
 
 def test_fast_block_contraction_linear_two_sided():
@@ -397,19 +398,20 @@ def reference_coupled(model, m, params, stream):
     g1_scales = mode_scales(coupling.g1_amplitude, coupling.g1_modes) * math.sqrt(dt)
     g2_scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt / n_sub)
     basis_slow_t = np.ascontiguousarray(sine_basis(grid, coupling.g1_modes).T)
+    to_state, to_nodes, _ = _fast_coordinates(model.fast, grid)
     x = model.x0.values[:, None].copy()
-    y = to_modes(fast_stepper, model.y0.values[:, None].copy())
-    xs, ys = [x[:, 0]], [to_nodes(fast_stepper, y)[:, 0]]
+    y = to_state(model.y0.values[:, None].copy())
+    xs, ys = [x[:, 0]], [to_nodes(y)[:, 0]]
     slow_rows, fast_rows, consumed = [], [], []
     for _ in range(m):
-        forcing = coupling_f(coupling, x, to_nodes(fast_stepper, y))
+        forcing = coupling_f(coupling, x, to_nodes(y))
         block = gen_fast.standard_normal((n_sub, coupling.g2_modes)) * g2_scales
         path = recorded_path(model, model.epsilon, dt, block[None, None])
-        y = _block_replay(model, [path], [1])[1](0, to_modes(fast_stepper, x), y)
+        y = _block_replay(model, [path], [1])[1](0, to_state(x), y)
         slow_coeffs = g1_scales * gen_slow.standard_normal(coupling.g1_modes)
         x = slow_stepper.step(x, forcing, (slow_coeffs @ basis_slow_t)[:, None])
         xs.append(x[:, 0])
-        ys.append(to_nodes(fast_stepper, y)[:, 0])
+        ys.append(to_nodes(y)[:, 0])
         slow_rows.append(slow_coeffs)
         fast_rows.append(block)
         consumed.append(path.fast[0, 0])

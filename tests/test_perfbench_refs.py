@@ -1,11 +1,11 @@
 """The benchmark's workloads still give the committed reference answers.
 
 perfbench/run.py checks every repetition against perfbench/refs, but only
-when the benchmark runs. These checks run the workloads at reference seeds
-0, 7 and 13 (the estimator at seed 0) through spavg.cli.main, as the
-benchmark's child process does, and compare their outputs with the same
-functions, so a change of answer shows up in the test suite. The workload
-definitions and the comparison are loaded read-only from perfbench/.
+when the benchmark runs. These checks run every workload at reference
+seeds 0, 7 and 13 through spavg.cli.main, as the benchmark's child process
+does, and compare their outputs with the same functions, so a change of
+answer shows up in the test suite. The workload definitions and the
+comparison are loaded read-only from perfbench/.
 """
 
 import importlib
@@ -69,9 +69,18 @@ def test_exact_workloads_match_their_references_at_more_seeds(perfbench, tmp_pat
     check_exact(perfbench, tmp_path, name, seed)
 
 
-def test_estimator_workload_matches_its_reference(perfbench, tmp_path):
+def check_estimator(perfbench, tmp_path, seed):
     workloads, compare = perfbench
     name = "converge-estimator"
-    out = run_workload(workloads, name, SEEDS[0], tmp_path)
+    out = run_workload(workloads, name, seed, tmp_path)
     replicas = dict(workloads.WORKLOADS[name].config)["replicas"]
-    assert compare.check_estimator(str(reference(name, SEEDS[0])), str(out), int(replicas)) == []
+    assert compare.check_estimator(str(reference(name, seed)), str(out), int(replicas)) == []
+
+
+def test_estimator_workload_matches_its_reference(perfbench, tmp_path):
+    check_estimator(perfbench, tmp_path, SEEDS[0])
+
+
+@pytest.mark.parametrize("seed", SEEDS[1:])
+def test_estimator_workload_matches_its_reference_at_more_seeds(perfbench, tmp_path, seed):
+    check_estimator(perfbench, tmp_path, seed)
