@@ -3,8 +3,9 @@
 Subcommands mirror the experiment drivers: converge, diagnose, check, fbar,
 simulate. Every run writes CSV output into the configured output directory
 and exits with 0 on success, 1 when a threshold check fails, 2 on a
-configuration problem, and 3 when the numerics break down (Newton failure
-or an unsolvable linear system).
+configuration problem (including a config file that cannot be read and an
+output directory that cannot be created), and 3 when the numerics break
+down (Newton failure or an unsolvable linear system).
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
+    """The run's config, with its output directory created."""
     config = load_config(args.config)
     overrides = {}
     if args.seed is not None:
@@ -82,11 +84,14 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
             config = dataclasses.replace(config, **overrides)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {config.output_dir}: {exc}") from exc
     return config
 
 
 def _out_path(config: ExperimentConfig, name: str) -> str:
-    os.makedirs(config.output_dir, exist_ok=True)
     return os.path.join(config.output_dir, name)
 
 

@@ -23,9 +23,7 @@ streams are keyed by stream id:
 - fbar and simulate: stream id 0 (estimator replica j of fbar uses id j).
 
 Every CSV cell is written by one rule (text as it is, integers with str,
-floats with repr), so identical inputs produce identical bytes except for
-the wall-clock column, which is explicitly excluded from the
-reproducibility contract.
+floats with repr), so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import contextlib
 import dataclasses
 import math
 import os
-import time
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -222,12 +219,11 @@ def _degenerate(means: Sequence[float]) -> bool:
 
 @dataclasses.dataclass
 class _Replicas:
-    """One epsilon's per-replica values, its failure, the failing replica and its wall time."""
+    """One epsilon's per-replica values, its failure and the failing replica."""
 
     values: list = dataclasses.field(default_factory=list)
     error: NewtonDivergence | NumericalBlowUp | None = None
     replica: int | None = None
-    wall_s: float = 0.0
 
 
 def _by_replica(
@@ -246,9 +242,7 @@ def _by_replica(
     fails, that replica's own error ends its epsilon's list, and later calls
     leave the epsilon out. A replica's bytes do not depend on its batch or
     on the other epsilons of its call, so each list holds the values of the
-    replicas below the lowest failing one as their runs alone give them. A
-    call's wall time is split evenly over the epsilons it covered, so the
-    times add up to the whole run's.
+    replicas below the lowest failing one as their runs alone give them.
     """
     records = {epsilon: _Replicas() for epsilon in epsilons}
 
@@ -256,20 +250,16 @@ def _by_replica(
         live = [epsilon for epsilon in epsilons if records[epsilon].error is None]
         if not live:
             return
-        started = time.perf_counter()
         try:
             values = run(live, batch)
         except (NewtonDivergence, NumericalBlowUp) as exc:
-            values = None
             if len(live) == len(batch) == 1:
                 records[live[0]].error, records[live[0]].replica = exc, batch[0]
-        share = (time.perf_counter() - started) / len(live)
-        for epsilon in live:
-            records[epsilon].wall_s += share
-        if values is not None:
+        else:
             for epsilon, values_at in zip(live, values):
                 records[epsilon].values += values_at
-        elif len(live) > 1:
+            return
+        if len(live) > 1:
             for epsilon in live:
                 attempt([epsilon], batch)
         elif len(batch) > 1:
@@ -290,19 +280,13 @@ DELTA_EXPONENT = 2.0 / 3.0
 
 @dataclasses.dataclass
 class ConvergenceRow:
-    """One epsilon's strong error over its replicas.
-
-    wall_time_s is the row's share of the run's time: each batch of
-    replicas runs every epsilon at once, and its time is split evenly over
-    the epsilons it covered, so the column sums to the run's time.
-    """
+    """One epsilon's strong error over its replicas."""
 
     epsilon: float
     delta: float
     error_mean: float
     error_stderr: float
     replicas: int
-    wall_time_s: float
     failure: str | None = None
 
     @property
@@ -391,10 +375,9 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
     Rows come in descending epsilon. Replica r reuses stream id r across
     epsilons, which correlates rows and sharpens the monotonicity
     comparison without biasing any single row. Batches run through
-    _by_replica and _batch_errors, and a row's wall_time_s is its share of
-    those runs. A failure at one epsilon invalidates that row, reported as
-    "replica r: <error>" for the lowest failing replica r, but the
-    remaining epsilons still run.
+    _by_replica and _batch_errors. A failure at one epsilon invalidates
+    that row, reported as "replica r: <error>" for the lowest failing
+    replica r, but the remaining epsilons still run.
     """
     epsilons = sorted(config.epsilon_grid, reverse=True)
     records = _by_replica(
@@ -412,7 +395,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceResult:
                 error_mean=mean,
                 error_stderr=stderr,
                 replicas=len(record.values),
-                wall_time_s=record.wall_s,
                 failure=None if valid else f"replica {record.replica}: {record.error}",
             )
         )
@@ -778,11 +760,8 @@ def write_report(lines: Sequence[str], path: str) -> None:
 def write_convergence_csv(result: ConvergenceResult, path: str) -> None:
     _write_table(
         path,
-        "epsilon,delta,error_mean,error_stderr,replicas,wall_time_s",
-        [
-            (r.epsilon, r.delta, r.error_mean, r.error_stderr, r.replicas, r.wall_time_s)
-            for r in result.rows
-        ],
+        "epsilon,delta,error_mean,error_stderr,replicas",
+        [(r.epsilon, r.delta, r.error_mean, r.error_stderr, r.replicas) for r in result.rows],
     )
 
 

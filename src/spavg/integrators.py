@@ -513,7 +513,7 @@ def _newton_direction(
     u: Array,
     dt: float,
     residual: Array,
-    powers: Array | None = None,
+    powers: Array,
 ) -> tuple[Array, Array | None]:
     """Solve J(u) d = -residual for every column of u (n, C) with one LAPACK gtsv call.
 
@@ -553,7 +553,7 @@ def _newton_direction(
 
 
 def _monotone_jacobian_bands(
-    slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float, powers: Array | None = None
+    slow: SlowOperatorSpec, grid: Grid1D, u: Array, dt: float, powers: Array
 ) -> tuple[Array, Array, Array]:
     """Jacobians of u - dt * A(u) for the columns of u (n, C), laid end to end.
 
@@ -562,14 +562,11 @@ def _monotone_jacobian_bands(
     block on rows c n to c n + n - 1, and the two off-diagonal entries
     between one block and the next are zero (with C = 1 they fall outside
     the bands). The porous-medium Jacobian I + dt L diag(psi'(u)) is not
-    symmetric, so its two off-diagonals differ. powers may pass
-    |v| ** (p - 2) as slow_drift takes it.
+    symmetric, so its two off-diagonals differ. powers is |v| ** (p - 2)
+    as slow_drift takes it.
     """
     h2 = grid.h**2
     n = u.shape[0]
-    if powers is None:
-        v = u if slow.kind == "porous_medium" else face_gradients(grid, u)
-        powers = np.abs(v) ** (slow.p - 2.0)
     if slow.kind == "porous_medium":
         dpsi = slow.c * (slow.p - 1.0) * powers
         off = (-dt * dpsi / h2).ravel(order="F")

@@ -224,9 +224,7 @@ def test_runs_reproduce_and_norm_contracts_hold(convergence_runs, tmp_path):
     path_b = tmp_path / "b.csv"
     write_convergence_csv(first, str(path_a))
     write_convergence_csv(second, str(path_b))
-    # every column except the wall-clock telemetry must agree byte for byte
-    strip = lambda p: [line.rsplit(",", 1)[0] for line in p.read_text().splitlines()]
-    reproducible = strip(path_a) == strip(path_b)
+    reproducible = path_a.read_bytes() == path_b.read_bytes()
 
     gen = np.random.default_rng(9)
     residual = 0.0
@@ -256,7 +254,7 @@ def test_runs_reproduce_and_norm_contracts_hold(convergence_runs, tmp_path):
     _verdict(
         "reproducibility and infrastructure",
         reproducible and residual <= 1e-12 and norm_failures == 0,
-        f"convergence CSV bit-identical across reruns (timing column aside); "
+        "convergence CSV bit-identical across reruns; "
         f"poisson residual {residual:.1e} (limit 1e-12); "
         f"{norm_failures} norm failures on 1000 random fields",
     )

@@ -35,6 +35,9 @@ replicas = 2
 master_seed = 5
 """
 
+# The two files `converge` writes.
+CONVERGE_FILES = ("convergence.csv", "convergence_report.txt")
+
 # The six files `diagnose` writes.
 DIAGNOSE_FILES = (
     "diagnostics.csv",
@@ -67,7 +70,7 @@ def test_converge_decoupled_passes(small_cfg, tmp_path, capsys):
     code = main(["converge", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_OK
     rows = read_rows(out / "convergence.csv")
-    assert rows[0] == "epsilon,delta,error_mean,error_stderr,replicas,wall_time_s"
+    assert rows[0] == "epsilon,delta,error_mean,error_stderr,replicas"
     assert len(rows) == 4
     report = read_rows(out / "convergence_report.txt")
     assert report[-1] == "overall: PASS"
@@ -90,12 +93,23 @@ def test_converge_seed_determinism(small_cfg, tmp_path):
     main(["converge", "--config", small_cfg, "--out", str(out_a), "--seed", "3"])
     main(["converge", "--config", small_cfg, "--out", str(out_b), "--seed", "3"])
     main(["converge", "--config", small_cfg, "--out", str(out_c), "--seed", "4"])
+    csv = "convergence.csv"
+    assert (out_a / csv).read_bytes() == (out_b / csv).read_bytes()
+    assert (out_a / csv).read_bytes() != (out_c / csv).read_bytes()
 
-    def strip_timing(path):
-        return [row.rsplit(",", 1)[0] for row in read_rows(path)]
 
-    assert strip_timing(out_a / "convergence.csv") == strip_timing(out_b / "convergence.csv")
-    assert strip_timing(out_a / "convergence.csv") != strip_timing(out_c / "convergence.csv")
+@pytest.mark.parametrize("command", ["converge", "diagnose", "check", "fbar", "simulate"])
+def test_same_seed_writes_the_same_bytes(tmp_path, command):
+    # The reproducibility contract: every file a run writes is a function
+    # of its config and seed alone.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DIAG_CFG if command == "diagnose" else SMALL_CFG, encoding="utf-8")
+    written = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        main([command, "--config", str(cfg), "--out", str(out)])
+        written.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert written[0] and written[0] == written[1]
 
 
 def test_converge_replicas_override(small_cfg, tmp_path):
@@ -212,13 +226,13 @@ def test_simulate_and_fbar_outputs_keep_their_bytes(tmp_path, extra, command):
     assert digest == OUTPUT_DIGESTS[extra, command]
 
 
-# sha256 of what `converge` writes for SMALL_CFG (three epsilons), as is,
-# with each Newton slow kind and with the smooth_bounded fast operator and
-# the estimator's averaged drift: convergence.csv without its wall_time_s
-# column, then convergence_report.txt. The benchmark checks the estimator
-# run only statistically, and none of its workloads runs porous_medium, so
-# these digests are what pins the strong errors byte for byte. Two
-# replicas cannot resolve the rate: every fit fails, as the reports say.
+# sha256 of the two files `converge` writes for SMALL_CFG (three epsilons),
+# in CONVERGE_FILES order, as is, with each Newton slow kind and with the
+# smooth_bounded fast operator and the estimator's averaged drift. The
+# benchmark checks the estimator run only statistically, and none of its
+# workloads runs porous_medium, so these digests are what pins the strong
+# errors byte for byte. Two replicas cannot resolve the rate: every fit
+# fails, as the reports say.
 CONVERGE_DIGESTS = {
     "": "8a4b9d8f12ee3aa18cf76ccf4be860c2b2a8267cdc16bc14c5469f438642b4b4",
     "slow_kind = porous_medium\n": (
@@ -241,9 +255,8 @@ def test_converge_keeps_its_bytes(tmp_path, extra):
     cfg.write_text(SMALL_CFG + extra, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["converge", "--config", str(cfg), "--out", str(out)]) == EXIT_THRESHOLD
-    rows = [row.rsplit(",", 1)[0] + "\n" for row in read_rows(out / "convergence.csv")]
-    text = "".join(rows) + (out / "convergence_report.txt").read_text(encoding="utf-8")
-    assert hashlib.sha256(text.encode()).hexdigest() == CONVERGE_DIGESTS[extra]
+    text = b"".join((out / name).read_bytes() for name in CONVERGE_FILES)
+    assert hashlib.sha256(text).hexdigest() == CONVERGE_DIGESTS[extra]
 
 
 def with_lines(base, extra):
@@ -299,6 +312,25 @@ def test_config_errors_exit_2(tmp_path):
     cfg.write_text(SMALL_CFG, encoding="utf-8")
     # replicas below the floor is rejected by the override path too
     assert main(["converge", "--config", str(cfg), "--replicas", "1"]) == EXIT_CONFIG
+
+
+def test_output_directory_that_cannot_be_created_exits_2(small_cfg, tmp_path, capsys):
+    # A regular file where a directory should be: the run stops before it
+    # starts, as for any other config error.
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code = main(["check", "--config", small_cfg, "--out", str(blocker / "sub")])
+    assert code == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert f"config error: cannot create output directory {blocker / 'sub'}" in printed.err
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"n_interior = 8\n# \xff\n")
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"config error: cannot read config file {cfg}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

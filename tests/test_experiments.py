@@ -3,11 +3,9 @@
 import collections
 import dataclasses
 import functools
-import itertools
 import math
 import re
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -192,7 +190,6 @@ def test_run_convergence_small_grid():
     assert not result.degenerate
     for row in result.rows:
         assert row.replicas == 2
-        assert row.wall_time_s > 0.0
         assert math.isfinite(row.error_mean) and row.error_mean > 0.0
         assert row.delta == pytest.approx(row.epsilon ** (2.0 / 3.0))
     assert result.fit is not None
@@ -200,12 +197,9 @@ def test_run_convergence_small_grid():
     assert lines[-1].startswith("overall:")
 
 
-def test_run_convergence_is_deterministic_up_to_timing():
+def test_run_convergence_is_deterministic():
     cfg = small_config(epsilon_grid=(0.2, 0.1))
-    first = run_convergence(cfg)
-    second = run_convergence(cfg)
-    strip = lambda row: dataclasses.replace(row, wall_time_s=0.0)
-    assert [strip(r) for r in first.rows] == [strip(r) for r in second.rows]
+    assert run_convergence(cfg).rows == run_convergence(cfg).rows
 
 
 def test_run_convergence_decoupled_is_degenerate():
@@ -307,8 +301,7 @@ def test_a_failing_epsilon_invalidates_its_row_alone(monkeypatch):
     # a time. The 0.1 row reads as that epsilon's run alone reports it, and
     # the other rows are those of the run without the failure.
     cfg = small_config(replicas=3)
-    strip = lambda row: dataclasses.replace(row, wall_time_s=0.0)  # noqa: E731
-    clean = [strip(row) for row in run_convergence(cfg).rows]
+    clean = run_convergence(cfg).rows
     error_0 = errors_at(cfg, 0.1, [0])[0]
     poison_fast_noise(monkeypatch, {1: 5}, epsilon=0.1)
     calls = record_calls(
@@ -333,28 +326,11 @@ def test_a_failing_epsilon_invalidates_its_row_alone(monkeypatch):
         "epsilon=0.1 INVALID after 1 replicas: replica 1: "
         "coupled run blew up at epsilon=0.1: non-finite state at macro step 5"
     )
-    assert [strip(row) for row in result.rows if row.epsilon != 0.1] == [
+    assert [row for row in result.rows if row.epsilon != 0.1] == [
         row for row in clean if row.epsilon != 0.1
     ]
     failed = grid_errors(cfg, [0.2, 0.1, 0.05], range(3))[0.1]
     assert [e.hex() for e in failed.values] == [e.hex() for e in error_0]
-
-
-@pytest.mark.parametrize("poisoned, expected", [(False, 2 / 3), (True, 5 / 3)])
-def test_wall_time_of_a_batch_is_split_over_its_epsilons(monkeypatch, poisoned, expected):
-    # A clock that moves one second per reading: each batch of one replica
-    # takes a second, shared by the three epsilons it covered. Poisoned,
-    # the second batch fails and each epsilon's rerun adds its own second;
-    # the column still sums to the run's time.
-    clock = itertools.count()
-    fake = types.SimpleNamespace(perf_counter=lambda: float(next(clock)))
-    monkeypatch.setattr(spavg.experiments, "time", fake)
-    monkeypatch.setattr(spavg.experiments, "REPLICA_CHUNK", 1)
-    if poisoned:
-        poison_fast_noise(monkeypatch, {1: 5}, epsilon=0.1)
-    rows = run_convergence(small_config()).rows
-    assert [row.wall_time_s for row in rows] == pytest.approx([expected] * 3)
-    assert sum(row.wall_time_s for row in rows) == pytest.approx(3 * expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -408,7 +384,7 @@ def test_batch_errors_keep_no_history():
 
 
 def test_invalid_row_fails_result():
-    row = ConvergenceRow(0.1, 0.2, float("nan"), float("nan"), 3, 0.1, failure="boom")
+    row = ConvergenceRow(0.1, 0.2, float("nan"), float("nan"), 3, failure="boom")
     assert not row.valid
 
 
@@ -711,7 +687,7 @@ def test_csv_headers_and_round_trip(tmp_path):
     conv_path = tmp_path / "convergence.csv"
     write_convergence_csv(conv, str(conv_path))
     lines = conv_path.read_text().splitlines()
-    assert lines[0] == "epsilon,delta,error_mean,error_stderr,replicas,wall_time_s"
+    assert lines[0] == "epsilon,delta,error_mean,error_stderr,replicas"
     assert len(lines) == 1 + len(conv.rows)
     fields = lines[1].split(",")
     assert float(fields[0]) == conv.rows[0].epsilon

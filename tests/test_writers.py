@@ -36,8 +36,8 @@ NAN = math.nan
 def test_convergence_csv_and_report_with_invalid_row(tmp_path):
     result = ConvergenceResult(
         rows=[
-            ConvergenceRow(0.1, 0.25, 1.5e-05, TINY, 3, 0.5),
-            ConvergenceRow(0.05, -0.0, NAN, NAN, 1, 2.0, failure="replica 1: boom"),
+            ConvergenceRow(0.1, 0.25, 1.5e-05, TINY, 3),
+            ConvergenceRow(0.05, -0.0, NAN, NAN, 1, failure="replica 1: boom"),
         ],
         fit=None,
         degenerate=False,
@@ -45,9 +45,9 @@ def test_convergence_csv_and_report_with_invalid_row(tmp_path):
     path = tmp_path / "convergence.csv"
     write_convergence_csv(result, str(path))
     assert path.read_text() == (
-        "epsilon,delta,error_mean,error_stderr,replicas,wall_time_s\n"
-        "0.1,0.25,1.5e-05,5e-324,3,0.5\n"
-        "0.05,-0.0,nan,nan,1,2.0\n"
+        "epsilon,delta,error_mean,error_stderr,replicas\n"
+        "0.1,0.25,1.5e-05,5e-324,3\n"
+        "0.05,-0.0,nan,nan,1\n"
     )
     report = tmp_path / "convergence_report.txt"
     write_report(result.report_lines(), str(report))
