@@ -80,10 +80,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
     if args.replicas is not None:
         overrides["replicas"] = args.replicas
     if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        config = dataclasses.replace(config, **overrides)
     try:
         os.makedirs(config.output_dir, exist_ok=True)
     except OSError as exc:
@@ -149,8 +146,7 @@ def _cmd_simulate(config: ExperimentConfig, epsilon: float | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _load(args)
         if args.command == "converge":
@@ -161,16 +157,14 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_check(config)
         if args.command == "fbar":
             return _cmd_fbar(config)
-        if args.command == "simulate":
-            return _cmd_simulate(config, args.epsilon)
-        parser.error(f"unknown command {args.command}")
+        # The parser admits no command but these five.
+        return _cmd_simulate(config, args.epsilon)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NewtonDivergence, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -171,19 +171,14 @@ def sine_mode(grid: Grid1D, k: int, amplitude: float = 1.0) -> Field:
 
 
 @functools.lru_cache(maxsize=32)
-def _sine_basis_cached(n_interior: int, k_max: int) -> Array:
-    grid = Grid1D(n_interior)
-    k = np.arange(1, k_max + 1, dtype=np.float64)
-    basis = np.sqrt(2.0) * np.sin(np.outer(grid.nodes, k) * np.pi)
-    basis.setflags(write=False)
-    return basis
-
-
 def sine_basis(grid: Grid1D, k_max: int) -> Array:
     """Matrix (n_interior, k_max) whose columns are the first k_max sine modes."""
     if not 1 <= k_max <= grid.n_interior:
         raise ValueError(f"k_max must lie in 1..{grid.n_interior}, got {k_max}")
-    return _sine_basis_cached(grid.n_interior, k_max)
+    k = np.arange(1, k_max + 1, dtype=np.float64)
+    basis = np.sqrt(2.0) * np.sin(np.outer(grid.nodes, k) * np.pi)
+    basis.setflags(write=False)
+    return basis
 
 
 @dataclasses.dataclass(frozen=True)

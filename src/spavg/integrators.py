@@ -238,8 +238,8 @@ class NoisePath:
             raise ValueError(
                 "slow must be (replicas, steps, modes), fast (replicas, steps, [sub,] modes)"
             )
-        if fast.shape[:2] != slow.shape[:2] or (fast.ndim == 4 and fast.shape[2] != n_sub):
-            raise ValueError("fast noise shape disagrees with n_sub / step count")
+        if fast.shape[:2] != slow.shape[:2]:
+            raise ValueError("fast and slow noise disagree on the replica or step count")
         self.dt_macro = float(dt_macro)
         self.n_sub = int(n_sub)
         self.epsilon = float(epsilon)

@@ -6,6 +6,7 @@ import pytest
 from spavg.blocks import build_auxiliary, deviation_statistic
 from spavg.grid import L2, Grid1D
 from spavg.integrators import (
+    NoisePath,
     SchemeParams,
     Trajectory,
     TrajectoryStats,
@@ -96,6 +97,22 @@ def test_auxiliary_validates_consistency():
     batch, _ = simulate_coupled(model, 0.25, params, [RngStream(41, 0), RngStream(41, 1)])
     with pytest.raises(ValueError, match="replica count"):
         build_auxiliary(model, batch, path, [1 / 32])
+
+
+def test_auxiliary_refuses_fast_noise_that_does_not_fit_the_fast_kind():
+    # _block_replay is the one check of the per-kind layout: a linear path
+    # holds one noise sum per macro step, a smooth_bounded one n_sub raw rows.
+    params = SchemeParams(dt_macro=1 / 64)
+    bounded = make_model(fast_kind="smooth_bounded")
+    refused = "does not fit the smooth_bounded fast operator"
+    trajectory, path = simulate_coupled(make_model(), 0.25, params, [RngStream(41, 0)])
+    with pytest.raises(ValueError, match=refused):
+        build_auxiliary(bounded, trajectory, path, [1 / 32])
+    trajectory, path = simulate_coupled(bounded, 0.25, params, [RngStream(41, 0)])
+    assert path.fast.shape[2] == path.n_sub
+    wrong = NoisePath(path.dt_macro, path.n_sub + 1, path.epsilon, path.slow, path.fast)
+    with pytest.raises(ValueError, match=refused):
+        build_auxiliary(bounded, trajectory, wrong, [1 / 32])
 
 
 def test_auxiliary_refuses_a_lone_delta_naming_the_batch_form():

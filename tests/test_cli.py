@@ -1,6 +1,7 @@
 """End-to-end command line runs against temporary config files."""
 
 import hashlib
+import math
 import os
 import warnings
 
@@ -224,6 +225,37 @@ def test_simulate_and_fbar_outputs_keep_their_bytes(tmp_path, extra, command):
     name = "trajectory.csv" if command == "simulate" else "fbar.csv"
     digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
     assert digest == OUTPUT_DIGESTS[extra, command]
+
+
+# sha256 of the conditions.csv that `check` writes for SMALL_CFG. No
+# benchmark workload runs `check`, so this digest pins its sampled margins.
+CHECK_DIGEST = "364bec7fafff330915afe659002eb997851b3fc0268bf70a8d90398de5ef15b2"
+
+
+def test_check_keeps_its_bytes(small_cfg, tmp_path):
+    out = tmp_path / "out"
+    assert main(["check", "--config", small_cfg, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256((out / "conditions.csv").read_bytes()).hexdigest() == CHECK_DIGEST
+
+
+def test_initial_fast_state_and_forcing_amplitudes(tmp_path):
+    # y0 and f0 are y0_amplitude and f0_amplitude times the first sine mode.
+    # With c_fy = 0 the forcing f0 + c_fx x is its own average: every strong
+    # error is exactly 0, and the averaged forcing at x(0) = 0.5 e_1 is
+    # (0.4 + 0.7 * 0.5) e_1.
+    cfg = tmp_path / "run.cfg"
+    extra = "c_fy = 0.0\nc_fx = 0.7\nf0_amplitude = 0.4\ny0_amplitude = 0.3\n"
+    cfg.write_text(SMALL_CFG + extra, encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("converge", "simulate", "fbar"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    errors = [row.split(",")[2:4] for row in read_rows(out / "convergence.csv")[1:]]
+    assert errors == [["0.0", "0.0"]] * 3
+    mode = [math.sqrt(2.0) * math.sin(math.pi * i / 9) for i in range(1, 9)]
+    y0 = [float(v) for v in read_rows(out / "trajectory.csv")[1].split(",")[9:]]
+    assert y0 == pytest.approx([0.3 * v for v in mode], rel=1e-14)
+    oracle = [float(row.split(",")[4]) for row in read_rows(out / "fbar.csv")[1:]]
+    assert oracle == pytest.approx([0.75 * v for v in mode], rel=1e-14)
 
 
 # sha256 of the two files `converge` writes for SMALL_CFG (three epsilons),

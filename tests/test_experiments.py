@@ -18,6 +18,7 @@ from spavg.averaging import OracleFbar
 from spavg.config import ConfigError, ExperimentConfig
 from spavg.blocks import build_auxiliary, deviation_statistic
 from spavg.experiments import (
+    ConvergenceResult,
     ConvergenceRow,
     _batch_errors,
     _batch_statistics,
@@ -388,6 +389,20 @@ def test_invalid_row_fails_result():
     assert not row.valid
 
 
+def test_two_rows_pass_on_the_trend_alone():
+    # Fewer than 3 valid rows leave nothing to fit; the result then passes
+    # on a strictly decreasing trend alone.
+    def result(*means):
+        rows = [ConvergenceRow(e, e ** (2 / 3), m, 0.0, 2) for e, m in zip((0.2, 0.1), means)]
+        return ConvergenceResult(rows, None, degenerate=False)
+
+    assert result(0.3, 0.1).report_lines()[-2:] == [
+        "fit skipped: fewer than 3 valid rows",
+        "overall: PASS",
+    ]
+    assert not result(0.1, 0.3).passed
+
+
 # ---------------------------------------------------------------- diagnostics
 
 DIAG = dict(
@@ -420,6 +435,17 @@ def test_run_diagnostics_structure():
     assert any(o.name == "ergodicity_decay" and o.passed for o in result.outcomes)
     assert any(o.name == "moment_uniformity" and o.passed for o in result.outcomes)
     assert result.report_lines()[-1].startswith("overall:")
+
+
+def test_run_diagnostics_skips_a_fast_operator_without_margin():
+    # The decay suite fits every catalog fast operator with a positive
+    # margin; b = 20 leaves smooth_bounded none, so it is named and skipped.
+    result = run_diagnostics(ExperimentConfig(**DIAG, b=20.0))
+    outcome = {o.name: o for o in result.outcomes}["ergodicity_decay"]
+    assert "smooth_bounded: skipped (margin -20.460 <= 0)" in outcome.detail
+    decay_params = {r.param for r in result.rows if r.suite == "ergodicity_decay"}
+    assert decay_params == {"linear_slope", "linear_r_squared", "linear_margin_half"}
+    assert outcome.passed and result.passed
 
 
 def test_run_diagnostics_rejects_coarse_macro_grid():

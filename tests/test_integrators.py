@@ -134,8 +134,6 @@ def test_model_spec_validation():
 
 def test_noise_path_shape_validation():
     with pytest.raises(ValueError):
-        NoisePath(0.01, 2, 0.1, np.zeros((1, 4, 3)), np.zeros((1, 4, 3, 2)))  # n_sub mismatch
-    with pytest.raises(ValueError):
         NoisePath(0.01, 2, 0.1, np.zeros((1, 4)), np.zeros((1, 4, 2, 2)))
     with pytest.raises(ValueError):  # one replica without its replica axis
         NoisePath(0.01, 2, 0.1, np.zeros((4, 3)), np.zeros((4, 3)))

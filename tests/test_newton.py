@@ -99,6 +99,33 @@ def test_direction_matches_dense_solve(spec, n):
 
 
 @pytest.mark.parametrize("kind", ["porous_medium", "p_laplace"])
+def test_a_non_finite_column_sends_the_batch_to_per_column_solves(kind):
+    # An infinite Jacobian entry in column 1 reaches every block of the one
+    # batched gtsv call; the fallback then solves each column alone, so
+    # columns 0 and 2 keep the bytes of their own one-column calls.
+    spec = SlowOperatorSpec(kind, p=3.0)
+    grid = Grid1D(8)
+    dt = 1 / 64
+    gen = np.random.default_rng(3)
+    u = gen.uniform(-1.0, 1.0, size=(3, 8)).T
+    residual = gen.standard_normal((3, 8)).T
+    powers = powers_of(spec, grid, u)
+    powers[3, 1] = np.inf
+    bands = _monotone_jacobian_bands(spec, grid, u, dt, powers)
+    *_, batched, _ = dgtsv(*bands, -residual.ravel(order="F"))
+    assert not np.isfinite(batched.reshape(3, 8)).all(axis=1).any()
+    direction, _ = _newton_direction(spec, grid, u, dt, residual, powers)
+    assert not np.isfinite(direction[:, 1]).all()
+    for c in (0, 2):
+        own = slice(c, c + 1)
+        alone, singular = _newton_direction(
+            spec, grid, u[:, own], dt, residual[:, own], powers[:, own]
+        )
+        assert singular is None
+        assert direction[:, c].tobytes() == alone[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["porous_medium", "p_laplace"])
 def test_non_finite_residual_is_newton_divergence(kind):
     # A NaN reaching the implicit solve is a classified failure naming the
     # slow operator, not a ValueError and not thirty-one futile halvings.
