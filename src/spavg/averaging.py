@@ -11,13 +11,25 @@ averaged coupling drift. Both frozen runs are set in relaxation times
 1 / margin and step through the fast stepper of the integrators module at
 epsilon = 1:
 
-- estimate_fbar starts its replicas at zero, discards BURN_IN = 8
-  relaxation times, averages over the next WINDOW = 50 (or t_avg) and steps
-  by about DT_FAST = 0.1. Because F is affine in y the time average of
-  F(x, Y) equals F(x, time average of Y), which is what the code
-  accumulates, in the coordinates the fast state is kept in (sine modes for
-  the linear kind): one transform of the points in and one of the mean
-  out. The replicas advance side by side as the columns of one
+- estimate_fbar is a control variate on the time average. F is affine in
+  y, so fbar(x) needs only the invariant mean of Y. Each replica pairs the
+  frozen chain with its OU twin, the linear kind with b = 0, both started
+  at zero and driven by the same raw noise rows. The twin's
+  implicit-Euler stationary mean is exactly L^-1 (c_b x), so
+
+      fbar(x) = oracle(x) + c_fy * mean_r(avg Y_r - avg Y_OU_r),
+
+  with oracle the closed form below of the twin, is unbiased for the same
+  fbar. The noise cancels from Y - Y_OU up to what the sin term of
+  smooth_bounded makes of it, so each replica discards BURN_IN = 8
+  relaxation times and averages over only the next WINDOW = 5 (or t_avg),
+  stepping by about DT_FAST = 0.1: at 64 nodes, b = 0.5 and 2 replicas
+  its seed-to-seed spread is about a tenth of the plain time average's
+  over 50. The stderr is the spread of the replicas' gaps. A linear chain
+  is its own twin: its gaps are 0, nothing steps, and the estimate is the
+  closed form with a stderr of 0. The chain keeps nodal states, the twin
+  sine modes: one transform of the points in and one of the twin's time
+  sum out. The replicas advance side by side as the columns of one
   state. Points stack the same way: it takes an (n, S) array of points with
   one base stream each, a lone point being S = 1, and all S * n_replicas
   replicas run as the columns of one frozen run, each with its own point
@@ -30,7 +42,8 @@ epsilon = 1:
   alone in sine modes for the linear kind, else the pair as two columns.
 
 For the linear fast operator the invariant measure is Gaussian with mean
-L^-1 (c_b x), giving the closed form used as an oracle:
+L^-1 (c_b x), giving the closed form used as an oracle and as the base of
+the control variate:
 
     fbar(x) = f0 + c_fx * x + c_fy * c_b * L^-1 x.
 
@@ -73,7 +86,7 @@ __all__ = [
 
 # Burn-in and averaging window of estimate_fbar, in relaxation times 1 / margin.
 BURN_IN = 8
-WINDOW = 50
+WINDOW = 5
 
 
 def estimate_fbar(
@@ -85,18 +98,19 @@ def estimate_fbar(
     streams: Sequence[RngStream],
     t_avg: float | None = None,
 ) -> tuple[Array, Array]:
-    """Monte Carlo time-average estimates of the averaged coupling drift at points x.
+    """Control-variate time-average estimates of the averaged coupling drift at points x.
 
     x is an (n, S) array of points and streams their S base streams; a lone
     point is x[:, None] with [stream]. Returns (mean, stderr), each (n, S),
     column s with the bytes of point s's own call, from one frozen run of
     S * n_replicas columns. t_avg is the averaging window, WINDOW / margin
-    when None. The frozen runs step in the coordinates _fast_coordinates
-    keeps the fast state in; their time sums go back to nodes once.
-    Replica r of a point draws from stream id base.stream_id + r, so
-    estimates with the same base stream are reproducible and replicas are
-    independent. The per-node standard error comes from the spread of the
-    replica means. An estimate that is not finite raises NumericalBlowUp.
+    when None. The mean is the closed form of the b = 0 twin plus c_fy
+    times the replica mean of avg Y - avg Y_OU (see the module docstring);
+    each time sum goes back to nodes once. Replica r of a point draws from
+    stream id base.stream_id + r, so estimates with the same base stream
+    are reproducible and replicas are independent. The per-node standard
+    error comes from the spread of the replicas' gaps. An estimate that is
+    not finite raises NumericalBlowUp.
     """
     streams = stream_batch(streams, "point")
     if n_replicas < 2:
@@ -117,32 +131,42 @@ def estimate_fbar(
     dt = (t_burn + t_avg) / n_steps
     burn_steps = min(n_steps - 1, int(round(t_burn / dt)))
 
-    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
+    twin = FastOperatorSpec("linear", c_b=fast.c_b)
     # Column s * n_replicas + r is replica r of point s: it draws its own
     # stream and steps with that point frozen.
     columns = [
         RngStream(b.master_seed, b.stream_id + r) for b in streams for r in range(n_replicas)
     ]
-    coefficients = stepper.draw(columns, n_steps)
-    to_state, to_nodes, _ = _fast_coordinates(fast, grid)
-    y_sum = np.zeros((grid.n_interior, len(columns)))
-    frozen = np.repeat(to_state(points), n_replicas, axis=1)
-    path = stepper.path(frozen, np.zeros_like(y_sum), coefficients)
+    gap_sum = np.zeros((grid.n_interior, len(columns)))
     # The finiteness test below classifies an overflow of the frozen runs.
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, y in enumerate(path):
-            if m >= burn_steps:
-                y_sum += y
+        if fast != twin:  # else the chain is its own twin and every gap is 0
+            stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
+            coefficients = stepper.draw(columns, n_steps)
+            to_modes, to_nodes, _ = _fast_coordinates(twin, grid)
+            # The chain keeps nodal states and its twin sine modes; both
+            # start at zero and step on the same raw noise rows.
+            frozen = np.repeat(points, n_replicas, axis=1)
+            chain = stepper.path(frozen, np.zeros_like(gap_sum), coefficients)
+            frozen = np.repeat(to_modes(points), n_replicas, axis=1)
+            ou = _FastStepper(twin, coupling, grid, 1.0, dt)
+            ou_chain = ou.path(frozen, np.zeros_like(gap_sum), coefficients)
+            y_sum, ou_sum = np.zeros_like(gap_sum), np.zeros_like(gap_sum)
+            for m, (y, y_ou) in enumerate(zip(chain, ou_chain)):
+                if m >= burn_steps:
+                    y_sum += y
+                    ou_sum += y_ou
+            gap_sum = y_sum - to_nodes(ou_sum)
         # (replica, point, node): every point's replicas reduce along axis 0
         # one after another, as a lone point's (replica, node) block does.
-        y_mean = to_nodes(y_sum / (n_steps - burn_steps)).T.reshape(len(streams), n_replicas, -1)
-        y_mean = y_mean.transpose(1, 0, 2)
-        replica_means = coupling.f0.values + coupling.c_fx * points.T + coupling.c_fy * y_mean
-        means = replica_means.mean(axis=0)
-        stderrs = replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
+        gaps = (gap_sum / (n_steps - burn_steps)).T.reshape(len(streams), n_replicas, -1)
+        gaps = gaps.transpose(1, 0, 2)
+        oracle = OracleFbar(twin, coupling, grid)(points)
+        means = oracle + coupling.c_fy * gaps.mean(axis=0).T
+        stderrs = abs(coupling.c_fy) * gaps.std(axis=0, ddof=1).T / math.sqrt(n_replicas)
     if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
-        raise NumericalBlowUp("fbar estimate is not finite: the frozen runs overflowed")
-    return means.T, stderrs.T
+        raise NumericalBlowUp("fbar estimate is not finite: the frozen runs or drift overflowed")
+    return means, stderrs
 
 
 def ergodicity_decay(

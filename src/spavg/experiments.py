@@ -237,12 +237,15 @@ def _by_replica(
     of live, or raises NewtonDivergence or NumericalBlowUp. Replicas run in
     batches of at most REPLICA_CHUNK, each batch at every epsilon without a
     failure so far in one call. A call over several epsilons that raises
-    runs again one epsilon at a time, and a one-epsilon call over several
-    replicas that raises runs again one replica at a time. When a lone run
-    fails, that replica's own error ends its epsilon's list, and later calls
-    leave the epsilon out. A replica's bytes do not depend on its batch or
-    on the other epsilons of its call, so each list holds the values of the
-    replicas below the lowest failing one as their runs alone give them.
+    for a coupled run runs again one epsilon at a time; a one-epsilon call,
+    or one whose averaged run failed, runs again over several replicas one
+    replica at a time. The averaged run has no epsilon and fails alike at
+    every epsilon, so when a lone replica's averaged run fails, its error
+    ends the list of every epsilon of the call; when a lone replica's run
+    at a lone epsilon fails, its error ends that epsilon's list. Later calls
+    leave an ended epsilon out. A replica's bytes do not depend on its batch
+    or on the other epsilons of its call, so each list holds the values of
+    the replicas below the lowest failing one as their runs alone give them.
     """
     records = {epsilon: _Replicas() for epsilon in epsilons}
 
@@ -253,18 +256,19 @@ def _by_replica(
         try:
             values = run(live, batch)
         except (NewtonDivergence, NumericalBlowUp) as exc:
-            if len(live) == len(batch) == 1:
-                records[live[0]].error, records[live[0]].replica = exc, batch[0]
-        else:
-            for epsilon, values_at in zip(live, values):
-                records[epsilon].values += values_at
+            by_replica = exc.averaged or len(live) == 1
+            if by_replica and len(batch) == 1:
+                for epsilon in live:
+                    records[epsilon].error, records[epsilon].replica = exc, batch[0]
+            elif by_replica:
+                for r in batch:
+                    attempt(live, [r])
+            else:
+                for epsilon in live:
+                    attempt([epsilon], batch)
             return
-        if len(live) > 1:
-            for epsilon in live:
-                attempt([epsilon], batch)
-        elif len(batch) > 1:
-            for r in batch:
-                attempt(live, [r])
+        for epsilon, values_at in zip(live, values):
+            records[epsilon].values += values_at
 
     for start in range(0, len(replicas), REPLICA_CHUNK):
         attempt(epsilons, replicas[start : start + REPLICA_CHUNK])

@@ -97,11 +97,13 @@ A run either finishes every replica of its batch or raises
 NewtonDivergence or NumericalBlowUp; there are no partial results. A
 column fails at the first macro step whose solve fails or whose x or y is
 not finite, and the run raises there for the lowest failing group:
-NewtonDivergence if its solve failed, else NumericalBlowUp. Since
-a replica's bytes do not depend on its batch or grid, running a failed
-grid one epsilon at a time and a failed one-epsilon batch one replica at
-a time finds the lowest failing one and its own error: the one rerun rule
-of converge and diagnose (experiments._by_replica).
+NewtonDivergence if its solve failed, else NumericalBlowUp; either says
+whether that group is the averaged run, which has no epsilon. Since a
+replica's bytes do not depend on its batch or grid, running a failed grid
+one epsilon at a time (one replica at a time when the averaged run failed)
+and a failed one-epsilon batch one replica at a time finds the lowest
+failing one and its own error: the one rerun rule of converge and diagnose
+(experiments._by_replica).
 """
 
 from __future__ import annotations
@@ -154,16 +156,25 @@ DT_FAST = 0.1
 class NewtonDivergence(RuntimeError):
     """The implicit solve failed to converge; reported as a numerical failure.
 
-    column is the failing column of a solve over many columns.
+    column is the failing column of a solve over many columns; averaged is
+    True when the failing run of a slow loop is the averaged one.
     """
 
-    def __init__(self, message: str, column: int = 0) -> None:
+    def __init__(self, message: str, column: int = 0, averaged: bool = False) -> None:
         super().__init__(message)
         self.column = column
+        self.averaged = averaged
 
 
 class NumericalBlowUp(ArithmeticError):
-    """A simulated state left the floating-point range (NaN or Inf)."""
+    """A simulated state left the floating-point range (NaN or Inf).
+
+    averaged is True when the failing run of a slow loop is the averaged one.
+    """
+
+    def __init__(self, message: str, averaged: bool = False) -> None:
+        super().__init__(message)
+        self.averaged = averaged
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1012,12 +1023,14 @@ def _slow_loop(
             g = int(np.argmax(lost)) // replicas if lost.any() else len(epsilons)
             newton = failed is not None and failed.column // replicas <= g
             epsilon = epsilons[failed.column // replicas if newton else g]
-            equation = "averaged" if epsilon is None else "coupled"
-            at = "" if epsilon is None else f" at epsilon={epsilon:g}"
+            averaged = epsilon is None
+            equation = "averaged" if averaged else "coupled"
+            at = "" if averaged else f" at epsilon={epsilon:g}"
             if newton:
                 message = f"{equation} run{at} failed at macro step {j}: {failed}"
-                raise NewtonDivergence(message) from failed
-            raise NumericalBlowUp(f"{equation} run blew up{at}: non-finite state at macro step {j}")
+                raise NewtonDivergence(message, averaged=averaged) from failed
+            message = f"{equation} run blew up{at}: non-finite state at macro step {j}"
+            raise NumericalBlowUp(message, averaged)
         yield x, y
         if j == n_macro:
             return

@@ -13,8 +13,9 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import record
+from test_averaging import plain_time_average
 
-from spavg.averaging import WINDOW, OracleFbar, ergodicity_decay, estimate_fbar
+from spavg.averaging import OracleFbar, ergodicity_decay, estimate_fbar
 from spavg.cli import main
 from spavg.conditions import CONDITION_IDS, check_condition, sample_field
 from spavg.config import ExperimentConfig
@@ -38,6 +39,7 @@ CONFIG = ExperimentConfig()
 GRID = Grid1D(CONFIG.n_interior)
 COUPLING = CouplingSpec(f0=zeros(GRID))
 LINEAR_FAST = FastOperatorSpec("linear", c_b=1.0)
+SMOOTH_FAST = FastOperatorSpec("smooth_bounded", c_b=1.0, b=0.5)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -65,33 +67,53 @@ def _diag_row(result, suite: str, param: str):
 
 
 def test_fbar_estimate_matches_closed_form_and_tightens():
-    # the linear fast operator has a closed-form averaged forcing, so the
-    # time-average estimator must agree on every node of random slow states,
-    # and doubling the averaging window must shrink its standard errors
+    # The estimator is the closed form of the OU twin (b = 0) plus c_fy
+    # times the mean gap between each frozen chain and its twin on the same
+    # noise. On five random slow states:
+    # - linear: the chain is its own twin, so the estimate is the closed
+    #   form exactly, with a stderr of exactly 0;
+    # - smooth_bounded (b = 0.5): the estimate (WINDOW, 64 replicas) must
+    #   agree on every node with a plain time average over 200 relaxation
+    #   times (64 replicas, the test-owned reference of test_averaging)
+    #   within 3 combined stderr. The nodes' z move nearly together, one
+    #   mode carrying most of the spread, so the 320 nodes act like a
+    #   handful of comparisons, each failing with probability 0.004;
+    # - doubling the window of the same replicas from 40 to 80 relaxation
+    #   times must shrink the stderr. stderr * sqrt(window) is level from
+    #   about 20 relaxation times on, so both lie in the 1 / sqrt(T) regime
+    #   and the expected shrink is close to sqrt(2); with the same noise
+    #   under both windows the ratio scatters by about 0.12 per field.
+    points = np.hstack(
+        [sample_field(GRID, np.random.default_rng(100 + i), 0.5)[:, None] for i in range(5)]
+    )
+    streams = [RngStream(CONFIG.master_seed, 45_000 + i) for i in range(5)]
+    mean, stderr = estimate_fbar(LINEAR_FAST, COUPLING, GRID, points, 64, streams)
+    exact = mean.tobytes() == OracleFbar(LINEAR_FAST, COUPLING, GRID)(points).tobytes()
+    exact = exact and not stderr.any()
+
+    mean, stderr = estimate_fbar(SMOOTH_FAST, COUPLING, GRID, points, 64, streams)
     worst = 0.0
-    shrinks = []
-    window = WINDOW / dissipativity_margin(LINEAR_FAST, COUPLING, GRID)
     for i in range(5):
-        x = sample_field(GRID, np.random.default_rng(100 + i), 0.5)[:, None]
-        oracle = OracleFbar(LINEAR_FAST, COUPLING, GRID)(x)[:, 0]
-        base, base_stderr = estimate_fbar(
-            LINEAR_FAST, COUPLING, GRID, x, 64, [RngStream(CONFIG.master_seed, 45_000 + i)]
+        reference, reference_stderr = plain_time_average(
+            SMOOTH_FAST, COUPLING, GRID, points[:, i], 64,
+            RngStream(CONFIG.master_seed, 46_000 + i), 200,
         )
-        _, doubled_stderr = estimate_fbar(
-            LINEAR_FAST, COUPLING, GRID, x, 64,
-            [RngStream(CONFIG.master_seed, 45_500 + i)],
-            t_avg=2.0 * window,
-        )
-        gaps = np.abs(base[:, 0] - oracle) / base_stderr[:, 0]
+        gaps = np.abs(mean[:, i] - reference) / np.hypot(stderr[:, i], reference_stderr)
         worst = max(worst, float(gaps.max()))
-        shrinks.append(float(np.linalg.norm(base_stderr) / np.linalg.norm(doubled_stderr)))
+
+    margin = dissipativity_margin(SMOOTH_FAST, COUPLING, GRID)
+    streams = [RngStream(CONFIG.master_seed, 45_500 + i) for i in range(5)]
+    _, base = estimate_fbar(SMOOTH_FAST, COUPLING, GRID, points, 64, streams, t_avg=40 / margin)
+    _, doubled = estimate_fbar(SMOOTH_FAST, COUPLING, GRID, points, 64, streams, t_avg=80 / margin)
+    shrinks = np.linalg.norm(base, axis=0) / np.linalg.norm(doubled, axis=0)
     shrink = float(np.mean(shrinks))
     _verdict(
         "fbar oracle match",
-        worst <= 3.0 and shrink >= 1.3,
-        f"max |estimate - oracle| = {worst:.2f} stderr units (limit 3), "
-        f"stderr shrink x{shrink:.2f} on doubled window (floor 1.3, "
-        f"per-field min x{min(shrinks):.2f})",
+        exact and worst <= 3.0 and shrink >= 1.3,
+        f"linear estimate {'equals' if exact else 'differs from'} the closed form; "
+        f"smooth_bounded max |estimate - plain average| = {worst:.2f} stderr units (limit 3), "
+        f"stderr shrink x{shrink:.2f} from window 40 to 80 (floor 1.3, "
+        f"per-field min x{float(np.min(shrinks)):.2f})",
     )
 
 

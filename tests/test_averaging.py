@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spavg.averaging
-from spavg.averaging import MemoizedFbar, OracleFbar, ergodicity_decay, estimate_fbar
+from spavg.averaging import (
+    BURN_IN,
+    MemoizedFbar,
+    OracleFbar,
+    ergodicity_decay,
+    estimate_fbar,
+)
 from spavg.experiments import fit_line
 from spavg.grid import (
     L2,
@@ -20,7 +26,15 @@ from spavg.grid import (
     solve_neg_laplacian,
     zeros,
 )
-from spavg.integrators import ModelSpec, NumericalBlowUp, SchemeParams, _block_replay, _FastStepper
+from spavg.integrators import (
+    DT_FAST,
+    ModelSpec,
+    NumericalBlowUp,
+    SchemeParams,
+    _block_replay,
+    _fast_coordinates,
+    _FastStepper,
+)
 from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
 from spavg.randomness import RngStream
 
@@ -147,26 +161,34 @@ def test_frozen_matches_fast_block_distribution():
 
 
 def test_estimate_fbar_matches_ou_oracle():
+    # At b = 0 the chain is its own OU twin, so every gap is exactly 0: the
+    # estimate has OracleFbar's bytes and a stderr of exactly 0.0, at any
+    # points, streams, replica count and window.
     grid = Grid1D(6)
     fast = FastOperatorSpec("linear", c_b=1.2)
     coup = CouplingSpec(
-        f0=sine_mode(grid, 2, 0.3), c_fx=0.5, c_fy=2.0, g1_modes=6, g2_modes=6
+        f0=sine_mode(grid, 2, 0.3), c_fx=0.5, c_fy=-2.0, g1_modes=6, g2_modes=6
     )
-    x = sine_mode(grid, 1, 0.8)
-    mean, stderr = estimate_fbar(fast, coup, grid, x.values[:, None], 8, [RngStream(11, 0)])
-    oracle = OracleFbar(fast, coup, grid)(x.values[:, None])[:, 0]
-    gap = np.abs(mean[:, 0] - oracle)
-    assert np.all(gap <= 3.0 * stderr[:, 0] + 1e-12)
+    x = sine_mode(grid, 1, 0.8).values
+    points = np.stack([x, np.random.default_rng(3).standard_normal(6), -0.5 * x], axis=1)
+    oracle = OracleFbar(fast, coup, grid)(points)
+    for n_replicas, t_avg in ((8, None), (2, 0.3)):
+        bases = [RngStream(11, 1000 * s) for s in range(3)]
+        mean, stderr = estimate_fbar(fast, coup, grid, points, n_replicas, bases, t_avg)
+        assert mean.tobytes() == oracle.tobytes()
+        assert stderr.tobytes() == np.zeros_like(points).tobytes()
     # The oracle itself: f0 + c_fx x + c_fy c_b L^{-1} x.
-    expected = (
-        coup.f0.values + 0.5 * x.values + 2.0 * 1.2 * solve_neg_laplacian(grid, x.values)
-    )
-    np.testing.assert_allclose(oracle, expected, rtol=1e-12)
+    expected = coup.f0.values + 0.5 * x - 2.0 * 1.2 * solve_neg_laplacian(grid, x)
+    np.testing.assert_allclose(oracle[:, 0], expected, rtol=1e-12)
 
 
 def test_estimate_fbar_stderr_shrinks_with_longer_window():
+    # smooth_bounded, whose chain leaves its twin: stderr * sqrt(window) is
+    # level from about 20 relaxation times on (measured on 4, 16 and 64
+    # nodes), so 60 -> 120 lies inside the 1 / sqrt(T) regime and the
+    # stderr shrinks by about sqrt(2).
     grid = Grid1D(4)
-    fast = FastOperatorSpec("linear", c_b=1.0)
+    fast = FastOperatorSpec("smooth_bounded", c_b=1.0, b=0.5)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
     x = sine_mode(grid, 1, 0.5).values[:, None]
     margin = dissipativity_margin(fast, coup, grid)
@@ -178,6 +200,59 @@ def test_estimate_fbar_stderr_shrinks_with_longer_window():
     ratio = np.linalg.norm(short) / np.linalg.norm(long)
     # Theory says sqrt(2); leave room for the replica-level fluctuation.
     assert ratio >= 1.1
+
+
+def plain_time_average(fast, coup, grid, x, n_replicas, stream, window):
+    """The plain time-average estimator, the reference for the control variate.
+
+    Replica r runs the frozen chain alone on stream id stream.stream_id + r
+    from zero, discards BURN_IN relaxation times and averages F(x, Y) over
+    the next `window`, in steps of about DT_FAST, as estimate_fbar schedules
+    its runs. Returns the replica mean and its standard error per node.
+    """
+    margin = dissipativity_margin(fast, coup, grid)
+    t_burn, t_avg = BURN_IN / margin, window / margin
+    n_steps = math.ceil((t_burn + t_avg) / (DT_FAST / margin) - 1e-12)
+    dt = (t_burn + t_avg) / n_steps
+    burn = int(round(t_burn / dt))
+    stepper = _FastStepper(fast, coup, grid, 1.0, dt)
+    columns = [RngStream(stream.master_seed, stream.stream_id + r) for r in range(n_replicas)]
+    to_state, to_nodes, _ = _fast_coordinates(fast, grid)
+    frozen = to_state(np.repeat(x[:, None], n_replicas, axis=1))
+    y_sum = np.zeros_like(frozen)
+    path = stepper.path(frozen, np.zeros_like(frozen), stepper.draw(columns, n_steps))
+    for m, y in enumerate(path):
+        if m >= burn:
+            y_sum += y
+    y_mean = to_nodes(y_sum / (n_steps - burn)).T
+    replica_means = coup.f0.values + coup.c_fx * x + coup.c_fy * y_mean
+    return replica_means.mean(axis=0), replica_means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
+
+
+def test_control_variate_matches_a_long_plain_time_average():
+    # smooth_bounded at b = 0.5: the control-variate estimate (WINDOW, 32
+    # replicas) against the plain time average over 400 relaxation times
+    # (64 replicas) must agree at every node within k = 4.5 combined
+    # standard errors. Each z is about t-distributed with at least 31
+    # degrees of freedom, P(|t_30| > 4.5) = 9.5e-5, so over 16 nodes the
+    # false-failure rate is below 2e-3. The combined stderr is about 3.5e-3,
+    # mostly the reference's, so the check resolves a bias of about 0.016.
+    grid = Grid1D(16)
+    fast = FastOperatorSpec("smooth_bounded", c_b=1.0, b=0.5)
+    coup = CouplingSpec(f0=sine_mode(grid, 2, 0.2), c_fx=0.3, c_fy=1.5, g1_modes=8, g2_modes=8)
+    x = sine_mode(grid, 1, 0.5).values + sine_mode(grid, 2, -0.3).values
+    mean, stderr = estimate_fbar(fast, coup, grid, x[:, None], 32, [RngStream(41, 0)])
+    reference, reference_stderr = plain_time_average(
+        fast, coup, grid, x, 64, RngStream(41, 10_000), 400
+    )
+    z = np.abs(mean[:, 0] - reference) / np.hypot(stderr[:, 0], reference_stderr)
+    assert float(z.max()) <= 4.5
+
+    # The rule that set WINDOW = 5: its spread is no larger than the plain
+    # estimator's at the old window of 50 relaxation times, at the same
+    # replica count (about a tenth of it here).
+    _, plain_stderr = plain_time_average(fast, coup, grid, x, 32, RngStream(41, 20_000), 50)
+    assert float(stderr.max()) <= float(plain_stderr.max())
 
 
 def test_oracle_requires_linear_kind():
@@ -388,15 +463,22 @@ def test_memoized_fbar_trust_region():
 
 
 def test_overflowing_estimate_is_a_numerical_failure():
-    # At a huge point the frozen runs overflow. estimate_fbar raises a
-    # numerical failure, not the ValueError of a non-finite Field, and
-    # MemoizedFbar hands a NaN drift on for every column of that refresh,
-    # so that the slow step fails on it.
+    # At a huge point with c_fy = 1e4 the averaged drift leaves the
+    # floating-point range. estimate_fbar raises a numerical failure, not
+    # the ValueError of a non-finite Field, and MemoizedFbar hands a NaN
+    # drift on for every column of that refresh, so that the slow step
+    # fails on it. With c_fy = 1000 the drift, about 1.4e308, is finite,
+    # and the control variate gives it: only rounding-sized gaps stand
+    # beside the closed form.
     grid = Grid1D(8)
     fast = FastOperatorSpec("smooth_bounded", c_b=1.0, b=0.5)
-    coup = CouplingSpec(f0=zeros(grid), c_fy=1000.0, g1_modes=4, g2_modes=4)
     huge, x = sine_mode(grid, 1, 1e306).values, sine_mode(grid, 1, 0.5).values
     streams = [RngStream(7, 0), RngStream(7, 100)]
+    coup = CouplingSpec(f0=zeros(grid), c_fy=1000.0, g1_modes=4, g2_modes=4)
+    mean, _ = estimate_fbar(fast, coup, grid, huge[:, None], 2, streams[:1])
+    oracle = OracleFbar(FastOperatorSpec("linear", c_b=1.0), coup, grid)(huge[:, None])
+    np.testing.assert_allclose(mean, oracle, rtol=1e-13)
+    coup = CouplingSpec(f0=zeros(grid), c_fy=1e4, g1_modes=4, g2_modes=4)
     with pytest.raises(NumericalBlowUp, match="fbar estimate is not finite"):
         estimate_fbar(fast, coup, grid, huge[:, None], 2, streams[:1])
     provider = MemoizedFbar(fast, coup, grid, 2, streams)

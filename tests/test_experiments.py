@@ -768,8 +768,12 @@ def test_diagnostics_csvs(tmp_path):
 
 def test_averaged_failure_row_names_the_averaged_run(monkeypatch):
     # The averaged drift of every run turns NaN at macro step k: the coupled
-    # run is sound, and the row names replica 0, the averaged run and the
-    # first non-finite averaged state, the one macro step k computes.
+    # runs are sound, and every row names replica 0, the averaged run and
+    # the first non-finite averaged state, the one macro step k computes.
+    # The averaged run has no epsilon, so the failing grid runs again one
+    # replica at a time over the whole grid, not one epsilon at a time: 2
+    # grid runs, where the epsilon-first split made 7. Each row is the row
+    # of its epsilon's run alone.
     k = 3
 
     class NaNFromStepK(OracleFbar):
@@ -781,8 +785,56 @@ def test_averaged_failure_row_names_the_averaged_run(monkeypatch):
             return value if self.calls <= k else np.full_like(value, np.nan)
 
     monkeypatch.setattr(spavg.experiments, "OracleFbar", NaNFromStepK)
-    (row,) = run_convergence(small_config(epsilon_grid=(0.1,))).rows
-    assert row.replicas == 0 and math.isnan(row.error_mean)
-    assert row.failure == (
-        f"replica 0: averaged run blew up: non-finite state at macro step {k + 1}"
+    cfg = small_config()
+    calls = record_calls(
+        monkeypatch,
+        "epsilon_grid_errors",
+        lambda model, epsilons, T, params, streams, fbar: (
+            tuple(epsilons),
+            [stream.stream_id for stream in streams],
+        ),
     )
+    rows = run_convergence(cfg).rows
+    assert calls == [((0.2, 0.1, 0.05), [0, 1]), ((0.2, 0.1, 0.05), [0])]
+    for row in rows:
+        assert row.replicas == 0 and math.isnan(row.error_mean)
+        assert row.failure == (
+            f"replica 0: averaged run blew up: non-finite state at macro step {k + 1}"
+        )
+        (alone,) = run_convergence(dataclasses.replace(cfg, epsilon_grid=(row.epsilon,))).rows
+        assert (alone.failure, alone.replicas, alone.delta) == (row.failure, 0, row.delta)
+
+
+@pytest.mark.parametrize("averaged", [True, False])
+def test_an_averaged_failure_splits_by_replica_a_coupled_one_by_epsilon(averaged):
+    # Replica 1 fails, at every epsilon its run covers. An averaged failure
+    # reruns the batch one replica at a time over the whole grid and ends
+    # every row at replica 1 with its error; a coupled one keeps the
+    # epsilon-first split. Both keep replica 0's values.
+    calls = []
+
+    def run(live, batch):
+        calls.append((tuple(live), tuple(batch)))
+        if 1 in batch:
+            raise NumericalBlowUp(f"replica 1 failed over {live}", averaged)
+        return [[10.0 * epsilon] for epsilon in live]
+
+    records = _by_replica([0.2, 0.1], [0, 1, 2], run)
+    for epsilon, record in records.items():
+        assert record.values == [10.0 * epsilon] and record.replica == 1
+        assert isinstance(record.error, NumericalBlowUp)
+    if averaged:
+        assert calls == [((0.2, 0.1), (0, 1, 2)), ((0.2, 0.1), (0,)), ((0.2, 0.1), (1,))]
+        assert {str(record.error) for record in records.values()} == {
+            "replica 1 failed over [0.2, 0.1]"
+        }
+    else:
+        assert calls == [
+            ((0.2, 0.1), (0, 1, 2)),
+            ((0.2,), (0, 1, 2)),
+            ((0.2,), (0,)),
+            ((0.2,), (1,)),
+            ((0.1,), (0, 1, 2)),
+            ((0.1,), (0,)),
+            ((0.1,), (1,)),
+        ]

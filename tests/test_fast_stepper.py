@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from spavg.averaging import BURN_IN, WINDOW, estimate_fbar
-from spavg.grid import Grid1D, sine_basis, sine_mode, zeros
+from spavg.averaging import BURN_IN, WINDOW, OracleFbar, estimate_fbar
+from spavg.grid import Grid1D, sine_basis, sine_mode, solve_neg_laplacian, zeros
 import spavg.integrators
 from spavg.integrators import (
     DT_FAST,
@@ -167,8 +167,10 @@ def test_block_and_path_match_reference(kind, replicas):
 def test_linear_frozen_runs_transform_only_at_their_ends(monkeypatch):
     # The linear path steps in sine modes and makes no transform, and every
     # state it yields has the bytes of the per-step formula y^ <- d (y^ +
-    # a c_b x^ + xi^). estimate_fbar then makes two, its points into modes
-    # and its mean back to nodes, whatever its window and its points.
+    # a c_b x^ + xi^). A smooth_bounded estimate_fbar then makes two, its
+    # points into its OU twin's modes and the twin's time sum back to nodes,
+    # and a linear one none, the chain being its own twin, whatever the
+    # window and the points.
     steps = 2 * NOISE_BLOCK + 22
     model, stepper, x, y, coefficients, _ = make_case(16, "linear", 4, steps, 0.3, 3, 4)
     to_state = _fast_coordinates(model.fast, model.grid)[0]
@@ -194,13 +196,14 @@ def test_linear_frozen_runs_transform_only_at_their_ends(monkeypatch):
 
     points = np.stack([x[:, 0], -x[:, 0], 0.5 * x[:, 0]], axis=1)
     bases = [RngStream(9, 100 * s) for s in range(3)]
-    for t_avg in (None, 1.0):
-        for count in (1, 3):
-            transforms.clear()
-            estimate_fbar(
-                model.fast, model.coupling, model.grid, points[:, :count], 2, bases[:count], t_avg
-            )
-            assert len(transforms) == 2
+    for kind, expected in (("linear", 0), ("smooth_bounded", 2)):
+        model = fast_model(16, kind, 4)
+        fast, coupling, grid = model.fast, model.coupling, model.grid
+        for t_avg in (None, 1.0):
+            for count in (1, 3):
+                transforms.clear()
+                estimate_fbar(fast, coupling, grid, points[:, :count], 2, bases[:count], t_avg)
+                assert len(transforms) == expected
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
@@ -303,10 +306,19 @@ def frozen_schedule(fast, coupling, grid):
     return n_steps, dt, min(n_steps - 1, int(round(t_burn / dt)))
 
 
+def estimator_case(kind):
+    fast = FastOperatorSpec(kind, c_b=1.1, b=0.5 if kind == "smooth_bounded" else 0.0)
+    return fast, FastOperatorSpec("linear", c_b=1.1)
+
+
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
 def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
+    # The reference runs each replica's chain and its OU twin (b = 0) alone
+    # through the banded reference on the same raw rows; the estimate is the
+    # twin's closed form plus c_fy times the replica mean of the gaps of
+    # their time averages. A linear chain is its own twin: every gap is 0.
     grid = Grid1D(12)
-    fast = FastOperatorSpec(kind, c_b=1.1, b=0.5 if kind == "smooth_bounded" else 0.0)
+    fast, twin = estimator_case(kind)
     coupling = CouplingSpec(
         f0=sine_mode(grid, 2, 0.2), c_fx=0.3, c_fy=1.5, g1_modes=4, g2_modes=6
     )
@@ -317,20 +329,27 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
 
     n_steps, dt, burn = frozen_schedule(fast, coupling, grid)
     scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt)
-    means = []
+    gaps = []
     for r in range(n_replicas):
         gen = RngStream(stream.master_seed, stream.stream_id + r).generator(1)
         coefficients = gen.standard_normal((n_steps, coupling.g2_modes)) * scales
-        states = reference_path(
-            fast, coupling, grid, 1.0, dt, x.values, np.zeros(grid.n_interior), coefficients
+        y0 = np.zeros(grid.n_interior)
+        chain, ou = (
+            reference_path(spec, coupling, grid, 1.0, dt, x.values, y0, coefficients)
+            for spec in (fast, twin)
         )
-        y_mean = states[burn:].mean(axis=0)
-        means.append(coupling.f0.values + coupling.c_fx * x.values + coupling.c_fy * y_mean)
-    means = np.array(means)
-    assert_close(mean[:, 0], means.mean(axis=0))
-    scale = float(np.max(np.abs(means)))
-    expected_stderr = means.std(axis=0, ddof=1) / math.sqrt(n_replicas)
+        gaps.append(chain[burn:].mean(axis=0) - ou[burn:].mean(axis=0))
+    gaps = np.array(gaps)
+    # The twin's closed form f0 + c_fx x + c_fy c_b L^-1 x, then the gaps.
+    expected = coupling.f0.values + 0.3 * x.values + 1.5 * 1.1 * solve_neg_laplacian(grid, x.values)
+    expected += 1.5 * gaps.mean(axis=0)
+    assert_close(mean[:, 0], expected)
+    scale = float(np.max(np.abs(expected)))
+    expected_stderr = 1.5 * gaps.std(axis=0, ddof=1) / math.sqrt(n_replicas)
     assert float(np.max(np.abs(stderr[:, 0] - expected_stderr))) <= RTOL * scale
+    if kind == "smooth_bounded":
+        # The sin drift moves the chain off its twin by more than rounding.
+        assert float(np.min(expected_stderr)) > 1e-6
 
     # Points stacked in one call: column s has the bytes of point s's own call.
     points = np.stack([x.values, sine_mode(grid, 2, -0.4).values, 0.5 * x.values], axis=1)
@@ -343,46 +362,77 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
             assert batched[:, s].tobytes() == own[:, 0].tobytes()
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "smooth_bounded"]),
+    count=st.integers(1, 4),
+    n_replicas=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stacked_column_has_the_bytes_of_its_own_call(kind, count, n_replicas, seed, data):
+    # Random points and base stream ids: each column of a stacked call,
+    # mean and stderr, has the bytes of that point's call alone.
+    grid = Grid1D(7)
+    fast, _ = estimator_case(kind)
+    coupling = CouplingSpec(f0=sine_mode(grid, 1, 0.3), c_fx=-0.4, c_fy=1.7, g1_modes=2, g2_modes=5)
+    points = np.random.default_rng(seed).standard_normal((grid.n_interior, count))
+    ids = data.draw(st.lists(st.integers(0, 10**6), min_size=count, max_size=count), label="ids")
+    bases = [RngStream(seed, i) for i in ids]
+    stacked = estimate_fbar(fast, coupling, grid, points, n_replicas, bases, t_avg=0.2)
+    for s, base in enumerate(bases):
+        alone = estimate_fbar(fast, coupling, grid, points[:, s : s + 1], n_replicas, [base], 0.2)
+        for batched, own in zip(stacked, alone):
+            assert batched[:, s].tobytes() == own[:, 0].tobytes()
+
+
 @pytest.mark.parametrize("kind", ["linear", "smooth_bounded"])
 def test_estimate_fbar_is_the_nodal_time_average_of_its_path(kind):
-    # The reference maps every state the frozen path yields to nodes on its
-    # own and averages those, as the drift is defined; estimate_fbar sums
-    # the states in their own coordinates and maps the mean back once.
-    # smooth_bounded keeps nodal states, so the two have the same bytes.
-    # For the linear kind they agree in exact arithmetic, and each side
+    # The reference maps every state of the OU twin to nodes on its own and
+    # averages the nodal gaps chain - twin, as the drift is defined;
+    # estimate_fbar sums the twin's states in sine modes and maps the sum
+    # back once. The chain is nodal. For the linear kind the chain is its own
+    # twin, every gap is 0 and the estimate has the closed form's bytes.
+    # For smooth_bounded the two agree in exact arithmetic, and each side
     # rounds a transform B v by at most n eps |B| |v| <= sqrt(2) n eps |v|_1
     # per node (|B_jk| <= sqrt 2) and a mean of K terms by at most K eps
-    # times their largest size. With A the largest l1 norm of a summed
-    # state in modes, each side lies within sqrt(2) (n + K) eps A of the
-    # exact nodal mean, so the two within 2 sqrt(2) (n + K) eps A; the drift
-    # scales that by |c_fy| and rounds its own sum and replica mean, a few
-    # eps of its size.
+    # times their largest size. With A the larger of the largest l1 norm of
+    # a twin's summed state in modes and the largest nodal value of the
+    # chain, each side lies within sqrt(2) (n + K) eps A of
+    # the exact nodal mean, so the two within 2 sqrt(2) (n + K) eps A; the
+    # drift scales that by |c_fy| and rounds its own sum and replica mean, a
+    # few eps of its size.
     grid = Grid1D(16)
-    fast = FastOperatorSpec(kind, c_b=1.1, b=0.5 if kind == "smooth_bounded" else 0.0)
+    fast, twin = estimator_case(kind)
     coupling = CouplingSpec(
         f0=sine_mode(grid, 2, 0.2), c_fx=0.3, c_fy=1.5, g1_modes=4, g2_modes=6
     )
     x = sine_mode(grid, 1, 0.7).values + sine_mode(grid, 3, -0.4).values
     n_replicas, stream = 4, RngStream(5, 30)
     mean = estimate_fbar(fast, coupling, grid, x[:, None], n_replicas, [stream])[0][:, 0]
+    oracle = OracleFbar(twin, coupling, grid)(x[:, None])[:, 0]
+    if kind == "linear":
+        assert mean.tobytes() == oracle.tobytes()
+        return
 
     n_steps, dt, burn = frozen_schedule(fast, coupling, grid)
-    stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
     columns = [RngStream(stream.master_seed, stream.stream_id + r) for r in range(n_replicas)]
-    to_state, to_nodes, _ = _fast_coordinates(fast, grid)
-    frozen = np.repeat(to_state(x[:, None]), n_replicas, axis=1)
-    y_sum = np.zeros((grid.n_interior, n_replicas))
+    chain = _FastStepper(fast, coupling, grid, 1.0, dt)
+    ou = _FastStepper(twin, coupling, grid, 1.0, dt)
+    coefficients = chain.draw(columns, n_steps)
+    to_modes, to_nodes, _ = _fast_coordinates(twin, grid)
+    frozen = np.repeat(x[:, None], n_replicas, axis=1)
+    y0 = np.zeros_like(frozen)
+    gap_sum = np.zeros_like(frozen)
     size = 0.0
-    path = stepper.path(frozen, np.zeros_like(y_sum), stepper.draw(columns, n_steps))
-    for m, y in enumerate(path):
+    paths = zip(chain.path(frozen, y0, coefficients), ou.path(to_modes(frozen), y0, coefficients))
+    for m, (y, y_ou) in enumerate(paths):
         if m >= burn:
-            y_sum += to_nodes(y)
-            size = max(size, float(np.max(np.sum(np.abs(y), axis=0))))
-    y_mean = (y_sum / (n_steps - burn)).T
-    expected = (coupling.f0.values + coupling.c_fx * x + coupling.c_fy * y_mean).mean(axis=0)
-    if kind != "linear":
-        assert mean.tobytes() == expected.tobytes()
-        return
+            gap_sum += y - to_nodes(y_ou)
+            l1 = float(np.max(np.sum(np.abs(y_ou), axis=0)))
+            size = max(size, l1, float(np.max(np.abs(y))))
+    gaps = (gap_sum / (n_steps - burn)).T
+    expected = oracle + coupling.c_fy * gaps.mean(axis=0)
     eps, n, k = np.finfo(float).eps, grid.n_interior, n_steps - burn
     bound = 2 * math.sqrt(2) * (n + k) * eps * size * abs(coupling.c_fy)
     bound += 4 * eps * float(np.max(np.abs(expected)))
