@@ -1,5 +1,6 @@
 """Experiment drivers behind the command line: the strong-convergence study,
-the four diagnostics suites, the condition checks, and their CSV emitters.
+the four diagnostics suites, the condition checks, and the two inspection
+runs (fbar, simulate).
 
 All drivers are deterministic functions of (config, master_seed). Random
 streams are keyed by stream id:
@@ -22,8 +23,10 @@ streams are keyed by stream id:
 - check: condition i uses stream id i.
 - fbar and simulate: stream id 0 (estimator replica j of fbar uses id j).
 
-Every CSV cell is written by one rule (text as it is, integers with str,
-floats with repr), so identical inputs produce identical bytes.
+Every result gives the CSV files it writes as tables (file name -> header
+line and rows) and its printed lines as report_lines(). write_tables writes
+every cell by one rule (text as it is, integers with str, floats with repr),
+so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .integrators import (
     NewtonDivergence,
     NumericalBlowUp,
     SchemeParams,
+    Trajectory,
     _block_replay,
     _epsilon_grid,
     _fast_coordinates,
@@ -74,6 +78,7 @@ __all__ = [
     "DiagnosticsRow",
     "FbarRunResult",
     "LineFit",
+    "SimulateResult",
     "SuiteOutcome",
     "build_model",
     "build_specs",
@@ -85,13 +90,8 @@ __all__ = [
     "run_fbar",
     "run_simulate",
     "scheme_params",
-    "write_conditions_csv",
-    "write_convergence_csv",
-    "write_diagnostics_csv",
-    "write_fbar_csv",
     "write_report",
-    "write_suite_csvs",
-    "write_trajectory_csv",
+    "write_tables",
 ]
 
 # First estimator stream id of replica 0; replica r starts at (r + 1) times it.
@@ -101,6 +101,9 @@ ESTIMATOR_STREAMS = 1_000_000
 # batch driver of converge and diagnose, each batch at every epsilon at once:
 # it bounds the memory of a batch's recorded noise, states and statistics.
 REPLICA_CHUNK = 16
+
+# The CSV files of a result: file name -> (header line, rows of cells).
+Tables = dict[str, tuple[str, Iterable[Iterable]]]
 
 
 # ---------------------------------------------------------------- builders
@@ -321,6 +324,10 @@ class ConvergenceResult:
             return decreasing
         return decreasing and self.fit.slope > 0.15 and self.fit.r_squared >= 0.9
 
+    def tables(self) -> Tables:
+        rows = [(r.epsilon, r.delta, r.error_mean, r.error_stderr, r.replicas) for r in self.rows]
+        return {"convergence.csv": ("epsilon,delta,error_mean,error_stderr,replicas", rows)}
+
     def report_lines(self) -> list[str]:
         lines = []
         for row in self.rows:
@@ -438,6 +445,15 @@ class DiagnosticsResult:
     @property
     def passed(self) -> bool:
         return all(outcome.passed for outcome in self.outcomes)
+
+    def tables(self) -> Tables:
+        """diagnostics.csv with every row, then one CSV per suite, named after it."""
+        header = "suite,param,value_mean,value_stderr,replicas"
+        rows = [(r.suite, r.param, r.value_mean, r.value_stderr, r.replicas) for r in self.rows]
+        tables = {"diagnostics.csv": (header, rows)}
+        for suite in dict.fromkeys(row[0] for row in rows):
+            tables[f"{suite}.csv"] = (header, [row for row in rows if row[0] == suite])
+        return tables
 
     def report_lines(self) -> list[str]:
         lines = [
@@ -674,6 +690,27 @@ class ConditionsResult:
     def passed(self) -> bool:
         return all(r.violations == 0 for r in self.reports)
 
+    def tables(self) -> Tables:
+        rows = [
+            (
+                report.condition,
+                report.samples,
+                report.violations,
+                report.worst_margin,
+                ";".join(f"{k}={_cell(v)}" for k, v in report.fitted_constants.items()),
+            )
+            for report in self.reports
+        ]
+        return {"conditions.csv": ("condition,samples,violations,worst_margin,constants", rows)}
+
+    def report_lines(self) -> list[str]:
+        return [
+            f"{report.condition}: samples={report.samples} "
+            f"violations={report.violations} worst_margin={report.worst_margin:.6g} "
+            f"({'PASS' if report.violations == 0 else 'FAIL'})"
+            for report in self.reports
+        ]
+
 
 def run_check_conditions(config: ExperimentConfig) -> ConditionsResult:
     """All six structural checks plus the scalar margin for the configured model.
@@ -714,11 +751,23 @@ class FbarRunResult:
     x: Field
     estimate_mean: Field
     estimate_stderr: Field
-    oracle: Field | None
     n_replicas: int
+
+    passed = True  # an inspection run has no threshold
+
+    def tables(self) -> Tables:
+        n = self.x.grid.n_interior
+        rows = zip(
+            range(1, n + 1), self.x.values, self.estimate_mean.values, self.estimate_stderr.values
+        )
+        return {"fbar.csv": ("node,x_value,fbar_mean,fbar_stderr", rows)}
+
+    def report_lines(self) -> list[str]:
+        return [f"fbar: {self.n_replicas} replicas, {self.x.grid.n_interior} nodes"]
 
 
 def run_fbar(config: ExperimentConfig) -> FbarRunResult:
+    """The averaged drift at x0; for the linear fast kind the closed form, stderr 0."""
     grid, _, fast, coupling = build_specs(config)
     with _config_errors():
         x = sine_mode(grid, 1, config.x0_amplitude)
@@ -726,20 +775,33 @@ def run_fbar(config: ExperimentConfig) -> FbarRunResult:
         estimate = estimate_fbar(
             fast, coupling, grid, point, config.fbar_replicas, [RngStream(config.master_seed, 0)]
         )
-    oracle = None
-    if fast.kind == "linear":
-        oracle = Field(grid, OracleFbar(fast, coupling, grid)(point)[:, 0])
     mean, stderr = (Field(grid, values[:, 0]) for values in estimate)
-    return FbarRunResult(x, mean, stderr, oracle, config.fbar_replicas)
+    return FbarRunResult(x, mean, stderr, config.fbar_replicas)
 
 
-def run_simulate(config: ExperimentConfig, epsilon: float | None = None):
+@dataclasses.dataclass
+class SimulateResult:
+    trajectory: Trajectory
+
+    passed = True  # an inspection run has no threshold
+
+    def tables(self) -> Tables:
+        t = self.trajectory
+        n = t.x.shape[1]
+        names = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + [f"y_{i}" for i in range(1, n + 1)]
+        return {"trajectory.csv": (",".join(names), np.column_stack([t.times, t.x, t.y]))}
+
+    def report_lines(self) -> list[str]:
+        return [f"simulate: {len(self.trajectory.times)} states written"]
+
+
+def run_simulate(config: ExperimentConfig, epsilon: float | None = None) -> SimulateResult:
     eps = epsilon if epsilon is not None else config.epsilon_grid[0]
     model = build_model(config, eps)
     batch, _ = simulate_coupled(
         model, config.T, scheme_params(config), [RngStream(config.master_seed, 0)]
     )
-    return batch.replica(0)
+    return SimulateResult(batch.replica(0))
 
 
 # ---------------------------------------------------------------- CSV emitters
@@ -752,77 +814,13 @@ def _cell(value: str | float | int) -> str:
     return repr(float(value))
 
 
-def _write_table(path: str, header: str, rows: Iterable[Iterable]) -> None:
-    write_report([header] + [",".join(map(_cell, row)) for row in rows], path)
+def write_tables(tables: Tables, out_dir: str) -> None:
+    """Each table to out_dir/<name>: its header line, then one line of cells per row."""
+    for name, (header, rows) in tables.items():
+        lines = [header] + [",".join(map(_cell, row)) for row in rows]
+        write_report(lines, os.path.join(out_dir, name))
 
 
 def write_report(lines: Sequence[str], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_convergence_csv(result: ConvergenceResult, path: str) -> None:
-    _write_table(
-        path,
-        "epsilon,delta,error_mean,error_stderr,replicas",
-        [(r.epsilon, r.delta, r.error_mean, r.error_stderr, r.replicas) for r in result.rows],
-    )
-
-
-def write_diagnostics_csv(result: DiagnosticsResult, path: str) -> None:
-    _write_table(
-        path,
-        "suite,param,value_mean,value_stderr,replicas",
-        [(r.suite, r.param, r.value_mean, r.value_stderr, r.replicas) for r in result.rows],
-    )
-
-
-def write_suite_csvs(result: DiagnosticsResult, out_dir: str) -> list[str]:
-    """One CSV per diagnostics suite, named after the suite."""
-    paths = []
-    for suite in dict.fromkeys(row.suite for row in result.rows):
-        path = os.path.join(out_dir, f"{suite}.csv")
-        rows = [row for row in result.rows if row.suite == suite]
-        write_diagnostics_csv(dataclasses.replace(result, rows=rows), path)
-        paths.append(path)
-    return paths
-
-
-def write_conditions_csv(result: ConditionsResult, path: str) -> None:
-    _write_table(
-        path,
-        "condition,samples,violations,worst_margin,constants",
-        [
-            (
-                report.condition,
-                report.samples,
-                report.violations,
-                report.worst_margin,
-                ";".join(f"{k}={_cell(v)}" for k, v in report.fitted_constants.items()),
-            )
-            for report in result.reports
-        ],
-    )
-
-
-def write_fbar_csv(result: FbarRunResult, path: str) -> None:
-    n = result.x.grid.n_interior
-    oracle = result.oracle.values if result.oracle is not None else np.full(n, math.nan)
-    _write_table(
-        path,
-        "node,x_value,fbar_mean,fbar_stderr,fbar_oracle",
-        zip(
-            range(1, n + 1),
-            result.x.values,
-            result.estimate_mean.values,
-            result.estimate_stderr.values,
-            oracle,
-        ),
-    )
-
-
-def write_trajectory_csv(trajectory, path: str) -> None:
-    n = trajectory.x.shape[1]
-    names = ["t"] + [f"x_{i}" for i in range(1, n + 1)] + [f"y_{i}" for i in range(1, n + 1)]
-    states = np.column_stack([trajectory.times, trajectory.x, trajectory.y])
-    _write_table(path, ",".join(names), states)

@@ -19,7 +19,7 @@ from spavg.averaging import OracleFbar, ergodicity_decay, estimate_fbar
 from spavg.cli import main
 from spavg.conditions import CONDITION_IDS, check_condition, sample_field
 from spavg.config import ExperimentConfig
-from spavg.experiments import fit_line, run_convergence, run_diagnostics, write_convergence_csv
+from spavg.experiments import fit_line, run_convergence, run_diagnostics, write_tables
 from spavg.grid import (
     Grid1D,
     H1_0,
@@ -242,11 +242,12 @@ def test_structural_conditions_hold_and_violations_exit_nonzero(tmp_path):
 
 def test_runs_reproduce_and_norm_contracts_hold(convergence_runs, tmp_path):
     first, second = convergence_runs
-    path_a = tmp_path / "a.csv"
-    path_b = tmp_path / "b.csv"
-    write_convergence_csv(first, str(path_a))
-    write_convergence_csv(second, str(path_b))
-    reproducible = path_a.read_bytes() == path_b.read_bytes()
+    written = []
+    for run, result in (("a", first), ("b", second)):
+        (tmp_path / run).mkdir()
+        write_tables(result.tables(), str(tmp_path / run))
+        written.append((tmp_path / run / "convergence.csv").read_bytes())
+    reproducible = written[0] == written[1]
 
     gen = np.random.default_rng(9)
     residual = 0.0

@@ -184,11 +184,14 @@ def test_check_with_uncomputable_margins_exits_1(tmp_path, capsys):
     assert "RuntimeWarning" not in printed.err
 
 
-def test_fbar_prints_oracle_gap(small_cfg, tmp_path, capsys):
+def test_fbar_prints_its_replicas_and_nodes(small_cfg, tmp_path, capsys):
+    # The linear estimate is the closed form itself: every stderr is 0.
     out = tmp_path / "out"
     assert main(["fbar", "--config", small_cfg, "--out", str(out)]) == EXIT_OK
-    assert os.path.exists(out / "fbar.csv")
-    assert "closed form" in capsys.readouterr().out
+    assert capsys.readouterr().out == "fbar: 2 replicas, 8 nodes\n"
+    rows = read_rows(out / "fbar.csv")
+    assert rows[0] == "node,x_value,fbar_mean,fbar_stderr"
+    assert [row.split(",")[3] for row in rows[1:]] == ["0.0"] * 8
 
 
 def test_simulate_with_epsilon_override(small_cfg, tmp_path):
@@ -206,12 +209,12 @@ def test_simulate_with_epsilon_override(small_cfg, tmp_path):
 # numpy or BLAS build that rounds differently changes them.
 OUTPUT_DIGESTS = {
     ("", "simulate"): "00b6c30d69d71e773b792d320dabf66a745eec8041b26ef1a29e5f0cd07a6784",
-    ("", "fbar"): "c388040b680d188ded04d515f8db0b459fb17ddd0851cf530f9ada28069e19fc",
+    ("", "fbar"): "d7d0af114a01b978888afd25a52795832ff281dc691c421b10c16a7915f5e6cf",
     ("fast_kind = smooth_bounded\nb = 0.5\n", "simulate"): (
         "6713e8ef4afd2e6aaf1bcbdf17abbf24c23844283bffb882d2bbd91c3607b6b6"
     ),
     ("fast_kind = smooth_bounded\nb = 0.5\n", "fbar"): (
-        "3508cd2a2f9d9bbcb5f52921465e4d429a61ea33472972de3a28cfab5e4f7700"
+        "08d95c4d124fd3e2d3db89d502cd656326cd321e6691e7df2a660b4162d2170a"
     ),
 }
 
@@ -254,8 +257,8 @@ def test_initial_fast_state_and_forcing_amplitudes(tmp_path):
     mode = [math.sqrt(2.0) * math.sin(math.pi * i / 9) for i in range(1, 9)]
     y0 = [float(v) for v in read_rows(out / "trajectory.csv")[1].split(",")[9:]]
     assert y0 == pytest.approx([0.3 * v for v in mode], rel=1e-14)
-    oracle = [float(row.split(",")[4]) for row in read_rows(out / "fbar.csv")[1:]]
-    assert oracle == pytest.approx([0.75 * v for v in mode], rel=1e-14)
+    fbar = [float(row.split(",")[2]) for row in read_rows(out / "fbar.csv")[1:]]
+    assert fbar == pytest.approx([0.75 * v for v in mode], rel=1e-14)
 
 
 # sha256 of the two files `converge` writes for SMALL_CFG (three epsilons),

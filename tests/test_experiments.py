@@ -1,4 +1,4 @@
-"""Orchestration layer: builders, log-log fits, runners, CSV emitters."""
+"""Orchestration layer: builders, log-log fits, runners, the CSV writer."""
 
 import collections
 import dataclasses
@@ -33,13 +33,8 @@ from spavg.experiments import (
     run_fbar,
     run_simulate,
     scheme_params,
-    write_conditions_csv,
-    write_convergence_csv,
-    write_diagnostics_csv,
-    write_fbar_csv,
     write_report,
-    write_suite_csvs,
-    write_trajectory_csv,
+    write_tables,
 )
 from spavg.grid import L2, Grid1D, row_norms, sine_basis
 from spavg.integrators import (
@@ -672,19 +667,24 @@ def test_run_check_conditions_flags_unstable_fast_operator():
 
 
 def test_run_fbar_linear_reports_oracle():
-    result = run_fbar(small_config(fbar_replicas=3))
-    assert result.oracle is not None
+    # The linear estimate is the closed form by construction: OracleFbar's
+    # bytes at x0, with stderr 0.
+    cfg = small_config(fbar_replicas=3)
+    result = run_fbar(cfg)
     assert result.n_replicas == 3
-    assert result.estimate_mean.values.shape == (8,)
-    assert np.all(result.estimate_stderr.values >= 0.0)
-    gap = np.max(np.abs(result.estimate_mean.values - result.oracle.values))
-    spread = np.max(result.estimate_stderr.values)
-    assert gap < 10.0 * max(spread, 1e-6)
+    grid, _, fast, coupling = build_specs(cfg)
+    oracle = OracleFbar(fast, coupling, grid)(result.x.values[:, None])[:, 0]
+    assert result.estimate_mean.values.tobytes() == oracle.tobytes()
+    assert result.estimate_stderr.values.tobytes() == np.zeros(8).tobytes()
 
 
 def test_run_fbar_smooth_bounded_has_no_oracle():
-    result = run_fbar(small_config(fast_kind="smooth_bounded", b=1.0, fbar_replicas=2))
-    assert result.oracle is None
+    # No closed form exists for smooth_bounded: fbar reports an estimate with a spread.
+    cfg = small_config(fast_kind="smooth_bounded", b=1.0, fbar_replicas=2)
+    grid, _, fast, coupling = build_specs(cfg)
+    with pytest.raises(ValueError, match="closed form"):
+        OracleFbar(fast, coupling, grid)
+    assert np.all(run_fbar(cfg).estimate_stderr.values > 0.0)
 
 
 def test_run_fbar_rejects_nonpositive_margin():
@@ -694,11 +694,11 @@ def test_run_fbar_rejects_nonpositive_margin():
 
 def test_run_simulate_shapes_and_override():
     cfg = small_config()
-    traj = run_simulate(cfg)
+    traj = run_simulate(cfg).trajectory
     steps = round(cfg.T / cfg.dt_macro)
     assert traj.x.shape == (steps + 1, 8)
     assert traj.y.shape == (steps + 1, 8)
-    finer = run_simulate(cfg, epsilon=0.05)
+    finer = run_simulate(cfg, epsilon=0.05).trajectory
     assert not np.array_equal(finer.y, traj.y)
     with pytest.raises(ConfigError):
         run_simulate(cfg, epsilon=0.0)
@@ -710,9 +710,8 @@ def test_run_simulate_shapes_and_override():
 def test_csv_headers_and_round_trip(tmp_path):
     cfg = small_config(epsilon_grid=(0.2, 0.1), condition_samples=20, fbar_replicas=2)
     conv = run_convergence(cfg)
-    conv_path = tmp_path / "convergence.csv"
-    write_convergence_csv(conv, str(conv_path))
-    lines = conv_path.read_text().splitlines()
+    write_tables(conv.tables(), str(tmp_path))
+    lines = (tmp_path / "convergence.csv").read_text().splitlines()
     assert lines[0] == "epsilon,delta,error_mean,error_stderr,replicas"
     assert len(lines) == 1 + len(conv.rows)
     fields = lines[1].split(",")
@@ -720,27 +719,23 @@ def test_csv_headers_and_round_trip(tmp_path):
     assert float(fields[2]) == conv.rows[0].error_mean
 
     cond = run_check_conditions(cfg)
-    cond_path = tmp_path / "conditions.csv"
-    write_conditions_csv(cond, str(cond_path))
-    lines = cond_path.read_text().splitlines()
+    write_tables(cond.tables(), str(tmp_path))
+    lines = (tmp_path / "conditions.csv").read_text().splitlines()
     assert lines[0] == "condition,samples,violations,worst_margin,constants"
     assert lines[-1].startswith("dissipativity_margin,1,0,")
     constants = lines[-1].split(",")[4]
     assert "margin=" in constants and ";lambda_1=" in constants
 
-    fbar = run_fbar(cfg)
-    fbar_path = tmp_path / "fbar.csv"
-    write_fbar_csv(fbar, str(fbar_path))
-    lines = fbar_path.read_text().splitlines()
-    assert lines[0] == "node,x_value,fbar_mean,fbar_stderr,fbar_oracle"
+    write_tables(run_fbar(cfg).tables(), str(tmp_path))
+    lines = (tmp_path / "fbar.csv").read_text().splitlines()
+    assert lines[0] == "node,x_value,fbar_mean,fbar_stderr"
     assert len(lines) == 1 + 8
 
-    traj = run_simulate(cfg)
-    traj_path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(traj, str(traj_path))
-    lines = traj_path.read_text().splitlines()
+    simulated = run_simulate(cfg)
+    write_tables(simulated.tables(), str(tmp_path))
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t,x_1,") and lines[0].endswith(",y_8")
-    assert len(lines) == 1 + traj.x.shape[0]
+    assert len(lines) == 1 + simulated.trajectory.x.shape[0]
 
     report_path = tmp_path / "report.txt"
     write_report(["a", "b"], str(report_path))
@@ -749,20 +744,20 @@ def test_csv_headers_and_round_trip(tmp_path):
 
 def test_diagnostics_csvs(tmp_path):
     result = run_diagnostics(ExperimentConfig(**DIAG))
-    combined = tmp_path / "diagnostics.csv"
-    write_diagnostics_csv(result, str(combined))
-    lines = combined.read_text().splitlines()
+    tables = result.tables()
+    write_tables(tables, str(tmp_path))
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
     assert lines[0] == "suite,param,value_mean,value_stderr,replicas"
     assert len(lines) == 1 + len(result.rows)
-    paths = write_suite_csvs(result, str(tmp_path))
-    assert sorted(p.rsplit("/", 1)[-1] for p in paths) == [
+    assert list(tables) == [
+        "diagnostics.csv",
+        "moment_uniformity.csv",
+        "increment_scaling.csv",
         "deviation_scaling.csv",
         "ergodicity_decay.csv",
-        "increment_scaling.csv",
-        "moment_uniformity.csv",
     ]
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
+    for name in tables:
+        with open(tmp_path / name, "r", encoding="utf-8") as fh:
             assert fh.readline().strip() == "suite,param,value_mean,value_stderr,replicas"
 
 

@@ -1,8 +1,8 @@
-"""Exact text of every CSV and report writer, on hand-built results.
+"""Exact text of every result's tables and report, on hand-built results.
 
-Cells are written as they are (text), with str (integers) or with repr
-(floats), so -0.0, subnormals and nan keep their spelling; a report is its
-lines joined by newlines with a trailing newline.
+write_tables writes cells as they are (text), with str (integers) or with
+repr (floats), so -0.0, subnormals and nan keep their spelling; a report is
+its lines joined by newlines with a trailing newline.
 """
 
 import math
@@ -17,14 +17,10 @@ from spavg.experiments import (
     DiagnosticsResult,
     DiagnosticsRow,
     FbarRunResult,
+    SimulateResult,
     SuiteOutcome,
-    write_conditions_csv,
-    write_convergence_csv,
-    write_diagnostics_csv,
-    write_fbar_csv,
     write_report,
-    write_suite_csvs,
-    write_trajectory_csv,
+    write_tables,
 )
 from spavg.grid import Field, Grid1D
 from spavg.integrators import Trajectory
@@ -42,9 +38,8 @@ def test_convergence_csv_and_report_with_invalid_row(tmp_path):
         fit=None,
         degenerate=False,
     )
-    path = tmp_path / "convergence.csv"
-    write_convergence_csv(result, str(path))
-    assert path.read_text() == (
+    write_tables(result.tables(), str(tmp_path))
+    assert (tmp_path / "convergence.csv").read_text() == (
         "epsilon,delta,error_mean,error_stderr,replicas\n"
         "0.1,0.25,1.5e-05,5e-324,3\n"
         "0.05,-0.0,nan,nan,1\n"
@@ -71,23 +66,20 @@ def test_diagnostics_csv_suite_split_and_report(tmp_path):
             SuiteOutcome("beta", False, "slope tiny"),
         ],
     )
-    path = tmp_path / "diagnostics.csv"
-    write_diagnostics_csv(result, str(path))
+    tables = result.tables()
+    assert list(tables) == ["diagnostics.csv", "alpha.csv", "beta.csv"]
+    write_tables(tables, str(tmp_path))
     header = "suite,param,value_mean,value_stderr,replicas\n"
-    assert path.read_text() == (
+    assert (tmp_path / "diagnostics.csv").read_text() == (
         header
         + "alpha,epsilon=0.1,7,-0.0,2\n"
         + "beta,fit_slope,5e-324,nan,1\n"
         + "alpha,max_over_min,1.25,0.0,2\n"
     )
-    split = tmp_path / "split"
-    split.mkdir()
-    paths = write_suite_csvs(result, str(split))
-    assert paths == [str(split / "alpha.csv"), str(split / "beta.csv")]
-    assert (split / "alpha.csv").read_text() == (
+    assert (tmp_path / "alpha.csv").read_text() == (
         header + "alpha,epsilon=0.1,7,-0.0,2\n" + "alpha,max_over_min,1.25,0.0,2\n"
     )
-    assert (split / "beta.csv").read_text() == header + "beta,fit_slope,5e-324,nan,1\n"
+    assert (tmp_path / "beta.csv").read_text() == header + "beta,fit_slope,5e-324,nan,1\n"
     report = tmp_path / "diagnostics_report.txt"
     write_report(result.report_lines(), str(report))
     assert report.read_text() == (
@@ -103,42 +95,36 @@ def test_conditions_csv_constants_string(tmp_path):
             ConditionReport("dissipativity_margin", 1, 0, 19.5, {"margin": 19.5, "k": TINY}),
         ]
     )
-    path = tmp_path / "conditions.csv"
-    write_conditions_csv(result, str(path))
-    assert path.read_text() == (
+    write_tables(result.tables(), str(tmp_path))
+    assert (tmp_path / "conditions.csv").read_text() == (
         "condition,samples,violations,worst_margin,constants\n"
         "A4_growth,40,0,5e-324,C=2.5\n"
         "B3_coercive,40,3,nan,eta=1;C=-0.0\n"
         "dissipativity_margin,1,0,19.5,margin=19.5;k=5e-324\n"
     )
+    assert result.report_lines() == [
+        "A4_growth: samples=40 violations=0 worst_margin=4.94066e-324 (PASS)",
+        "B3_coercive: samples=40 violations=3 worst_margin=nan (FAIL)",
+        "dissipativity_margin: samples=1 violations=0 worst_margin=19.5 (PASS)",
+    ]
 
 
-def test_fbar_csv_without_oracle_writes_nan(tmp_path):
+def test_fbar_csv_cells_and_report(tmp_path):
     grid = Grid1D(3)
     result = FbarRunResult(
         x=Field(grid, np.array([-0.0, TINY, 0.5])),
         estimate_mean=Field(grid, np.array([1.0, 2.0, 3.0])),
         estimate_stderr=Field(grid, np.array([0.0, 0.1, TINY])),
-        oracle=None,
         n_replicas=2,
     )
-    path = tmp_path / "fbar.csv"
-    write_fbar_csv(result, str(path))
-    assert path.read_text() == (
-        "node,x_value,fbar_mean,fbar_stderr,fbar_oracle\n"
-        "1,-0.0,1.0,0.0,nan\n"
-        "2,5e-324,2.0,0.1,nan\n"
-        "3,0.5,3.0,5e-324,nan\n"
+    write_tables(result.tables(), str(tmp_path))
+    assert (tmp_path / "fbar.csv").read_text() == (
+        "node,x_value,fbar_mean,fbar_stderr\n"
+        "1,-0.0,1.0,0.0\n"
+        "2,5e-324,2.0,0.1\n"
+        "3,0.5,3.0,5e-324\n"
     )
-    with_oracle = FbarRunResult(
-        result.x, result.estimate_mean, result.estimate_stderr, result.x, 2
-    )
-    write_fbar_csv(with_oracle, str(path))
-    assert path.read_text().splitlines()[1:] == [
-        "1,-0.0,1.0,0.0,-0.0",
-        "2,5e-324,2.0,0.1,5e-324",
-        "3,0.5,3.0,5e-324,0.5",
-    ]
+    assert result.report_lines() == ["fbar: 2 replicas, 3 nodes"]
 
 
 def test_trajectory_csv_two_steps(tmp_path):
@@ -147,10 +133,11 @@ def test_trajectory_csv_two_steps(tmp_path):
         x=np.array([[-0.0, 1.0], [TINY, NAN]]),
         y=np.array([[0.0, 0.1], [-2.5, 1e300]]),
     )
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(trajectory, str(path))
-    assert path.read_text() == (
+    result = SimulateResult(trajectory)
+    write_tables(result.tables(), str(tmp_path))
+    assert (tmp_path / "trajectory.csv").read_text() == (
         "t,x_1,x_2,y_1,y_2\n"
         "0.0,-0.0,1.0,0.0,0.1\n"
         "0.5,5e-324,nan,-2.5,1e+300\n"
     )
+    assert result.report_lines() == ["simulate: 2 states written"]
