@@ -123,7 +123,7 @@ def estimate_fbar(
             f"{len(streams)} base streams cannot go with points of {points.shape}: "
             "S streams take an (n, S) array"
         )
-    margin = contraction_margin(fast, coupling, grid)
+    margin = contraction_margin(fast, grid)
     t_burn = BURN_IN / margin
     if t_avg is None:
         t_avg = WINDOW / margin
@@ -187,7 +187,7 @@ def ergodicity_decay(
     steps alone, g^ <- d g^ per sine mode, NOISE_BLOCK steps per cumprod;
     smooth_bounded steps the pair. A block's gaps take their norms at once.
     """
-    margin = contraction_margin(fast, coupling, grid)
+    margin = contraction_margin(fast, grid)
     horizon = 50.0 / margin
     n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
     dt = horizon / n_steps

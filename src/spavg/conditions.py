@@ -22,12 +22,15 @@ a violation and makes the worst margin NaN (a NaN sample also makes a
 fitted C NaN). So a check the floating-point arithmetic cannot carry, such
 as a p-Laplace energy that overflows, fails instead of passing, and a
 non-positive or NaN worst margin always comes with a counted violation.
+The same holds for a B2 sample with u = v exactly, whose rate is 0 / 0:
+it has probability zero under these draws and is not redrawn.
 
 Duality pairings follow the state geometry: the porous-medium drift pairs
 through L^-1 (so the pairing of -L psi(u) with v reduces to -h <psi(u), v>),
 everything else pairs in the h-weighted l2 sense. Sample fields are
 truncated sine series with Gaussian coefficients decaying like 1/k, with
-amplitudes cycling over 0.1, 1 and 10; the dissipativity check prepends
+amplitudes cycling over 0.1, 1 and 10, drawn for every sample of a check at
+once as the columns of (n, samples) arrays; the dissipativity check prepends
 pure-mode difference probes, which is what pins its rate at the spectral
 value instead of a loose sample minimum.
 """
@@ -35,7 +38,6 @@ value instead of a loose sample minimum.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +47,9 @@ from .grid import (
     L2,
     Array,
     Grid1D,
+    NormKind,
     lp_norm_kind,
-    norm_values,
+    row_norms,
     sine_basis,
     solve_neg_laplacian,
 )
@@ -62,18 +65,6 @@ from .randomness import RngStream
 
 __all__ = ["CONDITION_IDS", "ConditionReport", "check_condition", "sample_field"]
 
-CONDITION_IDS = (
-    "A2_local_monotone",
-    "A3_coercive",
-    "A4_growth",
-    "B2_dissipative",
-    "B3_coercive",
-    "B4_growth",
-)
-
-_AMPLITUDES = (0.1, 1.0, 10.0)
-
-
 @dataclasses.dataclass(frozen=True)
 class ConditionReport:
     condition: str
@@ -87,28 +78,50 @@ class ConditionReport:
             raise ValueError("cannot have more violations than samples")
 
 
+def _fields(grid: Grid1D, gen: np.random.Generator, amplitudes: Array, count: int) -> tuple:
+    """count fields of shape (n, S), column s scaled by amplitudes[s].
+
+    The normals come sample-major, in the order S * count sample_field calls
+    draw them, and one stacked matmul makes a gemv per column; field.T is C-ordered.
+    """
+    k_max = min(grid.n_interior, 24)
+    normals = gen.standard_normal((len(amplitudes), count, k_max))
+    coeffs = np.ascontiguousarray((normals / np.arange(1, k_max + 1)).transpose(1, 0, 2))
+    values = np.matmul(sine_basis(grid, k_max), coeffs[..., None])[..., 0] * amplitudes[:, None]
+    return tuple(field.T for field in values)
+
+
 def sample_field(grid: Grid1D, gen: np.random.Generator, amplitude: float) -> Array:
     """amplitude * sum_k (xi_k / k) e_k over the first min(n, 24) modes."""
-    k_max = min(grid.n_interior, 24)
-    coeffs = gen.standard_normal(k_max) / np.arange(1, k_max + 1)
-    return amplitude * (sine_basis(grid, k_max) @ coeffs)
+    return _fields(grid, gen, np.array([amplitude]), 1)[0][:, 0]
 
 
-def _pairing(grid: Grid1D, slow: SlowOperatorSpec, a: Array, v: Array) -> float:
-    """Duality pairing of a drift value a against v in the slow geometry."""
-    if slow.state_norm == H_MINUS1:
-        return grid.h * float(np.dot(a, solve_neg_laplacian(grid, v)))
-    return grid.h * float(np.dot(a, v))
+def _amplitudes(start: int, stop: int) -> Array:
+    return np.array([0.1, 1.0, 10.0])[np.arange(start, stop) % 3]
 
 
-def _v_energy(slow: SlowOperatorSpec, grid: Grid1D, v: Array) -> float:
+def _dot(grid: Grid1D, a: Array, v: Array) -> Array:
+    """h <a, v> per column; vecdot on contiguous rows keeps np.dot's bytes."""
+    return grid.h * np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(v.T))
+
+
+def _norms(grid: Grid1D, v: Array, kind: NormKind) -> Array:
+    """row_norms of the columns of v, as contiguous rows."""
+    return row_norms(grid, np.ascontiguousarray(v.T), kind)
+
+
+def _pairing(grid: Grid1D, slow: SlowOperatorSpec, a: Array, v: Array) -> Array:
+    """Duality pairing of drift values a against v in the slow geometry."""
+    return _dot(grid, a, solve_neg_laplacian(grid, v) if slow.state_norm == H_MINUS1 else v)
+
+
+def _v_energy(slow: SlowOperatorSpec, grid: Grid1D, v: Array) -> Array:
     """||v||_V^alpha: the coercivity energy of the variational space."""
     if slow.kind == "porous_medium":
-        return norm_values(grid, v, lp_norm_kind(slow.p)) ** slow.p
+        return _norms(grid, v, lp_norm_kind(slow.p)) ** slow.p
     if slow.kind == "p_laplace":
-        g = face_gradients(grid, v)
-        return float(grid.h * np.sum(np.abs(g) ** slow.p))
-    return norm_values(grid, v, H1_0) ** 2
+        return grid.h * np.sum(np.abs(face_gradients(grid, v).T) ** slow.p, axis=-1)
+    return _norms(grid, v, H1_0) ** 2
 
 
 def check_condition(
@@ -119,31 +132,20 @@ def check_condition(
     samples: int,
     stream: RngStream,
 ) -> ConditionReport:
-    if condition not in CONDITION_IDS:
+    checker = _CHECKS.get(condition)
+    if checker is None:
         raise ValueError(f"unknown condition {condition!r}; expected one of {CONDITION_IDS}")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    checker = {
-        "A2_local_monotone": _check_a2,
-        "A3_coercive": _check_a3,
-        "A4_growth": _check_a4,
-        "B2_dissipative": _check_b2,
-        "B3_coercive": _check_b3,
-        "B4_growth": _check_b4,
-    }[condition]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return checker(slow, fast, grid, samples, stream.generator())
-
-
-def _amplitude(i: int) -> float:
-    return _AMPLITUDES[i % len(_AMPLITUDES)]
+        return _report(condition, *checker(slow, fast, grid, samples, stream.generator()))
 
 
 def _report(
     condition: str,
-    lhs: Sequence[float],
-    base: Sequence[float] | float,
-    slack: Sequence[float] | float,
+    lhs: Array,
+    base: Array | float,
+    slack: Array | float,
     known_c: float | None,
     constants: dict[str, float],
 ) -> ConditionReport:
@@ -154,7 +156,6 @@ def _report(
     constants. A sample's margin is C * base + slack - lhs; a margin that is
     not > 0 (NaN included) is a violation.
     """
-    lhs = np.asarray(lhs, dtype=np.float64)
     base = np.asarray(base, dtype=np.float64)
     c = known_c
     if c is None:
@@ -172,23 +173,15 @@ def _check_a2(slow, fast, grid, samples, gen):
     rho = 0 (plain monotonicity) for porous medium and p-Laplace; for Burgers
     the modulus has the form C (1 + ||v||_L4^4) and C is fitted.
     """
-    fitted = slow.kind == "burgers"
-    lhs, base, slack = [], [], []
-    for i in range(samples):
-        amp = _amplitude(i)
-        u = sample_field(grid, gen, amp)
-        v = sample_field(grid, gen, amp)
-        w = u - v
-        pa = _pairing(grid, slow, slow_drift(slow, grid, u), w)
-        pb = _pairing(grid, slow, slow_drift(slow, grid, v), w)
-        lhs.append(2.0 * (pa - pb))
-        slack.append(1e-7 * (1.0 + abs(pa) + abs(pb)))
-        if fitted:
-            w_sq = norm_values(grid, w, L2) ** 2
-            base.append((1.0 + norm_values(grid, v, lp_norm_kind(4.0)) ** 4) * w_sq)
-    if fitted:
-        return _report("A2_local_monotone", lhs, base, slack, None, {})
-    return _report("A2_local_monotone", lhs, 0.0, slack, 0.0, {"rho": 0.0})
+    u, v = _fields(grid, gen, _amplitudes(0, samples), 2)
+    w = u - v
+    pa = _pairing(grid, slow, slow_drift(slow, grid, u), w)
+    pb = _pairing(grid, slow, slow_drift(slow, grid, v), w)
+    lhs, slack = 2.0 * (pa - pb), 1e-7 * (1.0 + np.abs(pa) + np.abs(pb))
+    if slow.kind != "burgers":
+        return lhs, 0.0, slack, 0.0, {"rho": 0.0}
+    w_sq = _norms(grid, w, L2) ** 2
+    return lhs, (1.0 + _norms(grid, v, lp_norm_kind(4.0)) ** 4) * w_sq, slack, None, {}
 
 
 def _check_a3(slow, fast, grid, samples, gen):
@@ -202,24 +195,17 @@ def _check_a3(slow, fast, grid, samples, gen):
     underflowed, bounds nothing: its margin is NaN, a violation.
     """
     theta = {"porous_medium": slow.c, "p_laplace": 1.0, "burgers": slow.viscosity}[slow.kind]
-    lhs, energy, slack = [], [], []
-    for i in range(samples):
-        v = sample_field(grid, gen, _amplitude(i))
-        pairing = _pairing(grid, slow, slow_drift(slow, grid, v), v)
-        e = _v_energy(slow, grid, v)
-        lhs.append(pairing)
-        energy.append(e)
-        slack.append(1e-7 * (1.0 + abs(pairing) + theta * e))
-    lhs, energy = np.array(lhs), np.array(energy)
+    (v,) = _fields(grid, gen, _amplitudes(0, samples), 1)
+    lhs = _pairing(grid, slow, slow_drift(slow, grid, v), v)
+    energy = _v_energy(slow, grid, v)
     positive = energy > 0.0
     theta_fit = float(np.min(-lhs[positive] / energy[positive], initial=np.inf))
+    slack = 1e-7 * (1.0 + np.abs(lhs) + theta * energy)
     base = np.where(positive, energy, np.nan)
-    return _report(
-        "A3_coercive", lhs, base, slack, -theta, {"theta": theta_fit, "alpha": slow.alpha}
-    )
+    return lhs, base, slack, -theta, {"theta": theta_fit, "alpha": slow.alpha}
 
 
-def _dual_norm_pow(slow: SlowOperatorSpec, grid: Grid1D, v: Array) -> float:
+def _dual_norm_pow(slow: SlowOperatorSpec, grid: Grid1D, v: Array) -> Array:
     """||A(v)||_{V*}^{alpha/(alpha-1)}, computed through exact dualities.
 
     Porous medium: the functional w -> -h <psi(v), w> on L^p has dual norm
@@ -229,52 +215,41 @@ def _dual_norm_pow(slow: SlowOperatorSpec, grid: Grid1D, v: Array) -> float:
     """
     if slow.kind == "porous_medium":
         q = slow.p / (slow.p - 1.0)
-        return float(grid.h * np.sum(np.abs(_psi(slow, v)) ** q))
+        return grid.h * np.sum(np.abs(_psi(slow, v.T)) ** q, axis=-1)
     if slow.kind == "p_laplace":
         return _v_energy(slow, grid, v)
-    return norm_values(grid, slow_drift(slow, grid, v), H_MINUS1) ** 2
+    return _norms(grid, slow_drift(slow, grid, v), H_MINUS1) ** 2
 
 
 def _check_a4(slow, fast, grid, samples, gen):
     """||A(v)||_{V*}^{alpha/(alpha-1)} <= C (1 + ||v||_V^alpha)(1 + ||v||_H^2)."""
-    lhs, base = [], []
-    for i in range(samples):
-        v = sample_field(grid, gen, _amplitude(i))
-        lhs.append(_dual_norm_pow(slow, grid, v))
-        state_sq = norm_values(grid, v, slow.state_norm) ** 2
-        base.append((1.0 + _v_energy(slow, grid, v)) * (1.0 + state_sq))
-    lhs = np.array(lhs)
-    return _report("A4_growth", lhs, base, 1e-7 * (1.0 + lhs), None, {})
+    (v,) = _fields(grid, gen, _amplitudes(0, samples), 1)
+    lhs = _dual_norm_pow(slow, grid, v)
+    base = (1.0 + _v_energy(slow, grid, v)) * (1.0 + _norms(grid, v, slow.state_norm) ** 2)
+    return lhs, base, 1e-7 * (1.0 + lhs), None, {}
 
 
 def _check_b2(slow, fast, grid, samples, gen):
     """2 <B(x, u) - B(x, v), u - v> / ||u - v||^2 <= -gamma with gamma > 0.
 
     The margin of a sample is its contraction rate, and gamma_hat is the
-    worst margin. Pure-mode probes at small amplitude are checked first: on
+    worst margin. Pure-mode probes at small amplitude come first: on
     mode k the linear part contracts at exactly 2 lambda_k, so the rate
     lands at 2 lambda_1 - 2 b up to the sin curvature, and a spec with
-    b > lambda_1 is caught immediately.
+    b > lambda_1 is caught immediately. The random samples after them
+    continue the amplitude cycle at index probes.
     """
-    h = grid.h
-    lhs = []
-
-    def add(x, u, v):
-        d = u - v
-        d_sq = h * float(np.dot(d, d))
-        if d_sq > 0.0:
-            drift_gap = fast_drift(fast, grid, x, u) - fast_drift(fast, grid, x, v)
-            lhs.append(2.0 * h * float(np.dot(drift_gap, d)) / d_sq)
-
-    for k in range(1, min(8, grid.n_interior, samples - 1) + 1):
-        x = sample_field(grid, gen, 1.0)
-        add(x, 1e-4 * sine_basis(grid, k)[:, k - 1], np.zeros(grid.n_interior))
-    while len(lhs) < samples:
-        amp = _amplitude(len(lhs))
-        x, u, v = (sample_field(grid, gen, amp) for _ in range(3))
-        add(x, u, v)
-    report = _report("B2_dissipative", lhs, 0.0, 0.0, 0.0, {})
-    return dataclasses.replace(report, fitted_constants={"gamma_hat": report.worst_margin})
+    probes = min(8, grid.n_interior, samples - 1)
+    (x_probe,) = _fields(grid, gen, np.ones(probes), 1)
+    x, u, v = _fields(grid, gen, _amplitudes(probes, samples), 3)
+    x = np.hstack((x_probe, x))
+    u = np.hstack((1e-4 * sine_basis(grid, probes), u))
+    v = np.hstack((np.zeros((grid.n_interior, probes)), v))
+    d = u - v
+    gap = fast_drift(fast, grid, x, u) - fast_drift(fast, grid, x, v)
+    lhs = 2.0 * _dot(grid, gap, d) / _dot(grid, d, d)
+    # 0.0 - lhs are the margins _report computes, signed zeros included.
+    return lhs, 0.0, 0.0, 0.0, {"gamma_hat": float(np.min(0.0 - lhs))}
 
 
 def _check_b3(slow, fast, grid, samples, gen):
@@ -283,26 +258,26 @@ def _check_b3(slow, fast, grid, samples, gen):
     The linear part pairs to exactly -||v||_{H1_0}^2; what is fitted is the
     constant absorbing the coupling term.
     """
-    lhs, base = [], []
-    for i in range(samples):
-        amp = _amplitude(i)
-        x = sample_field(grid, gen, amp)
-        v = sample_field(grid, gen, amp)
-        pairing = grid.h * float(np.dot(fast_drift(fast, grid, x, v), v))
-        lhs.append(pairing + norm_values(grid, v, H1_0) ** 2)
-        base.append(1.0 + norm_values(grid, x, L2) ** 2 + norm_values(grid, v, L2) ** 2)
-    lhs = np.array(lhs)
-    return _report("B3_coercive", lhs, base, 1e-7 * (1.0 + np.abs(lhs)), None, {"eta": 1.0})
+    x, v = _fields(grid, gen, _amplitudes(0, samples), 2)
+    lhs = _dot(grid, fast_drift(fast, grid, x, v), v) + _norms(grid, v, H1_0) ** 2
+    base = 1.0 + _norms(grid, x, L2) ** 2 + _norms(grid, v, L2) ** 2
+    return lhs, base, 1e-7 * (1.0 + np.abs(lhs)), None, {"eta": 1.0}
 
 
 def _check_b4(slow, fast, grid, samples, gen):
     """||B(x, v)||_{H^-1} <= C (1 + ||v||_{H1_0} + ||x||_L2)."""
-    lhs, base = [], []
-    for i in range(samples):
-        amp = _amplitude(i)
-        x = sample_field(grid, gen, amp)
-        v = sample_field(grid, gen, amp)
-        lhs.append(norm_values(grid, fast_drift(fast, grid, x, v), H_MINUS1))
-        base.append(1.0 + norm_values(grid, v, H1_0) + norm_values(grid, x, L2))
-    lhs = np.array(lhs)
-    return _report("B4_growth", lhs, base, 1e-7 * (1.0 + lhs), None, {})
+    x, v = _fields(grid, gen, _amplitudes(0, samples), 2)
+    lhs = _norms(grid, fast_drift(fast, grid, x, v), H_MINUS1)
+    base = 1.0 + _norms(grid, v, H1_0) + _norms(grid, x, L2)
+    return lhs, base, 1e-7 * (1.0 + lhs), None, {}
+
+
+_CHECKS = {
+    "A2_local_monotone": _check_a2,
+    "A3_coercive": _check_a3,
+    "A4_growth": _check_a4,
+    "B2_dissipative": _check_b2,
+    "B3_coercive": _check_b3,
+    "B4_growth": _check_b4,
+}
+CONDITION_IDS = tuple(_CHECKS)

@@ -659,7 +659,7 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     decay_pass = True
     details = []
     for index, fast in enumerate(fast_specs):
-        margin = dissipativity_margin(fast, coupling, grid)
+        margin = dissipativity_margin(fast, grid)
         if margin <= 0.0:
             details.append(f"{fast.kind}: skipped (margin {margin:.3f} <= 0)")
             continue
@@ -719,13 +719,13 @@ def run_check_conditions(config: ExperimentConfig) -> ConditionsResult:
     margin must be checkable (and reported as failing) rather than rejected
     up front.
     """
-    grid, slow, fast, coupling = build_specs(config)
+    grid, slow, fast, _ = build_specs(config)
     samples = config.condition_samples
     reports = [
         check_condition(c, slow, fast, grid, samples, RngStream(config.master_seed, i))
         for i, c in enumerate(CONDITION_IDS)
     ]
-    margin = dissipativity_margin(fast, coupling, grid)
+    margin = dissipativity_margin(fast, grid)
     reports.append(
         ConditionReport(
             condition="dissipativity_margin",
@@ -736,7 +736,6 @@ def run_check_conditions(config: ExperimentConfig) -> ConditionsResult:
                 "margin": margin,
                 "lambda_1": smallest_eigenvalue(grid),
                 "lipschitz_y": fast.lipschitz_y,
-                "lipschitz_g2": coupling.lipschitz_g2,
             },
         )
     )

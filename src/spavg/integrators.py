@@ -221,7 +221,7 @@ class ModelSpec:
                 raise ValueError(f"{name} lives on a different grid")
         if self.coupling.f0.grid != self.grid:
             raise ValueError("coupling f0 lives on a different grid")
-        contraction_margin(self.fast, self.coupling, self.grid)
+        contraction_margin(self.fast, self.grid)
 
     @property
     def state_norm(self) -> NormKind:
@@ -638,9 +638,7 @@ class _FastStepper:
     @classmethod
     def for_model(cls, model: "ModelSpec", dt_macro: float, params: SchemeParams) -> "_FastStepper":
         """The micro stepping of the coupled scheme: n_sub steps per macro step."""
-        target = params.dt_fast_target or DT_FAST / contraction_margin(
-            model.fast, model.coupling, model.grid
-        )
+        target = params.dt_fast_target or DT_FAST / contraction_margin(model.fast, model.grid)
         n_sub = max(1, math.ceil(dt_macro / (model.epsilon * target) - 1e-12))
         return cls(
             model.fast, model.coupling, model.grid, model.epsilon, dt_macro / n_sub, n_sub

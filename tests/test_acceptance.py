@@ -101,7 +101,7 @@ def test_fbar_estimate_matches_closed_form_and_tightens():
         gaps = np.abs(mean[:, i] - reference) / np.hypot(stderr[:, i], reference_stderr)
         worst = max(worst, float(gaps.max()))
 
-    margin = dissipativity_margin(SMOOTH_FAST, COUPLING, GRID)
+    margin = dissipativity_margin(SMOOTH_FAST, GRID)
     streams = [RngStream(CONFIG.master_seed, 45_500 + i) for i in range(5)]
     _, base = estimate_fbar(SMOOTH_FAST, COUPLING, GRID, points, 64, streams, t_avg=40 / margin)
     _, doubled = estimate_fbar(SMOOTH_FAST, COUPLING, GRID, points, 64, streams, t_avg=80 / margin)
@@ -126,7 +126,7 @@ def test_frozen_dynamics_contract_at_half_margin_rate():
     for index, fast in enumerate(
         [FastOperatorSpec("linear", c_b=1.0), FastOperatorSpec("smooth_bounded", c_b=1.0, b=1.0)]
     ):
-        margin = dissipativity_margin(fast, COUPLING, GRID)
+        margin = dissipativity_margin(fast, GRID)
         assert margin > 0.0
         fit = fit_line(
             *ergodicity_decay(

@@ -191,7 +191,7 @@ def test_estimate_fbar_stderr_shrinks_with_longer_window():
     fast = FastOperatorSpec("smooth_bounded", c_b=1.0, b=0.5)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
     x = sine_mode(grid, 1, 0.5).values[:, None]
-    margin = dissipativity_margin(fast, coup, grid)
+    margin = dissipativity_margin(fast, grid)
     base_window = 60.0 / margin
     _, short = estimate_fbar(fast, coup, grid, x, 12, [RngStream(31, 0)], t_avg=base_window)
     _, long = estimate_fbar(
@@ -210,7 +210,7 @@ def plain_time_average(fast, coup, grid, x, n_replicas, stream, window):
     the next `window`, in steps of about DT_FAST, as estimate_fbar schedules
     its runs. Returns the replica mean and its standard error per node.
     """
-    margin = dissipativity_margin(fast, coup, grid)
+    margin = dissipativity_margin(fast, grid)
     t_burn, t_avg = BURN_IN / margin, window / margin
     n_steps = math.ceil((t_burn + t_avg) / (DT_FAST / margin) - 1e-12)
     dt = (t_burn + t_avg) / n_steps
@@ -306,7 +306,7 @@ def test_ergodicity_decay_linear_rate(monkeypatch):
     grid = Grid1D(8)
     fast = FastOperatorSpec("linear", c_b=1.0)
     coup = CouplingSpec(f0=zeros(grid))
-    margin = dissipativity_margin(fast, coup, grid)
+    margin = dissipativity_margin(fast, grid)
     lam = smallest_eigenvalue(grid)
     # The noise cancels from the linear gap, so the fit draws none.
     monkeypatch.setattr(_FastStepper, "draw", lambda *args: pytest.fail("noise drawn"))
@@ -324,7 +324,7 @@ def test_ergodicity_decay_linear_rate(monkeypatch):
 
 def per_step_decay(fast, coupling, grid, x, stream):
     """ergodicity_decay as a loop taking one norm per micro step."""
-    margin = spavg.averaging.contraction_margin(fast, coupling, grid)
+    margin = spavg.averaging.contraction_margin(fast, grid)
     horizon = 50.0 / margin
     n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
     dt = horizon / n_steps
@@ -357,7 +357,7 @@ def decay_case(fast, seed):
 
 def noisy_state_size(fast, coupling, grid, x, stream):
     """The largest |Y| of the shared-noise pair per_step_decay steps."""
-    margin = spavg.averaging.contraction_margin(fast, coupling, grid)
+    margin = spavg.averaging.contraction_margin(fast, grid)
     horizon = 50.0 / margin
     n_steps = max(1, math.ceil(horizon / (0.02 / margin) - 1e-12))
     stepper = _FastStepper(fast, coupling, grid, 1.0, horizon / n_steps)

@@ -297,9 +297,9 @@ def test_stepper_matches_reference_property(
         assert_close(to_nodes(state), expected)
 
 
-def frozen_schedule(fast, coupling, grid):
+def frozen_schedule(fast, grid):
     """estimate_fbar's (n_steps, dt, burn-in steps) at the default window."""
-    margin = dissipativity_margin(fast, coupling, grid)
+    margin = dissipativity_margin(fast, grid)
     t_burn, t_avg, dt_fast = BURN_IN / margin, WINDOW / margin, DT_FAST / margin
     n_steps = max(2, math.ceil((t_burn + t_avg) / dt_fast - 1e-12))
     dt = (t_burn + t_avg) / n_steps
@@ -327,7 +327,7 @@ def test_batched_estimate_fbar_equals_one_replica_at_a_time(kind):
     stream = RngStream(17, 40)
     mean, stderr = estimate_fbar(fast, coupling, grid, x.values[:, None], n_replicas, [stream])
 
-    n_steps, dt, burn = frozen_schedule(fast, coupling, grid)
+    n_steps, dt, burn = frozen_schedule(fast, grid)
     scales = mode_scales(coupling.g2_amplitude, coupling.g2_modes) * math.sqrt(dt)
     gaps = []
     for r in range(n_replicas):
@@ -415,7 +415,7 @@ def test_estimate_fbar_is_the_nodal_time_average_of_its_path(kind):
         assert mean.tobytes() == oracle.tobytes()
         return
 
-    n_steps, dt, burn = frozen_schedule(fast, coupling, grid)
+    n_steps, dt, burn = frozen_schedule(fast, grid)
     columns = [RngStream(stream.master_seed, stream.stream_id + r) for r in range(n_replicas)]
     chain = _FastStepper(fast, coupling, grid, 1.0, dt)
     ou = _FastStepper(twin, coupling, grid, 1.0, dt)

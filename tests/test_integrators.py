@@ -293,7 +293,7 @@ def test_fast_block_contraction_linear_two_sided():
     gap = norm_values(model.grid, out[:, 0] - out[:, 1], L2)
     tau = dt_macro / epsilon
     lam = smallest_eigenvalue(model.grid)
-    margin = dissipativity_margin(model.fast, model.coupling, model.grid)
+    margin = dissipativity_margin(model.fast, model.grid)
     continuum = math.exp(-0.5 * margin * tau)
     assert continuum == pytest.approx(math.exp(-lam * tau))
     assert continuum * (1.0 - 1e-9) <= gap <= continuum * 1.1
@@ -318,7 +318,7 @@ def test_fast_block_contraction_smooth_bounded_envelope():
     out = synchronous_block(model, dt_macro, params, x, y_a, y_b, RngStream(56, 0))
     gap0 = norm_values(grid, y_a.values - y_b.values, L2)
     gap = norm_values(grid, out[:, 0] - out[:, 1], L2)
-    margin = dissipativity_margin(model.fast, model.coupling, model.grid)
+    margin = dissipativity_margin(model.fast, model.grid)
     envelope = gap0 * math.exp(-0.5 * margin * dt_macro / epsilon) * 1.1
     assert gap <= envelope
 

@@ -167,6 +167,32 @@ def test_p_laplace_newton_takes_face_gradients_once_per_iterate(monkeypatch):
     assert counts["face_gradients"] == counts["slow_drift"]
 
 
+def test_a_singular_jacobian_fails_its_column_and_the_rest_iterate_on(monkeypatch):
+    # A Jacobian flagged singular on the first iteration drops its column:
+    # the other two take their directions and iterate on, and the solve
+    # then raises for the singular column with the message of its own.
+    import spavg.integrators as integrators
+
+    original = integrators._newton_direction
+    widths = []
+
+    def flag_column_1(*args):
+        direction, singular = original(*args)
+        if not widths:
+            singular = np.array([False, True, False])
+        widths.append(direction.shape[1])
+        return direction, singular
+
+    monkeypatch.setattr(integrators, "_newton_direction", flag_column_1)
+    b = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 8)).T
+    spec = SlowOperatorSpec("porous_medium", p=3.0)
+    with pytest.raises(NewtonDivergence) as failure:
+        _newton_monotone_solve(spec, Grid1D(8), b, 1 / 64, SchemeParams(dt_macro=1 / 64))
+    assert str(failure.value) == "implicit porous_medium solve met a singular Jacobian"
+    assert failure.value.column == 1
+    assert widths[0] == 3 and len(widths) > 1 and set(widths[1:]) <= {1, 2}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 64),

@@ -268,8 +268,6 @@ def test_coupling_validation():
         CouplingSpec(f0=f0, g1_modes=0, g2_modes=4)
     with pytest.raises(ValueError):
         CouplingSpec(f0=f0, g1_modes=5, g2_modes=4)  # more modes than nodes
-    with pytest.raises(ValueError):
-        CouplingSpec(f0=f0, g1_modes=4, g2_modes=4, lipschitz_g2=0.1)
 
 
 def test_mode_scales_decay():
@@ -294,24 +292,22 @@ def test_noise_increment_variance():
 
 def test_dissipativity_margin_formula():
     grid = Grid1D(8)
-    coup = CouplingSpec(f0=zeros(grid))
     lam = smallest_eigenvalue(grid)
     linear = FastOperatorSpec("linear", c_b=5.0)
-    assert dissipativity_margin(linear, coup, grid) == pytest.approx(2.0 * lam)
+    assert dissipativity_margin(linear, grid) == pytest.approx(2.0 * lam)
     bounded = FastOperatorSpec("smooth_bounded", b=1.25)
-    assert dissipativity_margin(bounded, coup, grid) == pytest.approx(2.0 * lam - 2.5)
+    assert dissipativity_margin(bounded, grid) == pytest.approx(2.0 * lam - 2.5)
     # Engineered violation: Lipschitz constant above the spectral gap.
     violating = FastOperatorSpec("smooth_bounded", b=lam + 1.0)
-    assert dissipativity_margin(violating, coup, grid) < 0.0
+    assert dissipativity_margin(violating, grid) < 0.0
 
 
 def test_contraction_margin_is_positive_or_raises():
     grid = Grid1D(8)
-    coup = CouplingSpec(f0=zeros(grid))
     lam = smallest_eigenvalue(grid)
     bounded = FastOperatorSpec("smooth_bounded", b=1.25)
-    assert contraction_margin(bounded, coup, grid) == dissipativity_margin(bounded, coup, grid)
+    assert contraction_margin(bounded, grid) == dissipativity_margin(bounded, grid)
     # Zero, negative and NaN margins all fail the one rule.
     for b in (lam, lam + 1.0, float("nan")):
         with pytest.raises(ValueError, match="the fast equation would not contract"):
-            contraction_margin(FastOperatorSpec("smooth_bounded", b=b), coup, grid)
+            contraction_margin(FastOperatorSpec("smooth_bounded", b=b), grid)
