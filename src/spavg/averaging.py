@@ -34,9 +34,9 @@ epsilon = 1:
   one base stream each, a lone point being S = 1, and all S * n_replicas
   replicas run as the columns of one frozen run, each with its own point
   frozen and on its own stream. It returns (mean, stderr), two (n, S)
-  arrays whose column s has the bytes of point s's own call. MemoizedFbar
-  uses that to refresh, in one run, every column of a batch whose input
-  left its trust region at the same macro step.
+  arrays whose column s has the bytes of point s's own call. The part
+  beside the closed form, the correction, is computed apart
+  (_fbar_correction), for MemoizedFbar to cache alone.
 - ergodicity_decay follows the gap of runs from zero and the first sine
   mode under shared noise for 50 relaxation times in steps of 0.02: the gap
   alone in sine modes for the linear kind, else the pair as two columns.
@@ -50,6 +50,11 @@ the control variate:
 The two drift providers, OracleFbar and MemoizedFbar, map slow states of a
 batch, (n, R), to their drifts column by column, as simulate_averaged and
 epsilon_grid_errors call them; a lone state is one column, x[:, None].
+MemoizedFbar evaluates the twin's closed form at every call and caches only
+the correction, which moves b / (lambda_1 - b) times as fast with x, so its
+trust radius is that much wider; the columns whose inputs leave it at the
+same call refresh in one frozen run. At b = 0 or c_fy = 0 it is the closed
+form.
 """
 
 from __future__ import annotations
@@ -112,6 +117,30 @@ def estimate_fbar(
     error comes from the spread of the replicas' gaps. An estimate that is
     not finite raises NumericalBlowUp.
     """
+    corrections, stderrs = _fbar_correction(fast, coupling, grid, x, n_replicas, streams, t_avg)
+    twin = FastOperatorSpec("linear", c_b=fast.c_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = OracleFbar(twin, coupling, grid)(np.asarray(x, dtype=np.float64)) + corrections
+    if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
+        raise NumericalBlowUp("fbar estimate is not finite: the frozen runs or drift overflowed")
+    return means, stderrs
+
+
+def _fbar_correction(
+    fast: FastOperatorSpec,
+    coupling: CouplingSpec,
+    grid: Grid1D,
+    x: Array,
+    n_replicas: int,
+    streams: Sequence[RngStream],
+    t_avg: float | None,
+) -> tuple[Array, Array]:
+    """(c_fy * mean_r(avg Y_r - avg Y_OU_r), its stderr) at points x, each (n, S).
+
+    The part of estimate_fbar beside the twin's closed form, under its
+    arguments and stream layout; the values may be non-finite, and its
+    callers judge them together with the closed form.
+    """
     streams = stream_batch(streams, "point")
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas for a spread estimate")
@@ -138,7 +167,7 @@ def estimate_fbar(
         RngStream(b.master_seed, b.stream_id + r) for b in streams for r in range(n_replicas)
     ]
     gap_sum = np.zeros((grid.n_interior, len(columns)))
-    # The finiteness test below classifies an overflow of the frozen runs.
+    # The callers' finiteness test classifies an overflow of the frozen runs.
     with np.errstate(over="ignore", invalid="ignore"):
         if fast != twin:  # else the chain is its own twin and every gap is 0
             stepper = _FastStepper(fast, coupling, grid, 1.0, dt)
@@ -161,12 +190,9 @@ def estimate_fbar(
         # one after another, as a lone point's (replica, node) block does.
         gaps = (gap_sum / (n_steps - burn_steps)).T.reshape(len(streams), n_replicas, -1)
         gaps = gaps.transpose(1, 0, 2)
-        oracle = OracleFbar(twin, coupling, grid)(points)
-        means = oracle + coupling.c_fy * gaps.mean(axis=0).T
+        corrections = coupling.c_fy * gaps.mean(axis=0).T
         stderrs = abs(coupling.c_fy) * gaps.std(axis=0, ddof=1).T / math.sqrt(n_replicas)
-    if not (np.isfinite(means).all() and np.isfinite(stderrs).all()):
-        raise NumericalBlowUp("fbar estimate is not finite: the frozen runs or drift overflowed")
-    return means, stderrs
+    return corrections, stderrs
 
 
 def ergodicity_decay(
@@ -238,18 +264,43 @@ class OracleFbar:
 class MemoizedFbar:
     """Averaged-drift provider backed by the Monte Carlo estimator, per column.
 
-    Column r of the input, a replica of a batch, has its own base stream
-    streams[r], cached input and cached estimate. A column's estimate is
-    refreshed only when its x leaves a trust region around its cached input
-    (TRUST_RELATIVE times its L2 norm plus TRUST_ABSOLUTE), since re-running
-    the frozen equation at every macro step would dominate the run time.
+    The drift is oracle(x) + c(x): oracle is the closed form of the b = 0
+    twin, built once and evaluated at the current x on every call, and c is
+    estimate_fbar's correction c_fy * mean_r(avg Y_r - avg Y_OU_r), the only
+    part cached. Column r of the input, a replica of a batch, has its own
+    base stream streams[r], cached input and cached correction. A column's
+    correction is refreshed only when its x leaves a trust region around
+    its cached input, since re-running the frozen equation at every macro
+    step would dominate the run time.
+
+    The trust radius keeps the budget of a cached full estimate and widens
+    by the ratio of the two parts' Lipschitz bounds:
+
+    - A full estimate cached at distance r from x is off by at most
+      ||M|| r, M the oracle's matrix, with ||M|| <= |c_fy| c_b / lambda_1
+      when c_fx = 0; the budget is r <= TRUST_RELATIVE ||x|| +
+      TRUST_ABSOLUTE.
+    - c is c_fy E[Y - Y_OU] and d(Y - Y_OU) = (-L (Y - Y_OU) + b sin Y) dt,
+      so Y - Y_OU ~ L^-1 b sin Y. The frozen chain contracts at rate
+      lambda_1 - b, so ||dY/dx|| <= c_b / (lambda_1 - b) and
+      Lip(c) <= |c_fy| b c_b / (lambda_1 (lambda_1 - b)).
+    - The same budget then allows
+
+          radius = (TRUST_RELATIVE ||x|| + TRUST_ABSOLUTE) (lambda_1 - b) / b,
+
+      the factor being margin / (2 b) with margin = contraction_margin:
+      18.7 at 64 nodes and b = 0.5.
+    - When b = 0 (the linear kind) or c_fy = 0, c is exactly 0: the radius
+      is infinite, the frozen equation never runs, refresh_counts stay 0
+      and every call returns the closed form's bytes.
+
     Refresh k of column r uses the stream ids from streams[r].stream_id +
     k * n_replicas on, so a given call sequence is reproducible. The columns
-    due at one call refresh in one estimate_fbar call, each with the bytes
-    it would get alone: a column's values and refresh_counts[r] do not
-    depend on the other columns. When that estimate is not finite, every
-    column it refreshed reads NaN, so the slow step that takes the drift
-    fails. x is (n, R).
+    due at one call refresh in one frozen run, each with the bytes it would
+    get alone: a column's values and refresh_counts[r] do not depend on the
+    other columns, and at its refresh a column reads estimate_fbar's mean.
+    When that estimate is not finite, every column it refreshed reads NaN,
+    so the slow step that takes the drift fails. x is (n, R).
     """
 
     TRUST_RELATIVE = 0.05
@@ -269,40 +320,52 @@ class MemoizedFbar:
         self.n_replicas = n_replicas
         self.streams = stream_batch(streams)
         self.refresh_counts = np.zeros(len(self.streams), dtype=np.int64)
+        self._oracle = OracleFbar(FastOperatorSpec("linear", c_b=fast.c_b), coupling, grid)
+        self._widening = (
+            math.inf
+            if fast.b == 0.0 or coupling.c_fy == 0.0
+            else contraction_margin(fast, grid) / (2.0 * fast.b)
+        )
         # Row r caches column r's input; NaN radii put every column outside
         # its trust region until its first refresh.
         self._x = np.zeros((len(self.streams), grid.n_interior))
         self._radius = np.full(len(self.streams), math.nan)
-        self._values = np.zeros((grid.n_interior, len(self.streams)))
+        self._corrections = np.zeros((grid.n_interior, len(self.streams)))
 
     def __call__(self, x: Array) -> Array:
         if x.shape != (self.grid.n_interior, len(self.streams)):
             raise ValueError(f"{len(self.streams)} streams cannot go with x of shape {x.shape}")
-        # Row by row in C order, each norm as a lone vector's. An x too large
-        # to square refreshes, and the slow step classifies its NaN drift.
+        # An x too large for the closed form or to square gives a non-finite
+        # drift, which the slow step classifies.
         with np.errstate(over="ignore", invalid="ignore"):
+            drift = self._oracle(x)
+            if self._widening == math.inf:
+                return drift
+            # Row by row in C order, each norm as a lone vector's.
             gaps, sizes = row_norms(self.grid, np.stack([x.T - self._x, x.T]), L2)
-        stale = np.flatnonzero(~(gaps <= self._radius))
-        if stale.size:
-            bases = [
-                RngStream(
-                    self.streams[r].master_seed,
-                    self.streams[r].stream_id + int(self.refresh_counts[r]) * self.n_replicas,
-                )
-                for r in stale
-            ]
-            try:
-                means, _ = estimate_fbar(
-                    self.fast, self.coupling, self.grid, x[:, stale], self.n_replicas, bases
-                )
-            except NumericalBlowUp:
-                # A NaN drift goes on to the slow step, whose run then fails
-                # as any non-finite state does.
-                means = np.full((self.grid.n_interior, stale.size), math.nan)
-            self.refresh_counts[stale] += 1
-            self._x[stale] = x.T[stale]
-            self._radius[stale] = self.TRUST_RELATIVE * sizes[stale] + self.TRUST_ABSOLUTE
-            # A new array, so a value returned earlier never changes.
-            self._values = self._values.copy()
-            self._values[:, stale] = means
-        return self._values
+            stale = np.flatnonzero(~(gaps <= self._radius))
+            if stale.size:
+                self._refresh(x, drift, stale, sizes)
+            return drift + self._corrections
+
+    def _refresh(self, x: Array, drift: Array, stale: Array, sizes: Array) -> None:
+        """Re-estimate the corrections of columns stale at x, whose closed form is drift."""
+        bases = [
+            RngStream(
+                self.streams[r].master_seed,
+                self.streams[r].stream_id + int(self.refresh_counts[r]) * self.n_replicas,
+            )
+            for r in stale
+        ]
+        corrections, stderrs = _fbar_correction(
+            self.fast, self.coupling, self.grid, x[:, stale], self.n_replicas, bases, None
+        )
+        if not (np.isfinite(drift[:, stale] + corrections).all() and np.isfinite(stderrs).all()):
+            # As estimate_fbar would raise: a NaN drift goes on to the slow
+            # step, whose run then fails as any non-finite state does.
+            corrections = np.full_like(corrections, math.nan)
+        self.refresh_counts[stale] += 1
+        self._x[stale] = x.T[stale]
+        budget = self.TRUST_RELATIVE * sizes[stale] + self.TRUST_ABSOLUTE
+        self._radius[stale] = budget * self._widening
+        self._corrections[:, stale] = corrections

@@ -435,31 +435,123 @@ def test_ergodicity_decay_validation():
         ergodicity_decay(unstable, coup, grid, zeros(grid), RngStream(1, 0))
 
 
+def widening(fast, grid):
+    """(lambda_1 - b) / b, the factor MemoizedFbar's trust radius widens by."""
+    return dissipativity_margin(fast, grid) / (2.0 * fast.b)
+
+
 def test_memoized_fbar_trust_region():
+    # smooth_bounded at b = 0.5 on 4 nodes: the radius is (5 % of ||x|| +
+    # 1e-3) times (lambda_1 - b) / b, about 18. Inside it the closed form
+    # follows x and only the correction stays cached.
     grid = Grid1D(4)
-    fast = FastOperatorSpec("linear", c_b=1.0)
+    fast = FastOperatorSpec("smooth_bounded", c_b=1.0, b=0.5)
     coup = CouplingSpec(f0=zeros(grid), g1_modes=4, g2_modes=4)
+    oracle = OracleFbar(FastOperatorSpec("linear", c_b=1.0), coup, grid)
     streams = [RngStream(200, 0), RngStream(200, 100)]
     provider = MemoizedFbar(fast, coup, grid, 4, streams)
     x = sine_mode(grid, 1, 1.0).values
-    first = provider(np.stack([x, -x], axis=1))
+    points = np.stack([x, -x], axis=1)
+    first = provider(points)
     assert provider.refresh_counts.tolist() == [1, 1]
-    nearby = np.stack([x, -x], axis=1) * 1.01  # inside the 5% trust radius
-    np.testing.assert_array_equal(provider(nearby), first)
+    # A refreshed column reads estimate_fbar's mean at its input.
+    estimate, _ = estimate_fbar(fast, coup, grid, points, 4, streams)
+    assert first.tobytes() == estimate.tobytes()
+    radius = (0.05 * norm_values(grid, x, L2) + 1e-3) * widening(fast, grid)
+    assert 17.0 < widening(fast, grid) < 19.0
+    # Moves of 0.99 radius stay, far outside the unwidened radius; the
+    # drift is the closed form at the new x plus the cached correction.
+    nearby = points + 0.99 * radius * np.stack([x, -x], axis=1) / norm_values(grid, x, L2)
+    drift = provider(nearby)
     assert provider.refresh_counts.tolist() == [1, 1]
-    # Only the column that leaves its trust region refreshes.
-    second = provider(np.stack([2.0 * x, -x], axis=1))
+    np.testing.assert_allclose(drift - oracle(nearby), first - oracle(points), atol=1e-15)
+    assert not np.allclose(drift, first)
+    # Only the column that leaves its trust region (by 1.01 radius) refreshes.
+    away = points.copy()
+    away[:, 0] += 1.01 * radius * x / norm_values(grid, x, L2)
+    second = provider(away)
     assert provider.refresh_counts.tolist() == [2, 1]
-    assert not np.array_equal(first[:, 0], second[:, 0])
-    np.testing.assert_array_equal(second[:, 1], first[:, 1])
+    moved = estimate_fbar(fast, coup, grid, away[:, :1], 4, [RngStream(200, 4)])[0]
+    assert second[:, 0].tobytes() == moved[:, 0].tobytes()
+    np.testing.assert_allclose(second[:, 1] - oracle(away)[:, 1], (first - oracle(points))[:, 1])
     # Same construction, same stream: the whole call sequence replays, here
     # for a batch of one column.
     twin = MemoizedFbar(fast, coup, grid, 4, streams[:1])
-    np.testing.assert_array_equal(twin(x[:, None])[:, 0], first[:, 0])
-    np.testing.assert_array_equal(twin(2.0 * x[:, None])[:, 0], second[:, 0])
+    assert twin(points[:, :1])[:, 0].tobytes() == first[:, 0].tobytes()
+    assert twin(nearby[:, :1])[:, 0].tobytes() == drift[:, 0].tobytes()
+    assert twin(away[:, :1])[:, 0].tobytes() == second[:, 0].tobytes()
     assert twin.refresh_counts.tolist() == [2]
     with pytest.raises(ValueError, match="2 streams"):
         provider(x)
+
+
+@pytest.mark.parametrize(
+    "fast, c_fy",
+    [
+        (FastOperatorSpec("linear", c_b=1.3), -1.5),
+        (FastOperatorSpec("smooth_bounded", c_b=1.3, b=0.0), -1.5),
+        (FastOperatorSpec("smooth_bounded", c_b=1.3, b=0.5), 0.0),
+    ],
+    ids=["linear", "b=0", "c_fy=0"],
+)
+def test_memoized_fbar_is_the_closed_form_when_the_correction_is_zero(fast, c_fy):
+    # At b = 0 or c_fy = 0 the correction is exactly 0: the trust radius is
+    # infinite, the frozen equation never runs, and every call, however far
+    # x moves, returns OracleFbar's bytes.
+    grid = Grid1D(6)
+    coup = CouplingSpec(
+        f0=sine_mode(grid, 2, 0.3), c_fx=0.5, c_fy=c_fy, g1_modes=6, g2_modes=6
+    )
+    oracle = OracleFbar(FastOperatorSpec("linear", c_b=1.3), coup, grid)
+    provider = MemoizedFbar(fast, coup, grid, 2, [RngStream(3, 0), RngStream(3, 100)])
+    x = np.random.default_rng(3).standard_normal((6, 2))
+    with mock.patch(
+        "spavg.averaging._fbar_correction", wraps=spavg.averaging._fbar_correction
+    ) as spy:
+        for scale in (1.0, 1.001, 50.0, -1e-3, 0.0):
+            assert provider(scale * x).tobytes() == oracle(scale * x).tobytes()
+    assert spy.call_count == 0
+    assert provider.refresh_counts.tolist() == [0, 0]
+
+
+def test_correction_sensitivity_stays_under_the_trust_rule_bound():
+    # The trust radius rests on Lip(correction) <= |c_fy| b c_b /
+    # (lambda_1 (lambda_1 - b)). Measure ||c(x + dx) - c(x)|| / ||dx|| along
+    # the first sine mode, the direction L^-1 amplifies most, with common
+    # random numbers: K = 16 base streams, each used at x and at x + dx, so
+    # the K differences are independent and their mean has a stderr. The
+    # measured sensitivity sits at 0.71 to 0.95 of the bound (16 nodes, four
+    # (c_b, b, c_fy) cases, moves 0.05 to 2) with a stderr below 1 % of it;
+    # allow 4 stderr above the bound.
+    grid = Grid1D(16)
+    lam = smallest_eigenvalue(grid)
+    K = 16
+    streams = [RngStream(5, 100 * k) for k in range(K)] * 2
+    x = sine_mode(grid, 1, 0.5).values + sine_mode(grid, 3, 0.2).values
+    for c_b, b, c_fy in ((1.0, 0.5, 1.0), (1.3, 0.8, -1.5)):
+        fast = FastOperatorSpec("smooth_bounded", c_b=c_b, b=b)
+        coup = CouplingSpec(
+            f0=sine_mode(grid, 2, 0.2), c_fx=0.3, c_fy=c_fy, g1_modes=8, g2_modes=8
+        )
+        oracle = OracleFbar(FastOperatorSpec("linear", c_b=c_b), coup, grid)
+        bound = abs(c_fy) * b * c_b / (lam * (lam - b))
+        # The closed form's own sensitivity is about (lambda_1 - b) / b
+        # times larger: what the wider radius trades on.
+        assert abs(c_fy) * c_b / lam == pytest.approx(bound * widening(fast, grid))
+        for size in (0.05, 0.5, 2.0):
+            dx = sine_mode(grid, 1, size).values
+            points = np.concatenate(
+                [np.repeat(x[:, None], K, axis=1), np.repeat((x + dx)[:, None], K, axis=1)],
+                axis=1,
+            )
+            means, _ = estimate_fbar(fast, coup, grid, points, 2, streams)
+            corrections = means - oracle(points)
+            moves = corrections[:, K:] - corrections[:, :K]
+            sensitivity = norm_values(grid, moves.mean(axis=1), L2) / norm_values(grid, dx, L2)
+            stderr = norm_values(grid, moves.std(axis=1, ddof=1), L2) / math.sqrt(K)
+            stderr /= norm_values(grid, dx, L2)
+            assert stderr < 0.01 * bound
+            assert 0.5 * bound < sensitivity <= bound + 4.0 * stderr
 
 
 def test_overflowing_estimate_is_a_numerical_failure():
@@ -495,9 +587,11 @@ def test_overflowing_estimate_is_a_numerical_failure():
 )
 def test_chunk_provider_equals_one_column_providers(kind, seed, data):
     # A script of calls in which every column either stays inside its trust
-    # region (a 0.1 % nudge) or leaves it (doubled). The chunk provider runs
-    # one estimate_fbar per call with stale columns and must give every
-    # column the values and refresh count of a provider of its own.
+    # region (a 0.1 % nudge) or leaves it (scaled by 2 + the widening of
+    # the radius, so its move exceeds the widened 5 %). The chunk provider
+    # runs one frozen run per call with stale columns and must give every
+    # column the values and refresh count of a provider of its own. A
+    # linear column is the closed form and never refreshes.
     replicas = data.draw(st.integers(1, 4), label="replicas")
     script = data.draw(
         st.lists(
@@ -513,16 +607,20 @@ def test_chunk_provider_equals_one_column_providers(kind, seed, data):
     streams = [RngStream(seed, 1000 * (r + 1)) for r in range(replicas)]
     chunk = MemoizedFbar(fast, coup, grid, 2, streams)
     alone = [MemoizedFbar(fast, coup, grid, 2, [stream]) for stream in streams]
+    leave = 2.0 + (widening(fast, grid) if kind == "smooth_bounded" else 1.0)
+    estimates = kind == "smooth_bounded"
     x = np.random.default_rng(seed).standard_normal((6, replicas)) + 1.0
     for call, moves in enumerate([[True] * replicas] + script):
         if call:
-            x = x * np.where(moves, 2.0, 1.001)
-        with mock.patch("spavg.averaging.estimate_fbar", wraps=estimate_fbar) as spy:
+            x = x * np.where(moves, leave, 1.001)
+        with mock.patch(
+            "spavg.averaging._fbar_correction", wraps=spavg.averaging._fbar_correction
+        ) as spy:
             values = chunk(x)
-        assert spy.call_count == int(any(moves))
+        assert spy.call_count == int(estimates and any(moves))
         for r, provider in enumerate(alone):
             assert values[:, r].tobytes() == provider(x[:, r : r + 1])[:, 0].tobytes()
-    expected = 1 + np.sum(script, axis=0, dtype=int)
+    expected = estimates * (1 + np.sum(script, axis=0, dtype=int))
     assert chunk.refresh_counts.tolist() == expected.tolist()
     assert [p.refresh_counts[0] for p in alone] == expected.tolist()
 

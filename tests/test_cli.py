@@ -280,7 +280,7 @@ CONVERGE_DIGESTS = {
         "b60624bcbf92c3faa5ec4b8e10f4e46dc99753235fa13e681c107d420c1f3b5c"
     ),
     "fast_kind = smooth_bounded\nb = 0.5\nfbar_source = estimator\n": (
-        "b12f86cb8c8136eaebe36b5491702a4eddd5d00cf01195178801c2c59ce9e8f8"
+        "5be5dc2736969997ac70d25fa5c354bca5db1695a4dac0b6c162090ef1e3c5e1"
     ),
 }
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spavg.averaging
 import spavg.experiments
 import spavg.integrators
 from spavg.averaging import OracleFbar
@@ -214,6 +215,35 @@ def test_run_convergence_with_estimated_fbar_runs():
     result = run_convergence(cfg)
     assert not result.any_failed
     assert all(row.error_mean > 0.0 for row in result.rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_short_estimator_batch_runs_the_frozen_equation_once(seed, monkeypatch):
+    # The benchmark's estimator-shaped run: 4 replicas at b = 0.5 over
+    # T = 1/32 with weak slow noise. Its slow paths stay inside the widened
+    # trust radius of the correction, so after the first call's refresh of
+    # all four columns no column refreshes again: one frozen run in all.
+    cfg = ExperimentConfig(
+        fast_kind="smooth_bounded",
+        b=0.5,
+        fbar_source="estimator",
+        fbar_replicas=2,
+        replicas=4,
+        T=0.03125,
+        g1_amplitude=0.02,
+        master_seed=seed,
+    )
+    calls = []
+    correction = spavg.averaging._fbar_correction
+
+    def counted(fast, coupling, grid, x, *args):
+        calls.append(x.shape[1])
+        return correction(fast, coupling, grid, x, *args)
+
+    monkeypatch.setattr(spavg.averaging, "_fbar_correction", counted)
+    result = run_convergence(cfg)
+    assert not result.any_failed
+    assert calls == [4]
 
 
 def test_estimator_replica_does_not_depend_on_other_replicas():

@@ -704,9 +704,9 @@ def test_epsilon_grid_columns_equal_one_epsilon_runs(
 def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
     # The averaged equation has no epsilon: one MemoizedFbar column per
     # replica serves every epsilon of converge's grid run. Its errors,
-    # refresh counts and estimate_fbar calls are those of the coupled run
-    # at each epsilon alone and simulate_averaged on its path with an
-    # estimator of its own.
+    # refresh counts and frozen runs (_fbar_correction calls) are those of
+    # the coupled run at each epsilon alone and simulate_averaged on its
+    # path with an estimator of its own.
     params = SchemeParams(dt_macro=1 / 64)
     model = make_model(n=8, epsilon=0.1, fast_kind="smooth_bounded")
     epsilons, replicas = [0.1, 0.05, 0.02], 2
@@ -717,13 +717,13 @@ def test_epsilon_grid_with_the_estimator_refreshes_in_one_call(monkeypatch):
         return MemoizedFbar(model.fast, model.coupling, model.grid, 2, bases)
 
     calls = []
-    estimate_fbar = spavg.averaging.estimate_fbar
+    correction = spavg.averaging._fbar_correction
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return estimate_fbar(*args, **kwargs)
+        return correction(*args, **kwargs)
 
-    monkeypatch.setattr(spavg.averaging, "estimate_fbar", counted)
+    monkeypatch.setattr(spavg.averaging, "_fbar_correction", counted)
     joint = estimator()
     errors = epsilon_grid_errors(model, epsilons, 4 / 64, params, streams, joint)
     grid_calls, calls[:] = len(calls), []
