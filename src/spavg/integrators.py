@@ -39,13 +39,16 @@ its micro steps one by one through a prefactored pttrs solve.
 Noise. Each Wiener increment is synthesized from sine-mode coefficients
 (amplitude / k**2) * sqrt(dt) * xi_k. A coupled run draws its whole horizon
 up front into a NoisePath with dt_macro and n_sub: the raw slow rows, and
-the fast noise as _block_replay reads it (_FastStepper.record is its one
-producer): the raw micro-step rows (without the 1/sqrt(epsilon) weight)
-for smooth_bounded; for the linear kind one row per macro step of the
-per-mode sum epsilon^(-1/2) sum_m d^(M-m) xi^_m of the exact update, drawn
-and summed a block of macro steps at a time, so memory does not grow with
-n_sub. The path alone fixes a replay's step grid and replays the same
-realization into the averaged equation or the block-frozen auxiliary
+the fast noise as _block_replay reads it: the raw micro-step rows (without
+the 1/sqrt(epsilon) weight) for smooth_bounded; for the linear kind one row
+per macro step of the per-mode sum epsilon^(-1/2) sum_m d^(M-m) xi^_m of
+the exact update. _record, the one producer of the fast noise, serves a
+whole epsilon grid from one draw: a coarser n_sub's unscaled rows are a
+prefix of a finer one's, so each replica's rows are drawn once, up to the
+largest n_sub, a block of micro steps at a time, and every epsilon scales
+(and the linear kind sums) its prefix of each block, so memory does not
+grow with n_sub. The path alone fixes a replay's step grid and replays the
+same realization into the averaged equation or the block-frozen auxiliary
 construction (same epsilon and n_sub, so the same gains), bit for bit.
 
 Batches. The replicas of one epsilon advance together as the columns of
@@ -233,7 +236,8 @@ class NoisePath:
 
     slow has shape (R, n_macro, g1_modes): raw Wiener-increment coefficients
     over dt_macro. fast holds, per macro step, what _block_replay reads at
-    this epsilon and n_sub (_FastStepper.record): the gain-weighted noise
+    this epsilon and n_sub (_record, which draws the fast rows of a grid's
+    epsilons once and gives each its prefix): the gain-weighted noise
     sums, (R, n_macro, g2_modes), for the linear kind, and the raw
     coefficient rows over dt_macro / n_sub, (R, n_macro, n_sub, g2_modes),
     for smooth_bounded. Which of the two layouts fits is the fast kind's
@@ -596,8 +600,10 @@ def _monotone_jacobian_bands(
 
 # Micro steps whose noise _FastStepper.path synthesizes at once.
 NOISE_BLOCK = 64
-# Micro steps per replica whose raw rows _FastStepper.record draws and sums at once.
-RECORD_BLOCK = 4096
+# Micro steps per replica whose raw fast rows _record draws at once for a
+# whole epsilon grid. The linear kind also holds a scaled copy of a block,
+# so its two buffers come to (R, 4096, modes), 0.8 MB at R = 3 and 8 modes.
+RECORD_BLOCK = 2048
 
 
 class _FastStepper:
@@ -611,7 +617,7 @@ class _FastStepper:
     in the coordinates _fast_coordinates keeps the kind's state in; noise
     is replica first, (R, steps, modes), and column c takes replica c mod R
     (see _by_column). path takes the micro steps one by one; a coupled or
-    auxiliary macro step is _block_replay's, from the noise record keeps.
+    auxiliary macro step is _block_replay's, from the noise _record keeps.
     """
 
     def __init__(
@@ -651,31 +657,6 @@ class _FastStepper:
         """
         generators = [stream.generator(1) for stream in streams]
         return _draw(generators, (steps, self._modes), self._scales)
-
-    def record(self, streams: Sequence[RngStream], n_macro: int) -> Array:
-        """The fast noise of n_macro macro steps as _block_replay reads it, (R, n_macro, ...).
-
-        Row r comes from lane 1 of streams[r], the numbers draw(streams,
-        n_macro * n_sub) gives, one set per macro step: smooth_bounded keeps
-        the raw rows, (R, n_macro, n_sub, modes), and the linear kind their
-        sums over micro steps m of noise_gain[m] times the row, per mode,
-        (R, n_macro, modes). The linear kind draws RECORD_BLOCK micro steps'
-        rows at a time, each stream's generator carrying on from block to
-        block, and sums them in one einsum, every row as it would alone,
-        before drawing the next, so its memory does not grow with n_sub.
-        """
-        generators = [stream.generator(1) for stream in streams]
-        if self.fast.kind != "linear":
-            return _draw(generators, (n_macro, self.n_sub, self._modes), self._scales)
-        per_block = max(1, RECORD_BLOCK // self.n_sub)
-        sums = np.empty((len(streams), n_macro, self._modes))
-        for start in range(0, n_macro, per_block):
-            steps = min(per_block, n_macro - start)
-            rows = _draw(generators, (steps, self.n_sub, self._modes), self._scales)
-            sums[:, start : start + steps] = np.einsum(
-                "mk,...mk->...k", self._block_gains[2], rows
-            )
-        return sums
 
     @functools.cached_property
     def _block_gains(self) -> tuple[Array, Array, Array]:
@@ -773,6 +754,77 @@ def _draw(
         generator.standard_normal(out=row)
     rows *= scales
     return rows
+
+
+def _record(
+    steppers: Sequence[_FastStepper], streams: Sequence[RngStream], n_macro: int
+) -> list[Array]:
+    """The fast noise of n_macro macro steps at each stepper's n_sub, as _block_replay reads it.
+
+    Stepper s gets, for row r, the numbers s.draw(streams, n_macro * n_sub)
+    gives from lane 1 of streams[r], one set per macro step: smooth_bounded
+    the raw rows, (R, n_macro, n_sub, modes), and the linear kind their sums
+    over micro steps m of noise_gain[m] times the row, per mode, (R,
+    n_macro, modes), every stepper's a view of one (E R, n_macro, modes)
+    stack. A coarser n_sub's unscaled rows are a prefix of a finer one's, so
+    each stream's rows are drawn once, up to the largest n_sub, RECORD_BLOCK
+    micro steps at a time into one buffer, its generator carrying on from
+    block to block; each stepper scales its prefix of every block. A linear
+    macro step that straddles two blocks keeps its first rows, fewer than
+    n_sub, for the next block, and every macro step sums in one einsum as it
+    would alone, so memory does not grow with n_sub.
+    """
+    generators = [stream.generator(1) for stream in streams]
+    replicas, modes = len(streams), steppers[0]._modes
+    longest = max(stepper.n_sub for stepper in steppers)
+    total = n_macro * longest
+    block = min(RECORD_BLOCK, total)
+    linear = steppers[0].fast.kind == "linear"
+    # The raw rows and the linear kind's scaled rows share one allocation:
+    # as two, each half the size, glibc kept them in its heap after the
+    # call, and perfbench's diagnose-burgers peaked 0.5 MB higher.
+    work = np.empty(replicas * (block + (block + longest - 1 if linear else 0)) * modes)
+    raw = work[: replicas * block * modes].reshape(replicas, block, modes)
+    buffer = work[replicas * block * modes :]
+    if linear:
+        records = np.split(np.empty((len(steppers) * replicas, n_macro, modes)), len(steppers))
+        held_rows = [np.empty((replicas, s.n_sub - 1, modes)) for s in steppers]
+    else:
+        records = [np.empty((replicas, n_macro, s.n_sub, modes)) for s in steppers]
+    for start in range(0, total, RECORD_BLOCK):
+        count = min(RECORD_BLOCK, total - start)
+        for row, generator in zip(raw, generators):
+            generator.standard_normal(out=row[:count])
+        for i, stepper in enumerate(steppers):
+            n_sub = stepper.n_sub
+            take = min(count, n_macro * n_sub - start)
+            if take <= 0:
+                continue
+            if not linear:
+                rows = records[i].reshape(replicas, -1, modes)[:, start : start + take]
+                np.multiply(raw[:, :take], stepper._scales, out=rows)
+                continue
+            # Macro step start // n_sub began `held` rows before this block,
+            # and the last `rest` rows of the block begin the next one: both
+            # wait in held_rows. The whole steps sum from one contiguous array
+            # (R, steps, n_sub, modes), each macro step as it would alone.
+            held = start % n_sub
+            steps, rest = divmod(held + take, n_sub)
+            tail = min(take, rest)
+            if steps:
+                rows = buffer[: replicas * steps * n_sub * modes].reshape(replicas, -1, modes)
+                rows[:, :held] = held_rows[i][:, :held]
+                np.multiply(raw[:, : take - tail], stepper._scales, out=rows[:, held:])
+                first = start // n_sub
+                records[i][:, first : first + steps] = np.einsum(
+                    "mk,...mk->...k",
+                    stepper._block_gains[2],
+                    rows.reshape(replicas, steps, n_sub, modes),
+                )
+            np.multiply(
+                raw[:, take - tail : take], stepper._scales, out=held_rows[i][:, rest - tail : rest]
+            )
+    return records
 
 
 def simulate_coupled(
@@ -881,19 +933,9 @@ def _epsilon_grid(
         for epsilon in epsilons
     ]
     width = len(steppers) * replicas
-    if model.fast.kind == "linear":
-        # Copied into one stack rather than kept as record returns them,
-        # though that allocates more: with one array per path, perfbench's
-        # converge-burgers peaked at 61.6 to 62.1 MB RSS, against 61.3 to
-        # 61.4 MB with the stack (5 runs each, numpy 2.4 on Linux).
-        noises = np.split(np.empty((width, m, coupling.g2_modes)), len(steppers))
-        for stepper, noise in zip(steppers, noises):
-            noise[...] = stepper.record(streams, m)
-    else:
-        noises = [stepper.record(streams, m) for stepper in steppers]
     paths = [
         NoisePath(dt, stepper.n_sub, epsilon, slow_rows, noise)
-        for stepper, epsilon, noise in zip(steppers, epsilons, noises)
+        for stepper, epsilon, noise in zip(steppers, epsilons, _record(steppers, streams, m))
     ]
     # The coupled fast states are a replay whose blocks are single macro steps.
     _, advance = _block_replay(model, paths, [1] * len(paths))

@@ -33,6 +33,7 @@ from spavg.integrators import (
     _fast_coordinates,
     _FastStepper,
     _matvec,
+    _record,
 )
 from spavg.operators import (
     CouplingSpec,
@@ -442,30 +443,40 @@ def test_estimate_fbar_is_the_nodal_time_average_of_its_path(kind):
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["linear", "smooth_bounded"]),
-    n_sub=st.integers(1, 40),
+    n_subs=st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
     n_macro=st.integers(1, 12),
     replicas=st.integers(1, 3),
     record_block=st.integers(1, 100),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_recorded_noise_is_one_whole_draw_reduced_step_by_step(
-    kind, n_sub, n_macro, replicas, record_block, seed
+    kind, n_subs, n_macro, replicas, record_block, seed
 ):
-    # However record splits the horizon into blocks, each stream's draws
-    # carry on where the last block stopped, so the recorded noise has the
-    # bytes of one whole draw reduced one macro step at a time: the block
-    # sums of the linear kind (noise_sums), the raw rows of smooth_bounded.
+    # _record draws each stream once for every n_sub of a grid, in blocks
+    # that need not end on a macro step: each stream's draws carry on where
+    # the last block stopped, and each stepper takes its prefix of them, so
+    # every stepper's noise has the bytes of its own whole draw reduced one
+    # macro step at a time: the block sums of the linear kind (noise_sums),
+    # the raw rows of smooth_bounded.
     grid = Grid1D(9)
     fast = FastOperatorSpec(kind, c_b=1.3, b=0.7 if kind == "smooth_bounded" else 0.0)
     coupling = CouplingSpec(f0=zeros(grid), g1_modes=1, g2_modes=5, g2_amplitude=0.8)
-    stepper = _FastStepper(fast, coupling, grid, 0.05, 0.01, n_sub)
+    dt_macro = 0.2
+    steppers = [
+        _FastStepper(fast, coupling, grid, 0.05, dt_macro / n_sub, n_sub) for n_sub in n_subs
+    ]
     streams = [RngStream(seed, r) for r in range(replicas)]
-    whole = stepper.draw(streams, n_macro * n_sub).reshape(replicas, n_macro, n_sub, 5)
-    expected = whole
-    if kind == "linear":
-        steps = [noise_sums(grid, 0.05, 0.01, whole[:, j]) for j in range(n_macro)]
-        expected = np.stack(steps, axis=1)
     with mock.patch.object(spavg.integrators, "RECORD_BLOCK", record_block):
-        recorded = stepper.record(streams, n_macro)
-    assert recorded.shape == expected.shape
-    assert recorded.tobytes() == expected.tobytes()
+        recorded = _record(steppers, streams, n_macro)
+    assert len(recorded) == len(steppers)
+    for stepper, noise in zip(steppers, recorded):
+        n_sub = stepper.n_sub
+        whole = stepper.draw(streams, n_macro * n_sub).reshape(replicas, n_macro, n_sub, 5)
+        expected = whole
+        if kind == "linear":
+            steps = [
+                noise_sums(grid, 0.05, dt_macro / n_sub, whole[:, j]) for j in range(n_macro)
+            ]
+            expected = np.stack(steps, axis=1)
+        assert noise.shape == expected.shape
+        assert noise.tobytes() == expected.tobytes()
