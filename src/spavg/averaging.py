@@ -226,13 +226,16 @@ def ergodicity_decay(
     else:
         pair = np.stack([np.zeros_like(y0_b), y0_b], axis=1)
         states = stepper.path(x.values[:, None], pair, stepper.draw([stream], n_steps))
+        block = np.empty((NOISE_BLOCK, 2, grid.n_interior))
     log_gaps = [math.log(gap0)]
     for start in range(0, n_steps, NOISE_BLOCK):
         steps = min(NOISE_BLOCK, n_steps - start)
         if fast.kind == "linear":
             gap = np.cumprod(np.vstack([gap[-1:], np.tile(stepper._d, (steps, 1))]), axis=0)[1:]
         else:
-            gap = np.array([y[:, 0] - y[:, 1] for y in islice(states, steps)])
+            for i, y in enumerate(islice(states, steps)):
+                block[i] = y.T
+            gap = block[:steps, 0] - block[:steps, 1]
         gaps = l2_norms(gap)
         stop = np.flatnonzero(gaps <= 1e-10 * gap0)
         log_gaps.extend(math.log(gap) for gap in gaps[: stop[0] if stop.size else len(gaps)])

@@ -73,7 +73,10 @@ would leak into its caller at each yield. Recorded noise puts the replica
 first, (R, n_macro, ...), each replica's rows contiguous. There is no other
 layout: states are (n, C) and noise (R, ...), a lone replica is a batch of
 one that its caller builds ([stream], x[:, None]), and statistics take one
-replica out with Trajectory.replica. A replica's bytes do not depend on its
+replica out with Trajectory.replica. Every (n, C) array a macro step makes
+is column-major, each column contiguous: the layout pttrs, gtsv and
+_matvec take without a copy, so no elementwise operation mixes a row-major
+operand with column-major ones. A replica's bytes do not depend on its
 batch or on the other epsilons of its grid, because every operation on a
 batch is one of:
 
@@ -941,7 +944,7 @@ def _epsilon_grid(
     _, advance = _block_replay(model, paths, [1] * len(paths))
     to_state, to_nodes, _ = _fast_coordinates(model.fast, model.grid)
     y = to_state(np.tile(model.y0.values, (width, 1)).T)
-    x_fast = np.empty((model.grid.n_interior, width))
+    x_fast = np.empty((model.grid.n_interior, width), order="F")
 
     def forcing(j: int, x: Array, y: Array) -> tuple[Array, Array]:
         """F at the left endpoint; the fast states then run one block with x frozen."""
@@ -986,7 +989,9 @@ def _block_replay(
     source = group * replicas + np.arange(group.size) % replicas
     if fast.kind == "linear":
         gains = [stepper._block_gains for stepper in steppers]
-        decay, drive = (np.hstack([g[i] for g in gains])[:, group] for i in (0, 1))
+        decay, drive = (
+            np.asfortranarray(np.hstack([g[i] for g in gains])[:, group]) for i in (0, 1)
+        )
         noise = None
 
         def step(j: int, x_frozen: Array, y: Array) -> Array:

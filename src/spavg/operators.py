@@ -168,15 +168,18 @@ def burgers_convection(grid: Grid1D, u: Array) -> Array:
     D is the central difference (v[i+1] - v[i-1]) / (2h) with zero Dirichlet
     neighbours at both ends. Both differences come from one zero-padded copy
     holding u*u and u, each computed as (0.0 + right) - left, so a zero
-    neighbour gives the signed zero a difference gives.
+    neighbour gives the signed zero a difference gives. The copy is laid out
+    column by column, (2, R, n + 2), so a column-major u gives a
+    column-major result.
     """
-    padded = np.zeros((2, u.shape[0] + 2) + u.shape[1:])
-    np.multiply(u, u, out=padded[0, 1:-1])
-    padded[1, 1:-1] = u
-    d = np.add(0.0, padded[:, 2:])
-    d -= padded[:, :-2]
+    v = u.T
+    padded = np.zeros((2,) + v.shape[:-1] + (v.shape[-1] + 2,))
+    np.multiply(v, v, out=padded[0, ..., 1:-1])
+    padded[1, ..., 1:-1] = v
+    d = np.add(0.0, padded[..., 2:])
+    d -= padded[..., :-2]
     d /= 2.0 * grid.h
-    return (d[0] + u * d[1]) / 3.0
+    return ((d[0] + v * d[1]) / 3.0).T
 
 
 def _psi(spec: SlowOperatorSpec, u: Array, powers: Array | None = None) -> Array:

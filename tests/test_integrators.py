@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spavg.averaging
+import spavg.experiments
 import spavg.integrators
 from spavg.averaging import MemoizedFbar, OracleFbar, estimate_fbar
 from spavg.blocks import build_auxiliary
@@ -51,7 +52,7 @@ from spavg.operators import (
     mode_scales,
 )
 from spavg.config import ExperimentConfig
-from spavg.experiments import build_model, scheme_params
+from spavg.experiments import _batch_statistics, build_model, scheme_params
 from spavg.randomness import RngStream
 
 from test_fast_stepper import nodal_step, recorded_path
@@ -863,3 +864,45 @@ def test_linear_fast_noise_memory_does_not_grow_with_n_sub():
             tracemalloc.stop()
         assert all(path.fast.shape == (1, m, model.coupling.g2_modes) for _, path in runs)
         assert peak < raw_rows / 4
+
+
+def test_macro_step_states_are_column_major(monkeypatch):
+    # Every (n, C) state the Burgers + linear macro step takes or makes is
+    # laid out column by column, as pttrs, gtsv and _matvec want it, so no
+    # elementwise operation mixes the two layouts: the slow step's state and
+    # forcing, the block replay's frozen input and fast state, and the
+    # Burgers convection, each with its result. Checked in converge's fold
+    # and in a diagnose batch, whose replay has a second set of columns.
+    seen = collections.Counter()
+
+    def checked(name, function, states):
+        def wrapper(*args):
+            result = function(*args)
+            for a in [*(args[i] for i in states), result]:
+                seen[name, a.ndim == 2 and a.flags.f_contiguous] += 1
+            return result
+
+        return wrapper
+
+    def replay(*args):
+        source, step = _block_replay(*args)
+        return source, checked("replay", step, (1, 2))
+
+    convection = checked("convection", spavg.integrators.burgers_convection, (1,))
+    monkeypatch.setattr(_SlowStepper, "step", checked("slow", _SlowStepper.step, (1, 2)))
+    monkeypatch.setattr(spavg.integrators, "burgers_convection", convection)
+    monkeypatch.setattr(spavg.integrators, "_block_replay", replay)
+    monkeypatch.setattr(spavg.experiments, "_block_replay", replay)
+    model = make_model(n=9)
+    fbar = OracleFbar(model.fast, model.coupling, model.grid)
+    streams = [RngStream(3, r) for r in range(2)]
+    epsilon_grid_errors(model, [0.1, 0.05], 8 / 64, SchemeParams(dt_macro=1 / 64), streams, fbar)
+    config = ExperimentConfig(n_interior=8, T=8 / 64, dt_macro=1 / 64, diag_epsilon=0.05)
+    _batch_statistics(config, [0.1, 0.05], [0, 1], {0.1: [4 / 64], 0.05: [2 / 64, 8 / 64]})
+    # 8 macro steps a run: three arrays a slow step or replay step, two a
+    # convection; diagnose replays its coupled and its frozen columns.
+    assert seen == {
+        ("slow", True): 2 * 8 * 3,
+        ("convection", True): 2 * 8 * 2,
+        ("replay", True): 3 * 8 * 3,
+    }

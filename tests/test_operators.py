@@ -130,7 +130,8 @@ def test_burgers_convection_hand_values():
 def test_burgers_convection_is_bit_equal_to_two_central_differences(values, columns, data):
     # One zero-padded copy gives the very bits of the two zero-filled
     # central differences it replaces, kept here as the reference, for one
-    # state (n,) and for a batch of columns (n, 3).
+    # state (n,) and for a column-major batch of columns (n, 3), which comes
+    # back column-major. tobytes() compares in C order whatever the layout.
     n = len(values)
     if columns:
         values += data.draw(st.lists(NODE_VALUE, min_size=2 * n, max_size=2 * n))
@@ -142,6 +143,7 @@ def test_burgers_convection_is_bit_equal_to_two_central_differences(values, colu
         reference = (central_difference(grid, u * u) + u * central_difference(grid, u)) / 3.0
         actual = burgers_convection(grid, u)
     assert actual.shape == u.shape
+    assert actual.flags.f_contiguous
     assert actual.tobytes() == reference.tobytes()
 
 
