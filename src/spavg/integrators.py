@@ -45,11 +45,13 @@ per macro step of the per-mode sum epsilon^(-1/2) sum_m d^(M-m) xi^_m of
 the exact update. _record, the one producer of the fast noise, serves a
 whole epsilon grid from one draw: a coarser n_sub's unscaled rows are a
 prefix of a finer one's, so each replica's rows are drawn once, up to the
-largest n_sub, a block of micro steps at a time, and every epsilon scales
-(and the linear kind sums) its prefix of each block, so memory does not
-grow with n_sub. The path alone fixes a replay's step grid and replays the
-same realization into the averaged equation or the block-frozen auxiliary
-construction (same epsilon and n_sub, so the same gains), bit for bit.
+largest n_sub, a block of micro steps at a time after the last n_sub - 1
+rows of the block before, and every epsilon scales (and the linear kind
+sums) the whole macro steps that end in the block, so memory does not grow
+with n_sub beyond those kept rows. The path alone fixes a replay's step
+grid and replays the same realization into the averaged equation or the
+block-frozen auxiliary construction (same epsilon and n_sub, so the same
+gains), bit for bit.
 
 Batches. The replicas of one epsilon advance together as the columns of
 one state, shape (n, R), in the same macro-step loop that runs a single
@@ -258,6 +260,13 @@ class NoisePath:
             )
         if fast.shape[:2] != slow.shape[:2]:
             raise ValueError("fast and slow noise disagree on the replica or step count")
+        # Written as "not ... > 0" so that NaN fails too.
+        if not dt_macro > 0.0:
+            raise ValueError(f"dt_macro must be positive, got {dt_macro}")
+        if not (n_sub >= 1 and float(n_sub).is_integer()):
+            raise ValueError(f"n_sub must be a whole number >= 1, got {n_sub}")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self.dt_macro = float(dt_macro)
         self.n_sub = int(n_sub)
         self.epsilon = float(epsilon)
@@ -604,8 +613,8 @@ def _monotone_jacobian_bands(
 # Micro steps whose noise _FastStepper.path synthesizes at once.
 NOISE_BLOCK = 64
 # Micro steps per replica whose raw fast rows _record draws at once for a
-# whole epsilon grid. The linear kind also holds a scaled copy of a block,
-# so its two buffers come to (R, 4096, modes), 0.8 MB at R = 3 and 8 modes.
+# whole epsilon grid, after the last max(n_sub) - 1 rows drawn, beside a
+# scaled copy: 2 (R, 2048 + 38, modes), 0.8 MB at R = 3, n_sub = 39, 8 modes.
 RECORD_BLOCK = 2048
 
 
@@ -771,62 +780,44 @@ def _record(
     n_macro, modes), every stepper's a view of one (E R, n_macro, modes)
     stack. A coarser n_sub's unscaled rows are a prefix of a finer one's, so
     each stream's rows are drawn once, up to the largest n_sub, RECORD_BLOCK
-    micro steps at a time into one buffer, its generator carrying on from
-    block to block; each stepper scales its prefix of every block. A linear
-    macro step that straddles two blocks keeps its first rows, fewer than
-    n_sub, for the next block, and every macro step sums in one einsum as it
-    would alone, so memory does not grow with n_sub.
+    micro steps at a time, its generator carrying on from block to block,
+    after the last max(n_sub) - 1 rows already drawn: the start of any macro
+    step that straddles the block boundary. So each stepper takes the macro
+    steps that end in the block whole from one slice and scales them (and
+    the linear kind sums them in one einsum), each as it would alone, and
+    memory grows with n_sub only by the kept rows.
     """
     generators = [stream.generator(1) for stream in streams]
     replicas, modes = len(streams), steppers[0]._modes
-    longest = max(stepper.n_sub for stepper in steppers)
-    total = n_macro * longest
+    keep = max(stepper.n_sub for stepper in steppers) - 1
+    total = n_macro * (keep + 1)
     block = min(RECORD_BLOCK, total)
+    # Row j of raw is micro step start - keep + j. The linear kind scales its
+    # rows into scaled: as a fresh product or a second allocation it stayed
+    # in glibc's heap, and perfbench's diagnose-burgers peaked 0.4 MB higher.
+    raw, scaled = np.empty((2, replicas, keep + block, modes))
     linear = steppers[0].fast.kind == "linear"
-    # The raw rows and the linear kind's scaled rows share one allocation:
-    # as two, each half the size, glibc kept them in its heap after the
-    # call, and perfbench's diagnose-burgers peaked 0.5 MB higher.
-    work = np.empty(replicas * (block + (block + longest - 1 if linear else 0)) * modes)
-    raw = work[: replicas * block * modes].reshape(replicas, block, modes)
-    buffer = work[replicas * block * modes :]
     if linear:
         records = np.split(np.empty((len(steppers) * replicas, n_macro, modes)), len(steppers))
-        held_rows = [np.empty((replicas, s.n_sub - 1, modes)) for s in steppers]
     else:
         records = [np.empty((replicas, n_macro, s.n_sub, modes)) for s in steppers]
     for start in range(0, total, RECORD_BLOCK):
         count = min(RECORD_BLOCK, total - start)
+        raw[:, :keep] = raw[:, block:]
         for row, generator in zip(raw, generators):
-            generator.standard_normal(out=row[:count])
-        for i, stepper in enumerate(steppers):
+            generator.standard_normal(out=row[keep : keep + count])
+        for stepper, record in zip(steppers, records):
+            # The macro steps that end in this block; none once all n_macro are done.
             n_sub = stepper.n_sub
-            take = min(count, n_macro * n_sub - start)
-            if take <= 0:
-                continue
-            if not linear:
-                rows = records[i].reshape(replicas, -1, modes)[:, start : start + take]
-                np.multiply(raw[:, :take], stepper._scales, out=rows)
-                continue
-            # Macro step start // n_sub began `held` rows before this block,
-            # and the last `rest` rows of the block begin the next one: both
-            # wait in held_rows. The whole steps sum from one contiguous array
-            # (R, steps, n_sub, modes), each macro step as it would alone.
-            held = start % n_sub
-            steps, rest = divmod(held + take, n_sub)
-            tail = min(take, rest)
-            if steps:
-                rows = buffer[: replicas * steps * n_sub * modes].reshape(replicas, -1, modes)
-                rows[:, :held] = held_rows[i][:, :held]
-                np.multiply(raw[:, : take - tail], stepper._scales, out=rows[:, held:])
-                first = start // n_sub
-                records[i][:, first : first + steps] = np.einsum(
-                    "mk,...mk->...k",
-                    stepper._block_gains[2],
-                    rows.reshape(replicas, steps, n_sub, modes),
-                )
-            np.multiply(
-                raw[:, take - tail : take], stepper._scales, out=held_rows[i][:, rest - tail : rest]
-            )
+            first, last = (min(n_macro, end // n_sub) for end in (start, start + count))
+            rows = raw[:, keep + first * n_sub - start : keep + last * n_sub - start]
+            rows = rows.reshape(replicas, last - first, n_sub, modes)
+            if linear:
+                out = scaled.reshape(-1)[: rows.size].reshape(rows.shape)
+                np.multiply(rows, stepper._scales, out=out)
+                record[:, first:last] = np.einsum("mk,...mk->...k", stepper._block_gains[2], out)
+            else:
+                np.multiply(rows, stepper._scales, out=record[:, first:last])
     return records
 
 

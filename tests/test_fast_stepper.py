@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
@@ -449,6 +449,15 @@ def test_estimate_fbar_is_the_nodal_time_average_of_its_path(kind):
     record_block=st.integers(1, 100),
     seed=st.integers(0, 2**32 - 1),
 )
+# a kept tail of 36 rows, longer than the 10-row blocks it spans
+@example(kind="linear", n_subs=[3, 37], n_macro=5, replicas=2, record_block=10, seed=7)
+@example(kind="smooth_bounded", n_subs=[3, 37], n_macro=5, replicas=2, record_block=10, seed=7)
+# 5 * 6 = 30 rows, ending exactly on a block boundary
+@example(kind="linear", n_subs=[2, 6], n_macro=5, replicas=2, record_block=10, seed=8)
+@example(kind="smooth_bounded", n_subs=[2, 6], n_macro=5, replicas=2, record_block=10, seed=8)
+# a lone n_sub = 1: no row is kept
+@example(kind="linear", n_subs=[1], n_macro=7, replicas=3, record_block=3, seed=9)
+@example(kind="smooth_bounded", n_subs=[1], n_macro=7, replicas=3, record_block=3, seed=9)
 def test_recorded_noise_is_one_whole_draw_reduced_step_by_step(
     kind, n_subs, n_macro, replicas, record_block, seed
 ):

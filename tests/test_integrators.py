@@ -140,6 +140,16 @@ def test_noise_path_shape_validation():
         NoisePath(0.01, 2, 0.1, np.zeros((4, 3)), np.zeros((4, 3)))
     with pytest.raises(ValueError):  # replica counts disagree
         NoisePath(0.01, 2, 0.1, np.zeros((2, 4, 3)), np.zeros((1, 4, 3)))
+    slow, fast = np.zeros((1, 4, 3)), np.zeros((1, 4, 3))
+    for dt_macro in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="dt_macro must be positive"):
+            NoisePath(dt_macro, 2, 0.1, slow, fast)
+    for n_sub in (0, -1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_sub must be a whole number"):
+            NoisePath(0.01, n_sub, 0.1, slow, fast)
+    for epsilon in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            NoisePath(0.01, 2, epsilon, slow, fast)
 
 
 def test_a_lone_stream_is_refused_naming_the_batch_form():
@@ -846,9 +856,9 @@ def test_linear_grid_calls_per_macro_step_do_not_grow_with_the_epsilon_count(mon
 def test_linear_fast_noise_memory_does_not_grow_with_n_sub():
     # One replica of the default model at epsilon = 0.001 takes hundreds of
     # micro steps per macro step; its path keeps one noise sum per macro
-    # step, and recording it holds only a block of raw rows at a time. A
-    # grid with a coarse epsilon beside it shares that draw: its buffers and
-    # the rows a straddling macro step carries over stay as small.
+    # step, and recording it holds only a block of raw rows at a time, after
+    # the n_sub - 1 rows it keeps for a macro step that straddles two
+    # blocks. A grid with a coarse epsilon beside it shares that draw.
     config = ExperimentConfig()
     model, params = build_model(config, 0.001), scheme_params(config)
     n_sub = _FastStepper.for_model(model, params.dt_macro, params).n_sub
