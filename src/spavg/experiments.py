@@ -35,6 +35,8 @@ import contextlib
 import dataclasses
 import math
 import os
+import pickle
+import signal
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -532,6 +534,86 @@ def _batch_statistics(
     return statistics
 
 
+@contextlib.contextmanager
+def _forked(fn: Callable, *args):
+    """Run fn(*args) in a forked child while the with body runs; yield result().
+
+    result() waits for the child, then returns fn's value or raises its
+    exception, as the call in place would. A child that dies before it
+    answers makes result() raise a RuntimeError with its exit status.
+    Leaving the body before result() has reaped the child kills and reaps
+    it, and lets the body's exception pass unchanged. Where os.fork does
+    not exist, result() calls fn itself.
+    """
+    if not hasattr(os, "fork"):
+        yield lambda: fn(*args)
+        return
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # The child answers once and leaves without the parent's clean-up.
+        status = 1
+        try:
+            try:
+                answer = (True, fn(*args))
+            except Exception as exc:
+                answer = (False, exc)
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(answer))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    pipe, reaped = open(read, "rb"), False
+
+    def result():
+        nonlocal reaped
+        with pipe:
+            answer = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not answer:
+            raise RuntimeError(
+                f"{fn.__name__} died in its forked child before it answered "
+                f"(exit status {os.waitstatus_to_exitcode(status)})"
+            )
+        ok, value = pickle.loads(answer)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _ergodicity_decay_suite(
+    config: ExperimentConfig, grid: Grid1D, coupling: CouplingSpec
+) -> list[tuple[str, float, LineFit | None]]:
+    """Diagnose's suite 4 fits: (kind, margin, fit) per catalog fast operator.
+
+    fit is the line through ergodicity_decay's log gaps, or None for an
+    operator without a positive margin, which the suite skips.
+    """
+    fast_specs = [
+        FastOperatorSpec("linear", c_b=config.c_b),
+        FastOperatorSpec("smooth_bounded", c_b=config.c_b, b=config.b if config.b > 0.0 else 1.0),
+    ]
+    x = sine_mode(grid, 1, config.x0_amplitude)
+    fits = []
+    for index, fast in enumerate(fast_specs):
+        margin = dissipativity_margin(fast, grid)
+        fit = None
+        if margin > 0.0:
+            stream = RngStream(config.master_seed, 500_000 + index)
+            fit = fit_line(*ergodicity_decay(fast, coupling, grid, x, stream))
+        fits.append((fast.kind, margin, fit))
+    return fits
+
+
 def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     """Moment uniformity, increment scaling, auxiliary deviation, decay rates.
 
@@ -547,6 +629,10 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
     it: the error its lowest failing replica raises alone.
     A ratio or fit whose means are degenerate (see _degenerate) is skipped,
     and its suite reports it as degenerate and passes.
+    The decay fits of suite 4 share nothing with the batches, so where the
+    platform can fork they run in a forked child meanwhile (see _forked);
+    their rows, outcome and errors are those of the fits run in place, and
+    an error of the batches still comes first.
     """
     grid, _, _, coupling = build_specs(config)
     delta_grid = [config.T * 2.0**-k for k in range(3, 8)]
@@ -564,27 +650,6 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
 
     epsilons = sorted(set(config.epsilon_grid) | {config.diag_epsilon}, reverse=True)
     deltas = {e: delta_grid if e == config.diag_epsilon else [delta_fixed] for e in epsilons}
-    records = _by_replica(
-        epsilons,
-        range(config.replicas),
-        lambda live, batch: _batch_statistics(config, live, batch, deltas),
-    )
-    sup_by_eps: dict[float, tuple[float, float]] = {}
-    dev_fixed_by_eps: dict[float, tuple[float, float]] = {}
-    for epsilon in epsilons:
-        record = records[epsilon]
-        if record.error is not None:
-            raise record.error
-        sup, *columns = zip(*record.values)
-        deviations = dict(zip(deltas[epsilon], columns))
-        integrals = dict(zip(deltas[epsilon], columns[len(deltas[epsilon]) :]))
-        if epsilon in config.epsilon_grid:
-            sup_by_eps[epsilon] = _mean_stderr(sup)
-            dev_fixed_by_eps[epsilon] = _mean_stderr(deviations[delta_fixed])
-        if epsilon == config.diag_epsilon:
-            inc_by_delta = {d: _mean_stderr(integrals[d]) for d in delta_grid}
-            dev_by_delta = {d: _mean_stderr(deviations[d]) for d in delta_grid}
-
     rows: list[DiagnosticsRow] = []
     outcomes: list[SuiteOutcome] = []
 
@@ -617,61 +682,76 @@ def run_diagnostics(config: ExperimentConfig) -> DiagnosticsResult:
         passed = fit.slope >= 0.5 - 2.0 * fit.slope_stderr
         return passed, f"{fit.slope:.3f} +/- {fit.slope_stderr:.3f} (threshold 0.5)"
 
-    # Suite 1: uniform-in-epsilon second moments of the slow path supremum.
-    moment_pass, moment_detail = uniformity("moment_uniformity", "", sup_by_eps)
-    outcomes.append(
-        SuiteOutcome(
-            "moment_uniformity",
-            moment_pass,
-            f"max/min of E sup ||X||^2 over epsilon = {moment_detail}",
+    with _forked(_ergodicity_decay_suite, config, grid, coupling) as decay_fits:
+        records = _by_replica(
+            epsilons,
+            range(config.replicas),
+            lambda live, batch: _batch_statistics(config, live, batch, deltas),
         )
-    )
+        sup_by_eps: dict[float, tuple[float, float]] = {}
+        dev_fixed_by_eps: dict[float, tuple[float, float]] = {}
+        for epsilon in epsilons:
+            record = records[epsilon]
+            if record.error is not None:
+                raise record.error
+            sup, *columns = zip(*record.values)
+            deviations = dict(zip(deltas[epsilon], columns))
+            integrals = dict(zip(deltas[epsilon], columns[len(deltas[epsilon]) :]))
+            if epsilon in config.epsilon_grid:
+                sup_by_eps[epsilon] = _mean_stderr(sup)
+                dev_fixed_by_eps[epsilon] = _mean_stderr(deviations[delta_fixed])
+            if epsilon == config.diag_epsilon:
+                inc_by_delta = {d: _mean_stderr(integrals[d]) for d in delta_grid}
+                dev_by_delta = {d: _mean_stderr(deviations[d]) for d in delta_grid}
 
-    # Suite 2: block increments of the slow path, scaling in delta.
-    inc_pass, inc_fit = scaling_fit("increment_scaling", inc_by_delta)
-    outcomes.append(
-        SuiteOutcome(
-            "increment_scaling", inc_pass, f"delta-slope of the increment integral = {inc_fit}"
+        # Suite 1: uniform-in-epsilon second moments of the slow path supremum.
+        moment_pass, moment_detail = uniformity("moment_uniformity", "", sup_by_eps)
+        outcomes.append(
+            SuiteOutcome(
+                "moment_uniformity",
+                moment_pass,
+                f"max/min of E sup ||X||^2 over epsilon = {moment_detail}",
+            )
         )
-    )
 
-    # Suite 3: deviation of the block-frozen auxiliary, scaling and uniformity.
-    dev_pass, dev_fit = scaling_fit("deviation_scaling", dev_by_delta)
-    uniform_pass, uniform_detail = uniformity(
-        "deviation_scaling", f"delta={delta_fixed!r};", dev_fixed_by_eps
-    )
-    outcomes.append(
-        SuiteOutcome(
-            "deviation_scaling",
-            dev_pass and uniform_pass,
-            f"delta-slope of the auxiliary deviation = {dev_fit}, "
-            f"epsilon max/min at fixed delta = {uniform_detail}",
+        # Suite 2: block increments of the slow path, scaling in delta.
+        inc_pass, inc_fit = scaling_fit("increment_scaling", inc_by_delta)
+        outcomes.append(
+            SuiteOutcome(
+                "increment_scaling", inc_pass, f"delta-slope of the increment integral = {inc_fit}"
+            )
         )
-    )
+
+        # Suite 3: deviation of the block-frozen auxiliary, scaling and uniformity.
+        dev_pass, dev_fit = scaling_fit("deviation_scaling", dev_by_delta)
+        uniform_pass, uniform_detail = uniformity(
+            "deviation_scaling", f"delta={delta_fixed!r};", dev_fixed_by_eps
+        )
+        outcomes.append(
+            SuiteOutcome(
+                "deviation_scaling",
+                dev_pass and uniform_pass,
+                f"delta-slope of the auxiliary deviation = {dev_fit}, "
+                f"epsilon max/min at fixed delta = {uniform_detail}",
+            )
+        )
+        fits = decay_fits()
 
     # Suite 4: pathwise contraction rate of every catalog fast operator with a
     # positive margin, against -0.9 * margin / 2.
-    fast_specs = [
-        FastOperatorSpec("linear", c_b=config.c_b),
-        FastOperatorSpec("smooth_bounded", c_b=config.c_b, b=config.b if config.b > 0.0 else 1.0),
-    ]
-    x = sine_mode(grid, 1, config.x0_amplitude)
     decay_pass = True
     details = []
-    for index, fast in enumerate(fast_specs):
-        margin = dissipativity_margin(fast, grid)
-        if margin <= 0.0:
-            details.append(f"{fast.kind}: skipped (margin {margin:.3f} <= 0)")
+    for kind, margin, fit in fits:
+        if fit is None:
+            details.append(f"{kind}: skipped (margin {margin:.3f} <= 0)")
             continue
-        stream = RngStream(config.master_seed, 500_000 + index)
-        fit = fit_line(*ergodicity_decay(fast, coupling, grid, x, stream))
-        row("ergodicity_decay", f"{fast.kind}_slope", fit.slope, n=1)
-        row("ergodicity_decay", f"{fast.kind}_r_squared", fit.r_squared, n=1)
-        row("ergodicity_decay", f"{fast.kind}_margin_half", margin / 2.0, n=1)
+        row("ergodicity_decay", f"{kind}_slope", fit.slope, n=1)
+        row("ergodicity_decay", f"{kind}_r_squared", fit.r_squared, n=1)
+        row("ergodicity_decay", f"{kind}_margin_half", margin / 2.0, n=1)
         ok = fit.slope <= -0.9 * margin / 2.0 and fit.r_squared >= 0.98
         decay_pass = decay_pass and ok
         details.append(
-            f"{fast.kind}: slope {fit.slope:.3f} vs -0.9*margin/2 = {-0.45 * margin:.3f}, "
+            f"{kind}: slope {fit.slope:.3f} vs -0.9*margin/2 = {-0.45 * margin:.3f}, "
             f"r^2 {fit.r_squared:.4f}"
         )
     outcomes.append(SuiteOutcome("ergodicity_decay", decay_pass, "; ".join(details)))

@@ -2,7 +2,12 @@
 
 pytest captures stdout of passing tests, so the acceptance checks push their
 summary lines here and a terminal-summary hook replays them after the run.
+An autouse fixture fails any test that leaves a child process behind.
 """
+
+import os
+
+import pytest
 
 SUMMARY: list[str] = []
 
@@ -16,3 +21,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance summary")
         for line in SUMMARY:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid(-1, WNOHANG) gave {left})")

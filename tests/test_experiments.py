@@ -4,7 +4,9 @@ import collections
 import dataclasses
 import functools
 import math
+import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -669,6 +671,74 @@ def test_failing_diagnose_raises_for_the_first_failing_epsilon(monkeypatch):
         ([0.1], [2]),
         ([0.1], [3]),
     ]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"b": 20.0}])
+def test_decay_suite_keeps_its_bytes_forked_and_in_place(monkeypatch, overrides):
+    # Suite 4 runs in a forked child where os.fork exists and in place where
+    # it does not; both give the same rows and lines, a skipped operator too.
+    config = ExperimentConfig(**DIAG, **overrides)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    forked = run_diagnostics(config)
+    assert forks == [os.getpid()]
+    monkeypatch.delattr(os, "fork")
+    in_place = run_diagnostics(config)
+    assert repr(forked.tables()) == repr(in_place.tables())
+    assert forked.report_lines() == in_place.report_lines()
+
+
+@pytest.mark.parametrize("can_fork", [True, False])
+def test_a_decay_fit_error_reaches_the_caller_unchanged(monkeypatch, can_fork):
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(spavg.experiments, "ergodicity_decay", boom)
+    if not can_fork:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError) as raised:
+        run_diagnostics(ExperimentConfig(**DIAG))
+    assert type(raised.value) is ValueError and str(raised.value) == "boom"
+
+
+def test_a_decay_child_that_dies_before_it_answers_is_named(monkeypatch):
+    # Not EOFError or an unpickling error: the suite's function and the
+    # child's exit status.
+    monkeypatch.setattr(spavg.experiments, "ergodicity_decay", lambda *args: os._exit(7))
+    with pytest.raises(RuntimeError) as raised:
+        run_diagnostics(ExperimentConfig(**DIAG))
+    assert str(raised.value) == (
+        "_ergodicity_decay_suite died in its forked child before it answered (exit status 7)"
+    )
+
+
+@pytest.mark.parametrize("decay", ["hangs", "fails"])
+def test_a_failing_replica_raises_as_in_place_and_the_child_is_reaped(monkeypatch, decay):
+    # Replica 1 blows up at macro step 5. Its error is the one the run in
+    # place raises, before suite 4 is read: a child that hangs is killed
+    # and reaped, and a child's own error does not take its place.
+    poison_fast_noise(monkeypatch, {1: 5})
+    config = ExperimentConfig(**{**DIAG, "replicas": 3})
+    with monkeypatch.context() as in_place:
+        in_place.delattr(os, "fork")
+        with pytest.raises(NumericalBlowUp) as expected:
+            run_diagnostics(config)
+
+    def hang(*args):
+        time.sleep(60.0)
+
+    def fail(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(spavg.experiments, "ergodicity_decay", hang if decay == "hangs" else fail)
+    started = time.monotonic()
+    with pytest.raises(NumericalBlowUp) as raised:
+        run_diagnostics(config)
+    assert time.monotonic() - started < 30.0
+    assert str(raised.value) == str(expected.value)
+    assert "macro step 5" in str(raised.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------- conditions
