@@ -7,12 +7,12 @@ step grid the NoisePath recorded (dt_macro and n_sub micro steps per macro
 step) and reads its fast noise as recorded, so a replay needs no scheme
 parameters and cannot disagree with the recording run. Its one step rule,
 integrators._block_replay, also advances the coupled fast states (blocks of
-one macro step); build_auxiliary writes its history, while diagnose steps
-it inside its coupled run and keeps none, both in the fast state's
-coordinates (sine modes for the linear kind). Comparing it with the true
-fast trajectory isolates how much the fast equation feels the slow motion
-inside one block, the quantity whose delta-scaling the diagnostics suites
-measure.
+one macro step); build_auxiliary writes its history, while diagnose runs
+it as more columns of its coupled run's fast state and keeps none, both in
+the fast state's coordinates (sine modes for the linear kind). Comparing
+it with the true fast trajectory isolates how much the fast equation feels
+the slow motion inside one block, the quantity whose delta-scaling the
+diagnostics suites measure.
 
 Statistics conventions. deviation_statistic integrates ||y(t) - y_hat(t)||^2
 with the trapezoid rule; the integrand is continuous, and a constant offset c
@@ -75,7 +75,7 @@ def build_auxiliary(
         raise ValueError("trajectory and noise path disagree on the replica count")
     block_steps = [whole_steps(float(d), noise.dt_macro, "delta") for d in deltas]
     anchors = block_anchors(np.arange(m), np.array(block_steps)[:, None])
-    _, replay = _block_replay(model, [noise], [len(anchors)])
+    _, replay = _block_replay(model, [noise], [0] * len(deltas))
     to_state, to_nodes, _ = _fast_coordinates(model.fast, model.grid)
     x = to_state(x.reshape(-1, n).T).T.reshape(x.shape)
     # Column d * replicas + r replays replica r under block length deltas[d].

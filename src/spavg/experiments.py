@@ -54,7 +54,6 @@ from .integrators import (
     NumericalBlowUp,
     SchemeParams,
     Trajectory,
-    _block_replay,
     _epsilon_grid,
     _fast_coordinates,
     block_anchors,
@@ -476,46 +475,43 @@ def _batch_statistics(
 
     A tuple holds sup ||x||^2, the auxiliary deviation of each of the
     epsilon's deltas and, at diag_epsilon, their increment integrals. One
-    _epsilon_grid loop without a drift runs every epsilon; in it
-    _block_replay steps each (epsilon, delta, replica) column with x frozen
-    at the column's latest block start, the increments' anchor too, and
-    gathered from the x^ of the coupled step. Each column keeps its per-step
-    norms alone (over NOISE_BLOCK steps at a time) and reduces them as
-    TrajectoryStats and deviation_statistic do.
+    _epsilon_grid loop without a drift runs every epsilon with a replay
+    column per (epsilon, delta, replica) in its fast state, x^ frozen at the
+    column's latest block start; the diag_epsilon columns keep the nodal x
+    of that start too, the anchor of their increments. Each column keeps its
+    per-step norms alone (over NOISE_BLOCK steps at a time) and reduces them
+    as TrajectoryStats and deviation_statistic do.
     """
     model = build_model(config, epsilons[0])
     grid, n, dt = model.grid, model.grid.n_interior, config.dt_macro
     streams = [RngStream(config.master_seed, r) for r in batch]
     params = scheme_params(config)
-    paths, states, x_fast = _epsilon_grid(model, epsilons, config.T, params, streams, None)
-    source, replay = _block_replay(model, paths, [len(deltas[e]) for e in epsilons])
-    columns = [(e, d) for e in epsilons for d in deltas[e] for _ in batch]
-    block_steps = np.array([whole_steps(d, dt, "delta") for _, d in columns])
-    diag = np.flatnonzero([e == config.diag_epsilon for e, _ in columns])
+    replays = [(g, whole_steps(d, dt, "delta")) for g, e in enumerate(epsilons) for d in deltas[e]]
+    paths, states, source = _epsilon_grid(model, epsilons, config.T, params, streams, None, replays)
     m, replicas, coupled = paths[0].n_macro, len(batch), len(epsilons) * len(batch)
-    frozen, frozen_fast = np.tile(model.x0.values, (len(columns), 1)), np.empty((len(columns), n))
+    source = source[coupled:]  # the coupled column under each replay column
+    at_diag = np.repeat([epsilons[g] == config.diag_epsilon for g, _ in replays], replicas)
+    diag, diag_steps = source[at_diag], np.repeat([q for _, q in replays], replicas)[at_diag]
+    frozen = np.tile(model.x0.values, (diag.size, 1))
     # A macro time's rows: for the state norm x of every coupled column,
     # then the increments of the diag_epsilon columns (zero at time 0); for
     # L2 the deviation of every replay column, in sine modes if linear.
     size = min(NOISE_BLOCK, m + 1)
     x_rows = np.empty((size, coupled + diag.size, n))
-    y_rows = np.empty((size, len(columns), n))
-    x_norms, y_norms = np.empty((x_rows.shape[1], m + 1)), np.empty((len(columns), m + 1))
+    y_rows = np.empty((size, source.size, n))
+    x_norms, y_norms = np.empty((x_rows.shape[1], m + 1)), np.empty((source.size, m + 1))
     tables = (
         (x_rows, x_norms, lambda v: row_norms(grid, v, model.state_norm)),
         (y_rows, y_norms, _fast_coordinates(model.fast, grid)[2]),
     )
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (x, y) in enumerate(states):
-            if j:  # due is step j - 1's, and x_fast the x^ its coupled step took.
-                frozen_fast[due] = x_fast.T[source[due]]
-            y_hat = replay(j - 1, frozen_fast.T, y_hat) if j else y[:, source]
             i = j % size
             x_rows[i, :coupled] = x.T
-            np.subtract(x.T[source[diag]], frozen[diag], out=x_rows[i, coupled:])
-            np.subtract(y.T[source], y_hat.T, out=y_rows[i])
-            due = block_anchors(j, block_steps) == j
-            frozen[due] = x.T[source[due]]
+            np.subtract(x.T[diag], frozen, out=x_rows[i, coupled:])
+            np.subtract(y.T[source], y.T[coupled:], out=y_rows[i])
+            due = block_anchors(j, diag_steps) == j
+            frozen[due] = x.T[diag[due]]
             if i == size - 1 or j == m:
                 for rows, norms, row_norm in tables:
                     values = row_norm(rows[: i + 1].reshape(-1, n))

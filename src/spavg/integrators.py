@@ -61,11 +61,12 @@ epsilon_grid_errors one averaged group of R columns after them all.
 Replica r draws the same slow rows at every epsilon (lane 0 of its stream
 does not depend on epsilon), so one set of slow increments drives every
 group. Each group has its own fast stepper and fast noise, but the fast
-states of all groups are one state, which _block_replay moves through a
-macro step. The linear kind's epsilons differ only in per-mode gains, so
-one exact update advances every group, and diagnose's replay columns,
-frozen at the x^ of their block start, add no transform: two per macro
-step in all (x^ and B y^). smooth_bounded steps each group on its own.
+states of all groups are one state, which one _block_replay update moves
+through a macro step; diagnose's block-frozen replay columns follow the
+coupled ones in it (_epsilon_grid). The linear kind's epsilons differ only
+in per-mode gains, so one exact update advances every column, and the
+replay columns add no transform: two per macro step in all (x^ and B y^).
+smooth_bounded steps all columns of a group through one micro-step loop.
 The loop keeps no history: simulate_epsilon_grid and simulate_averaged
 write every state into trajectories, time first, (n_steps + 1, R, n);
 epsilon_grid_errors and diagnose fold each state into statistics. Each
@@ -359,13 +360,13 @@ def whole_steps(length: float, dt_macro: float, name: str) -> int:
     return q
 
 
-def block_anchors(step: Array | int, q: Array | int) -> Array:
+def block_anchors(step: Array | int, q: Array | int) -> Array | int:
     """The macro step that starts the block of q macro steps holding `step`.
 
     The one block-anchor rule, elementwise in step and block length with
-    numpy broadcasting: step j starts a block exactly when its anchor is j.
+    numpy broadcasting, ints to an int: step j starts a block when its anchor is j.
     """
-    return np.asarray(step) // q * q
+    return step // q * q
 
 
 class _SlowStepper:
@@ -910,9 +911,11 @@ def _epsilon_grid(
     params: SchemeParams,
     streams: Sequence[RngStream],
     fbar: Callable[[Array], Array] | None,
+    replays: Sequence[tuple[int, int]] = (),
 ) -> tuple[list[NoisePath], Iterator[tuple[Array, Array]], Array]:
-    """The paths of a grid run, one per epsilon, its _slow_loop (see Batches
-    above) and x^, (n, W), the input of its fast steps, which each overwrites."""
+    """The paths of a grid run (one per epsilon), its _slow_loop (see Batches above) and source,
+    the coupled column whose noise and x^ drive each fast column. Each (g, q) of replays adds R
+    columns after the coupled ones: group g's noise, x^ frozen at multiples of q macro steps."""
     streams = stream_batch(streams)
     if not len(epsilons):
         raise ValueError("epsilons must hold at least one epsilon")
@@ -931,41 +934,45 @@ def _epsilon_grid(
         NoisePath(dt, stepper.n_sub, epsilon, slow_rows, noise)
         for stepper, epsilon, noise in zip(steppers, epsilons, _record(steppers, streams, m))
     ]
-    # The coupled fast states are a replay whose blocks are single macro steps.
-    _, advance = _block_replay(model, paths, [1] * len(paths))
+    source, advance = _block_replay(model, paths, [*range(len(paths)), *(g for g, _ in replays)])
+    block_steps = np.repeat([q for _, q in replays], replicas)
+    anchored = [(q, width + np.flatnonzero(block_steps == q)) for q in set(block_steps.tolist())]
     to_state, to_nodes, _ = _fast_coordinates(model.fast, model.grid)
-    y = to_state(np.tile(model.y0.values, (width, 1)).T)
-    x_fast = np.empty((model.grid.n_interior, width), order="F")
+    y = to_state(np.tile(model.y0.values, (source.size, 1)).T)
+    x_fast = np.empty((model.grid.n_interior, source.size), order="F")
 
     def forcing(j: int, x: Array, y: Array) -> tuple[Array, Array]:
         """F at the left endpoint; the fast states then run one block with x frozen."""
         f = np.empty_like(x)
-        f[:, :width] = coupling_f(coupling, x[:, :width], to_nodes(y))
-        x_fast[...] = to_state(x[:, :width])
+        f[:, :width] = coupling_f(coupling, x[:, :width], to_nodes(y[:, :width]))
+        x_fast[:, :width] = to_state(x[:, :width])
+        for q, own in anchored:  # one check per distinct q
+            if block_anchors(j, q) == j:
+                x_fast[:, own] = x_fast[:, source[own]]
         y = advance(j, x_fast, y)
         if fbar is not None:
             f[:, width:] = fbar(x[:, width:])
         return f, y
 
     run_epsilons = [path.epsilon for path in paths] + [None] * (fbar is not None)
-    return paths, _slow_loop(model, params, paths[0], run_epsilons, forcing, y), x_fast
+    return paths, _slow_loop(model, params, paths[0], run_epsilons, forcing, y), source
 
 
 def _block_replay(
-    model: ModelSpec, paths: Sequence[NoisePath], copies: Sequence[int]
+    model: ModelSpec, paths: Sequence[NoisePath], sets: Sequence[int]
 ) -> tuple[Array, Callable[[int, Array, Array], Array]]:
-    """The one fast-block rule: macro step j of copies of a grid's recorded fast runs.
+    """The one fast-block rule: macro step j of every fast column of a grid run.
 
-    Path g, the R-replica path of coupled group g of one grid run, has
-    copies[g] sets of R columns, group after group. Returns source, where
-    source[c] = g R + r is the coupled column whose noise drives column c,
-    and step(j, x_frozen, y), called for j = 0, 1, ... in turn, which moves
-    the fast states y (n, W) through macro step j with the slow input
-    x_frozen (n, W), both as _fast_coordinates keeps them. For the linear
-    kind that is one exact update in sine modes, y^ <- decay y^ + drive x^ +
-    noise, with each column's own gains and the noise sums of its source
-    gathered NOISE_BLOCK steps at a time; smooth_bounded runs each path's
-    columns through the n_sub micro steps of its raw rows.
+    Path g is the R-replica path of coupled group g of one grid run; set k
+    of R columns replays path sets[k], coupled or block-frozen. Returns
+    source, where source[c] = g R + r is the coupled column whose noise
+    drives column c, and step(j, x_frozen, y), called for j = 0, 1, ... in
+    turn, which moves the fast states y (n, W) through macro step j with
+    the slow input x_frozen (n, W), both as _fast_coordinates keeps them.
+    For the linear kind that is one exact update in sine modes, y^ <- decay
+    y^ + drive x^ + noise, with each column's own gains and the noise sums
+    of its source gathered NOISE_BLOCK steps at a time; smooth_bounded runs
+    all of each path's columns through its n_sub raw rows in one path run.
     """
     replicas = paths[0].fast.shape[0]
     fast, coupling, grid = model.fast, model.coupling, model.grid
@@ -976,7 +983,7 @@ def _block_replay(
     sub = [() if fast.kind == "linear" else (p.n_sub,) for p in paths]
     if any(p.fast.shape[2:] != (*s, coupling.g2_modes) for p, s in zip(paths, sub)):
         raise ValueError(f"recorded fast noise does not fit the {fast.kind} fast operator")
-    group = np.repeat(np.arange(len(paths)), np.multiply(copies, replicas))
+    group = np.repeat(sets, replicas)
     source = group * replicas + np.arange(group.size) % replicas
     if fast.kind == "linear":
         gains = [stepper._block_gains for stepper in steppers]
@@ -1040,10 +1047,11 @@ def _slow_loop(
     x holds a group of R columns for each of `epsilons`, a coupled run's
     epsilon or None for the averaged run, all on the slow increments of
     noise.slow, synthesized NOISE_BLOCK steps at a time; y, (n, W), is the
-    fast state of the coupled groups, the first W columns (_fast_coordinates).
-    forcing(j, x, y) returns macro step j's drift at its left endpoint and y
-    at its right one. Nothing is kept. A step makes one all-finite test and
-    looks for the failing group (see the module docstring) only on failure.
+    fast state (_fast_coordinates), the coupled groups' columns first, then
+    any replay columns. forcing(j, x, y) returns macro step j's drift at its
+    left endpoint and y at its right one. Nothing is kept. A step makes one
+    all-finite test of x and the coupled columns of y, and looks for the
+    failing group (see the module docstring) only on failure.
     """
     grid = model.grid
     stepper = _SlowStepper(model.slow, grid, noise.dt_macro, params)
@@ -1051,11 +1059,12 @@ def _slow_loop(
     slow = noise.slow.transpose(1, 0, 2)[:, :, None, :]
     n_macro, replicas = slow.shape[:2]
     x = np.tile(model.x0.values, (len(epsilons) * replicas, 1)).T
+    coupled = sum(epsilon is not None for epsilon in epsilons) * replicas
     failed = None
     for j in range(n_macro + 1):
-        if failed is not None or not (np.isfinite(x).all() and np.isfinite(y).all()):
+        if failed is not None or not (np.isfinite(x).all() and np.isfinite(y[:, :coupled]).all()):
             lost = ~np.isfinite(x).all(axis=0)
-            lost[: y.shape[1]] |= ~np.isfinite(y).all(axis=0)
+            lost[:coupled] |= ~np.isfinite(y[:, :coupled]).all(axis=0)
             g = int(np.argmax(lost)) // replicas if lost.any() else len(epsilons)
             newton = failed is not None and failed.column // replicas <= g
             epsilon = epsilons[failed.column // replicas if newton else g]

@@ -132,7 +132,7 @@ def test_frozen_matches_fast_block_distribution():
     # All replicas take the one macro step of _block_replay as the columns of one state.
     stepper = _FastStepper.for_model(model, dt_macro, params)
     rows = stepper.draw([RngStream(1000, r) for r in range(n_rep)], stepper.n_sub)[:, None]
-    _, step = _block_replay(model, [recorded_path(model, epsilon, dt_macro, rows)], [1])
+    _, step = _block_replay(model, [recorded_path(model, epsilon, dt_macro, rows)], [0])
     x_frozen, y_start = (np.tile(v.values, (n_rep, 1)).T for v in (x, y0))
     y_end = nodal_step(model, step, 0, x_frozen, y_start)
     block_terminal = y_end.T

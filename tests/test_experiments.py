@@ -219,6 +219,18 @@ def test_run_convergence_with_estimated_fbar_runs():
     assert all(row.error_mean > 0.0 for row in result.rows)
 
 
+@pytest.mark.parametrize("slow_kind", ["burgers", "p_laplace"])
+def test_linear_converge_is_the_same_with_oracle_or_estimator(slow_kind):
+    # The linear fast kind has b = 0, where MemoizedFbar returns the closed
+    # form without estimating: fbar_source then changes no byte of the
+    # convergence table, so the kind alone decides which drift a run uses.
+    cfg = small_config(slow_kind=slow_kind, replicas=3)
+    oracle = run_convergence(cfg)
+    estimator = run_convergence(dataclasses.replace(cfg, fbar_source="estimator", fbar_replicas=2))
+    assert repr(estimator.tables()) == repr(oracle.tables())
+    assert estimator.report_lines() == oracle.report_lines()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_short_estimator_batch_runs_the_frozen_equation_once(seed, monkeypatch):
     # The benchmark's estimator-shaped run: 4 replicas at b = 0.5 over
@@ -593,6 +605,26 @@ def test_diagnose_transforms_do_not_grow_with_the_replay_columns(monkeypatch):
         _batch_statistics(cfg, [0.1, 0.05], [0, 1], {0.1: deltas, 0.05: deltas})
         per_deltas.append(counts["_matvec"])
     assert per_deltas == [2 * m + 1] * 2
+
+
+def test_smooth_bounded_diagnose_runs_one_micro_step_loop_per_epsilon_and_step(monkeypatch):
+    # The coupled and the block-frozen replay columns of an epsilon are
+    # columns of one fast state, so each macro step takes their micro steps
+    # in one _FastStepper.path run: 2 epsilons over 8 macro steps make 16.
+    calls = []
+    path = spavg.integrators._FastStepper.path
+
+    def counted(self, x_frozen, y, coefficients):
+        calls.append(y.shape[1])
+        return path(self, x_frozen, y, coefficients)
+
+    monkeypatch.setattr(spavg.integrators._FastStepper, "path", counted)
+    cfg = ExperimentConfig(
+        fast_kind="smooth_bounded", b=0.5, n_interior=8, T=8 / 64, dt_macro=1 / 64
+    )
+    _batch_statistics(cfg, [0.1, 0.05], [0, 1], {0.1: [4 / 64], 0.05: [2 / 64, 8 / 64]})
+    # Each run holds the 2 coupled columns and 2 per delta.
+    assert calls == [4, 6] * 8
 
 
 def test_runs_silence_warnings_once_not_per_macro_step(monkeypatch):

@@ -153,7 +153,7 @@ def replay_block(model, stepper, x, y, coefficients):
     """
     dt_macro = stepper.a * model.epsilon * stepper.n_sub
     path = recorded_path(model, model.epsilon, dt_macro, coefficients[:, None])
-    _, step = _block_replay(model, [path], [y.shape[1] // coefficients.shape[0]])
+    _, step = _block_replay(model, [path], [0] * (y.shape[1] // coefficients.shape[0]))
     return nodal_step(model, step, 0, np.repeat(x, y.shape[1], axis=1), y)
 
 
@@ -263,7 +263,8 @@ def test_stepper_matches_reference_property(
         raw = gen.standard_normal((replicas, n_macro, n_sub, modes)) * math.sqrt(dt_macro / n_sub)
         paths.append(recorded_path(model, epsilon, dt_macro, raw))
         rows.append(raw)
-    source, step = _block_replay(model, paths, copies)
+    sets = np.repeat(np.arange(len(paths)), copies).tolist()
+    source, step = _block_replay(model, paths, sets)
     width = sum(copies) * replicas
     groups = np.repeat(np.arange(len(paths)), np.multiply(copies, replicas))
     assert source.tolist() == [g * replicas + c % replicas for c, g in enumerate(groups)]

@@ -316,7 +316,7 @@ def synchronous_block(model, dt_macro, params, x, y_a, y_b, stream):
     """
     stepper = _FastStepper.for_model(model, dt_macro, params)
     rows = stepper.draw([stream], stepper.n_sub)[:, None]
-    _, step = _block_replay(model, [recorded_path(model, model.epsilon, dt_macro, rows)], [2])
+    _, step = _block_replay(model, [recorded_path(model, model.epsilon, dt_macro, rows)], [0, 0])
     x_frozen = np.repeat(x.values[:, None], 2, axis=1)
     return nodal_step(model, step, 0, x_frozen, np.stack([y_a.values, y_b.values], axis=1))
 
@@ -448,7 +448,7 @@ def reference_coupled(model, m, params, stream):
         forcing = coupling_f(coupling, x, to_nodes(y))
         block = gen_fast.standard_normal((n_sub, coupling.g2_modes)) * g2_scales
         path = recorded_path(model, model.epsilon, dt, block[None, None])
-        y = _block_replay(model, [path], [1])[1](0, to_state(x), y)
+        y = _block_replay(model, [path], [0])[1](0, to_state(x), y)
         slow_coeffs = g1_scales * gen_slow.standard_normal(coupling.g1_modes)
         x = slow_stepper.step(x, forcing, (slow_coeffs @ basis_slow_t)[:, None])
         xs.append(x[:, 0])
@@ -914,7 +914,7 @@ def test_macro_step_states_are_column_major(monkeypatch):
     # elementwise operation mixes the two layouts: the slow step's state and
     # forcing, the block replay's frozen input and fast state, and the
     # Burgers convection, each with its result. Checked in converge's fold
-    # and in a diagnose batch, whose replay has a second set of columns.
+    # and in a diagnose batch, whose fast state holds its replay columns too.
     seen = collections.Counter()
 
     def checked(name, function, states):
@@ -934,7 +934,6 @@ def test_macro_step_states_are_column_major(monkeypatch):
     monkeypatch.setattr(_SlowStepper, "step", checked("slow", _SlowStepper.step, (1, 2)))
     monkeypatch.setattr(spavg.integrators, "burgers_convection", convection)
     monkeypatch.setattr(spavg.integrators, "_block_replay", replay)
-    monkeypatch.setattr(spavg.experiments, "_block_replay", replay)
     model = make_model(n=9)
     fbar = OracleFbar(model.fast, model.coupling, model.grid)
     streams = [RngStream(3, r) for r in range(2)]
@@ -942,9 +941,9 @@ def test_macro_step_states_are_column_major(monkeypatch):
     config = ExperimentConfig(n_interior=8, T=8 / 64, dt_macro=1 / 64, diag_epsilon=0.05)
     _batch_statistics(config, [0.1, 0.05], [0, 1], {0.1: [4 / 64], 0.05: [2 / 64, 8 / 64]})
     # 8 macro steps a run: three arrays a slow step or replay step, two a
-    # convection; diagnose replays its coupled and its frozen columns.
+    # convection; one replay step advances every fast column of a run.
     assert seen == {
         ("slow", True): 2 * 8 * 3,
         ("convection", True): 2 * 8 * 2,
-        ("replay", True): 3 * 8 * 3,
+        ("replay", True): 2 * 8 * 3,
     }
