@@ -122,9 +122,10 @@ def _config_errors():
 def build_specs(
     config: ExperimentConfig,
 ) -> tuple[Grid1D, SlowOperatorSpec, FastOperatorSpec, CouplingSpec]:
-    """Grid, slow and fast operators and coupling of a config.
+    """Grid, slow and fast operators and coupling of a config, without a model.
 
-    The sin amplitude b reaches the fast operator only for smooth_bounded.
+    check and fbar use them. A bad value raises ConfigError; the sin
+    amplitude b reaches the fast operator only for smooth_bounded.
     """
     b = config.b if config.fast_kind == "smooth_bounded" else 0.0
     with _config_errors():
@@ -480,7 +481,8 @@ def _batch_statistics(
     column's latest block start; the diag_epsilon columns keep the nodal x
     of that start too, the anchor of their increments. Each column keeps its
     per-step norms alone (over NOISE_BLOCK steps at a time) and reduces them
-    as TrajectoryStats and deviation_statistic do.
+    as TrajectoryStats and deviation_statistic do, with their bytes except
+    the linear kind's deviations, taken in sine modes (equal to rounding).
     """
     model = build_model(config, epsilons[0])
     grid, n, dt = model.grid, model.grid.n_interior, config.dt_macro

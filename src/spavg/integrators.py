@@ -31,7 +31,8 @@ steps of a macro step collapse to one exact update of the mode coefficients,
 the same scheme up to rounding. The linear kind keeps its fast state in
 these coefficients, frozen runs included, and _fast_coordinates is the one
 place that transforms it: a coupled macro step transforms x for the drive
-and synthesizes the nodal y only for F(x, y); a frozen micro step is
+and synthesizes the nodal y only for F(x, y), a history of y goes to nodes
+in one transform at its end, and a frozen micro step is
 y^ <- d (y^ + a c_b x^ + xi^), with no transform. The smooth_bounded
 operator needs sin(y) in physical space: its state is nodal, and it takes
 its micro steps one by one through a prefactored pttrs solve.
@@ -47,11 +48,12 @@ whole epsilon grid from one draw: a coarser n_sub's unscaled rows are a
 prefix of a finer one's, so each replica's rows are drawn once, up to the
 largest n_sub, a block of micro steps at a time after the last n_sub - 1
 rows of the block before, and every epsilon scales (and the linear kind
-sums) the whole macro steps that end in the block, so memory does not grow
-with n_sub beyond those kept rows. The path alone fixes a replay's step
-grid and replays the same realization into the averaged equation or the
-block-frozen auxiliary construction (same epsilon and n_sub, so the same
-gains), bit for bit.
+sums) the whole macro steps that end in the block. The linear kind's sums
+do not grow with n_sub, but smooth_bounded keeps every raw row, so its
+path grows with n_sub, that is with 1/epsilon. The path alone fixes a
+replay's step grid and replays the same realization into the averaged
+equation or the block-frozen auxiliary construction (same epsilon and
+n_sub, so the same gains), bit for bit.
 
 Batches. The replicas of one epsilon advance together as the columns of
 one state, shape (n, R), in the same macro-step loop that runs a single
@@ -61,9 +63,10 @@ epsilon_grid_errors one averaged group of R columns after them all.
 Replica r draws the same slow rows at every epsilon (lane 0 of its stream
 does not depend on epsilon), so one set of slow increments drives every
 group. Each group has its own fast stepper and fast noise, but the fast
-states of all groups are one state, which one _block_replay update moves
-through a macro step; diagnose's block-frozen replay columns follow the
-coupled ones in it (_epsilon_grid). The linear kind's epsilons differ only
+states of all groups are one state, which one coupling_f call reads and
+one _block_replay update moves through a macro step; diagnose's
+block-frozen replay columns follow the coupled ones in it
+(_epsilon_grid). The linear kind's epsilons differ only
 in per-mode gains, so one exact update advances every column, and the
 replay columns add no transform: two per macro step in all (x^ and B y^).
 smooth_bounded steps all columns of a group through one micro-step loop.
@@ -643,6 +646,7 @@ class _FastStepper:
         n_sub: int = 1,
     ):
         self.fast = fast
+        self.epsilon = epsilon
         self.n_sub = n_sub
         self.a = dt_micro / epsilon
         self._modes = coupling.g2_modes
@@ -785,8 +789,8 @@ def _record(
     after the last max(n_sub) - 1 rows already drawn: the start of any macro
     step that straddles the block boundary. So each stepper takes the macro
     steps that end in the block whole from one slice and scales them (and
-    the linear kind sums them in one einsum), each as it would alone, and
-    memory grows with n_sub only by the kept rows.
+    the linear kind sums them in one einsum), each as it would alone; the
+    linear sums do not grow with n_sub, smooth_bounded's raw rows do.
     """
     generators = [stream.generator(1) for stream in streams]
     replicas, modes = len(streams), steppers[0]._modes
@@ -869,8 +873,9 @@ def epsilon_grid_errors(
     """strong_error of each replica at each epsilon against its averaged run, (E, R).
 
     simulate_epsilon_grid's run with the averaged equation beside it (see
-    Batches above), without histories: each coupled column's squared gap to
-    its replica's averaged column goes into a running sup, NOISE_BLOCK macro
+    Batches above), without histories. fbar takes the averaged columns once
+    per macro step, (n, R). Each coupled column's squared gap to its
+    replica's averaged column goes into a running sup, NOISE_BLOCK macro
     times at a time through row_norms, with the bytes and the overflow error
     (the first by epsilon, then replica) strong_error gives on the histories
     of simulate_coupled at each epsilon and simulate_averaged on its path.
@@ -1024,7 +1029,8 @@ def simulate_averaged(
     """Advance the averaged slow equation on the grid and slow noise of a recorded path.
 
     fbar maps the slow nodal values of every replica at once, (n, R), to
-    the averaged coupling drift, as OracleFbar and MemoizedFbar take them.
+    the averaged coupling drift, as OracleFbar and MemoizedFbar take them;
+    params supplies only the Newton tolerance.
     Against the path of simulate_coupled the run shares that realization
     exactly. Failures raise as in simulate_coupled.
     """

@@ -39,8 +39,14 @@ from spavg.grid import (
     solve_neg_laplacian,
     zeros,
 )
-from spavg.integrators import epsilon_grid_errors
-from spavg.operators import CouplingSpec, FastOperatorSpec, SlowOperatorSpec, dissipativity_margin
+from spavg.integrators import epsilon_grid_errors, simulate_coupled
+from spavg.operators import (
+    CouplingSpec,
+    FastOperatorSpec,
+    SlowOperatorSpec,
+    burgers_convection,
+    dissipativity_margin,
+)
 from spavg.randomness import RngStream
 
 CONFIG = ExperimentConfig()
@@ -148,19 +154,47 @@ def test_frozen_dynamics_contract_at_half_margin_rate():
     _verdict("frozen-equation contraction", ok, "; ".join(details))
 
 
-def test_strong_error_shrinks_with_scale_separation(convergence_runs):
-    result = convergence_runs[0]
+def _trend(result) -> tuple[bool, str]:
+    """The trend rule of a converge result: strictly decreasing errors, slope and r^2 floors."""
     assert not result.any_failed and not result.degenerate
     means = [row.error_mean for row in result.rows]
     decreasing = all(a > b for a, b in zip(means, means[1:]))
     fit = result.fit
     assert fit is not None
-    _verdict(
-        "strong averaging trend",
+    return (
         decreasing and fit.slope > 0.15 and fit.r_squared >= 0.9,
         f"errors {'strictly decrease' if decreasing else 'DO NOT decrease'} "
         f"over the epsilon grid, slope {fit.slope:.3f} (floor 0.15), "
         f"r^2 {fit.r_squared:.4f} (floor 0.9)",
+    )
+
+
+def test_strong_error_shrinks_with_scale_separation(convergence_runs):
+    _verdict("strong averaging trend", *_trend(convergence_runs[0]))
+
+
+def test_locally_monotone_regime():
+    # The default Burgers run is convection-light: along 4 coupled paths at
+    # epsilon = 0.05 the median of ||u u_x|| / ||nu L u|| over macro times
+    # is 0.018. At viscosity 0.02 and x0_amplitude 2 it is 0.959 (max 22.9),
+    # so the drift is monotone only up to a state-dependent modulus, the
+    # paper's locally monotone case, while dt max|u| / h stays at 0.38.
+    # The trend rule must hold there too (16 replicas, the default grid:
+    # slope 0.925, r^2 0.9998 at seed 2026).
+    config = dataclasses.replace(CONFIG, viscosity=0.02, x0_amplitude=2.0, replicas=16)
+    ok, detail = _trend(run_convergence(config))
+    model = build_model(config, 0.05)
+    streams = [RngStream(config.master_seed, r) for r in range(4)]
+    trajectory, _ = simulate_coupled(model, config.T, scheme_params(config), streams)
+    x = trajectory.x.reshape(-1, model.grid.n_interior).T
+    convection = np.linalg.norm(burgers_convection(model.grid, x), axis=0)
+    viscous = np.linalg.norm(config.viscosity * model.grid.apply_neg_laplacian(x), axis=0)
+    ratio = float(np.median(convection / viscous))
+    _verdict(
+        "locally monotone regime",
+        ok and ratio >= 0.5,
+        f"viscosity 0.02, x0_amplitude 2: {detail}; median ||u u_x|| / ||nu L u|| "
+        f"{ratio:.3f} (floor 0.5)",
     )
 
 

@@ -550,17 +550,11 @@ def poison_fast_noise(monkeypatch, first_step_by_stream, epsilon=None):
     epsilon is poisoned.
     """
     record = spavg.integrators._record
-    for_model = _FastStepper.for_model.__func__
-
-    def tagged(cls, model, dt_macro, params):
-        stepper = for_model(cls, model, dt_macro, params)
-        stepper.epsilon = model.epsilon
-        return stepper
 
     def poisoned(steppers, streams, n_macro):
         noises = record(steppers, streams, n_macro)
         for stepper, noise in zip(steppers, noises):
-            if epsilon is not None and getattr(stepper, "epsilon", None) != epsilon:
+            if epsilon is not None and stepper.epsilon != epsilon:
                 continue
             for row, stream in zip(noise, streams):
                 step = first_step_by_stream.get(stream.stream_id)
@@ -568,7 +562,6 @@ def poison_fast_noise(monkeypatch, first_step_by_stream, epsilon=None):
                     row[step - 1 :] = np.nan
         return noises
 
-    monkeypatch.setattr(_FastStepper, "for_model", classmethod(tagged))
     monkeypatch.setattr(spavg.integrators, "_record", poisoned)
 
 

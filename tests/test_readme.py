@@ -1,15 +1,17 @@
-"""The README against the current package: its "Library use" example and its command table.
+"""The README against the current package: its "Library use" example, its command
+table and its "Layout" block.
 
-The README is read at test time, so a renamed or removed public name or
-subcommand fails here instead of leaving the documentation stale. The
-package root's export list is held to the names the example imports from
-it, and the command table to the parser's subcommands and the files each
-one writes.
+The README is read at test time, so a renamed or removed public name,
+subcommand or module fails here instead of leaving the documentation stale.
+The package root's export list is held to the names the example imports
+from it, the command table to the parser's subcommands and the files each
+one writes, and the layout to the package's modules.
 """
 
 import ast
 import os
 import pathlib
+import pkgutil
 import re
 
 import pytest
@@ -93,3 +95,10 @@ def test_each_subcommand_writes_the_files_its_row_names(tmp_path, capsys, comman
     if reports:
         # What converge and diagnose print is their report file's text.
         assert capsys.readouterr().out == (out / reports[0]).read_text(encoding="utf-8")
+
+
+def test_layout_lists_the_package_modules():
+    section = README.read_text(encoding="utf-8").split("## Layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    listed = re.findall(r"^  (\w+)\.py ", block, re.MULTILINE)
+    assert sorted(listed) == sorted(info.name for info in pkgutil.iter_modules(spavg.__path__))
