@@ -100,7 +100,7 @@ class ShiftedLaplacian:
     """Prefactored solves with shift * I + scale * L (shift >= 0, scale > 0).
 
     solve takes a right-hand side of shape (n,) or (n, R) and solves every
-    column at once.
+    column at once; with overwrite, a column-major rhs receives the solution.
     """
 
     def __init__(self, grid: Grid1D, shift: float, scale: float) -> None:
@@ -112,8 +112,8 @@ class ShiftedLaplacian:
         if info != 0:
             raise ArithmeticError(f"shift * I + scale * L is not positive definite (info {info})")
 
-    def solve(self, rhs: Array) -> Array:
-        return dpttrs(self._d, self._e, rhs)[0]
+    def solve(self, rhs: Array, overwrite: bool = False) -> Array:
+        return dpttrs(self._d, self._e, rhs, overwrite_b=overwrite)[0]
 
 
 class Field:

@@ -70,6 +70,9 @@ block-frozen replay columns follow the coupled ones in it
 in per-mode gains, so one exact update advances every column, and the
 replay columns add no transform: two per macro step in all (x^ and B y^).
 smooth_bounded steps all columns of a group through one micro-step loop.
+A macro step writes F, the Burgers convection's stencil and the all-finite
+masks into arrays that live for the whole run, but every state it yields
+is a fresh array that no later step writes, so a caller may keep any.
 The loop keeps no history: simulate_epsilon_grid and simulate_averaged
 write every state into trajectories, time first, (n_steps + 1, R, n);
 epsilon_grid_errors and diagnose fold each state into statistics. Each
@@ -382,17 +385,31 @@ class _SlowStepper:
         self.params = params
         if slow.kind == "burgers":
             self._solver = ShiftedLaplacian(grid, 1.0, dt * slow.viscosity)
+            self._convection_work: tuple[Array, Array] | None = None
 
     def step(self, x: Array, forcing: Array, noise: Array) -> Array:
         """The next state of every column of x, shape (n, C); a single run is C = 1.
 
         noise has the shape of x, or (n, R) for C = G * R: then it drives
-        each of the G groups of R columns (see _plus_noise).
+        each of the G groups of R columns (see _plus_noise). The state
+        returned is a fresh array; x and forcing are only read.
         """
         dt = self.dt
         if self.slow.kind == "burgers":
-            rhs = x + dt * (burgers_convection(self.grid, x) + forcing)
-            return self._solver.solve(_plus_noise(rhs, noise))
+            # x + dt * (conv + forcing), each operation written into the
+            # convection's fresh result, which pttrs then solves in place.
+            # The convection's stencil and differences live as long as the
+            # stepper.
+            work = self._convection_work
+            if work is None or work[1].shape[1:] != x.T.shape:
+                v = x.T.shape
+                work = np.zeros((2, *v[:-1], v[-1] + 2)), np.empty((2, *v))
+                self._convection_work = work
+            rhs = burgers_convection(self.grid, x, *work)
+            np.add(rhs, forcing, out=rhs)
+            np.multiply(dt, rhs, out=rhs)
+            np.add(x, rhs, out=rhs)
+            return self._solver.solve(_plus_noise(rhs, noise), overwrite=True)
         b = _plus_noise(x + dt * forcing, noise)
         return _newton_monotone_solve(self.slow, self.grid, b, dt, self.params)
 
@@ -944,22 +961,28 @@ def _epsilon_grid(
     anchored = [(q, width + np.flatnonzero(block_steps == q)) for q in set(block_steps.tolist())]
     to_state, to_nodes, _ = _fast_coordinates(model.fast, model.grid)
     y = to_state(np.tile(model.y0.values, (source.size, 1)).T)
-    x_fast = np.empty((model.grid.n_interior, source.size), order="F")
+    run_epsilons = [path.epsilon for path in paths] + [None] * (fbar is not None)
+    # F of every slow column and, with replay columns, the frozen input of
+    # every fast column: written over at each macro step.
+    n = model.grid.n_interior
+    f = np.empty((n, len(run_epsilons) * replicas), order="F")
+    x_fast = np.empty((n, source.size), order="F") if replays else None
 
     def forcing(j: int, x: Array, y: Array) -> tuple[Array, Array]:
         """F at the left endpoint; the fast states then run one block with x frozen."""
-        f = np.empty_like(x)
-        f[:, :width] = coupling_f(coupling, x[:, :width], to_nodes(y[:, :width]))
-        x_fast[:, :width] = to_state(x[:, :width])
-        for q, own in anchored:  # one check per distinct q
-            if block_anchors(j, q) == j:
-                x_fast[:, own] = x_fast[:, source[own]]
-        y = advance(j, x_fast, y)
+        coupling_f(coupling, x[:, :width], to_nodes(y[:, :width]), f[:, :width])
+        x_hat = to_state(x[:, :width])
+        if replays:
+            x_fast[:, :width] = x_hat
+            for q, own in anchored:  # one check per distinct q
+                if block_anchors(j, q) == j:
+                    x_fast[:, own] = x_fast[:, source[own]]
+            x_hat = x_fast
+        y = advance(j, x_hat, y)
         if fbar is not None:
             f[:, width:] = fbar(x[:, width:])
         return f, y
 
-    run_epsilons = [path.epsilon for path in paths] + [None] * (fbar is not None)
     return paths, _slow_loop(model, params, paths[0], run_epsilons, forcing, y), source
 
 
@@ -1066,11 +1089,17 @@ def _slow_loop(
     n_macro, replicas = slow.shape[:2]
     x = np.tile(model.x0.values, (len(epsilons) * replicas, 1)).T
     coupled = sum(epsilon is not None for epsilon in epsilons) * replicas
+    # The all-finite test writes its masks of x and of y's coupled columns
+    # side by side here and reduces them at once.
+    finite = np.empty((grid.n_interior, x.shape[1] + coupled), dtype=bool, order="F")
+    x_finite, y_finite = finite[:, : x.shape[1]], finite[:, x.shape[1] :]
     failed = None
     for j in range(n_macro + 1):
-        if failed is not None or not (np.isfinite(x).all() and np.isfinite(y[:, :coupled]).all()):
-            lost = ~np.isfinite(x).all(axis=0)
-            lost[:coupled] |= ~np.isfinite(y[:, :coupled]).all(axis=0)
+        np.isfinite(x, out=x_finite)
+        np.isfinite(y[:, :coupled], out=y_finite)
+        if failed is not None or not finite.all():
+            lost = ~x_finite.all(axis=0)
+            lost[:coupled] |= ~y_finite.all(axis=0)
             g = int(np.argmax(lost)) // replicas if lost.any() else len(epsilons)
             newton = failed is not None and failed.column // replicas <= g
             epsilon = epsilons[failed.column // replicas if newton else g]

@@ -162,24 +162,33 @@ def face_gradients(grid: Grid1D, v: Array) -> Array:
     return g
 
 
-def burgers_convection(grid: Grid1D, u: Array) -> Array:
+def burgers_convection(
+    grid: Grid1D, u: Array, padded: Array | None = None, d: Array | None = None
+) -> Array:
     """(D(u*u) + u * D u) / 3 along the first axis, for u of shape (n,) or (n, R).
 
     D is the central difference (v[i+1] - v[i-1]) / (2h) with zero Dirichlet
-    neighbours at both ends. Both differences come from one zero-padded copy
-    holding u*u and u, each computed as (0.0 + right) - left, so a zero
-    neighbour gives the signed zero a difference gives. The copy is laid out
-    column by column, (2, R, n + 2), so a column-major u gives a
-    column-major result.
+    neighbours at both ends, computed as (0.0 + right) - left, so a zero
+    neighbour gives the signed zero a difference gives. Both differences
+    come from one subtraction on a zero-padded copy holding u*u and 0.0 + u,
+    in which no entry is -0.0: then right - left has the bytes of
+    (0.0 + right) - left. The copy is laid out column by column,
+    (2, R, n + 2), so any u gives a column-major result. A caller that
+    convects many states of one shape may pass that copy, zero at both
+    ends, and the differences, (2, R, n), to be written over; the result is
+    a fresh array either way, with the same bytes.
     """
     v = u.T
-    padded = np.zeros((2,) + v.shape[:-1] + (v.shape[-1] + 2,))
+    if padded is None:
+        padded = np.zeros((2,) + v.shape[:-1] + (v.shape[-1] + 2,))
+        d = np.empty((2,) + v.shape)
     np.multiply(v, v, out=padded[0, ..., 1:-1])
-    padded[1, ..., 1:-1] = v
-    d = np.add(0.0, padded[..., 2:])
-    d -= padded[..., :-2]
+    np.add(0.0, v, out=padded[1, ..., 1:-1])
+    np.subtract(padded[..., 2:], padded[..., :-2], out=d)
     d /= 2.0 * grid.h
-    return ((d[0] + v * d[1]) / 3.0).T
+    np.multiply(v, d[1], out=d[1])
+    np.add(d[0], d[1], out=d[1])
+    return (d[1] / 3.0).T
 
 
 def _psi(spec: SlowOperatorSpec, u: Array, powers: Array | None = None) -> Array:
@@ -218,10 +227,18 @@ def fast_drift(fast: FastOperatorSpec, grid: Grid1D, x: Array, y: Array) -> Arra
     return -grid.apply_neg_laplacian(y) + b2_values(fast, x, y)
 
 
-def coupling_f(coupling: CouplingSpec, x: Array, y: Array) -> Array:
-    """F(x, y) for states of shape (n,) or batches of columns (n, R)."""
+def coupling_f(coupling: CouplingSpec, x: Array, y: Array, out: Array | None = None) -> Array:
+    """F(x, y) for states of shape (n,) or batches of columns (n, R).
+
+    out, if given, receives F and is returned, with the bytes F gets
+    without it: the same operations in the same order.
+    """
     f0 = coupling.f0.values if x.ndim == 1 else coupling.f0.values[:, None]
-    return f0 + coupling.c_fx * x + coupling.c_fy * y
+    if out is None:
+        return f0 + coupling.c_fx * x + coupling.c_fy * y
+    np.multiply(coupling.c_fx, x, out=out)
+    np.add(f0, out, out=out)
+    return np.add(out, coupling.c_fy * y, out=out)
 
 
 def mode_scales(amplitude: float, modes: int) -> Array:

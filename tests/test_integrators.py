@@ -878,6 +878,30 @@ def test_linear_grid_calls_per_macro_step_do_not_grow_with_the_epsilon_count(mon
     assert all(trajectory.y.base is runs[0][0].y.base is not None for trajectory, _ in runs)
 
 
+def test_every_macro_state_is_its_own_array():
+    # The macro step writes into arrays that live for the whole run, but
+    # each x and y it yields is a fresh array that no later step writes:
+    # a caller may keep them all. Checked on a Burgers + linear run with
+    # the averaged drift beside it, as converge's fold runs it, and on a
+    # run with block-frozen replay columns, as a diagnose batch runs it.
+    model = make_model(n=9)
+    fbar = OracleFbar(model.fast, model.coupling, model.grid)
+    params = SchemeParams(dt_macro=1 / 64)
+    streams = [RngStream(3, r) for r in range(2)]
+    for drift, replays in ((fbar, ()), (None, ((0, 2), (1, 4)))):
+        _, states, _ = spavg.integrators._epsilon_grid(
+            model, [0.1, 0.05], 8 / 64, params, streams, drift, replays
+        )
+        kept, copies = [], []
+        for x, y in states:
+            kept += [x, y]
+            copies += [x.copy(), y.copy()]
+        assert len(kept) == 2 * 9
+        for i, a in enumerate(kept):
+            assert not any(np.shares_memory(a, b) for b in kept[i + 1 :])
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(kept, copies))
+
+
 def test_linear_fast_noise_memory_does_not_grow_with_n_sub():
     # One replica of the default model at epsilon = 0.001 takes hundreds of
     # micro steps per macro step; its path keeps one noise sum per macro

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spavg.grid import Field, Grid1D, H_MINUS1, L2, sine_basis, sine_mode, smallest_eigenvalue, zeros
+from spavg.grid import (
+    Field,
+    Grid1D,
+    H_MINUS1,
+    L2,
+    ShiftedLaplacian,
+    sine_basis,
+    sine_mode,
+    smallest_eigenvalue,
+    zeros,
+)
 from spavg.operators import (
     CouplingSpec,
     FastOperatorSpec,
@@ -259,6 +269,61 @@ def test_coupling_f_is_affine():
     x = np.array([1.0, 1.0, 0.0, 0.0])
     y = np.array([0.0, 2.0, 2.0, 0.0])
     np.testing.assert_allclose(coupling_f(coup, x, y), [3.0, 1.0, -1.0, -1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 9, 64]),
+    columns=st.integers(1, 16),
+    layouts=st.tuples(*[st.sampled_from("CF")] * 3),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.integers(0, 64 * 16 - 1),
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+        ),
+        max_size=6,
+    ),
+)
+def test_helpers_given_out_write_the_bytes_they_return_without_it(
+    n, columns, layouts, seed, specials
+):
+    # coupling_f given out, burgers_convection given its stencil and
+    # differences, and the pttrs solve told to overwrite its right-hand side
+    # write what each returns when it allocates, for (n, C) batches laid out
+    # column by column or row by row. The convection's work arrays serve two
+    # states in turn, as a run's macro steps reuse them. The two forms may
+    # run different numpy loops, which can pick different NaN operands, so
+    # any NaN matches any NaN; signed zeros must match.
+    gen = np.random.default_rng(seed)
+    grid = Grid1D(n)
+    coupling = CouplingSpec(
+        f0=Field(grid, gen.standard_normal(n)),
+        c_fx=float(gen.standard_normal()),
+        c_fy=float(gen.standard_normal()),
+        g1_modes=1,
+        g2_modes=1,
+    )
+    x, y = (gen.standard_normal((n, columns)) for _ in range(2))
+    for which, place, value in specials:
+        (x, y)[which].reshape(-1)[place % (n * columns)] = value
+    x, y = (np.asarray(a, order=layout) for a, layout in zip((x, y), layouts))
+    out = np.empty((n, columns), order=layouts[2])
+    padded, d = np.zeros((2, columns, n + 2)), np.empty((2, columns, n))
+    with np.errstate(all="ignore"):
+        assert coupling_f(coupling, x, y, out) is out
+        assert same_bits(out, coupling_f(coupling, x, y))
+        for u in (x, y):
+            convection = burgers_convection(grid, u, padded, d)
+            assert convection.flags.f_contiguous
+            assert same_bits(convection, burgers_convection(grid, u))
+    solver = ShiftedLaplacian(grid, 1.0, 0.5)
+    rhs = np.nan_to_num(x, posinf=1.0, neginf=-1.0)
+    expected = solver.solve(rhs)
+    written = np.asfortranarray(rhs)
+    assert solver.solve(written, overwrite=True) is written
+    assert written.tobytes() == expected.tobytes()
 
 
 def test_coupling_validation():
