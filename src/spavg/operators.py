@@ -162,9 +162,7 @@ def face_gradients(grid: Grid1D, v: Array) -> Array:
     return g
 
 
-def burgers_convection(
-    grid: Grid1D, u: Array, padded: Array | None = None, d: Array | None = None
-) -> Array:
+def burgers_convection(grid: Grid1D, u: Array, work: tuple[Array, Array] | None = None) -> Array:
     """(D(u*u) + u * D u) / 3 along the first axis, for u of shape (n,) or (n, R).
 
     D is the central difference (v[i+1] - v[i-1]) / (2h) with zero Dirichlet
@@ -174,14 +172,14 @@ def burgers_convection(
     in which no entry is -0.0: then right - left has the bytes of
     (0.0 + right) - left. The copy is laid out column by column,
     (2, R, n + 2), so any u gives a column-major result. A caller that
-    convects many states of one shape may pass that copy, zero at both
-    ends, and the differences, (2, R, n), to be written over; the result is
-    a fresh array either way, with the same bytes.
+    convects many states of one shape may pass work = (copy, differences),
+    the copy zero at both ends and the differences (2, R, n), to be written
+    over; the result is a fresh array either way, with the same bytes.
     """
     v = u.T
-    if padded is None:
-        padded = np.zeros((2,) + v.shape[:-1] + (v.shape[-1] + 2,))
-        d = np.empty((2,) + v.shape)
+    if work is None:
+        work = np.zeros((2,) + v.shape[:-1] + (v.shape[-1] + 2,)), np.empty((2,) + v.shape)
+    padded, d = work
     np.multiply(v, v, out=padded[0, ..., 1:-1])
     np.add(0.0, v, out=padded[1, ..., 1:-1])
     np.subtract(padded[..., 2:], padded[..., :-2], out=d)
@@ -230,12 +228,11 @@ def fast_drift(fast: FastOperatorSpec, grid: Grid1D, x: Array, y: Array) -> Arra
 def coupling_f(coupling: CouplingSpec, x: Array, y: Array, out: Array | None = None) -> Array:
     """F(x, y) for states of shape (n,) or batches of columns (n, R).
 
-    out, if given, receives F and is returned, with the bytes F gets
-    without it: the same operations in the same order.
+    F = f0 + c_fx x + c_fy y, written into out, if given, and returned.
     """
     f0 = coupling.f0.values if x.ndim == 1 else coupling.f0.values[:, None]
     if out is None:
-        return f0 + coupling.c_fx * x + coupling.c_fy * y
+        out = np.empty(np.broadcast_shapes(f0.shape, x.shape, y.shape), order="F")
     np.multiply(coupling.c_fx, x, out=out)
     np.add(f0, out, out=out)
     return np.add(out, coupling.c_fy * y, out=out)

@@ -315,7 +315,7 @@ def test_helpers_given_out_write_the_bytes_they_return_without_it(
         assert coupling_f(coupling, x, y, out) is out
         assert same_bits(out, coupling_f(coupling, x, y))
         for u in (x, y):
-            convection = burgers_convection(grid, u, padded, d)
+            convection = burgers_convection(grid, u, (padded, d))
             assert convection.flags.f_contiguous
             assert same_bits(convection, burgers_convection(grid, u))
     solver = ShiftedLaplacian(grid, 1.0, 0.5)
