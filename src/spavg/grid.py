@@ -18,10 +18,13 @@ Every linear solve with shift * I + scale * L goes through ShiftedLaplacian:
 the matrix is symmetric positive definite and tridiagonal, so LAPACK pttrf
 factors it once as L D L^T and each solve is a single pttrs call. The one
 tridiagonal solve outside it is the Newton direction of the implicit
-porous-medium and p-Laplace step (integrators._newton_direction, one LAPACK
-gtsv call for the Jacobians of all columns of a batch, laid end to end),
-because the porous-medium Jacobian I + dt L diag(psi'(u)) is not symmetric
-and changes with every iterate and every column.
+porous-medium and p-Laplace step (integrators._newton_direction, one solve
+for the Jacobians of all columns of a batch, laid end to end), because the
+Jacobian changes with every iterate and every column. The p-Laplace
+Jacobian I + (dt / h^2) D^T diag(w) D, w >= 0, is symmetric positive
+definite too, and each of its directions takes a fresh pttrf factor and
+one pttrs call; the porous-medium Jacobian I + dt L diag(psi'(u)) is not
+symmetric, and its directions take LAPACK gtsv, an LU with partial pivoting.
 """
 
 from __future__ import annotations

@@ -2,18 +2,20 @@
 
 Scheme. The slow state advances with a drift-implicit, noise-explicit Euler
 step over dt_macro: the monotone operator A is treated implicitly (a damped
-Newton iteration for porous medium and p-Laplace, each direction one LAPACK
-gtsv solve with the tridiagonal Jacobian; a prefactored tridiagonal pttrs
-solve for the Burgers Laplacian with explicit convection), while a forcing
-and the Wiener increment enter explicitly. The coupled and the averaged
-equation share this one macro-step loop and differ only in the forcing, as
-in the macro solver of a heterogeneous multiscale method: F(x, y) at the
-left endpoint in the coupled run, fbar(x) in the averaged one. The averaged
-run has two forms: alone on a recorded path, with histories
-(simulate_averaged), and beside a grid run in converge's fold
-(epsilon_grid_errors), as more columns of the same state on the same slow
-increments: one column per replica, since the averaged equation has no
-epsilon. The fast state advances inside each macro step through n_sub
+Newton iteration for porous medium and p-Laplace, each direction one
+tridiagonal solve with the Jacobian: an LDL^T factor by LAPACK pttrf and a
+pttrs solve for the symmetric positive definite p-Laplace Jacobian, LAPACK
+gtsv for the porous-medium one, which is not symmetric; a prefactored
+tridiagonal pttrs solve for the Burgers Laplacian with explicit
+convection), while a forcing and the Wiener increment enter explicitly.
+The coupled and the averaged equation share this one macro-step loop and
+differ only in the forcing, as in the macro solver of a heterogeneous
+multiscale method: F(x, y) at the left endpoint in the coupled run,
+fbar(x) in the averaged one. The averaged run has two forms: alone on a
+recorded path, with histories (simulate_averaged), and beside a grid run
+in converge's fold (epsilon_grid_errors), as more columns of the same
+state on the same slow increments: one column per replica, since the
+averaged equation has no epsilon. The fast state advances inside each macro step through n_sub
 implicit Euler micro steps of size dt_macro / n_sub with the slow input
 frozen at the left endpoint; n_sub is the smallest integer keeping
 dt_micro / epsilon below dt_fast_target, so the fast equation is resolved
@@ -93,13 +95,16 @@ batch is one of:
 - column by column: the prefactored pttrs solve with many right-hand sides,
   the Burgers convection, and the porous-medium and p-Laplace Newton solve.
   There each column keeps its own residual norm, step length and iteration
-  count and is frozen once it converges, while one gtsv call per iteration
-  solves for the directions of all columns still iterating: their
-  tridiagonal Jacobians lie end to end in one system with zero couplings
-  between the blocks. Such a coupling is never a pivot and gives a zero
-  elimination factor, so the blocks do not mix and each column gets the
-  bytes of its own gtsv solve (_newton_direction says when it falls back to
-  one solve per column);
+  count and is frozen once it converges, while one solve per iteration
+  gives the directions of all columns still iterating: their tridiagonal
+  Jacobians lie end to end in one system with zero couplings between the
+  blocks, which one pttrf factor and one pttrs call solve for p-Laplace,
+  one gtsv call for porous medium. Under gtsv such a coupling is never a
+  pivot and gives a zero elimination factor; under pttrf it gives
+  e / d = +-0, so the next pivot does not change. Either way the blocks do
+  not mix and each column gets the bytes of its own solve: only the sign
+  of a zero, or a non-finite value, can cross a block end, and
+  _newton_direction falls back to one solve per column on the latter;
 - a product with a fixed matrix (the sine transforms, the noise synthesis,
   the closed-form averaged drift), taken by _matvec through np.matmul with
   the columns on the stacked axis: one BLAS gemv call per column. One gemm
@@ -129,7 +134,7 @@ import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .grid import L2, Array, Field, Grid1D, NormKind, ShiftedLaplacian, row_norms, sine_basis
 from .operators import (
@@ -460,8 +465,8 @@ def _newton_monotone_solve(
     b is (n, C), one solve being C = 1, solved column by column: each keeps
     its own residual norm, step length and iteration count, and leaves the
     iteration once it converges, so it follows exactly the iterates of its
-    solve alone, while one gtsv call serves the directions of all columns
-    still iterating (see _newton_direction). The powers |v| ** (p - 2)
+    solve alone, while one tridiagonal solve serves the directions of all
+    columns still iterating (see _newton_direction). The powers |v| ** (p - 2)
     an iterate's residual takes (see slow_drift) also give the Jacobian of
     the next direction. A column that fails is dropped; once every column has
     finished, NewtonDivergence is raised for the lowest failing one, with the
@@ -563,41 +568,67 @@ def _newton_direction(
     residual: Array,
     powers: Array,
 ) -> tuple[Array, Array | None]:
-    """Solve J(u) d = -residual for every column of u (n, C) with one LAPACK gtsv call.
+    """Solve J(u) d = -residual for every column of u (n, C) with one tridiagonal solve.
 
-    gtsv is the tridiagonal LU with partial pivoting that solve_banded uses
-    for (1, 1) bands, without its validation. It copies the diagonals, so
-    sub and super may share memory, and writes d over its right-hand side.
-    The C Jacobians lie end to end in one system (_monotone_jacobian_bands).
+    The C Jacobians lie end to end in one system (_monotone_jacobian_bands),
+    which _solve_jacobian solves: by an LDL^T factor (pttrf, pttrs) of the
+    symmetric positive definite p-Laplace Jacobian, by gtsv's LU with
+    partial pivoting for the porous-medium one, which is not symmetric.
     Returns the directions and None, or with a boolean mask of the columns
-    whose Jacobian is singular, whose directions are then meaningless.
+    whose factorization failed, whose directions are then meaningless.
 
-    A zero coupling below the last row of a block is never a pivot and
-    makes a zero elimination factor, so the blocks do not mix: every
-    nonzero entry has the bytes of the column's own gtsv solve, and an
-    entry that is exactly zero may at most change its sign, which no later
-    nonzero value depends on. Two cases break this: a zero pivot stops
-    gtsv at its block, and a non-finite entry reaches the block before it
-    through a zero coupling (0 * inf). Then every column is solved on its
-    own, as a single column always is.
+    The zero couplings between blocks keep the blocks apart. Under gtsv a
+    zero coupling below the last row of a block is never a pivot and makes
+    a zero elimination factor; under pttrf it makes e / d = +-0, so the
+    next pivot does not change, and pttrs subtracts that +-0 times the
+    entry before. Either way every nonzero entry has the bytes of the
+    column's own solve, and an entry that is exactly zero may at most
+    change its sign, which no later nonzero value depends on. Two cases
+    break this: a failed factorization (a zero gtsv pivot or a pttrf pivot
+    that is not positive) stops it at its block, and a non-finite entry
+    crosses a zero coupling (0 * inf, or e / d = 0 / nan). Then every
+    column is solved on its own, as a single column always is.
     """
     sub, diag, sup = _monotone_jacobian_bands(slow, grid, u, dt, powers)
     n, columns = u.shape
-    if n == 1:  # the gtsv wrapper rejects empty off-diagonals
+    if n == 1:  # the LAPACK wrappers reject empty off-diagonals
         return -residual / diag, None
-    # gtsv writes the directions over rhs when its column-major view is no copy.
+    # The solve writes the directions over rhs when its column-major view is no copy.
     rhs = -residual
-    *_, direction, info = dgtsv(sub, diag, sup, rhs.ravel(order="F"), overwrite_b=True)
+    direction, info = _solve_jacobian(slow.kind, sub, diag, sup, rhs.ravel(order="F"))
     if not info and direction.base is rhs and (columns == 1 or np.isfinite(direction).all()):
         return rhs, None
     singular = np.zeros(columns, dtype=bool)
     for c in range(columns):
         band = slice(c * n, c * n + n - 1)
-        *_, rhs[:, c], info = dgtsv(
-            sub[band], diag[c * n : (c + 1) * n], sup[band], -residual[:, c], overwrite_b=True
+        rhs[:, c], info = _solve_jacobian(
+            slow.kind, sub[band], diag[c * n : (c + 1) * n], sup[band], -residual[:, c]
         )
         singular[c] = info != 0
     return rhs, singular if singular.any() else None
+
+
+def _solve_jacobian(
+    kind: str, sub: Array, diag: Array, sup: Array, rhs: Array
+) -> tuple[Array, int]:
+    """Solve the tridiagonal system (sub, diag, sup) x = rhs of the kind's Jacobian.
+
+    p_laplace: LAPACK pttrf factors the symmetric positive definite matrix
+    as L D L^T, without pivoting, from diag and sup, and pttrs solves with
+    it. porous_medium: gtsv, the LU with partial pivoting that solve_banded
+    uses for (1, 1) bands, without its validation. Both copy the bands, so
+    a caller may solve with them again, and write x over rhs where they
+    can. Returns x and LAPACK's info, nonzero when the factorization
+    failed, which leaves x meaningless.
+    """
+    # The overwrite flags go by position: f2py's keyword lookup costs more.
+    if kind == "p_laplace":
+        d, e, info = dpttrf(diag, sup)
+        if info:
+            return rhs, info
+        return dpttrs(d, e, rhs, 1)
+    *_, x, info = dgtsv(sub, diag, sup, rhs, 0, 0, 0, 1)
+    return x, info
 
 
 def _monotone_jacobian_bands(
@@ -606,12 +637,13 @@ def _monotone_jacobian_bands(
     """Jacobians of u - dt * A(u) for the columns of u (n, C), laid end to end.
 
     Returns the (sub, diag, super) diagonals of one tridiagonal system of
-    size C n, the three arrays LAPACK gtsv takes: column c's Jacobian is the
+    size C n, as _solve_jacobian takes them: column c's Jacobian is the
     block on rows c n to c n + n - 1, and the two off-diagonal entries
     between one block and the next are zero (with C = 1 they fall outside
     the bands). The porous-medium Jacobian I + dt L diag(psi'(u)) is not
-    symmetric, so its two off-diagonals differ. powers is |v| ** (p - 2)
-    as slow_drift takes it.
+    symmetric, so its two off-diagonals differ; the p-Laplace one,
+    I + (dt / h^2) D^T diag(phi'(g)) D, is symmetric, and sub is sup.
+    powers is |v| ** (p - 2) as slow_drift takes it.
     """
     h2 = grid.h**2
     n = u.shape[0]
@@ -622,13 +654,15 @@ def _monotone_jacobian_bands(
         sub[n - 1 :: n] = 0.0
         off[n::n] = 0.0
         return sub, (1.0 + 2.0 * dt * dpsi / h2).ravel(order="F"), off[1:]
-    # p_laplace: face weights phi'(g) = (p-1) |g|^(p-2); row n - 1 of off
-    # would couple a block to the next one.
-    w = (slow.p - 1.0) * powers
-    off = -dt * w[1:] / h2
+    # p_laplace: s is dt / h^2 times the face weights phi'(g) = (p-1) |g|^(p-2);
+    # row n - 1 of off would couple a block to the next one.
+    s = (dt * (slow.p - 1.0) / h2) * powers
+    diag = 1.0 + s[:-1]
+    diag += s[1:]
+    off = -s[1:]
     off[-1] = 0.0
     off = off.ravel(order="F")[:-1]
-    return off, (1.0 + dt * (w[:-1] + w[1:]) / h2).ravel(order="F"), off
+    return off, diag.ravel(order="F"), off
 
 
 # Micro steps whose noise _FastStepper.path synthesizes at once.

@@ -277,7 +277,7 @@ CONVERGE_DIGESTS = {
         "75e31548ef246c80aea61b1d4090c961ae821d266be326a7a699824b5e3f7210"
     ),
     "slow_kind = p_laplace\n": (
-        "b60624bcbf92c3faa5ec4b8e10f4e46dc99753235fa13e681c107d420c1f3b5c"
+        "85d1f70dc540c1b381760108c52a77d2b694bd247922d0fafaf9ba8053575492"
     ),
     "fast_kind = smooth_bounded\nb = 0.5\nfbar_source = estimator\n": (
         "5be5dc2736969997ac70d25fa5c354bca5db1695a4dac0b6c162090ef1e3c5e1"
@@ -316,7 +316,7 @@ DIAGNOSE_DIGESTS = {
         "7210c4887d3499d2f332d72be92ae6d2f070a09d9e67e164c4f51c6d3b2e3cff"
     ),
     "slow_kind = p_laplace\n": (
-        "ca0a97fc25e97b0b9a46eefc15e54c6a7216a5cd6603338711b27b73cc08403d"
+        "cf221ed7b159ede2cf94056114f72ee439b595955bbec22e292b3449d34598da"
     ),
     "fast_kind = smooth_bounded\nb = 0.5\n": (
         "7a4ea97c86aaeb23c6b0474982304b91c5ce1d96a6c3795851cd43af6ab523e8"

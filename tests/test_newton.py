@@ -1,11 +1,12 @@
 """The damped Newton solve of the porous-medium and p-Laplace slow step.
 
 Each iteration solves for the directions of all columns of a batch with one
-LAPACK gtsv call over their Jacobians laid end to end. The bands are checked
-against a central finite difference Jacobian, the directions against a
-dense solve, the step against its residual contract over random grids,
-exponents and step sizes, and the batched solve against a plain per-column
-Newton loop, byte for byte.
+tridiagonal solve over their Jacobians laid end to end: an LDL^T factor
+(LAPACK pttrf, pttrs) for the symmetric p-Laplace Jacobian, gtsv for the
+porous-medium one. The bands are checked against a central finite
+difference Jacobian, the directions against a dense solve, the step
+against its residual contract over random grids, exponents and step sizes,
+and the batched solve against a plain per-column Newton loop, byte for byte.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from spavg.grid import Grid1D
 from spavg.integrators import (
@@ -79,7 +80,7 @@ def test_jacobian_bands_match_finite_differences(spec):
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-p{s.p}")
 @pytest.mark.parametrize("n", [1, 2, 64])
 def test_direction_matches_dense_solve(spec, n):
-    # One column, and a batch of three solved by one gtsv call.
+    # One column, and a batch of three solved by one tridiagonal solve.
     grid = Grid1D(n)
     dt = 1 / 64
     for columns in (1, 3):
@@ -98,11 +99,52 @@ def test_direction_matches_dense_solve(spec, n):
         assert float(np.abs(direction.T.ravel() - expected).max()) <= 1e-12 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 5, 64]),
+    columns=st.integers(1, 16),
+    p=st.sampled_from([2.0, 3.0, 4.5]),
+    dt=st.sampled_from([1 / 512, 1 / 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_p_laplace_direction_matches_a_dense_solve_property(n, columns, p, dt, seed):
+    # The LDL^T solve of the batched p-Laplace bands against np.linalg.solve
+    # of each column's dense Jacobian I + dt G^T diag((p-1) |G u|^(p-2)) G,
+    # built from face_gradients alone: G is the face-gradient matrix, the
+    # face gradients of the identity's columns.
+    spec = SlowOperatorSpec("p_laplace", p=p)
+    grid = Grid1D(n)
+    gen = np.random.default_rng(seed)
+    u = rough_columns(gen, n, 10.0 ** gen.uniform(-3, 0.5, columns))
+    residual = np.asfortranarray(gen.standard_normal((n, columns)))
+    powers = powers_of(spec, grid, u)
+    sub, diag, sup = _monotone_jacobian_bands(spec, grid, u, dt, powers)
+    assert np.isfinite(diag).all() and np.isfinite(sup).all()
+    assert np.array_equal(sub, sup)
+    if diag.size > 1:
+        assert dpttrf(diag, sup)[2] == 0
+    direction, singular = _newton_direction(spec, grid, u, dt, residual, powers)
+    assert singular is None
+    G = face_gradients(grid, np.eye(n))
+    eps = np.finfo(float).eps
+    for c in range(columns):
+        w = (p - 1.0) * np.abs(face_gradients(grid, u[:, c])) ** (p - 2.0)
+        jacobian = np.eye(n) + dt * (G.T * w) @ G
+        expected = np.linalg.solve(jacobian, -residual[:, c])
+        # A backward-stable solve of a system whose entries carry a few
+        # roundings each: forward error within a small multiple of
+        # n eps cond(J), relative to the largest entry of the direction.
+        tol = 16.0 * n * eps * np.linalg.cond(jacobian)
+        error = float(np.abs(direction[:, c] - expected).max())
+        assert error <= tol * float(np.abs(expected).max())
+
+
 @pytest.mark.parametrize("kind", ["porous_medium", "p_laplace"])
 def test_a_non_finite_column_sends_the_batch_to_per_column_solves(kind):
     # An infinite Jacobian entry in column 1 reaches every block of the one
-    # batched gtsv call; the fallback then solves each column alone, so
-    # columns 0 and 2 keep the bytes of their own one-column calls.
+    # batched solve (gtsv, or pttrf and pttrs for p_laplace); the fallback
+    # then solves each column alone, so columns 0 and 2 keep the bytes of
+    # their own one-column calls.
     spec = SlowOperatorSpec(kind, p=3.0)
     grid = Grid1D(8)
     dt = 1 / 64
@@ -111,8 +153,13 @@ def test_a_non_finite_column_sends_the_batch_to_per_column_solves(kind):
     residual = gen.standard_normal((3, 8)).T
     powers = powers_of(spec, grid, u)
     powers[3, 1] = np.inf
-    bands = _monotone_jacobian_bands(spec, grid, u, dt, powers)
-    *_, batched, _ = dgtsv(*bands, -residual.ravel(order="F"))
+    sub, diag, sup = _monotone_jacobian_bands(spec, grid, u, dt, powers)
+    if kind == "p_laplace":
+        d, e, info = dpttrf(diag, sup)
+        assert info == 0
+        batched, _ = dpttrs(d, e, -residual.ravel(order="F"))
+    else:
+        *_, batched, _ = dgtsv(sub, diag, sup, -residual.ravel(order="F"))
     assert not np.isfinite(batched.reshape(3, 8)).all(axis=1).any()
     direction, _ = _newton_direction(spec, grid, u, dt, residual, powers)
     assert not np.isfinite(direction[:, 1]).all()
@@ -220,7 +267,11 @@ def test_implicit_residual_contract_property(n, kind, p, dt, seed):
 
 
 def reference_newton(spec, grid, b, dt, tol):
-    """The damped Newton solve of one column, one gtsv call per direction.
+    """The damped Newton solve of one column, one tridiagonal solve per direction.
+
+    Each direction solves the column's Jacobian as the batched solve does:
+    gtsv for porous medium, an LDL^T factor (pttrf, pttrs) for p-Laplace,
+    whose bands come from the same formula.
 
     Returns the solution with its iteration and halving counts, or raises
     NewtonDivergence with the message of the solve.
@@ -237,12 +288,16 @@ def reference_newton(spec, grid, b, dt, tol):
             sub, diag, sup = off[:-1], 1.0 + 2.0 * dt * dpsi / h2, off[1:]
         else:
             g = np.diff(u, prepend=0.0, append=0.0) / grid.h
-            w = (spec.p - 1.0) * np.abs(g) ** (spec.p - 2.0)
-            sub = sup = -dt * w[1:-1] / h2
-            diag = 1.0 + dt * (w[:-1] + w[1:]) / h2
+            s = (dt * (spec.p - 1.0) / h2) * np.abs(g) ** (spec.p - 2.0)
+            diag = 1.0 + s[:-1] + s[1:]
+            sub = sup = -s[1:-1]
         if u.size == 1:
             return -r / diag
-        *_, d, info = dgtsv(sub, diag, sup, -r)
+        if spec.kind == "porous_medium":
+            *_, d, info = dgtsv(sub, diag, sup, -r)
+        else:
+            factor_d, factor_e, info = dpttrf(diag, sup)
+            d, _ = dpttrs(factor_d, factor_e, -r)
         if info:
             raise NewtonDivergence(f"implicit {spec.kind} solve met a singular Jacobian")
         return d
