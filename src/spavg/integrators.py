@@ -95,16 +95,18 @@ batch is one of:
 - column by column: the prefactored pttrs solve with many right-hand sides,
   the Burgers convection, and the porous-medium and p-Laplace Newton solve.
   There each column keeps its own residual norm, step length and iteration
-  count and is frozen once it converges, while one solve per iteration
-  gives the directions of all columns still iterating: their tridiagonal
-  Jacobians lie end to end in one system with zero couplings between the
-  blocks, which one pttrf factor and one pttrs call solve for p-Laplace,
-  one gtsv call for porous medium. Under gtsv such a coupling is never a
-  pivot and gives a zero elimination factor; under pttrf it gives
-  e / d = +-0, so the next pivot does not change. Either way the blocks do
-  not mix and each column gets the bytes of its own solve: only the sign
-  of a zero, or a non-finite value, can cross a block end, and
-  _newton_direction falls back to one solve per column on the latter;
+  count. A column that converges is written into the solution once and
+  rides along unread until the last one has; only a failing column leaves
+  the batch. One solve per iteration gives the directions of all columns
+  in the batch: their tridiagonal Jacobians lie end to end in one system
+  with zero couplings between the blocks, which one pttrf factor and one
+  pttrs call solve for p-Laplace, one gtsv call for porous medium. Under
+  gtsv such a coupling is never a pivot and gives a zero elimination
+  factor; under pttrf it gives e / d = +-0, so the next pivot does not
+  change. Either way the blocks do not mix and each column gets the bytes
+  of its own solve: only the sign of a zero, or a non-finite value, can
+  cross a block end, and _newton_direction falls back to one solve per
+  column on the latter, so a column riding along cannot change another;
 - a product with a fixed matrix (the sine transforms, the noise synthesis,
   the closed-form averaged drift), taken by _matvec through np.matmul with
   the columns on the stacked axis: one BLAS gemv call per column. One gemm
@@ -463,14 +465,18 @@ def _newton_monotone_solve(
     """Solve u - dt * A(u) = b by Newton with step halving on the residual.
 
     b is (n, C), one solve being C = 1, solved column by column: each keeps
-    its own residual norm, step length and iteration count, and leaves the
-    iteration once it converges, so it follows exactly the iterates of its
-    solve alone, while one tridiagonal solve serves the directions of all
-    columns still iterating (see _newton_direction). The powers |v| ** (p - 2)
-    an iterate's residual takes (see slow_drift) also give the Jacobian of
-    the next direction. A column that fails is dropped; once every column has
-    finished, NewtonDivergence is raised for the lowest failing one, with the
-    message of its solve alone and its position in `column`.
+    its own residual norm, step length and iteration count, so it follows
+    exactly the iterates of its solve alone, while one tridiagonal solve
+    serves the directions of all columns of the batch (see
+    _newton_direction). The powers |v| ** (p - 2) an iterate's residual
+    takes (see slow_drift) also give the Jacobian of the next direction. A
+    column that converges is written into the solution once and rides
+    along unread until no column is open (still iterating): its later
+    iterates are computed but never read, it takes every candidate without
+    halving, and a singular Jacobian of its own fails nothing. Only a
+    column that fails leaves the batch; once no column is open,
+    NewtonDivergence is raised for the lowest failing one, with the message
+    of its solve alone and its position in `column`.
     """
 
     def residual_at(u: Array, rhs: Array) -> tuple[Array, Array]:
@@ -485,23 +491,28 @@ def _newton_monotone_solve(
     residual, powers = residual_at(u, rhs)
     norm = _column_max(residual)
     tol = params.newton_tol * np.fmax(1.0, _column_max(rhs))
-    # index holds the places in b of the columns still iterating; rhs, tol,
-    # u, residual, powers and norm hold theirs alone. np.count_nonzero is
-    # the cheap any / all of a small mask.
+    # index holds the places in b of the columns in the batch; rhs, tol, u,
+    # residual, powers, norm and written (already in solution) hold theirs
+    # alone. np.count_nonzero is the cheap any / all of a small mask.
     index = np.arange(width)
+    written = np.zeros(width, dtype=bool)
     solution = None
     failures: dict[int, str] = {}
 
     def fail(failed: Array, message: str) -> list[Array]:
         for column, column_norm in zip(index[failed], norm[failed]):
             failures[int(column)] = f"implicit {slow.kind} solve " + message.format(column_norm)
-        return _columns(~failed, index, rhs, tol, u, residual, powers, norm)
+        return _columns(~failed, index, rhs, tol, u, residual, powers, norm, written)
 
     finite = np.isfinite(norm)
     if np.count_nonzero(finite) < width:
-        index, rhs, tol, u, residual, powers, norm = fail(~finite, "met a non-finite residual")
+        index, rhs, tol, u, residual, powers, norm, written = fail(
+            ~finite, "met a non-finite residual"
+        )
     for iteration in range(NEWTON_MAX_ITER + 1):
         done = norm <= tol
+        if solution is not None:  # only then is a column written
+            done &= ~written
         finished = np.count_nonzero(done)
         if finished == width:
             return u
@@ -509,23 +520,27 @@ def _newton_monotone_solve(
             if solution is None:
                 solution = np.empty((b.shape[0], width), order="F")
             solution[:, index[done]] = u[:, done]
-            index, rhs, tol, u, residual, powers, norm = _columns(
-                ~done, index, rhs, tol, u, residual, powers, norm
-            )
-        if not index.size:
+            written |= done
+        if np.count_nonzero(written) == index.size:
             break
         if iteration == NEWTON_MAX_ITER:
-            fail(np.full(index.size, True), "did not reach tolerance, residual {:.3e}")
+            fail(~written, "did not reach tolerance, residual {:.3e}")
             break
         direction, singular = _newton_direction(slow, grid, u, dt, residual, powers)
         if singular is not None:
-            index, rhs, tol, u, residual, powers, norm = fail(singular, "met a singular Jacobian")
-            direction = direction[:, ~singular]
+            singular &= ~written
+            if np.count_nonzero(singular):
+                index, rhs, tol, u, residual, powers, norm, written = fail(
+                    singular, "met a singular Jacobian"
+                )
+                direction = direction[:, ~singular]
         # u + direction has the bytes of u + 1.0 * direction.
         candidate = u + direction
         cand_residual, cand_powers = residual_at(candidate, rhs)
         cand_norm = _column_max(cand_residual)
         better = cand_norm < norm
+        if solution is not None:
+            better |= written
         if np.count_nonzero(better) < better.size:
             pending = np.flatnonzero(~better)
             step = 1.0
@@ -547,7 +562,7 @@ def _newton_monotone_solve(
                 # Dropped with the residual norm of their last iterate.
                 stalled = np.full(index.size, False)
                 stalled[pending] = True
-                index, rhs, tol, u, residual, powers, norm = fail(
+                index, rhs, tol, u, residual, powers, norm, written = fail(
                     stalled, "stalled at residual {:.3e}"
                 )
                 candidate, cand_residual, cand_powers, cand_norm = _columns(
@@ -774,25 +789,42 @@ class _FastStepper:
                 yield state
 
 
-def _matvec(matrix: Array, v: Array) -> Array:
+def _matvec(matrix: Array, v: Array, out: Array | None = None) -> Array:
     """matrix @ v for each column of a batch v (n, C); a single vector is C = 1.
 
     The columns go on np.matmul's stacked axis: one gemv per column, so a
     column's bytes do not depend on the batch. matrix @ v would be one gemm.
+    With out, a column-major (n, C) array, the product is written into it.
     """
-    return np.matmul(matrix, v.T[:, :, None])[:, :, 0].T
+    if out is None:
+        return np.matmul(matrix, v.T[:, :, None])[:, :, 0].T
+    np.matmul(matrix, v.T[:, :, None], out=out.T[:, :, None])
+    return out
+
+
+def _nodal(v: Array, out: Array | None = None) -> Array:
+    """v itself, or v written into out: the coordinates of a nodal fast state."""
+    if out is None:
+        return v
+    out[...] = v
+    return out
 
 
 def _fast_coordinates(fast: FastOperatorSpec, grid: Grid1D) -> tuple[Callable, ...]:
     """(to_state, to_nodes, l2_norms): nodal columns (n, C) into the coordinates a fast
     state is kept in and back, and the grid L2 norm of rows (..., n) in them: for the
-    linear kind sine modes y^ = h B^T y, y = B y^, and their Euclidean norm (Parseval)."""
+    linear kind sine modes y^ = h B^T y, y = B y^, and their Euclidean norm (Parseval).
+    to_state(v, out) writes into a column-major out (n, C)."""
     if fast.kind != "linear":
-        return (lambda v: v), (lambda v: v), (lambda v: row_norms(grid, v, L2))
+        return _nodal, _nodal, (lambda v: row_norms(grid, v, L2))
     basis = sine_basis(grid, grid.n_interior)
     analysis = np.ascontiguousarray(grid.h * basis.T)
     euclidean = lambda v: np.sqrt(np.sum(v * v, axis=-1))  # noqa: E731
-    return (lambda v: _matvec(analysis, v)), (lambda v: _matvec(basis, v)), euclidean
+    return (
+        (lambda v, out=None: _matvec(analysis, v, out)),
+        (lambda v: _matvec(basis, v)),
+        euclidean,
+    )
 
 
 def _by_column(v: Array, y: Array) -> Array:
@@ -1007,7 +1039,7 @@ def _epsilon_grid(
     def forcing(j: int, x: Array, y: Array) -> tuple[Array, Array]:
         """F at the left endpoint; the fast states then run one block with x frozen."""
         coupling_f(coupling, x[:, :width], to_nodes(y[:, :width]), f_coupled)
-        x_coupled[...] = to_state(x[:, :width])
+        to_state(x[:, :width], x_coupled)
         for q, own in anchored:  # one check per distinct q
             if block_anchors(j, q) == j:
                 x_fast[:, own] = x_fast[:, source[own]]

@@ -584,9 +584,9 @@ def count_matvec(monkeypatch):
     counts = collections.Counter()
     matvec = spavg.integrators._matvec
 
-    def counted(matrix, v):
+    def counted(matrix, v, *args):
         counts["_matvec"] += 1
-        return matvec(matrix, v)
+        return matvec(matrix, v, *args)
 
     monkeypatch.setattr(spavg.integrators, "_matvec", counted)
     return counts

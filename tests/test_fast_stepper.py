@@ -178,9 +178,9 @@ def test_linear_frozen_runs_transform_only_at_their_ends(monkeypatch):
     x_hat, y_hat = to_state(x), to_state(y)
     transforms = []
 
-    def counted(matrix, v):
+    def counted(matrix, v, *args):
         transforms.append(v.shape)
-        return _matvec(matrix, v)
+        return _matvec(matrix, v, *args)
 
     monkeypatch.setattr(spavg.integrators, "_matvec", counted)
     states = list(stepper.path(x_hat, y_hat, coefficients))

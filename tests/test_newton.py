@@ -216,8 +216,8 @@ def test_p_laplace_newton_takes_face_gradients_once_per_iterate(monkeypatch):
 
 def test_a_singular_jacobian_fails_its_column_and_the_rest_iterate_on(monkeypatch):
     # A Jacobian flagged singular on the first iteration drops its column:
-    # the other two take their directions and iterate on, and the solve
-    # then raises for the singular column with the message of its own.
+    # the other two take their directions and iterate on together, and the
+    # solve then raises for the singular column with the message of its own.
     import spavg.integrators as integrators
 
     original = integrators._newton_direction
@@ -237,7 +237,7 @@ def test_a_singular_jacobian_fails_its_column_and_the_rest_iterate_on(monkeypatc
         _newton_monotone_solve(spec, Grid1D(8), b, 1 / 64, SchemeParams(dt_macro=1 / 64))
     assert str(failure.value) == "implicit porous_medium solve met a singular Jacobian"
     assert failure.value.column == 1
-    assert widths[0] == 3 and len(widths) > 1 and set(widths[1:]) <= {1, 2}
+    assert widths[0] == 3 and len(widths) > 1 and set(widths[1:]) == {2}
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,3 +407,74 @@ def test_batched_newton_equals_the_per_column_solve(kind, p, n, columns, dt, see
     amplitudes = 10.0 ** gen.uniform(-3, 1.3, columns)
     b = rough_columns(gen, n, amplitudes)
     assert_batch_solves_like_its_columns(SlowOperatorSpec(kind, p=p), Grid1D(n), b, dt, 1e-10)
+
+
+def uneven_batch():
+    """Five columns of growing size, (64, 5): their solves at dt = 1/8 take
+    7 to 18 (porous medium, p = 3) and 14 to 35 (p-Laplace, p = 4) iterations."""
+    gen = np.random.default_rng(4)
+    return np.asfortranarray(gen.standard_normal((64, 5)) * np.array([0.01, 0.3, 1.0, 3.0, 10.0]))
+
+
+UNEVEN_SPECS = [SlowOperatorSpec("porous_medium", p=3.0), SlowOperatorSpec("p_laplace", p=4.0)]
+
+
+@pytest.mark.parametrize("spec", UNEVEN_SPECS, ids=lambda s: s.kind)
+def test_converged_columns_ride_along_without_copies(spec, monkeypatch):
+    # A column that converges is written once and stays in the batch,
+    # unread, until every column has: a batch without failures copies no
+    # columns out, every direction solves all five, and each column keeps
+    # the bytes of its own solve.
+    import spavg.integrators as integrators
+
+    copies = []
+    widths = []
+    columns, direction = integrators._columns, integrators._newton_direction
+
+    def counted_columns(*args):
+        copies.append(args)
+        return columns(*args)
+
+    def recorded_direction(*args):
+        widths.append(args[2].shape[1])
+        return direction(*args)
+
+    monkeypatch.setattr(integrators, "_columns", counted_columns)
+    monkeypatch.setattr(integrators, "_newton_direction", recorded_direction)
+    counts = assert_batch_solves_like_its_columns(spec, Grid1D(64), uneven_batch(), 1 / 8, 1e-10)
+    iterations = [count[0] for count in counts]
+    assert len(set(iterations)) == 5
+    assert copies == [] and widths == [5] * max(iterations)
+
+
+@pytest.mark.parametrize("fault", ["singular", "non_finite"])
+@pytest.mark.parametrize("spec", UNEVEN_SPECS, ids=lambda s: s.kind)
+def test_a_fault_after_a_column_is_written_fails_nothing(spec, fault, monkeypatch):
+    # Column 0 converges first. At the next direction its Jacobian is
+    # flagged singular, or its direction is NaN, which its later iterates
+    # and Jacobians then carry into every batched solve. It is already in
+    # the solution: the solve raises nothing, column 0 keeps the bytes of
+    # its own solve, and so do the columns still open.
+    import spavg.integrators as integrators
+
+    grid = Grid1D(64)
+    b = uneven_batch()
+    written_at = reference_newton(spec, grid, b[:, 0].copy(), 1 / 8, 1e-10)[1]
+    original = integrators._newton_direction
+    column_0_finite = []
+
+    def fault_column_0(*args):
+        direction, singular = original(*args)
+        if len(column_0_finite) == written_at:
+            if fault == "singular":
+                singular = np.array([True, False, False, False, False])
+            else:
+                direction[:, 0] = np.nan
+        column_0_finite.append(bool(np.isfinite(args[2][:, 0]).all()))
+        return direction, singular
+
+    monkeypatch.setattr(integrators, "_newton_direction", fault_column_0)
+    counts = assert_batch_solves_like_its_columns(spec, grid, b, 1 / 8, 1e-10)
+    assert len(counts) == 5 and len(column_0_finite) == max(count[0] for count in counts)
+    later = column_0_finite[written_at + 1 :]
+    assert later and later == [fault == "singular"] * len(later)
